@@ -5,6 +5,8 @@ extension is unavailable.  See campana.kernels for the selection logic.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 BACKEND = "py"
@@ -36,37 +38,113 @@ def conic_has_solution(a: int, b: int, p: int, m: int) -> bool:
 
 def norm_mod(coeffs: list, q: int) -> int:
     """Res(x^n - 2, h) mod q for h = sum(coeffs[j] x^j), len(coeffs) = n."""
-    n = len(coeffs)
+    if len(coeffs) == 1:  # Res(x - 2, c) = c
+        return operator.index(coeffs[0]) % _modulus(q)
+    return int(norm_mod_rows([coeffs], [q])[0])
+
+
+def norm_mod_rows(H, qs) -> np.ndarray:
+    """Res(x^n - 2, h_i) mod qs[i] for every row h_i of the L x n array H
+    (coefficients by ascending power), as an int64 array of length L.
+
+    One Euclidean remainder sequence runs for all rows at once while their
+    degrees agree.  int64 is exact: a product is below q^2 < 2^62 and an
+    entry takes at most two of them before it is reduced mod q.  H may hold
+    int64 or Python ints of any size; q must satisfy 2 <= q < 2^31.
+    """
+    qlist = [_modulus(m) for m in qs]
+    rows = np.asarray(H)
+    if not qlist and rows.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[0] != len(qlist) or rows.shape[1] == 0:
+        raise ValueError("need an L x n array of coefficients, n >= 1, "
+                         "and one modulus per row")
+    q = np.array(qlist, dtype=np.int64)
+    if rows.dtype.kind == "i" or (rows.dtype.kind in "ub" and rows.dtype.itemsize < 8):
+        g = rows.astype(np.int64) % q[:, None]
+    else:  # Python ints of any size; anything else is refused by index()
+        g = np.array([[operator.index(c) % m for c in row]
+                      for row, m in zip(rows.tolist(), qlist)], dtype=np.int64)
+    n = g.shape[1]
+    f = np.zeros((len(q), n + 1), dtype=np.int64)
+    f[:, n] = 1
+    f[:, 0] = -2 % q
+    return np.array(_resultant_rows(f, g, qlist, [1] * len(qlist)), dtype=np.int64)
+
+
+def _modulus(q) -> int:
+    q = operator.index(q)
     if q >= (1 << 31) or q < 2:
         raise ValueError("q out of range")
-    f = [0] * (n + 1)
-    f[n] = 1
-    f[0] = (-2) % q
-    df = n
-    g = [c % q for c in coeffs]
-    dg = n - 1
-    while dg >= 0 and g[dg] == 0:
-        dg -= 1
-    res = 1
+    return q
+
+
+def _resultant_rows(f, g, qs: list, res: list) -> list:
+    """res[i] * lc(f_i)^(df - dg_i) * Res(f_i, g_i) mod qs[i], row by row.
+
+    Every row of f has the exact degree df = f.shape[1] - 1 and the rows of
+    g have degree dg_i < df; f and g are overwritten.  Each step divides f
+    by g and uses Res(f, g) = (-1)^(df dg) lc(g)^(df - dr) Res(g, r): of
+    the power of lc(g) it takes df - dg now, together with the pending power
+    of lc(f), and leaves dg - dr pending for the next step, where g is the
+    new f.  The quotient comes from the top coefficients, one row at a time;
+    each of its terms is then one int64 update of all rows, reduced mod q
+    after every second term, since two products sum to at most
+    2 (q - 1)^2 < 2^63.  A row whose g has a lower degree than the highest
+    one in the batch is finished by a call on that row alone.
+    """
+    out = [0] * len(qs)
+    live = list(range(len(qs)))
+    q = np.array(qs, dtype=np.int64)[:, None]
+    buf = np.empty_like(g)
     while True:
-        if dg < 0:
-            return 0
+        df = f.shape[1] - 1
+        dg = g.shape[1] - 1
+        lcs = g[:, dg].tolist()
+        if 0 in lcs:
+            nonzero = g != 0
+            deg = np.where(nonzero.any(axis=1),
+                           dg - np.argmax(nonzero[:, ::-1], axis=1), -1).tolist()
+            dg = max(deg)
+            for k, d in enumerate(deg):
+                if 0 <= d < dg:
+                    out[live[k]], = _resultant_rows(
+                        f[[k]], g[[k], :d + 1], [qs[k]], [res[k]])
+            if dg < 0:
+                return out
+            keep = [k for k, d in enumerate(deg) if d == dg]
+            f, g, q, buf = f[keep], g[keep, :dg + 1], q[keep], buf[keep]
+            qs, res, live = ([seq[k] for k in keep] for seq in (qs, res, live))
+            lcs = g[:, dg].tolist()
+        e = df - dg
+        tops = f[:, dg:].tolist()
         if dg == 0:
-            return res * pow(g[0], df, q) % q
-        lc = g[dg]
-        inv = pow(lc, -1, q)
-        for i in range(df, dg - 1, -1):
-            c = f[i]
-            if c:
-                c = c * inv % q
-                shift = i - dg
-                for j in range(dg + 1):
-                    f[j + shift] = (f[j + shift] - c * g[j]) % q
-        dr = dg - 1
-        while dr >= 0 and f[dr] == 0:
-            dr -= 1
-        if (df & 1) and (dg & 1):
-            res = (-res) % q
-        res = res * pow(lc, df - (dr if dr >= 0 else 0), q) % q
-        f, g = g, f
-        df, dg = dg, dr
+            for r, c, m, top, a in zip(live, res, qs, tops, lcs):
+                out[r] = c * pow(top[e] * a, df, m) % m
+            return out
+        # quotient coefficients, highest first: term t cancels x^(df - t),
+        # where the earlier terms met g's coefficients just below its lead
+        heads = g[:, max(dg - e, 0):dg].tolist()
+        sign = -1 if df & dg & 1 else 1
+        quotients = []
+        for k, (m, top, head, a) in enumerate(zip(qs, tops, heads, lcs)):
+            res[k] = sign * res[k] * pow(top[e] * a, e, m) % m
+            inv = pow(a, -1, m)
+            quo = []
+            for t in range(e, -1, -1):
+                c = top[t] - sum(map(operator.mul, reversed(quo), reversed(head)))
+                quo.append(c * inv % m)
+            quotients.append(quo)
+        quo = np.array(quotients, dtype=np.int64)
+        prod = buf[:, :dg + 1]
+        hi = df
+        for t in range(e + 1):
+            i = df - t
+            span = f[:, i - dg:i + 1]
+            np.multiply(g, quo[:, t:t + 1], out=prod)
+            np.subtract(span, prod, out=span)
+            if t % 2 or i == dg:
+                span = f[:, i - dg:hi + 1]
+                np.remainder(span, q, out=span)
+                hi = i - 1
+        f, g = g, f[:, :dg]

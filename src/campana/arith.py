@@ -182,7 +182,7 @@ def _factor_int(n: int) -> Dict[int, int]:
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        root = round(m ** 0.5)
+        root = math.isqrt(m)
         if root * root == m:
             stack.extend([root, root])
             continue

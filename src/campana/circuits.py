@@ -13,6 +13,7 @@ collapsed into one equation without expanding the norm polynomial.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -208,10 +209,14 @@ class Circuit:
         return val[self.root]
 
     def evaluate_vec(self, env: Mapping[str, "object"], q: int):
-        """Vectorized mod-q evaluation over numpy int64 arrays; norm nodes
-        fall back to per-point kernel calls."""
+        """Vectorized mod-q evaluation over numpy int64 arrays, 2 <= q < 2^31
+        so that products stay exact; the points of a norm node go to the
+        kernel as rows of one call."""
         import numpy as np
 
+        q = operator.index(q)
+        if not 2 <= q < 1 << 31:
+            raise ValueError("q out of range")
         val: Dict[int, "np.ndarray"] = {}
         for i in self._reachable():
             nd = self.nodes[i]
@@ -244,10 +249,7 @@ class Circuit:
                 cols = [np.broadcast_to(val[j], np.broadcast_shapes(
                     *(np.shape(val[c]) for c in nd[1]))) for j in nd[1]]
                 flat = np.stack([np.ravel(c) for c in cols], axis=1)
-                res = np.fromiter(
-                    (kernels.norm_mod([int(x) for x in row], q) for row in flat),
-                    dtype=np.int64, count=flat.shape[0],
-                )
+                res = kernels.norm_mod_rows(flat, [q] * len(flat))
                 val[i] = res.reshape(cols[0].shape)
         return val[self.root]
 

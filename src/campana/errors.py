@@ -9,3 +9,8 @@ class SearchExhausted(Exception):
 
 class DegenerateSampler(Exception):
     """A randomized sampler kept hitting degenerate elements."""
+
+
+class InvariantError(RuntimeError):
+    """A construction failed its own re-verification.  The invariant holds
+    by the underlying theorem, so this signals a bug."""

@@ -8,8 +8,11 @@ Res(x^n - 2, sum v_j x^(j-1)), via CRT up to a Hadamard-style bound.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import List, Sequence
+
+import numpy as np
 
 from . import arith
 
@@ -21,6 +24,18 @@ except ImportError:  # pragma: no cover
 BACKEND = _impl.BACKEND
 conic_has_solution = _impl.conic_has_solution
 norm_mod = _impl.norm_mod
+
+if BACKEND == "py":
+    norm_mod_rows = _impl.norm_mod_rows
+else:  # pragma: no cover - the compiled extension has the scalar kernel only
+    def norm_mod_rows(H, qs) -> np.ndarray:
+        """Res(x^n - 2, h_i) mod qs[i] for every row h_i of H, one scalar
+        call per row."""
+        qs = [operator.index(q) for q in qs]
+        if len(qs) != len(H) or not all(2 <= q < 1 << 31 for q in qs):
+            raise ValueError("need one modulus 2 <= q < 2^31 per row")
+        return np.array([_impl.norm_mod([operator.index(c) for c in row], q)
+                         for row, q in zip(H, qs)], dtype=np.int64)
 
 _CRT_PRIME_CEILING = (1 << 31) - 1
 _crt_primes: List[int] = []
@@ -47,24 +62,25 @@ def _norm_int_bound_bits(w: Sequence[int]) -> int:
 
 def norm_int(w: Sequence[int]) -> int:
     """Exact norm of an integer coefficient vector, by CRT of modular
-    resultants up to a certified bound."""
+    resultants up to a certified bound; all primes go in one row call."""
     n = len(w)
     if n == 1:
         return w[0]
     if all(x == 0 for x in w):
         return 0
     bits = _norm_int_bound_bits(w)
-    k = bits // 30 + 2
-    primes = crt_primes(k)
-    coeffs = list(w)
-    x, m = 0, 1
-    for q in primes:
-        r = norm_mod(coeffs, q)
-        t = (r - x) * pow(m, -1, q) % q
-        x += m * t
+    primes, m = [], 1
+    for q in crt_primes(bits // 30 + 2):
+        primes.append(q)
         m *= q
         if m.bit_length() > bits + 1:
             break
+    residues = norm_mod_rows([list(w)] * len(primes), primes)
+    x, m = 0, 1
+    for q, r in zip(primes, residues.tolist()):
+        t = (r - x) * pow(m, -1, q) % q
+        x += m * t
+        m *= q
     if x > m // 2:
         x -= m
     return x
@@ -93,7 +109,6 @@ def norm_is_zero(values: Sequence[Fraction]) -> bool:
     for v in vals:
         lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
     w = [int(v * lcm) for v in vals]
-    for q in crt_primes(3):
-        if norm_mod(w, q) != 0:
-            return False
+    if norm_mod_rows([w] * 3, crt_primes(3)).any():
+        return False
     return norm_int(w) == 0

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import arith, places
 from .arith import RationalLike
-from .errors import SearchExhausted
+from .errors import InvariantError, SearchExhausted
 
 
 @dataclass
@@ -91,8 +91,8 @@ def uniformizer_product(S: Iterable[int]) -> int:
         else:
             y = arith.crt([(p * p, p), (rest, 1)])
         a *= y
-    for p in primes:
-        assert arith.valuation(a, p) == 1
+    if any(arith.valuation(a, p) != 1 for p in primes):
+        raise InvariantError(f"uniformizer product {a} is not squarefree on {primes}")
     return a
 
 
@@ -270,10 +270,11 @@ def construct_odd(
         congruences.append((s_prod, 1))
     tau = arith.crt(congruences)
     a = Fraction(tau * y_q * a0)
-    for p in primes:
-        assert arith.valuation(a, p) == 1
-    assert arith.valuation(a, q) == 2
-    assert not arith.is_square_local(a, q)
+    if (any(arith.valuation(a, p) != 1 for p in primes)
+            or arith.valuation(a, q) != 2 or arith.is_square_local(a, q)):
+        raise InvariantError(
+            f"a = {a} lacks valuation 1 on {primes} or a nonsquare "
+            f"valuation-2 unit at the auxiliary prime {q}")
     b = find_b(a, s_prime, config)
     return a, b, q
 

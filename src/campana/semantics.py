@@ -12,7 +12,7 @@ from typing import Iterable, Tuple
 
 from . import arith, places
 from .arith import INF, RationalLike
-from .errors import DegenerateSampler
+from .errors import DegenerateSampler, InvariantError
 from .forms import BinaryForm
 
 
@@ -155,6 +155,18 @@ def campana_via_coordinates(x0: RationalLike, x1: RationalLike, S, n: int) -> bo
     return True
 
 
+def _trace_witness(z, nrd):
+    """t = trd(z)^2/nrd(z) - 2 and w = z^2/nrd(z), from z^2 = trd(z) z - nrd(z)."""
+    x1, x2, x3, x4 = z
+    w = (
+        (2 * x1 * x1 - nrd) / nrd,
+        2 * x1 * x2 / nrd,
+        2 * x1 * x3 / nrd,
+        2 * x1 * x4 / nrd,
+    )
+    return 4 * x1 * x1 / nrd - 2, w
+
+
 def generate_trace_element(
     a: RationalLike, b: RationalLike, seed: int
 ) -> Tuple[Fraction, Tuple[Fraction, Fraction, Fraction, Fraction]]:
@@ -177,15 +189,10 @@ def generate_trace_element(
         nrd = x1 * x1 - a * x2 * x2 - b * x3 * x3 + a * b * x4 * x4
         if nrd == 0:
             continue
-        w = (
-            (2 * x1 * x1 - nrd) / nrd,
-            2 * x1 * x2 / nrd,
-            2 * x1 * x3 / nrd,
-            2 * x1 * x4 / nrd,
-        )
-        t = 4 * x1 * x1 / nrd - 2
+        t, w = _trace_witness(z, nrd)
         check = t * t - 4 * a * w[1] ** 2 - 4 * b * w[2] ** 2 + 4 * a * b * w[3] ** 2
-        assert check == 4, "trace witness failed the defining conic"
+        if check != 4:
+            raise InvariantError(f"trace witness {t}, {w} failed the defining conic")
         return t, w
     raise DegenerateSampler(
         f"could not sample a nonzero reduced norm in H_({a},{b}) from seed {seed}"

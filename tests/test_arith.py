@@ -82,6 +82,15 @@ def test_factorize_round_trip(n):
         assert arith.is_prime(p)
 
 
+def test_factorize_square_cofactor_beyond_float_range():
+    # the composite cofactor p^2 r^2 (about 1e338) is a perfect square,
+    # split by an integer square root, not a float one
+    p = arith.next_prime(10**160)
+    r = arith.next_prime(10**9)
+    assert arith.factorize(p * p * r * r).factors == {p: 2, r: 2}
+    assert arith.factorize(7 * p * p).factors == {7: 1, p: 2}
+
+
 @given(st.fractions(min_value=Fraction(-1000), max_value=Fraction(1000),
                     max_denominator=10**6))
 def test_factorize_rationals(q):

@@ -83,6 +83,34 @@ def test_vectorized_evaluation():
         assert int(vec[i]) == f.evaluate_mod({"x": i, "y": i + 1}, q)
 
 
+def test_vectorized_norm_node_rows():
+    import numpy as np
+
+    rng = random.Random(11)
+    x, y, z = Circuit.var("x"), Circuit.var("y"), Circuit.var("z")
+    f = Circuit.norm([x, y * z, x - z, 3 * y]) + x
+    for q in (2147483629, 101, 2):
+        env = {n: np.array([rng.randint(-5, 5) for _ in range(200)]) for n in "xyz"}
+        vec = f.evaluate_vec(env, q)
+        for i in range(200):
+            point = {n: int(v[i]) for n, v in env.items()}
+            assert int(vec[i]) == f.evaluate_mod(point, q)
+    # a point given as scalars, and a norm node over constants only
+    assert int(f.evaluate_vec({"x": 2, "y": 1, "z": 0}, 101)) == \
+        f.evaluate_mod({"x": 2, "y": 1, "z": 0}, 101)
+    g = Circuit.norm([Circuit.const(3), Circuit.const(1)])
+    assert int(g.evaluate_vec({}, 101)) == 7
+
+
+@pytest.mark.parametrize("q", [2**32 + 15, 2**31, 1, 0, -7])
+def test_vectorized_evaluation_rejects_modulus_out_of_range(q):
+    import numpy as np
+
+    x = Circuit.var("x")
+    with pytest.raises(ValueError):
+        (x * x + 1).evaluate_vec({"x": np.arange(4)}, q)
+
+
 def test_rational_constants():
     x = Circuit.var("x")
     f = Circuit.const(Fraction(1, 3)) * x + Circuit.const(Fraction(2, 5))

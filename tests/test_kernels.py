@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from campana import kernels
 from campana import _kernels_py
@@ -108,6 +111,127 @@ def test_norm_large_degree():
         assert n % q == kernels.norm_mod(w, q)
 
 
+_X = sympy.symbols("x")
+MODULI = [2, 3, 5, 7] + kernels.crt_primes(3)
+
+
+def sympy_norm(coeffs):
+    """Res(x^n - 2, h) over Z, computed by sympy."""
+    h = sum(c * _X**j for j, c in enumerate(coeffs))
+    return int(sympy.resultant(_X ** len(coeffs) - 2, h, _X))
+
+
+@st.composite
+def coefficient_rows(draw, coeff=st.integers(-3, 3), max_rows=6):
+    """Rows of one length n <= 8, each with its own modulus; small
+    coefficients make the remainder degrees drop often."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(coeff, min_size=n, max_size=n),
+                         min_size=1, max_size=max_rows))
+    qs = draw(st.lists(st.sampled_from(MODULI), min_size=len(rows),
+                       max_size=len(rows)))
+    return rows, qs
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_rows())
+def test_norm_mod_rows_matches_sympy(case):
+    rows, qs = case
+    got = _kernels_py.norm_mod_rows(rows, qs)
+    assert got.dtype == np.int64
+    assert got.tolist() == [sympy_norm(h) % q for h, q in zip(rows, qs)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=8),
+       st.sampled_from(MODULI))
+def test_norm_mod_matches_sympy(coeffs, q):
+    assert _kernels_py.norm_mod(coeffs, q) == sympy_norm(coeffs) % q
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficient_rows(coeff=st.integers(-2**3000, 2**3000), max_rows=3))
+def test_norm_mod_big_coefficients(case):
+    rows, qs = case
+    want = [sympy_norm(h) % q for h, q in zip(rows, qs)]
+    assert _kernels_py.norm_mod_rows(rows, qs).tolist() == want
+    assert [_kernels_py.norm_mod(h, q) for h, q in zip(rows, qs)] == want
+
+
+def test_norm_mod_rows_degree_drop_at_large_q():
+    # full-size residues through divisions with several quotient terms:
+    # rows of low degree, whose first division has 8 - deg h terms, and
+    # monic rows of degree n - 1 with h[n-3] = h[n-2]^2, whose first
+    # remainder mod q loses two degrees; generic rows share the calls
+    rng = random.Random(13)
+    n = 8
+    for q in kernels.crt_primes(3):
+        rows = []
+        for _ in range(40):
+            d = rng.randint(0, n - 2)
+            rows.append([rng.randrange(q) for _ in range(d + 1)] + [0] * (n - d - 1))
+            h = [rng.randrange(q) for _ in range(n - 1)] + [1]
+            h[n - 3] = h[n - 2] ** 2 % q
+            rows.append(h)
+            rows.append([rng.randrange(q) for _ in range(n)])
+        got = _kernels_py.norm_mod_rows(rows, [q] * len(rows))
+        assert got.tolist() == [sympy_norm(h) % q for h in rows]
+
+
+def test_norm_mod_rows_edge_rows():
+    # all-zero rows, n = 1, a zero constant, a vanishing leading
+    # coefficient and mixed moduli side by side in one call
+    q = kernels.crt_primes(1)[0]
+    assert _kernels_py.norm_mod_rows([[0, 0, 0], [0, 0, 5], [3, 0, 0], [1, 1, 1]],
+                                     [q, 7, 2, 3]).tolist() == \
+        [0, sympy_norm([0, 0, 5]) % 7, sympy_norm([3, 0, 0]) % 2, 1]
+    assert _kernels_py.norm_mod_rows([[-5], [0], [12]], [q, 3, 7]).tolist() == \
+        [q - 5, 0, 5]
+    assert _kernels_py.norm_mod([-5], q) == q - 5
+    assert _kernels_py.norm_mod_rows(np.zeros((0, 4), dtype=np.int64), []).size == 0
+    H = np.array([[3, 1], [1, 1]], dtype=np.int32)
+    assert _kernels_py.norm_mod_rows(H, np.array([q, q])).tolist() == [7, q - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(max_value=1), st.integers(min_value=2**31)))
+def test_norm_mod_rejects_modulus_out_of_range(q):
+    with pytest.raises(ValueError):
+        _kernels_py.norm_mod([1, 2, 3], q)
+    with pytest.raises(ValueError):
+        _kernels_py.norm_mod([4], q)
+    with pytest.raises(ValueError):
+        _kernels_py.norm_mod_rows([[1, 2], [3, 4]], [7, q])
+    with pytest.raises(ValueError):
+        kernels.norm_mod_rows([[1, 2]], [q])
+
+
+def test_norm_mod_rows_rejects_bad_shapes_and_types():
+    with pytest.raises(ValueError):
+        _kernels_py.norm_mod_rows([[1, 2]], [7, 11])
+    with pytest.raises(ValueError):
+        _kernels_py.norm_mod_rows([[1, 2]], [])
+    with pytest.raises(ValueError):
+        _kernels_py.norm_mod_rows([[]], [7])
+    with pytest.raises(ValueError):
+        _kernels_py.norm_mod_rows([1, 2], [7, 7])
+    with pytest.raises(ValueError):
+        _kernels_py.norm_mod_rows([[1, 2], [3, 4]], [-1, 2**63])
+    with pytest.raises(TypeError):
+        _kernels_py.norm_mod_rows([[1.5, 2]], [7])
+    with pytest.raises(TypeError):
+        _kernels_py.norm_mod([Fraction(1, 2), 1], 7)
+
+
+def test_norm_int_and_zero_test_use_row_kernel():
+    rng = random.Random(12)
+    for n in (2, 5, 8):
+        for _ in range(5):
+            w = [rng.randint(-9, 9) for _ in range(n)]
+            assert kernels.norm_int(w) == sympy_norm(w)
+            assert kernels.norm_is_zero(w) == (not any(w))
+
+
 @pytest.mark.skipif(_compiled is None, reason="compiled extension not built")
 def test_backend_parity():
     rng = random.Random(6)
@@ -116,6 +240,13 @@ def test_backend_parity():
         n = rng.randint(1, 12)
         w = [rng.randint(-10**4, 10**4) for _ in range(n)]
         assert _compiled.norm_mod(w, q) == _kernels_py.norm_mod(w, q)
+    for n in (48, 194, 290):
+        rows = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(4)]
+        rows.append([rng.randint(-1, 1) for _ in range(n - 1)] + [0])
+        qs = [q, 7, 3, kernels.crt_primes(2)[1], 2]
+        want = [_compiled.norm_mod(h, m) for h, m in zip(rows, qs)]
+        assert _kernels_py.norm_mod_rows(rows, qs).tolist() == want
+        assert [_kernels_py.norm_mod(h, m) for h, m in zip(rows, qs)] == want
     for _ in range(100):
         p = rng.choice([3, 5, 7, 11])
         a = rng.randint(-200, 200) or 1

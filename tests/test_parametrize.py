@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from campana import arith, parametrize as pz, places
-from campana.errors import SearchExhausted
+from campana.errors import InvariantError, SearchExhausted
 
 
 def test_uniformizer_product():
@@ -14,6 +14,18 @@ def test_uniformizer_product():
         assert arith.valuation(y, p) == 1
     with pytest.raises(ValueError):
         pz.uniformizer_product([])
+
+
+def test_uniformizer_product_invariant_raises(monkeypatch):
+    monkeypatch.setattr(pz.arith, "valuation", lambda a, p: 2)
+    with pytest.raises(InvariantError):
+        pz.uniformizer_product([3, 5])
+
+
+def test_construct_odd_invariant_raises(monkeypatch):
+    monkeypatch.setattr(pz.arith, "is_square_local", lambda a, p: True)
+    with pytest.raises(InvariantError):
+        pz.construct_odd([3])
 
 
 def test_find_b_small_examples():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from campana import places, semantics as sm
-from campana.errors import DegenerateSampler
+from campana.errors import DegenerateSampler, InvariantError
 from campana.forms import BinaryForm, X_FORM
 
 # (3,5,3,5) has radical place set {3,5}; (-10,-10,-10,-10) has {2};
@@ -161,6 +161,18 @@ def test_generate_trace_element_examples():
         a, b = -1, -1
         t, w = sm.generate_trace_element(a, b, seed)
         assert t * t - 4 * a * w[1]**2 - 4 * b * w[2]**2 + 4 * a * b * w[3]**2 == 4
+
+
+def test_generate_trace_element_invariant_raises(monkeypatch):
+    real = sm._trace_witness
+
+    def off_by_one(z, nrd):
+        t, w = real(z, nrd)
+        return t + 1, w
+
+    monkeypatch.setattr(sm, "_trace_witness", off_by_one)
+    with pytest.raises(InvariantError):
+        sm.generate_trace_element(3, 5, 0)
 
 
 def test_generate_trace_element_deterministic():

@@ -57,10 +57,14 @@ def _parse_prime_list(text: str) -> List[int]:
     return out
 
 
-def _load_config(path: Optional[str]) -> Dict[str, str]:
+CONFIG_KEYS = ("candidate_cap", "q_prime_bound", "seed", "samples")
+
+
+def _load_config(path: Optional[str]) -> Dict[str, int]:
+    """The integer settings of a key=value config file, by key."""
     if not path:
         return {}
-    cfg: Dict[str, str] = {}
+    cfg: Dict[str, int] = {}
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -69,23 +73,18 @@ def _load_config(path: Optional[str]) -> Dict[str, str]:
                     continue
                 if "=" not in line:
                     raise CliError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                cfg[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in CONFIG_KEYS:
+                    raise CliError(f"{path}:{lineno}: unknown key {key!r} "
+                                   f"(known: {', '.join(CONFIG_KEYS)})")
+                try:
+                    cfg[key] = int(value)
+                except ValueError:
+                    raise CliError(f"{path}:{lineno}: {key} must be an "
+                                   f"integer, not {value!r}")
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}")
     return cfg
-
-
-def _search_config(cfg: Dict[str, str]) -> parametrize.SearchConfig:
-    sc = parametrize.SearchConfig()
-    try:
-        if "candidate_cap" in cfg:
-            sc.candidate_cap = int(cfg["candidate_cap"])
-        if "q_prime_bound" in cfg:
-            sc.q_prime_bound = int(cfg["q_prime_bound"])
-    except ValueError as exc:
-        raise CliError(f"bad config value: {exc}")
-    return sc
 
 
 def cmd_hilbert(args, cfg) -> int:
@@ -110,7 +109,8 @@ def cmd_construct(args, cfg) -> int:
     if len(set(primes)) != len(primes):
         raise CliError("duplicate primes in S")
     try:
-        sc = _search_config(cfg)
+        sc = parametrize.SearchConfig(**{key: value for key, value in cfg.items()
+                                         if key in ("candidate_cap", "q_prime_bound")})
         report = parametrize.construct_omega(primes, sc)
     except ValueError as exc:
         raise CliError(str(exc))
@@ -204,8 +204,8 @@ def cmd_emit(args, cfg) -> int:
 
 
 def cmd_verify(args, cfg) -> int:
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
-    samples = args.samples if args.samples is not None else int(cfg.get("samples", 1000))
+    seed = args.seed if args.seed is not None else cfg.get("seed", 42)
+    samples = args.samples if args.samples is not None else cfg.get("samples", 1000)
     try:
         ok, table = verify.run(args.suite, seed=seed, samples=samples)
     except ValueError as exc:

@@ -14,9 +14,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .circuits import Circuit
+from .circuits import Circuit, decode_nodes, render, subcircuit, to_json
 from .forms import BinaryForm
 
 # matrix nodes: ("eq", Circuit) | ("neq", Circuit) | ("and", tuple) | ("or", tuple)
@@ -75,6 +75,8 @@ class Formula:
         bound = [n for _, n in self.prefix]
         if len(set(bound)) != len(bound):
             raise ValueError("a variable is bound twice")
+        if len(set(self.free)) != len(self.free):
+            raise ValueError("a free variable is listed twice")
         if set(bound) & set(self.free):
             raise ValueError("a variable is both free and bound")
         for q, _ in self.prefix:
@@ -97,23 +99,13 @@ class Formula:
             and self.free == other.free
             and self.degree_override == other.degree_override
             and self.real_embedded == other.real_embedded
-            and _matrix_eq(self.matrix, other.matrix)
+            and self.matrix == other.matrix
         )
 
     def __repr__(self):
         st = stats(self)
         return (f"Formula({st.universals} forall, {st.existentials} exists, "
                 f"{st.atoms} atoms, degree<={st.degree_bound})")
-
-
-def _matrix_eq(m1: MatrixNode, m2: MatrixNode) -> bool:
-    if m1[0] != m2[0]:
-        return False
-    if m1[0] in ("eq", "neq"):
-        return m1[1] == m2[1]
-    return len(m1[1]) == len(m2[1]) and all(
-        _matrix_eq(a, b) for a, b in zip(m1[1], m2[1])
-    )
 
 
 @dataclass(frozen=True)
@@ -260,107 +252,70 @@ def _check_names(*names: str):
             raise ValueError(f"free name {n!r} collides with the gensym scheme")
 
 
-def _exists_formula(free_names, bound, atoms) -> Formula:
+def _exists_formula(block, names: Sequence[str], start: int = 1) -> Formula:
+    """exists (the block's witnesses): the conjunction of its atoms, free in
+    names.  block(one circuit per name, Gensym) -> (witnesses, atoms)."""
+    _check_names(*names)
+    bound, atoms = block(*(Circuit.var(n) for n in names), Gensym(start))
     matrix = ("and", tuple(("eq", c) for c in atoms)) if len(atoms) > 1 \
         else ("eq", atoms[0])
-    return Formula([(EXISTS, n) for n in bound], matrix, free_names)
+    return Formula([(EXISTS, n) for n in bound], matrix, tuple(names))
 
 
 def build_S(a_var: str = "a", b_var: str = "b", r_var: str = "r") -> Formula:
-    _check_names(a_var, b_var, r_var)
-    gs = Gensym(start=2)  # quaternion coordinates x2, x3, x4
-    bound, atoms = _s_block(Circuit.var(a_var), Circuit.var(b_var),
-                            Circuit.var(r_var), gs)
-    return _exists_formula((a_var, b_var, r_var), bound, atoms)
+    # the quaternion coordinates are x2, x3, x4
+    return _exists_formula(_s_block, (a_var, b_var, r_var), start=2)
 
 
 def build_T(a_var: str = "a", b_var: str = "b", r_var: str = "r") -> Formula:
-    _check_names(a_var, b_var, r_var)
-    gs = Gensym()
-    bound, atoms = _t_block(Circuit.var(a_var), Circuit.var(b_var),
-                            Circuit.var(r_var), gs)
-    return _exists_formula((a_var, b_var, r_var), bound, atoms)
+    return _exists_formula(_t_block, (a_var, b_var, r_var))
 
 
 def build_T_unit(a_var: str = "a", b_var: str = "b", r_var: str = "r") -> Formula:
-    _check_names(a_var, b_var, r_var)
-    gs = Gensym()
-    bound, atoms = _t_unit_block(Circuit.var(a_var), Circuit.var(b_var),
-                                 Circuit.var(r_var), gs)
-    return _exists_formula((a_var, b_var, r_var), bound, atoms)
+    return _exists_formula(_t_unit_block, (a_var, b_var, r_var))
 
 
 def build_I(a_var: str = "a", b_var: str = "b", c_var: str = "c",
             r_var: str = "r") -> Formula:
-    _check_names(a_var, b_var, c_var, r_var)
-    gs = Gensym()
-    bound, atoms = _i_block(Circuit.var(a_var), Circuit.var(b_var),
-                            Circuit.var(c_var), Circuit.var(r_var), gs)
-    return _exists_formula((a_var, b_var, c_var, r_var), bound, atoms)
+    return _exists_formula(_i_block, (a_var, b_var, c_var, r_var))
 
 
 def build_J(a_var: str = "a", b_var: str = "b", r_var: str = "r") -> Formula:
-    _check_names(a_var, b_var, r_var)
-    gs = Gensym()
-    bound, atoms = _j_block(Circuit.var(a_var), Circuit.var(b_var),
-                            Circuit.var(r_var), gs)
-    return _exists_formula((a_var, b_var, r_var), bound, atoms)
+    return _exists_formula(_j_block, (a_var, b_var, r_var))
 
 
 _ABCDR = ("a", "b", "c", "d", "r")
 
 
 def build_Jabcd(names: Sequence[str] = _ABCDR) -> Formula:
-    _check_names(*names)
-    a, b, c, d, r = (Circuit.var(n) for n in names)
-    gs = Gensym()
-    bound, atoms = _jabcd_block(a, b, c, d, r, gs)
-    return _exists_formula(tuple(names), bound, atoms)
+    return _exists_formula(_jabcd_block, names)
 
 
 def build_inv_J(names: Sequence[str] = _ABCDR) -> Formula:
-    _check_names(*names)
-    a, b, c, d, r = (Circuit.var(n) for n in names)
-    gs = Gensym()
-    bound, atoms = _inv_j_block(a, b, c, d, r, gs)
-    return _exists_formula(tuple(names), bound, atoms)
+    return _exists_formula(_inv_j_block, names)
 
 
 _EIGHT = ("a", "b", "c", "d", "a2", "b2", "c2", "d2")
 
 
 def build_disjoint(names: Sequence[str] = _EIGHT) -> Formula:
-    _check_names(*names)
-    args = [Circuit.var(n) for n in names]
-    gs = Gensym()
-    bound, atoms = _disjoint_block(*args, gs)
-    return _exists_formula(tuple(names), bound, atoms)
+    return _exists_formula(_disjoint_block, names)
 
 
 def build_Jn(n: int, names: Sequence[str] = _ABCDR) -> Formula:
-    _check_names(*names)
-    a, b, c, d, r = (Circuit.var(nm) for nm in names)
-    gs = Gensym()
-    bound, atoms = _jn_block(a, b, c, d, n, r, gs)
-    return _exists_formula(tuple(names), bound, atoms)
+    return _exists_formula(
+        lambda a, b, c, d, r, gs: _jn_block(a, b, c, d, n, r, gs), names)
 
 
 def build_inv_Jn(n: int, names: Sequence[str] = _ABCDR) -> Formula:
-    _check_names(*names)
-    a, b, c, d, r = (Circuit.var(nm) for nm in names)
-    gs = Gensym()
-    bound, atoms = _inv_jn_block(a, b, c, d, n, r, gs)
-    return _exists_formula(tuple(names), bound, atoms)
+    return _exists_formula(
+        lambda a, b, c, d, r, gs: _inv_jn_block(a, b, c, d, n, r, gs), names)
 
 
 def build_premise(names: Sequence[str] = _EIGHT + ("r",)) -> Formula:
     """The hypothesis block of the main formula: disjoint radicals and r
     inverting an element of the second radical."""
-    _check_names(*names)
-    args = [Circuit.var(n) for n in names]
-    gs = Gensym()
-    bound, atoms = _premise_block(*args, gs)
-    return _exists_formula(tuple(names), bound, atoms)
+    return _exists_formula(_premise_block, names)
 
 
 # ---------------------------------------------------------------------------
@@ -513,27 +468,9 @@ def build_campana(n: int, real_embedded: bool = False,
     element of its n-th power."""
     if n < 2:
         raise ValueError("n must be >= 2 (the n = 1 set is the whole field)")
-    _check_names(*names)
-    a, b, c, d, r = (Circuit.var(nm) for nm in names)
-    gs = Gensym()
-    u_names = gs.take(4)  # the universally quantified second tuple
-    a2, b2, c2, d2 = (Circuit.var(nm) for nm in u_names)
-    prem_vars, prem_atoms = _premise_block(a, b, c, d, a2, b2, c2, d2, r, gs)
-    concl_vars, concl_atoms = _inv_jn_block(a2, b2, c2, d2, n, r, gs)
-    combine = combine_sos if real_embedded else combine_many
-    P = combine(prem_atoms)
-    Q = combine(concl_atoms)
-    universal = Formula(
-        [(FORALL, nm) for nm in u_names + prem_vars],
-        ("neq", P), tuple(names),
-    )
-    existential = Formula(
-        [(EXISTS, nm) for nm in concl_vars],
-        ("eq", Q), tuple(names) + tuple(u_names),
-    )
-    out = prenex_or(universal, existential)
-    return Formula(out.prefix, out.matrix, out.free,
-                   real_embedded=real_embedded)
+    return _premise_implies(
+        lambda a2, b2, c2, d2, r, gs: _inv_jn_block(a2, b2, c2, d2, n, r, gs),
+        real_embedded, names)
 
 
 def build_integrality(real_embedded: bool = False,
@@ -541,23 +478,31 @@ def build_integrality(real_embedded: bool = False,
     """The forall-exists definition of integrality outside the radical set:
     whenever a second tuple has disjoint radical set and r inverts one of
     its radical elements, that radical must be trivial (contain 1)."""
+    return _premise_implies(
+        lambda a2, b2, c2, d2, r, gs: _jabcd_block(a2, b2, c2, d2,
+                                                   Circuit.const(1), gs),
+        real_embedded, names)
+
+
+def _premise_implies(conclusion, real_embedded: bool,
+                     names: Sequence[str]) -> Formula:
+    """forall (a2,b2,c2,d2) and premise witnesses: premise -> conclusion,
+    where conclusion(a2, b2, c2, d2, r, gs) is an existential block."""
     _check_names(*names)
     a, b, c, d, r = (Circuit.var(nm) for nm in names)
     gs = Gensym()
-    u_names = gs.take(4)
+    u_names = gs.take(4)  # the universally quantified second tuple
     a2, b2, c2, d2 = (Circuit.var(nm) for nm in u_names)
     prem_vars, prem_atoms = _premise_block(a, b, c, d, a2, b2, c2, d2, r, gs)
-    concl_vars, concl_atoms = _jabcd_block(a2, b2, c2, d2, Circuit.const(1), gs)
+    concl_vars, concl_atoms = conclusion(a2, b2, c2, d2, r, gs)
     combine = combine_sos if real_embedded else combine_many
-    P = combine(prem_atoms)
-    Q = combine(concl_atoms)
     universal = Formula(
         [(FORALL, nm) for nm in u_names + prem_vars],
-        ("neq", P), tuple(names),
+        ("neq", combine(prem_atoms)), tuple(names),
     )
     existential = Formula(
         [(EXISTS, nm) for nm in concl_vars],
-        ("eq", Q), tuple(names) + tuple(u_names),
+        ("eq", combine(concl_atoms)), tuple(names) + tuple(u_names),
     )
     out = prenex_or(universal, existential)
     return Formula(out.prefix, out.matrix, out.free,
@@ -586,7 +531,7 @@ def substitute_form(base: Formula, F: BinaryForm,
 
     def subst_matrix(m: MatrixNode) -> MatrixNode:
         if m[0] in ("eq", "neq"):
-            return (m[0], _substitute_var(m[1], r_var, replacement))
+            return (m[0], m[1].substitute(r_var, replacement))
         return (m[0], tuple(subst_matrix(c) for c in m[1]))
 
     free = tuple(lam_var if n == r_var else n for n in base.free)
@@ -594,29 +539,6 @@ def substitute_form(base: Formula, F: BinaryForm,
     return Formula(base.prefix, subst_matrix(base.matrix), free,
                    degree_override=F.degree * base_bound,
                    real_embedded=base.real_embedded)
-
-
-def _substitute_var(circ: Circuit, name: str, replacement: Circuit) -> Circuit:
-    nodes: List[tuple] = list(replacement.nodes)
-    off = len(nodes)
-    remap = {}
-    for i, nd in enumerate(circ.nodes):
-        if nd[0] == "var" and nd[1] == name:
-            remap[i] = replacement.root
-        else:
-            op = nd[0]
-            if op in ("var", "int"):
-                nodes.append(nd)
-            elif op in ("add", "mul"):
-                nodes.append((op, remap[nd[1]], remap[nd[2]]))
-            elif op == "neg":
-                nodes.append((op, remap[nd[1]]))
-            elif op == "pow":
-                nodes.append((op, remap[nd[1]], nd[2]))
-            elif op == "norm":
-                nodes.append((op, tuple(remap[j] for j in nd[1])))
-            remap[i] = len(nodes) - 1
-    return Circuit(tuple(nodes), remap[circ.root])
 
 
 # ---------------------------------------------------------------------------
@@ -641,101 +563,28 @@ def evaluate_matrix(f: Formula, assignment: Mapping[str, Union[int, Fraction]]) 
     return ev(f.matrix)
 
 
-def _emit_circuit(circ: Circuit, nodes_out: List[dict]) -> int:
-    order = circ._reachable()
-    remap = {}
-    base = len(nodes_out)
-    for new, old in enumerate(order):
-        remap[old] = base + new
-    for old in order:
-        nd = circ.nodes[old]
-        op = nd[0]
-        if op == "var":
-            nodes_out.append({"op": "var", "name": nd[1]})
-        elif op == "int":
-            v = nd[1]
-            nodes_out.append({"op": "int",
-                              "value": v if isinstance(v, int) else str(v)})
-        elif op in ("add", "mul"):
-            nodes_out.append({"op": op, "args": [remap[nd[1]], remap[nd[2]]]})
-        elif op == "neg":
-            nodes_out.append({"op": "neg", "arg": remap[nd[1]]})
-        elif op == "pow":
-            nodes_out.append({"op": "pow", "arg": remap[nd[1]], "k": nd[2]})
-        elif op == "norm":
-            nodes_out.append({"op": "norm",
-                              "args": [remap[j] for j in nd[1]]})
-    return remap[circ.root]
-
-
 def _emit_matrix(m: MatrixNode, nodes_out: List[dict]) -> dict:
     if m[0] in ("eq", "neq"):
-        return {m[0]: _emit_circuit(m[1], nodes_out)}
+        nodes_out.extend(to_json(m[1], len(nodes_out)))
+        return {m[0]: len(nodes_out) - 1}
     return {m[0]: [_emit_matrix(c, nodes_out) for c in m[1]]}
 
 
-def _sexpr_circuit(circ: Circuit, idx: int) -> str:
-    nd = circ.nodes[idx]
-    op = nd[0]
-    if op == "var":
-        return f"(var {nd[1]})"
-    if op == "int":
-        return f"(int {nd[1]})"
-    if op in ("add", "mul"):
-        return f"({op} {_sexpr_circuit(circ, nd[1])} {_sexpr_circuit(circ, nd[2])})"
-    if op == "neg":
-        return f"(neg {_sexpr_circuit(circ, nd[1])})"
-    if op == "pow":
-        return f"(pow {_sexpr_circuit(circ, nd[1])} {nd[2]})"
-    if op == "norm":
-        inner = " ".join(_sexpr_circuit(circ, j) for j in nd[1])
-        return f"(norm {inner})"
-    raise AssertionError(op)
+# per style: the atom templates, and (open, separator, close) of and/or
+_MATRIX_TEXT = {
+    "sexpr": {"eq": "(eq {})", "neq": "(neq {})",
+              "and": ("(and ", " ", ")"), "or": ("(or ", " ", ")")},
+    "latex": {"eq": "{} = 0", "neq": "{} \\neq 0",
+              "and": ("(", r" \land ", ")"), "or": ("(", r" \lor ", ")")},
+}
 
 
-def _sexpr_matrix(m: MatrixNode) -> str:
+def _text_matrix(m: MatrixNode, style: str) -> str:
+    form = _MATRIX_TEXT[style][m[0]]
     if m[0] in ("eq", "neq"):
-        return f"({m[0]} {_sexpr_circuit(m[1], m[1].root)})"
-    inner = " ".join(_sexpr_matrix(c) for c in m[1])
-    return f"({m[0]} {inner})"
-
-
-def _latex_circuit(circ: Circuit, idx: int) -> str:
-    nd = circ.nodes[idx]
-    op = nd[0]
-    if op == "var":
-        name = nd[1]
-        if len(name) > 1 and name[1:].isdigit():
-            return f"{name[0]}_{{{name[1:]}}}"
-        return name
-    if op == "int":
-        v = nd[1]
-        if isinstance(v, Fraction):
-            return rf"\tfrac{{{v.numerator}}}{{{v.denominator}}}"
-        return str(v)
-    if op == "add":
-        return (f"\\left({_latex_circuit(circ, nd[1])} + "
-                f"{_latex_circuit(circ, nd[2])}\\right)")
-    if op == "mul":
-        return (f"{_latex_circuit(circ, nd[1])} \\cdot "
-                f"{_latex_circuit(circ, nd[2])}")
-    if op == "neg":
-        return f"-{_latex_circuit(circ, nd[1])}"
-    if op == "pow":
-        return f"\\left({_latex_circuit(circ, nd[1])}\\right)^{{{nd[2]}}}"
-    if op == "norm":
-        inner = ", ".join(_latex_circuit(circ, j) for j in nd[1])
-        return rf"\mathrm{{N}}_{{{len(nd[1])}}}\!\left({inner}\right)"
-    raise AssertionError(op)
-
-
-def _latex_matrix(m: MatrixNode) -> str:
-    if m[0] == "eq":
-        return f"{_latex_circuit(m[1], m[1].root)} = 0"
-    if m[0] == "neq":
-        return f"{_latex_circuit(m[1], m[1].root)} \\neq 0"
-    joiner = r" \land " if m[0] == "and" else r" \lor "
-    return "(" + joiner.join(_latex_matrix(c) for c in m[1]) + ")"
+        return form.format(render(m[1], style))
+    opening, sep, closing = form
+    return opening + sep.join(_text_matrix(c, style) for c in m[1]) + closing
 
 
 def emit(f: Formula, format: str = "json") -> bytes:
@@ -759,50 +608,57 @@ def emit(f: Formula, format: str = "json") -> bytes:
         free = " ".join(f.free)
         prefix = " ".join(f"({q} {n})" for q, n in f.prefix)
         text = (f"(formula (free {free}) (prefix {prefix}) "
-                f"(matrix {_sexpr_matrix(f.matrix)}))")
+                f"(matrix {_text_matrix(f.matrix, 'sexpr')}))")
         return text.encode()
     if format == "latex":
         quant = {"forall": r"\forall", "exists": r"\exists"}
         prefix = r"\,".join(f"{quant[q]} {n}" for q, n in f.prefix)
-        return (prefix + r"\colon " + _latex_matrix(f.matrix)).encode()
+        return (prefix + r"\colon " + _text_matrix(f.matrix, 'latex')).encode()
     raise ValueError(f"unknown format {format!r}")
 
 
-def parse(data: Union[bytes, str]) -> Formula:
-    """Inverse of emit(..., 'json')."""
-    doc = json.loads(data)
-    raw_nodes = []
-    for nd in doc["nodes"]:
-        op = nd["op"]
-        if op == "var":
-            raw_nodes.append(("var", nd["name"]))
-        elif op == "int":
-            v = nd["value"]
-            raw_nodes.append(("int", v if isinstance(v, int) else Fraction(v)))
-        elif op in ("add", "mul"):
-            raw_nodes.append((op, nd["args"][0], nd["args"][1]))
-        elif op == "neg":
-            raw_nodes.append(("neg", nd["arg"]))
-        elif op == "pow":
-            raw_nodes.append(("pow", nd["arg"], nd["k"]))
-        elif op == "norm":
-            raw_nodes.append(("norm", tuple(nd["args"])))
-        else:
-            raise ValueError(f"unknown circuit op {op!r}")
-    nodes = tuple(raw_nodes)
+_DOC_KEYS = {"free", "prefix", "nodes", "matrix"}
+_OPTIONAL_KEYS = {"degree_override", "real_embedded"}
 
-    def parse_matrix(m: dict) -> MatrixNode:
+
+def parse(data: Union[bytes, str]) -> Formula:
+    """Inverse of emit(..., 'json').  Each atom keeps only the nodes it
+    reaches.  A malformed document raises ValueError."""
+    try:
+        return _parse_doc(json.loads(data))
+    except RecursionError:
+        raise ValueError("document nested too deeply") from None
+
+
+def _parse_doc(doc) -> Formula:
+    if not (isinstance(doc, dict)
+            and _DOC_KEYS <= doc.keys() <= _DOC_KEYS | _OPTIONAL_KEYS):
+        raise ValueError(f"a formula document has the keys {sorted(_DOC_KEYS)} "
+                         f"and optionally {sorted(_OPTIONAL_KEYS)}")
+    free, prefix = doc["free"], doc["prefix"]
+    if not (isinstance(free, list) and all(type(n) is str for n in free)):
+        raise ValueError(f"free must be a list of names, not {free!r}")
+    if not (isinstance(prefix, list) and all(
+            type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is str
+            for p in prefix)):
+        raise ValueError("prefix must be a list of [quantifier, name] pairs")
+    override = doc.get("degree_override")
+    if override is not None and not (type(override) is int and override >= 0):
+        raise ValueError(f"degree_override must be an int >= 0, not {override!r}")
+    real_embedded = doc.get("real_embedded", False)
+    if type(real_embedded) is not bool:
+        raise ValueError(f"real_embedded must be a bool, not {real_embedded!r}")
+    nodes = decode_nodes(doc["nodes"])
+
+    def parse_matrix(m) -> MatrixNode:
+        if not (isinstance(m, dict) and len(m) == 1):
+            raise ValueError(f"a matrix node is a one-key object, not {m!r}")
         (kind, payload), = m.items()
         if kind in ("eq", "neq"):
-            return (kind, Circuit(nodes, payload))
-        if kind in ("and", "or"):
+            return (kind, subcircuit(nodes, payload))
+        if kind in ("and", "or") and isinstance(payload, list) and payload:
             return (kind, tuple(parse_matrix(c) for c in payload))
-        raise ValueError(f"unknown matrix node {kind!r}")
+        raise ValueError(f"bad matrix node {m!r}")
 
-    return Formula(
-        [(q, n) for q, n in doc["prefix"]],
-        parse_matrix(doc["matrix"]),
-        doc["free"],
-        degree_override=doc.get("degree_override"),
-        real_embedded=doc.get("real_embedded", False),
-    )
+    return Formula(prefix, parse_matrix(doc["matrix"]), free,
+                   degree_override=override, real_embedded=real_embedded)

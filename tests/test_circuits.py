@@ -150,3 +150,37 @@ def test_pow_rejects_bad_exponent():
 def test_norm_node_empty_rejected():
     with pytest.raises(ValueError):
         Circuit.norm([])
+
+
+def test_vectorized_evaluation_of_big_integers():
+    import numpy as np
+
+    x = Circuit.var("x")
+    f = x**3 - 5 * x + Circuit.norm([x, x + 1])
+    values = [2**70, -2**70, 3**50, 2**63, -2**63 - 1, 12]
+    for q in (7, 2147483629):
+        want = [f.evaluate_mod({"x": v}, q) for v in values]
+        assert f.evaluate_vec({"x": values}, q).tolist() == want
+        assert f.evaluate_vec({"x": np.array(values, dtype=object)}, q).tolist() == want
+        for v, w in zip(values, want):
+            assert int(f.evaluate_vec({"x": v}, q)) == w
+    assert int(x.evaluate_vec({"x": 2**70}, 7)) == 2**70 % 7
+
+
+def test_root_is_the_last_node():
+    with pytest.raises(ValueError):
+        Circuit((("var", "x"), ("var", "y")), 0)
+
+
+def test_substitution_shares_the_replacement():
+    from campana.circuits import render
+
+    x, y = Circuit.var("x"), Circuit.var("y")
+    shared = (x * x + x).substitute("x", y + 1)
+    copied = (y + 1) * (y + 1) + (y + 1)
+    assert len(shared.nodes) == len(copied.nodes) - 6
+    assert shared.degree() == copied.degree() == 2
+    assert shared.evaluate({"y": 4}) == copied.evaluate({"y": 4}) == 30
+    for style in ("sexpr", "latex"):
+        assert render(shared, style) == render(copied, style)
+    assert x.substitute("z", y) is x

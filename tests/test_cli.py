@@ -147,3 +147,24 @@ def test_unknown_subcommand(capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["nosuch"])
     assert cli.main(["nosuch"]) == 2
+
+
+@pytest.mark.parametrize("line, key", [("seed=abc", "seed"),
+                                       ("samples = x", "samples"),
+                                       ("candidate_cap=1.5", "candidate_cap"),
+                                       ("candiate_cap=5", "candiate_cap"),
+                                       ("Seed=1", "Seed")])
+def test_bad_config_entry_exits_2_naming_the_key(capsys, tmp_path, line, key):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"q_prime_bound = 1000\n{line}\n")
+    code, out, err = run(capsys, "--config", str(cfgfile), "verify", "hilbert",
+                         "--samples", "5")
+    assert code == 2
+    assert key in err and "Traceback" not in err and out == ""
+
+
+def test_config_supplies_verify_defaults(capsys, tmp_path):
+    cfgfile = tmp_path / "verify.cfg"
+    cfgfile.write_text("seed = 7\nsamples = 20\n")
+    code, out, _ = run(capsys, "--config", str(cfgfile), "verify", "hilbert")
+    assert code == 0 and "PASS" in out

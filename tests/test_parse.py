@@ -1,0 +1,242 @@
+"""formulas.parse: validation of malformed documents, and emit/parse
+properties on random circuits."""
+import copy
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from campana import formulas as fm
+from campana.circuits import Circuit
+
+
+def _doc(nodes, matrix=None, **top):
+    """A one-atom document over the free variable x."""
+    doc = {"free": ["x"], "prefix": [], "nodes": nodes,
+           "matrix": {"eq": len(nodes) - 1} if matrix is None else matrix}
+    doc.update(top)
+    return json.dumps(doc)
+
+
+X = {"op": "var", "name": "x"}
+
+
+def _rejects(text):
+    with pytest.raises(ValueError):
+        fm.parse(text)
+
+
+def test_valid_document_parses():
+    f = fm.parse(_doc([X, {"op": "pow", "arg": 0, "k": 2},
+                       {"op": "int", "value": "-3/4"},
+                       {"op": "add", "args": [1, 2]}]))
+    assert f.atoms()[0] == Circuit.var("x")**2 + Fraction(-3, 4)
+
+
+@pytest.mark.parametrize("k", [0, -1, True, 1.5, "2", None])
+def test_pow_exponent_must_be_a_positive_int(k):
+    _rejects(_doc([X, {"op": "pow", "arg": 0, "k": k}]))
+
+
+def test_child_index_out_of_range():
+    _rejects(_doc([X, {"op": "neg", "arg": 7}]))
+
+
+def test_negative_child_index():
+    _rejects(_doc([X, {"op": "add", "args": [0, -1]}]))
+
+
+def test_forward_reference():
+    _rejects(_doc([{"op": "neg", "arg": 1}, X]))
+    _rejects(_doc([X, {"op": "mul", "args": [0, 1]}]))  # its own index
+
+
+def test_child_index_must_be_an_int():
+    _rejects(_doc([X, {"op": "neg", "arg": 0.0}]))
+    _rejects(_doc([X, {"op": "neg", "arg": False}]))
+    _rejects(_doc([X, {"op": "norm", "args": [0, "0"]}]))
+
+
+def test_missing_prefix():
+    _rejects(json.dumps({"free": ["x"], "nodes": [X], "matrix": {"eq": 0}}))
+
+
+@pytest.mark.parametrize("key", ["free", "nodes", "matrix"])
+def test_missing_top_level_key(key):
+    doc = json.loads(_doc([X]))
+    del doc[key]
+    _rejects(json.dumps(doc))
+
+
+@pytest.mark.parametrize("top", [{"extra": 1}, {"degree_override": "5"},
+                                 {"degree_override": -1},
+                                 {"real_embedded": 1}, {"free": "x"},
+                                 {"free": [1]}, {"prefix": [["exists"]]},
+                                 {"prefix": [["exists", 3]]}, {"prefix": {}},
+                                 {"free": ["x", "x"]}, {"prefix": [["exists", "x"]]},
+                                 {"prefix": [["some", "y"]]}])
+def test_bad_top_level_values(top):
+    _rejects(_doc([X], **top))
+
+
+def test_document_must_be_an_object():
+    _rejects("[]")
+    _rejects("not json")
+    _rejects(b"\xff")
+
+
+def test_unknown_op():
+    _rejects(_doc([X, {"op": "sub", "args": [0, 0]}]))
+    _rejects(_doc([{"name": "x"}]))
+    _rejects(_doc([["var", "x"]]))
+
+
+@pytest.mark.parametrize("node", [{"op": "add", "args": [0]},
+                                  {"op": "mul", "args": [0, 0, 0]},
+                                  {"op": "add", "args": 0},
+                                  {"op": "norm", "args": []},
+                                  {"op": "neg", "args": [0]},
+                                  {"op": "neg", "arg": 0, "k": 2}])
+def test_wrong_arity_or_fields(node):
+    _rejects(_doc([X, node]))
+
+
+@pytest.mark.parametrize("name", [1, None, ["x"]])
+def test_var_name_must_be_a_string(name):
+    _rejects(_doc([{"op": "var", "name": name}]))
+
+
+@pytest.mark.parametrize("value", [1.5, "1.5", "abc", "1/0", "3", True, None,
+                                   "1/-2", [1]])
+def test_int_value_must_be_an_int_or_a_fraction(value):
+    _rejects(_doc([{"op": "int", "value": value}], free=[]))
+
+
+@pytest.mark.parametrize("matrix", [{"eq": 0, "neq": 0}, {}, [0], {"eq": "0"},
+                                    {"eq": 1}, {"eq": True}, {"and": []},
+                                    {"or": {"eq": 0}}, {"xor": [{"eq": 0}]},
+                                    {"and": [{"eq": 0}, 0]}])
+def test_bad_matrix_shape(matrix):
+    _rejects(_doc([X], matrix=matrix))
+
+
+@pytest.mark.parametrize("depth", [900, 5000])
+def test_deep_nesting_is_a_value_error(depth):
+    matrix = '{"and": [' * depth + '{"eq": 0}' + ']}' * depth
+    _rejects(_doc([X]).replace('{"eq": 0}', matrix))
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+FREE, BOUND = ("a", "b"), ("x1", "x2")
+
+constants = st.one_of(st.integers(-10**30, 10**30),
+                      st.fractions(max_denominator=10**6))
+
+
+@st.composite
+def circuits(draw):
+    pool = [Circuit.var(n) for n in FREE + BOUND]
+    for _ in range(draw(st.integers(0, 10))):
+        pick = st.sampled_from(pool)
+        op = draw(st.sampled_from(["add", "sub", "mul", "neg", "pow",
+                                   "norm", "const"]))
+        if op == "const":
+            c = Circuit.const(draw(constants))
+        elif op == "add":
+            c = draw(pick) + draw(pick)
+        elif op == "sub":
+            c = draw(pick) - draw(pick)
+        elif op == "mul":
+            c = draw(pick) * draw(pick)
+        elif op == "neg":
+            c = -draw(pick)
+        elif op == "pow":
+            c = draw(pick) ** draw(st.integers(1, 5))
+        else:
+            c = Circuit.norm(draw(st.lists(pick, min_size=1, max_size=4)))
+        pool.append(c)
+    return pool[-1]
+
+
+@st.composite
+def matrices(draw, depth=2):
+    if depth == 0 or draw(st.booleans()):
+        return (draw(st.sampled_from(["eq", "neq"])), draw(circuits()))
+    return (draw(st.sampled_from(["and", "or"])),
+            tuple(draw(st.lists(matrices(depth=depth - 1), min_size=1, max_size=3))))
+
+
+@st.composite
+def formulas(draw):
+    prefix = [(draw(st.sampled_from([fm.FORALL, fm.EXISTS])), n) for n in BOUND]
+    return fm.Formula(prefix, draw(matrices()), FREE,
+                      degree_override=draw(st.none() | st.integers(0, 10**6)),
+                      real_embedded=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(formulas())
+def test_emit_then_parse_is_the_identity(f):
+    blob = fm.emit(f, "json")
+    g = fm.parse(blob)
+    assert g == f
+    assert fm.emit(g, "json") == blob
+    assert fm.stats(g) == fm.stats(f)
+    for fmt in ("sexpr", "latex"):
+        assert fm.emit(g, fmt) == fm.emit(f, fmt)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)
+    | st.text(max_size=4) | st.sampled_from(["1/2", "-7/3", "var", "norm"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def _mutate(data, doc):
+    """Replace, delete or add one entry somewhere inside doc, in place."""
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            break
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            node[key] = data.draw(json_values)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[data.draw(st.text(max_size=4))] = data.draw(json_values)
+        else:
+            node.insert(key, data.draw(json_values))
+        return
+    if isinstance(node, dict):
+        node[data.draw(st.text(max_size=4))] = data.draw(json_values)
+    else:
+        node.append(data.draw(json_values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(), st.data())
+def test_mutated_document_parses_or_raises_value_error(f, data):
+    doc = json.loads(fm.emit(f, "json"))
+    mutated = copy.deepcopy(doc)
+    _mutate(data, mutated)
+    try:
+        g = fm.parse(json.dumps(mutated))
+    except ValueError:
+        return
+    # whatever parses is a well-formed formula
+    assert fm.parse(fm.emit(g, "json")) == g
+    fm.stats(g)
+    fm.emit(g, "sexpr"), fm.emit(g, "latex")

@@ -5,11 +5,15 @@ Everything here is pure and operates on arbitrary-precision integers and
 """
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+from .errors import SearchExhausted
 
 RationalLike = Union[int, Fraction]
 
@@ -81,12 +85,20 @@ def primes_up_to(n: int) -> List[int]:
     if n >= TRIAL_DIVISION_BOUND:
         raise ValueError(f"primes_up_to supports bounds below {TRIAL_DIVISION_BOUND}")
     ps = _small_primes()
-    import bisect
-
     return ps[: bisect.bisect_right(ps, n)]
 
 
 def is_prime(n: int) -> bool:
+    """A lookup in the sieved primes below TRIAL_DIVISION_BOUND; above it,
+    Miller-Rabin, deterministic below _MR_DETERMINISTIC_BOUND."""
+    if n < TRIAL_DIVISION_BOUND:
+        ps = _small_primes()
+        i = bisect.bisect_left(ps, n)
+        return i < len(ps) and ps[i] == n
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
     """Miller-Rabin; deterministic below _MR_DETERMINISTIC_BOUND."""
     if n < 2:
         return False
@@ -131,9 +143,17 @@ def next_prime(n: int) -> int:
     return k
 
 
+#: Squarings Pollard rho may spend on one input before it gives up.  A
+#: factor near f needs about sqrt(f) of them, so every factor below about
+#: 10^12 is found well inside the budget; balanced products of two larger
+#: primes raise SearchExhausted instead of running for hours.
+RHO_STEP_BUDGET = 1 << 21
+
+
 def _pollard_rho(n: int, rng: random.Random) -> int:
-    """Brent's cycle variant; n must be odd, composite, not a prime power hit
-    by trial division."""
+    """A nontrivial factor of an odd composite n by Brent's cycle variant;
+    SearchExhausted after RHO_STEP_BUDGET squarings."""
+    steps = 0
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -141,6 +161,10 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            if steps > RHO_STEP_BUDGET:
+                raise SearchExhausted(
+                    f"Pollard rho found no factor of a {n.bit_length()}-bit "
+                    f"cofactor within {RHO_STEP_BUDGET} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -152,6 +176,7 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
+            steps += 2 * r
             r *= 2
         if g == n:
             g = 1
@@ -173,12 +198,13 @@ def _factor_int(n: int) -> Dict[int, int]:
             n //= p
     if n == 1:
         return factors
+    if is_prime(n):  # no smaller prime divides it, so it is new here
+        factors[n] = 1
+        return factors
     stack = [n]
     rng = random.Random(0xC0FFEE ^ n)
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
@@ -221,28 +247,40 @@ def factorize(r: RationalLike) -> Factorization:
     return Factorization(sign, factors)
 
 
+def num_den(r: RationalLike) -> Tuple[int, int]:
+    """(numerator, denominator) of a rational in lowest terms, den > 0."""
+    if type(r) is int:
+        return r, 1
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
+    return r.numerator, r.denominator
+
+
+def split_power(n: int, p: int) -> Tuple[int, int]:
+    """(v, m) with n = p**v * m and p not dividing m, for a nonzero integer
+    n and a p already known to be prime (not checked again)."""
+    v = 0
+    q, r = divmod(n, p)
+    while not r:
+        n = q
+        v += 1
+        q, r = divmod(n, p)
+    return v, n
+
+
 def valuation(r: RationalLike, p: int) -> int:
     """p-adic valuation of a nonzero rational; rejects r = 0."""
-    q = Fraction(r)
-    if q == 0:
+    num, den = num_den(r)
+    if num == 0:
         raise ValueError("valuation of 0 is not an integer; use valuation_ext")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    v = 0
-    n = abs(q.numerator)
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return split_power(num, p)[0] - split_power(den, p)[0]
 
 
 def valuation_ext(r: RationalLike, p: int):
     """Like valuation, but with the +inf sentinel at r = 0."""
-    if Fraction(r) == 0:
+    if num_den(r)[0] == 0:
         return INF
     return valuation(r, p)
 
@@ -278,22 +316,30 @@ def legendre(a: int, p: int) -> int:
 
 def unit_part(r: RationalLike, p: int) -> Fraction:
     """r / p**valuation(r, p); a p-adic unit."""
-    return Fraction(r) / Fraction(p) ** valuation(r, p)
+    num, den = num_den(r)
+    if num == 0:
+        raise ValueError("unit part of 0 is undefined")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return Fraction(split_power(num, p)[1], split_power(den, p)[1])
 
 
-def _place_prime(v) -> Union[int, None]:
-    """Normalize a place-like argument: None for the real place, else prime."""
-    if v is None or v == "inf":
+def place_prime(v) -> Optional[int]:
+    """The prime of a place-like argument, or None for the real place.
+
+    v may be a places.Place (its prime was proved at construction), None or
+    "inf" for the real place, or an integer, which must be prime.
+    """
+    if v is None or isinstance(v, str) and v == "inf":
         return None
-    if isinstance(v, int):
-        if not is_prime(v):
-            raise ValueError(f"{v} is not prime")
-        return v
-    if getattr(v, "is_real", False):
-        return None
-    p = getattr(v, "prime", None)
-    if p is None:
-        raise ValueError(f"not a place: {v!r}")
+    if hasattr(v, "prime"):
+        return v.prime
+    try:
+        p = operator.index(v)
+    except TypeError:
+        raise ValueError(f"not a place: {v!r}") from None
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     return p
 
 
@@ -302,20 +348,16 @@ def is_square_local(a: RationalLike, v) -> bool:
 
     v may be a places.Place, a prime, or "inf"/None for the real place.
     """
-    q = Fraction(a)
-    if q == 0:
+    num, den = num_den(a)
+    if num == 0:
         raise ValueError("a must be nonzero")
-    p = _place_prime(v)
+    p = place_prime(v)
     if p is None:
-        return q > 0
-    val = valuation(q, p)
-    if val % 2 != 0:
+        return num > 0
+    # a * den^2 is an integer in the square class of a
+    val, u = split_power(num * den, p)
+    if val % 2:
         return False
-    u = unit_part(q, p)
     if p == 2:
-        # unit u is a square in Q_2 iff u = 1 (mod 8)
-        num, den = u.numerator, u.denominator
-        return (num * pow(den, -1, 8)) % 8 == 1
-    num_mod = u.numerator % p
-    den_inv = pow(u.denominator, -1, p)
-    return legendre(num_mod * den_inv % p, p) == 1
+        return u % 8 == 1  # a unit is a square in Q_2 iff it is 1 mod 8
+    return pow(u, (p - 1) // 2, p) == 1

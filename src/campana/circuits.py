@@ -167,8 +167,8 @@ class Circuit:
     def evaluate_vec(self, env: Mapping[str, "object"], q: int):
         """Vectorized mod-q evaluation over numpy int64 arrays, 2 <= q < 2^31
         so that products stay exact; a variable may also be given as Python
-        ints of any size.  The points of a norm node go to the kernel as rows
-        of one call."""
+        ints of any size; a non-integer value raises ValueError.  The points
+        of a norm node go to the kernel as rows of one call."""
         q = operator.index(q)
         if not 2 <= q < 1 << 31:
             raise ValueError("q out of range")
@@ -221,9 +221,15 @@ def _const_mod(c: ConstLike, q: int) -> int:
 
 
 def _vec_var(values, q: int):
-    # Python ints of any size are reduced before the int64 conversion
+    # Python ints of any size are reduced before the int64 conversion; a
+    # float or any other non-integer is refused, never truncated
     if not isinstance(values, np.ndarray):
         values = np.array(values, dtype=object)
+    if values.dtype.kind == "O":
+        if not all(isinstance(x, (int, np.integer)) for x in values.flat):
+            raise ValueError("evaluate_vec takes integer values only")
+    elif values.dtype.kind not in "biu":
+        raise ValueError(f"evaluate_vec takes integer values, not {values.dtype}")
     return np.asarray(values % q, dtype=np.int64)
 
 

@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from . import arith, places
 from .arith import RationalLike
@@ -104,46 +104,7 @@ def _generator_mod(q: int) -> int:
     for g in range(2, q):
         if all(pow(g, (q - 1) // f, q) != 1 for f in order_factors):
             return g
-    raise AssertionError(f"no generator mod {q}")
-
-
-def _residue_mod(x: Fraction, m: int) -> int:
-    return x.numerator * pow(x.denominator, -1, m) % m
-
-
-class _LocalData:
-    """Cached local invariants of a fixed a, for fast symbol evaluation
-    against many candidate b's."""
-
-    def __init__(self, a: Fraction, odd_primes: Sequence[int]):
-        self.a = a
-        self.alpha: Dict[int, int] = {}
-        self.u_mod: Dict[int, int] = {}  # unit part of a mod p
-        for p in odd_primes:
-            al = arith.valuation(a, p)
-            self.alpha[p] = al
-            self.u_mod[p] = _residue_mod(arith.unit_part(a, p), p)
-        self.alpha2 = arith.valuation(a, 2)
-        u2 = _residue_mod(arith.unit_part(a, 2), 8)
-        self.eps2 = (u2 - 1) // 2 % 2
-        self.om2 = (u2 * u2 - 1) // 8 % 2
-
-    def symbol_odd(self, p: int, beta: int, w_mod_p: int) -> int:
-        """(a, b)_p for odd p with beta = v_p(b) and w the unit part of b."""
-        al = self.alpha[p]
-        e = al * beta * ((p - 1) // 2)
-        s = -1 if e % 2 else 1
-        if beta % 2:
-            s *= 1 if pow(self.u_mod[p], (p - 1) // 2, p) == 1 else -1
-        if al % 2:
-            s *= 1 if pow(w_mod_p % p, (p - 1) // 2, p) == 1 else -1
-        return s
-
-    def symbol_two(self, beta: int, w_mod8: int) -> int:
-        eps_w = (w_mod8 % 4 - 1) // 2 % 2
-        om_w = (w_mod8 * w_mod8 - 1) // 8 % 2
-        e = self.eps2 * eps_w + self.alpha2 * om_w + beta * self.om2
-        return -1 if e % 2 else 1
+    raise InvariantError(f"no generator mod the prime {q}")
 
 
 def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = None) -> Fraction:
@@ -168,11 +129,10 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
         return Fraction(1)
 
     supp = arith.factorize(a).factors
-    odd_base = sorted((set(supp) | set(primes)) - {2})
-    local = _LocalData(a, odd_base)
-    target = {p: (-1 if p in primes else 1) for p in odd_base}
-    target2 = -1 if 2 in primes else 1
-    factor_primes = [2] + odd_base
+    factor_primes = [2] + sorted((set(supp) | set(primes)) - {2})
+    x = a.numerator * a.denominator
+    local = {p: places.local_data(x, p) for p in factor_primes}
+    target = {p: (-1 if p in primes else 1) for p in factor_primes}
     k = len(factor_primes)
     forbidden = set(factor_primes) | set(primes)
 
@@ -202,23 +162,20 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
                 continue  # would ramify at the real place
             cfg.tick()
             ok = True
-            for i, p in enumerate(factor_primes[1:], start=1):
+            for i, p in enumerate(factor_primes):
                 beta = mask >> i & 1
+                alpha, u = local[p]
                 w = b // p if beta else b
-                if local.symbol_odd(p, beta, w) != target[p]:
+                if places.local_symbol(p, alpha, u, beta, w) != target[p]:
                     ok = False
                     break
             if not ok:
-                continue
-            beta2 = mask & 1
-            w2 = b // 2 if beta2 else b
-            if local.symbol_two(beta2, w2 % 8) != target2:
                 continue
             if q != 1 and places.hilbert(a, b, q) != 1:
                 continue
             # independent re-verification over the full scan set
             if places.delta(a, b) != places.PlaceSet.of_primes(primes):
-                raise AssertionError(
+                raise InvariantError(
                     f"fast local check accepted b={b} but delta disagrees"
                 )
             return Fraction(b)

@@ -7,6 +7,7 @@ Hensel-liftable solutions of z^2 = a x^2 + b y^2 over Z/p^m.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Iterable, Iterator, Optional, Tuple, Union
@@ -24,8 +25,15 @@ class Place:
     prime: Optional[int]
 
     def __post_init__(self):
-        if self.prime is not None and not arith.is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
+        if self.prime is None:
+            return
+        try:
+            p = operator.index(self.prime)  # an int, never a float
+        except TypeError:
+            raise ValueError(f"not a prime: {self.prime!r}") from None
+        if not arith.is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        object.__setattr__(self, "prime", p)
 
     @property
     def is_real(self) -> bool:
@@ -48,14 +56,6 @@ def finite(p: int) -> Place:
     return Place(p)
 
 
-def _coerce_place(v) -> Place:
-    if isinstance(v, Place):
-        return v
-    if v is None or v == "inf":
-        return REAL_PLACE
-    return Place(int(v))
-
-
 class PlaceSet:
     """Finite set of places, canonically ordered: infinity first, then
     primes ascending."""
@@ -63,7 +63,8 @@ class PlaceSet:
     __slots__ = ("_places",)
 
     def __init__(self, places: Iterable = ()):
-        seen = {_coerce_place(v) for v in places}
+        seen = {v if isinstance(v, Place) else Place(arith.place_prime(v))
+                for v in places}
         object.__setattr__(self, "_places", tuple(sorted(seen, key=Place._sort_key)))
 
     @classmethod
@@ -80,7 +81,9 @@ class PlaceSet:
         return len(self._places)
 
     def __contains__(self, v) -> bool:
-        return _coerce_place(v) in self._places
+        if not isinstance(v, Place):
+            v = Place(arith.place_prime(v))
+        return v in self._places
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PlaceSet):
@@ -104,43 +107,61 @@ class PlaceSet:
         return "{" + inner + "}"
 
 
-def _eps(u_mod4: int) -> int:
-    # (u - 1)/2 mod 2 for odd u
-    return (u_mod4 - 1) // 2 % 2
+def local_data(x: int, p: int) -> Tuple[int, int]:
+    """(alpha, u) with x = p^alpha u' for a nonzero integer x and a proved
+    prime p: u is the unit u' reduced mod p, or mod 8 at p = 2, which is all
+    local_symbol reads of it."""
+    alpha, u = arith.split_power(x, p)
+    return alpha, u % (8 if p == 2 else p)
 
 
-def _omega(u_mod8: int) -> int:
-    # (u^2 - 1)/8 mod 2 for odd u
-    return (u_mod8 * u_mod8 - 1) // 8 % 2
-
-
-def _unit_residue(u: Fraction, modulus: int) -> int:
-    return u.numerator * pow(u.denominator, -1, modulus) % modulus
+def local_symbol(p: int, alpha: int, u: int, beta: int, w: int) -> int:
+    """(p^alpha u, p^beta w)_p by the closed form, for p-adic units u, w
+    given as integers: Legendre symbols at odd p, the eps/omega formula at
+    p = 2.  With (alpha, u) from local_data, this is the fixed-a fast path:
+    find_b evaluates it against many b for one a."""
+    if p == 2:
+        u, w = u % 8, w % 8
+        eps_u, eps_w = u % 4 == 3, w % 4 == 3  # (u - 1)/2 mod 2
+        om_u, om_w = u in (3, 5), w in (3, 5)  # (u^2 - 1)/8 mod 2
+        e = eps_u * eps_w + alpha * om_w + beta * om_u
+        return -1 if e % 2 else 1
+    h = (p - 1) // 2
+    s = -1 if alpha * beta * h % 2 else 1
+    if beta % 2 and pow(u, h, p) != 1:
+        s = -s
+    if alpha % 2 and pow(w, h, p) != 1:
+        s = -s
+    return s
 
 
 def hilbert(a: RationalLike, b: RationalLike, v) -> int:
     """Quadratic Hilbert symbol (a,b)_v over Q_v, by the closed-form local
     formulas.  Returns +1 or -1."""
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
+    an, ad = arith.num_den(a)
+    bn, bd = arith.num_den(b)
+    if an == 0 or bn == 0:
         raise ValueError("a, b must be nonzero")
-    place = _coerce_place(v)
-    if place.is_real:
-        return -1 if (a < 0 and b < 0) else 1
-    p = place.prime
-    alpha, beta = arith.valuation(a, p), arith.valuation(b, p)
-    u, w = arith.unit_part(a, p), arith.unit_part(b, p)
-    if p == 2:
-        u8, w8 = _unit_residue(u, 8), _unit_residue(w, 8)
-        e = _eps(u8 % 4) * _eps(w8 % 4) + alpha * _omega(w8) + beta * _omega(u8)
-        return -1 if e % 2 else 1
-    e = alpha * beta * ((p - 1) // 2)
-    sym = -1 if e % 2 else 1
-    if beta % 2:
-        sym *= arith.legendre(_unit_residue(u, p), p)
-    if alpha % 2:
-        sym *= arith.legendre(_unit_residue(w, p), p)
-    return sym
+    p = arith.place_prime(v)
+    if p is None:
+        return -1 if (an < 0 and bn < 0) else 1
+    # a * den(a)^2 and b * den(b)^2 are integers with the same symbol
+    alpha, u = local_data(an * ad, p)
+    beta, w = local_data(bn * bd, p)
+    return local_symbol(p, alpha, u, beta, w)
+
+
+def _cleared_at(a: RationalLike, b: RationalLike, p: int):
+    """(v, u) of a * den(a)^2 and of b * den(b)^2 at p, where p must be
+    prime; v is |v_p(a)| (resp. |v_p(b)|), as p divides only one of a
+    rational's numerator and denominator."""
+    an, ad = arith.num_den(a)
+    bn, bd = arith.num_den(b)
+    if an == 0 or bn == 0:
+        raise ValueError("a, b must be nonzero")
+    if not arith.is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return arith.split_power(an * ad, p), arith.split_power(bn * bd, p)
 
 
 def hilbert_oracle(a: RationalLike, b: RationalLike, p: int, precision: int) -> int:
@@ -152,31 +173,23 @@ def hilbert_oracle(a: RationalLike, b: RationalLike, p: int, precision: int) -> 
     at 2*(v_p(2) + max residual valuation) + 1, which is always <= precision
     given the stated precondition, and suffices for lifting.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("a, b must be nonzero")
-    if not arith.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    va, vb = arith.valuation(a, p), arith.valuation(b, p)
+    (va, ua), (vb, ub) = _cleared_at(a, b, p)
     # tight Hensel requirement: 2*(v_p(2) + max residual valuation) + 1
-    min_precision = max(3, 2 * max(abs(va), abs(vb)) + (3 if p == 2 else 1))
+    min_precision = max(3, 2 * max(va, vb) + (3 if p == 2 else 1))
     if precision < min_precision:
         raise ValueError(
             f"precision {precision} too small; need >= {min_precision}"
         )
-    ai = a.numerator * a.denominator  # a * den(a)^2
-    bi = b.numerator * b.denominator
-    ra = ai // p ** (2 * (arith.valuation(ai, p) // 2))
-    rb = bi // p ** (2 * (arith.valuation(bi, p) // 2))
-    resid = max(arith.valuation(ra, p), arith.valuation(rb, p))
+    ra = ua * p ** (va % 2)
+    rb = ub * p ** (vb % 2)
+    resid = max(va % 2, vb % 2)
     m = min(precision, 2 * ((1 if p == 2 else 0) + resid) + 1)
     return 1 if kernels.conic_has_solution(ra, rb, p, m) else -1
 
 
 def default_oracle_precision(a: RationalLike, b: RationalLike, p: int) -> int:
-    va = arith.valuation(Fraction(a), p)
-    vb = arith.valuation(Fraction(b), p)
-    return 2 * max(abs(va), abs(vb)) + 3
+    (va, _), (vb, _) = _cleared_at(a, b, p)
+    return 2 * max(va, vb) + 3
 
 
 def odd_support(lam: RationalLike) -> PlaceSet:
@@ -225,17 +238,17 @@ def find_local_counterexample(
     enumeration over small integers (existence is guaranteed, so hitting
     the cap raises SearchExhausted)."""
     a = Fraction(a)
-    place = _coerce_place(v)
-    if arith.is_square_local(a, place):
-        raise ValueError(f"{a} is a square in Q_v at {place}; no counterexample")
-    if place.is_real:
+    p = arith.place_prime(v)
+    if arith.is_square_local(a, p):
+        raise ValueError(f"{a} is a square in Q_v at {v}; no counterexample")
+    if p is None:
         return Fraction(-1)
     count = 0
     n = 1
     while count < cap:
         for b in (n, -n):
             count += 1
-            if hilbert(a, b, place) == -1:
+            if hilbert(a, b, p) == -1:
                 return Fraction(b)
         n += 1
     raise SearchExhausted(f"no b with (a,b)_v = -1 found within {cap} candidates")

@@ -83,7 +83,7 @@ def disjoint_omegas(a, b, c, d, a2, b2, c2, d2) -> bool:
         lambda z: in_J(a2, b2, c2, d2, z),
     )
     if direct != via_sum:
-        raise AssertionError(
+        raise InvariantError(
             f"disjointness criteria disagree: direct={direct} sum={via_sum} "
             f"for omegas {o1}, {o2}"
         )

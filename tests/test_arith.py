@@ -1,11 +1,14 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from campana import arith
 from campana.arith import INF
+from campana.errors import SearchExhausted
 
 
 def brute_crt(congruences):
@@ -68,6 +71,14 @@ def test_is_prime_large():
     assert not arith.is_prime(2**67 - 1)  # 193707721 * 761838257287
 
 
+def test_is_prime_lookup_agrees_with_miller_rabin_across_the_bound():
+    bound = arith.TRIAL_DIVISION_BOUND
+    near = [bound + k for k in range(-60, 61)]
+    for n in [0, 1, 2, 3, -1, -2, -7, -999_983, 999_983, 10**6, 1_000_003] + near:
+        want = n > 0 and sympy.isprime(n)
+        assert arith.is_prime(n) == arith._miller_rabin(n) == want, n
+
+
 def test_next_prime():
     assert arith.next_prime(0) == 2
     assert arith.next_prime(2) == 3
@@ -91,6 +102,15 @@ def test_factorize_square_cofactor_beyond_float_range():
     assert arith.factorize(7 * p * p).factors == {7: 1, p: 2}
 
 
+def test_factorize_gives_up_on_a_balanced_semiprime():
+    # both factors are near 1e20: Pollard rho would need about 1e10 steps
+    n = arith.next_prime(10**20) * arith.next_prime(3 * 10**20)
+    t0 = time.monotonic()
+    with pytest.raises(SearchExhausted):
+        arith.factorize(n)
+    assert time.monotonic() - t0 < 30
+
+
 @given(st.fractions(min_value=Fraction(-1000), max_value=Fraction(1000),
                     max_denominator=10**6))
 def test_factorize_rationals(q):
@@ -110,6 +130,10 @@ def test_valuation_examples():
         arith.valuation(0, 2)
     with pytest.raises(ValueError):
         arith.valuation(5, 6)
+    with pytest.raises(ValueError):
+        arith.unit_part(5, 6)
+    with pytest.raises(ValueError):
+        arith.unit_part(0, 5)
 
 
 @given(

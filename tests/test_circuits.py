@@ -167,6 +167,18 @@ def test_vectorized_evaluation_of_big_integers():
     assert int(x.evaluate_vec({"x": 2**70}, 7)) == 2**70 % 7
 
 
+def test_vectorized_evaluation_rejects_non_integers():
+    import numpy as np
+
+    x = Circuit.var("x")
+    for bad in ([2.5, -2.5], [1, 2.0], [Fraction(1, 2)], np.array([2.5, -2.5]),
+                np.array([1.0]), 2.5, np.float64(3.0), "3", [None]):
+        with pytest.raises(ValueError):
+            x.evaluate_vec({"x": bad}, 7)
+    assert x.evaluate_vec({"x": [True, 3, np.int64(9)]}, 7).tolist() == [1, 3, 2]
+    assert x.evaluate_vec({"x": np.array([9], dtype=np.uint64)}, 7).tolist() == [2]
+
+
 def test_root_is_the_last_node():
     with pytest.raises(ValueError):
         Circuit((("var", "x"), ("var", "y")), 0)

@@ -168,3 +168,12 @@ def test_config_supplies_verify_defaults(capsys, tmp_path):
     cfgfile.write_text("seed = 7\nsamples = 20\n")
     code, out, _ = run(capsys, "--config", str(cfgfile), "verify", "hilbert")
     assert code == 0 and "PASS" in out
+
+
+def test_unfactorable_input_exits_with_a_message(capsys):
+    from campana import arith
+
+    n = arith.next_prime(10**20) * arith.next_prime(3 * 10**20)
+    code, out, err = run(capsys, "member", "sintegers", f"1/{n}", "--s", "2")
+    assert code == 1 and out == ""
+    assert "search exhausted" in err and "Traceback" not in err

@@ -22,6 +22,19 @@ def test_uniformizer_product_invariant_raises(monkeypatch):
         pz.uniformizer_product([3, 5])
 
 
+def test_generator_mod_invariant_raises(monkeypatch):
+    # with 1 as the only "prime factor" of q - 1, no g passes the test
+    monkeypatch.setattr(pz.arith, "_factor_int", lambda n: {1: 1})
+    with pytest.raises(InvariantError):
+        pz._generator_mod(7)
+
+
+def test_find_b_reverification_raises(monkeypatch):
+    monkeypatch.setattr(pz.places, "delta", lambda a, b: places.PlaceSet())
+    with pytest.raises(InvariantError):
+        pz.find_b(pz.uniformizer_product([3, 5]), [3, 5])
+
+
 def test_construct_odd_invariant_raises(monkeypatch):
     monkeypatch.setattr(pz.arith, "is_square_local", lambda a, p: True)
     with pytest.raises(InvariantError):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from campana import arith, places
@@ -18,8 +19,9 @@ place_st = st.sampled_from(["inf", 2, 3, 5, 7, 11, 13])
 def test_place_type():
     assert Place(7).prime == 7
     assert REAL_PLACE.is_real
-    with pytest.raises(ValueError):
-        Place(8)
+    for bad in (8, 1, 7.0, "7", Fraction(7)):
+        with pytest.raises(ValueError):
+            Place(bad)
     assert sorted([Place(5), REAL_PLACE, Place(2)]) == [REAL_PLACE, Place(2), Place(5)]
 
 
@@ -41,6 +43,76 @@ def test_hilbert_examples():
             assert places.hilbert(a, 1, v) == 1
     with pytest.raises(ValueError):
         places.hilbert(0, 1, 2)
+
+
+def test_composite_prime_is_a_value_error():
+    for call in (
+        lambda: arith.valuation(Fraction(3, 4), 6),
+        lambda: places.hilbert(2, 3, 6),
+        lambda: places.hilbert_oracle(2, 3, 6, 3),
+        lambda: places.default_oracle_precision(2, 3, 6),
+        lambda: arith.is_square_local(2, 6),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_hilbert_place_forms():
+    assert places.hilbert(2, 5, Place(5)) == places.hilbert(2, 5, 5) == -1
+    for v in (REAL_PLACE, "inf", None):
+        assert places.hilbert(-1, -1, v) == -1
+        assert places.hilbert(-1, 3, v) == 1
+    for bad in (1, 0, -5, 9, 7.0, "7", "oo", Fraction(7), object()):
+        with pytest.raises(ValueError):
+            places.hilbert(2, 5, bad)
+        with pytest.raises(ValueError):
+            arith.is_square_local(2, bad)
+
+
+def _rational_at(p):
+    """sign * p^i * n/d with n, d coprime to p most of the time."""
+    return st.builds(
+        lambda s, i, n, d: s * Fraction(p) ** i * Fraction(n, d),
+        st.sampled_from([1, -1]), st.integers(-3, 3),
+        st.integers(1, 10**4), st.integers(1, 10**4))
+
+
+@given(st.sampled_from(arith.primes_up_to(200)).flatmap(
+    lambda p: st.tuples(st.just(p), _rational_at(p), _rational_at(p))))
+@settings(max_examples=300)
+def test_fixed_a_fast_path_matches_hilbert(case):
+    p, a, b = case
+    alpha, u = places.local_data(a.numerator * a.denominator, p)
+    beta, w = arith.split_power(b.numerator * b.denominator, p)
+    assert places.local_symbol(p, alpha, u, beta, w) == places.hilbert(a, b, p)
+
+
+def _legendre_reference(a, b, p):
+    """(a,b)_p = (-1)^(alpha beta (p-1)/2) (u|p)^beta (w|p)^alpha, odd p."""
+    def split(r):
+        v, num, den = 0, r.numerator, r.denominator
+        while num % p == 0:
+            num, v = num // p, v + 1
+        while den % p == 0:
+            den, v = den // p, v - 1
+        return v, num * den  # (num/den | p) = (num*den | p)
+
+    alpha, u = split(a)
+    beta, w = split(b)
+    s = -1 if alpha * beta * ((p - 1) // 2) % 2 else 1
+    if beta % 2:
+        s *= sympy.legendre_symbol(u % p, p)
+    if alpha % 2:
+        s *= sympy.legendre_symbol(w % p, p)
+    return s
+
+
+@given(st.integers(arith.TRIAL_DIVISION_BOUND, 10**12).map(sympy.nextprime).flatmap(
+    lambda p: st.tuples(st.just(p), _rational_at(p), _rational_at(p))))
+@settings(max_examples=300)
+def test_hilbert_above_the_lookup_bound_matches_legendre(case):
+    p, a, b = case
+    assert places.hilbert(a, b, p) == _legendre_reference(a, b, p)
 
 
 def test_hilbert_oracle_examples():

@@ -76,6 +76,12 @@ def test_disjoint_omegas():
     assert not sm.disjoint_omegas(a, b, a, b, *OMEGA_35)
 
 
+def test_disjoint_omegas_invariant_raises(monkeypatch):
+    monkeypatch.setattr(sm, "_sum_criterion", lambda *args: False)
+    with pytest.raises(InvariantError):
+        sm.disjoint_omegas(*OMEGA_2, *OMEGA_35)
+
+
 def test_campana_member_examples():
     assert sm.campana_member([], 3, Fraction(1, 8))
     assert not sm.campana_member([], 3, Fraction(1, 4))

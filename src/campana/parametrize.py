@@ -1,14 +1,16 @@
 """Constructing (a,b,c,d) with omega(a,b,c,d) equal to a prescribed prime set.
 
-The route: a CRT product of uniformizers pins the valuations of a, a bounded
-search finds b with the prescribed ramification, an auxiliary prime handles
-odd-size sets, and two overlapping constructions with distinct auxiliaries
-are intersected.  Every output is verified independently by the places
-module before it is returned.
+The route: a is built from S alone (the product of S, times the square of
+an auxiliary prime for odd-size sets), so it has no prime factor outside S
+and the auxiliary; a bounded search finds b with the prescribed
+ramification; and two overlapping odd constructions with distinct
+auxiliaries are intersected.  Every output is verified independently by
+the places module before it is returned.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -77,34 +79,16 @@ def _normalize_prime_set(S: Iterable[int]) -> Tuple[int, ...]:
 
 
 def uniformizer_product(S: Iterable[int]) -> int:
-    """Product of CRT uniformizers: each factor y_p is p mod p^2 and 1 mod
-    every other prime of S, so the product has valuation exactly 1 at each
-    p in S."""
+    """The product of the primes of S: valuation exactly 1 at each p in S
+    and no other prime factor, which keeps find_b's subset listing at
+    2^(|S| + 1) products at most."""
     primes = _normalize_prime_set(S)
     if not primes:
         raise ValueError("S must be nonempty")
-    a = 1
-    for p in primes:
-        rest = math.prod(q for q in primes if q != p)
-        if rest == 1:
-            y = p
-        else:
-            y = arith.crt([(p * p, p), (rest, 1)])
-        a *= y
+    a = math.prod(primes)
     if any(arith.valuation(a, p) != 1 for p in primes):
         raise InvariantError(f"uniformizer product {a} is not squarefree on {primes}")
     return a
-
-
-def _generator_mod(q: int) -> int:
-    """Smallest generator of the multiplicative group mod a prime q."""
-    if q == 2:
-        return 1
-    order_factors = arith._factor_int(q - 1)
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // f, q) != 1 for f in order_factors):
-            return g
-    raise InvariantError(f"no generator mod the prime {q}")
 
 
 def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = None) -> Fraction:
@@ -136,23 +120,34 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
     k = len(factor_primes)
     forbidden = set(factor_primes) | set(primes)
 
-    # auxiliary primes, ascending; 1 first so pure subset products lead
-    aux = [1] + [
-        q for q in arith.primes_up_to(cfg.q_prime_bound)
-        if q > 2 and q not in forbidden
-    ]
-    mask_prods = []
+    # auxiliary primes, ascending, listed as the first lane reaches each;
+    # 1 first so pure subset products lead
+    pool = (q for q in arith.primes_up_to(cfg.q_prime_bound)
+            if q > 2 and q not in forbidden)
+    aux = [1]
+    # at an odd p where a has even valuation and a nonsquare unit,
+    # (a,b)_p = -1 exactly when p divides b: that mask bit is forced
+    fixed = forced = 0
+    for i, p in enumerate(factor_primes):
+        alpha, u = local[p]
+        if p != 2 and alpha % 2 == 0 and pow(u, (p - 1) // 2, p) != 1:
+            fixed |= 1 << i
+            forced |= (target[p] == -1) << i
+    # lazy merge in increasing height: one heap lane per subset product
+    heap = []
     for mask in range(1 << k):
+        if mask & fixed != forced:
+            continue
         prod = 1
         for i in range(k):
             if mask >> i & 1:
                 prod *= factor_primes[i]
-        mask_prods.append((prod, mask))
-    # lazy merge in increasing height: one heap lane per subset product
-    heap = [(prod, mask, 0) for prod, mask in mask_prods]
+        heap.append((prod, mask, 0))
     heapq.heapify(heap)
     while heap:
         height, mask, j = heapq.heappop(heap)
+        if j + 1 == len(aux):
+            aux.extend(itertools.islice(pool, 1))
         if j + 1 < len(aux):
             prod = height // aux[j]
             heapq.heappush(heap, (prod * aux[j + 1], mask, j + 1))
@@ -204,35 +199,27 @@ def construct_odd(
     config: Optional[SearchConfig] = None,
     avoid: Iterable[int] = (),
 ) -> Tuple[Fraction, Fraction, int]:
-    """(a,b,q) for odd |S|: q is an auxiliary odd prime outside S (and
-    outside `avoid`), a has valuation 1 on S and 2 at q with a nonsquare
-    unit, and b ramifies exactly on S u {q}; then the ramification primes
-    where a has odd valuation are exactly S."""
+    """(a,b,q) for odd |S|: q is the smallest odd prime outside S (and
+    outside `avoid`) at which prod(S) is a nonsquare, a = prod(S) * q^2 has
+    valuation 1 on S and 2 at q with a nonsquare unit, and b ramifies
+    exactly on S u {q}; then the ramification primes where a has odd
+    valuation are exactly S."""
     primes = _normalize_prime_set(S)
     if len(primes) % 2 == 0:
         raise ValueError("|S| must be odd")
     blocked = set(primes) | set(avoid)
+    a0 = uniformizer_product(primes)
+    # a0 is squarefree and > 1, so it is a nonsquare mod infinitely many q
     q = 3
-    while q in blocked:
+    while q in blocked or arith.legendre(a0, q) != -1:
         q = arith.next_prime(q)
-    s_prime = tuple(sorted(primes + (q,)))
-    a0 = uniformizer_product(s_prime)
-    rest = math.prod(p for p in s_prime if p != q)
-    y_q = q if rest == 1 else arith.crt([(q * q, q), (rest, 1)])
-    g = _generator_mod(q)
-    cofactor = a0 // y_q  # product of the other uniformizers; a unit mod q
-    congruences = [(q, g * pow(cofactor % q, -1, q) % q)]
-    s_prod = math.prod(primes)
-    if s_prod > 1:
-        congruences.append((s_prod, 1))
-    tau = arith.crt(congruences)
-    a = Fraction(tau * y_q * a0)
+    a = Fraction(a0 * q * q)
     if (any(arith.valuation(a, p) != 1 for p in primes)
             or arith.valuation(a, q) != 2 or arith.is_square_local(a, q)):
         raise InvariantError(
             f"a = {a} lacks valuation 1 on {primes} or a nonsquare "
             f"valuation-2 unit at the auxiliary prime {q}")
-    b = find_b(a, s_prime, config)
+    b = find_b(a, primes + (q,), config)
     return a, b, q
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import arith, kernels
 from .arith import RationalLike
@@ -196,37 +196,65 @@ def odd_support(lam: RationalLike) -> PlaceSet:
     """Finite primes at which the valuation of lam is odd."""
     if Fraction(lam) == 0:
         raise ValueError("lam must be nonzero")
-    fac = arith.factorize(lam)
-    return PlaceSet.of_primes(p for p, e in fac.factors.items() if e % 2)
+    return _odd_primes(arith.factorize(lam).factors)
 
 
-def _scan_places(a: Fraction, b: Fraction) -> PlaceSet:
-    """Places where the symbol can be -1: infinity, 2, and the supports."""
-    supp = set(arith.factorize(a).factors) | set(arith.factorize(b).factors)
-    supp.add(2)
-    return PlaceSet([REAL_PLACE] + [Place(p) for p in supp])
+def _odd_primes(*exponent_maps: Dict[int, int]) -> PlaceSet:
+    """Primes with an odd exponent in any of the maps."""
+    return PlaceSet.of_primes(p for f in exponent_maps for p, e in f.items() if e % 2)
+
+
+def _exponent_maps(*values: Fraction) -> List[Dict[int, int]]:
+    """The factorization exponents of each value; equal values are
+    factorized once."""
+    memo: Dict[Fraction, Dict[int, int]] = {}
+    for r in values:
+        if r not in memo:
+            memo[r] = arith.factorize(r).factors
+    return [memo[r] for r in values]
+
+
+def _scan_places(fa: Dict[int, int], fb: Dict[int, int]) -> List[Place]:
+    """Places where (a,b)_v can be -1, given the exponent maps of a and b:
+    infinity, 2, and the supports."""
+    return [REAL_PLACE] + [Place(p) for p in {2} | fa.keys() | fb.keys()]
+
+
+def _delta(a: Fraction, b: Fraction, fa: Dict[int, int], fb: Dict[int, int]) -> PlaceSet:
+    return PlaceSet(v for v in _scan_places(fa, fb) if hilbert(a, b, v) == -1)
+
+
+def _delta_upper(a: Fraction, b: Fraction, fa: Dict[int, int], fb: Dict[int, int]) -> PlaceSet:
+    return _delta(a, b, fa, fb) & _odd_primes(fa, fb)
 
 
 def delta(a: RationalLike, b: RationalLike) -> PlaceSet:
     """Places v with (a,b)_v = -1 (ramification set of the quaternion
     algebra); the scan is restricted to the finite set where -1 can occur."""
     a, b = Fraction(a), Fraction(b)
-    return PlaceSet(v for v in _scan_places(a, b) if hilbert(a, b, v) == -1)
+    return _delta(a, b, *_exponent_maps(a, b))
 
 
 def delta_upper(a: RationalLike, b: RationalLike) -> PlaceSet:
-    return delta(a, b) & (odd_support(a) | odd_support(b))
+    """delta(a, b) restricted to the odd supports of a and b."""
+    a, b = Fraction(a), Fraction(b)
+    return _delta_upper(a, b, *_exponent_maps(a, b))
 
 
 def omega(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) -> PlaceSet:
-    return delta_upper(a, b) & delta_upper(c, d)
+    a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+    fa, fb, fc, fd = _exponent_maps(a, b, c, d)
+    first = _delta_upper(a, b, fa, fb)
+    if (a, b) == (c, d):
+        return first
+    return first & _delta_upper(c, d, fc, fd)
 
 
 def reciprocity_check(a: RationalLike, b: RationalLike) -> bool:
     """Product of the local symbols over the scan set; always +1."""
     a, b = Fraction(a), Fraction(b)
     prod = 1
-    for v in _scan_places(a, b):
+    for v in _scan_places(*_exponent_maps(a, b)):
         prod *= hilbert(a, b, v)
     return prod == 1
 

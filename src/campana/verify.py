@@ -66,7 +66,7 @@ def suite_construct(seed: int, samples: int) -> List[Row]:
     rng = random.Random(seed)
     rows: List[Row] = []
     small = [p for p in arith.primes_up_to(100)]
-    trials = [sorted(rng.sample(small, rng.randint(0, 4)))
+    trials = [sorted(rng.sample(small, rng.randint(0, 6)))
               for _ in range(min(samples, 50))]
     trials += [list(s) for k in range(5)
                for s in itertools.combinations([2, 3, 5, 7], k)]

@@ -41,6 +41,14 @@ def test_construct_command(capsys):
                            "search_steps", "target"]
 
 
+def test_construct_five_primes(capsys):
+    # exited 1 with "search exhausted" when a was a CRT uniformizer product
+    code, out, _ = run(capsys, "construct", "2", "3", "5", "7", "11")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["achieved"] == doc["target"] == [2, 3, 5, 7, 11]
+
+
 def test_construct_empty_set(capsys):
     code, out, _ = run(capsys, "construct")
     assert code == 0

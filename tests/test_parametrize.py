@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from campana import arith, parametrize as pz, places
 from campana.errors import InvariantError, SearchExhausted
@@ -20,13 +21,6 @@ def test_uniformizer_product_invariant_raises(monkeypatch):
     monkeypatch.setattr(pz.arith, "valuation", lambda a, p: 2)
     with pytest.raises(InvariantError):
         pz.uniformizer_product([3, 5])
-
-
-def test_generator_mod_invariant_raises(monkeypatch):
-    # with 1 as the only "prime factor" of q - 1, no g passes the test
-    monkeypatch.setattr(pz.arith, "_factor_int", lambda n: {1: 1})
-    with pytest.raises(InvariantError):
-        pz._generator_mod(7)
 
 
 def test_find_b_reverification_raises(monkeypatch):
@@ -61,6 +55,13 @@ def test_find_b_respects_candidate_cap():
     cfg = pz.SearchConfig(candidate_cap=1)
     with pytest.raises(SearchExhausted):
         pz.find_b(pz.uniformizer_product([3, 5]), [3, 5], cfg)
+
+
+def test_find_b_stops_when_the_auxiliary_primes_run_out():
+    # no subset product works for S = {2, 17}; b = 3 needs an auxiliary
+    assert pz.find_b(34, [2, 17]) == 3
+    with pytest.raises(SearchExhausted):
+        pz.find_b(34, [2, 17], pz.SearchConfig(q_prime_bound=2))
 
 
 def test_construct_even():
@@ -141,3 +142,29 @@ def test_deadline_enforced():
     cfg = pz.SearchConfig(deadline=time.monotonic() - 1)
     with pytest.raises(SearchExhausted):
         pz.construct_omega([3, 5], cfg)
+
+
+def test_construct_omega_five_primes():
+    # raised SearchExhausted when a was a CRT product of uniformizers
+    for cfg in (None, pz.SearchConfig(candidate_cap=30_000)):
+        report = pz.construct_omega([2, 3, 5, 7, 11], cfg)
+        assert report.success
+        assert places.omega(report.a, report.b, report.c, report.d) == \
+            places.PlaceSet.of_primes([2, 3, 5, 7, 11])
+
+
+@given(st.lists(st.sampled_from(arith.primes_up_to(200)), max_size=7, unique=True))
+@example([13, 17, 23, 89, 137, 139, 151])  # 38,434 steps without forced bits
+@settings(max_examples=150, deadline=None)
+def test_construct_omega_small_support(S):
+    cfg = pz.SearchConfig(candidate_cap=30_000)
+    report = pz.construct_omega(S, cfg)
+    assert report.success
+    assert places.omega(report.a, report.b, report.c, report.d) == \
+        places.PlaceSet.of_primes(S)
+    assert report.search_steps <= 30_000
+    # a and c have no prime factor outside S and the auxiliaries, which
+    # keeps find_b's subset listing at 2^(|S| + 2) products at most
+    allowed = set(S) | set(report.auxiliary_primes)
+    for x in (report.a, report.c):
+        assert set(arith.factorize(x).factors) <= allowed

@@ -178,6 +178,30 @@ def test_delta_upper_and_omega():
     assert places.omega(3, 5, 1, 1) == PlaceSet([])
 
 
+@given(nonzero_small, nonzero_small, nonzero_small, nonzero_small)
+@settings(max_examples=200)
+def test_delta_upper_and_omega_match_their_definitions(a, b, c, d):
+    upper = places.delta(a, b) & (places.odd_support(a) | places.odd_support(b))
+    assert places.delta_upper(a, b) == upper
+    assert places.omega(a, b, c, d) == upper & places.delta_upper(c, d)
+    assert places.omega(a, b, a, b) == upper
+
+
+def test_each_value_is_factorized_once_per_call(monkeypatch):
+    seen = []
+    factorize = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda r: seen.append(r) or factorize(r))
+    x, y = Fraction(-1155, 8), Fraction(98, 3)
+    for call, args, count in ((places.delta, (x, y), 2),
+                              (places.delta_upper, (x, y), 2),
+                              (places.omega, (x, y, 6, -35), 4),
+                              (places.omega, (x, y, x, y), 2),
+                              (places.reciprocity_check, (x, y), 2)):
+        seen.clear()
+        call(*args)
+        assert len(seen) == count, call.__name__
+
+
 @given(nonzero_small, nonzero_small)
 @settings(max_examples=200)
 def test_delta_even_cardinality_and_reciprocity(a, b):

@@ -5,11 +5,38 @@ extension is unavailable.  See campana.kernels for the selection logic.
 """
 from __future__ import annotations
 
+import functools
 import operator
+from collections import OrderedDict
 
 import numpy as np
 
 BACKEND = "py"
+
+#: Entries of t^2 mod M kept across calls by the conic scan, summed over M
+#: (about 9 bytes each: the int64 squares and the bool mask).
+SCAN_TABLE_BUDGET = 1 << 22
+_scan_tables: "OrderedDict[int, tuple]" = OrderedDict()
+
+
+def _square_tables(M: int) -> tuple:
+    """(t^2 mod M for t < M, mask of the squares mod M), both read-only;
+    the least recently used moduli are dropped beyond SCAN_TABLE_BUDGET."""
+    tables = _scan_tables.get(M)
+    if tables is not None:
+        _scan_tables.move_to_end(M)
+        return tables
+    t = np.arange(M, dtype=np.int64)
+    t2 = t * t % M
+    is_square = np.zeros(M, dtype=bool)
+    is_square[t2] = True
+    t2.flags.writeable = False
+    is_square.flags.writeable = False
+    _scan_tables[M] = tables = (t2, is_square)
+    total = sum(_scan_tables)
+    while total > SCAN_TABLE_BUDGET and len(_scan_tables) > 1:
+        total -= _scan_tables.popitem(last=False)[0]
+    return tables
 
 
 def conic_has_solution(a: int, b: int, p: int, m: int) -> bool:
@@ -22,10 +49,7 @@ def conic_has_solution(a: int, b: int, p: int, m: int) -> bool:
     if M > 4_000_000:
         raise ValueError("modulus p^m too large for the scan kernel")
     am, bm = a % M, b % M
-    t = np.arange(M, dtype=np.int64)
-    t2 = t * t % M
-    is_square = np.zeros(M, dtype=bool)
-    is_square[t2] = True
+    t2, is_square = _square_tables(M)
     b_sq = np.zeros(M, dtype=bool)
     b_sq[bm * t2 % M] = True
     # x unit (normalized to 1), then y unit, then z unit
@@ -47,10 +71,12 @@ def norm_mod_rows(H, qs) -> np.ndarray:
     """Res(x^n - 2, h_i) mod qs[i] for every row h_i of the L x n array H
     (coefficients by ascending power), as an int64 array of length L.
 
-    One Euclidean remainder sequence runs for all rows at once while their
-    degrees agree.  int64 is exact: a product is below q^2 < 2^62 and an
-    entry takes at most two of them before it is reduced mod q.  H may hold
-    int64 or Python ints of any size; q must satisfy 2 <= q < 2^31.
+    While n is even, every row is first halved mod its q (_halve_rows): the
+    resultant becomes one with y^(n/2) - 2 and a row of length n/2.  The odd
+    part left then goes through one Euclidean remainder sequence for all
+    rows at once (_resultant_rows); an odd part of length 1 is the answer
+    itself.  H may hold int64 or Python ints of any size; q must satisfy
+    2 <= q < 2^31.
     """
     qlist = [_modulus(m) for m in qs]
     rows = np.asarray(H)
@@ -65,7 +91,10 @@ def norm_mod_rows(H, qs) -> np.ndarray:
     else:  # Python ints of any size; anything else is refused by index()
         g = np.array([[operator.index(c) % m for c in row]
                       for row, m in zip(rows.tolist(), qlist)], dtype=np.int64)
+    g = _halve_rows(g, qlist)
     n = g.shape[1]
+    if n == 1:  # Res(y - 2, c) = c
+        return g[:, 0].copy()
     f = np.zeros((len(q), n + 1), dtype=np.int64)
     f[:, n] = 1
     f[:, 0] = -2 % q
@@ -77,6 +106,64 @@ def _modulus(q) -> int:
     if q >= (1 << 31) or q < 2:
         raise ValueError("q out of range")
     return q
+
+
+@functools.lru_cache(maxsize=64)
+def _slot_weights(q: int, s: int) -> tuple:
+    """256^j mod q for the s bytes of a slot."""
+    return tuple(pow(256, j, q) for j in range(s))
+
+
+def _halve_rows(g, qs: list):
+    """Graeffe's root squaring mod q on the rows of g while their length n
+    is even; returns the rows of odd length left.
+
+    The roots of x^n - 2 come in pairs +-a.  For h = h0(x^2) + x h1(x^2),
+    h(x) h(-x) = H(x^2) with H = h0^2 - y h1^2, so Res(x^n - 2, h) =
+    Res(y^m - 2, H mod (y^m - 2)) for m = n/2, exactly: x^n - 2 is monic.
+    Reducing mod y^m - 2 folds H[j + m] into H[j] twice.
+
+    Both squares are taken on Python ints by Kronecker substitution: the m
+    coefficients of h0 (or h1), each below q, fill slots of s bytes of one
+    integer, which is squared once.  A coefficient of h0^2 is a sum of at
+    most m products, each at most (q - 1)^2, and s is the least byte count
+    with 256^s > m (q - 1)^2 >= q - 1, so every slot holds its coefficient
+    whole, with no carry into the next, and the square's 2m - 1 slots are
+    the coefficients of h0^2 (to_bytes raises OverflowError otherwise).  A
+    slot is reduced mod q as the dot product of its bytes with 256^j mod q,
+    at most s * 255 * (q - 1) < 2^63 in int64.  No float is involved.
+    """
+    if g.shape[1] == 0:
+        raise ValueError("a norm needs at least one coefficient")
+    q = np.array(qs, dtype=np.int64)[:, None]
+    top = max(qs) - 1
+    weights = None
+    while g.shape[1] % 2 == 0:
+        rows, n = g.shape
+        m = n // 2
+        s = max(1, ((m * top * top).bit_length() + 7) // 8)
+        if weights is None:  # the first step has the widest slots
+            weights = np.array([_slot_weights(p, s) for p in qs], dtype=np.int64)
+        # little-endian bytes of the coefficients (< 2^31) in their slots;
+        # per row, h0's m slots and then h1's
+        raw = np.ascontiguousarray(g, dtype="<i8").view(np.uint8).reshape(rows, m, 2, 8)
+        slots = np.zeros((rows, 2, m, s), dtype=np.uint8)
+        k = min(s, 8)
+        slots[..., :k] = raw[..., :k].transpose(0, 2, 1, 3)
+        packed = slots.tobytes()
+        width, length = m * s, (2 * m - 1) * s
+        squares = []
+        for i in range(0, len(packed), width):
+            v = int.from_bytes(packed[i:i + width], "little")
+            squares.append((v * v).to_bytes(length, "little"))
+        digits = np.frombuffer(b"".join(squares), dtype=np.uint8)
+        c = digits.reshape(rows, 2 * (2 * m - 1), s) @ weights[:, :s, None]
+        c = c.reshape(rows, 2, 2 * m - 1) % q[:, :, None]
+        h = np.zeros((rows, n), dtype=np.int64)
+        h[:, :n - 1] = c[:, 0]
+        h[:, 1:] -= c[:, 1]
+        g = (h[:, :m] + 2 * h[:, m:]) % q
+    return g
 
 
 def _resultant_rows(f, g, qs: list, res: list) -> list:
@@ -92,6 +179,9 @@ def _resultant_rows(f, g, qs: list, res: list) -> list:
     after every second term, since two products sum to at most
     2 (q - 1)^2 < 2^63.  A row whose g has a lower degree than the highest
     one in the batch is finished by a call on that row alone.
+
+    norm_mod_rows calls it on the odd part left after halving only, f =
+    y^n - 2 with n odd: 3, 97 and 145 for the tower's n = 48, 194 and 290.
     """
     out = [0] * len(qs)
     live = list(range(len(qs)))

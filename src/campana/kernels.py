@@ -3,7 +3,8 @@
 At import we prefer the compiled extension (campana._kernels) and fall back
 to the numpy implementation.  On top of the modular kernel this module
 provides an exact evaluator for the degree-n norm form N(v_1..v_n) =
-Res(x^n - 2, sum v_j x^(j-1)), via CRT up to a Hadamard-style bound.
+Res(x^n - 2, sum v_j x^(j-1)): Graeffe halving over Z while n is even, then
+CRT up to a Hadamard-style bound on the odd part.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from typing import List, Sequence
 import numpy as np
 
 from . import arith
+from .errors import InvariantError
 
 try:  # pragma: no cover - depends on the build
     from . import _kernels as _impl
@@ -60,14 +62,70 @@ def _norm_int_bound_bits(w: Sequence[int]) -> int:
     return n * max(1, row.bit_length()) + 2
 
 
+def _square_exact(c: List[int]) -> List[int]:
+    """The coefficients of c(y)^2 for integer coefficients c, by one
+    Kronecker-substituted square.
+
+    A coefficient of c^2 is a sum of at most m = len(c) products, so its
+    absolute value is at most B = m max|c_j|^2.  Slots of s bytes with
+    2^(8s - 1) > B hold each one as a balanced digit in [-2^(8s-1),
+    2^(8s-1)), and those digits are unique; the square is read back slot by
+    slot, carrying one into the next slot when a digit is negative.
+    """
+    m = len(c)
+    bound = m * max(map(abs, c)) ** 2
+    s = (bound.bit_length() + 8) // 8
+    shift, half, full = 8 * s, 1 << (8 * s - 1), 1 << (8 * s)
+    v = 0
+    for x in reversed(c):
+        v = (v << shift) + x
+    sq = (v * v).to_bytes((2 * m - 1) * s, "little")
+    out, carry = [], 0
+    for i in range(0, len(sq), s):
+        d = int.from_bytes(sq[i:i + s], "little") + carry
+        carry = d >= half
+        out.append(d - full if carry else d)
+    if carry:  # the top digit is c[m-1]^2 >= 0
+        raise InvariantError("Kronecker slot too narrow for an exact square")
+    return out
+
+
+def _halve_exact(w: List[int]) -> List[int]:
+    """Graeffe's root squaring over Z while len(w) is even: the odd-length
+    vector whose norm equals the norm of w.
+
+    For h = h0(x^2) + x h1(x^2), h(x) h(-x) = H(x^2) with H = h0^2 - y h1^2,
+    and Res(x^n - 2, h) = Res(y^m - 2, H mod (y^m - 2)) for m = n/2 (see
+    _kernels_py._halve_rows).  The squares are exact, so coefficient bit
+    lengths roughly double with every step.
+    """
+    if not w:
+        raise ValueError("a norm needs at least one coefficient")
+    while len(w) % 2 == 0:
+        m = len(w) // 2
+        h = _square_exact(w[0::2]) + [0]
+        for j, x in enumerate(_square_exact(w[1::2]), 1):
+            h[j] -= x
+        w = [h[j] + 2 * h[j + m] for j in range(m)]
+    return w
+
+
 def norm_int(w: Sequence[int]) -> int:
-    """Exact norm of an integer coefficient vector, by CRT of modular
-    resultants up to a certified bound; all primes go in one row call."""
-    n = len(w)
-    if n == 1:
+    """Exact norm Res(x^n - 2, sum w_j x^(j-1)) of an integer vector.
+
+    While n is even, w is halved exactly over Z (_halve_exact).  An odd part
+    of length 1 is the norm; a longer one is evaluated by CRT of modular
+    resultants up to the Hadamard-style bound of that odd part, with all
+    primes in one row call.
+    """
+    if len(w) == 1:
         return w[0]
-    if all(x == 0 for x in w):
+    w = [operator.index(x) for x in w]
+    if not any(w):
         return 0
+    w = _halve_exact(w)
+    if len(w) == 1:
+        return w[0]
     bits = _norm_int_bound_bits(w)
     primes, m = [], 1
     for q in crt_primes(bits // 30 + 2):
@@ -75,7 +133,7 @@ def norm_int(w: Sequence[int]) -> int:
         m *= q
         if m.bit_length() > bits + 1:
             break
-    residues = norm_mod_rows([list(w)] * len(primes), primes)
+    residues = norm_mod_rows([w] * len(primes), primes)
     x, m = 0, 1
     for q, r in zip(primes, residues.tolist()):
         t = (r - x) * pow(m, -1, q) % q

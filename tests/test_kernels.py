@@ -261,3 +261,163 @@ def test_crt_primes_are_prime_and_descending():
     assert all(p < 2**31 for p in ps)
     from campana import arith
     assert all(arith.is_prime(p) for p in ps)
+
+
+# Graeffe halving: norm_mod_rows and norm_int square away the 2-part of n
+# before the Euclidean finish.
+
+HALVING_MODULI = [2, 3, 7] + kernels.crt_primes(3)
+HALVING_LENGTHS = [2, 4, 8, 16, 32, 64, 48, 96]
+
+
+def unhalved_norm_mod_rows(rows, qs):
+    """The Euclid of _resultant_rows on x^n - 2 itself, with no halving."""
+    n = len(rows[0])
+    q = np.array(qs, dtype=np.int64)
+    g = np.array([[c % m for c in row] for row, m in zip(rows, qs)], dtype=np.int64)
+    f = np.zeros((len(qs), n + 1), dtype=np.int64)
+    f[:, n] = 1
+    f[:, 0] = -2 % q
+    return _kernels_py._resultant_rows(f, g, list(qs), [1] * len(qs))
+
+
+@st.composite
+def halving_rows(draw):
+    """Rows of one even length n, each with its own modulus, among them
+    zero rows, rows with h1 = 0 and rows c x^(n/2) - c' whose H has one
+    nonzero coefficient left after the first step."""
+    n = draw(st.sampled_from(HALVING_LENGTHS))
+    small = st.integers(-3, 3)
+    big = st.integers(-2**40, 2**40)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["small", "big", "zero", "even", "binomial"]),
+                              min_size=1, max_size=4)):
+        if kind == "zero":
+            row = [0] * n
+        elif kind == "binomial":
+            row = [0] * n
+            row[0] = -draw(st.integers(1, 50))
+            row[n // 2] = draw(st.integers(1, 50))
+        else:
+            row = draw(st.lists(small if kind in ("small", "even") else big,
+                                min_size=n, max_size=n))
+            if kind == "even":
+                row[1::2] = [0] * (n // 2)
+        rows.append(row)
+    qs = draw(st.lists(st.sampled_from(HALVING_MODULI), min_size=len(rows),
+                       max_size=len(rows)))
+    return rows, qs
+
+
+@settings(max_examples=120, deadline=None)
+@given(halving_rows())
+def test_halving_matches_unhalved_euclid(case):
+    rows, qs = case
+    assert _kernels_py.norm_mod_rows(rows, qs).tolist() == unhalved_norm_mod_rows(rows, qs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(halving_rows())
+def test_halving_matches_sympy(case):
+    rows, qs = case
+    want = [sympy_norm(h) % q for h, q in zip(rows, qs)]
+    assert _kernels_py.norm_mod_rows(rows, qs).tolist() == want
+    assert [_kernels_py.norm_mod(h, q) for h, q in zip(rows, qs)] == want
+
+
+def test_halving_degree_drops():
+    # h = c x^(n/2) - c' gives H = c'^2 - c^2 y^(n/2) = c'^2 - 2 c^2 after one
+    # step: a constant, which the later steps square; h1 = 0 gives H = h0^2
+    for n in (2, 4, 8, 16, 32, 64, 48, 96):
+        for q in HALVING_MODULI:
+            h = [0] * n
+            h[0], h[n // 2] = -5, 3
+            assert _kernels_py.norm_mod(h, q) == sympy_norm(h) % q
+            h = [0] * n
+            h[0::2] = [j % 5 - 2 for j in range(n // 2)]
+            assert _kernels_py.norm_mod(h, q) == sympy_norm(h) % q
+            assert _kernels_py.norm_mod([0] * n, q) == 0
+
+
+def test_halving_widest_slot():
+    # every coefficient q - 1 at q = 2^31 - 1 and n = 512 fills the middle
+    # slot of the first square with exactly m (q - 1)^2, m = 256.  The norm
+    # of (q - 1)(1 + x + ... + x^(n-1)) is (q - 1)^n (-1)^(n+1), -1 mod q.
+    q, n = 2**31 - 1, 512
+    row = [q - 1] * n
+    assert _kernels_py.norm_mod(row, q) == q - 1
+    assert _kernels_py.norm_mod_rows([row, row], [q, 3]).tolist() == \
+        unhalved_norm_mod_rows([row, row], [q, 3])
+
+
+def test_norm_int_powers_of_two_need_no_crt(monkeypatch):
+    # n = 2^k halves down to one coefficient, the norm itself
+    rng = random.Random(21)
+
+    def no_crt(*args):
+        raise AssertionError("norm_int reached the CRT for n = 2^k")
+
+    monkeypatch.setattr(kernels, "norm_mod_rows", no_crt)
+    for n in (2, 4, 8, 16, 32, 64):
+        for bits in (3, 60):
+            w = [rng.randint(-2**bits, 2**bits) for _ in range(n)]
+            assert kernels.norm_int(w) == sympy_norm(w)
+
+
+def test_norm_int_n48_sixty_bit():
+    # n = 48 = 2^4 * 3 leaves an odd part of length 3 for the CRT
+    rng = random.Random(22)
+    for _ in range(3):
+        w = [rng.randint(-2**60, 2**60) for _ in range(48)]
+        assert len(kernels._halve_exact(w)) == 3
+        assert kernels.norm_int(w) == sympy_norm(w)
+    w = [0] * 48
+    w[7] = 2**60 - 1
+    assert kernels.norm_int(w) == sympy_norm(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-2**200, 2**200), min_size=1, max_size=12))
+def test_square_exact_matches_schoolbook(c):
+    want = [0] * (2 * len(c) - 1)
+    for i, x in enumerate(c):
+        for j, y in enumerate(c):
+            want[i + j] += x * y
+    assert kernels._square_exact(c) == want
+
+
+def test_halving_helpers_refuse_empty_rows():
+    with pytest.raises(ValueError):
+        kernels._halve_exact([])
+    with pytest.raises(ValueError):
+        _kernels_py._halve_rows(np.zeros((1, 0), dtype=np.int64), [7])
+
+
+def test_conic_square_tables_cached_read_only_and_bounded(monkeypatch):
+    t2, is_square = _kernels_py._square_tables(125)
+    assert _kernels_py._square_tables(125)[0] is t2
+    assert not t2.flags.writeable and not is_square.flags.writeable
+    assert t2.tolist() == [t * t % 125 for t in range(125)]
+    assert is_square.tolist() == [t in set(t2.tolist()) for t in range(125)]
+    monkeypatch.setattr(_kernels_py, "SCAN_TABLE_BUDGET", 1000)
+    for M in (27, 243, 343, 625, 729):
+        _kernels_py._square_tables(M)
+    assert sum(_kernels_py._scan_tables) <= 1000
+    assert 729 in _kernels_py._scan_tables
+
+
+def test_norm_kernels_same_under_python_O():
+    # no answer may depend on an assert: python -O strips them
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    code = ("from campana import kernels;"
+            "print(kernels.norm_int(list(range(-24, 24))),"
+            " kernels.norm_mod(list(range(290)), 7),"
+            " kernels.norm_mod_rows([[2**31 - 2] * 512], [2**31 - 1]).tolist())")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(kernels.__file__).parents[1]))
+    out = [subprocess.run([sys.executable, *flags, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout for flags in ([], ["-O"])]
+    assert out[0] == out[1]
+    assert out[0].split()[0] == str(sympy_norm(list(range(-24, 24))))

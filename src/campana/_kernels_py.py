@@ -74,8 +74,8 @@ def norm_mod_rows(H, qs) -> np.ndarray:
     While n is even, every row is first halved mod its q (_halve_rows): the
     resultant becomes one with y^(n/2) - 2 and a row of length n/2.  The odd
     part left then goes through one Euclidean remainder sequence for all
-    rows at once (_resultant_rows); an odd part of length 1 is the answer
-    itself.  H may hold int64 or Python ints of any size; q must satisfy
+    rows at once (_resultant_rows), which gives c for an odd part c of
+    length 1.  H may hold int64 or Python ints of any size; q must satisfy
     2 <= q < 2^31.
     """
     qlist = [_modulus(m) for m in qs]
@@ -93,8 +93,6 @@ def norm_mod_rows(H, qs) -> np.ndarray:
                       for row, m in zip(rows.tolist(), qlist)], dtype=np.int64)
     g = _halve_rows(g, qlist)
     n = g.shape[1]
-    if n == 1:  # Res(y - 2, c) = c
-        return g[:, 0].copy()
     f = np.zeros((len(q), n + 1), dtype=np.int64)
     f[:, n] = 1
     f[:, 0] = -2 % q

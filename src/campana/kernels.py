@@ -118,8 +118,6 @@ def norm_int(w: Sequence[int]) -> int:
     resultants up to the Hadamard-style bound of that odd part, with all
     primes in one row call.
     """
-    if len(w) == 1:
-        return w[0]
     w = [operator.index(x) for x in w]
     if not any(w):
         return 0

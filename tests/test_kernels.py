@@ -397,8 +397,9 @@ def test_conic_square_tables_cached_read_only_and_bounded(monkeypatch):
     t2, is_square = _kernels_py._square_tables(125)
     assert _kernels_py._square_tables(125)[0] is t2
     assert not t2.flags.writeable and not is_square.flags.writeable
-    assert t2.tolist() == [t * t % 125 for t in range(125)]
-    assert is_square.tolist() == [t in set(t2.tolist()) for t in range(125)]
+    squares = [t * t % 125 for t in range(125)]
+    assert t2.tolist() == squares
+    assert np.flatnonzero(is_square).tolist() == sorted(set(squares))
     monkeypatch.setattr(_kernels_py, "SCAN_TABLE_BUDGET", 1000)
     for M in (27, 243, 343, 625, 729):
         _kernels_py._square_tables(M)

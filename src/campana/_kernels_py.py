@@ -1,7 +1,10 @@
-"""Numpy/pure-Python fallback for the hot kernels.
+"""The hot kernels, in numpy and Python ints.
 
-Same API as the compiled _kernels extension; slower, used when the
-extension is unavailable.  See campana.kernels for the selection logic.
+conic_has_solution is the Hilbert-symbol oracle's scan for a primitive
+point on z^2 = a x^2 + b y^2 mod p^m.  norm_mod and norm_mod_rows give the
+resultant Res(x^n - 2, h) mod q, for one row h or for every row of an
+array, each with its own modulus; campana.kernels builds the exact norm on
+them.  No answer goes through a float.
 """
 from __future__ import annotations
 
@@ -10,8 +13,6 @@ import operator
 from collections import OrderedDict
 
 import numpy as np
-
-BACKEND = "py"
 
 #: Entries of t^2 mod M kept across calls by the conic scan, summed over M
 #: (about 9 bytes each: the int64 squares and the bool mask).
@@ -40,10 +41,13 @@ def _square_tables(M: int) -> tuple:
 
 
 def conic_has_solution(a: int, b: int, p: int, m: int) -> bool:
-    """Exhaustive primitive-solution scan for z^2 = a*x^2 + b*y^2 mod p^m.
+    """Whether z^2 = a*x^2 + b*y^2 has a primitive solution mod p^m (one of
+    x, y, z a unit), by exhaustive scan.
 
-    Same contract as the compiled kernel: valuations of a, b at p lie in
-    {0, 1} and m is large enough for Hensel lifting.
+    The caller keeps the valuations of a and b at p in {0, 1} and takes m
+    large enough for Hensel lifting; then the answer is whether the conic
+    has a point over Q_p, i.e. whether the Hilbert symbol (a, b)_p is 1.
+    p^m must not exceed 4,000,000 (ValueError).
     """
     M = p**m
     if M > 4_000_000:

@@ -1,8 +1,9 @@
-"""Kernel selection and exact norm-form evaluation.
+"""The hot kernels and exact norm-form evaluation.
 
-At import we prefer the compiled extension (campana._kernels) and fall back
-to the numpy implementation.  On top of the modular kernel this module
-provides an exact evaluator for the degree-n norm form N(v_1..v_n) =
+The oracle's conic scan (conic_has_solution) and the mod-q norm resultant
+(norm_mod, and norm_mod_rows for many rows at once) are the numpy/Python-int
+kernels of _kernels_py.  On top of the modular kernel this module provides
+an exact evaluator for the degree-n norm form N(v_1..v_n) =
 Res(x^n - 2, sum v_j x^(j-1)): Graeffe halving over Z while n is even, then
 CRT up to a Hadamard-style bound on the odd part.
 """
@@ -11,33 +12,14 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import List, Sequence
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from . import arith
+from ._kernels_py import conic_has_solution, norm_mod, norm_mod_rows
 from .errors import InvariantError
 
-try:  # pragma: no cover - depends on the build
-    from . import _kernels as _impl
-except ImportError:  # pragma: no cover
-    from . import _kernels_py as _impl
-
-BACKEND = _impl.BACKEND
-conic_has_solution = _impl.conic_has_solution
-norm_mod = _impl.norm_mod
-
-if BACKEND == "py":
-    norm_mod_rows = _impl.norm_mod_rows
-else:  # pragma: no cover - the compiled extension has the scalar kernel only
-    def norm_mod_rows(H, qs) -> np.ndarray:
-        """Res(x^n - 2, h_i) mod qs[i] for every row h_i of H, one scalar
-        call per row."""
-        qs = [operator.index(q) for q in qs]
-        if len(qs) != len(H) or not all(2 <= q < 1 << 31 for q in qs):
-            raise ValueError("need one modulus 2 <= q < 2^31 per row")
-        return np.array([_impl.norm_mod([operator.index(c) for c in row], q)
-                         for row, q in zip(H, qs)], dtype=np.int64)
+#: The one kernel implementation; benchmark records carry its name.
+BACKEND = "py"
 
 _CRT_PRIME_CEILING = (1 << 31) - 1
 _crt_primes: List[int] = []
@@ -119,6 +101,8 @@ def norm_int(w: Sequence[int]) -> int:
     primes in one row call.
     """
     w = [operator.index(x) for x in w]
+    if not w:
+        raise ValueError("a norm needs at least one coefficient")
     if not any(w):
         return 0
     w = _halve_exact(w)
@@ -142,29 +126,30 @@ def norm_int(w: Sequence[int]) -> int:
     return x
 
 
+def _clear_denominators(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(w, l) with l the least common denominator of a nonempty vector of
+    rationals and w = l * values, a vector of integers."""
+    vals = [Fraction(v) for v in values]
+    if not vals:
+        raise ValueError("a norm needs at least one coefficient")
+    lcm = math.lcm(*(v.denominator for v in vals))
+    return [int(v * lcm) for v in vals], lcm
+
+
 def norm_value(values: Sequence[Fraction]) -> Fraction:
     """Exact norm-form value at a rational point (homogeneous of degree n)."""
-    vals = [Fraction(v) for v in values]
-    n = len(vals)
-    if n == 1:
-        return vals[0]
-    lcm = 1
-    for v in vals:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    w = [int(v * lcm) for v in vals]
-    return Fraction(norm_int(w), lcm**n)
+    w, lcm = _clear_denominators(values)
+    if len(w) == 1:
+        return Fraction(w[0], lcm)
+    return Fraction(norm_int(w), lcm**len(w))
 
 
 def norm_is_zero(values: Sequence[Fraction]) -> bool:
     """Exact zero test, cheap path first: a single nonzero residue certifies
     nonvanishing; otherwise fall back to the exact value."""
-    vals = [Fraction(v) for v in values]
-    if all(v == 0 for v in vals):
+    w, _ = _clear_denominators(values)
+    if not any(w):
         return True
-    lcm = 1
-    for v in vals:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    w = [int(v * lcm) for v in vals]
     if norm_mod_rows([w] * 3, crt_primes(3)).any():
         return False
     return norm_int(w) == 0

@@ -221,7 +221,10 @@ SUITES: Dict[str, Callable[[int, int], List[Row]]] = {
 
 
 def run(suite: str, seed: int = 42, samples: int = 1000) -> Tuple[bool, str]:
-    """Run one suite (or 'all'); returns (all_passed, printable table)."""
+    """Run one suite (or 'all'); returns (all_passed, printable table).
+    samples < 1 would pass without testing anything, so it is refused."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     names = list(SUITES) if suite == "all" else [suite]
     for name in names:
         if name not in SUITES:

@@ -141,6 +141,16 @@ def test_verify_command(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_without_samples_exits_2(capsys, tmp_path, samples):
+    code, out, err = run(capsys, "verify", "hilbert", "--samples", samples)
+    assert code == 2 and "samples" in err and out == ""
+    cfgfile = tmp_path / "verify.cfg"
+    cfgfile.write_text(f"samples = {samples}\n")
+    code, out, err = run(capsys, "--config", str(cfgfile), "verify", "hilbert")
+    assert code == 2 and "samples" in err and out == ""
+
+
 def test_bad_config_file(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no equals sign here\n")

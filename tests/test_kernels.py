@@ -7,13 +7,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from campana import kernels
+from campana import kernels, places
 from campana import _kernels_py
-
-try:
-    from campana import _kernels as _compiled
-except ImportError:
-    _compiled = None
 
 
 def dumb_conic_scan(a, b, p, m):
@@ -44,6 +39,26 @@ def test_conic_kernel_vs_dumb_scan():
         m = 3
         got = kernels.conic_has_solution(a, b, p, m)
         assert got == dumb_conic_scan(a, b, p, m), (a, b, p)
+
+
+def _strip_square(x, p):
+    while x % (p * p) == 0:
+        x //= p * p
+    return x
+
+
+@pytest.mark.parametrize("p, m", [(p, m) for p in (3, 5, 7, 11, 13) for m in (3, 4)]
+                         + [(2, 5), (2, 6)])
+def test_conic_kernel_matches_hilbert_symbol(p, m):
+    # with p^2 stripped from a and b, a primitive point mod p^m exists
+    # exactly when (a, b)_p = 1; the oracle itself never asks for m = 4 at
+    # an odd p
+    rng = random.Random(100 * p + m)
+    for _ in range(150):
+        a = _strip_square(rng.randint(-200, 200) or 1, p)
+        b = _strip_square(rng.randint(-200, 200) or 1, p)
+        assert kernels.conic_has_solution(a, b, p, m) == \
+            (places.hilbert(a, b, p) == 1), (a, b, p, m)
 
 
 def test_norm_mod_closed_forms():
@@ -232,29 +247,6 @@ def test_norm_int_and_zero_test_use_row_kernel():
             assert kernels.norm_is_zero(w) == (not any(w))
 
 
-@pytest.mark.skipif(_compiled is None, reason="compiled extension not built")
-def test_backend_parity():
-    rng = random.Random(6)
-    q = 2147483629
-    for _ in range(100):
-        n = rng.randint(1, 12)
-        w = [rng.randint(-10**4, 10**4) for _ in range(n)]
-        assert _compiled.norm_mod(w, q) == _kernels_py.norm_mod(w, q)
-    for n in (48, 194, 290):
-        rows = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(4)]
-        rows.append([rng.randint(-1, 1) for _ in range(n - 1)] + [0])
-        qs = [q, 7, 3, kernels.crt_primes(2)[1], 2]
-        want = [_compiled.norm_mod(h, m) for h, m in zip(rows, qs)]
-        assert _kernels_py.norm_mod_rows(rows, qs).tolist() == want
-        assert [_kernels_py.norm_mod(h, m) for h, m in zip(rows, qs)] == want
-    for _ in range(100):
-        p = rng.choice([3, 5, 7, 11])
-        a = rng.randint(-200, 200) or 1
-        b = rng.randint(-200, 200) or 1
-        assert _compiled.conic_has_solution(a, b, p, 4) == \
-            _kernels_py.conic_has_solution(a, b, p, 4)
-
-
 def test_crt_primes_are_prime_and_descending():
     ps = kernels.crt_primes(5)
     assert ps == sorted(ps, reverse=True)
@@ -350,6 +342,19 @@ def test_halving_widest_slot():
         unhalved_norm_mod_rows([row, row], [q, 3])
 
 
+@pytest.mark.parametrize("n", [48, 194, 290])
+def test_norm_mod_rows_tower_degrees_mixed_moduli(n):
+    # the tower's n, past the halving tests' n <= 96: big rows and a row
+    # whose degree drops, each with its own modulus in one call
+    rng = random.Random(n)
+    rows = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(4)]
+    rows.append([rng.randint(-1, 1) for _ in range(n - 1)] + [0])
+    qs = [2147483629, 7, 3, kernels.crt_primes(2)[1], 2]
+    want = unhalved_norm_mod_rows(rows, qs)
+    assert _kernels_py.norm_mod_rows(rows, qs).tolist() == want
+    assert [_kernels_py.norm_mod(h, q) for h, q in zip(rows, qs)] == want
+
+
 def test_norm_int_powers_of_two_need_no_crt(monkeypatch):
     # n = 2^k halves down to one coefficient, the norm itself
     rng = random.Random(21)
@@ -384,6 +389,12 @@ def test_square_exact_matches_schoolbook(c):
         for j, y in enumerate(c):
             want[i + j] += x * y
     assert kernels._square_exact(c) == want
+
+
+def test_exact_norms_refuse_empty_vectors():
+    for f in (kernels.norm_int, kernels.norm_value, kernels.norm_is_zero):
+        with pytest.raises(ValueError):
+            f([])
 
 
 def test_halving_helpers_refuse_empty_rows():

@@ -25,3 +25,10 @@ def test_unknown_suite_rejected():
 def test_deterministic_for_fixed_seed():
     assert verify.run("semantics", seed=3, samples=60) == \
         verify.run("semantics", seed=3, samples=60)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_samples_below_one_rejected(samples):
+    # a run with no samples would report PASS without testing anything
+    with pytest.raises(ValueError):
+        verify.run("semantics", samples=samples)

@@ -42,7 +42,9 @@ def _square_tables(M: int) -> tuple:
 
 def conic_has_solution(a: int, b: int, p: int, m: int) -> bool:
     """Whether z^2 = a*x^2 + b*y^2 has a primitive solution mod p^m (one of
-    x, y, z a unit), by exhaustive scan.
+    x, y, z a unit), by exhaustive scan over x = 1 and then over y = 1: if p
+    divides x and y, it divides z^2 and so z, so every primitive point has x
+    or y a unit (and may be scaled to make it 1), for any a, b and m >= 1.
 
     The caller keeps the valuations of a and b at p in {0, 1} and takes m
     large enough for Hensel lifting; then the answer is whether the conic
@@ -54,14 +56,9 @@ def conic_has_solution(a: int, b: int, p: int, m: int) -> bool:
         raise ValueError("modulus p^m too large for the scan kernel")
     am, bm = a % M, b % M
     t2, is_square = _square_tables(M)
-    b_sq = np.zeros(M, dtype=bool)
-    b_sq[bm * t2 % M] = True
-    # x unit (normalized to 1), then y unit, then z unit
     if is_square[(am + bm * t2) % M].any():
         return True
-    if is_square[(am * t2 + bm) % M].any():
-        return True
-    return bool(b_sq[(1 - am * t2) % M].any())
+    return bool(is_square[(am * t2 + bm) % M].any())
 
 
 def norm_mod(coeffs: list, q: int) -> int:

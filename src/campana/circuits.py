@@ -27,6 +27,7 @@ from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Sequenc
 import numpy as np
 
 from . import kernels
+from ._kernels_py import _modulus
 
 ConstLike = Union[int, Fraction]
 
@@ -160,19 +161,16 @@ class Circuit:
         return self._fold(_EXACT, env)
 
     def evaluate_mod(self, env: Mapping[str, int], q: int) -> int:
-        """Evaluation in Z/q (q an odd prime below 2^31); rational constants
-        use modular inverses and must have denominator prime to q."""
-        return self._fold(_MOD, env, q)
+        """Evaluation in Z/q at integer values, 2 <= q < 2^31 (ValueError otherwise);
+        rational constants use modular inverses and need denominators prime to q."""
+        return self._fold(_MOD, env, _modulus(q))
 
     def evaluate_vec(self, env: Mapping[str, "object"], q: int):
         """Vectorized mod-q evaluation over numpy int64 arrays, 2 <= q < 2^31
         so that products stay exact; a variable may also be given as Python
         ints of any size; a non-integer value raises ValueError.  The points
         of a norm node go to the kernel as rows of one call."""
-        q = operator.index(q)
-        if not 2 <= q < 1 << 31:
-            raise ValueError("q out of range")
-        return self._fold(_VEC, env, q)
+        return self._fold(_VEC, env, _modulus(q))
 
     def __eq__(self, other):
         if isinstance(other, Circuit):
@@ -212,6 +210,11 @@ def _lookup(env, name):
     if name not in env:
         raise ValueError(f"unbound variable {name!r}")
     return env[name]
+
+
+def _int_mod(x, q: int) -> int:
+    ok = isinstance(x, (int, np.integer))
+    return operator.index(_checked(x, ok, "evaluate_mod takes integer values")) % q
 
 
 def _const_mod(c: ConstLike, q: int) -> int:
@@ -282,7 +285,7 @@ OPS: Dict[str, _Op] = {
         children=lambda nd: (), remap=lambda nd, f: nd,
         degree=lambda nd, d, env, q: 1,
         exact=lambda nd, v, env, q: Fraction(_lookup(env, nd[1])),
-        mod=lambda nd, v, env, q: _lookup(env, nd[1]) % q,
+        mod=lambda nd, v, env, q: _int_mod(_lookup(env, nd[1]), q),
         vec=lambda nd, v, env, q: _vec_var(_lookup(env, nd[1]), q),
         fields=("name",), encode=lambda nd, b: {"op": "var", "name": nd[1]},
         decode=lambda i, d: ("var", _checked(d["name"], type(d["name"]) is str,

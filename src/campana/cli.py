@@ -47,9 +47,8 @@ def _parse_place(text: str):
 
 
 def _parse_prime_list(text: str) -> List[int]:
-    parts = [t for chunk in text.split(",") for t in chunk.split()] if text else []
     out = []
-    for t in parts:
+    for t in text.replace(",", " ").split():
         try:
             out.append(int(t))
         except ValueError:
@@ -100,12 +99,7 @@ def cmd_hilbert(args, cfg) -> int:
 
 
 def cmd_construct(args, cfg) -> int:
-    primes = []
-    for t in args.primes:
-        try:
-            primes.append(int(t))
-        except ValueError:
-            raise CliError(f"not an integer: {t!r}")
+    primes = _parse_prime_list(" ".join(args.primes))
     if len(set(primes)) != len(primes):
         raise CliError("duplicate primes in S")
     try:
@@ -114,39 +108,46 @@ def cmd_construct(args, cfg) -> int:
         report = parametrize.construct_omega(primes, sc)
     except ValueError as exc:
         raise CliError(str(exc))
-    except SearchExhausted as exc:
-        print(f"search exhausted: {exc}", file=sys.stderr)
-        return 1
     print(json.dumps(report.to_dict(), sort_keys=True))
     return 0 if report.success else 1
+
+
+def _check_flags(args, what: str, takes: tuple):
+    """Refuse a flag that `what` does not take, and a missing one that it
+    takes, unless that is --s or --real, the optional ones."""
+    for flag in ("n", "real", "s", "abcd"):
+        value = getattr(args, flag, None)
+        given = value is not None and value is not False
+        if given and flag not in takes:
+            raise CliError(f"{what} takes no --{flag}")
+        if not given and flag in takes and flag not in ("s", "real"):
+            raise CliError(f"{what} needs --{flag}")
+
+
+# member kind -> the flags it takes
+_MEMBER_FLAGS = {"campana": ("n", "s"), "sintegers": ("s",), "J": ("abcd",),
+                 "Jn": ("abcd", "n"), "invJn": ("abcd", "n")}
 
 
 def cmd_member(args, cfg) -> int:
     r = _parse_rational(args.r)
     kind = args.kind
+    _check_flags(args, kind, _MEMBER_FLAGS[kind])
     try:
         if kind == "campana":
-            if args.n is None:
-                raise CliError("campana needs --n")
             verdict = semantics.campana_member(_parse_prime_list(args.s or ""), args.n, r)
         elif kind == "sintegers":
             verdict = semantics.s_integer_member(_parse_prime_list(args.s or ""), r)
         else:
-            if not args.abcd:
-                raise CliError(f"{kind} needs --abcd a,b,c,d")
-            parts = [p for chunk in args.abcd.split(",") for p in chunk.split()]
+            parts = args.abcd.replace(",", " ").split()
             if len(parts) != 4:
                 raise CliError("--abcd needs exactly four rationals")
             a, b, c, d = (_parse_rational(p) for p in parts)
             if kind == "J":
                 verdict = semantics.in_J(a, b, c, d, r)
             elif kind == "Jn":
-                if args.n is None:
-                    raise CliError("Jn needs --n")
                 verdict = semantics.in_Jn(a, b, c, d, args.n, r)
             else:  # invJn
-                if args.n is None:
-                    raise CliError("invJn needs --n")
                 verdict = semantics.in_inv_Jn(a, b, c, d, args.n, r)
     except ValueError as exc:
         raise CliError(str(exc))
@@ -154,35 +155,12 @@ def cmd_member(args, cfg) -> int:
     return 0
 
 
-_EMIT_TARGETS = {
-    "S": lambda args: fm.build_S(),
-    "T": lambda args: fm.build_T(),
-    "Tunit": lambda args: fm.build_T_unit(),
-    "I": lambda args: fm.build_I(),
-    "J": lambda args: fm.build_J(),
-    "Jabcd": lambda args: fm.build_Jabcd(),
-    "invJ": lambda args: fm.build_inv_J(),
-    "disjoint": lambda args: fm.build_disjoint(),
-    "premise": lambda args: fm.build_premise(),
-    "Jn": lambda args: fm.build_Jn(_require_n(args)),
-    "invJn": lambda args: fm.build_inv_Jn(_require_n(args)),
-    "campana": lambda args: fm.build_campana(_require_n(args), args.real),
-    "integrality": lambda args: fm.build_integrality(args.real),
-}
-
-
-def _require_n(args) -> int:
-    if args.n is None:
-        raise CliError(f"target {args.target!r} needs --n")
-    return args.n
-
-
 def cmd_emit(args, cfg) -> int:
-    if args.target not in _EMIT_TARGETS:
-        raise CliError(f"unknown target {args.target!r} "
-                       f"(choose from {', '.join(sorted(_EMIT_TARGETS))})")
+    target = fm.TARGETS[args.target]
+    _check_flags(args, f"target {args.target!r}",
+                 ("n",) * target.takes_n + ("real",) * target.has_real)
     try:
-        formula = _EMIT_TARGETS[args.target](args)
+        formula = target.build(args.n, args.real)
         payload = fm.emit(formula, args.format)
     except ValueError as exc:
         raise CliError(str(exc))
@@ -234,15 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("member", help="semantic membership tests")
-    p.add_argument("kind", choices=["campana", "sintegers", "J", "Jn", "invJn"])
+    p.add_argument("kind", choices=list(_MEMBER_FLAGS))
     p.add_argument("r", help="the rational to test")
     p.add_argument("--n", type=int)
-    p.add_argument("--s", help="comma/space separated primes", default=None)
+    p.add_argument("--s", help="comma/space separated primes")
     p.add_argument("--abcd", help="four rationals, comma separated")
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("emit", help="serialize a compiled formula")
-    p.add_argument("target")
+    p.add_argument("target", choices=sorted(fm.TARGETS))
     p.add_argument("--n", type=int)
     p.add_argument("--real", action="store_true",
                    help="sum-of-squares combiner (real-embedded variant)")

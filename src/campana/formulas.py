@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .circuits import Circuit, decode_nodes, render, subcircuit, to_json
 from .forms import BinaryForm
@@ -507,6 +507,44 @@ def _premise_implies(conclusion, real_embedded: bool,
     out = prenex_or(universal, existential)
     return Formula(out.prefix, out.matrix, out.free,
                    real_embedded=real_embedded)
+
+
+class Target(NamedTuple):
+    """An emit target: its builder, whether that takes n and real_embedded,
+    and its (universals, existentials, atoms, degree bound) at (n, real)."""
+
+    builder: Callable[..., Formula]
+    takes_n: bool
+    has_real: bool
+    ledger: Callable[[Optional[int], bool], Tuple[int, int, int, int]]
+
+    def build(self, n: Optional[int] = None, real: bool = False) -> Formula:
+        """The formula; n and real reach the builder only if it takes them."""
+        return self.builder(*((n,) if self.takes_n else ()),
+                            *((real,) if self.has_real else ()))
+
+
+# A combiner takes k atoms of degree d to degree k d (norm form) or 2 d (sum
+# of squares), and the prenex merge adds one.  The headline premise has 290
+# atoms of degree 9; the conclusions are inv J_n, 194 atoms of degree
+# max(n, 4), and J(abcd) at r = 1, 96 atoms of degree 4.
+TARGETS: Dict[str, Target] = {
+    "S": Target(build_S, False, False, lambda n, real: (0, 3, 1, 4)),
+    "T": Target(build_T, False, False, lambda n, real: (0, 7, 2, 4)),
+    "Tunit": Target(build_T_unit, False, False, lambda n, real: (0, 15, 5, 4)),
+    "I": Target(build_I, False, False, lambda n, real: (0, 34, 12, 4)),
+    "J": Target(build_J, False, False, lambda n, real: (0, 138, 48, 4)),
+    "Jabcd": Target(build_Jabcd, False, False, lambda n, real: (0, 277, 96, 4)),
+    "invJ": Target(build_inv_J, False, False, lambda n, real: (0, 278, 97, 4)),
+    "disjoint": Target(build_disjoint, False, False, lambda n, real: (0, 556, 193, 9)),
+    "premise": Target(build_premise, False, False, lambda n, real: (0, 834, 290, 9)),
+    "Jn": Target(build_Jn, True, False, lambda n, real: (0, 556, 193, max(n, 4))),
+    "invJn": Target(build_inv_Jn, True, False, lambda n, real: (0, 557, 194, max(n, 4))),
+    "campana": Target(build_campana, True, True, lambda n, real: (
+        838, 558, 1, max(2 * n + 19, 27) if real else max(194 * n + 2611, 3387))),
+    "integrality": Target(build_integrality, False, True,
+                          lambda n, real: (838, 278, 1, 27 if real else 2995)),
+}
 
 
 def substitute_form(base: Formula, F: BinaryForm,

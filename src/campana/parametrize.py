@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
@@ -29,7 +28,6 @@ class SearchConfig:
 
     candidate_cap: int = 100_000
     q_prime_bound: int = 100_000
-    deadline: Optional[float] = None  # time.monotonic() timestamp
     steps: int = 0
 
     def tick(self):
@@ -38,8 +36,6 @@ class SearchConfig:
             raise SearchExhausted(
                 f"candidate cap {self.candidate_cap} reached after {self.steps - 1} steps"
             )
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SearchExhausted("search deadline exceeded")
 
 
 @dataclass

@@ -144,31 +144,23 @@ def suite_formulas(seed: int, samples: int) -> List[Row]:
     rng = random.Random(seed)
     rows: List[Row] = []
 
-    ledger = {
-        "S": (fm.build_S(), (0, 3, 1, 4)),
-        "T": (fm.build_T(), (0, 7, 2, 4)),
-        "T_unit": (fm.build_T_unit(), (0, 15, 5, 4)),
-        "I": (fm.build_I(), (0, 34, 12, 4)),
-        "J": (fm.build_J(), (0, 138, 48, 4)),
-        "Jabcd": (fm.build_Jabcd(), (0, 277, 96, 4)),
-        "inv_J": (fm.build_inv_J(), (0, 278, 97, 4)),
-        "disjoint": (fm.build_disjoint(), (0, 556, 193, 9)),
-        "Jn(7)": (fm.build_Jn(7), (0, 556, 193, 7)),
-        "inv_Jn(2)": (fm.build_inv_Jn(2), (0, 557, 194, 4)),
-        "premise": (fm.build_premise(), (0, 834, 290, 9)),
-        "campana(2)": (fm.build_campana(2), (838, 558, 1, 3387)),
-        "campana(100)": (fm.build_campana(100), (838, 558, 1, 22011)),
-        "campana(2,real)": (fm.build_campana(2, real_embedded=True),
-                            (838, 558, 1, 27)),
-    }
-    bad = None
-    for name, (f, want) in ledger.items():
-        s = fm.stats(f)
-        got = (s.universals, s.existentials, s.atoms, s.degree_bound)
-        if got != want:
-            bad = f"{name}: stats {got}, expected {want}"
-            break
-    rows.append(("quantifier/atom/degree ledger", bad is None, bad or "exact match"))
+    cases = [(name, n, real) for name, t in fm.TARGETS.items()
+             for n in ((2, 7, 100) if t.takes_n else (None,))
+             for real in ((False, True) if t.has_real else (False,))]
+    bad = bad_trip = None
+    for name, n, real in cases:
+        target = fm.TARGETS[name]
+        f = target.build(n, real)
+        got = fm.stats(f)
+        want = fm.FormulaStats(*target.ledger(n, real), real_embedded=real)
+        if bad is None and got != want:
+            bad = f"{name}(n={n}, real={real}): {got}, expected {want}"
+        if bad_trip is None and fm.parse(fm.emit(f, "json")) != f:
+            bad_trip = f"{name}(n={n}, real={real}) changes under emit/parse"
+    rows.append((f"quantifier/atom/degree ledger ({len(cases)} builds)",
+                 bad is None, bad or "exact match"))
+    rows.append((f"emit/parse round trip ({len(cases)} builds)",
+                 bad_trip is None, bad_trip or "identity"))
 
     bad = None
     x, y = Circuit.var("x"), Circuit.var("y")
@@ -202,13 +194,6 @@ def suite_formulas(seed: int, samples: int) -> List[Row]:
         if bad:
             break
     rows.append(("norm forms anisotropic + homogeneous", bad is None, bad or "ok"))
-
-    bad = None
-    for f in (fm.build_S(), fm.build_T(), fm.build_Jn(3), fm.build_campana(2)):
-        if fm.parse(fm.emit(f, "json")) != f:
-            bad = f"round trip failed for {f!r}"
-            break
-    rows.append(("emit/parse round trip", bad is None, bad or "identity"))
     return rows
 
 

@@ -109,6 +109,24 @@ def test_vectorized_evaluation_rejects_modulus_out_of_range(q):
     x = Circuit.var("x")
     with pytest.raises(ValueError):
         (x * x + 1).evaluate_vec({"x": np.arange(4)}, q)
+    with pytest.raises(ValueError):
+        (x * x + 1).evaluate_mod({"x": 3}, q)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 2.5, Fraction(4), 3.0, "3"])
+def test_modular_evaluation_rejects_non_integer_values(value):
+    # returned Fraction(5, 4) and 0.25 for 1/2 and 2.5
+    with pytest.raises(ValueError):
+        (Circuit.var("x")**2 + 1).evaluate_mod({"x": value}, 7)
+
+
+def test_modular_evaluation_takes_any_size_integers():
+    import numpy as np
+
+    f = Circuit.var("x")**2 + 1
+    want = ((10**30 + 3)**2 + 1) % 7
+    assert f.evaluate_mod({"x": 10**30 + 3}, 7) == want
+    assert f.evaluate_mod({"x": np.int64(10**30 % 7 + 3)}, 7) == want
 
 
 def test_rational_constants():

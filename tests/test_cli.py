@@ -1,8 +1,12 @@
 import json
+import pathlib
+import re
 
 import pytest
 
-from campana import cli
+from campana import cli, formulas as fm
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -65,6 +69,13 @@ def test_construct_errors(capsys):
     assert code == 2
 
 
+def test_construct_primes_parse_like_a_prime_list(capsys):
+    code, out, _ = run(capsys, "construct", "3,5", "7")
+    assert code == 0 and json.loads(out)["target"] == [3, 5, 7]
+    code, _, err = run(capsys, "construct", "3", "5x")
+    assert code == 2 and "5x" in err
+
+
 def test_construct_search_exhaustion_exits_1(capsys, tmp_path):
     cfgfile = tmp_path / "caps.cfg"
     cfgfile.write_text("candidate_cap = 1  # tight on purpose\n")
@@ -98,6 +109,65 @@ def test_member_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "member", "Jn", "1", "--abcd", "1,2,3")
     assert code == 2
+
+
+FLAG_ERRORS = [
+    (("emit", "S", "--n", "5"), "--n"),
+    (("emit", "Jn", "--n", "3", "--real"), "--real"),
+    (("emit", "integrality", "--n", "4"), "--n"),
+    (("emit", "invJn", "--real"), "--n"),
+    (("member", "J", "1/25", "--abcd", "3,5,3,5", "--n", "4"), "--n"),
+    (("member", "sintegers", "1/2", "--n", "3", "--s", "2"), "--n"),
+    (("member", "campana", "1/8", "--n", "3", "--abcd", "1,2,3,4"), "--abcd"),
+    (("member", "Jn", "1", "--n", "3"), "--abcd"),
+    (("member", "invJn", "1", "--abcd", "1,2,3,4"), "--n"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", FLAG_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in FLAG_ERRORS])
+def test_a_flag_not_taken_or_missing_exits_2_naming_it(capsys, argv, flag):
+    # the first three cases of each command used to exit 0, ignoring the flag
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert flag in err and "Traceback" not in err
+
+
+def test_emit_takes_each_target_with_its_flags(capsys, tmp_path):
+    for name, target in fm.TARGETS.items():
+        argv = ["emit", name, "--format", "latex", "-o", str(tmp_path / name)]
+        argv += ["--n", "3"] * target.takes_n + ["--real"] * target.has_real
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("universals="), name
+
+
+def _readme_table(header):
+    """{name: flags text} of the README table whose header row is given."""
+    lines = README.read_text().splitlines()
+    rows = {}
+    for line in lines[lines.index(f"| {header} | flags |") + 2:]:
+        if not line.startswith("|"):
+            break
+        names, flags = line.strip("|").split("|")
+        rows.update(dict.fromkeys(re.findall(r"`([^`]+)`", names), flags))
+    return rows
+
+
+def test_readme_lists_every_emit_target_and_its_flags():
+    rows = _readme_table("emit target")
+    assert sorted(rows) == sorted(fm.TARGETS)
+    for name, target in fm.TARGETS.items():
+        want = {"--n"} if target.takes_n else set()
+        want |= {"--real"} if target.has_real else set()
+        assert set(re.findall(r"--\w+", rows[name])) == want, name
+        assert ("required" in rows[name]) == target.takes_n, name
+
+
+def test_readme_lists_every_member_kind_and_its_flags():
+    rows = _readme_table("member kind")
+    assert sorted(rows) == sorted(cli._MEMBER_FLAGS)
+    for kind, flags in cli._MEMBER_FLAGS.items():
+        assert set(re.findall(r"--(\w+)", rows[kind])) == set(flags), kind
 
 
 def test_emit_stdout_and_stats(capsys):

@@ -14,12 +14,6 @@ import pytest
 from campana import formulas as fm
 from campana.forms import BinaryForm
 
-BUILD = {"S": fm.build_S, "T": fm.build_T, "Tunit": fm.build_T_unit,
-         "I": fm.build_I, "J": fm.build_J, "Jabcd": fm.build_Jabcd,
-         "invJ": fm.build_inv_J, "disjoint": fm.build_disjoint,
-         "premise": fm.build_premise, "Jn": fm.build_Jn, "invJn": fm.build_inv_Jn,
-         "campana": fm.build_campana, "integrality": fm.build_integrality}
-
 # (target, n, real, format) -> sha256 of emit(build(n, real), format)
 DIGESTS = {
     ('S', None, None, 'json'): '8aa354844813ca08c8496a1409d990d8219a7781f387fe6168e5e8424ccbd492',
@@ -108,19 +102,19 @@ SUBSTITUTED = {
 CASES = sorted({key[:3] for key in DIGESTS}, key=repr)
 
 
-def _build(target, n, real):
-    args = ((n,) if n is not None else ()) + ((real,) if real is not None else ())
-    return BUILD[target](*args)
-
-
 def _substituted(target):
     base = fm.build_S() if target == "S" else fm.build_campana(2)
     return fm.substitute_form(base, F)
 
 
+def test_every_target_is_pinned():
+    assert sorted({target for target, _, _ in CASES}) == sorted(fm.TARGETS)
+
+
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c)))
 def test_emit_bytes_are_pinned(case):
-    f = _build(*case)
+    target, n, real = case
+    f = fm.TARGETS[target].build(n, real)
     for fmt in ("json", "sexpr", "latex"):
         assert hashlib.sha256(fm.emit(f, fmt)).hexdigest() == DIGESTS[case + (fmt,)]
 
@@ -157,7 +151,8 @@ def _assert_compact(circ):
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c)))
 def test_every_stored_node_is_reachable(case):
-    f = _build(*case)
+    target, n, real = case
+    f = fm.TARGETS[target].build(n, real)
     for g in (f, fm.parse(fm.emit(f, "json"))):
         for atom in g.atoms():
             _assert_compact(atom)

@@ -39,6 +39,12 @@ def test_conic_kernel_vs_dumb_scan():
         m = 3
         got = kernels.conic_has_solution(a, b, p, m)
         assert got == dumb_conic_scan(a, b, p, m), (a, b, p)
+    # the scan is exact for any a, b and m >= 1, zeros and p^2 | a, b included
+    for p, m in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        for a in range(-2 * p * p, 2 * p * p + 1):
+            for b in (0, 1, -1, p, -p, 3 * p, p * p, -p * p, 2 * p * p, p**3):
+                got = kernels.conic_has_solution(a, b, p, m)
+                assert got == dumb_conic_scan(a, b, p, m), (a, b, p, m)
 
 
 def _strip_square(x, p):

@@ -138,12 +138,6 @@ def test_construct_omega_random_sets_fast():
             places.PlaceSet.of_primes(S)
 
 
-def test_deadline_enforced():
-    cfg = pz.SearchConfig(deadline=time.monotonic() - 1)
-    with pytest.raises(SearchExhausted):
-        pz.construct_omega([3, 5], cfg)
-
-
 def test_construct_omega_five_primes():
     # raised SearchExhausted when a was a CRT product of uniformizers
     for cfg in (None, pz.SearchConfig(candidate_cap=30_000)):

@@ -1,12 +1,20 @@
-"""Polynomial circuits: DAGs with symbolic degree accounting.
+"""Polynomial circuits: hash-consed DAGs with symbolic degree accounting.
 
-A circuit is an immutable node array.  Every circuit keeps one invariant:
-`nodes` holds exactly the nodes reachable from the root, children come
-before their parents, and the root is the last node.  Evaluation, degree
-computation and serialization are therefore single passes over `nodes`.
-Degrees are computed without expansion (Add takes max, Mul sums), which is
-the whole point: the compiled formulas have degrees in the thousands and
-their expanded polynomials would be astronomically large.
+Circuits are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): each distinct subterm exists once in the
+process, so structurally equal circuits are the same object, `==` is
+identity, and an operator costs one table lookup whatever the size of its
+operands.  The table holds its circuits weakly: a circuit nothing else
+refers to is dropped.
+
+`Circuit.nodes` is a circuit's node array, made when first asked for: each
+distinct subterm once, in one canonical order, the left-to-right
+first-visit postorder from the root.  Children come before their parents
+and the root is last, so evaluation is a single pass over the array.
+Degrees are computed without expansion (Add takes max, Mul sums) as each
+node is made, which is the whole point: the compiled formulas have degrees
+in the thousands and their expanded polynomials would be astronomically
+large.
 
 Besides the usual arithmetic nodes there is an opaque "norm" node: the
 norm form of degree len(children) applied to the children (see
@@ -19,7 +27,8 @@ from __future__ import annotations
 
 import operator
 import re
-from collections import Counter
+import threading
+import weakref
 from fractions import Fraction
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
                     Union)
@@ -34,34 +43,46 @@ ConstLike = Union[int, Fraction]
 
 def _coerce_const(v: ConstLike):
     if isinstance(v, int):
-        return v
+        return int(v)
     f = Fraction(v)
     return f.numerator if f.denominator == 1 else f
 
 
 class Circuit:
-    """Immutable arithmetic circuit.  Node forms:
-    ("var", name), ("int", value), ("add", i, j), ("mul", i, j),
-    ("neg", i), ("pow", i, k), ("norm", (i1, ..., in)).
-    `root` is always len(nodes) - 1."""
+    """Immutable, hash-consed arithmetic circuit.  The node forms of
+    `nodes` are ("var", name), ("int", value), ("add", i, j), ("mul", i, j),
+    ("neg", i), ("pow", i, k) and ("norm", (i1, ..., in)), where i, j, ...
+    are the indices of earlier nodes; the root is the last node.
 
-    __slots__ = ("nodes", "root", "_degree")
+    Circuit(nodes, root) is the circuit whose `nodes` are exactly `nodes`,
+    with root len(nodes) - 1.  Anything else raises ValueError: an unknown
+    op or wrong fields, a child that does not come before its node, a node
+    the root does not reach, a repeated node, or another order."""
 
-    def __init__(self, nodes: Tuple[tuple, ...], root: int):
-        if root != len(nodes) - 1:
+    # _key: the node with each child given by its circuit, which is what the
+    # table looks up; _kids: the child circuits; _names and _nodes: the free
+    # variables and the node array, once asked for
+    __slots__ = ("_key", "_kids", "_degree", "_names", "_nodes", "__weakref__")
+
+    def __new__(cls, nodes: Sequence[tuple], root: int) -> "Circuit":
+        nodes = tuple(nodes)
+        if not nodes or root != len(nodes) - 1:
             raise ValueError("the root must be the last node")
-        self.nodes = nodes
-        self.root = root
-        self._degree = None
+        for i, nd in enumerate(nodes):
+            _check_node(i, nd)
+        circ = intern_nodes(nodes)[-1]
+        if circ.nodes != nodes:
+            raise ValueError(_not_canonical(nodes))
+        return circ
 
     # -- constructors ------------------------------------------------
     @staticmethod
     def var(name: str) -> "Circuit":
-        return Circuit((("var", str(name)),), 0)
+        return _intern(("var", str(name)))
 
     @staticmethod
     def const(value: ConstLike) -> "Circuit":
-        return Circuit((("int", _coerce_const(value)),), 0)
+        return _intern(("int", _coerce_const(value)))
 
     @staticmethod
     def _lift(x) -> "Circuit":
@@ -72,11 +93,9 @@ class Circuit:
         raise TypeError(f"cannot use {type(x).__name__} in a circuit")
 
     def _binary(self, op: str, other) -> "Circuit":
-        other = Circuit._lift(other)
-        left = len(self.nodes)
-        nodes = self.nodes + _shifted(other.nodes, left)
-        nodes += ((op, left - 1, len(nodes) - 1),)
-        return Circuit(nodes, len(nodes) - 1)
+        if type(other) is not Circuit:
+            other = Circuit._lift(other)
+        return _intern((op, self, other))
 
     def __add__(self, other):
         return self._binary("add", other)
@@ -91,8 +110,7 @@ class Circuit:
         return Circuit._lift(other)._binary("mul", self)
 
     def __neg__(self) -> "Circuit":
-        nodes = self.nodes + (("neg", self.root),)
-        return Circuit(nodes, len(nodes) - 1)
+        return _intern(("neg", self))
 
     def __sub__(self, other):
         return self._binary("add", -Circuit._lift(other))
@@ -103,39 +121,37 @@ class Circuit:
     def __pow__(self, k: int) -> "Circuit":
         if not isinstance(k, int) or k < 1:
             raise ValueError("pow exponent must be a positive integer")
-        nodes = self.nodes + (("pow", self.root, k),)
-        return Circuit(nodes, len(nodes) - 1)
+        return _intern(("pow", self, int(k)))
 
     @staticmethod
     def norm(children: Sequence["Circuit"]) -> "Circuit":
         """Opaque norm-form application: the anisotropic degree-n norm form
         (n = number of children) evaluated at the children."""
-        children = [Circuit._lift(c) for c in children]
-        if not children:
+        kids = tuple([Circuit._lift(c) for c in children])
+        if not kids:
             raise ValueError("norm needs at least one argument")
-        nodes: List[tuple] = []
-        roots = []
-        for c in children:
-            nodes.extend(_shifted(c.nodes, len(nodes)))
-            roots.append(len(nodes) - 1)
-        nodes.append(("norm", tuple(roots)))
-        return Circuit(tuple(nodes), len(nodes) - 1)
+        return _intern(("norm", kids))
 
     def substitute(self, name: str, replacement: "Circuit") -> "Circuit":
-        """This circuit with every ("var", name) node replaced by one shared
-        copy of `replacement`; the circuit itself if name does not occur."""
-        target = ("var", name)
-        if target not in self.nodes:
+        """This circuit with the variable `name` replaced by `replacement`;
+        the circuit itself if name does not occur."""
+        if ("var", name) not in self.nodes:
             return self
-        nodes = list(replacement.nodes)
-        where: List[int] = []
-        for nd in self.nodes:
-            if nd == target:
-                where.append(replacement.root)
-            else:
-                nodes.append(_REMAP[nd[0]](nd, where.__getitem__))
-                where.append(len(nodes) - 1)
-        return Circuit(tuple(nodes), len(nodes) - 1)
+        return intern_nodes(self.nodes, name, replacement)[-1]
+
+    # -- the node array ----------------------------------------------
+    @property
+    def nodes(self) -> Tuple[tuple, ...]:
+        """Each distinct subterm once, in canonical order, root last."""
+        if self._nodes is None:
+            lay = layout((self,))
+            at = lay.index.__getitem__
+            self._nodes = tuple([_REMAP[c._key[0]](c._key, at) for c in lay.order])
+        return self._nodes
+
+    @property
+    def root(self) -> int:
+        return len(self.nodes) - 1
 
     # -- analysis ----------------------------------------------------
     def _fold(self, rules: Mapping[str, Callable], env=None, q=None):
@@ -148,12 +164,31 @@ class Circuit:
     def degree(self) -> int:
         """Syntactic degree bound: Var 1, const 0, Add max, Mul sum,
         Pow k*deg, norm len(children)*max(child degrees)."""
-        if self._degree is None:
-            self._degree = self._fold(_DEGREE)
         return self._degree
 
     def free_vars(self) -> Tuple[str, ...]:
-        return tuple(sorted({nd[1] for nd in self.nodes if nd[0] == "var"}))
+        return tuple(sorted(self._free_names()))
+
+    def _free_names(self) -> frozenset:
+        """The variable names, kept once known.  One walk, which takes the
+        names of a circuit that knows them instead of walking it."""
+        if self._names is None:
+            names: set = set()
+            seen = {self}
+            stack = [self]
+            while stack:
+                circ = stack.pop()
+                if circ._names is not None:
+                    names |= circ._names
+                    continue
+                if circ._key[0] == "var":
+                    names.add(circ._key[1])
+                for kid in circ._kids:
+                    if kid not in seen:
+                        seen.add(kid)
+                        stack.append(kid)
+            self._names = frozenset(names)
+        return self._names
 
     def evaluate(self, env: Mapping[str, ConstLike]) -> Fraction:
         """Exact evaluation; norm nodes go through the exact resultant
@@ -173,15 +208,113 @@ class Circuit:
         return self._fold(_VEC, env, _modulus(q))
 
     def __eq__(self, other):
+        # hash-consing: structurally equal circuits are one object
         if isinstance(other, Circuit):
-            return self.nodes == other.nodes
+            return self is other
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.nodes)
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        return Circuit, (self.nodes, self.root)
 
     def __repr__(self):
         return f"Circuit({len(self.nodes)} nodes, degree {self.degree()})"
+
+
+# ---------------------------------------------------------------------------
+# the hash-consing table
+# ---------------------------------------------------------------------------
+
+class _Ref(weakref.ref):
+    """A weak reference that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+_TABLE: Dict[tuple, _Ref] = {}  # node key -> its circuit
+# makes a lookup that misses and the insert after it one step, and a removal
+# another; reentrant, as a circuit can die inside the first
+_LOCK = threading.RLock()
+
+
+def _forget(ref: _Ref, table: Dict[tuple, _Ref] = _TABLE, lock=_LOCK) -> None:
+    """Called as a circuit dies: drop its table entry."""
+    with lock:
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+
+def _intern(key: tuple) -> Circuit:
+    """The circuit whose node is `key`, each child given by its circuit:
+    the one made before, while it lives, or else a new one."""
+    ref = _TABLE.get(key)
+    circ = ref() if ref is not None else None
+    if circ is None:
+        with _LOCK:
+            ref = _TABLE.get(key)
+            circ = ref() if ref is not None else None
+            if circ is None:
+                op = key[0]
+                circ = object.__new__(Circuit)
+                circ._key, circ._kids = key, _CHILDREN[op](key)
+                circ._names = circ._nodes = None
+                circ._degree = _DEGREE[op](key, [k._degree for k in circ._kids])
+                ref = _TABLE[key] = _Ref(circ, _forget)
+                ref.key = key
+    return circ
+
+
+def intern_nodes(nodes: Sequence[tuple], name: Optional[str] = None,
+                 replacement: Optional[Circuit] = None) -> List[Circuit]:
+    """One circuit per node of a node list whose children come first (not
+    checked here), with the variable `name`, if given, replaced by
+    `replacement`.  The list may repeat nodes, hold nodes no root reaches
+    and have any such order; each circuit is canonical all the same."""
+    made: List[Circuit] = []
+    at = made.__getitem__
+    target = ("var", name)
+    for nd in nodes:
+        made.append(replacement if nd == target else _intern(_REMAP[nd[0]](nd, at)))
+    return made
+
+
+class Layout(NamedTuple):
+    """The distinct nodes that some roots reach, in canonical order: the
+    left-to-right first-visit postorder from each root in turn."""
+
+    roots: Tuple[Circuit, ...]
+    order: List[Circuit]
+    index: Dict[Circuit, int]  # circuit -> its position in order
+    shared: set                # the nodes reached more than once
+
+
+def layout(roots: Sequence[Circuit]) -> Layout:
+    """The layout of the roots: one walk over their distinct nodes."""
+    index: Dict[Circuit, int] = {}
+    order: List[Circuit] = []
+    shared: set = set()
+    for root in roots:
+        if root in index:
+            shared.add(root)
+            continue
+        stack = [(root, iter(root._kids))]
+        while stack:
+            circ, kids = stack[-1]
+            for kid in kids:
+                if kid in index:
+                    shared.add(kid)
+                elif kid._kids:
+                    stack.append((kid, iter(kid._kids)))
+                    break
+                else:
+                    index[kid] = len(order)
+                    order.append(kid)
+            else:
+                stack.pop()
+                index[circ] = len(order)
+                order.append(circ)
+    return Layout(tuple(roots), order, index, shared)
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +323,17 @@ class Circuit:
 
 class _Op(NamedTuple):
     """Everything that depends on one op; a node is (op, *fields).  The fold
-    rules (degree, exact, mod, vec) take (node, values of the earlier nodes,
-    env, q); vec is the mod rule applied to int64 arrays unless given."""
+    rules (exact, mod, vec) take (node, values of the earlier nodes, env,
+    q); vec is the mod rule applied to int64 arrays unless given.  A rule
+    that takes a function f or t calls it on the node's own child fields."""
 
-    children: Callable  # node -> child indices
+    children: Callable  # node -> child fields
     remap: Callable     # (node, f) -> the node with each child j moved to f(j)
-    degree: Callable
+    degree: Callable    # (node, degrees of its children) -> int
     exact: Callable     # Fraction
     mod: Callable       # int in [0, q)
     fields: Tuple[str, ...]  # JSON fields besides "op"
-    encode: Callable    # (node, index offset) -> JSON node
+    encode: Callable    # (node, f) -> JSON node, where f(j) is child j's index
     decode: Callable    # (own index, JSON node) -> node, or ValueError
     sexpr: Callable     # (node, t) -> str, where t(j) is the text of child j
     latex: Callable
@@ -283,11 +417,11 @@ def _value(x) -> ConstLike:
 OPS: Dict[str, _Op] = {
     "var": _Op(
         children=lambda nd: (), remap=lambda nd, f: nd,
-        degree=lambda nd, d, env, q: 1,
+        degree=lambda nd, ds: 1,
         exact=lambda nd, v, env, q: Fraction(_lookup(env, nd[1])),
         mod=lambda nd, v, env, q: _int_mod(_lookup(env, nd[1]), q),
         vec=lambda nd, v, env, q: _vec_var(_lookup(env, nd[1]), q),
-        fields=("name",), encode=lambda nd, b: {"op": "var", "name": nd[1]},
+        fields=("name",), encode=lambda nd, f: {"op": "var", "name": nd[1]},
         decode=lambda i, d: ("var", _checked(d["name"], type(d["name"]) is str,
                                           "a var name must be a string")),
         sexpr=lambda nd, t: f"(var {nd[1]})",
@@ -296,12 +430,12 @@ OPS: Dict[str, _Op] = {
     ),
     "int": _Op(
         children=lambda nd: (), remap=lambda nd, f: nd,
-        degree=lambda nd, d, env, q: 0,
+        degree=lambda nd, ds: 0,
         exact=lambda nd, v, env, q: Fraction(nd[1]),
         mod=lambda nd, v, env, q: _const_mod(nd[1], q),
         vec=lambda nd, v, env, q: np.int64(_const_mod(nd[1], q)),
         fields=("value",), decode=lambda i, d: ("int", _value(d["value"])),
-        encode=lambda nd, b: {"op": "int", "value": nd[1] if isinstance(nd[1], int)
+        encode=lambda nd, f: {"op": "int", "value": nd[1] if isinstance(nd[1], int)
                               else str(nd[1])},
         sexpr=lambda nd, t: f"(int {nd[1]})",
         latex=lambda nd, t: str(nd[1]) if isinstance(nd[1], int) else
@@ -309,44 +443,44 @@ OPS: Dict[str, _Op] = {
     ),
     "add": _Op(
         children=lambda nd: nd[1:], remap=lambda nd, f: ("add", f(nd[1]), f(nd[2])),
-        degree=lambda nd, d, env, q: max(d[nd[1]], d[nd[2]]),
+        degree=lambda nd, ds: max(ds),
         exact=lambda nd, v, env, q: v[nd[1]] + v[nd[2]],
         mod=lambda nd, v, env, q: (v[nd[1]] + v[nd[2]]) % q,
         fields=("args",),
-        encode=lambda nd, b: {"op": "add", "args": [nd[1] + b, nd[2] + b]},
+        encode=lambda nd, f: {"op": "add", "args": [f(nd[1]), f(nd[2])]},
         decode=lambda i, d: ("add", *_indices(d["args"], i, 2)),
         sexpr=lambda nd, t: f"(add {t(nd[1])} {t(nd[2])})",
         latex=lambda nd, t: f"\\left({t(nd[1])} + {t(nd[2])}\\right)",
     ),
     "mul": _Op(
         children=lambda nd: nd[1:], remap=lambda nd, f: ("mul", f(nd[1]), f(nd[2])),
-        degree=lambda nd, d, env, q: d[nd[1]] + d[nd[2]],
+        degree=lambda nd, ds: ds[0] + ds[1],
         exact=lambda nd, v, env, q: v[nd[1]] * v[nd[2]],
         mod=lambda nd, v, env, q: v[nd[1]] * v[nd[2]] % q,
         fields=("args",),
-        encode=lambda nd, b: {"op": "mul", "args": [nd[1] + b, nd[2] + b]},
+        encode=lambda nd, f: {"op": "mul", "args": [f(nd[1]), f(nd[2])]},
         decode=lambda i, d: ("mul", *_indices(d["args"], i, 2)),
         sexpr=lambda nd, t: f"(mul {t(nd[1])} {t(nd[2])})",
         latex=lambda nd, t: f"{t(nd[1])} \\cdot {t(nd[2])}",
     ),
     "neg": _Op(
         children=lambda nd: nd[1:], remap=lambda nd, f: ("neg", f(nd[1])),
-        degree=lambda nd, d, env, q: d[nd[1]],
+        degree=lambda nd, ds: ds[0],
         exact=lambda nd, v, env, q: -v[nd[1]],
         mod=lambda nd, v, env, q: -v[nd[1]] % q,
-        fields=("arg",), encode=lambda nd, b: {"op": "neg", "arg": nd[1] + b},
+        fields=("arg",), encode=lambda nd, f: {"op": "neg", "arg": f(nd[1])},
         decode=lambda i, d: ("neg", *_indices([d["arg"]], i, 1)),
         sexpr=lambda nd, t: f"(neg {t(nd[1])})",
         latex=lambda nd, t: f"-{t(nd[1])}",
     ),
     "pow": _Op(
         children=lambda nd: nd[1:2], remap=lambda nd, f: ("pow", f(nd[1]), nd[2]),
-        degree=lambda nd, d, env, q: nd[2] * d[nd[1]],
+        degree=lambda nd, ds: nd[2] * ds[0],
         exact=lambda nd, v, env, q: v[nd[1]] ** nd[2],
         mod=lambda nd, v, env, q: pow(v[nd[1]], nd[2], q),
         vec=lambda nd, v, env, q: _vec_pow(v[nd[1]], nd[2], q),
         fields=("arg", "k"),
-        encode=lambda nd, b: {"op": "pow", "arg": nd[1] + b, "k": nd[2]},
+        encode=lambda nd, f: {"op": "pow", "arg": f(nd[1]), "k": nd[2]},
         decode=lambda i, d: ("pow", *_indices([d["arg"]], i, 1), _checked(
             d["k"], type(d["k"]) is int and d["k"] >= 1, "pow k must be an int >= 1")),
         sexpr=lambda nd, t: f"(pow {t(nd[1])} {nd[2]})",
@@ -354,12 +488,12 @@ OPS: Dict[str, _Op] = {
     ),
     "norm": _Op(
         children=lambda nd: nd[1], remap=lambda nd, f: ("norm", tuple(map(f, nd[1]))),
-        degree=lambda nd, d, env, q: len(nd[1]) * max(d[j] for j in nd[1]),
+        degree=lambda nd, ds: len(ds) * max(ds),
         exact=lambda nd, v, env, q: kernels.norm_value([v[j] for j in nd[1]]),
         mod=lambda nd, v, env, q: kernels.norm_mod([v[j] for j in nd[1]], q),
         vec=lambda nd, v, env, q: _vec_norm([v[j] for j in nd[1]], q),
         fields=("args",),
-        encode=lambda nd, b: {"op": "norm", "args": [j + b for j in nd[1]]},
+        encode=lambda nd, f: {"op": "norm", "args": list(map(f, nd[1]))},
         decode=lambda i, d: ("norm", _indices(d["args"], i)),
         sexpr=lambda nd, t: f"(norm {' '.join(map(t, nd[1]))})",
         latex=lambda nd, t: rf"\mathrm{{N}}_{{{len(nd[1])}}}\!\left("
@@ -379,81 +513,84 @@ _RENDER = {style: {op: getattr(row, style) for op, row in OPS.items()}
            for style in ("sexpr", "latex")}
 
 
-def _shifted(nodes: Tuple[tuple, ...], off: int) -> Tuple[tuple, ...]:
-    if not off:
-        return nodes
-    return tuple([_REMAP[nd[0]](nd, off.__add__) for nd in nodes])
-
-
 # ---------------------------------------------------------------------------
 # interchange: JSON nodes and text renderings
 # ---------------------------------------------------------------------------
 
-def to_json(circ: Circuit, base: int) -> List[dict]:
-    """The JSON nodes of circ, for a node list where it starts at index base."""
-    return [_ENCODE[nd[0]](nd, base) for nd in circ.nodes]
+def to_json(lay: Layout) -> List[dict]:
+    """The JSON nodes of a layout, in its order."""
+    at = lay.index.__getitem__
+    return [_ENCODE[c._key[0]](c._key, at) for c in lay.order]
+
+
+def _decode(i: int, d) -> tuple:
+    """Node i of a JSON node list; a malformed node raises ValueError."""
+    op = d.get("op") if type(d) is dict else None
+    how = _DECODE.get(op) if type(op) is str else None
+    try:
+        if how is None or len(d) != how[0]:
+            raise KeyError(op)
+        return how[1](i, d)  # KeyError if a field is missing
+    except KeyError:
+        raise ValueError(f"node {i}: {d!r} is not a known op and its fields") from None
+    except ValueError as exc:
+        raise ValueError(f"node {i}: {exc}") from None
 
 
 def decode_nodes(raw) -> Tuple[tuple, ...]:
     """Nodes from a JSON node list; every child must come before its parent.
     A malformed node raises ValueError."""
     _checked(raw, type(raw) is list, "nodes must be a list")
-    nodes = []
-    for i, d in enumerate(raw):
-        op = d.get("op") if type(d) is dict else None
-        how = _DECODE.get(op) if type(op) is str else None
-        try:
-            if how is None or len(d) != how[0]:
-                raise KeyError(op)
-            nodes.append(how[1](i, d))  # KeyError if a field is missing
-        except KeyError:
-            raise ValueError(f"node {i}: {d!r} is not a known op and its fields") \
-                from None
-        except ValueError as exc:
-            raise ValueError(f"node {i}: {exc}") from None
-    return tuple(nodes)
+    return tuple([_decode(i, d) for i, d in enumerate(raw)])
 
 
-def subcircuit(nodes: Sequence[tuple], root) -> Circuit:
-    """The circuit rooted at nodes[root], keeping only the nodes it reaches,
-    in their order.  Children must come before their parents in `nodes`."""
-    _checked(root, type(root) is int and 0 <= root < len(nodes),
-             "a circuit root must be a node index")
-    seen = {root}
-    stack = [root]
-    while stack:
-        nd = nodes[stack.pop()]
-        for j in _CHILDREN[nd[0]](nd):
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    lo = min(seen)
-    if len(seen) == root + 1 - lo:  # one contiguous run, as emit writes it
-        return Circuit(_shifted(tuple(nodes[lo:root + 1]), -lo), root - lo)
-    order = sorted(seen)
-    where = {old: new for new, old in enumerate(order)}
-    out = tuple(_REMAP[nodes[i][0]](nodes[i], where.__getitem__) for i in order)
-    return Circuit(out, len(out) - 1)
+def _same(j):
+    return j
+
+
+def _check_node(i: int, nd) -> None:
+    """ValueError unless nd is a well-formed node at index i: one whose
+    JSON form decodes back to it."""
+    try:
+        back = _decode(i, _ENCODE[nd[0]](nd, _same))
+    except (LookupError, TypeError):
+        back = None
+    if type(nd) is not tuple or back != nd:
+        raise ValueError(f"node {i}: {nd!r} is not a known op and its fields")
+
+
+def _not_canonical(nodes: Sequence[tuple]) -> str:
+    """Why well-formed nodes, children first, are not a canonical node list."""
+    reached = {len(nodes) - 1}
+    for i in range(len(nodes) - 1, -1, -1):
+        if i not in reached:
+            return f"node {i} is not reachable from the root"
+        reached.update(_CHILDREN[nodes[i][0]](nodes[i]))
+    first: Dict[tuple, int] = {}
+    for i, nd in enumerate(nodes):
+        if first.setdefault(nd, i) != i:
+            return f"node {i} repeats node {first[nd]}"
+    return "the nodes are not in canonical order (children first, left to right)"
+
+
+def render_all(lay: Layout, style: str) -> Dict[Circuit, str]:
+    """Each root of a layout as one expression, style "sexpr" or "latex",
+    by root; a node shared by several parents is written out at each use.
+    One pass over the distinct nodes; the text of a node with one use is
+    dropped when it is used."""
+    rules, shared = _RENDER[style], lay.shared
+    texts: Dict[Circuit, str] = {}
+    take = texts.pop
+
+    def t(kid: Circuit) -> str:
+        return texts[kid] if kid in shared else take(kid)
+
+    for circ in lay.order:
+        key = circ._key
+        texts[circ] = rules[key[0]](key, t)
+    return {r: texts[r] for r in lay.roots}
 
 
 def render(circ: Circuit, style: str) -> str:
-    """The circuit as one expression, style "sexpr" or "latex"; a node
-    shared by several parents is written out at each use.  One pass over the
-    nodes; each text is dropped when its last parent has used it."""
-    rules, nodes = _RENDER[style], circ.nodes
-    texts: Dict[int, str] = {}
-    take = texts.pop
-    try:
-        for i, nd in enumerate(nodes):  # a tree: every node has one parent
-            texts[i] = rules[nd[0]](nd, take)
-    except KeyError:  # a shared node: count the uses of each node first
-        uses = Counter(j for nd in nodes for j in _CHILDREN[nd[0]](nd))
-
-        def use(j: int) -> str:
-            uses[j] -= 1
-            return texts[j] if uses[j] else texts.pop(j)
-
-        texts.clear()
-        for i, nd in enumerate(nodes):
-            texts[i] = rules[nd[0]](nd, use)
-    return texts[len(nodes) - 1]
+    """The circuit as one expression, style "sexpr" or "latex"."""
+    return render_all(layout((circ,)), style)[circ]

@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verified failure or search exhaustion, 2 usage
-error.  Rationals are written "num/den" or plain integers; the place at
-infinity is "inf".  An optional config file (key=value lines, '#' comments)
-supplies search caps and default sample counts; flags override it.
+error, 141 (128 + SIGPIPE) when the reader of stdout goes away before the
+output is written, as `head` can.  Rationals are written "num/den" or
+plain integers; the place at infinity is "inf".  An optional config file
+(key=value lines, '#' comments) supplies search caps and default sample
+counts; flags override it.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -17,6 +20,7 @@ from . import formulas as fm, parametrize, places, semantics, verify
 from .errors import SearchExhausted
 
 USAGE_ERROR = 2
+BROKEN_PIPE = 141  # the status of a command that SIGPIPE ended
 
 
 class CliError(Exception):
@@ -246,7 +250,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code if exc.code in (0, 2) else USAGE_ERROR
     try:
         cfg = _load_config(args.config)
-        return args.func(args, cfg)
+        code = args.func(args, cfg)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout goes to /dev/null, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .circuits import Circuit, decode_nodes, render, subcircuit, to_json
+from .circuits import Circuit, Layout, decode_nodes, intern_nodes, layout, render_all, to_json
 from .forms import BinaryForm
 
 # matrix nodes: ("eq", Circuit) | ("neq", Circuit) | ("and", tuple) | ("or", tuple)
@@ -57,7 +57,7 @@ class Formula:
     """Prenex formula: quantifier prefix over a quantifier-free matrix of
     polynomial (in)equations.  Immutable."""
 
-    __slots__ = ("prefix", "matrix", "free", "degree_override", "real_embedded")
+    __slots__ = ("prefix", "matrix", "free", "degree_override", "real_embedded", "_layout")
 
     def __init__(
         self,
@@ -82,14 +82,21 @@ class Formula:
         for q, _ in self.prefix:
             if q not in (FORALL, EXISTS):
                 raise ValueError(f"bad quantifier {q!r}")
+        self._layout: Optional[Layout] = None  # made by the first emit
         names = set(self.free) | set(bound)
-        for _, circ in _matrix_atoms(matrix):
+        for circ in self.atoms():
             stray = set(circ.free_vars()) - names
             if stray:
                 raise ValueError(f"unbound matrix variables: {sorted(stray)}")
 
     def atoms(self) -> List[Circuit]:
         return [c for _, c in _matrix_atoms(self.matrix)]
+
+    def layout(self) -> Layout:
+        """The distinct nodes of all the atoms in canonical order, made once."""
+        if self._layout is None:
+            self._layout = layout(self.atoms())
+        return self._layout
 
     def __eq__(self, other):
         if not isinstance(other, Formula):
@@ -601,11 +608,11 @@ def evaluate_matrix(f: Formula, assignment: Mapping[str, Union[int, Fraction]]) 
     return ev(f.matrix)
 
 
-def _emit_matrix(m: MatrixNode, nodes_out: List[dict]) -> dict:
+def _emit_matrix(m: MatrixNode, index: Mapping[Circuit, int]) -> dict:
+    """The JSON matrix; index[atom] is the node index of each atom's root."""
     if m[0] in ("eq", "neq"):
-        nodes_out.extend(to_json(m[1], len(nodes_out)))
-        return {m[0]: len(nodes_out) - 1}
-    return {m[0]: [_emit_matrix(c, nodes_out) for c in m[1]]}
+        return {m[0]: index[m[1]]}
+    return {m[0]: [_emit_matrix(c, index) for c in m[1]]}
 
 
 # per style: the atom templates, and (open, separator, close) of and/or
@@ -617,25 +624,31 @@ _MATRIX_TEXT = {
 }
 
 
-def _text_matrix(m: MatrixNode, style: str) -> str:
+def _text_matrix(m: MatrixNode, style: str, texts: Mapping[Circuit, str]) -> str:
+    """The matrix as text; texts[atom] is the rendering of each atom."""
     form = _MATRIX_TEXT[style][m[0]]
     if m[0] in ("eq", "neq"):
-        return form.format(render(m[1], style))
+        return form.format(texts[m[1]])
     opening, sep, closing = form
-    return opening + sep.join(_text_matrix(c, style) for c in m[1]) + closing
+    return opening + sep.join(_text_matrix(c, style, texts) for c in m[1]) + closing
+
+
+def _text(f: Formula, style: str) -> str:
+    return _text_matrix(f.matrix, style, render_all(f.layout(), style))
 
 
 def emit(f: Formula, format: str = "json") -> bytes:
     """Serialize a formula.  json is canonical and round-trips through
-    parse(); sexpr is a lossless prefix rendering; latex is for human eyes."""
+    parse(): one node list holds each distinct subterm of all the atoms
+    once, in canonical order, and each atom names its root in it.  sexpr is
+    a lossless prefix rendering; latex is for human eyes."""
     if format == "json":
-        nodes: List[dict] = []
-        matrix = _emit_matrix(f.matrix, nodes)
+        lay = f.layout()
         doc = {
             "free": list(f.free),
             "prefix": [[q, n] for q, n in f.prefix],
-            "nodes": nodes,
-            "matrix": matrix,
+            "nodes": to_json(lay),
+            "matrix": _emit_matrix(f.matrix, lay.index),
         }
         if f.degree_override is not None:
             doc["degree_override"] = f.degree_override
@@ -646,12 +659,12 @@ def emit(f: Formula, format: str = "json") -> bytes:
         free = " ".join(f.free)
         prefix = " ".join(f"({q} {n})" for q, n in f.prefix)
         text = (f"(formula (free {free}) (prefix {prefix}) "
-                f"(matrix {_text_matrix(f.matrix, 'sexpr')}))")
+                f"(matrix {_text(f, 'sexpr')}))")
         return text.encode()
     if format == "latex":
         quant = {"forall": r"\forall", "exists": r"\exists"}
         prefix = r"\,".join(f"{quant[q]} {n}" for q, n in f.prefix)
-        return (prefix + r"\colon " + _text_matrix(f.matrix, 'latex')).encode()
+        return (prefix + r"\colon " + _text(f, 'latex')).encode()
     raise ValueError(f"unknown format {format!r}")
 
 
@@ -660,8 +673,11 @@ _OPTIONAL_KEYS = {"degree_override", "real_embedded"}
 
 
 def parse(data: Union[bytes, str]) -> Formula:
-    """Inverse of emit(..., 'json').  Each atom keeps only the nodes it
-    reaches.  A malformed document raises ValueError."""
+    """Inverse of emit(..., 'json').  Any node list whose children come
+    first parses, also one that repeats nodes or holds nodes no atom
+    reaches, as documents written before the node list was shared do; each
+    atom is the canonical circuit all the same.  A malformed document
+    raises ValueError."""
     try:
         return _parse_doc(json.loads(data))
     except RecursionError:
@@ -686,14 +702,16 @@ def _parse_doc(doc) -> Formula:
     real_embedded = doc.get("real_embedded", False)
     if type(real_embedded) is not bool:
         raise ValueError(f"real_embedded must be a bool, not {real_embedded!r}")
-    nodes = decode_nodes(doc["nodes"])
+    made = intern_nodes(decode_nodes(doc["nodes"]))
 
     def parse_matrix(m) -> MatrixNode:
         if not (isinstance(m, dict) and len(m) == 1):
             raise ValueError(f"a matrix node is a one-key object, not {m!r}")
         (kind, payload), = m.items()
         if kind in ("eq", "neq"):
-            return (kind, subcircuit(nodes, payload))
+            if not (type(payload) is int and 0 <= payload < len(made)):
+                raise ValueError(f"an atom is a node index, not {payload!r}")
+            return (kind, made[payload])
         if kind in ("and", "or") and isinstance(payload, list) and payload:
             return (kind, tuple(parse_matrix(c) for c in payload))
         raise ValueError(f"bad matrix node {m!r}")

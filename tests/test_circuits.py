@@ -202,15 +202,79 @@ def test_root_is_the_last_node():
         Circuit((("var", "x"), ("var", "y")), 0)
 
 
+@pytest.mark.parametrize("nodes, why", [
+    ((("frob",),), "not a known op"),                      # degree() raised KeyError
+    ((("var", "x"), ("neg", 0, 1)), "not a known op"),     # a field too many
+    ((("var", "x"), ("pow", 0)), "not a known op"),        # a field missing
+    ((("var", 1),), "var name"),
+    ((("int", 2.0),), "int value"),
+    ((("var", "x"), ("norm", [0])), "not a known op"),     # norm children are a tuple
+    ((("var", "x"), ("add", 0, 5)), "below 1"),            # evaluate raised IndexError
+    ((("var", "x"), ("neg", 1)), "below 1"),
+    ((("var", "x"), ("var", "y"), ("neg", 0)), "node 1 is not reachable"),
+    ((("var", "x"), ("var", "x"), ("add", 0, 1)), "node 1 repeats node 0"),
+    ((("var", "y"), ("var", "x"), ("add", 1, 0)), "canonical order"),
+    ((), "root"),
+])
+def test_constructor_rejects_malformed_nodes(nodes, why):
+    with pytest.raises(ValueError, match=why):
+        Circuit(nodes, len(nodes) - 1)
+
+
+def test_constructor_returns_the_canonical_circuit():
+    x, y = Circuit.var("x"), Circuit.var("y")
+    f = Circuit.norm([x * y + 1, x, (x * y) ** 3])
+    assert f.nodes == (("var", "x"), ("var", "y"), ("mul", 0, 1), ("int", 1),
+                       ("add", 2, 3), ("pow", 2, 3), ("norm", (4, 0, 5)))
+    assert Circuit(f.nodes, f.root) is f
+    assert Circuit(list(f.nodes), f.root) is f
+
+
 def test_substitution_shares_the_replacement():
     from campana.circuits import render
 
     x, y = Circuit.var("x"), Circuit.var("y")
     shared = (x * x + x).substitute("x", y + 1)
     copied = (y + 1) * (y + 1) + (y + 1)
-    assert len(shared.nodes) == len(copied.nodes) - 6
+    assert shared == copied
     assert shared.degree() == copied.degree() == 2
     assert shared.evaluate({"y": 4}) == copied.evaluate({"y": 4}) == 30
     for style in ("sexpr", "latex"):
         assert render(shared, style) == render(copied, style)
     assert x.substitute("z", y) is x
+
+
+def test_threads_building_the_same_circuits_get_the_same_objects():
+    import sys
+    import threading
+
+    from campana import formulas as fm
+
+    rounds, workers = 8, 4
+    start = threading.Barrier(workers)
+    made = [[] for _ in range(workers)]
+    errors = []
+
+    def work(out):
+        try:
+            for r in range(rounds):  # new names each round: every lookup misses
+                start.wait(timeout=60)
+                out.append(fm.build_J(f"p{r}", f"q{r}", f"s{r}").atoms())
+        except Exception as exc:  # a thread cannot raise into the test
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in made]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads) and not errors
+    # a lost table insert would leave two objects for one circuit
+    for out in made[1:]:
+        assert len(out) == rounds
+        assert all(a is b for r in range(rounds) for a, b in zip(out[r], made[0][r]))

@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -265,3 +268,29 @@ def test_unfactorable_input_exits_with_a_message(capsys):
     code, out, err = run(capsys, "member", "sintegers", f"1/{n}", "--s", "2")
     assert code == 1 and out == ""
     assert "search exhausted" in err and "Traceback" not in err
+
+
+def _read_then_close(argv, read):
+    """Run the CLI with stdout a pipe; take read(stdout), close the pipe and
+    wait.  Returns (what was read, stderr, exit status)."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "campana.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=path))
+    first = read(proc.stdout)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return first, err, proc.wait(timeout=300)
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    # `campana verify formulas | head -1` ended in a BrokenPipeError traceback
+    first, err, code = _read_then_close(["verify", "formulas"], lambda out: out.readline())
+    assert first.startswith(b"PASS")
+    assert b"Traceback" not in err
+    assert code in (0, cli.BROKEN_PIPE)  # 0 if all of it was written before the close
+    # a reader that goes away before any output: the first write must fail
+    first, err, code = _read_then_close(["verify", "formulas"], lambda out: b"")
+    assert err == b"" and code == cli.BROKEN_PIPE

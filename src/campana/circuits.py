@@ -233,16 +233,25 @@ class _Ref(weakref.ref):
 
 
 _TABLE: Dict[tuple, _Ref] = {}  # node key -> its circuit
-# makes a lookup that misses and the insert after it one step, and a removal
-# another; reentrant, as a circuit can die inside the first
+# The references whose circuit has died, put there by the reference itself.
+# Their table entries go at the next lookup that misses; until then each one
+# holds its key, so the children of a dead circuit live until then too.
+_DEAD: List[_Ref] = []
+_died = _DEAD.append
+_degree_of = operator.attrgetter("_degree")
+# makes a lookup that misses, the purge and the insert after it one step;
+# reentrant, since a finalizer run by the collector inside it may build
 _LOCK = threading.RLock()
 
 
-def _forget(ref: _Ref, table: Dict[tuple, _Ref] = _TABLE, lock=_LOCK) -> None:
-    """Called as a circuit dies: drop its table entry."""
-    with lock:
-        if table.get(ref.key) is ref:
-            del table[ref.key]
+def _purge() -> None:
+    """Drop the table entries of the dead circuits, and of the children
+    that die as their keys go."""
+    while _DEAD:
+        ref = _DEAD.pop()
+        if _TABLE.get(ref.key) is ref:
+            del _TABLE[ref.key]
+        del ref  # the key's children may die now, and join _DEAD
 
 
 def _intern(key: tuple) -> Circuit:
@@ -252,6 +261,8 @@ def _intern(key: tuple) -> Circuit:
     circ = ref() if ref is not None else None
     if circ is None:
         with _LOCK:
+            if _DEAD:
+                _purge()
             ref = _TABLE.get(key)
             circ = ref() if ref is not None else None
             if circ is None:
@@ -259,8 +270,8 @@ def _intern(key: tuple) -> Circuit:
                 circ = object.__new__(Circuit)
                 circ._key, circ._kids = key, _CHILDREN[op](key)
                 circ._names = circ._nodes = None
-                circ._degree = _DEGREE[op](key, [k._degree for k in circ._kids])
-                ref = _TABLE[key] = _Ref(circ, _forget)
+                circ._degree = _DEGREE[op](key, map(_degree_of, circ._kids))
+                ref = _TABLE[key] = _Ref(circ, _died)
                 ref.key = key
     return circ
 
@@ -329,7 +340,7 @@ class _Op(NamedTuple):
 
     children: Callable  # node -> child fields
     remap: Callable     # (node, f) -> the node with each child j moved to f(j)
-    degree: Callable    # (node, degrees of its children) -> int
+    degree: Callable    # (node, iterator of its children's degrees) -> int
     exact: Callable     # Fraction
     mod: Callable       # int in [0, q)
     fields: Tuple[str, ...]  # JSON fields besides "op"
@@ -454,7 +465,7 @@ OPS: Dict[str, _Op] = {
     ),
     "mul": _Op(
         children=lambda nd: nd[1:], remap=lambda nd, f: ("mul", f(nd[1]), f(nd[2])),
-        degree=lambda nd, ds: ds[0] + ds[1],
+        degree=lambda nd, ds: sum(ds),
         exact=lambda nd, v, env, q: v[nd[1]] * v[nd[2]],
         mod=lambda nd, v, env, q: v[nd[1]] * v[nd[2]] % q,
         fields=("args",),
@@ -465,7 +476,7 @@ OPS: Dict[str, _Op] = {
     ),
     "neg": _Op(
         children=lambda nd: nd[1:], remap=lambda nd, f: ("neg", f(nd[1])),
-        degree=lambda nd, ds: ds[0],
+        degree=lambda nd, ds: next(ds),
         exact=lambda nd, v, env, q: -v[nd[1]],
         mod=lambda nd, v, env, q: -v[nd[1]] % q,
         fields=("arg",), encode=lambda nd, f: {"op": "neg", "arg": f(nd[1])},
@@ -475,7 +486,7 @@ OPS: Dict[str, _Op] = {
     ),
     "pow": _Op(
         children=lambda nd: nd[1:2], remap=lambda nd, f: ("pow", f(nd[1]), nd[2]),
-        degree=lambda nd, ds: nd[2] * ds[0],
+        degree=lambda nd, ds: nd[2] * next(ds),
         exact=lambda nd, v, env, q: v[nd[1]] ** nd[2],
         mod=lambda nd, v, env, q: pow(v[nd[1]], nd[2], q),
         vec=lambda nd, v, env, q: _vec_pow(v[nd[1]], nd[2], q),
@@ -488,7 +499,7 @@ OPS: Dict[str, _Op] = {
     ),
     "norm": _Op(
         children=lambda nd: nd[1], remap=lambda nd, f: ("norm", tuple(map(f, nd[1]))),
-        degree=lambda nd, ds: len(ds) * max(ds),
+        degree=lambda nd, ds: len(nd[1]) * max(ds),
         exact=lambda nd, v, env, q: kernels.norm_value([v[j] for j in nd[1]]),
         mod=lambda nd, v, env, q: kernels.norm_mod([v[j] for j in nd[1]], q),
         vec=lambda nd, v, env, q: _vec_norm([v[j] for j in nd[1]], q),

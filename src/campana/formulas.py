@@ -703,18 +703,21 @@ def _parse_doc(doc) -> Formula:
     if type(real_embedded) is not bool:
         raise ValueError(f"real_embedded must be a bool, not {real_embedded!r}")
     made = intern_nodes(decode_nodes(doc["nodes"]))
-
-    def parse_matrix(m) -> MatrixNode:
-        if not (isinstance(m, dict) and len(m) == 1):
-            raise ValueError(f"a matrix node is a one-key object, not {m!r}")
-        (kind, payload), = m.items()
-        if kind in ("eq", "neq"):
-            if not (type(payload) is int and 0 <= payload < len(made)):
-                raise ValueError(f"an atom is a node index, not {payload!r}")
-            return (kind, made[payload])
-        if kind in ("and", "or") and isinstance(payload, list) and payload:
-            return (kind, tuple(parse_matrix(c) for c in payload))
-        raise ValueError(f"bad matrix node {m!r}")
-
-    return Formula(prefix, parse_matrix(doc["matrix"]), free,
+    return Formula(prefix, _parse_matrix(doc["matrix"], made), free,
                    degree_override=override, real_embedded=real_embedded)
+
+
+def _parse_matrix(m, made: List[Circuit]) -> MatrixNode:
+    """The matrix of a document whose nodes are the circuits `made`.  (Not a
+    closure: a recursive closure is a reference cycle, which would keep
+    every circuit of the document alive until the cycle collector ran.)"""
+    if not (isinstance(m, dict) and len(m) == 1):
+        raise ValueError(f"a matrix node is a one-key object, not {m!r}")
+    (kind, payload), = m.items()
+    if kind in ("eq", "neq"):
+        if not (type(payload) is int and 0 <= payload < len(made)):
+            raise ValueError(f"an atom is a node index, not {payload!r}")
+        return (kind, made[payload])
+    if kind in ("and", "or") and isinstance(payload, list) and payload:
+        return (kind, tuple(_parse_matrix(c, made) for c in payload))
+    raise ValueError(f"bad matrix node {m!r}")

@@ -278,3 +278,17 @@ def test_threads_building_the_same_circuits_get_the_same_objects():
     for out in made[1:]:
         assert len(out) == rounds
         assert all(a is b for r in range(rounds) for a, b in zip(out[r], made[0][r]))
+
+
+def test_the_table_forgets_circuits_nothing_refers_to():
+    from campana import circuits, formulas as fm
+
+    # dead entries go at a lookup that misses, such as one for a new name
+    Circuit.var("a name no other test uses") + 1
+    before = len(circuits._TABLE)
+    f = fm.build_premise()
+    grown = len(circuits._TABLE) - before
+    del f
+    g = Circuit.var("another name no other test uses") + 1
+    assert grown > 3000 and len(circuits._TABLE) <= before + 3
+    assert g.nodes == (("var", "another name no other test uses"), ("int", 1), ("add", 0, 1))

@@ -7,8 +7,9 @@ table replaced the per-op serializers.  The json digests were recorded
 again when circuits became hash-consed and emit began to write one node
 list for all the atoms, each distinct subterm once.  Every stored circuit
 holds exactly the nodes reachable from its root, children before parents,
-with the root last; the check below walks the nodes with its own reading
-of the node format.
+with the root last, each distinct node once in the left-to-right
+first-visit postorder; the check below walks the nodes with its own
+reading of the node format.
 """
 import hashlib
 
@@ -140,16 +141,25 @@ def _children(nd):
 
 
 def _assert_compact(circ):
-    assert circ.root == len(circ.nodes) - 1
-    seen, stack = {circ.root}, [circ.root]
+    """Each node is reachable and distinct, and the nodes come in the
+    left-to-right first-visit postorder from the root."""
+    nodes = circ.nodes
+    assert circ.root == len(nodes) - 1
+    assert len(set(nodes)) == len(nodes)
+    order, seen = [], {circ.root}
+    stack = [(circ.root, iter(_children(nodes[circ.root])))]
     while stack:
-        i = stack.pop()
-        for j in _children(circ.nodes[i]):
+        i, kids = stack[-1]
+        for j in kids:
             assert 0 <= j < i
             if j not in seen:
                 seen.add(j)
-                stack.append(j)
-    assert seen == set(range(len(circ.nodes)))
+                stack.append((j, iter(_children(nodes[j]))))
+                break
+        else:
+            stack.pop()
+            order.append(i)
+    assert order == list(range(len(nodes)))
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c)))

@@ -238,7 +238,6 @@ _TABLE: Dict[tuple, _Ref] = {}  # node key -> its circuit
 # holds its key, so the children of a dead circuit live until then too.
 _DEAD: List[_Ref] = []
 _died = _DEAD.append
-_degree_of = operator.attrgetter("_degree")
 # makes a lookup that misses, the purge and the insert after it one step;
 # reentrant, since a finalizer run by the collector inside it may build
 _LOCK = threading.RLock()
@@ -270,7 +269,7 @@ def _intern(key: tuple) -> Circuit:
                 circ = object.__new__(Circuit)
                 circ._key, circ._kids = key, _CHILDREN[op](key)
                 circ._names = circ._nodes = None
-                circ._degree = _DEGREE[op](key, map(_degree_of, circ._kids))
+                circ._degree = _DEGREE[op](key)
                 ref = _TABLE[key] = _Ref(circ, _died)
                 ref.key = key
     return circ
@@ -340,7 +339,7 @@ class _Op(NamedTuple):
 
     children: Callable  # node -> child fields
     remap: Callable     # (node, f) -> the node with each child j moved to f(j)
-    degree: Callable    # (node, iterator of its children's degrees) -> int
+    degree: Callable    # table key, whose children are circuits -> int
     exact: Callable     # Fraction
     mod: Callable       # int in [0, q)
     fields: Tuple[str, ...]  # JSON fields besides "op"
@@ -428,7 +427,7 @@ def _value(x) -> ConstLike:
 OPS: Dict[str, _Op] = {
     "var": _Op(
         children=lambda nd: (), remap=lambda nd, f: nd,
-        degree=lambda nd, ds: 1,
+        degree=lambda key: 1,
         exact=lambda nd, v, env, q: Fraction(_lookup(env, nd[1])),
         mod=lambda nd, v, env, q: _int_mod(_lookup(env, nd[1]), q),
         vec=lambda nd, v, env, q: _vec_var(_lookup(env, nd[1]), q),
@@ -441,7 +440,7 @@ OPS: Dict[str, _Op] = {
     ),
     "int": _Op(
         children=lambda nd: (), remap=lambda nd, f: nd,
-        degree=lambda nd, ds: 0,
+        degree=lambda key: 0,
         exact=lambda nd, v, env, q: Fraction(nd[1]),
         mod=lambda nd, v, env, q: _const_mod(nd[1], q),
         vec=lambda nd, v, env, q: np.int64(_const_mod(nd[1], q)),
@@ -454,7 +453,7 @@ OPS: Dict[str, _Op] = {
     ),
     "add": _Op(
         children=lambda nd: nd[1:], remap=lambda nd, f: ("add", f(nd[1]), f(nd[2])),
-        degree=lambda nd, ds: max(ds),
+        degree=lambda key: max(key[1]._degree, key[2]._degree),
         exact=lambda nd, v, env, q: v[nd[1]] + v[nd[2]],
         mod=lambda nd, v, env, q: (v[nd[1]] + v[nd[2]]) % q,
         fields=("args",),
@@ -465,7 +464,7 @@ OPS: Dict[str, _Op] = {
     ),
     "mul": _Op(
         children=lambda nd: nd[1:], remap=lambda nd, f: ("mul", f(nd[1]), f(nd[2])),
-        degree=lambda nd, ds: sum(ds),
+        degree=lambda key: key[1]._degree + key[2]._degree,
         exact=lambda nd, v, env, q: v[nd[1]] * v[nd[2]],
         mod=lambda nd, v, env, q: v[nd[1]] * v[nd[2]] % q,
         fields=("args",),
@@ -476,7 +475,7 @@ OPS: Dict[str, _Op] = {
     ),
     "neg": _Op(
         children=lambda nd: nd[1:], remap=lambda nd, f: ("neg", f(nd[1])),
-        degree=lambda nd, ds: next(ds),
+        degree=lambda key: key[1]._degree,
         exact=lambda nd, v, env, q: -v[nd[1]],
         mod=lambda nd, v, env, q: -v[nd[1]] % q,
         fields=("arg",), encode=lambda nd, f: {"op": "neg", "arg": f(nd[1])},
@@ -486,7 +485,7 @@ OPS: Dict[str, _Op] = {
     ),
     "pow": _Op(
         children=lambda nd: nd[1:2], remap=lambda nd, f: ("pow", f(nd[1]), nd[2]),
-        degree=lambda nd, ds: nd[2] * next(ds),
+        degree=lambda key: key[2] * key[1]._degree,
         exact=lambda nd, v, env, q: v[nd[1]] ** nd[2],
         mod=lambda nd, v, env, q: pow(v[nd[1]], nd[2], q),
         vec=lambda nd, v, env, q: _vec_pow(v[nd[1]], nd[2], q),
@@ -499,7 +498,7 @@ OPS: Dict[str, _Op] = {
     ),
     "norm": _Op(
         children=lambda nd: nd[1], remap=lambda nd, f: ("norm", tuple(map(f, nd[1]))),
-        degree=lambda nd, ds: len(nd[1]) * max(ds),
+        degree=lambda key: len(key[1]) * max(c._degree for c in key[1]),
         exact=lambda nd, v, env, q: kernels.norm_value([v[j] for j in nd[1]]),
         mod=lambda nd, v, env, q: kernels.norm_mod([v[j] for j in nd[1]], q),
         vec=lambda nd, v, env, q: _vec_norm([v[j] for j in nd[1]], q),

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -228,6 +230,7 @@ def test_constructor_returns_the_canonical_circuit():
                        ("add", 2, 3), ("pow", 2, 3), ("norm", (4, 0, 5)))
     assert Circuit(f.nodes, f.root) is f
     assert Circuit(list(f.nodes), f.root) is f
+    assert copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
 
 
 def test_substitution_shares_the_replacement():

@@ -431,9 +431,11 @@ def norm_form(n: int) -> Circuit:
     return result
 
 
-def prenex_or(universal_part: Formula, existential_part: Formula) -> Formula:
+def prenex_or(universal_part: Formula, existential_part: Formula,
+              real_embedded: bool = False) -> Formula:
     """Merge "forall x: P(x) != 0" OR "exists z: Q(z) = 0" into the single
-    prenex formula forall x exists y exists z: (y P(x) - 1) Q(z) = 0.
+    prenex formula forall x exists y exists z: (y P(x) - 1) Q(z) = 0,
+    marked real_embedded as given.
 
     Valid because when some x makes P vanish no y can invert it, forcing
     Q to vanish for a suitable z; and otherwise y = 1/P(x) frees Q."""
@@ -460,7 +462,7 @@ def prenex_or(universal_part: Formula, existential_part: Formula) -> Formula:
     bound = {n for _, n in prefix}
     free = [n for n in dict.fromkeys(universal_part.free + existential_part.free)
             if n not in bound]
-    return Formula(prefix, ("eq", atom), free)
+    return Formula(prefix, ("eq", atom), free, real_embedded=real_embedded)
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +513,7 @@ def _premise_implies(conclusion, real_embedded: bool,
         [(EXISTS, nm) for nm in concl_vars],
         ("eq", combine(concl_atoms)), tuple(names) + tuple(u_names),
     )
-    out = prenex_or(universal, existential)
-    return Formula(out.prefix, out.matrix, out.free,
-                   real_embedded=real_embedded)
+    return prenex_or(universal, existential, real_embedded)
 
 
 class Target(NamedTuple):

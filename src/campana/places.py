@@ -7,6 +7,7 @@ Hensel-liftable solutions of z^2 = a x^2 + b y^2 over Z/p^m.
 """
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,14 @@ class Place:
             raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "prime", p)
 
+    @classmethod
+    def _proved(cls, p: Optional[int]) -> "Place":
+        """The place of p, where p is None or an int already proved prime
+        (by arith.place_prime, or as a factor from arith.factorize)."""
+        place = object.__new__(cls)
+        object.__setattr__(place, "prime", p)
+        return place
+
     @property
     def is_real(self) -> bool:
         return self.prime is None
@@ -56,16 +65,29 @@ def finite(p: int) -> Place:
     return Place(p)
 
 
+def _as_place(v) -> Place:
+    """v as a Place; a prime given as an int is proved once."""
+    return v if isinstance(v, Place) else Place._proved(arith.place_prime(v))
+
+
 class PlaceSet:
     """Finite set of places, canonically ordered: infinity first, then
-    primes ascending."""
+    primes ascending.  Immutable, so a memoized one can be shared."""
 
     __slots__ = ("_places",)
 
     def __init__(self, places: Iterable = ()):
-        seen = {v if isinstance(v, Place) else Place(arith.place_prime(v))
-                for v in places}
+        seen = {_as_place(v) for v in places}
         object.__setattr__(self, "_places", tuple(sorted(seen, key=Place._sort_key)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PlaceSet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("PlaceSet is immutable")
+
+    def __reduce__(self):
+        return PlaceSet, (self._places,)
 
     @classmethod
     def of_primes(cls, primes: Iterable[int]) -> "PlaceSet":
@@ -81,9 +103,7 @@ class PlaceSet:
         return len(self._places)
 
     def __contains__(self, v) -> bool:
-        if not isinstance(v, Place):
-            v = Place(arith.place_prime(v))
-        return v in self._places
+        return _as_place(v) in self._places
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PlaceSet):
@@ -200,8 +220,10 @@ def odd_support(lam: RationalLike) -> PlaceSet:
 
 
 def _odd_primes(*exponent_maps: Dict[int, int]) -> PlaceSet:
-    """Primes with an odd exponent in any of the maps."""
-    return PlaceSet.of_primes(p for f in exponent_maps for p, e in f.items() if e % 2)
+    """Primes with an odd exponent in any of the maps (from factorize, so
+    already proved)."""
+    return PlaceSet(Place._proved(p) for f in exponent_maps
+                    for p, e in f.items() if e % 2)
 
 
 def _exponent_maps(*values: Fraction) -> List[Dict[int, int]]:
@@ -217,7 +239,7 @@ def _exponent_maps(*values: Fraction) -> List[Dict[int, int]]:
 def _scan_places(fa: Dict[int, int], fb: Dict[int, int]) -> List[Place]:
     """Places where (a,b)_v can be -1, given the exponent maps of a and b:
     infinity, 2, and the supports."""
-    return [REAL_PLACE] + [Place(p) for p in {2} | fa.keys() | fb.keys()]
+    return [REAL_PLACE] + [Place._proved(p) for p in {2} | fa.keys() | fb.keys()]
 
 
 def _delta(a: Fraction, b: Fraction, fa: Dict[int, int], fb: Dict[int, int]) -> PlaceSet:
@@ -241,13 +263,32 @@ def delta_upper(a: RationalLike, b: RationalLike) -> PlaceSet:
     return _delta_upper(a, b, *_exponent_maps(a, b))
 
 
+#: How many (a, b, c, d) quadruples omega remembers; see omega.
+OMEGA_CACHE_SIZE = 64
+
+
 def omega(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) -> PlaceSet:
-    a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+    """delta_upper(a, b) & delta_upper(c, d): the primes that define the
+    radical set J of (a, b, c, d).
+
+    Memoized per quadruple: the OMEGA_CACHE_SIZE most recently used
+    quadruples (as Fractions, so 3 and Fraction(3) are one key) keep their
+    PlaceSet, which is immutable.  Errors are raised again on every call; hits and
+    misses are read with omega.cache_info()."""
+    return _omega(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+
+
+@functools.lru_cache(maxsize=OMEGA_CACHE_SIZE)
+def _omega(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> PlaceSet:
     fa, fb, fc, fd = _exponent_maps(a, b, c, d)
     first = _delta_upper(a, b, fa, fb)
     if (a, b) == (c, d):
         return first
     return first & _delta_upper(c, d, fc, fd)
+
+
+omega.cache_info = _omega.cache_info
+omega.cache_clear = _omega.cache_clear
 
 
 def reciprocity_check(a: RationalLike, b: RationalLike) -> bool:

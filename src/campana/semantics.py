@@ -6,6 +6,7 @@ generator of trace elements for the base conic.
 """
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from typing import Iterable, Tuple
@@ -16,10 +17,26 @@ from .errors import DegenerateSampler, InvariantError
 from .forms import BinaryForm
 
 
-def _coerce_prime_set(S) -> places.PlaceSet:
-    if isinstance(S, places.PlaceSet):
-        return S
-    return places.PlaceSet.of_primes(S)
+def _check_n(n) -> int:
+    """n as an int >= 1; a bool, a float or any other non-integer is
+    refused."""
+    if isinstance(n, bool):
+        raise ValueError(f"n must be an integer, not {n!r}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, not {n!r}") from None
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return n
+
+
+def _prime_set(S) -> frozenset:
+    """The primes of S, a PlaceSet or an iterable of primes (proved here),
+    so that factors from arith.factorize are looked up without a proof."""
+    if not isinstance(S, places.PlaceSet):
+        S = places.PlaceSet.of_primes(S)
+    return frozenset(S.primes())
 
 
 def in_J(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike,
@@ -32,8 +49,7 @@ def in_J(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike,
 def in_Jn(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike,
           n: int, r: RationalLike) -> bool:
     """r = 0, or v_p(r) >= n at every prime of omega(a,b,c,d)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_n(n)
     r = Fraction(r)
     if r == 0:
         return True
@@ -44,8 +60,7 @@ def in_inv_Jn(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike
               n: int, r: RationalLike) -> bool:
     """r is an inverse of a nonzero element of J_n: r != 0 and v_p(r) <= -n
     at every prime of omega(a,b,c,d)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_n(n)
     r = Fraction(r)
     if r == 0:
         return False
@@ -93,12 +108,11 @@ def disjoint_omegas(a, b, c, d, a2, b2, c2, d2) -> bool:
 def campana_member(S, n: int, r: RationalLike) -> bool:
     """r in C_{S,n}: r = 0, or v_p(r) >= 0 or <= -n at every prime outside S.
     Only denominator primes can violate this."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_n(n)
     r = Fraction(r)
     if r == 0:
         return True
-    S = _coerce_prime_set(S)
+    S = _prime_set(S)
     for p, e in arith.factorize(r).factors.items():
         if e < 0 and -n < e and p not in S:
             return False
@@ -110,7 +124,7 @@ def s_integer_member(S, r: RationalLike) -> bool:
     r = Fraction(r)
     if r == 0:
         return True
-    S = _coerce_prime_set(S)
+    S = _prime_set(S)
     return all(e > 0 or p in S for p, e in arith.factorize(r).factors.items())
 
 
@@ -136,12 +150,11 @@ def denominator_exponent(x0: RationalLike, x1: RationalLike, p: int) -> int:
 def campana_via_coordinates(x0: RationalLike, x1: RationalLike, S, n: int) -> bool:
     """Campana membership of x0/x1 read off projective coordinates: the
     reduced denominator exponent e must satisfy e^2 >= n*e outside S."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_n(n)
     x0, x1 = Fraction(x0), Fraction(x1)
     if x1 == 0:
         raise ValueError("x1 must be nonzero")
-    S = _coerce_prime_set(S)
+    S = _prime_set(S)
     # e > 0 only where v_p(x1) > v_p(x0), so the supports suffice
     support = set(arith.factorize(x1).factors)
     if x0 != 0:

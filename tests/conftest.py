@@ -1,5 +1,7 @@
 import pytest
 
+from campana import places
+
 #: Tests that take minutes on the pure-Python kernel backend; each still
 #: runs in a plain `pytest`, and `pytest -m "not slow"` leaves them out.
 SLOW = {"test_acceptance.py::test_criterion_7_combiner_soundness"}
@@ -9,3 +11,10 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if item.nodeid.split("/")[-1] in SLOW:
             item.add_marker(pytest.mark.slow)
+
+
+@pytest.fixture(autouse=True)
+def _empty_omega_memo():
+    """Each test starts with places.omega's memo empty, so a test that counts
+    the work omega does sees the same counts in any test order."""
+    places.omega.cache_clear()

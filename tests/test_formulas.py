@@ -136,6 +136,24 @@ def test_prenex_or_trivial_example():
     assert fm.evaluate_matrix(g, {"x": 5, y: Fraction(1, 5), "z": 7})
     assert fm.evaluate_matrix(g, {"x": 0, y: 3, "z": 1})
     assert not fm.evaluate_matrix(g, {"x": 0, y: 3, "z": 2})
+    assert not g.real_embedded
+    assert fm.prenex_or(uni, exi, real_embedded=True) == fm.Formula(
+        g.prefix, g.matrix, g.free, real_embedded=True)
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("build", [lambda real: fm.build_campana(3, real),
+                                   fm.build_integrality],
+                         ids=["campana", "integrality"])
+def test_premise_implication_makes_three_formulas(monkeypatch, build, real):
+    # the universal part, the existential part and their prenex merge; each
+    # Formula checks its whole prefix again
+    made = []
+    init = fm.Formula.__init__
+    monkeypatch.setattr(fm.Formula, "__init__",
+                        lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+    assert build(real).real_embedded == real
+    assert len(made) == 3
 
 
 def test_substitute_form_degree():

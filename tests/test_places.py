@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -200,6 +204,137 @@ def test_each_value_is_factorized_once_per_call(monkeypatch):
         seen.clear()
         call(*args)
         assert len(seen) == count, call.__name__
+
+
+def test_place_set_refuses_assignment():
+    s = places.omega(6, 35, 6, 35)
+    before = s.primes()
+    with pytest.raises(AttributeError):
+        s._places = ()
+    with pytest.raises(AttributeError):
+        del s._places
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    assert s.primes() == before
+    assert places.omega(6, 35, 6, 35).primes() == before
+    assert pickle.loads(pickle.dumps(s)) == s and copy.deepcopy(s) == s
+
+
+# a small pool, so that drawn quadruples repeat, with each integer drawn
+# both as an int and as a Fraction
+_memo_pool = [Fraction(v) for v in (-35, -10, -6, -1, 1, 2, 3, 5, 6, 15)] + [
+    Fraction(98, 3), Fraction(-1155, 8), Fraction(5, 12)]
+_memo_value = st.builds(lambda q, as_int: int(q) if as_int and q.denominator == 1 else q,
+                        st.sampled_from(_memo_pool), st.booleans())
+_memo_quadruple = st.tuples(_memo_value, _memo_value, _memo_value, _memo_value)
+
+
+@given(st.lists(_memo_quadruple, min_size=1, max_size=10))
+@settings(max_examples=60)
+def test_memoized_omega_equals_the_computation(quadruples):
+    def computed(q):
+        return places._omega.__wrapped__(*map(Fraction, q))
+
+    for q in quadruples + quadruples:
+        assert places.omega(*q) == computed(q)
+    # more distinct keys than the memo holds, so every drawn key is evicted
+    for k in range(places.OMEGA_CACHE_SIZE + 1):
+        places.omega(k + 1, -1, k + 1, -1)
+    assert places.omega.cache_info().currsize == places.OMEGA_CACHE_SIZE
+    for q in quadruples:
+        assert places.omega(*q) == computed(q)
+
+
+def test_equal_values_share_one_memo_entry():
+    places.omega(3, 5, 3, 5)
+    hits = places.omega.cache_info().hits
+    assert places.omega(Fraction(3), Fraction(10, 2), 3, 5.0) == PlaceSet([3, 5])
+    assert places.omega.cache_info().hits == hits + 1
+
+
+def test_omega_errors_are_not_memoized():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            places.omega(0, 1, 1, 1)
+        with pytest.raises(ValueError):
+            places.omega(1, 1, 1, float("nan"))
+
+
+def test_threads_sharing_the_omega_memo_get_the_computed_sets():
+    workers = 4
+    # more keys than the memo holds, so the threads also evict each other's
+    keys = [(k, -1, k, -1) for k in range(1, places.OMEGA_CACHE_SIZE + 40)]
+    start = threading.Barrier(workers)
+    errors = []
+
+    def work(order):
+        try:
+            start.wait(timeout=60)
+            for _ in range(3):
+                for q in order:
+                    if places.omega(*q) != places._omega.__wrapped__(*map(Fraction, q)):
+                        errors.append(q)
+        except Exception as exc:  # a thread cannot raise into the test
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(keys[::1 if i % 2 else -1],))
+                   for i in range(workers)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads) and not errors
+    assert places.omega.cache_info().currsize == places.OMEGA_CACHE_SIZE
+
+
+def _count_prime_proofs(monkeypatch):
+    """Count arith.is_prime calls made outside arith.factorize."""
+    counts = {"inside": 0, "outside": 0}
+    depth = [0]
+    is_prime, factorize = arith.is_prime, arith.factorize
+
+    def counted_is_prime(n):
+        counts["inside" if depth[0] else "outside"] += 1
+        return is_prime(n)
+
+    def counted_factorize(r):
+        depth[0] += 1
+        try:
+            return factorize(r)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(arith, "is_prime", counted_is_prime)
+    monkeypatch.setattr(arith, "factorize", counted_factorize)
+    return counts
+
+
+def test_primes_from_factorize_are_not_proved_again(monkeypatch):
+    counts = _count_prime_proofs(monkeypatch)
+    x, y = Fraction(-1155, 8), Fraction(98, 3)
+    places.omega(x, y, 6, -35)
+    places.delta(x, y)
+    places.delta_upper(x, y)
+    places.odd_support(x)
+    places.reciprocity_check(x, y)
+    assert counts["inside"] > 0
+    assert counts["outside"] == 0
+
+
+def test_a_prime_is_proved_once_per_membership_test(monkeypatch):
+    s = PlaceSet.of_primes([3, 5, 7])
+    counts = _count_prime_proofs(monkeypatch)
+    assert 5 in s
+    assert counts["outside"] == 1
+    assert 11 not in s
+    assert counts["outside"] == 2
+    with pytest.raises(ValueError):
+        4 in s  # noqa: B015
 
 
 @given(nonzero_small, nonzero_small)

@@ -268,21 +268,37 @@ def split_power(n: int, p: int) -> Tuple[int, int]:
     return v, n
 
 
+def prime(p) -> int:
+    """p as a proved prime: the one gate for every prime argument.
+
+    p must be an integer (an int, or any type with __index__; never a
+    float, a str or a Fraction, even one with an integral value) that is
+    prime.  Anything else raises ValueError.
+    """
+    try:
+        q = operator.index(p)
+    except TypeError:
+        raise ValueError(f"not a prime: {p!r}") from None
+    if not is_prime(q):
+        raise ValueError(f"{q} is not prime")
+    return q
+
+
 def valuation(r: RationalLike, p: int) -> int:
     """p-adic valuation of a nonzero rational; rejects r = 0."""
+    p = prime(p)
     num, den = num_den(r)
     if num == 0:
         raise ValueError("valuation of 0 is not an integer; use valuation_ext")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     return split_power(num, p)[0] - split_power(den, p)[0]
 
 
 def valuation_ext(r: RationalLike, p: int):
     """Like valuation, but with the +inf sentinel at r = 0."""
-    if num_den(r)[0] == 0:
-        return INF
-    return valuation(r, p)
+    if num_den(r)[0]:
+        return valuation(r, p)
+    prime(p)  # r = 0 needs no p, but a bad one is still refused
+    return INF
 
 
 def crt(congruences: Sequence[Tuple[int, int]]) -> int:
@@ -305,8 +321,9 @@ def crt(congruences: Sequence[Tuple[int, int]]) -> int:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+    p = prime(p)
+    if p == 2:
+        raise ValueError("2 is not an odd prime")
     a %= p
     if a == 0:
         return 0
@@ -316,11 +333,10 @@ def legendre(a: int, p: int) -> int:
 
 def unit_part(r: RationalLike, p: int) -> Fraction:
     """r / p**valuation(r, p); a p-adic unit."""
+    p = prime(p)
     num, den = num_den(r)
     if num == 0:
         raise ValueError("unit part of 0 is undefined")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     return Fraction(split_power(num, p)[1], split_power(den, p)[1])
 
 
@@ -328,19 +344,13 @@ def place_prime(v) -> Optional[int]:
     """The prime of a place-like argument, or None for the real place.
 
     v may be a places.Place (its prime was proved at construction), None or
-    "inf" for the real place, or an integer, which must be prime.
+    "inf" for the real place, or a prime, which goes through prime().
     """
     if v is None or isinstance(v, str) and v == "inf":
         return None
     if hasattr(v, "prime"):
         return v.prime
-    try:
-        p = operator.index(v)
-    except TypeError:
-        raise ValueError(f"not a place: {v!r}") from None
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return p
+    return prime(v)
 
 
 def is_square_local(a: RationalLike, v) -> bool:

@@ -45,7 +45,7 @@ def _parse_place(text: str):
     except ValueError:
         raise CliError(f"not a place: {text!r}")
     try:
-        return places.finite(p)
+        return places.Place(p)
     except ValueError as exc:
         raise CliError(str(exc))
 

@@ -116,11 +116,7 @@ def norm_int(w: Sequence[int]) -> int:
         if m.bit_length() > bits + 1:
             break
     residues = norm_mod_rows([w] * len(primes), primes)
-    x, m = 0, 1
-    for q, r in zip(primes, residues.tolist()):
-        t = (r - x) * pow(m, -1, q) % q
-        x += m * t
-        m *= q
+    x = arith.crt(list(zip(primes, residues.tolist())))
     if x > m // 2:
         x -= m
     return x

@@ -66,19 +66,11 @@ class ConstructionReport:
         }
 
 
-def _normalize_prime_set(S: Iterable[int]) -> Tuple[int, ...]:
-    out = sorted(set(int(p) for p in S))
-    for p in out:
-        if not arith.is_prime(p):
-            raise ValueError(f"{p} is not prime")
-    return tuple(out)
-
-
 def uniformizer_product(S: Iterable[int]) -> int:
     """The product of the primes of S: valuation exactly 1 at each p in S
     and no other prime factor, which keeps find_b's subset listing at
     2^(|S| + 1) products at most."""
-    primes = _normalize_prime_set(S)
+    primes = places.PlaceSet.of_primes(S).primes()
     if not primes:
         raise ValueError("S must be nonempty")
     a = math.prod(primes)
@@ -99,7 +91,7 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
     a = Fraction(a)
     if a == 0:
         raise ValueError("a must be nonzero")
-    primes = _normalize_prime_set(S)
+    primes = places.PlaceSet.of_primes(S).primes()
     if len(primes) % 2:
         raise ValueError("|S| must be even")
     for p in primes:
@@ -180,7 +172,7 @@ def construct_even(
 ) -> Tuple[Fraction, Fraction]:
     """(a,b) whose ramification set (and its odd-support refinement) is
     exactly S; requires |S| even."""
-    primes = _normalize_prime_set(S)
+    primes = places.PlaceSet.of_primes(S).primes()
     if len(primes) % 2:
         raise ValueError("|S| must be even")
     if not primes:
@@ -200,7 +192,7 @@ def construct_odd(
     valuation 1 on S and 2 at q with a nonsquare unit, and b ramifies
     exactly on S u {q}; then the ramification primes where a has odd
     valuation are exactly S."""
-    primes = _normalize_prime_set(S)
+    primes = places.PlaceSet.of_primes(S).primes()
     if len(primes) % 2 == 0:
         raise ValueError("|S| must be odd")
     blocked = set(primes) | set(avoid)
@@ -229,8 +221,8 @@ def construct_omega(
     are S plus one auxiliary each, so the intersection is exactly S.
     """
     cfg = config if config is not None else SearchConfig()
-    primes = _normalize_prime_set(S)
-    target = places.PlaceSet.of_primes(primes)
+    target = places.PlaceSet.of_primes(S)
+    primes = target.primes()
     aux: List[int] = []
     if len(primes) % 2 == 0:
         a, b = construct_even(primes, cfg)

@@ -8,7 +8,6 @@ Hensel-liftable solutions of z^2 = a x^2 + b y^2 over Z/p^m.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -26,20 +25,13 @@ class Place:
     prime: Optional[int]
 
     def __post_init__(self):
-        if self.prime is None:
-            return
-        try:
-            p = operator.index(self.prime)  # an int, never a float
-        except TypeError:
-            raise ValueError(f"not a prime: {self.prime!r}") from None
-        if not arith.is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "prime", p)
+        if self.prime is not None:
+            object.__setattr__(self, "prime", arith.prime(self.prime))
 
     @classmethod
     def _proved(cls, p: Optional[int]) -> "Place":
         """The place of p, where p is None or an int already proved prime
-        (by arith.place_prime, or as a factor from arith.factorize)."""
+        (by arith.prime, or as a factor from arith.factorize)."""
         place = object.__new__(cls)
         object.__setattr__(place, "prime", p)
         return place
@@ -59,10 +51,6 @@ class Place:
 
 
 REAL_PLACE = Place(None)
-
-
-def finite(p: int) -> Place:
-    return Place(p)
 
 
 def _as_place(v) -> Place:
@@ -91,7 +79,10 @@ class PlaceSet:
 
     @classmethod
     def of_primes(cls, primes: Iterable[int]) -> "PlaceSet":
-        return cls(Place(p) for p in primes)
+        """The places of an iterable of primes, each through arith.prime
+        (so None, or "inf", is refused rather than taken as the real
+        place)."""
+        return cls(Place._proved(arith.prime(p)) for p in primes)
 
     def primes(self) -> Tuple[int, ...]:
         return tuple(p.prime for p in self._places if not p.is_real)
@@ -172,16 +163,15 @@ def hilbert(a: RationalLike, b: RationalLike, v) -> int:
 
 
 def _cleared_at(a: RationalLike, b: RationalLike, p: int):
-    """(v, u) of a * den(a)^2 and of b * den(b)^2 at p, where p must be
-    prime; v is |v_p(a)| (resp. |v_p(b)|), as p divides only one of a
-    rational's numerator and denominator."""
+    """(p, (v, u) of a * den(a)^2, (v, u) of b * den(b)^2), with p through
+    arith.prime; v is |v_p(a)| (resp. |v_p(b)|), as p divides only one of
+    a rational's numerator and denominator."""
+    p = arith.prime(p)
     an, ad = arith.num_den(a)
     bn, bd = arith.num_den(b)
     if an == 0 or bn == 0:
         raise ValueError("a, b must be nonzero")
-    if not arith.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return arith.split_power(an * ad, p), arith.split_power(bn * bd, p)
+    return p, arith.split_power(an * ad, p), arith.split_power(bn * bd, p)
 
 
 def hilbert_oracle(a: RationalLike, b: RationalLike, p: int, precision: int) -> int:
@@ -193,7 +183,7 @@ def hilbert_oracle(a: RationalLike, b: RationalLike, p: int, precision: int) -> 
     at 2*(v_p(2) + max residual valuation) + 1, which is always <= precision
     given the stated precondition, and suffices for lifting.
     """
-    (va, ua), (vb, ub) = _cleared_at(a, b, p)
+    p, (va, ua), (vb, ub) = _cleared_at(a, b, p)
     # tight Hensel requirement: 2*(v_p(2) + max residual valuation) + 1
     min_precision = max(3, 2 * max(va, vb) + (3 if p == 2 else 1))
     if precision < min_precision:
@@ -208,7 +198,7 @@ def hilbert_oracle(a: RationalLike, b: RationalLike, p: int, precision: int) -> 
 
 
 def default_oracle_precision(a: RationalLike, b: RationalLike, p: int) -> int:
-    (va, _), (vb, _) = _cleared_at(a, b, p)
+    _, (va, _), (vb, _) = _cleared_at(a, b, p)
     return 2 * max(va, vb) + 3
 
 

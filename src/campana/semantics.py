@@ -51,9 +51,11 @@ def in_Jn(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike,
     """r = 0, or v_p(r) >= n at every prime of omega(a,b,c,d)."""
     n = _check_n(n)
     r = Fraction(r)
+    primes = places.omega(a, b, c, d).primes()
     if r == 0:
         return True
-    return all(arith.valuation(r, p) >= n for p in places.omega(a, b, c, d).primes())
+    # n >= 1, so v_p(r) >= n is read off the numerator alone
+    return all(arith.split_power(r.numerator, p)[0] >= n for p in primes)
 
 
 def in_inv_Jn(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike,
@@ -62,9 +64,11 @@ def in_inv_Jn(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike
     at every prime of omega(a,b,c,d)."""
     n = _check_n(n)
     r = Fraction(r)
+    primes = places.omega(a, b, c, d).primes()
     if r == 0:
         return False
-    return all(arith.valuation(r, p) <= -n for p in places.omega(a, b, c, d).primes())
+    # n >= 1, so v_p(r) <= -n is read off the denominator alone
+    return all(arith.split_power(r.denominator, p)[0] >= n for p in primes)
 
 
 def _sum_criterion(omega1: places.PlaceSet, omega2: places.PlaceSet,
@@ -109,10 +113,10 @@ def campana_member(S, n: int, r: RationalLike) -> bool:
     """r in C_{S,n}: r = 0, or v_p(r) >= 0 or <= -n at every prime outside S.
     Only denominator primes can violate this."""
     n = _check_n(n)
+    S = _prime_set(S)
     r = Fraction(r)
     if r == 0:
         return True
-    S = _prime_set(S)
     for p, e in arith.factorize(r).factors.items():
         if e < 0 and -n < e and p not in S:
             return False
@@ -121,10 +125,10 @@ def campana_member(S, n: int, r: RationalLike) -> bool:
 
 def s_integer_member(S, r: RationalLike) -> bool:
     """r is integral outside S: every denominator prime lies in S."""
+    S = _prime_set(S)
     r = Fraction(r)
     if r == 0:
         return True
-    S = _prime_set(S)
     return all(e > 0 or p in S for p, e in arith.factorize(r).factors.items())
 
 

@@ -114,6 +114,16 @@ def test_member_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("member", "campana", "0", "--n", "2", "--s", "4"),
+    ("member", "sintegers", "0", "--s", "4"),
+    ("member", "J", "0", "--abcd", "0,0,0,0"),
+], ids=["campana", "sintegers", "J"])
+def test_member_of_zero_still_checks_the_other_arguments(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
 FLAG_ERRORS = [
     (("emit", "S", "--n", "5"), "--n"),
     (("emit", "Jn", "--n", "3", "--real"), "--real"),

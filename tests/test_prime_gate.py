@@ -1,0 +1,85 @@
+"""Every public function that takes a prime p, a place v or a prime set S
+sends it through arith.prime, so anything but a prime int is a ValueError:
+never a truncation, a TypeError or a silent reading as the real place."""
+import inspect
+from fractions import Fraction
+
+import pytest
+
+from campana import arith, parametrize, places, semantics
+from campana.forms import X_FORM
+
+#: Not primes: non-integers with and without an integral value, a str, and
+#: integers that are not prime.  A p and an S also refuse None; a v takes
+#: None as the real place.
+NOT_PRIMES = (3.7, 7.0, "7", Fraction(7), 4, 1)
+
+#: name -> (kind of argument, call).  call(x) passes x as that argument, an
+#: S as a list, and is a valid call for x = 7 (an S of [7]).
+GATED = {
+    "arith.prime": ("p", lambda p: arith.prime(p)),
+    "arith.place_prime": ("v", lambda v: arith.place_prime(v)),
+    "arith.valuation": ("p", lambda p: arith.valuation(12, p)),
+    "arith.valuation_ext": ("p", lambda p: arith.valuation_ext(0, p)),
+    "arith.legendre": ("p", lambda p: arith.legendre(3, p)),
+    "arith.unit_part": ("p", lambda p: arith.unit_part(12, p)),
+    "arith.is_square_local": ("v", lambda v: arith.is_square_local(2, v)),
+    "places.Place": ("v", lambda v: places.Place(v)),
+    "places.PlaceSet.of_primes": ("S", lambda S: places.PlaceSet.of_primes(S)),
+    "places.hilbert": ("v", lambda v: places.hilbert(2, 3, v)),
+    "places.hilbert_oracle": ("p", lambda p: places.hilbert_oracle(2, 3, p, 5)),
+    "places.default_oracle_precision":
+        ("p", lambda p: places.default_oracle_precision(2, 3, p)),
+    "places.find_local_counterexample":
+        ("v", lambda v: places.find_local_counterexample(3, v)),
+    "semantics.campana_member": ("S", lambda S: semantics.campana_member(S, 2, 0)),
+    "semantics.s_integer_member": ("S", lambda S: semantics.s_integer_member(S, 0)),
+    "semantics.campana_member_form":
+        ("S", lambda S: semantics.campana_member_form(S, 2, X_FORM, 3)),
+    "semantics.denominator_exponent":
+        ("p", lambda p: semantics.denominator_exponent(1, 9, p)),
+    "semantics.campana_via_coordinates":
+        ("S", lambda S: semantics.campana_via_coordinates(1, 9, S, 2)),
+    "parametrize.uniformizer_product": ("S", lambda S: parametrize.uniformizer_product(S)),
+    "parametrize.find_b": ("S", lambda S: parametrize.find_b(3, [5, *S])),
+    "parametrize.construct_even": ("S", lambda S: parametrize.construct_even([5, *S])),
+    "parametrize.construct_odd": ("S", lambda S: parametrize.construct_odd(S)),
+    "parametrize.construct_omega": ("S", lambda S: parametrize.construct_omega(S)),
+}
+
+#: Documented to take a prime that is already proved.
+EXEMPT = {"arith.split_power", "places.local_data", "places.local_symbol"}
+
+
+def _argument(kind, x):
+    return [x] if kind == "S" else x
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
+def test_a_prime_passes_the_gate(name):
+    kind, call = GATED[name]
+    call(_argument(kind, 7))
+
+
+@pytest.mark.parametrize("name, bad", [
+    pytest.param(name, bad, id=f"{name}({bad!r})")
+    for name, (kind, _) in sorted(GATED.items())
+    for bad in NOT_PRIMES + (() if kind == "v" else (None,))
+])
+def test_anything_but_a_prime_is_a_value_error(name, bad):
+    kind, call = GATED[name]
+    with pytest.raises(ValueError):
+        call(_argument(kind, bad))
+
+
+def test_every_function_that_takes_a_prime_is_in_the_table():
+    found = set()
+    for module in (arith, places, semantics, parametrize):
+        prefix = module.__name__.rsplit(".", 1)[-1]
+        for name, fn in vars(module).items():
+            if (not name.startswith("_") and inspect.isfunction(fn)
+                    and fn.__module__ == module.__name__
+                    and {"p", "v", "S"} & set(inspect.signature(fn).parameters)):
+                found.add(f"{prefix}.{name}")
+    assert found - GATED.keys() - EXEMPT == set()
+    assert EXEMPT <= found

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from campana import places, semantics as sm
+from campana import arith, places, semantics as sm
 from campana.errors import DegenerateSampler, InvariantError
 from campana.forms import BinaryForm, X_FORM
 
@@ -80,6 +80,29 @@ def test_disjoint_omegas_invariant_raises(monkeypatch):
     monkeypatch.setattr(sm, "_sum_criterion", lambda *args: False)
     with pytest.raises(InvariantError):
         sm.disjoint_omegas(*OMEGA_2, *OMEGA_35)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sm.in_J(0, 1, 1, 1, 0),
+    lambda: sm.in_Jn(0, 1, 1, 1, 2, 0),
+    lambda: sm.in_inv_Jn(0, 1, 1, 1, 2, 0),
+    lambda: sm.campana_member([4], 2, 0),
+    lambda: sm.s_integer_member([4], 0),
+], ids=["in_J", "in_Jn", "in_inv_Jn", "campana_member", "s_integer_member"])
+def test_every_argument_is_checked_before_the_r_zero_shortcut(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_valuations_on_omega_primes_are_not_proved_again(monkeypatch):
+    places.omega(*OMEGA_35)  # the memo now holds {3, 5}
+    proofs = []
+    is_prime = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: proofs.append(n) or is_prime(n))
+    for r in (Fraction(225, 7), Fraction(7, 225), 2):
+        sm.in_Jn(*OMEGA_35, 2, r)
+        sm.in_inv_Jn(*OMEGA_35, 2, r)
+    assert proofs == []
 
 
 @pytest.mark.parametrize("n, message", [

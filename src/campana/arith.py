@@ -230,9 +230,6 @@ class Factorization:
             out *= Fraction(p) ** e
         return out
 
-    def support(self) -> List[int]:
-        return sorted(self.factors)
-
 
 def factorize(r: RationalLike) -> Factorization:
     """Exact factorization of a nonzero rational (denominator exponents < 0)."""

@@ -128,31 +128,35 @@ def _check_flags(args, what: str, takes: tuple):
             raise CliError(f"{what} needs --{flag}")
 
 
-# member kind -> the flags it takes
-_MEMBER_FLAGS = {"campana": ("n", "s"), "sintegers": ("s",), "J": ("abcd",),
-                 "Jn": ("abcd", "n"), "invJn": ("abcd", "n")}
+def _parse_abcd(text: str) -> List[Fraction]:
+    parts = text.replace(",", " ").split()
+    if len(parts) != 4:
+        raise CliError("--abcd needs exactly four rationals")
+    return [_parse_rational(p) for p in parts]
+
+
+# member kind -> (the flags it takes, its verdict on (args, r))
+_MEMBER = {
+    "campana": (("n", "s"), lambda args, r: semantics.campana_member(
+        _parse_prime_list(args.s or ""), args.n, r)),
+    "sintegers": (("s",), lambda args, r: semantics.s_integer_member(
+        _parse_prime_list(args.s or ""), r)),
+    "J": (("abcd",), lambda args, r: semantics.in_J(*_parse_abcd(args.abcd), r)),
+    "Jn": (("abcd", "n"), lambda args, r: semantics.in_Jn(
+        *_parse_abcd(args.abcd), args.n, r)),
+    "invJn": (("abcd", "n"), lambda args, r: semantics.in_inv_Jn(
+        *_parse_abcd(args.abcd), args.n, r)),
+}
+# member kind -> its flags, as README's member table lists them
+_MEMBER_FLAGS = {kind: flags for kind, (flags, _) in _MEMBER.items()}
 
 
 def cmd_member(args, cfg) -> int:
     r = _parse_rational(args.r)
-    kind = args.kind
-    _check_flags(args, kind, _MEMBER_FLAGS[kind])
+    takes, verdict_of = _MEMBER[args.kind]
+    _check_flags(args, args.kind, takes)
     try:
-        if kind == "campana":
-            verdict = semantics.campana_member(_parse_prime_list(args.s or ""), args.n, r)
-        elif kind == "sintegers":
-            verdict = semantics.s_integer_member(_parse_prime_list(args.s or ""), r)
-        else:
-            parts = args.abcd.replace(",", " ").split()
-            if len(parts) != 4:
-                raise CliError("--abcd needs exactly four rationals")
-            a, b, c, d = (_parse_rational(p) for p in parts)
-            if kind == "J":
-                verdict = semantics.in_J(a, b, c, d, r)
-            elif kind == "Jn":
-                verdict = semantics.in_Jn(a, b, c, d, args.n, r)
-            else:  # invJn
-                verdict = semantics.in_inv_Jn(a, b, c, d, args.n, r)
+        verdict = verdict_of(args, r)
     except ValueError as exc:
         raise CliError(str(exc))
     print("true" if verdict else "false")
@@ -216,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("member", help="semantic membership tests")
-    p.add_argument("kind", choices=list(_MEMBER_FLAGS))
+    p.add_argument("kind", choices=list(_MEMBER))
     p.add_argument("r", help="the rational to test")
     p.add_argument("--n", type=int)
     p.add_argument("--s", help="comma/space separated primes")

@@ -251,78 +251,69 @@ def _premise_block(a, b, c, d, a2, b2, c2, d2, r, gs):
 # public builders
 # ---------------------------------------------------------------------------
 
-def _check_names(*names: str):
-    if len(set(names)) != len(names):
-        raise ValueError(f"variable names must be distinct: {names}")
-    for n in names:
-        if n.startswith("x") and n[1:].isdigit():
-            raise ValueError(f"free name {n!r} collides with the gensym scheme")
+#: The builders' free names: the first tuple (a, b, c, d), the element r, and
+#: the second tuple (a2, b2, c2, d2) of the disjointness blocks.
+_ABR = ("a", "b", "r")
+_ABCDR = ("a", "b", "c", "d", "r")
+_EIGHT = ("a", "b", "c", "d", "a2", "b2", "c2", "d2")
 
 
 def _exists_formula(block, names: Sequence[str], start: int = 1) -> Formula:
     """exists (the block's witnesses): the conjunction of its atoms, free in
     names.  block(one circuit per name, Gensym) -> (witnesses, atoms)."""
-    _check_names(*names)
     bound, atoms = block(*(Circuit.var(n) for n in names), Gensym(start))
     matrix = ("and", tuple(("eq", c) for c in atoms)) if len(atoms) > 1 \
         else ("eq", atoms[0])
     return Formula([(EXISTS, n) for n in bound], matrix, tuple(names))
 
 
-def build_S(a_var: str = "a", b_var: str = "b", r_var: str = "r") -> Formula:
+def build_S() -> Formula:
     # the quaternion coordinates are x2, x3, x4
-    return _exists_formula(_s_block, (a_var, b_var, r_var), start=2)
+    return _exists_formula(_s_block, _ABR, start=2)
 
 
-def build_T(a_var: str = "a", b_var: str = "b", r_var: str = "r") -> Formula:
-    return _exists_formula(_t_block, (a_var, b_var, r_var))
+def build_T() -> Formula:
+    return _exists_formula(_t_block, _ABR)
 
 
-def build_T_unit(a_var: str = "a", b_var: str = "b", r_var: str = "r") -> Formula:
-    return _exists_formula(_t_unit_block, (a_var, b_var, r_var))
+def build_T_unit() -> Formula:
+    return _exists_formula(_t_unit_block, _ABR)
 
 
-def build_I(a_var: str = "a", b_var: str = "b", c_var: str = "c",
-            r_var: str = "r") -> Formula:
-    return _exists_formula(_i_block, (a_var, b_var, c_var, r_var))
+def build_I() -> Formula:
+    return _exists_formula(_i_block, ("a", "b", "c", "r"))
 
 
-def build_J(a_var: str = "a", b_var: str = "b", r_var: str = "r") -> Formula:
-    return _exists_formula(_j_block, (a_var, b_var, r_var))
+def build_J() -> Formula:
+    return _exists_formula(_j_block, _ABR)
 
 
-_ABCDR = ("a", "b", "c", "d", "r")
+def build_Jabcd() -> Formula:
+    return _exists_formula(_jabcd_block, _ABCDR)
 
 
-def build_Jabcd(names: Sequence[str] = _ABCDR) -> Formula:
-    return _exists_formula(_jabcd_block, names)
+def build_inv_J() -> Formula:
+    return _exists_formula(_inv_j_block, _ABCDR)
 
 
-def build_inv_J(names: Sequence[str] = _ABCDR) -> Formula:
-    return _exists_formula(_inv_j_block, names)
+def build_disjoint() -> Formula:
+    return _exists_formula(_disjoint_block, _EIGHT)
 
 
-_EIGHT = ("a", "b", "c", "d", "a2", "b2", "c2", "d2")
-
-
-def build_disjoint(names: Sequence[str] = _EIGHT) -> Formula:
-    return _exists_formula(_disjoint_block, names)
-
-
-def build_Jn(n: int, names: Sequence[str] = _ABCDR) -> Formula:
+def build_Jn(n: int) -> Formula:
     return _exists_formula(
-        lambda a, b, c, d, r, gs: _jn_block(a, b, c, d, n, r, gs), names)
+        lambda a, b, c, d, r, gs: _jn_block(a, b, c, d, n, r, gs), _ABCDR)
 
 
-def build_inv_Jn(n: int, names: Sequence[str] = _ABCDR) -> Formula:
+def build_inv_Jn(n: int) -> Formula:
     return _exists_formula(
-        lambda a, b, c, d, r, gs: _inv_jn_block(a, b, c, d, n, r, gs), names)
+        lambda a, b, c, d, r, gs: _inv_jn_block(a, b, c, d, n, r, gs), _ABCDR)
 
 
-def build_premise(names: Sequence[str] = _EIGHT + ("r",)) -> Formula:
+def build_premise() -> Formula:
     """The hypothesis block of the main formula: disjoint radicals and r
     inverting an element of the second radical."""
-    return _exists_formula(_premise_block, names)
+    return _exists_formula(_premise_block, _EIGHT + ("r",))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +460,7 @@ def prenex_or(universal_part: Formula, existential_part: Formula,
 # the headline formulas
 # ---------------------------------------------------------------------------
 
-def build_campana(n: int, real_embedded: bool = False,
-                  names: Sequence[str] = _ABCDR) -> Formula:
+def build_campana(n: int, real_embedded: bool = False) -> Formula:
     """The forall-exists definition of the Campana condition with modulus n,
     free in (a,b,c,d,r): for every second parameter tuple with disjoint
     radical set, if r inverts an element of its radical then r inverts an
@@ -479,26 +469,23 @@ def build_campana(n: int, real_embedded: bool = False,
         raise ValueError("n must be >= 2 (the n = 1 set is the whole field)")
     return _premise_implies(
         lambda a2, b2, c2, d2, r, gs: _inv_jn_block(a2, b2, c2, d2, n, r, gs),
-        real_embedded, names)
+        real_embedded)
 
 
-def build_integrality(real_embedded: bool = False,
-                      names: Sequence[str] = _ABCDR) -> Formula:
+def build_integrality(real_embedded: bool = False) -> Formula:
     """The forall-exists definition of integrality outside the radical set:
     whenever a second tuple has disjoint radical set and r inverts one of
     its radical elements, that radical must be trivial (contain 1)."""
     return _premise_implies(
         lambda a2, b2, c2, d2, r, gs: _jabcd_block(a2, b2, c2, d2,
                                                    Circuit.const(1), gs),
-        real_embedded, names)
+        real_embedded)
 
 
-def _premise_implies(conclusion, real_embedded: bool,
-                     names: Sequence[str]) -> Formula:
+def _premise_implies(conclusion, real_embedded: bool) -> Formula:
     """forall (a2,b2,c2,d2) and premise witnesses: premise -> conclusion,
     where conclusion(a2, b2, c2, d2, r, gs) is an existential block."""
-    _check_names(*names)
-    a, b, c, d, r = (Circuit.var(nm) for nm in names)
+    a, b, c, d, r = (Circuit.var(nm) for nm in _ABCDR)
     gs = Gensym()
     u_names = gs.take(4)  # the universally quantified second tuple
     a2, b2, c2, d2 = (Circuit.var(nm) for nm in u_names)
@@ -507,11 +494,11 @@ def _premise_implies(conclusion, real_embedded: bool,
     combine = combine_sos if real_embedded else combine_many
     universal = Formula(
         [(FORALL, nm) for nm in u_names + prem_vars],
-        ("neq", combine(prem_atoms)), tuple(names),
+        ("neq", combine(prem_atoms)), _ABCDR,
     )
     existential = Formula(
         [(EXISTS, nm) for nm in concl_vars],
-        ("eq", combine(concl_atoms)), tuple(names) + tuple(u_names),
+        ("eq", combine(concl_atoms)), _ABCDR + tuple(u_names),
     )
     return prenex_or(universal, existential, real_embedded)
 
@@ -554,18 +541,17 @@ TARGETS: Dict[str, Target] = {
 }
 
 
-def substitute_form(base: Formula, F: BinaryForm,
-                    r_var: str = "r", lam_var: str = "lam") -> Formula:
+def substitute_form(base: Formula, F: BinaryForm) -> Formula:
     """Replace the free variable r by F(lam, 1).  The degree bound is
     recorded as deg(F) times the base bound: the substitution composes the
     defining polynomial with F, and the composed bound is what matters even
     when the syntactic recomputation would come out lower."""
-    if r_var not in base.free:
-        raise ValueError(f"{r_var!r} is not free in the formula")
+    if "r" not in base.free:
+        raise ValueError("'r' is not free in the formula")
     used = set(base.free) | {n for _, n in base.prefix}
-    if lam_var in used - {r_var}:
-        raise ValueError(f"{lam_var!r} already occurs in the formula")
-    lam = Circuit.var(lam_var)
+    if "lam" in used - {"r"}:
+        raise ValueError("'lam' already occurs in the formula")
+    lam = Circuit.var("lam")
     coeffs = F.dehomogenized()
     replacement = None
     for power in sorted(coeffs):
@@ -576,10 +562,10 @@ def substitute_form(base: Formula, F: BinaryForm,
 
     def subst_matrix(m: MatrixNode) -> MatrixNode:
         if m[0] in ("eq", "neq"):
-            return (m[0], m[1].substitute(r_var, replacement))
+            return (m[0], m[1].substitute("r", replacement))
         return (m[0], tuple(subst_matrix(c) for c in m[1]))
 
-    free = tuple(lam_var if n == r_var else n for n in base.free)
+    free = tuple("lam" if n == "r" else n for n in base.free)
     base_bound = stats(base).degree_bound
     return Formula(base.prefix, subst_matrix(base.matrix), free,
                    degree_override=F.degree * base_bound,

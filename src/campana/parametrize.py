@@ -23,12 +23,12 @@ from .errors import InvariantError, SearchExhausted
 
 @dataclass
 class SearchConfig:
-    """Knobs for the bounded witness searches; `steps` counts candidates
-    examined and is mutated by find_b."""
+    """Knobs for the bounded witness searches.  `steps` is not one: it
+    counts the candidates find_b has examined."""
 
     candidate_cap: int = 100_000
     q_prime_bound: int = 100_000
-    steps: int = 0
+    steps: int = field(default=0, init=False)
 
     def tick(self):
         self.steps += 1
@@ -74,7 +74,7 @@ def uniformizer_product(S: Iterable[int]) -> int:
     if not primes:
         raise ValueError("S must be nonempty")
     a = math.prod(primes)
-    if any(arith.valuation(a, p) != 1 for p in primes):
+    if any(arith.split_power(a, p)[0] != 1 for p in primes):
         raise InvariantError(f"uniformizer product {a} is not squarefree on {primes}")
     return a
 
@@ -91,12 +91,13 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
     a = Fraction(a)
     if a == 0:
         raise ValueError("a must be nonzero")
-    primes = places.PlaceSet.of_primes(S).primes()
+    target_set = places.PlaceSet.of_primes(S)
+    primes = target_set.primes()
     if len(primes) % 2:
         raise ValueError("|S| must be even")
-    for p in primes:
-        if arith.is_square_local(a, p):
-            raise ValueError(f"a is a square in Q_{p}; no b can ramify there")
+    for v in target_set:
+        if arith.is_square_local(a, v):
+            raise ValueError(f"a is a square in Q_{v.prime}; no b can ramify there")
     if not primes:
         return Fraction(1)
 
@@ -157,7 +158,7 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
             if q != 1 and places.hilbert(a, b, q) != 1:
                 continue
             # independent re-verification over the full scan set
-            if places.delta(a, b) != places.PlaceSet.of_primes(primes):
+            if places.delta(a, b) != target_set:
                 raise InvariantError(
                     f"fast local check accepted b={b} but delta disagrees"
                 )
@@ -172,13 +173,13 @@ def construct_even(
 ) -> Tuple[Fraction, Fraction]:
     """(a,b) whose ramification set (and its odd-support refinement) is
     exactly S; requires |S| even."""
-    primes = places.PlaceSet.of_primes(S).primes()
-    if len(primes) % 2:
+    target = places.PlaceSet.of_primes(S)
+    if len(target) % 2:
         raise ValueError("|S| must be even")
-    if not primes:
+    if not target:
         return Fraction(1), Fraction(1)
-    a = Fraction(uniformizer_product(primes))
-    b = find_b(a, primes, config)
+    a = Fraction(uniformizer_product(target))
+    b = find_b(a, target, config)
     return a, b
 
 
@@ -192,23 +193,24 @@ def construct_odd(
     valuation 1 on S and 2 at q with a nonsquare unit, and b ramifies
     exactly on S u {q}; then the ramification primes where a has odd
     valuation are exactly S."""
-    primes = places.PlaceSet.of_primes(S).primes()
+    target = places.PlaceSet.of_primes(S)
+    primes = target.primes()
     if len(primes) % 2 == 0:
         raise ValueError("|S| must be odd")
     blocked = set(primes) | set(avoid)
-    a0 = uniformizer_product(primes)
+    a0 = uniformizer_product(target)
     # a0 is squarefree and > 1, so it is a nonsquare mod infinitely many q
     q = 3
     while q in blocked or arith.legendre(a0, q) != -1:
         q = arith.next_prime(q)
-    a = Fraction(a0 * q * q)
-    if (any(arith.valuation(a, p) != 1 for p in primes)
+    a = a0 * q * q
+    if (any(arith.split_power(a, p)[0] != 1 for p in primes)
             or arith.valuation(a, q) != 2 or arith.is_square_local(a, q)):
         raise InvariantError(
             f"a = {a} lacks valuation 1 on {primes} or a nonsquare "
             f"valuation-2 unit at the auxiliary prime {q}")
-    b = find_b(a, primes + (q,), config)
-    return a, b, q
+    b = find_b(a, target | places.PlaceSet.of_primes([q]), config)
+    return Fraction(a), b, q
 
 
 def construct_omega(
@@ -225,11 +227,11 @@ def construct_omega(
     primes = target.primes()
     aux: List[int] = []
     if len(primes) % 2 == 0:
-        a, b = construct_even(primes, cfg)
+        a, b = construct_even(target, cfg)
         c, d = a, b
     else:
-        a, b, q1 = construct_odd(primes, cfg)
-        c, d, q2 = construct_odd(primes, cfg, avoid=[q1])
+        a, b, q1 = construct_odd(target, cfg)
+        c, d, q2 = construct_odd(target, cfg, avoid=[q1])
         aux = [q1, q2]
     achieved = places.omega(a, b, c, d)
     return ConstructionReport(

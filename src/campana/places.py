@@ -81,7 +81,9 @@ class PlaceSet:
     def of_primes(cls, primes: Iterable[int]) -> "PlaceSet":
         """The places of an iterable of primes, each through arith.prime
         (so None, or "inf", is refused rather than taken as the real
-        place)."""
+        place); a PlaceSet gives its finite places, proved already."""
+        if isinstance(primes, PlaceSet):
+            return cls(v for v in primes if not v.is_real)
         return cls(Place._proved(arith.prime(p)) for p in primes)
 
     def primes(self) -> Tuple[int, ...]:
@@ -290,12 +292,15 @@ def reciprocity_check(a: RationalLike, b: RationalLike) -> bool:
     return prod == 1
 
 
-def find_local_counterexample(
-    a: RationalLike, v, cap: int = 10_000
-) -> Fraction:
+#: Candidates b = 1, -1, 2, -2, ... that find_local_counterexample tries
+#: before it gives up.
+COUNTEREXAMPLE_CAP = 10_000
+
+
+def find_local_counterexample(a: RationalLike, v) -> Fraction:
     """Given a nonsquare in Q_v, find b with (a,b)_v = -1 by bounded
     enumeration over small integers (existence is guaranteed, so hitting
-    the cap raises SearchExhausted)."""
+    COUNTEREXAMPLE_CAP raises SearchExhausted)."""
     a = Fraction(a)
     p = arith.place_prime(v)
     if arith.is_square_local(a, p):
@@ -304,10 +309,11 @@ def find_local_counterexample(
         return Fraction(-1)
     count = 0
     n = 1
-    while count < cap:
+    while count < COUNTEREXAMPLE_CAP:
         for b in (n, -n):
             count += 1
             if hilbert(a, b, p) == -1:
                 return Fraction(b)
         n += 1
-    raise SearchExhausted(f"no b with (a,b)_v = -1 found within {cap} candidates")
+    raise SearchExhausted(
+        f"no b with (a,b)_v = -1 found within {COUNTEREXAMPLE_CAP} candidates")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Tuple
 
 from . import arith, places
-from .arith import INF, RationalLike
+from .arith import RationalLike
 from .errors import DegenerateSampler, InvariantError
 from .forms import BinaryForm
 
@@ -29,14 +29,6 @@ def _check_n(n) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return n
-
-
-def _prime_set(S) -> frozenset:
-    """The primes of S, a PlaceSet or an iterable of primes (proved here),
-    so that factors from arith.factorize are looked up without a proof."""
-    if not isinstance(S, places.PlaceSet):
-        S = places.PlaceSet.of_primes(S)
-    return frozenset(S.primes())
 
 
 def in_J(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike,
@@ -113,7 +105,7 @@ def campana_member(S, n: int, r: RationalLike) -> bool:
     """r in C_{S,n}: r = 0, or v_p(r) >= 0 or <= -n at every prime outside S.
     Only denominator primes can violate this."""
     n = _check_n(n)
-    S = _prime_set(S)
+    S = places.PlaceSet.of_primes(S).primes()
     r = Fraction(r)
     if r == 0:
         return True
@@ -125,7 +117,7 @@ def campana_member(S, n: int, r: RationalLike) -> bool:
 
 def s_integer_member(S, r: RationalLike) -> bool:
     """r is integral outside S: every denominator prime lies in S."""
-    S = _prime_set(S)
+    S = places.PlaceSet.of_primes(S).primes()
     r = Fraction(r)
     if r == 0:
         return True
@@ -146,9 +138,7 @@ def denominator_exponent(x0: RationalLike, x1: RationalLike, p: int) -> int:
     x0, x1 = Fraction(x0), Fraction(x1)
     if x1 == 0:
         raise ValueError("x1 must be nonzero")
-    v1 = arith.valuation(x1, p)
-    v0 = arith.valuation_ext(x0, p)
-    return 0 if v0 is INF or v0 >= v1 else v1 - v0
+    return arith.split_power((x0 / x1).denominator, arith.prime(p))[0]
 
 
 def campana_via_coordinates(x0: RationalLike, x1: RationalLike, S, n: int) -> bool:
@@ -158,16 +148,14 @@ def campana_via_coordinates(x0: RationalLike, x1: RationalLike, S, n: int) -> bo
     x0, x1 = Fraction(x0), Fraction(x1)
     if x1 == 0:
         raise ValueError("x1 must be nonzero")
-    S = _prime_set(S)
-    # e > 0 only where v_p(x1) > v_p(x0), so the supports suffice
-    support = set(arith.factorize(x1).factors)
-    if x0 != 0:
-        support |= set(arith.factorize(x0).factors)
-    for p in support:
-        if p in S:
-            continue
-        e = denominator_exponent(x0, x1, p)
-        if e * e < n * e:
+    S = places.PlaceSet.of_primes(S).primes()
+    if x0 == 0:
+        return True  # every exponent is 0
+    # e = v_p(x1) - v_p(x0) where that is > 0, read off the factorizations
+    # of the two coordinates; for e > 0, e^2 < n e means e < n
+    f0, f1 = arith.factorize(x0).factors, arith.factorize(x1).factors
+    for p in f0.keys() | f1.keys():
+        if 0 < f1.get(p, 0) - f0.get(p, 0) < n and p not in S:
             return False
     return True
 

@@ -262,7 +262,8 @@ def test_threads_building_the_same_circuits_get_the_same_objects():
         try:
             for r in range(rounds):  # new names each round: every lookup misses
                 start.wait(timeout=60)
-                out.append(fm.build_J(f"p{r}", f"q{r}", f"s{r}").atoms())
+                a, b, s = (Circuit.var(f"{v}{r}") for v in "pqs")
+                out.append(fm._j_block(a, b, s, fm.Gensym())[1])
         except Exception as exc:  # a thread cannot raise into the test
             errors.append(exc)
 

@@ -62,13 +62,6 @@ def test_build_T_witness():
     assert fm.evaluate_matrix(f, env)
 
 
-def test_check_names_rejects_gensym_collisions():
-    with pytest.raises(ValueError):
-        fm.build_S(a_var="x3")
-    with pytest.raises(ValueError):
-        fm.build_J(a_var="t", b_var="t")
-
-
 def test_combine_pair_zero_set():
     x, y = Circuit.var("x"), Circuit.var("y")
     h = fm.combine_pair(x, y)

@@ -1,3 +1,4 @@
+import collections
 import random
 import time
 from fractions import Fraction
@@ -18,7 +19,7 @@ def test_uniformizer_product():
 
 
 def test_uniformizer_product_invariant_raises(monkeypatch):
-    monkeypatch.setattr(pz.arith, "valuation", lambda a, p: 2)
+    monkeypatch.setattr(pz.arith, "split_power", lambda n, p: (2, n))
     with pytest.raises(InvariantError):
         pz.uniformizer_product([3, 5])
 
@@ -123,6 +124,15 @@ def test_construct_omega_rejects_composites():
         pz.construct_omega([4])
     with pytest.raises(ValueError):
         pz.construct_omega([1])
+
+
+@pytest.mark.parametrize("S", [[3, 5, 7, 11], [3, 5, 7]], ids=["even", "odd"])
+def test_construct_omega_proves_each_prime_of_S_once(monkeypatch, S):
+    proofs = collections.Counter()
+    prime = arith.prime
+    monkeypatch.setattr(arith, "prime", lambda p: proofs.update([p]) or prime(p))
+    assert pz.construct_omega(S).success
+    assert {p: proofs[p] for p in S} == dict.fromkeys(S, 1)
 
 
 def test_construct_omega_random_sets_fast():

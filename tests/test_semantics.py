@@ -161,6 +161,18 @@ def test_denominator_exponent_examples():
         sm.denominator_exponent(1, 0, 2)
 
 
+def test_coordinates_prove_only_the_primes_of_S(monkeypatch):
+    proofs = []
+    prime = arith.prime
+    monkeypatch.setattr(arith, "prime", lambda p: proofs.append(p) or prime(p))
+    assert sm.denominator_exponent(1, 2**3 * 3**5 * 7, 3) == 5
+    assert proofs == [3]
+    proofs.clear()
+    # factorize proves 2, 3 and 7; only S's 5 is proved here
+    assert not sm.campana_via_coordinates(1, 2**3 * 3**5 * 7, [5], 2)
+    assert proofs == [5]
+
+
 def test_campana_via_coordinates_examples():
     assert sm.campana_via_coordinates(1, 8, [], 3)
     assert not sm.campana_via_coordinates(1, 4, [], 3)

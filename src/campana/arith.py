@@ -281,6 +281,20 @@ def prime(p) -> int:
     return q
 
 
+def check_n(n) -> int:
+    """n as an int >= 1: the gate for an exponent or a degree n.  A bool, a
+    float or any other non-integer is refused with ValueError."""
+    if isinstance(n, bool):
+        raise ValueError(f"n must be an integer, not {n!r}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, not {n!r}") from None
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return n
+
+
 def valuation(r: RationalLike, p: int) -> int:
     """p-adic valuation of a nonzero rational; rejects r = 0."""
     p = prime(p)

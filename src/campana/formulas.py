@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
+from . import arith
 from .circuits import Circuit, Layout, decode_nodes, intern_nodes, layout, render_all, to_json
 from .forms import BinaryForm
 
@@ -350,76 +351,33 @@ def combine_sos(fs: Sequence[Circuit]) -> Circuit:
     return acc
 
 
-class _MultiPoly:
-    """Minimal multivariate polynomial on exponent-tuple keys; only what
-    the norm-form determinant needs."""
-
-    def __init__(self, terms: Dict[tuple, int]):
-        self.terms = {e: c for e, c in terms.items() if c}
-
-    @staticmethod
-    def monomial(coef: int, var: int, nvars: int) -> "_MultiPoly":
-        e = [0] * nvars
-        e[var] = 1
-        return _MultiPoly({tuple(e): coef})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return _MultiPoly(out)
-
-    def __mul__(self, other):
-        out: Dict[tuple, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return _MultiPoly(out)
-
-    def __neg__(self):
-        return _MultiPoly({e: -c for e, c in self.terms.items()})
-
-
 def norm_form(n: int) -> Circuit:
-    """The expanded norm form of degree n in y1..yn: the determinant of the
-    multiplication-by-(sum y_j t^(j-1)) matrix in Z[t]/(t^n - 2).  Its only
-    rational zero is the origin."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return Circuit.var("y1")
-    # M[i][j] = y_(i-j+1) if i >= j else 2*y_(n+i-j+1), 0-indexed vars
-    def entry(i: int, j: int) -> _MultiPoly:
-        if i >= j:
-            return _MultiPoly.monomial(1, i - j, n)
-        return _MultiPoly.monomial(2, n + i - j, n)
+    """The norm form of degree n in y1..yn as an explicit circuit: the
+    determinant of the multiplication-by-(sum y_j t^(j-1)) matrix in
+    Z[t]/(t^n - 2), by cofactor expansion, with no opaque norm node.  Its
+    only rational zero is the origin.  n must be an int >= 1; anything else
+    raises ValueError."""
+    n = arith.check_n(n)
+    ys = [Circuit.var(f"y{i + 1}") for i in range(n)]
 
-    # subset DP over column sets: det of rows 0..|S|-1 against columns S
-    dets: Dict[frozenset, _MultiPoly] = {frozenset(): _MultiPoly({(0,) * n: 1})}
-    for size in range(1, n + 1):
-        nxt: Dict[frozenset, _MultiPoly] = {}
-        row = size - 1
-        for cols in combinations(range(n), size):
-            acc = _MultiPoly({})
-            for pos, j in enumerate(cols):
-                rest = frozenset(cols) - {j}
-                term = entry(row, j) * dets[rest]
-                acc = acc + (term if (row + pos) % 2 == 0 else -term)
-            nxt[frozenset(cols)] = acc
+    # M[i][j] = y_(i-j+1) if i >= j else 2*y_(n+i-j+1), 0-indexed vars, with
+    # the cofactor sign (-1)^parity on the entry: -y_k and -(2*y_k) are made
+    # once each, and no term needs a neg node of its own
+    def entry(i: int, j: int, parity: int) -> Circuit:
+        e = ys[i - j] if i >= j else 2 * ys[n + i - j]
+        return -e if parity % 2 else e
+
+    # subset DP over column sets: dets[cols] is the determinant of rows
+    # 0..len(cols)-1 against the columns cols, expanded along its last row
+    dets = {(j,): entry(0, j, 0) for j in range(n)}
+    for row in range(1, n):
+        nxt = {}
+        for cols in combinations(range(n), row + 1):
+            terms = [entry(row, j, row + pos) * dets[cols[:pos] + cols[pos + 1:]]
+                     for pos, j in enumerate(cols)]
+            nxt[cols] = sum(terms[1:], terms[0])
         dets = nxt
-    poly = dets[frozenset(range(n))]
-    variables = [Circuit.var(f"y{i+1}") for i in range(n)]
-    result = None
-    for e, c in sorted(poly.terms.items()):
-        term: Circuit = Circuit.const(c)
-        for i, k in enumerate(e):
-            if k == 1:
-                term = term * variables[i]
-            elif k > 1:
-                term = term * variables[i]**k
-        result = term if result is None else result + term
-    return result
+    return dets[tuple(range(n))]
 
 
 def prenex_or(universal_part: Formula, existential_part: Formula,

@@ -135,8 +135,6 @@ def _clear_denominators(values: Sequence[Fraction]) -> Tuple[List[int], int]:
 def norm_value(values: Sequence[Fraction]) -> Fraction:
     """Exact norm-form value at a rational point (homogeneous of degree n)."""
     w, lcm = _clear_denominators(values)
-    if len(w) == 1:
-        return Fraction(w[0], lcm)
     return Fraction(norm_int(w), lcm**len(w))
 
 

@@ -199,17 +199,20 @@ def construct_odd(
         raise ValueError("|S| must be odd")
     blocked = set(primes) | set(avoid)
     a0 = uniformizer_product(target)
-    # a0 is squarefree and > 1, so it is a nonsquare mod infinitely many q
+    # a0 is squarefree and > 1, so it is a nonsquare mod infinitely many q.
+    # next_prime has proved each q, so the search reads Euler's criterion
+    # and the checks below read q's place, with no second proof
     q = 3
-    while q in blocked or arith.legendre(a0, q) != -1:
+    while q in blocked or pow(a0, (q - 1) // 2, q) != q - 1:
         q = arith.next_prime(q)
+    aux = places.Place._proved(q)
     a = a0 * q * q
     if (any(arith.split_power(a, p)[0] != 1 for p in primes)
-            or arith.valuation(a, q) != 2 or arith.is_square_local(a, q)):
+            or arith.split_power(a, q)[0] != 2 or arith.is_square_local(a, aux)):
         raise InvariantError(
             f"a = {a} lacks valuation 1 on {primes} or a nonsquare "
             f"valuation-2 unit at the auxiliary prime {q}")
-    b = find_b(a, target | places.PlaceSet.of_primes([q]), config)
+    b = find_b(a, target | places.PlaceSet([aux]), config)
     return Fraction(a), b, q
 
 

@@ -6,7 +6,6 @@ generator of trace elements for the base conic.
 """
 from __future__ import annotations
 
-import operator
 import random
 from fractions import Fraction
 from typing import Iterable, Tuple
@@ -15,20 +14,6 @@ from . import arith, places
 from .arith import RationalLike
 from .errors import DegenerateSampler, InvariantError
 from .forms import BinaryForm
-
-
-def _check_n(n) -> int:
-    """n as an int >= 1; a bool, a float or any other non-integer is
-    refused."""
-    if isinstance(n, bool):
-        raise ValueError(f"n must be an integer, not {n!r}")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer, not {n!r}") from None
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return n
 
 
 def in_J(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike,
@@ -41,7 +26,7 @@ def in_J(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike,
 def in_Jn(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike,
           n: int, r: RationalLike) -> bool:
     """r = 0, or v_p(r) >= n at every prime of omega(a,b,c,d)."""
-    n = _check_n(n)
+    n = arith.check_n(n)
     r = Fraction(r)
     primes = places.omega(a, b, c, d).primes()
     if r == 0:
@@ -54,7 +39,7 @@ def in_inv_Jn(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike
               n: int, r: RationalLike) -> bool:
     """r is an inverse of a nonzero element of J_n: r != 0 and v_p(r) <= -n
     at every prime of omega(a,b,c,d)."""
-    n = _check_n(n)
+    n = arith.check_n(n)
     r = Fraction(r)
     primes = places.omega(a, b, c, d).primes()
     if r == 0:
@@ -104,7 +89,7 @@ def disjoint_omegas(a, b, c, d, a2, b2, c2, d2) -> bool:
 def campana_member(S, n: int, r: RationalLike) -> bool:
     """r in C_{S,n}: r = 0, or v_p(r) >= 0 or <= -n at every prime outside S.
     Only denominator primes can violate this."""
-    n = _check_n(n)
+    n = arith.check_n(n)
     S = places.PlaceSet.of_primes(S).primes()
     r = Fraction(r)
     if r == 0:
@@ -144,7 +129,7 @@ def denominator_exponent(x0: RationalLike, x1: RationalLike, p: int) -> int:
 def campana_via_coordinates(x0: RationalLike, x1: RationalLike, S, n: int) -> bool:
     """Campana membership of x0/x1 read off projective coordinates: the
     reduced denominator exponent e must satisfy e^2 >= n*e outside S."""
-    n = _check_n(n)
+    n = arith.check_n(n)
     x0, x1 = Fraction(x0), Fraction(x1)
     if x1 == 0:
         raise ValueError("x1 must be nonzero")

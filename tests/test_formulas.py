@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from campana import formulas as fm, kernels
 from campana.circuits import Circuit
@@ -114,6 +115,27 @@ def test_norm_form_matches_kernel():
             w = [rng.randint(-20, 20) for _ in range(n)]
             env = {f"y{i+1}": w[i] for i in range(n)}
             assert f.evaluate(env) == kernels.norm_int(w)
+
+
+def test_norm_form_matches_sympy_determinant():
+    assert fm.norm_form(1).nodes == (("var", "y1"),)
+    rng = random.Random(25)
+    for n in range(1, 7):
+        f = fm.norm_form(n)
+        assert f.degree() == n
+        # multiplication by sum y_j t^(j-1) in Q[t]/(t^n - 2)
+        ys = sympy.symbols(f"y1:{n + 1}")
+        det = sympy.Matrix(n, n, lambda i, j: ys[i - j] if i >= j else 2 * ys[n + i - j]).det()
+        for _ in range(5):
+            pt = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n)]
+            want = det.subs(dict(zip(ys, map(sympy.Rational, pt))))
+            assert f.evaluate({f"y{i + 1}": x for i, x in enumerate(pt)}) == want
+
+
+@pytest.mark.parametrize("n", [2.0, "3", None, True, False, 0, -1, Fraction(2)])
+def test_norm_form_refuses_a_non_integer_or_nonpositive_n(n):
+    with pytest.raises(ValueError, match="n must be"):
+        fm.norm_form(n)
 
 
 def test_prenex_or_trivial_example():

@@ -109,6 +109,9 @@ def test_norm_value_rational_and_homogeneous():
     lam = Fraction(7, 5)
     n = len(v)
     assert kernels.norm_value([lam * x for x in v]) == lam**n * kernels.norm_value(v)
+    # degree 1: the norm is the coordinate itself
+    assert kernels.norm_value([Fraction(-3, 4)]) == Fraction(-3, 4)
+    assert kernels.norm_value([lam * Fraction(-3, 4)]) == lam * Fraction(-3, 4)
 
 
 def test_norm_is_zero():

@@ -131,8 +131,11 @@ def test_construct_omega_proves_each_prime_of_S_once(monkeypatch, S):
     proofs = collections.Counter()
     prime = arith.prime
     monkeypatch.setattr(arith, "prime", lambda p: proofs.update([p]) or prime(p))
-    assert pz.construct_omega(S).success
+    report = pz.construct_omega(S)
+    assert report.success
     assert {p: proofs[p] for p in S} == dict.fromkeys(S, 1)
+    # next_prime has proved the auxiliary primes of an odd |S| already
+    assert all(proofs[q] <= 1 for q in report.auxiliary_primes)
 
 
 def test_construct_omega_random_sets_fast():

@@ -30,8 +30,8 @@ import re
 import threading
 import weakref
 from fractions import Fraction
-from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -69,7 +69,8 @@ class Circuit:
         if not nodes or root != len(nodes) - 1:
             raise ValueError("the root must be the last node")
         for i, nd in enumerate(nodes):
-            _check_node(i, nd)
+            if type(nd) is not tuple or _check_node(i, nd) != nd:
+                raise ValueError(_malformed(i, nd))
         circ = intern_nodes(nodes)[-1]
         if circ.nodes != nodes:
             raise ValueError(_not_canonical(nodes))
@@ -275,7 +276,7 @@ def _intern(key: tuple) -> Circuit:
     return circ
 
 
-def intern_nodes(nodes: Sequence[tuple], name: Optional[str] = None,
+def intern_nodes(nodes: Iterable[tuple], name: Optional[str] = None,
                  replacement: Optional[Circuit] = None) -> List[Circuit]:
     """One circuit per node of a node list whose children come first (not
     checked here), with the variable `name`, if given, replaced by
@@ -342,9 +343,9 @@ class _Op(NamedTuple):
     degree: Callable    # table key, whose children are circuits -> int
     exact: Callable     # Fraction
     mod: Callable       # int in [0, q)
-    fields: Tuple[str, ...]  # JSON fields besides "op"
-    encode: Callable    # (node, f) -> JSON node, where f(j) is child j's index
-    decode: Callable    # (own index, JSON node) -> node, or ValueError
+    arity: int          # the length of a node, op included
+    check: Callable     # (array node of that length, own index) -> node, or ValueError
+    fields: Tuple[str, ...]  # the keys besides "op" of an object node (older JSON)
     sexpr: Callable     # (node, t) -> str, where t(j) is the text of child j
     latex: Callable
     vec: Optional[Callable] = None
@@ -402,22 +403,20 @@ def _checked(x, ok: bool, what: str):
     return x
 
 
-def _indices(xs, i: int, arity: int = 0) -> Tuple[int, ...]:
-    """`arity` (or, for 0, at least one) child indices of node i."""
-    if type(xs) is list and (len(xs) == arity if arity else xs):
-        for x in xs:
-            if type(x) is not int or not 0 <= x < i:
-                break
-        else:
-            return tuple(xs)
-    raise ValueError(f"expected {arity or 'some'} child indices below {i}, not {xs!r}")
+def _indices(xs, i: int, start: int = 0) -> tuple:
+    """xs as a tuple; each of xs[start:] must be an int below i."""
+    for x in xs[start:]:
+        if type(x) is not int or not 0 <= x < i:
+            raise ValueError(f"expected child indices below {i}, not {xs[start:]!r}")
+    return tuple(xs)
 
 
 _RATIONAL = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")  # p/q with q >= 1
 
 
 def _value(x) -> ConstLike:
-    if type(x) is int:
+    """An int node's value: an int, a Fraction that is not one, or "p/q"."""
+    if type(x) is int or type(x) is Fraction and x.denominator != 1:
         return x
     _checked(x, type(x) is str and _RATIONAL.fullmatch(x) is not None,
              "an int value must be an int or a 'p/q' string")
@@ -431,9 +430,9 @@ OPS: Dict[str, _Op] = {
         exact=lambda nd, v, env, q: Fraction(_lookup(env, nd[1])),
         mod=lambda nd, v, env, q: _int_mod(_lookup(env, nd[1]), q),
         vec=lambda nd, v, env, q: _vec_var(_lookup(env, nd[1]), q),
-        fields=("name",), encode=lambda nd, f: {"op": "var", "name": nd[1]},
-        decode=lambda i, d: ("var", _checked(d["name"], type(d["name"]) is str,
-                                          "a var name must be a string")),
+        arity=2, fields=("name",),
+        check=lambda nd, i: ("var", _checked(nd[1], type(nd[1]) is str,
+                                             "a var name must be a string")),
         sexpr=lambda nd, t: f"(var {nd[1]})",
         latex=lambda nd, t: f"{nd[1][0]}_{{{nd[1][1:]}}}" if nd[1][1:].isdigit()
         else nd[1],
@@ -444,9 +443,7 @@ OPS: Dict[str, _Op] = {
         exact=lambda nd, v, env, q: Fraction(nd[1]),
         mod=lambda nd, v, env, q: _const_mod(nd[1], q),
         vec=lambda nd, v, env, q: np.int64(_const_mod(nd[1], q)),
-        fields=("value",), decode=lambda i, d: ("int", _value(d["value"])),
-        encode=lambda nd, f: {"op": "int", "value": nd[1] if isinstance(nd[1], int)
-                              else str(nd[1])},
+        arity=2, fields=("value",), check=lambda nd, i: ("int", _value(nd[1])),
         sexpr=lambda nd, t: f"(int {nd[1]})",
         latex=lambda nd, t: str(nd[1]) if isinstance(nd[1], int) else
         rf"\tfrac{{{nd[1].numerator}}}{{{nd[1].denominator}}}",
@@ -456,9 +453,7 @@ OPS: Dict[str, _Op] = {
         degree=lambda key: max(key[1]._degree, key[2]._degree),
         exact=lambda nd, v, env, q: v[nd[1]] + v[nd[2]],
         mod=lambda nd, v, env, q: (v[nd[1]] + v[nd[2]]) % q,
-        fields=("args",),
-        encode=lambda nd, f: {"op": "add", "args": [f(nd[1]), f(nd[2])]},
-        decode=lambda i, d: ("add", *_indices(d["args"], i, 2)),
+        arity=3, fields=("args",), check=lambda nd, i: _indices(nd, i, 1),
         sexpr=lambda nd, t: f"(add {t(nd[1])} {t(nd[2])})",
         latex=lambda nd, t: f"\\left({t(nd[1])} + {t(nd[2])}\\right)",
     ),
@@ -467,9 +462,7 @@ OPS: Dict[str, _Op] = {
         degree=lambda key: key[1]._degree + key[2]._degree,
         exact=lambda nd, v, env, q: v[nd[1]] * v[nd[2]],
         mod=lambda nd, v, env, q: v[nd[1]] * v[nd[2]] % q,
-        fields=("args",),
-        encode=lambda nd, f: {"op": "mul", "args": [f(nd[1]), f(nd[2])]},
-        decode=lambda i, d: ("mul", *_indices(d["args"], i, 2)),
+        arity=3, fields=("args",), check=lambda nd, i: _indices(nd, i, 1),
         sexpr=lambda nd, t: f"(mul {t(nd[1])} {t(nd[2])})",
         latex=lambda nd, t: f"{t(nd[1])} \\cdot {t(nd[2])}",
     ),
@@ -478,8 +471,7 @@ OPS: Dict[str, _Op] = {
         degree=lambda key: key[1]._degree,
         exact=lambda nd, v, env, q: -v[nd[1]],
         mod=lambda nd, v, env, q: -v[nd[1]] % q,
-        fields=("arg",), encode=lambda nd, f: {"op": "neg", "arg": f(nd[1])},
-        decode=lambda i, d: ("neg", *_indices([d["arg"]], i, 1)),
+        arity=2, fields=("arg",), check=lambda nd, i: _indices(nd, i, 1),
         sexpr=lambda nd, t: f"(neg {t(nd[1])})",
         latex=lambda nd, t: f"-{t(nd[1])}",
     ),
@@ -489,10 +481,9 @@ OPS: Dict[str, _Op] = {
         exact=lambda nd, v, env, q: v[nd[1]] ** nd[2],
         mod=lambda nd, v, env, q: pow(v[nd[1]], nd[2], q),
         vec=lambda nd, v, env, q: _vec_pow(v[nd[1]], nd[2], q),
-        fields=("arg", "k"),
-        encode=lambda nd, f: {"op": "pow", "arg": f(nd[1]), "k": nd[2]},
-        decode=lambda i, d: ("pow", *_indices([d["arg"]], i, 1), _checked(
-            d["k"], type(d["k"]) is int and d["k"] >= 1, "pow k must be an int >= 1")),
+        arity=3, fields=("arg", "k"),
+        check=lambda nd, i: (*_indices(nd[:2], i, 1), _checked(
+            nd[2], type(nd[2]) is int and nd[2] >= 1, "pow k must be an int >= 1")),
         sexpr=lambda nd, t: f"(pow {t(nd[1])} {nd[2]})",
         latex=lambda nd, t: f"\\left({t(nd[1])}\\right)^{{{nd[2]}}}",
     ),
@@ -502,9 +493,10 @@ OPS: Dict[str, _Op] = {
         exact=lambda nd, v, env, q: kernels.norm_value([v[j] for j in nd[1]]),
         mod=lambda nd, v, env, q: kernels.norm_mod([v[j] for j in nd[1]], q),
         vec=lambda nd, v, env, q: _vec_norm([v[j] for j in nd[1]], q),
-        fields=("args",),
-        encode=lambda nd, f: {"op": "norm", "args": list(map(f, nd[1]))},
-        decode=lambda i, d: ("norm", _indices(d["args"], i)),
+        arity=2, fields=("args",),
+        check=lambda nd, i: ("norm", _indices(_checked(
+            nd[1], type(nd[1]) in (list, tuple) and len(nd[1]) > 0,
+            "norm takes a nonempty list of child indices"), i)),
         sexpr=lambda nd, t: f"(norm {' '.join(map(t, nd[1]))})",
         latex=lambda nd, t: rf"\mathrm{{N}}_{{{len(nd[1])}}}\!\left("
         rf"{', '.join(map(t, nd[1]))}\right)",
@@ -517,8 +509,7 @@ _DEGREE = {op: row.degree for op, row in OPS.items()}
 _EXACT = {op: row.exact for op, row in OPS.items()}
 _MOD = {op: row.mod for op, row in OPS.items()}
 _VEC = {op: row.vec or row.mod for op, row in OPS.items()}
-_ENCODE = {op: row.encode for op, row in OPS.items()}
-_DECODE = {op: (1 + len(row.fields), row.decode) for op, row in OPS.items()}
+_CHECK = {op: (row.arity, row.check) for op, row in OPS.items()}
 _RENDER = {style: {op: getattr(row, style) for op, row in OPS.items()}
            for style in ("sexpr", "latex")}
 
@@ -527,46 +518,50 @@ _RENDER = {style: {op: getattr(row, style) for op, row in OPS.items()}
 # interchange: JSON nodes and text renderings
 # ---------------------------------------------------------------------------
 
-def to_json(lay: Layout) -> List[dict]:
-    """The JSON nodes of a layout, in its order."""
+def to_json(lay: Layout) -> List[tuple]:
+    """The array nodes of a layout, in its order: each node tuple, with the
+    layout's child indices and a rational constant written as "p/q"."""
     at = lay.index.__getitem__
-    return [_ENCODE[c._key[0]](c._key, at) for c in lay.order]
+    return [("int", str(c._key[1])) if type(c._key[1]) is Fraction
+            else _REMAP[c._key[0]](c._key, at) for c in lay.order]
 
 
-def _decode(i: int, d) -> tuple:
-    """Node i of a JSON node list; a malformed node raises ValueError."""
-    op = d.get("op") if type(d) is dict else None
-    how = _DECODE.get(op) if type(op) is str else None
+def _malformed(i: int, nd) -> str:
+    return f"node {i}: {nd!r} is not a known op and its fields"
+
+
+def _check_node(i: int, nd) -> tuple:
+    """Node i of a node list, an array node (a JSON array or a node tuple),
+    as a node tuple: ValueError unless its op is known, its length right,
+    each child index an int below i and each other field well formed."""
+    how = _CHECK.get(nd[0]) if type(nd) in (list, tuple) and nd and type(nd[0]) is str else None
+    if how is None or len(nd) != how[0]:
+        raise ValueError(_malformed(i, nd))
     try:
-        if how is None or len(d) != how[0]:
-            raise KeyError(op)
-        return how[1](i, d)  # KeyError if a field is missing
-    except KeyError:
-        raise ValueError(f"node {i}: {d!r} is not a known op and its fields") from None
+        return how[1](nd, i)
     except ValueError as exc:
         raise ValueError(f"node {i}: {exc}") from None
 
 
-def decode_nodes(raw) -> Tuple[tuple, ...]:
-    """Nodes from a JSON node list; every child must come before its parent.
-    A malformed node raises ValueError."""
+def _array(i: int, d: dict) -> list:
+    """The array form of an object node {"op": op, <the fields of OPS[op]>},
+    the JSON form before array nodes; ValueError on a missing or extra key."""
+    op = d.get("op")
+    row = OPS.get(op) if type(op) is str else None
+    if row is None or d.keys() != {"op", *row.fields}:
+        raise ValueError(_malformed(i, d))
+    values = [d[key] for key in row.fields]
+    if len(values) + 1 < row.arity and type(values[0]) is list:
+        values = values[0]  # add and mul: "args" holds both children
+    return [op, *values]
+
+
+def from_json(raw) -> Iterator[tuple]:
+    """The nodes of a JSON node list, each checked by check_node as it is
+    read; an object node is turned into its array first."""
     _checked(raw, type(raw) is list, "nodes must be a list")
-    return tuple([_decode(i, d) for i, d in enumerate(raw)])
-
-
-def _same(j):
-    return j
-
-
-def _check_node(i: int, nd) -> None:
-    """ValueError unless nd is a well-formed node at index i: one whose
-    JSON form decodes back to it."""
-    try:
-        back = _decode(i, _ENCODE[nd[0]](nd, _same))
-    except (LookupError, TypeError):
-        back = None
-    if type(nd) is not tuple or back != nd:
-        raise ValueError(f"node {i}: {nd!r} is not a known op and its fields")
+    for i, nd in enumerate(raw):
+        yield _check_node(i, _array(i, nd) if type(nd) is dict else nd)
 
 
 def _not_canonical(nodes: Sequence[tuple]) -> str:

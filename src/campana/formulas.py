@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import arith
-from .circuits import Circuit, Layout, decode_nodes, intern_nodes, layout, render_all, to_json
+from .circuits import Circuit, Layout, from_json, intern_nodes, layout, render_all, to_json
 from .forms import BinaryForm
 
 # matrix nodes: ("eq", Circuit) | ("neq", Circuit) | ("and", tuple) | ("or", tuple)
@@ -222,6 +222,7 @@ def _disjoint_block(a, b, c, d, a2, b2, c2, d2, gs):
 
 def _jn_block(a, b, c, d, n, r, gs):
     """r in J_n: r = x y^(n-1) with x, y in J."""
+    n = arith.check_n(n)
     if n < 2:
         raise ValueError("n must be >= 2 (n = 1 is the plain radical set)")
     nx, ny = gs.take(2)
@@ -423,6 +424,7 @@ def build_campana(n: int, real_embedded: bool = False) -> Formula:
     free in (a,b,c,d,r): for every second parameter tuple with disjoint
     radical set, if r inverts an element of its radical then r inverts an
     element of its n-th power."""
+    n = arith.check_n(n)
     if n < 2:
         raise ValueError("n must be >= 2 (the n = 1 set is the whole field)")
     return _premise_implies(
@@ -584,8 +586,9 @@ def _text(f: Formula, style: str) -> str:
 def emit(f: Formula, format: str = "json") -> bytes:
     """Serialize a formula.  json is canonical and round-trips through
     parse(): one node list holds each distinct subterm of all the atoms
-    once, in canonical order, and each atom names its root in it.  sexpr is
-    a lossless prefix rendering; latex is for human eyes."""
+    once, in canonical order, each node an array such as ["add", i, j] with
+    the indices of its children, and each atom names its root in it.  sexpr
+    is a lossless prefix rendering; latex is for human eyes."""
     if format == "json":
         lay = f.layout()
         doc = {
@@ -617,11 +620,12 @@ _OPTIONAL_KEYS = {"degree_override", "real_embedded"}
 
 
 def parse(data: Union[bytes, str]) -> Formula:
-    """Inverse of emit(..., 'json').  Any node list whose children come
-    first parses, also one that repeats nodes or holds nodes no atom
-    reaches, as documents written before the node list was shared do; each
-    atom is the canonical circuit all the same.  A malformed document
-    raises ValueError."""
+    """Inverse of emit(..., 'json'); each node is checked and interned as it
+    is read.  Any node list whose children come first parses, also one that
+    repeats nodes or holds nodes no atom reaches (documents written before
+    the node list was shared) or whose nodes are objects such as {"op":
+    "add", "args": [i, j]} (written before array nodes); each atom is the
+    canonical circuit all the same.  A malformed document raises ValueError."""
     try:
         return _parse_doc(json.loads(data))
     except RecursionError:
@@ -646,7 +650,7 @@ def _parse_doc(doc) -> Formula:
     real_embedded = doc.get("real_embedded", False)
     if type(real_embedded) is not bool:
         raise ValueError(f"real_embedded must be a bool, not {real_embedded!r}")
-    made = intern_nodes(decode_nodes(doc["nodes"]))
+    made = intern_nodes(from_json(doc["nodes"]))
     return Formula(prefix, _parse_matrix(doc["matrix"], made), free,
                    degree_override=override, real_embedded=real_embedded)
 

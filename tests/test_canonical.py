@@ -138,14 +138,10 @@ def test_the_json_node_list_holds_each_distinct_subterm_once(atom_trees):
     assert tuple(map(_from_json, doc["nodes"])) == expected_nodes(atom_trees)
 
 
-def _from_json(d):
-    if d["op"] in ("var", "int"):
-        return (d["op"], d.get("name", d.get("value")))
-    if d["op"] == "norm":
-        return ("norm", tuple(d["args"]))
-    if d["op"] in ("neg", "pow"):
-        return ("neg", d["arg"]) if d["op"] == "neg" else ("pow", d["arg"], d["k"])
-    return (d["op"], *d["args"])
+def _from_json(nd):
+    """The node tuple of an array node: the same fields, norm's children a
+    tuple."""
+    return ("norm", tuple(nd[1])) if nd[0] == "norm" else tuple(nd)
 
 
 def _written_out(tree, out):

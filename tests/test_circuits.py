@@ -217,6 +217,7 @@ def test_root_is_the_last_node():
     ((("var", "x"), ("var", "x"), ("add", 0, 1)), "node 1 repeats node 0"),
     ((("var", "y"), ("var", "x"), ("add", 1, 0)), "canonical order"),
     ((), "root"),
+    ((("var", "x"), ("norm", ())), "nonempty"),            # max() raised on no children
 ])
 def test_constructor_rejects_malformed_nodes(nodes, why):
     with pytest.raises(ValueError, match=why):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -136,6 +137,14 @@ def test_norm_form_matches_sympy_determinant():
 def test_norm_form_refuses_a_non_integer_or_nonpositive_n(n):
     with pytest.raises(ValueError, match="n must be"):
         fm.norm_form(n)
+
+
+@pytest.mark.parametrize("build", [fm.build_Jn, fm.build_inv_Jn, fm.build_campana])
+def test_jn_builders_refuse_a_non_integer_n(build):
+    for n in ("3", None, 2.0, True):
+        with pytest.raises(ValueError, match="n must be"):
+            build(n)
+    assert build(np.int64(3)) == build(3)
 
 
 def test_prenex_or_trivial_example():

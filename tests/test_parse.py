@@ -1,7 +1,9 @@
 """formulas.parse: validation of malformed documents, and emit/parse
 properties on random circuits."""
 import copy
+import hashlib
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,10 @@ def _doc(nodes, matrix=None, **top):
     return json.dumps(doc)
 
 
+# each malformed-node case is written twice: with array nodes, which emit
+# writes, and with object nodes, the older form that parse still reads
 X = {"op": "var", "name": "x"}
+XA = ["var", "x"]
 
 
 def _rejects(text):
@@ -28,34 +33,57 @@ def _rejects(text):
 
 
 def test_valid_document_parses():
-    f = fm.parse(_doc([X, {"op": "pow", "arg": 0, "k": 2},
+    f = fm.parse(_doc([XA, ["pow", 0, 2], ["int", "-3/4"], ["add", 1, 2]]))
+    assert f.atoms()[0] == Circuit.var("x")**2 + Fraction(-3, 4)
+    g = fm.parse(_doc([X, {"op": "pow", "arg": 0, "k": 2},
                        {"op": "int", "value": "-3/4"},
                        {"op": "add", "args": [1, 2]}]))
-    assert f.atoms()[0] == Circuit.var("x")**2 + Fraction(-3, 4)
+    assert g == f
 
 
 @pytest.mark.parametrize("k", [0, -1, True, 1.5, "2", None])
 def test_pow_exponent_must_be_a_positive_int(k):
+    _rejects(_doc([XA, ["pow", 0, k]]))
     _rejects(_doc([X, {"op": "pow", "arg": 0, "k": k}]))
 
 
 def test_child_index_out_of_range():
+    _rejects(_doc([XA, ["neg", 7]]))
     _rejects(_doc([X, {"op": "neg", "arg": 7}]))
 
 
 def test_negative_child_index():
+    _rejects(_doc([XA, ["add", 0, -1]]))
     _rejects(_doc([X, {"op": "add", "args": [0, -1]}]))
 
 
 def test_forward_reference():
+    _rejects(_doc([["neg", 1], XA]))
+    _rejects(_doc([XA, ["mul", 0, 1]]))  # its own index
+    _rejects(_doc([XA, ["norm", [1]]]))
     _rejects(_doc([{"op": "neg", "arg": 1}, X]))
     _rejects(_doc([X, {"op": "mul", "args": [0, 1]}]))  # its own index
 
 
 def test_child_index_must_be_an_int():
+    _rejects(_doc([XA, ["neg", 0.0]]))
+    _rejects(_doc([XA, ["neg", False]]))
+    _rejects(_doc([XA, ["norm", [0, "0"]]]))
+    _rejects(_doc([XA, ["norm", [True]]]))
     _rejects(_doc([X, {"op": "neg", "arg": 0.0}]))
     _rejects(_doc([X, {"op": "neg", "arg": False}]))
     _rejects(_doc([X, {"op": "norm", "args": [0, "0"]}]))
+
+
+OBJECT_J = pathlib.Path(__file__).resolve().parent / "data" / "J_object_nodes.json"
+
+
+def test_a_stored_object_form_document_parses_to_the_same_formula():
+    # emit(build_J(), "json") as written before array nodes, one object per node
+    blob = OBJECT_J.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "28919098512630f367ecdb5a8a5d5f5e050f34dd8cae3cdf9452c6ae4f1b25e6")
+    assert fm.parse(blob) == fm.build_J()
 
 
 def test_missing_prefix():
@@ -87,9 +115,14 @@ def test_document_must_be_an_object():
 
 
 def test_unknown_op():
+    _rejects(_doc([XA, ["sub", 0, 0]]))
+    _rejects(_doc([["x"]]))
+    _rejects(_doc([[0, "x"]]))
+    _rejects(_doc([XA, [["add"], 0, 0]]))
     _rejects(_doc([X, {"op": "sub", "args": [0, 0]}]))
     _rejects(_doc([{"name": "x"}]))
-    _rejects(_doc([["var", "x"]]))
+    _rejects(_doc([["var"]]))
+    _rejects(_doc([["var", "x", 1]]))
 
 
 @pytest.mark.parametrize("node", [{"op": "add", "args": [0]},
@@ -97,19 +130,24 @@ def test_unknown_op():
                                   {"op": "add", "args": 0},
                                   {"op": "norm", "args": []},
                                   {"op": "neg", "args": [0]},
-                                  {"op": "neg", "arg": 0, "k": 2}])
+                                  {"op": "neg", "arg": 0, "k": 2},
+                                  ["add", 0], ["mul", 0, 0, 0], ["add", [0, 0]],
+                                  ["norm", []], ["norm", 0], ["norm"], ["neg", [0]],
+                                  ["neg", 0, 2], ["pow", 0], [], "var", 0, None])
 def test_wrong_arity_or_fields(node):
     _rejects(_doc([X, node]))
 
 
 @pytest.mark.parametrize("name", [1, None, ["x"]])
 def test_var_name_must_be_a_string(name):
+    _rejects(_doc([["var", name]]))
     _rejects(_doc([{"op": "var", "name": name}]))
 
 
 @pytest.mark.parametrize("value", [1.5, "1.5", "abc", "1/0", "3", True, None,
                                    "1/-2", [1]])
 def test_int_value_must_be_an_int_or_a_fraction(value):
+    _rejects(_doc([["int", value]], free=[]))
     _rejects(_doc([{"op": "int", "value": value}], free=[]))
 
 

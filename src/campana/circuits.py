@@ -25,6 +25,7 @@ Everything that depends on a node's op lives in one table, OPS.
 """
 from __future__ import annotations
 
+import numbers
 import operator
 import re
 import threading
@@ -192,9 +193,13 @@ class Circuit:
         return self._names
 
     def evaluate(self, env: Mapping[str, ConstLike]) -> Fraction:
-        """Exact evaluation; norm nodes go through the exact resultant
-        evaluator."""
-        return self._fold(_EXACT, env)
+        """Exact evaluation at a rational point, as a Fraction.  A value is
+        an int (bool and numpy integers included) or a Fraction, anything
+        numbers.Rational accepts; anything else, a float or a string among
+        them, raises ValueError.  The fold works on Python ints until a
+        rational value or constant meets it, and makes one Fraction at the
+        root; norm nodes go through the exact resultant evaluator."""
+        return Fraction(self._fold(_EXACT, env))
 
     def evaluate_mod(self, env: Mapping[str, int], q: int) -> int:
         """Evaluation in Z/q at integer values, 2 <= q < 2^31 (ValueError otherwise);
@@ -204,8 +209,10 @@ class Circuit:
     def evaluate_vec(self, env: Mapping[str, "object"], q: int):
         """Vectorized mod-q evaluation over numpy int64 arrays, 2 <= q < 2^31
         so that products stay exact; a variable may also be given as Python
-        ints of any size; a non-integer value raises ValueError.  The points
-        of a norm node go to the kernel as rows of one call."""
+        ints of any size; a non-integer value raises ValueError.  Every
+        node's values are reduced, in [0, q), so a product of two of them is
+        at most (q-1)^2 < 2^63.  The points of a norm node go to the kernel
+        as rows of one call."""
         return self._fold(_VEC, env, _modulus(q))
 
     def __eq__(self, other):
@@ -341,7 +348,7 @@ class _Op(NamedTuple):
     children: Callable  # node -> child fields
     remap: Callable     # (node, f) -> the node with each child j moved to f(j)
     degree: Callable    # table key, whose children are circuits -> int
-    exact: Callable     # Fraction
+    exact: Callable     # int or Fraction
     mod: Callable       # int in [0, q)
     arity: int          # the length of a node, op included
     check: Callable     # (array node of that length, own index) -> node, or ValueError
@@ -355,6 +362,15 @@ def _lookup(env, name):
     if name not in env:
         raise ValueError(f"unbound variable {name!r}")
     return env[name]
+
+
+def _exact_var(x) -> ConstLike:
+    # an int, bool or numpy integer as a Python int, which cannot wrap around;
+    # a float, a string or anything else not rational is refused, never converted
+    if isinstance(x, numbers.Integral):
+        return operator.index(x)
+    _checked(x, isinstance(x, numbers.Rational), "evaluate takes rational values")
+    return Fraction(x)
 
 
 def _int_mod(x, q: int) -> int:
@@ -382,12 +398,15 @@ def _vec_var(values, q: int):
 
 
 def _vec_pow(base, k: int, q: int):
-    acc, out = base % q, np.ones_like(base)
-    while k:
-        if k & 1:
-            out = out * acc % q
-        acc = acc * acc % q
-        k >>= 1
+    """base**k mod q by left-to-right square-and-multiply.  base is reduced,
+    as every vec rule returns its values in [0, q), so each product is at
+    most (q-1)^2 < 2^63 and exact in int64; a square is one product and one
+    reduction."""
+    out = base
+    for bit in bin(k)[3:]:
+        out = out * out % q
+        if bit == "1":
+            out = out * base % q
     return out
 
 
@@ -427,7 +446,7 @@ OPS: Dict[str, _Op] = {
     "var": _Op(
         children=lambda nd: (), remap=lambda nd, f: nd,
         degree=lambda key: 1,
-        exact=lambda nd, v, env, q: Fraction(_lookup(env, nd[1])),
+        exact=lambda nd, v, env, q: _exact_var(_lookup(env, nd[1])),
         mod=lambda nd, v, env, q: _int_mod(_lookup(env, nd[1]), q),
         vec=lambda nd, v, env, q: _vec_var(_lookup(env, nd[1]), q),
         arity=2, fields=("name",),
@@ -440,7 +459,7 @@ OPS: Dict[str, _Op] = {
     "int": _Op(
         children=lambda nd: (), remap=lambda nd, f: nd,
         degree=lambda key: 0,
-        exact=lambda nd, v, env, q: Fraction(nd[1]),
+        exact=lambda nd, v, env, q: nd[1],
         mod=lambda nd, v, env, q: _const_mod(nd[1], q),
         vec=lambda nd, v, env, q: np.int64(_const_mod(nd[1], q)),
         arity=2, fields=("value",), check=lambda nd, i: ("int", _value(nd[1])),

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from campana import kernels
 from campana.circuits import Circuit
 
 
@@ -297,3 +299,114 @@ def test_the_table_forgets_circuits_nothing_refers_to():
     g = Circuit.var("another name no other test uses") + 1
     assert grown > 3000 and len(circuits._TABLE) <= before + 3
     assert g.nodes == (("var", "another name no other test uses"), ("int", 1), ("add", 0, 1))
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, float("nan"), "1/3", "3", None, 1 + 2j,
+                                   "np.float64"])
+def test_exact_evaluation_refuses_what_is_not_a_rational_number(value):
+    import numpy as np
+
+    # 0.1 gave 1311054956780043977645102203886633/1298074214633706907132624082305024
+    # and "1/3" gave 10/9; None and 1+2j raised TypeError
+    value = np.float64(2.0) if value == "np.float64" else value
+    with pytest.raises(ValueError):
+        (Circuit.var("x") * Circuit.var("x") + 1).evaluate({"x": value})
+
+
+def test_exact_evaluation_returns_a_fraction():
+    import numpy as np
+
+    x, y = Circuit.var("x"), Circuit.var("y")
+    f = x**3 - 5 * x * y + 1
+    g = Circuit.const(Fraction(2, 3)) * x + y
+    h = Circuit.norm([x, y + 1, x * y]) + x
+    for circ, env, want in [
+        (f, {"x": 2, "y": -1}, 19),
+        (Circuit.const(7), {}, 7),
+        (g, {"x": 3, "y": 1}, 3),
+        (g, {"x": 1, "y": 1}, Fraction(5, 3)),
+        (f, {"x": Fraction(1, 2), "y": 1}, Fraction(-11, 8)),
+        (h, {"x": 2, "y": 0}, h.evaluate({"x": Fraction(2), "y": Fraction(0)})),
+    ]:
+        got = circ.evaluate(env)
+        assert type(got) is Fraction and got == want
+    # numpy integers and bools give the values the ints give, at any size
+    # (x = np.int64(2**62) gave 2**62 + 1: x**3 wrapped around in int64)
+    assert f.evaluate({"x": np.int64(2**62), "y": np.int32(3)}) == \
+        f.evaluate({"x": 2**62, "y": 3}) == 2**186 - 15 * 2**62 + 1
+    assert h.evaluate({"x": np.uint8(2), "y": np.int64(0)}) == h.evaluate({"x": 2, "y": 0})
+    assert type(f.evaluate({"x": True, "y": False})) is Fraction
+    assert f.evaluate({"x": True, "y": False}) == f.evaluate({"x": 1, "y": 0}) == 2
+
+
+
+@st.composite
+def _folds_agree_case(draw):
+    """A modulus, points, and random circuits over add, mul, neg, pow and
+    norm, each with its value at the first point, folded in Fractions as
+    the circuit is built."""
+    q = draw(st.sampled_from([2, 3, 101, 2**31 - 1]))
+
+    def value(exact: bool):
+        # negative values, values congruent to q - 1, and big ones
+        if exact and draw(st.booleans()):
+            return draw(st.integers(-3, 3))
+        return draw(st.one_of(st.integers(-10**6, 10**6),
+                              st.integers(-3, 3).map(lambda m: m * q - 1),
+                              st.integers(-2**70, 2**70)))
+
+    points = [{nm: value(i == 0) for nm in "xyz"} for i in range(draw(st.integers(1, 5)))]
+    # u is -1, 0 or 1 at the first point, so that u**k stays small for k near 2^20
+    for i, pt in enumerate(points):
+        pt["u"] = draw(st.integers(-1, 1)) if i == 0 else value(False)
+    den = st.integers(1, 60).filter(lambda d: d % q != 0)
+    const = st.one_of(st.integers(-50, 50), st.builds(Fraction, st.integers(-50, 50), den))
+    c, k, big = draw(const), draw(st.integers(1, 40)), draw(st.integers(2**20 - 2, 2**20 + 2))
+    pool = [(Circuit.var(nm), Fraction(points[0][nm])) for nm in "xyzu"]
+    pool += [(Circuit.var("u") ** big, Fraction(points[0]["u"]) ** big),
+             (Circuit.const(c) ** k, Fraction(c) ** k)]
+
+    def small(v: Fraction) -> bool:
+        return max(abs(v.numerator), v.denominator).bit_length() <= 256
+
+    node = st.integers(0, 10**6).map(lambda i: pool[i % len(pool)])
+    for _ in range(draw(st.integers(1, 8))):
+        (a, va), (b, vb) = draw(node), draw(node)
+        op = draw(st.sampled_from(["add", "mul", "neg", "pow", "const", "norm"]))
+        if op == "add":
+            pool.append((a + b, va + vb))
+        elif op == "mul" and small(va) and small(vb):
+            pool.append((a * b, va * vb))
+        elif op == "pow" and small(va):
+            e = draw(st.integers(1, 40))
+            pool.append((a**e, va**e))
+        elif op == "const":
+            d = draw(const)
+            pool.append((a + d, va + d))
+        elif op == "norm":
+            kids = [draw(node) for _ in range(draw(st.integers(1, 4)))]
+            if all(small(v) for _, v in kids):
+                pool.append((Circuit.norm([kid for kid, _ in kids]),
+                             kernels.norm_value([v for _, v in kids])))
+        else:
+            pool.append((-a, -va))
+    return q, points, pool
+
+
+@settings(max_examples=200, deadline=None)
+@given(_folds_agree_case())
+def test_exact_mod_and_vec_folds_agree(case):
+    import numpy as np
+
+    q, points, pool = case
+    cols = {nm: [pt[nm] for pt in points] for nm in points[0]}
+    for circ, ref in pool:
+        got = circ.evaluate(points[0])
+        assert type(got) is Fraction and got == ref
+        want = [circ.evaluate_mod(pt, q) for pt in points]
+        assert want[0] == ref.numerator * pow(ref.denominator, -1, q) % q
+        # scalar env values, Python ints or numpy scalars, give 0-d results
+        for scalars in (points[0], {nm: np.int64(v % q) for nm, v in points[0].items()}):
+            assert int(circ.evaluate_vec(scalars, q)) == want[0]
+        vec = circ.evaluate_vec(cols, q)
+        assert np.broadcast_to(vec, (len(points),)).tolist() == want

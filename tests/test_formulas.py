@@ -52,6 +52,10 @@ def test_build_S_prefix_and_witness():
     assert fm.evaluate_matrix(f, env)
     env["r"] = 3
     assert not fm.evaluate_matrix(f, env)
+    # exact values only: a float that happens to be whole is still refused
+    assert fm.evaluate_matrix(f, {**env, "r": np.int64(2), "a": Fraction(1, 3)})
+    with pytest.raises(ValueError):
+        fm.evaluate_matrix(f, {**env, "r": 2.0})
 
 
 def test_build_T_witness():

@@ -1,7 +1,7 @@
 """Campana sets over Q: Hilbert symbols, radical place sets, constructive
 parametrization, and compilation of the defining forall-exists formulas."""
 
-from .arith import crt, factorize, is_prime, legendre, valuation, valuation_ext
+from .arith import crt, factorize, is_prime, legendre, valuation
 from .circuits import Circuit
 from .errors import DegenerateSampler, SearchExhausted
 from .forms import BinaryForm

@@ -25,45 +25,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
-class _PlusInfinity:
-    """Sentinel for the valuation of zero: larger than every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __ge__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return not isinstance(other, _PlusInfinity)
-
-    def __le__(self, other):
-        return isinstance(other, _PlusInfinity)
-
-    def __lt__(self, other):
-        return False
-
-    def __eq__(self, other):
-        return isinstance(other, _PlusInfinity)
-
-    def __hash__(self):
-        return hash("campana-plus-infinity")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "+inf"
-
-
-INF = _PlusInfinity()
-
 _small_primes_cache: List[int] = []
 
 
@@ -224,12 +185,6 @@ class Factorization:
     sign: int
     factors: Dict[int, int] = field(default_factory=dict)
 
-    def value(self) -> Fraction:
-        out = Fraction(self.sign)
-        for p, e in self.factors.items():
-            out *= Fraction(p) ** e
-        return out
-
 
 def factorize(r: RationalLike) -> Factorization:
     """Exact factorization of a nonzero rational (denominator exponents < 0)."""
@@ -300,16 +255,8 @@ def valuation(r: RationalLike, p: int) -> int:
     p = prime(p)
     num, den = num_den(r)
     if num == 0:
-        raise ValueError("valuation of 0 is not an integer; use valuation_ext")
+        raise ValueError("valuation of 0 is not an integer")
     return split_power(num, p)[0] - split_power(den, p)[0]
-
-
-def valuation_ext(r: RationalLike, p: int):
-    """Like valuation, but with the +inf sentinel at r = 0."""
-    if num_den(r)[0]:
-        return valuation(r, p)
-    prime(p)  # r = 0 needs no p, but a bad one is still refused
-    return INF
 
 
 def crt(congruences: Sequence[Tuple[int, int]]) -> int:

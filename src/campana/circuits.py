@@ -614,7 +614,3 @@ def render_all(lay: Layout, style: str) -> Dict[Circuit, str]:
         texts[circ] = rules[key[0]](key, t)
     return {r: texts[r] for r in lay.roots}
 
-
-def render(circ: Circuit, style: str) -> str:
-    """The circuit as one expression, style "sexpr" or "latex"."""
-    return render_all(layout((circ,)), style)[circ]

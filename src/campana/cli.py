@@ -60,7 +60,7 @@ def _parse_prime_list(text: str) -> List[int]:
     return out
 
 
-CONFIG_KEYS = ("candidate_cap", "q_prime_bound", "seed", "samples")
+CONFIG_KEYS = ("candidate_cap", "seed", "samples")
 
 
 def _load_config(path: Optional[str]) -> Dict[str, int]:
@@ -108,7 +108,7 @@ def cmd_construct(args, cfg) -> int:
         raise CliError("duplicate primes in S")
     try:
         sc = parametrize.SearchConfig(**{key: value for key, value in cfg.items()
-                                         if key in ("candidate_cap", "q_prime_bound")})
+                                         if key == "candidate_cap"})
         report = parametrize.construct_omega(primes, sc)
     except ValueError as exc:
         raise CliError(str(exc))

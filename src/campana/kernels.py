@@ -10,6 +10,7 @@ CRT up to a Hadamard-style bound on the odd part.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -124,12 +125,18 @@ def norm_int(w: Sequence[int]) -> int:
 
 def _clear_denominators(values: Sequence[Fraction]) -> Tuple[List[int], int]:
     """(w, l) with l the least common denominator of a nonempty vector of
-    rationals and w = l * values, a vector of integers."""
-    vals = [Fraction(v) for v in values]
-    if not vals:
+    rationals and w = l * values, a vector of integers.  Each value must be
+    a numbers.Rational (an int, a Fraction, a numpy integer); a float is
+    refused, as its binary expansion would reach the exact answer."""
+    pairs = []
+    for v in values:
+        if not isinstance(v, numbers.Rational):
+            raise ValueError(f"a norm takes rational coefficients, not {v!r}")
+        pairs.append((operator.index(v.numerator), operator.index(v.denominator)))
+    if not pairs:
         raise ValueError("a norm needs at least one coefficient")
-    lcm = math.lcm(*(v.denominator for v in vals))
-    return [int(v * lcm) for v in vals], lcm
+    lcm = math.lcm(*(d for _, d in pairs))
+    return [n * (lcm // d) for n, d in pairs], lcm
 
 
 def norm_value(values: Sequence[Fraction]) -> Fraction:

@@ -2,19 +2,17 @@
 
 The route: a is built from S alone (the product of S, times the square of
 an auxiliary prime for odd-size sets), so it has no prime factor outside S
-and the auxiliary; a bounded search finds b with the prescribed
-ramification; and two overlapping odd constructions with distinct
-auxiliaries are intersected.  Every output is verified independently by
-the places module before it is returned.
+and the auxiliary; b with the prescribed ramification solves one linear
+system over F_2 in the local symbols of a; and two overlapping odd
+constructions with distinct auxiliaries are intersected.  Every output is
+verified independently by the places module before it is returned.
 """
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import arith, places
 from .arith import RationalLike
@@ -23,11 +21,11 @@ from .errors import InvariantError, SearchExhausted
 
 @dataclass
 class SearchConfig:
-    """Knobs for the bounded witness searches.  `steps` is not one: it
-    counts the candidates find_b has examined."""
+    """The bound on find_b's helper primes.  `steps` is not a knob: it
+    counts the helper primes find_b has tried, over every call that shares
+    the config."""
 
     candidate_cap: int = 100_000
-    q_prime_bound: int = 100_000
     steps: int = field(default=0, init=False)
 
     def tick(self):
@@ -68,8 +66,8 @@ class ConstructionReport:
 
 def uniformizer_product(S: Iterable[int]) -> int:
     """The product of the primes of S: valuation exactly 1 at each p in S
-    and no other prime factor, which keeps find_b's subset listing at
-    2^(|S| + 1) products at most."""
+    and no other prime factor, so find_b's symbol system for it has a row
+    for inf, 2 and each prime of S, and no more."""
     primes = places.PlaceSet.of_primes(S).primes()
     if not primes:
         raise ValueError("S must be nonempty")
@@ -83,9 +81,16 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
     """Find b with hilbert(a,b,p) = -1 exactly at the primes of S.
 
     Requires |S| even (reciprocity makes an odd count impossible) and a a
-    nonsquare in Q_p for every p in S.  Candidates are products of a sign,
-    primes from {2} u S u supp(a), and one auxiliary prime, enumerated in
-    increasing height; each hit is re-verified through the places module.
+    nonsquare in Q_p for every p in S.  This is the proof of Serre, A Course
+    in Arithmetic, Ch. III 2.2 Theorem 4, with small primes in place of
+    Dirichlet's: (a,b)_v is multiplicative in b, so over
+    V = {inf, 2} u supp(a) u S each generator g (-1, 2, the odd primes of
+    V, then helper primes l outside V with a a square mod l, smallest
+    first) has a vector of symbols in F_2^|V|, and b is the squarefree
+    product of the generators whose vectors sum to the target: -1 exactly
+    on S, +1 at inf.  A helper changes no symbol outside V.  Each helper
+    prime tried is one step of the config; b is re-verified through the
+    places module.
     """
     cfg = config if config is not None else SearchConfig()
     a = Fraction(a)
@@ -101,71 +106,49 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
     if not primes:
         return Fraction(1)
 
-    supp = arith.factorize(a).factors
-    factor_primes = [2] + sorted((set(supp) | set(primes)) - {2})
+    # a * den(a)^2 has the symbols of a; bit 0 is inf, bit i + 1 is V[i]
     x = a.numerator * a.denominator
-    local = {p: places.local_data(x, p) for p in factor_primes}
-    target = {p: (-1 if p in primes else 1) for p in factor_primes}
-    k = len(factor_primes)
-    forbidden = set(factor_primes) | set(primes)
+    V = [2] + sorted((set(arith.factorize(a).factors) | set(primes)) - {2})
+    local = [(p, *places.local_data(x, p)) for p in V]
+    target = sum(2 << i for i, p in enumerate(V) if p in primes)
+    gens: List[int] = []
+    # reduced rows by leading bit: (symbol vector, generators combined as a mask)
+    basis: Dict[int, Tuple[int, int]] = {}
 
-    # auxiliary primes, ascending, listed as the first lane reaches each;
-    # 1 first so pure subset products lead
-    pool = (q for q in arith.primes_up_to(cfg.q_prime_bound)
-            if q > 2 and q not in forbidden)
-    aux = [1]
-    # at an odd p where a has even valuation and a nonsquare unit,
-    # (a,b)_p = -1 exactly when p divides b: that mask bit is forced
-    fixed = forced = 0
-    for i, p in enumerate(factor_primes):
-        alpha, u = local[p]
-        if p != 2 and alpha % 2 == 0 and pow(u, (p - 1) // 2, p) != 1:
-            fixed |= 1 << i
-            forced |= (target[p] == -1) << i
-    # lazy merge in increasing height: one heap lane per subset product
-    heap = []
-    for mask in range(1 << k):
-        if mask & fixed != forced:
+    def reduce(vec: int, combo: int) -> Tuple[int, int]:
+        while vec and vec.bit_length() - 1 in basis:
+            row, row_combo = basis[vec.bit_length() - 1]
+            vec, combo = vec ^ row, combo ^ row_combo
+        return vec, combo
+
+    def add(g: int):
+        vec = int(x < 0 and g < 0)
+        for i, (p, alpha, u) in enumerate(local):
+            beta = int(g == p)
+            if places.local_symbol(p, alpha, u, beta, g // p if beta else g) == -1:
+                vec |= 2 << i
+        gens.append(g)
+        vec, combo = reduce(vec, 1 << len(gens) - 1)
+        if vec:
+            basis[vec.bit_length() - 1] = vec, combo
+
+    for g in [-1] + V:
+        add(g)
+    rest, combo = reduce(target, 0)
+    ell = 2
+    while rest:
+        ell = arith.next_prime(ell)
+        if ell in V:
             continue
-        prod = 1
-        for i in range(k):
-            if mask >> i & 1:
-                prod *= factor_primes[i]
-        heap.append((prod, mask, 0))
-    heapq.heapify(heap)
-    while heap:
-        height, mask, j = heapq.heappop(heap)
-        if j + 1 == len(aux):
-            aux.extend(itertools.islice(pool, 1))
-        if j + 1 < len(aux):
-            prod = height // aux[j]
-            heapq.heappush(heap, (prod * aux[j + 1], mask, j + 1))
-        q = aux[j]
-        for b in (height, -height):
-            if a < 0 and b < 0:
-                continue  # would ramify at the real place
-            cfg.tick()
-            ok = True
-            for i, p in enumerate(factor_primes):
-                beta = mask >> i & 1
-                alpha, u = local[p]
-                w = b // p if beta else b
-                if places.local_symbol(p, alpha, u, beta, w) != target[p]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if q != 1 and places.hilbert(a, b, q) != 1:
-                continue
-            # independent re-verification over the full scan set
-            if places.delta(a, b) != target_set:
-                raise InvariantError(
-                    f"fast local check accepted b={b} but delta disagrees"
-                )
-            return Fraction(b)
-    raise SearchExhausted(
-        f"no b found for S={primes} with auxiliary primes up to {cfg.q_prime_bound}"
-    )
+        cfg.tick()
+        if pow(x, (ell - 1) // 2, ell) == 1:
+            add(ell)
+            rest, combo = reduce(target, 0)
+    b = math.prod(g for j, g in enumerate(gens) if combo >> j & 1)
+    # independent re-verification over the full scan set
+    if places.delta(a, b) != target_set:
+        raise InvariantError(f"the symbol system gave b={b} but delta disagrees")
+    return Fraction(b)
 
 
 def construct_even(

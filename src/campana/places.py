@@ -132,7 +132,7 @@ def local_symbol(p: int, alpha: int, u: int, beta: int, w: int) -> int:
     """(p^alpha u, p^beta w)_p by the closed form, for p-adic units u, w
     given as integers: Legendre symbols at odd p, the eps/omega formula at
     p = 2.  With (alpha, u) from local_data, this is the fixed-a fast path:
-    find_b evaluates it against many b for one a."""
+    find_b evaluates it for one a against each of its generators."""
     if p == 2:
         u, w = u % 8, w % 8
         eps_u, eps_w = u % 4 == 3, w % 4 == 3  # (u - 1)/2 mod 2
@@ -202,13 +202,6 @@ def hilbert_oracle(a: RationalLike, b: RationalLike, p: int, precision: int) -> 
 def default_oracle_precision(a: RationalLike, b: RationalLike, p: int) -> int:
     _, (va, _), (vb, _) = _cleared_at(a, b, p)
     return 2 * max(va, vb) + 3
-
-
-def odd_support(lam: RationalLike) -> PlaceSet:
-    """Finite primes at which the valuation of lam is odd."""
-    if Fraction(lam) == 0:
-        raise ValueError("lam must be nonzero")
-    return _odd_primes(arith.factorize(lam).factors)
 
 
 def _odd_primes(*exponent_maps: Dict[int, int]) -> PlaceSet:

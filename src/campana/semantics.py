@@ -117,15 +117,6 @@ def campana_member_form(S, n: int, F: BinaryForm, lam: RationalLike) -> bool:
     return campana_member(S, n, value)
 
 
-def denominator_exponent(x0: RationalLike, x1: RationalLike, p: int) -> int:
-    """Exponent of p in the reduced denominator of x0/x1, i.e.
-    v_p(x1) - min(v_p(x0), v_p(x1)), with v_p(0) = +inf."""
-    x0, x1 = Fraction(x0), Fraction(x1)
-    if x1 == 0:
-        raise ValueError("x1 must be nonzero")
-    return arith.split_power((x0 / x1).denominator, arith.prime(p))[0]
-
-
 def campana_via_coordinates(x0: RationalLike, x1: RationalLike, S, n: int) -> bool:
     """Campana membership of x0/x1 read off projective coordinates: the
     reduced denominator exponent e must satisfy e^2 >= n*e outside S."""

@@ -27,7 +27,7 @@ def test_searches_and_substitution_take_no_knobs():
     assert _parameters(fm.substitute_form) == [("base", empty), ("F", empty)]
     assert _parameters(places.find_local_counterexample) == [("a", empty), ("v", empty)]
     config = list(inspect.signature(parametrize.SearchConfig).parameters)
-    assert config == ["candidate_cap", "q_prime_bound"]
+    assert config == ["candidate_cap"]
 
 
 @pytest.mark.parametrize("path", sorted(

@@ -56,6 +56,15 @@ def test_construct_five_primes(capsys):
     assert doc["achieved"] == doc["target"] == [2, 3, 5, 7, 11]
 
 
+def test_construct_sixteen_odd_primes(capsys):
+    # the subset search exhausted its candidate cap here and exited 1
+    primes = [str(p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)]
+    code, out, _ = run(capsys, "construct", *primes)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["achieved"] == doc["target"] == [int(p) for p in primes]
+
+
 def test_construct_empty_set(capsys):
     code, out, _ = run(capsys, "construct")
     assert code == 0
@@ -81,8 +90,9 @@ def test_construct_primes_parse_like_a_prime_list(capsys):
 
 def test_construct_search_exhaustion_exits_1(capsys, tmp_path):
     cfgfile = tmp_path / "caps.cfg"
-    cfgfile.write_text("candidate_cap = 1  # tight on purpose\n")
-    code, _, err = run(capsys, "--config", str(cfgfile), "construct", "3", "5")
+    # S = {2, 17} needs one helper prime, which a cap of 0 forbids
+    cfgfile.write_text("candidate_cap = 0  # tight on purpose\n")
+    code, _, err = run(capsys, "--config", str(cfgfile), "construct", "2", "17")
     assert code == 1
     assert "search exhausted" in err
 
@@ -254,10 +264,11 @@ def test_unknown_subcommand(capsys):
                                        ("samples = x", "samples"),
                                        ("candidate_cap=1.5", "candidate_cap"),
                                        ("candiate_cap=5", "candiate_cap"),
-                                       ("Seed=1", "Seed")])
+                                       ("Seed=1", "Seed"),
+                                       ("q_prime_bound=1000", "q_prime_bound")])
 def test_bad_config_entry_exits_2_naming_the_key(capsys, tmp_path, line, key):
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text(f"q_prime_bound = 1000\n{line}\n")
+    cfgfile.write_text(f"candidate_cap = 1000\n{line}\n")
     code, out, err = run(capsys, "--config", str(cfgfile), "verify", "hilbert",
                          "--samples", "5")
     assert code == 2

@@ -114,6 +114,16 @@ def test_norm_value_rational_and_homogeneous():
     assert kernels.norm_value([lam * Fraction(-3, 4)]) == lam * Fraction(-3, 4)
 
 
+def test_exact_norms_refuse_floats():
+    # a float once reached the exact answer as its binary expansion
+    for f in (kernels.norm_value, kernels.norm_is_zero):
+        for bad in ([0.5, 1, 0.1], [1, 2.0], [Fraction(1, 2), "1/3"]):
+            with pytest.raises(ValueError):
+                f(bad)
+    assert kernels.norm_value([np.int64(3), 2, Fraction(1, 2)]) == \
+        kernels.norm_value([3, 2, Fraction(1, 2)])
+
+
 def test_norm_is_zero():
     assert kernels.norm_is_zero([0, 0, 0, 0])
     assert not kernels.norm_is_zero([1, 0, 0, 0])

@@ -53,16 +53,37 @@ def test_find_b_rejects_bad_precondition():
 
 
 def test_find_b_respects_candidate_cap():
-    cfg = pz.SearchConfig(candidate_cap=1)
+    # the generators -1, 2, 3, 5 solve S = {3, 5} with no helper prime
+    cfg = pz.SearchConfig(candidate_cap=0)
+    assert places.delta(15, pz.find_b(15, [3, 5], cfg)) == places.PlaceSet.of_primes([3, 5])
+    assert cfg.steps == 0
+    # S = {2, 17} needs one: the cap bounds the helper primes tried
     with pytest.raises(SearchExhausted):
-        pz.find_b(pz.uniformizer_product([3, 5]), [3, 5], cfg)
+        pz.find_b(34, [2, 17], pz.SearchConfig(candidate_cap=0))
 
 
-def test_find_b_stops_when_the_auxiliary_primes_run_out():
-    # no subset product works for S = {2, 17}; b = 3 needs an auxiliary
-    assert pz.find_b(34, [2, 17]) == 3
-    with pytest.raises(SearchExhausted):
-        pz.find_b(34, [2, 17], pz.SearchConfig(q_prime_bound=2))
+def test_find_b_takes_a_helper_prime():
+    # no product of -1, 2 and 17 works for S = {2, 17}; the first helper,
+    # 3 (34 is a square mod 3), is b
+    cfg = pz.SearchConfig()
+    assert pz.find_b(34, [2, 17], cfg) == 3
+    assert cfg.steps == 1
+
+
+def _local_nonsquare_primes(a):
+    return [p for p in arith.primes_up_to(60) if not arith.is_square_local(a, p)]
+
+
+@given(st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_find_b_meets_its_target(num, den, data):
+    a = Fraction(num, den)
+    candidates = _local_nonsquare_primes(a)
+    S = data.draw(st.lists(st.sampled_from(candidates), unique=True, max_size=10)
+                  if candidates else st.just([]))
+    S = S[: len(S) // 2 * 2]
+    b = pz.find_b(a, S)
+    assert places.delta(a, b) == places.PlaceSet.of_primes(S)
 
 
 def test_construct_even():
@@ -161,7 +182,7 @@ def test_construct_omega_five_primes():
 
 
 @given(st.lists(st.sampled_from(arith.primes_up_to(200)), max_size=7, unique=True))
-@example([13, 17, 23, 89, 137, 139, 151])  # 38,434 steps without forced bits
+@example([13, 17, 23, 89, 137, 139, 151])  # seven primes, four above 100
 @settings(max_examples=150, deadline=None)
 def test_construct_omega_small_support(S):
     cfg = pz.SearchConfig(candidate_cap=30_000)
@@ -170,8 +191,21 @@ def test_construct_omega_small_support(S):
     assert places.omega(report.a, report.b, report.c, report.d) == \
         places.PlaceSet.of_primes(S)
     assert report.search_steps <= 30_000
-    # a and c have no prime factor outside S and the auxiliaries, which
-    # keeps find_b's subset listing at 2^(|S| + 2) products at most
+    # a and c have no prime factor outside S and the auxiliaries, so
+    # find_b's symbol system has |S| + 3 rows at most
     allowed = set(S) | set(report.auxiliary_primes)
     for x in (report.a, report.c):
         assert set(arith.factorize(x).factors) <= allowed
+
+
+@pytest.mark.parametrize("k", [12, 16, 20, 30, 40, 41])
+def test_construct_omega_scales_with_S(k):
+    # the odd primes from 3 up; b is a product of distinct generators
+    S = arith.primes_up_to(200)[1:k + 1]
+    t0 = time.monotonic()
+    report = pz.construct_omega(S)
+    assert time.monotonic() - t0 < 0.5
+    assert report.success
+    assert places.omega(report.a, report.b, report.c, report.d) == \
+        places.PlaceSet.of_primes(S)
+    assert set(arith.factorize(report.b).factors.values()) == {1}

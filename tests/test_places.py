@@ -161,14 +161,6 @@ def test_hilbert_a_minus_a(a, v):
     assert places.hilbert(a, -a, v) == 1
 
 
-def test_odd_support_examples():
-    assert places.odd_support(1155) == PlaceSet([3, 5, 7, 11])
-    assert places.odd_support(Fraction(4, 9)) == PlaceSet([])
-    assert places.odd_support(Fraction(1, 8)) == PlaceSet([2])
-    with pytest.raises(ValueError):
-        places.odd_support(0)
-
-
 def test_delta_examples():
     assert places.delta(1, 1) == PlaceSet([])
     assert places.delta(-1, -1) == PlaceSet(["inf", 2])
@@ -185,7 +177,8 @@ def test_delta_upper_and_omega():
 @given(nonzero_small, nonzero_small, nonzero_small, nonzero_small)
 @settings(max_examples=200)
 def test_delta_upper_and_omega_match_their_definitions(a, b, c, d):
-    upper = places.delta(a, b) & (places.odd_support(a) | places.odd_support(b))
+    odd = PlaceSet(p for x in (a, b) for p, e in arith.factorize(x).factors.items() if e % 2)
+    upper = places.delta(a, b) & odd
     assert places.delta_upper(a, b) == upper
     assert places.omega(a, b, c, d) == upper & places.delta_upper(c, d)
     assert places.omega(a, b, a, b) == upper
@@ -320,7 +313,6 @@ def test_primes_from_factorize_are_not_proved_again(monkeypatch):
     places.omega(x, y, 6, -35)
     places.delta(x, y)
     places.delta_upper(x, y)
-    places.odd_support(x)
     places.reciprocity_check(x, y)
     assert counts["inside"] > 0
     assert counts["outside"] == 0

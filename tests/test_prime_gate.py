@@ -20,7 +20,6 @@ GATED = {
     "arith.prime": ("p", lambda p: arith.prime(p)),
     "arith.place_prime": ("v", lambda v: arith.place_prime(v)),
     "arith.valuation": ("p", lambda p: arith.valuation(12, p)),
-    "arith.valuation_ext": ("p", lambda p: arith.valuation_ext(0, p)),
     "arith.legendre": ("p", lambda p: arith.legendre(3, p)),
     "arith.unit_part": ("p", lambda p: arith.unit_part(12, p)),
     "arith.is_square_local": ("v", lambda v: arith.is_square_local(2, v)),
@@ -36,8 +35,6 @@ GATED = {
     "semantics.s_integer_member": ("S", lambda S: semantics.s_integer_member(S, 0)),
     "semantics.campana_member_form":
         ("S", lambda S: semantics.campana_member_form(S, 2, X_FORM, 3)),
-    "semantics.denominator_exponent":
-        ("p", lambda p: semantics.denominator_exponent(1, 9, p)),
     "semantics.campana_via_coordinates":
         ("S", lambda S: semantics.campana_via_coordinates(1, 9, S, 2)),
     "parametrize.uniformizer_product": ("S", lambda S: parametrize.uniformizer_product(S)),

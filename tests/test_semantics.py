@@ -153,21 +153,10 @@ def test_form_x_reduces_to_plain_membership(lam, n):
             sm.campana_member([], n, lam)
 
 
-def test_denominator_exponent_examples():
-    assert sm.denominator_exponent(3, 9, 3) == 1
-    assert sm.denominator_exponent(5, 7, 3) == 0
-    assert sm.denominator_exponent(0, 8, 2) == 0
-    with pytest.raises(ValueError):
-        sm.denominator_exponent(1, 0, 2)
-
-
 def test_coordinates_prove_only_the_primes_of_S(monkeypatch):
     proofs = []
     prime = arith.prime
     monkeypatch.setattr(arith, "prime", lambda p: proofs.append(p) or prime(p))
-    assert sm.denominator_exponent(1, 2**3 * 3**5 * 7, 3) == 5
-    assert proofs == [3]
-    proofs.clear()
     # factorize proves 2, 3 and 7; only S's 5 is proved here
     assert not sm.campana_via_coordinates(1, 2**3 * 3**5 * 7, [5], 2)
     assert proofs == [5]

@@ -67,7 +67,7 @@ class ConstructionReport:
 def uniformizer_product(S: Iterable[int]) -> int:
     """The product of the primes of S: valuation exactly 1 at each p in S
     and no other prime factor, so find_b's symbol system for it has a row
-    for inf, 2 and each prime of S, and no more."""
+    for 2 and each prime of S, and no more."""
     primes = places.PlaceSet.of_primes(S).primes()
     if not primes:
         raise ValueError("S must be nonempty")
@@ -84,13 +84,14 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
     nonsquare in Q_p for every p in S.  This is the proof of Serre, A Course
     in Arithmetic, Ch. III 2.2 Theorem 4, with small primes in place of
     Dirichlet's: (a,b)_v is multiplicative in b, so over
-    V = {inf, 2} u supp(a) u S each generator g (-1, 2, the odd primes of
-    V, then helper primes l outside V with a a square mod l, smallest
-    first) has a vector of symbols in F_2^|V|, and b is the squarefree
-    product of the generators whose vectors sum to the target: -1 exactly
-    on S, +1 at inf.  A helper changes no symbol outside V.  Each helper
-    prime tried is one step of the config; b is re-verified through the
-    places module.
+    V = {2} u supp(a) u S each generator g (-1, 2, the odd primes of V,
+    then helper primes l outside V with a a square mod l, smallest first)
+    has a vector of symbols in F_2^|V|, and b is the squarefree product of
+    the generators whose vectors sum to the target: -1 exactly on S.  A
+    helper changes no symbol outside V, so by reciprocity b's symbol at
+    inf is the product of those on V, +1 as |S| is even: inf needs no row.
+    Each helper prime tried is one step of the config; b is re-verified
+    through the places module.
     """
     cfg = config if config is not None else SearchConfig()
     a = Fraction(a)
@@ -106,11 +107,11 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
     if not primes:
         return Fraction(1)
 
-    # a * den(a)^2 has the symbols of a; bit 0 is inf, bit i + 1 is V[i]
+    # a * den(a)^2 has the symbols of a; bit i is V[i]
     x = a.numerator * a.denominator
     V = [2] + sorted((set(arith.factorize(a).factors) | set(primes)) - {2})
     local = [(p, *places.local_data(x, p)) for p in V]
-    target = sum(2 << i for i, p in enumerate(V) if p in primes)
+    target = sum(1 << i for i, p in enumerate(V) if p in primes)
     gens: List[int] = []
     # reduced rows by leading bit: (symbol vector, generators combined as a mask)
     basis: Dict[int, Tuple[int, int]] = {}
@@ -122,11 +123,11 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
         return vec, combo
 
     def add(g: int):
-        vec = int(x < 0 and g < 0)
+        vec = 0
         for i, (p, alpha, u) in enumerate(local):
             beta = int(g == p)
             if places.local_symbol(p, alpha, u, beta, g // p if beta else g) == -1:
-                vec |= 2 << i
+                vec |= 1 << i
         gens.append(g)
         vec, combo = reduce(vec, 1 << len(gens) - 1)
         if vec:

@@ -53,32 +53,32 @@ def test_find_b_rejects_bad_precondition():
 
 
 def test_find_b_respects_candidate_cap():
-    # the generators -1, 2, 3, 5 solve S = {3, 5} with no helper prime
-    cfg = pz.SearchConfig(candidate_cap=0)
+    # the generators -1, 2, 3, 5 solve S = {3, 5}, with no helper prime
+    cfg = pz.SearchConfig(candidate_cap=1)
     assert places.delta(15, pz.find_b(15, [3, 5], cfg)) == places.PlaceSet.of_primes([3, 5])
     assert cfg.steps == 0
-    # S = {2, 17} needs one: the cap bounds the helper primes tried
+    # S = {2, 17} takes one helper; calls that share a config share its cap
+    pz.find_b(34, [2, 17], cfg)
+    assert cfg.steps == 1
     with pytest.raises(SearchExhausted):
-        pz.find_b(34, [2, 17], pz.SearchConfig(candidate_cap=0))
+        pz.find_b(34, [2, 17], cfg)
 
 
-def test_find_b_takes_a_helper_prime():
-    # no product of -1, 2 and 17 works for S = {2, 17}; the first helper,
-    # 3 (34 is a square mod 3), is b
+def test_find_b_stops_when_the_auxiliary_primes_run_out():
+    # no product of -1, 2 and 17 works for S = {2, 17}; the first helper
+    # prime, 3 (34 is a square mod 3), is b
     cfg = pz.SearchConfig()
     assert pz.find_b(34, [2, 17], cfg) == 3
     assert cfg.steps == 1
-
-
-def _local_nonsquare_primes(a):
-    return [p for p in arith.primes_up_to(60) if not arith.is_square_local(a, p)]
+    with pytest.raises(SearchExhausted):
+        pz.find_b(34, [2, 17], pz.SearchConfig(candidate_cap=0))
 
 
 @given(st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**4), st.data())
 @settings(max_examples=150, deadline=None)
 def test_find_b_meets_its_target(num, den, data):
     a = Fraction(num, den)
-    candidates = _local_nonsquare_primes(a)
+    candidates = [p for p in arith.primes_up_to(60) if not arith.is_square_local(a, p)]
     S = data.draw(st.lists(st.sampled_from(candidates), unique=True, max_size=10)
                   if candidates else st.just([]))
     S = S[: len(S) // 2 * 2]
@@ -192,7 +192,7 @@ def test_construct_omega_small_support(S):
         places.PlaceSet.of_primes(S)
     assert report.search_steps <= 30_000
     # a and c have no prime factor outside S and the auxiliaries, so
-    # find_b's symbol system has |S| + 3 rows at most
+    # find_b's symbol system has |S| + 2 rows at most
     allowed = set(S) | set(report.auxiliary_primes)
     for x in (report.a, report.c):
         assert set(arith.factorize(x).factors) <= allowed

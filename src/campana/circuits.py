@@ -31,8 +31,7 @@ import re
 import threading
 import weakref
 from fractions import Fraction
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,9 +55,12 @@ class Circuit:
     are the indices of earlier nodes; the root is the last node.
 
     Circuit(nodes, root) is the circuit whose `nodes` are exactly `nodes`,
-    with root len(nodes) - 1.  Anything else raises ValueError: an unknown
-    op or wrong fields, a child that does not come before its node, a node
-    the root does not reach, a repeated node, or another order."""
+    with root len(nodes) - 1.  It reads them with read_nodes, as
+    formulas.parse does, and then asks for more: each node must be a tuple
+    and exactly its node form (a constant as an int or a Fraction, not
+    "p/q"; norm children as a tuple).  Anything else raises ValueError: an
+    unknown op or wrong fields, a child that does not come before its node,
+    a node the root does not reach, a repeated node, or another order."""
 
     # _key: the node with each child given by its circuit, which is what the
     # table looks up; _kids: the child circuits; _names and _nodes: the free
@@ -69,13 +71,10 @@ class Circuit:
         nodes = tuple(nodes)
         if not nodes or root != len(nodes) - 1:
             raise ValueError("the root must be the last node")
-        for i, nd in enumerate(nodes):
-            if type(nd) is not tuple or _check_node(i, nd) != nd:
-                raise ValueError(_malformed(i, nd))
-        circ = intern_nodes(nodes)[-1]
-        if circ.nodes != nodes:
-            raise ValueError(_not_canonical(nodes))
-        return circ
+        made = read_nodes(nodes)
+        if made[-1].nodes != nodes:
+            raise ValueError(_not_canonical(nodes, made))
+        return made[-1]
 
     # -- constructors ------------------------------------------------
     @staticmethod
@@ -139,7 +138,7 @@ class Circuit:
         the circuit itself if name does not occur."""
         if ("var", name) not in self.nodes:
             return self
-        return intern_nodes(self.nodes, name, replacement)[-1]
+        return self._fold(_SUBST, {name: replacement})
 
     # -- the node array ----------------------------------------------
     @property
@@ -283,20 +282,6 @@ def _intern(key: tuple) -> Circuit:
     return circ
 
 
-def intern_nodes(nodes: Iterable[tuple], name: Optional[str] = None,
-                 replacement: Optional[Circuit] = None) -> List[Circuit]:
-    """One circuit per node of a node list whose children come first (not
-    checked here), with the variable `name`, if given, replaced by
-    `replacement`.  The list may repeat nodes, hold nodes no root reaches
-    and have any such order; each circuit is canonical all the same."""
-    made: List[Circuit] = []
-    at = made.__getitem__
-    target = ("var", name)
-    for nd in nodes:
-        made.append(replacement if nd == target else _intern(_REMAP[nd[0]](nd, at)))
-    return made
-
-
 class Layout(NamedTuple):
     """The distinct nodes that some roots reach, in canonical order: the
     left-to-right first-visit postorder from each root in turn."""
@@ -343,7 +328,10 @@ class _Op(NamedTuple):
     """Everything that depends on one op; a node is (op, *fields).  The fold
     rules (exact, mod, vec) take (node, values of the earlier nodes, env,
     q); vec is the mod rule applied to int64 arrays unless given.  A rule
-    that takes a function f or t calls it on the node's own child fields."""
+    that takes a function f or t calls it on the node's own child fields.
+    load reads node i of a node list, an array of length arity, against the
+    circuits made for nodes 0..i-1: it returns the table key, each child
+    index an int below i given by its circuit, or raises ValueError."""
 
     children: Callable  # node -> child fields
     remap: Callable     # (node, f) -> the node with each child j moved to f(j)
@@ -351,7 +339,7 @@ class _Op(NamedTuple):
     exact: Callable     # int or Fraction
     mod: Callable       # int in [0, q)
     arity: int          # the length of a node, op included
-    check: Callable     # (array node of that length, own index) -> node, or ValueError
+    load: Callable      # (array node of that length, i, circuits so far) -> table key
     fields: Tuple[str, ...]  # the keys besides "op" of an object node (older JSON)
     sexpr: Callable     # (node, t) -> str, where t(j) is the text of child j
     latex: Callable
@@ -422,12 +410,11 @@ def _checked(x, ok: bool, what: str):
     return x
 
 
-def _indices(xs, i: int, start: int = 0) -> tuple:
-    """xs as a tuple; each of xs[start:] must be an int below i."""
-    for x in xs[start:]:
-        if type(x) is not int or not 0 <= x < i:
-            raise ValueError(f"expected child indices below {i}, not {xs[start:]!r}")
-    return tuple(xs)
+def _kid(j, i: int, made: List[Circuit]) -> Circuit:
+    """The circuit of child index j of node i; j must be an int below i."""
+    if type(j) is not int or not 0 <= j < i:
+        raise ValueError(f"expected child indices below {i}, not {j!r}")
+    return made[j]
 
 
 _RATIONAL = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")  # p/q with q >= 1
@@ -450,8 +437,8 @@ OPS: Dict[str, _Op] = {
         mod=lambda nd, v, env, q: _int_mod(_lookup(env, nd[1]), q),
         vec=lambda nd, v, env, q: _vec_var(_lookup(env, nd[1]), q),
         arity=2, fields=("name",),
-        check=lambda nd, i: ("var", _checked(nd[1], type(nd[1]) is str,
-                                             "a var name must be a string")),
+        load=lambda nd, i, made: ("var", _checked(nd[1], type(nd[1]) is str,
+                                                  "a var name must be a string")),
         sexpr=lambda nd, t: f"(var {nd[1]})",
         latex=lambda nd, t: f"{nd[1][0]}_{{{nd[1][1:]}}}" if nd[1][1:].isdigit()
         else nd[1],
@@ -462,7 +449,7 @@ OPS: Dict[str, _Op] = {
         exact=lambda nd, v, env, q: nd[1],
         mod=lambda nd, v, env, q: _const_mod(nd[1], q),
         vec=lambda nd, v, env, q: np.int64(_const_mod(nd[1], q)),
-        arity=2, fields=("value",), check=lambda nd, i: ("int", _value(nd[1])),
+        arity=2, fields=("value",), load=lambda nd, i, made: ("int", _value(nd[1])),
         sexpr=lambda nd, t: f"(int {nd[1]})",
         latex=lambda nd, t: str(nd[1]) if isinstance(nd[1], int) else
         rf"\tfrac{{{nd[1].numerator}}}{{{nd[1].denominator}}}",
@@ -472,7 +459,8 @@ OPS: Dict[str, _Op] = {
         degree=lambda key: max(key[1]._degree, key[2]._degree),
         exact=lambda nd, v, env, q: v[nd[1]] + v[nd[2]],
         mod=lambda nd, v, env, q: (v[nd[1]] + v[nd[2]]) % q,
-        arity=3, fields=("args",), check=lambda nd, i: _indices(nd, i, 1),
+        arity=3, fields=("args",),
+        load=lambda nd, i, made: ("add", _kid(nd[1], i, made), _kid(nd[2], i, made)),
         sexpr=lambda nd, t: f"(add {t(nd[1])} {t(nd[2])})",
         latex=lambda nd, t: f"\\left({t(nd[1])} + {t(nd[2])}\\right)",
     ),
@@ -481,7 +469,8 @@ OPS: Dict[str, _Op] = {
         degree=lambda key: key[1]._degree + key[2]._degree,
         exact=lambda nd, v, env, q: v[nd[1]] * v[nd[2]],
         mod=lambda nd, v, env, q: v[nd[1]] * v[nd[2]] % q,
-        arity=3, fields=("args",), check=lambda nd, i: _indices(nd, i, 1),
+        arity=3, fields=("args",),
+        load=lambda nd, i, made: ("mul", _kid(nd[1], i, made), _kid(nd[2], i, made)),
         sexpr=lambda nd, t: f"(mul {t(nd[1])} {t(nd[2])})",
         latex=lambda nd, t: f"{t(nd[1])} \\cdot {t(nd[2])}",
     ),
@@ -490,7 +479,7 @@ OPS: Dict[str, _Op] = {
         degree=lambda key: key[1]._degree,
         exact=lambda nd, v, env, q: -v[nd[1]],
         mod=lambda nd, v, env, q: -v[nd[1]] % q,
-        arity=2, fields=("arg",), check=lambda nd, i: _indices(nd, i, 1),
+        arity=2, fields=("arg",), load=lambda nd, i, made: ("neg", _kid(nd[1], i, made)),
         sexpr=lambda nd, t: f"(neg {t(nd[1])})",
         latex=lambda nd, t: f"-{t(nd[1])}",
     ),
@@ -501,7 +490,7 @@ OPS: Dict[str, _Op] = {
         mod=lambda nd, v, env, q: pow(v[nd[1]], nd[2], q),
         vec=lambda nd, v, env, q: _vec_pow(v[nd[1]], nd[2], q),
         arity=3, fields=("arg", "k"),
-        check=lambda nd, i: (*_indices(nd[:2], i, 1), _checked(
+        load=lambda nd, i, made: ("pow", _kid(nd[1], i, made), _checked(
             nd[2], type(nd[2]) is int and nd[2] >= 1, "pow k must be an int >= 1")),
         sexpr=lambda nd, t: f"(pow {t(nd[1])} {nd[2]})",
         latex=lambda nd, t: f"\\left({t(nd[1])}\\right)^{{{nd[2]}}}",
@@ -513,9 +502,9 @@ OPS: Dict[str, _Op] = {
         mod=lambda nd, v, env, q: kernels.norm_mod([v[j] for j in nd[1]], q),
         vec=lambda nd, v, env, q: _vec_norm([v[j] for j in nd[1]], q),
         arity=2, fields=("args",),
-        check=lambda nd, i: ("norm", _indices(_checked(
+        load=lambda nd, i, made: ("norm", tuple([_kid(j, i, made) for j in _checked(
             nd[1], type(nd[1]) in (list, tuple) and len(nd[1]) > 0,
-            "norm takes a nonempty list of child indices"), i)),
+            "norm takes a nonempty list of child indices")])),
         sexpr=lambda nd, t: f"(norm {' '.join(map(t, nd[1]))})",
         latex=lambda nd, t: rf"\mathrm{{N}}_{{{len(nd[1])}}}\!\left("
         rf"{', '.join(map(t, nd[1]))}\right)",
@@ -528,7 +517,10 @@ _DEGREE = {op: row.degree for op, row in OPS.items()}
 _EXACT = {op: row.exact for op, row in OPS.items()}
 _MOD = {op: row.mod for op, row in OPS.items()}
 _VEC = {op: row.vec or row.mod for op, row in OPS.items()}
-_CHECK = {op: (row.arity, row.check) for op, row in OPS.items()}
+# substitution as a fold: env maps a variable name to its replacement circuit
+_SUBST = {op: lambda nd, v, env, q, remap=row.remap: _intern(remap(nd, v.__getitem__))
+          for op, row in OPS.items()}
+_SUBST["var"] = lambda nd, v, env, q: env[nd[1]] if nd[1] in env else _intern(nd)
 _RENDER = {style: {op: getattr(row, style) for op, row in OPS.items()}
            for style in ("sexpr", "latex")}
 
@@ -549,19 +541,6 @@ def _malformed(i: int, nd) -> str:
     return f"node {i}: {nd!r} is not a known op and its fields"
 
 
-def _check_node(i: int, nd) -> tuple:
-    """Node i of a node list, an array node (a JSON array or a node tuple),
-    as a node tuple: ValueError unless its op is known, its length right,
-    each child index an int below i and each other field well formed."""
-    how = _CHECK.get(nd[0]) if type(nd) in (list, tuple) and nd and type(nd[0]) is str else None
-    if how is None or len(nd) != how[0]:
-        raise ValueError(_malformed(i, nd))
-    try:
-        return how[1](nd, i)
-    except ValueError as exc:
-        raise ValueError(f"node {i}: {exc}") from None
-
-
 def _array(i: int, d: dict) -> list:
     """The array form of an object node {"op": op, <the fields of OPS[op]>},
     the JSON form before array nodes; ValueError on a missing or extra key."""
@@ -575,16 +554,40 @@ def _array(i: int, d: dict) -> list:
     return [op, *values]
 
 
-def from_json(raw) -> Iterator[tuple]:
-    """The nodes of a JSON node list, each checked by check_node as it is
-    read; an object node is turned into its array first."""
-    _checked(raw, type(raw) is list, "nodes must be a list")
+def read_nodes(raw) -> List[Circuit]:
+    """One circuit per node of a node list whose children come first, each
+    node checked, loaded and interned as it is read: an array node (a JSON
+    array or a node tuple) goes through the load rule of its op, and an
+    object node is turned into its array first.  ValueError, naming the
+    node, unless its op is known, its length right, each child index an int
+    below its own index and each other field well formed.  The list may
+    repeat nodes, hold nodes no root reaches and have any such order; each
+    circuit is canonical all the same."""
+    _checked(raw, type(raw) in (list, tuple), "nodes must be a list")
+    made: List[Circuit] = []
     for i, nd in enumerate(raw):
-        yield _check_node(i, _array(i, nd) if type(nd) is dict else nd)
+        if type(nd) is dict:
+            nd = _array(i, nd)
+        row = OPS.get(nd[0]) if type(nd) in (list, tuple) and nd and type(nd[0]) is str else None
+        if row is None or len(nd) != row.arity:
+            raise ValueError(_malformed(i, nd))
+        try:
+            key = row.load(nd, i, made)
+        except ValueError as exc:
+            raise ValueError(f"node {i}: {exc}") from None
+        made.append(_intern(key))
+    return made
 
 
-def _not_canonical(nodes: Sequence[tuple]) -> str:
-    """Why well-formed nodes, children first, are not a canonical node list."""
+def _not_canonical(nodes: Sequence[tuple], made: List[Circuit]) -> str:
+    """Why nodes, read as the circuits made, are not a canonical node list."""
+    for i, nd in enumerate(nodes):
+        if type(nd) is not tuple:
+            return _malformed(i, nd)
+        # node i as a node tuple: its circuit's key with the child indices it gave
+        key, given = made[i]._key, iter(_CHILDREN[nd[0]](nd))
+        if _REMAP[key[0]](key, lambda kid: next(given)) != nd:
+            return _malformed(i, nd)
     reached = {len(nodes) - 1}
     for i in range(len(nodes) - 1, -1, -1):
         if i not in reached:

@@ -37,17 +37,14 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_place(text: str):
+    """"inf" or the int a place is written as; places.hilbert proves it prime."""
     text = text.strip()
     if text == "inf":
-        return places.REAL_PLACE
+        return text
     try:
-        p = int(text)
+        return int(text)
     except ValueError:
         raise CliError(f"not a place: {text!r}")
-    try:
-        return places.Place(p)
-    except ValueError as exc:
-        raise CliError(str(exc))
 
 
 def _parse_prime_list(text: str) -> List[int]:

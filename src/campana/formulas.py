@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import arith
-from .circuits import Circuit, Layout, from_json, intern_nodes, layout, render_all, to_json
+from .circuits import Circuit, Layout, layout, read_nodes, render_all, to_json
 from .forms import BinaryForm
 
 # matrix nodes: ("eq", Circuit) | ("neq", Circuit) | ("and", tuple) | ("or", tuple)
@@ -42,15 +42,15 @@ class Gensym:
         return [self.fresh() for _ in range(k)]
 
 
-def _matrix_atoms(matrix: MatrixNode) -> List[Tuple[str, Circuit]]:
-    kind = matrix[0]
+def _fold_matrix(m: MatrixNode, atom: Callable, join: Callable):
+    """The one walk over a matrix: atom(kind, circuit) at an eq or neq node,
+    join(kind, the folds of its children) at an and or or node.  join gets
+    the children as an iterator that folds each one only when it is taken."""
+    kind = m[0]
     if kind in ("eq", "neq"):
-        return [(kind, matrix[1])]
+        return atom(kind, m[1])
     if kind in ("and", "or"):
-        out = []
-        for child in matrix[1]:
-            out.extend(_matrix_atoms(child))
-        return out
+        return join(kind, (_fold_matrix(c, atom, join) for c in m[1]))
     raise ValueError(f"unknown matrix node {kind!r}")
 
 
@@ -91,7 +91,8 @@ class Formula:
                 raise ValueError(f"unbound matrix variables: {sorted(stray)}")
 
     def atoms(self) -> List[Circuit]:
-        return [c for _, c in _matrix_atoms(self.matrix)]
+        return _fold_matrix(self.matrix, lambda kind, c: [c],
+                            lambda kind, kids: list(chain.from_iterable(kids)))
 
     def layout(self) -> Layout:
         """The distinct nodes of all the atoms in canonical order, made once."""
@@ -520,14 +521,12 @@ def substitute_form(base: Formula, F: BinaryForm) -> Formula:
             (Circuit.const(c) * lam**power)
         replacement = term if replacement is None else replacement + term
 
-    def subst_matrix(m: MatrixNode) -> MatrixNode:
-        if m[0] in ("eq", "neq"):
-            return (m[0], m[1].substitute("r", replacement))
-        return (m[0], tuple(subst_matrix(c) for c in m[1]))
-
+    matrix = _fold_matrix(base.matrix,
+                          lambda kind, c: (kind, c.substitute("r", replacement)),
+                          lambda kind, kids: (kind, tuple(kids)))
     free = tuple("lam" if n == "r" else n for n in base.free)
     base_bound = stats(base).degree_bound
-    return Formula(base.prefix, subst_matrix(base.matrix), free,
+    return Formula(base.prefix, matrix, free,
                    degree_override=F.degree * base_bound,
                    real_embedded=base.real_embedded)
 
@@ -538,27 +537,18 @@ def substitute_form(base: Formula, F: BinaryForm) -> Formula:
 
 def evaluate_matrix(f: Formula, assignment: Mapping[str, Union[int, Fraction]]) -> bool:
     """Exact truth value of the quantifier-free matrix under a full
-    assignment (free and bound variables alike)."""
-
-    def ev(m: MatrixNode) -> bool:
-        if m[0] == "eq":
-            return m[1].evaluate(assignment) == 0
-        if m[0] == "neq":
-            return m[1].evaluate(assignment) != 0
-        if m[0] == "and":
-            return all(ev(c) for c in m[1])
-        if m[0] == "or":
-            return any(ev(c) for c in m[1])
-        raise ValueError(f"unknown matrix node {m[0]!r}")
-
-    return ev(f.matrix)
+    assignment (free and bound variables alike).  An and stops at its first
+    false child and an or at its first true one, so the atoms after it are
+    not evaluated and need no values."""
+    return _fold_matrix(f.matrix,
+                        lambda kind, c: (c.evaluate(assignment) == 0) == (kind == "eq"),
+                        lambda kind, kids: all(kids) if kind == "and" else any(kids))
 
 
 def _emit_matrix(m: MatrixNode, index: Mapping[Circuit, int]) -> dict:
     """The JSON matrix; index[atom] is the node index of each atom's root."""
-    if m[0] in ("eq", "neq"):
-        return {m[0]: index[m[1]]}
-    return {m[0]: [_emit_matrix(c, index) for c in m[1]]}
+    return _fold_matrix(m, lambda kind, c: {kind: index[c]},
+                        lambda kind, kids: {kind: list(kids)})
 
 
 # per style: the atom templates, and (open, separator, close) of and/or
@@ -572,11 +562,13 @@ _MATRIX_TEXT = {
 
 def _text_matrix(m: MatrixNode, style: str, texts: Mapping[Circuit, str]) -> str:
     """The matrix as text; texts[atom] is the rendering of each atom."""
-    form = _MATRIX_TEXT[style][m[0]]
-    if m[0] in ("eq", "neq"):
-        return form.format(texts[m[1]])
-    opening, sep, closing = form
-    return opening + sep.join(_text_matrix(c, style, texts) for c in m[1]) + closing
+    forms = _MATRIX_TEXT[style]
+
+    def join(kind: str, kids) -> str:
+        opening, sep, closing = forms[kind]
+        return opening + sep.join(kids) + closing
+
+    return _fold_matrix(m, lambda kind, c: forms[kind].format(texts[c]), join)
 
 
 def _text(f: Formula, style: str) -> str:
@@ -620,12 +612,14 @@ _OPTIONAL_KEYS = {"degree_override", "real_embedded"}
 
 
 def parse(data: Union[bytes, str]) -> Formula:
-    """Inverse of emit(..., 'json'); each node is checked and interned as it
-    is read.  Any node list whose children come first parses, also one that
-    repeats nodes or holds nodes no atom reaches (documents written before
-    the node list was shared) or whose nodes are objects such as {"op":
-    "add", "args": [i, j]} (written before array nodes); each atom is the
-    canonical circuit all the same.  A malformed document raises ValueError."""
+    """Inverse of emit(..., 'json').  The node list goes through
+    circuits.read_nodes, the reader Circuit(nodes, root) uses too, which
+    checks, loads and interns each node as it is read.  Any node list whose
+    children come first parses, also one that repeats nodes or holds nodes
+    no atom reaches (documents written before the node list was shared) or
+    whose nodes are objects such as {"op": "add", "args": [i, j]} (written
+    before array nodes); each atom is the canonical circuit all the same.
+    A malformed document raises ValueError."""
     try:
         return _parse_doc(json.loads(data))
     except RecursionError:
@@ -650,7 +644,7 @@ def _parse_doc(doc) -> Formula:
     real_embedded = doc.get("real_embedded", False)
     if type(real_embedded) is not bool:
         raise ValueError(f"real_embedded must be a bool, not {real_embedded!r}")
-    made = intern_nodes(from_json(doc["nodes"]))
+    made = read_nodes(doc["nodes"])
     return Formula(prefix, _parse_matrix(doc["matrix"], made), free,
                    degree_override=override, real_embedded=real_embedded)
 

@@ -213,6 +213,7 @@ def test_root_is_the_last_node():
     ((("var", "x"), ("pow", 0)), "not a known op"),        # a field missing
     ((("var", 1),), "var name"),
     ((("int", 2.0),), "int value"),
+    ((("int", "1/2"),), "not a known op"),                 # the node tuple holds a Fraction
     ((("var", "x"), ("norm", [0])), "not a known op"),     # norm children are a tuple
     ((("var", "x"), ("add", 0, 5)), "below 1"),            # evaluate raised IndexError
     ((("var", "x"), ("neg", 1)), "below 1"),
@@ -404,3 +405,20 @@ def test_exact_mod_and_vec_folds_agree(case):
             assert int(circ.evaluate_vec(scalars, q)) == want[0]
         vec = circ.evaluate_vec(cols, q)
         assert np.broadcast_to(vec, (len(points),)).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_folds_agree_case(), st.data())
+def test_substitution_agrees_with_evaluation(case, data):
+    # c with x replaced by g takes the value c takes where x is g's value
+    q, points, pool = case
+    g, vg = data.draw(st.sampled_from(pool))
+    for c, ref in pool:
+        s = c.substitute("x", g)
+        if "x" not in c.free_vars():
+            assert s is c
+        for pt in points:
+            assert s.evaluate_mod(pt, q) == c.evaluate_mod({**pt, "x": g.evaluate_mod(pt, q)}, q)
+        # exactly where the values stay small: degree bounds their growth
+        if c.degree() <= 64 and max(abs(vg.numerator), vg.denominator).bit_length() <= 256:
+            assert s.evaluate(points[0]) == c.evaluate({**points[0], "x": g.evaluate(points[0])})

@@ -58,6 +58,17 @@ def test_build_S_prefix_and_witness():
         fm.evaluate_matrix(f, {**env, "r": 2.0})
 
 
+def test_and_and_or_stop_at_the_first_child_that_decides_them():
+    # y is unbound: evaluating the second atom would raise
+    x, y = Circuit.var("x"), Circuit.var("y")
+    conj = fm.Formula([], ("and", (("eq", x - 1), ("eq", y))), ["x", "y"])
+    disj = fm.Formula([], ("or", (("eq", x), ("eq", y))), ["x", "y"])
+    assert fm.evaluate_matrix(conj, {"x": 0}) is False
+    assert fm.evaluate_matrix(disj, {"x": 0}) is True
+    with pytest.raises(ValueError, match="unbound variable 'y'"):
+        fm.evaluate_matrix(conj, {"x": 1})
+
+
 def test_build_T_witness():
     f = fm.build_T()
     # r = 4 = 2 + 2; both summands carry the trivial witness
@@ -130,10 +141,11 @@ def test_norm_form_matches_sympy_determinant():
         assert f.degree() == n
         # multiplication by sum y_j t^(j-1) in Q[t]/(t^n - 2)
         ys = sympy.symbols(f"y1:{n + 1}")
-        det = sympy.Matrix(n, n, lambda i, j: ys[i - j] if i >= j else 2 * ys[n + i - j]).det()
+        mat = sympy.Matrix(n, n, lambda i, j: ys[i - j] if i >= j else 2 * ys[n + i - j])
         for _ in range(5):
             pt = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n)]
-            want = det.subs(dict(zip(ys, map(sympy.Rational, pt))))
+            # the determinant of the matrix at the point, not of the symbolic matrix
+            want = mat.subs(dict(zip(ys, map(sympy.Rational, pt)))).det()
             assert f.evaluate({f"y{i + 1}": x for i, x in enumerate(pt)}) == want
 
 

@@ -213,7 +213,6 @@ def test_root_is_the_last_node():
     ((("var", "x"), ("pow", 0)), "not a known op"),        # a field missing
     ((("var", 1),), "var name"),
     ((("int", 2.0),), "int value"),
-    ((("int", "1/2"),), "not a known op"),                 # the node tuple holds a Fraction
     ((("var", "x"), ("norm", [0])), "not a known op"),     # norm children are a tuple
     ((("var", "x"), ("add", 0, 5)), "below 1"),            # evaluate raised IndexError
     ((("var", "x"), ("neg", 1)), "below 1"),
@@ -222,6 +221,7 @@ def test_root_is_the_last_node():
     ((("var", "y"), ("var", "x"), ("add", 1, 0)), "canonical order"),
     ((), "root"),
     ((("var", "x"), ("norm", ())), "nonempty"),            # max() raised on no children
+    ((("int", "1/2"),), "not a known op"),                 # the node tuple holds a Fraction
 ])
 def test_constructor_rejects_malformed_nodes(nodes, why):
     with pytest.raises(ValueError, match=why):

@@ -1,39 +1,44 @@
 """The hot kernels, in numpy and Python ints.
 
-conic_has_solution is the Hilbert-symbol oracle's scan for a primitive
-point on z^2 = a x^2 + b y^2 mod p^m.  norm_mod and norm_mod_rows give the
-resultant Res(x^n - 2, h) mod q, for one row h or for every row of an
-array, each with its own modulus; campana.kernels builds the exact norm on
-them.  No answer goes through a float.
+conic_has_solution is the Hilbert-symbol oracle's exhaustive scan for a
+primitive point on z^2 = a x^2 + b y^2 mod p^m; it tests each distinct
+value the conic takes on its two families of points once, and reads no
+Legendre symbol.  norm_mod and norm_mod_rows give the resultant
+Res(x^n - 2, h) mod q, for one row h or for every row of an array, each
+with its own modulus; campana.kernels builds the exact norm on them.  No
+answer goes through a float.
 """
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections import OrderedDict
 
 import numpy as np
 
-#: Entries of t^2 mod M kept across calls by the conic scan, summed over M
-#: (about 9 bytes each: the int64 squares and the bool mask).
+#: Residues mod M kept across calls by the conic scan, summed over M (at
+#: most about 5 bytes each: the bool mask, and the int64 list of the
+#: distinct squares, which holds at most about half of the residues).
 SCAN_TABLE_BUDGET = 1 << 22
 _scan_tables: "OrderedDict[int, tuple]" = OrderedDict()
 
 
 def _square_tables(M: int) -> tuple:
-    """(t^2 mod M for t < M, mask of the squares mod M), both read-only;
-    the least recently used moduli are dropped beyond SCAN_TABLE_BUDGET."""
+    """(the distinct squares mod M in increasing order, mask of the squares
+    mod M), both read-only; the least recently used moduli are dropped
+    beyond SCAN_TABLE_BUDGET."""
     tables = _scan_tables.get(M)
     if tables is not None:
         _scan_tables.move_to_end(M)
         return tables
-    t = np.arange(M, dtype=np.int64)
-    t2 = t * t % M
+    t = np.arange(M // 2 + 1, dtype=np.int64)  # (M - t)^2 = t^2 mod M
     is_square = np.zeros(M, dtype=bool)
-    is_square[t2] = True
-    t2.flags.writeable = False
+    is_square[t * t % M] = True
+    squares = np.flatnonzero(is_square).astype(np.int64, copy=False)
+    squares.flags.writeable = False
     is_square.flags.writeable = False
-    _scan_tables[M] = tables = (t2, is_square)
+    _scan_tables[M] = tables = (squares, is_square)
     total = sum(_scan_tables)
     while total > SCAN_TABLE_BUDGET and len(_scan_tables) > 1:
         total -= _scan_tables.popitem(last=False)[0]
@@ -41,24 +46,40 @@ def _square_tables(M: int) -> tuple:
 
 
 def conic_has_solution(a: int, b: int, p: int, m: int) -> bool:
-    """Whether z^2 = a*x^2 + b*y^2 has a primitive solution mod p^m (one of
-    x, y, z a unit), by exhaustive scan over x = 1 and then over y = 1: if p
-    divides x and y, it divides z^2 and so z, so every primitive point has x
-    or y a unit (and may be scaled to make it 1), for any a, b and m >= 1.
+    """Whether z^2 = a*x^2 + b*y^2 has a primitive solution mod M = p^m (one
+    of x, y, z a unit), by an exhaustive scan that tests each distinct
+    value of the conic once, for any a, b and m >= 1.
 
-    The caller keeps the valuations of a and b at p in {0, 1} and takes m
-    large enough for Hensel lifting; then the answer is whether the conic
-    has a point over Q_p, i.e. whether the Hilbert symbol (a, b)_p is 1.
-    p^m must not exceed 4,000,000 (ValueError).
+    If p divides x and y, it divides z^2 and so z; so a primitive point has
+    x or y a unit, and scales to x = 1 or to y = 1.  The conic is
+    symmetric under (a, x) <-> (b, y), so a and b are first ordered with
+    g = gcd(b, M) >= gcd(a, M).  Then:
+
+    - x = 1, y = t: a + b t^2 mod M depends only on t^2 mod M/g, so it is
+      tested at each distinct square s mod M/g.
+    - y = 1, x = t: a point with t a unit scales by 1/t to one with x = 1,
+      seen above; so only t = p k is left, where t^2 = p^2 k^2 mod M
+      depends only on k^2 mod p^(m-2) (nothing when m <= 2), and a t^2 + b
+      is tested at p^2 s for each distinct square s mod p^max(m-2, 0).
+
+    Each value goes through the mask of the squares mod M.  The caller keeps
+    the valuations of a and b at p in {0, 1} and takes m large enough for
+    Hensel lifting; then the answer is whether the conic has a point over
+    Q_p, i.e. whether the Hilbert symbol (a, b)_p is 1.  p^m must not
+    exceed 4,000,000 (ValueError).
     """
     M = p**m
     if M > 4_000_000:
         raise ValueError("modulus p^m too large for the scan kernel")
     am, bm = a % M, b % M
-    t2, is_square = _square_tables(M)
-    if is_square[(am + bm * t2) % M].any():
+    ga, g = math.gcd(am, M), math.gcd(bm, M)
+    if ga > g:
+        am, bm, g = bm, am, ga
+    is_square = _square_tables(M)[1]
+    if is_square[(am + bm * _square_tables(M // g)[0]) % M].any():
         return True
-    return bool(is_square[(am * t2 + bm) % M].any())
+    s = _square_tables(p ** max(m - 2, 0))[0]
+    return bool(is_square[(am * p * p % M * s + bm) % M].any())
 
 
 def norm_mod(coeffs: list, q: int) -> int:

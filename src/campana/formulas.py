@@ -45,13 +45,21 @@ class Gensym:
 def _fold_matrix(m: MatrixNode, atom: Callable, join: Callable):
     """The one walk over a matrix: atom(kind, circuit) at an eq or neq node,
     join(kind, the folds of its children) at an and or or node.  join gets
-    the children as an iterator that folds each one only when it is taken."""
-    kind = m[0]
-    if kind in ("eq", "neq"):
-        return atom(kind, m[1])
-    if kind in ("and", "or"):
-        return join(kind, (_fold_matrix(c, atom, join) for c in m[1]))
-    raise ValueError(f"unknown matrix node {kind!r}")
+    the children as an iterator that folds each one only when it is taken.
+    A matrix nested too deeply for the recursion limit (a few hundred and/or
+    levels) raises ValueError, as parse does for such a document."""
+    def fold(m: MatrixNode):
+        kind = m[0]
+        if kind in ("eq", "neq"):
+            return atom(kind, m[1])
+        if kind in ("and", "or"):
+            return join(kind, (fold(c) for c in m[1]))
+        raise ValueError(f"unknown matrix node {kind!r}")
+
+    try:
+        return fold(m)
+    except RecursionError:
+        raise ValueError("matrix nested too deeply") from None
 
 
 class Formula:

@@ -164,7 +164,7 @@ def hilbert(a: RationalLike, b: RationalLike, v) -> int:
     return local_symbol(p, alpha, u, beta, w)
 
 
-def _cleared_at(a: RationalLike, b: RationalLike, p: int):
+def _clear(a: RationalLike, b: RationalLike, p: int):
     """(p, (v, u) of a * den(a)^2, (v, u) of b * den(b)^2), with p through
     arith.prime; v is |v_p(a)| (resp. |v_p(b)|), as p divides only one of
     a rational's numerator and denominator."""
@@ -176,14 +176,33 @@ def _cleared_at(a: RationalLike, b: RationalLike, p: int):
     return p, arith.split_power(an * ad, p), arith.split_power(bn * bd, p)
 
 
+# typed keys: 7.0 == 7 and both hash alike, but only the int is a prime
+_last_cleared = functools.lru_cache(maxsize=1, typed=True)(_clear)
+
+
+def _cleared_at(a: RationalLike, b: RationalLike, p: int):
+    """_clear(a, b, p), memoized for the last arguments, so that the pair
+    hilbert_oracle(a, b, p, default_oracle_precision(a, b, p)) proves p and
+    splits a and b once.  Errors are not memoized."""
+    try:
+        return _last_cleared(a, b, p)
+    except TypeError:  # an unhashable argument; _clear gives its own error
+        return _clear(a, b, p)
+
+
 def hilbert_oracle(a: RationalLike, b: RationalLike, p: int, precision: int) -> int:
     """Independent local-solvability oracle at a finite prime.
 
     Clears denominators and strips square factors of p (both are exact
-    changes of variables on the conic z^2 = a x^2 + b y^2), then scans all
-    primitive triples mod p^m for a Hensel-liftable solution.  m is capped
-    at 2*(v_p(2) + max residual valuation) + 1, which is always <= precision
-    given the stated precondition, and suffices for lifting.
+    changes of variables on the conic z^2 = a x^2 + b y^2), then searches
+    for a primitive point mod p^m with kernels.conic_has_solution, an
+    exhaustive scan that tests each distinct value of the conic once: every
+    primitive point has x or y a unit and scales to x = 1 or y = 1, and
+    a x^2 + b y^2 then depends on x or y only through a square, so the
+    scan misses no point.  It reads no Legendre symbol, so it stays
+    independent of hilbert.  m is capped at 2*(v_p(2) + max residual
+    valuation) + 1, which is always <= precision given the stated
+    precondition, and suffices for Hensel lifting.
     """
     p, (va, ua), (vb, ub) = _cleared_at(a, b, p)
     # tight Hensel requirement: 2*(v_p(2) + max residual valuation) + 1

@@ -69,6 +69,24 @@ def test_and_and_or_stop_at_the_first_child_that_decides_them():
         fm.evaluate_matrix(conj, {"x": 1})
 
 
+@pytest.mark.parametrize("depth", [300, 3000])
+def test_a_matrix_nested_too_deeply_is_a_value_error(depth):
+    # one eq atom under depth and-levels: past the recursion limit, Formula
+    # and evaluate_matrix raise ValueError, never RecursionError
+    x = Circuit.var("x")
+    m = ("eq", x)
+    for _ in range(depth):
+        m = ("and", (m,))
+    try:
+        f = fm.Formula([], m, ["x"])
+        assert fm.evaluate_matrix(f, {"x": 0}) is True
+    except ValueError as e:
+        assert "nested too deeply" in str(e)
+    if depth == 3000:
+        with pytest.raises(ValueError, match="nested too deeply"):
+            fm.Formula([], m, ["x"])
+
+
 def test_build_T_witness():
     f = fm.build_T()
     # r = 4 = 2 + 2; both summands carry the trivial witness

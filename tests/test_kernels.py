@@ -37,14 +37,51 @@ def test_conic_kernel_vs_dumb_scan():
             if b % (p * p) == 0:
                 b //= p * p
         m = 3
-        got = kernels.conic_has_solution(a, b, p, m)
-        assert got == dumb_conic_scan(a, b, p, m), (a, b, p)
+        want = dumb_conic_scan(a, b, p, m)
+        # in both orders: the scan puts the coefficient with more p first
+        assert kernels.conic_has_solution(a, b, p, m) == want, (a, b, p)
+        assert kernels.conic_has_solution(b, a, p, m) == want, (b, a, p)
     # the scan is exact for any a, b and m >= 1, zeros and p^2 | a, b included
     for p, m in ((2, 1), (2, 2), (3, 1), (3, 2)):
         for a in range(-2 * p * p, 2 * p * p + 1):
             for b in (0, 1, -1, p, -p, 3 * p, p * p, -p * p, 2 * p * p, p**3):
-                got = kernels.conic_has_solution(a, b, p, m)
-                assert got == dumb_conic_scan(a, b, p, m), (a, b, p, m)
+                want = dumb_conic_scan(a, b, p, m)
+                assert kernels.conic_has_solution(a, b, p, m) == want, (a, b, p, m)
+                assert kernels.conic_has_solution(b, a, p, m) == want, (b, a, p, m)
+
+
+def two_full_passes(a, b, p, m):
+    """The scan as it was before it tested each distinct value once: x = 1
+    and then y = 1, each over every t mod p^m."""
+    M = p**m
+    t2 = np.arange(M, dtype=np.int64) ** 2 % M
+    is_square = np.zeros(M, dtype=bool)
+    is_square[t2] = True
+    am, bm = a % M, b % M
+    return bool(is_square[(am + bm * t2) % M].any()
+                or is_square[(am * t2 + bm) % M].any())
+
+
+PRIMES_TO_50 = list(sympy.primerange(2, 51))
+
+
+@st.composite
+def conic_inputs(draw):
+    """(a, b, p, m) with p <= 50 and m <= 3, or p <= 7 and m <= 5; a and b
+    are 0 or a unit times p^0..p^3, so p and p^2 often divide them."""
+    p = draw(st.sampled_from(PRIMES_TO_50))
+    m = draw(st.integers(1, 5 if p <= 7 else 3))
+    coefficient = st.one_of(
+        st.just(0),
+        st.builds(lambda u, k: u * p**k, st.integers(-10**4, 10**4), st.integers(0, 3)))
+    return draw(coefficient), draw(coefficient), p, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(conic_inputs())
+def test_conic_kernel_agrees_with_two_full_passes(case):
+    a, b, p, m = case
+    assert kernels.conic_has_solution(a, b, p, m) == two_full_passes(a, b, p, m)
 
 
 def _strip_square(x, p):
@@ -54,7 +91,8 @@ def _strip_square(x, p):
 
 
 @pytest.mark.parametrize("p, m", [(p, m) for p in (3, 5, 7, 11, 13) for m in (3, 4)]
-                         + [(2, 5), (2, 6)])
+                         + [(2, 5), (2, 6)]
+                         + [(p, 3) for p in (17, 23, 29, 31, 37, 41, 43, 47)])
 def test_conic_kernel_matches_hilbert_symbol(p, m):
     # with p^2 stripped from a and b, a primitive point mod p^m exists
     # exactly when (a, b)_p = 1; the oracle itself never asks for m = 4 at
@@ -424,12 +462,16 @@ def test_halving_helpers_refuse_empty_rows():
 
 
 def test_conic_square_tables_cached_read_only_and_bounded(monkeypatch):
-    t2, is_square = _kernels_py._square_tables(125)
-    assert _kernels_py._square_tables(125)[0] is t2
-    assert not t2.flags.writeable and not is_square.flags.writeable
-    squares = [t * t % 125 for t in range(125)]
-    assert t2.tolist() == squares
-    assert np.flatnonzero(is_square).tolist() == sorted(set(squares))
+    squares, is_square = _kernels_py._square_tables(125)
+    assert _kernels_py._square_tables(125)[0] is squares
+    assert not squares.flags.writeable and not is_square.flags.writeable
+    # the distinct squares in increasing order, and their mask; M = 1 is the
+    # y = 1 pass's modulus p^(m-2) at m <= 2
+    for M in (1, 2, 8, 16, 27, 49, 125):
+        squares, is_square = _kernels_py._square_tables(M)
+        want = sorted({t * t % M for t in range(M)})
+        assert squares.dtype == np.int64 and squares.tolist() == want, M
+        assert len(is_square) == M and np.flatnonzero(is_square).tolist() == want, M
     monkeypatch.setattr(_kernels_py, "SCAN_TABLE_BUDGET", 1000)
     for M in (27, 243, 343, 625, 729):
         _kernels_py._square_tables(M)

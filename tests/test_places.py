@@ -137,6 +137,18 @@ def test_hilbert_matches_oracle_sampled():
         assert places.hilbert(a, b, p) == places.hilbert_oracle(a, b, p, prec), (a, b, p)
 
 
+def test_the_oracle_pair_proves_p_once(monkeypatch):
+    calls = []
+    is_prime = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    for p in (2, 3, 47):
+        calls.clear()
+        a, b = Fraction(6 * p, 35), -p * p * 5
+        symbol = places.hilbert_oracle(a, b, p, places.default_oracle_precision(a, b, p))
+        assert calls == [p]
+        assert symbol == places.hilbert(a, b, p)
+
+
 @given(nonzero_small, nonzero_small, place_st)
 @settings(max_examples=200)
 def test_hilbert_symmetric(a, b, v):

@@ -80,3 +80,14 @@ def test_every_function_that_takes_a_prime_is_in_the_table():
                 found.add(f"{prefix}.{name}")
     assert found - GATED.keys() - EXEMPT == set()
     assert EXEMPT <= found
+
+
+def test_the_oracle_pair_memo_does_not_let_an_equal_non_int_through():
+    # the pair shares one proof of p; 7.0 == 7 and hashes alike, but it is
+    # not a prime int, and an unhashable p is refused all the same
+    assert places.default_oracle_precision(2, 3, 7) == 3
+    with pytest.raises(ValueError):
+        places.hilbert_oracle(2, 3, 7.0, 5)
+    places.default_oracle_precision(2, 3, 7)
+    with pytest.raises(ValueError):
+        places.hilbert_oracle(2, 3, [7], 5)

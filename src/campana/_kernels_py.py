@@ -17,6 +17,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from .arith import integer
+
 #: Residues mod M kept across calls by the conic scan, summed over M (at
 #: most about 5 bytes each: the bool mask, and the int64 list of the
 #: distinct squares, which holds at most about half of the residues).
@@ -85,7 +87,7 @@ def conic_has_solution(a: int, b: int, p: int, m: int) -> bool:
 def norm_mod(coeffs: list, q: int) -> int:
     """Res(x^n - 2, h) mod q for h = sum(coeffs[j] x^j), len(coeffs) = n."""
     if len(coeffs) == 1:  # Res(x - 2, c) = c
-        return operator.index(coeffs[0]) % _modulus(q)
+        return integer(coeffs[0], "a coefficient") % _modulus(q)
     return int(norm_mod_rows([coeffs], [q])[0])
 
 
@@ -110,8 +112,8 @@ def norm_mod_rows(H, qs) -> np.ndarray:
     q = np.array(qlist, dtype=np.int64)
     if rows.dtype.kind == "i" or (rows.dtype.kind in "ub" and rows.dtype.itemsize < 8):
         g = rows.astype(np.int64) % q[:, None]
-    else:  # Python ints of any size; anything else is refused by index()
-        g = np.array([[operator.index(c) % m for c in row]
+    else:  # Python ints of any size; anything else is refused by integer()
+        g = np.array([[integer(c, "a coefficient") % m for c in row]
                       for row, m in zip(rows.tolist(), qlist)], dtype=np.int64)
     g = _halve_rows(g, qlist)
     n = g.shape[1]
@@ -122,7 +124,7 @@ def norm_mod_rows(H, qs) -> np.ndarray:
 
 
 def _modulus(q) -> int:
-    q = operator.index(q)
+    q = integer(q, "q")
     if q >= (1 << 31) or q < 2:
         raise ValueError("q out of range")
     return q

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import operator
 import random
 from dataclasses import dataclass, field
@@ -188,23 +189,49 @@ class Factorization:
 
 def factorize(r: RationalLike) -> Factorization:
     """Exact factorization of a nonzero rational (denominator exponents < 0)."""
-    q = Fraction(r)
-    if q == 0:
+    num, den = num_den(r)
+    if num == 0:
         raise ValueError("cannot factorize 0")
-    sign = 1 if q > 0 else -1
-    factors = _factor_int(abs(q.numerator))
-    for p, e in _factor_int(q.denominator).items():
+    sign = 1 if num > 0 else -1
+    factors = _factor_int(abs(num))
+    for p, e in _factor_int(den).items():
         factors[p] = factors.get(p, 0) - e
     factors = {p: e for p, e in factors.items() if e != 0}
     return Factorization(sign, factors)
 
 
+def rational(r) -> RationalLike:
+    """r as an exact rational, the one gate for every rational argument: a
+    Python int for any numbers.Integral (bools and numpy integers too); for
+    any other numbers.Rational a Fraction in lowest terms, or an int if its
+    denominator is 1.  Anything else raises ValueError: a float (even an
+    integral one), a str, a Decimal, None, a list."""
+    if type(r) is int:
+        return r
+    if type(r) is not Fraction:
+        if isinstance(r, numbers.Integral):
+            return int(r)
+        if not isinstance(r, numbers.Rational):
+            raise ValueError(f"not a rational: {r!r}")
+        r = Fraction(r)
+    return r.numerator if r.denominator == 1 else r
+
+
+def integer(x, name: str = "the argument") -> int:
+    """x as an int, for a modulus, a precision, a coefficient or an exponent:
+    anything with __index__; a float, a str or a Fraction is a ValueError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {x!r}") from None
+
+
 def num_den(r: RationalLike) -> Tuple[int, int]:
-    """(numerator, denominator) of a rational in lowest terms, den > 0."""
+    """(numerator, denominator) of r, read by rational(), in lowest terms."""
     if type(r) is int:
         return r, 1
-    if not isinstance(r, Fraction):
-        r = Fraction(r)
+    if type(r) is not Fraction:
+        r = Fraction(rational(r))
     return r.numerator, r.denominator
 
 
@@ -227,10 +254,7 @@ def prime(p) -> int:
     float, a str or a Fraction, even one with an integral value) that is
     prime.  Anything else raises ValueError.
     """
-    try:
-        q = operator.index(p)
-    except TypeError:
-        raise ValueError(f"not a prime: {p!r}") from None
+    q = integer(p, "a prime")
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     return q
@@ -241,10 +265,7 @@ def check_n(n) -> int:
     float or any other non-integer is refused with ValueError."""
     if isinstance(n, bool):
         raise ValueError(f"n must be an integer, not {n!r}")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer, not {n!r}") from None
+    n = integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     return n
@@ -282,7 +303,7 @@ def legendre(a: int, p: int) -> int:
     p = prime(p)
     if p == 2:
         raise ValueError("2 is not an odd prime")
-    a %= p
+    a = integer(a, "a") % p
     if a == 0:
         return 0
     s = pow(a, (p - 1) // 2, p)

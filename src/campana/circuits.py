@@ -25,7 +25,6 @@ Everything that depends on a node's op lives in one table, OPS.
 """
 from __future__ import annotations
 
-import numbers
 import operator
 import re
 import threading
@@ -35,17 +34,10 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import arith, kernels
 from ._kernels_py import _modulus
 
 ConstLike = Union[int, Fraction]
-
-
-def _coerce_const(v: ConstLike):
-    if isinstance(v, int):
-        return int(v)
-    f = Fraction(v)
-    return f.numerator if f.denominator == 1 else f
 
 
 class Circuit:
@@ -83,7 +75,8 @@ class Circuit:
 
     @staticmethod
     def const(value: ConstLike) -> "Circuit":
-        return _intern(("int", _coerce_const(value)))
+        """The constant value, read by arith.rational (ValueError if not rational)."""
+        return _intern(("int", arith.rational(value)))
 
     @staticmethod
     def _lift(x) -> "Circuit":
@@ -192,12 +185,11 @@ class Circuit:
         return self._names
 
     def evaluate(self, env: Mapping[str, ConstLike]) -> Fraction:
-        """Exact evaluation at a rational point, as a Fraction.  A value is
-        an int (bool and numpy integers included) or a Fraction, anything
-        numbers.Rational accepts; anything else, a float or a string among
-        them, raises ValueError.  The fold works on Python ints until a
-        rational value or constant meets it, and makes one Fraction at the
-        root; norm nodes go through the exact resultant evaluator."""
+        """Exact evaluation at a rational point, as a Fraction.  Each value
+        is read by arith.rational, so a float or a str raises ValueError.
+        The fold works on Python ints until a rational value or constant
+        meets it, and makes one Fraction at the root; norm nodes go through
+        the exact resultant evaluator."""
         return Fraction(self._fold(_EXACT, env))
 
     def evaluate_mod(self, env: Mapping[str, int], q: int) -> int:
@@ -352,15 +344,6 @@ def _lookup(env, name):
     return env[name]
 
 
-def _exact_var(x) -> ConstLike:
-    # an int, bool or numpy integer as a Python int, which cannot wrap around;
-    # a float, a string or anything else not rational is refused, never converted
-    if isinstance(x, numbers.Integral):
-        return operator.index(x)
-    _checked(x, isinstance(x, numbers.Rational), "evaluate takes rational values")
-    return Fraction(x)
-
-
 def _int_mod(x, q: int) -> int:
     ok = isinstance(x, (int, np.integer))
     return operator.index(_checked(x, ok, "evaluate_mod takes integer values")) % q
@@ -426,14 +409,14 @@ def _value(x) -> ConstLike:
         return x
     _checked(x, type(x) is str and _RATIONAL.fullmatch(x) is not None,
              "an int value must be an int or a 'p/q' string")
-    return _coerce_const(Fraction(x))
+    return arith.rational(Fraction(x))
 
 
 OPS: Dict[str, _Op] = {
     "var": _Op(
         children=lambda nd: (), remap=lambda nd, f: nd,
         degree=lambda key: 1,
-        exact=lambda nd, v, env, q: _exact_var(_lookup(env, nd[1])),
+        exact=lambda nd, v, env, q: arith.rational(_lookup(env, nd[1])),
         mod=lambda nd, v, env, q: _int_mod(_lookup(env, nd[1]), q),
         vec=lambda nd, v, env, q: _vec_var(_lookup(env, nd[1]), q),
         arity=2, fields=("name",),

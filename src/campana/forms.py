@@ -4,19 +4,24 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
+from . import arith
+
 
 class BinaryForm:
     """F = sum of coef * x^i * y^j with i + j constant (homogeneity is
-    checked at construction)."""
+    checked at construction).  Coefficients and points go through
+    arith.rational, and i, j must be integers >= 0 (ValueError otherwise)."""
 
     __slots__ = ("coeffs", "degree")
 
     def __init__(self, coeffs: Mapping[Tuple[int, int], "Fraction | int"]):
         cleaned: Dict[Tuple[int, int], Fraction] = {}
         for (i, j), c in coeffs.items():
-            c = Fraction(c)
+            c, i, j = Fraction(arith.rational(c)), arith.integer(i, "i"), arith.integer(j, "j")
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent in x^{i} y^{j}")
             if c != 0:
-                cleaned[(int(i), int(j))] = c
+                cleaned[(i, j)] = c
         if not cleaned:
             raise ValueError("zero form")
         degrees = {i + j for i, j in cleaned}
@@ -32,7 +37,7 @@ class BinaryForm:
         return cls({(k, d - k): c for k, c in enumerate(coeffs)})
 
     def __call__(self, x: "Fraction | int", y: "Fraction | int") -> Fraction:
-        x, y = Fraction(x), Fraction(y)
+        x, y = arith.rational(x), arith.rational(y)
         return sum(
             (c * x**i * y**j for (i, j), c in self.coeffs.items()),
             start=Fraction(0),

@@ -10,8 +10,6 @@ CRT up to a Hadamard-style bound on the odd part.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -27,7 +25,9 @@ _crt_primes: List[int] = []
 
 
 def crt_primes(k: int) -> List[int]:
-    """The k largest primes below 2^31, cached."""
+    """The k largest primes below 2^31, cached; k is an int >= 0."""
+    if arith.integer(k, "k") < 0:
+        raise ValueError(f"k must be >= 0, not {k}")
     while len(_crt_primes) < k:
         n = (_crt_primes[-1] if _crt_primes else _CRT_PRIME_CEILING + 2) - 2
         while not arith.is_prime(n):
@@ -101,7 +101,7 @@ def norm_int(w: Sequence[int]) -> int:
     resultants up to the Hadamard-style bound of that odd part, with all
     primes in one row call.
     """
-    w = [operator.index(x) for x in w]
+    w = [arith.integer(x, "a coefficient") for x in w]
     if not w:
         raise ValueError("a norm needs at least one coefficient")
     if not any(w):
@@ -125,14 +125,10 @@ def norm_int(w: Sequence[int]) -> int:
 
 def _clear_denominators(values: Sequence[Fraction]) -> Tuple[List[int], int]:
     """(w, l) with l the least common denominator of a nonempty vector of
-    rationals and w = l * values, a vector of integers.  Each value must be
-    a numbers.Rational (an int, a Fraction, a numpy integer); a float is
-    refused, as its binary expansion would reach the exact answer."""
-    pairs = []
-    for v in values:
-        if not isinstance(v, numbers.Rational):
-            raise ValueError(f"a norm takes rational coefficients, not {v!r}")
-        pairs.append((operator.index(v.numerator), operator.index(v.denominator)))
+    rationals and w = l * values, a vector of integers.  Each value is read
+    by arith.num_den, so a float is refused, as its binary expansion would
+    reach the exact answer."""
+    pairs = [arith.num_den(v) for v in values]
     if not pairs:
         raise ValueError("a norm needs at least one coefficient")
     lcm = math.lcm(*(d for _, d in pairs))

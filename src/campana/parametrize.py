@@ -94,7 +94,7 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
     through the places module.
     """
     cfg = config if config is not None else SearchConfig()
-    a = Fraction(a)
+    a = arith.rational(a)
     if a == 0:
         raise ValueError("a must be nonzero")
     target_set = places.PlaceSet.of_primes(S)

@@ -205,6 +205,7 @@ def hilbert_oracle(a: RationalLike, b: RationalLike, p: int, precision: int) -> 
     precondition, and suffices for Hensel lifting.
     """
     p, (va, ua), (vb, ub) = _cleared_at(a, b, p)
+    precision = arith.integer(precision, "precision")
     # tight Hensel requirement: 2*(v_p(2) + max residual valuation) + 1
     min_precision = max(3, 2 * max(va, vb) + (3 if p == 2 else 1))
     if precision < min_precision:
@@ -230,10 +231,10 @@ def _odd_primes(*exponent_maps: Dict[int, int]) -> PlaceSet:
                     for p, e in f.items() if e % 2)
 
 
-def _exponent_maps(*values: Fraction) -> List[Dict[int, int]]:
+def _exponent_maps(*values: RationalLike) -> List[Dict[int, int]]:
     """The factorization exponents of each value; equal values are
     factorized once."""
-    memo: Dict[Fraction, Dict[int, int]] = {}
+    memo: Dict[RationalLike, Dict[int, int]] = {}
     for r in values:
         if r not in memo:
             memo[r] = arith.factorize(r).factors
@@ -246,24 +247,25 @@ def _scan_places(fa: Dict[int, int], fb: Dict[int, int]) -> List[Place]:
     return [REAL_PLACE] + [Place._proved(p) for p in {2} | fa.keys() | fb.keys()]
 
 
-def _delta(a: Fraction, b: Fraction, fa: Dict[int, int], fb: Dict[int, int]) -> PlaceSet:
+def _delta(a: RationalLike, b: RationalLike, fa: Dict[int, int], fb: Dict[int, int]) -> PlaceSet:
     return PlaceSet(v for v in _scan_places(fa, fb) if hilbert(a, b, v) == -1)
 
 
-def _delta_upper(a: Fraction, b: Fraction, fa: Dict[int, int], fb: Dict[int, int]) -> PlaceSet:
+def _delta_upper(a: RationalLike, b: RationalLike,
+                 fa: Dict[int, int], fb: Dict[int, int]) -> PlaceSet:
     return _delta(a, b, fa, fb) & _odd_primes(fa, fb)
 
 
 def delta(a: RationalLike, b: RationalLike) -> PlaceSet:
     """Places v with (a,b)_v = -1 (ramification set of the quaternion
     algebra); the scan is restricted to the finite set where -1 can occur."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = arith.rational(a), arith.rational(b)
     return _delta(a, b, *_exponent_maps(a, b))
 
 
 def delta_upper(a: RationalLike, b: RationalLike) -> PlaceSet:
     """delta(a, b) restricted to the odd supports of a and b."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = arith.rational(a), arith.rational(b)
     return _delta_upper(a, b, *_exponent_maps(a, b))
 
 
@@ -276,14 +278,14 @@ def omega(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) ->
     radical set J of (a, b, c, d).
 
     Memoized per quadruple: the OMEGA_CACHE_SIZE most recently used
-    quadruples (as Fractions, so 3 and Fraction(3) are one key) keep their
-    PlaceSet, which is immutable.  Errors are raised again on every call; hits and
-    misses are read with omega.cache_info()."""
-    return _omega(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+    quadruples (read by arith.rational, so 3 and Fraction(6, 2) are one key)
+    keep their PlaceSet, which is immutable.  Errors are raised again on
+    every call; hits and misses are read with omega.cache_info()."""
+    return _omega(*map(arith.rational, (a, b, c, d)))
 
 
 @functools.lru_cache(maxsize=OMEGA_CACHE_SIZE)
-def _omega(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> PlaceSet:
+def _omega(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) -> PlaceSet:
     fa, fb, fc, fd = _exponent_maps(a, b, c, d)
     first = _delta_upper(a, b, fa, fb)
     if (a, b) == (c, d):
@@ -297,7 +299,7 @@ omega.cache_clear = _omega.cache_clear
 
 def reciprocity_check(a: RationalLike, b: RationalLike) -> bool:
     """Product of the local symbols over the scan set; always +1."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = arith.rational(a), arith.rational(b)
     prod = 1
     for v in _scan_places(*_exponent_maps(a, b)):
         prod *= hilbert(a, b, v)
@@ -313,7 +315,7 @@ def find_local_counterexample(a: RationalLike, v) -> Fraction:
     """Given a nonsquare in Q_v, find b with (a,b)_v = -1 by bounded
     enumeration over small integers (existence is guaranteed, so hitting
     COUNTEREXAMPLE_CAP raises SearchExhausted)."""
-    a = Fraction(a)
+    a = arith.rational(a)
     p = arith.place_prime(v)
     if arith.is_square_local(a, p):
         raise ValueError(f"{a} is a square in Q_v at {v}; no counterexample")

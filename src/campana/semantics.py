@@ -27,25 +27,21 @@ def in_Jn(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike,
           n: int, r: RationalLike) -> bool:
     """r = 0, or v_p(r) >= n at every prime of omega(a,b,c,d)."""
     n = arith.check_n(n)
-    r = Fraction(r)
+    num, _ = arith.num_den(r)
     primes = places.omega(a, b, c, d).primes()
-    if r == 0:
+    if num == 0:
         return True
     # n >= 1, so v_p(r) >= n is read off the numerator alone
-    return all(arith.split_power(r.numerator, p)[0] >= n for p in primes)
+    return all(arith.split_power(num, p)[0] >= n for p in primes)
 
 
 def in_inv_Jn(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike,
               n: int, r: RationalLike) -> bool:
     """r is an inverse of a nonzero element of J_n: r != 0 and v_p(r) <= -n
-    at every prime of omega(a,b,c,d)."""
-    n = arith.check_n(n)
-    r = Fraction(r)
-    primes = places.omega(a, b, c, d).primes()
-    if r == 0:
-        return False
-    # n >= 1, so v_p(r) <= -n is read off the denominator alone
-    return all(arith.split_power(r.denominator, p)[0] >= n for p in primes)
+    at every prime of omega(a,b,c,d), that is, 1/r lies in J_n."""
+    num, den = arith.num_den(r)
+    # 1/r, or 0 for r = 0 so that in_Jn still checks every other argument
+    return in_Jn(a, b, c, d, n, Fraction(den, num) if num else 0) and num != 0
 
 
 def _sum_criterion(omega1: places.PlaceSet, omega2: places.PlaceSet,
@@ -88,30 +84,25 @@ def disjoint_omegas(a, b, c, d, a2, b2, c2, d2) -> bool:
 
 def campana_member(S, n: int, r: RationalLike) -> bool:
     """r in C_{S,n}: r = 0, or v_p(r) >= 0 or <= -n at every prime outside S.
-    Only denominator primes can violate this."""
+    Only denominator primes can violate this, so only the denominator is
+    factored."""
     n = arith.check_n(n)
     S = places.PlaceSet.of_primes(S).primes()
-    r = Fraction(r)
-    if r == 0:
-        return True
-    for p, e in arith.factorize(r).factors.items():
-        if e < 0 and -n < e and p not in S:
-            return False
-    return True
+    num, den = arith.num_den(r)
+    return num == 0 or all(
+        k >= n or p in S for p, k in arith.factorize(den).factors.items())
 
 
 def s_integer_member(S, r: RationalLike) -> bool:
-    """r is integral outside S: every denominator prime lies in S."""
+    """r is integral outside S: every prime of its denominator lies in S."""
     S = places.PlaceSet.of_primes(S).primes()
-    r = Fraction(r)
-    if r == 0:
-        return True
-    return all(e > 0 or p in S for p, e in arith.factorize(r).factors.items())
+    num, den = arith.num_den(r)
+    return num == 0 or all(p in S for p in arith.factorize(den).factors)
 
 
 def campana_member_form(S, n: int, F: BinaryForm, lam: RationalLike) -> bool:
     """Campana condition twisted by a binary form: tests F(lam, 1)."""
-    value = F(Fraction(lam), 1)
+    value = F(lam, 1)
     if value == 0:
         raise ValueError("F(lam, 1) = 0: lam is a root of the form")
     return campana_member(S, n, value)
@@ -121,17 +112,17 @@ def campana_via_coordinates(x0: RationalLike, x1: RationalLike, S, n: int) -> bo
     """Campana membership of x0/x1 read off projective coordinates: the
     reduced denominator exponent e must satisfy e^2 >= n*e outside S."""
     n = arith.check_n(n)
-    x0, x1 = Fraction(x0), Fraction(x1)
-    if x1 == 0:
+    (n0, d0), (n1, d1) = arith.num_den(x0), arith.num_den(x1)
+    if n1 == 0:
         raise ValueError("x1 must be nonzero")
     S = places.PlaceSet.of_primes(S).primes()
-    if x0 == 0:
+    if n0 == 0:
         return True  # every exponent is 0
-    # e = v_p(x1) - v_p(x0) where that is > 0, read off the factorizations
-    # of the two coordinates; for e > 0, e^2 < n e means e < n
-    f0, f1 = arith.factorize(x0).factors, arith.factorize(x1).factors
-    for p in f0.keys() | f1.keys():
-        if 0 < f1.get(p, 0) - f0.get(p, 0) < n and p not in S:
+    # e = v_p(x1) - v_p(x0) = v_p(n1 d0) - v_p(d1 n0) is > 0 only at primes
+    # of n1 or d0, so only those are factored; for e > 0, e^2 < n e means e < n
+    for p in arith.factorize(n1).factors.keys() | arith.factorize(d0).factors.keys():
+        e = arith.split_power(n1 * d0, p)[0] - arith.split_power(d1 * n0, p)[0]
+        if 0 < e < n and p not in S:
             return False
     return True
 
@@ -158,7 +149,7 @@ def generate_trace_element(
     w = z^2/nrd(z), computed via z^2 = trd(z) z - nrd(z).  The witness
     satisfies t^2 - 4a w2^2 - 4b w3^2 + 4ab w4^2 = 4 exactly.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = arith.rational(a), arith.rational(b)
     if a == 0 or b == 0:
         raise ValueError("a, b must be nonzero")
     rng = random.Random(seed)

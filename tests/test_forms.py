@@ -27,6 +27,14 @@ def test_homogeneity_enforced():
         BinaryForm({})
 
 
+def test_exponents_are_integers_at_least_zero():
+    # (1.5, 0.5) was truncated to x; (-1, 2) was accepted, and F(0, 1) then
+    # raised ZeroDivisionError
+    for coeffs in ({(1.5, 0.5): 1}, {(-1, 2): 1}, {(2, -1): 1}):
+        with pytest.raises(ValueError):
+            BinaryForm(coeffs)
+
+
 def test_dehomogenized():
     F = BinaryForm({(2, 0): 1, (1, 1): -3, (0, 2): 2})
     assert F.dehomogenized() == {2: Fraction(1), 1: Fraction(-3), 0: Fraction(2)}

@@ -289,9 +289,9 @@ def test_norm_mod_rows_rejects_bad_shapes_and_types():
         _kernels_py.norm_mod_rows([1, 2], [7, 7])
     with pytest.raises(ValueError):
         _kernels_py.norm_mod_rows([[1, 2], [3, 4]], [-1, 2**63])
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         _kernels_py.norm_mod_rows([[1.5, 2]], [7])
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         _kernels_py.norm_mod([Fraction(1, 2), 1], 7)
 
 
@@ -302,6 +302,13 @@ def test_norm_int_and_zero_test_use_row_kernel():
             w = [rng.randint(-9, 9) for _ in range(n)]
             assert kernels.norm_int(w) == sympy_norm(w)
             assert kernels.norm_is_zero(w) == (not any(w))
+
+
+def test_crt_primes_takes_an_int_at_least_zero():
+    # -1 gave all cached primes but the last (non-integers: test_rational_gate)
+    assert kernels.crt_primes(0) == []
+    with pytest.raises(ValueError):
+        kernels.crt_primes(-1)
 
 
 def test_crt_primes_are_prime_and_descending():

@@ -5,6 +5,7 @@ import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -253,7 +254,7 @@ def test_memoized_omega_equals_the_computation(quadruples):
 def test_equal_values_share_one_memo_entry():
     places.omega(3, 5, 3, 5)
     hits = places.omega.cache_info().hits
-    assert places.omega(Fraction(3), Fraction(10, 2), 3, 5.0) == PlaceSet([3, 5])
+    assert places.omega(Fraction(3), Fraction(10, 2), 3, np.int64(5)) == PlaceSet([3, 5])
     assert places.omega.cache_info().hits == hits + 1
 
 

@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from campana import arith, places, semantics as sm
-from campana.errors import DegenerateSampler, InvariantError
+from campana.errors import DegenerateSampler, InvariantError, SearchExhausted
 from campana.forms import BinaryForm, X_FORM
 
 # (3,5,3,5) has radical place set {3,5}; (-10,-10,-10,-10) has {2};
@@ -175,6 +176,30 @@ def test_campana_via_coordinates_examples():
 def test_coordinate_equivalence(x0, x1, n, S):
     assert sm.campana_via_coordinates(x0, x1, S, n) == \
         sm.campana_member(S, n, Fraction(x0, x1))
+
+
+@given(st.fractions(min_value=Fraction(-500), max_value=Fraction(500), max_denominator=500),
+       st.fractions(min_value=Fraction(-500), max_value=Fraction(500), max_denominator=500)
+       .filter(lambda x: x != 0),
+       st.integers(min_value=1, max_value=6),
+       st.sets(st.sampled_from([2, 3, 5, 7]), max_size=2))
+@settings(max_examples=300)
+def test_coordinate_equivalence_on_rational_coordinates(x0, x1, n, S):
+    # e > 0 only at primes of num(x1) and den(x0), which are all it factors
+    assert sm.campana_via_coordinates(x0, x1, S, n) == sm.campana_member(S, n, x0 / x1)
+
+
+def test_membership_factors_only_what_decides_it():
+    # the numerator p q is a balanced product that Pollard rho gives up on,
+    # but only the denominator 4 decides membership
+    p, q = arith.next_prime(10**15), arith.next_prime(3 * 10**15)
+    start = time.perf_counter()
+    assert sm.campana_member([], 2, Fraction(p * q, 4))
+    assert sm.s_integer_member([2], Fraction(p * q, 4))
+    assert sm.campana_via_coordinates(p * q, 4, [], 2)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(SearchExhausted):
+        arith.factorize(p * q)
 
 
 @given(st.fractions(min_value=Fraction(-1000), max_value=Fraction(1000),

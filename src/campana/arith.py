@@ -44,6 +44,7 @@ def _small_primes() -> List[int]:
 
 
 def primes_up_to(n: int) -> List[int]:
+    n = integer(n, "n")
     if n >= TRIAL_DIVISION_BOUND:
         raise ValueError(f"primes_up_to supports bounds below {TRIAL_DIVISION_BOUND}")
     ps = _small_primes()
@@ -53,6 +54,8 @@ def primes_up_to(n: int) -> List[int]:
 def is_prime(n: int) -> bool:
     """A lookup in the sieved primes below TRIAL_DIVISION_BOUND; above it,
     Miller-Rabin, deterministic below _MR_DETERMINISTIC_BOUND."""
+    if type(n) is not int:
+        n = integer(n, "n")
     if n < TRIAL_DIVISION_BOUND:
         ps = _small_primes()
         i = bisect.bisect_left(ps, n)
@@ -95,7 +98,7 @@ def _miller_rabin(n: int) -> bool:
 
 
 def next_prime(n: int) -> int:
-    k = n + 1
+    k = integer(n, "n") + 1
     if k <= 2:
         return 2
     if k % 2 == 0:
@@ -286,6 +289,7 @@ def crt(congruences: Sequence[Tuple[int, int]]) -> int:
         raise ValueError("empty congruence list")
     x, m = 0, 1
     for mi, ri in congruences:
+        mi, ri = integer(mi, "a modulus"), integer(ri, "a residue")
         if mi <= 0:
             raise ValueError(f"modulus {mi} must be positive")
         g = math.gcd(m, mi)

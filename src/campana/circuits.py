@@ -113,9 +113,10 @@ class Circuit:
         return Circuit._lift(other)._binary("add", -self)
 
     def __pow__(self, k: int) -> "Circuit":
-        if not isinstance(k, int) or k < 1:
+        k = arith.integer(k, "pow exponent")
+        if k < 1:
             raise ValueError("pow exponent must be a positive integer")
-        return _intern(("pow", self, int(k)))
+        return _intern(("pow", self, k))
 
     @staticmethod
     def norm(children: Sequence["Circuit"]) -> "Circuit":

@@ -48,18 +48,22 @@ def _fold_matrix(m: MatrixNode, atom: Callable, join: Callable):
     the children as an iterator that folds each one only when it is taken.
     A matrix nested too deeply for the recursion limit (a few hundred and/or
     levels) raises ValueError, as parse does for such a document."""
-    def fold(m: MatrixNode):
-        kind = m[0]
-        if kind in ("eq", "neq"):
-            return atom(kind, m[1])
-        if kind in ("and", "or"):
-            return join(kind, (fold(c) for c in m[1]))
-        raise ValueError(f"unknown matrix node {kind!r}")
-
     try:
-        return fold(m)
+        return _fold(m, atom, join)
     except RecursionError:
         raise ValueError("matrix nested too deeply") from None
+
+
+def _fold(m: MatrixNode, atom: Callable, join: Callable):
+    """_fold_matrix's walk.  (Not a closure, for _parse_matrix's reason: a
+    recursive closure is a reference cycle, which would keep atom and join,
+    and the layout they read, alive until the cycle collector ran.)"""
+    kind = m[0]
+    if kind in ("eq", "neq"):
+        return atom(kind, m[1])
+    if kind in ("and", "or"):
+        return join(kind, (_fold(c, atom, join) for c in m[1]))
+    raise ValueError(f"unknown matrix node {kind!r}")
 
 
 class Formula:

@@ -86,6 +86,16 @@ class PlaceSet:
             return cls(v for v in primes if not v.is_real)
         return cls(Place._proved(arith.prime(p)) for p in primes)
 
+    @classmethod
+    def _of_proved(cls, primes: List[int], real: bool = False) -> "PlaceSet":
+        """The places of distinct primes in ascending order, each already
+        proved, after the real place if real: no place is gated or sorted
+        again."""
+        places = [Place._proved(p) for p in primes]
+        s = object.__new__(cls)
+        object.__setattr__(s, "_places", tuple([REAL_PLACE] + places if real else places))
+        return s
+
     def primes(self) -> Tuple[int, ...]:
         return tuple(p.prime for p in self._places if not p.is_real)
 
@@ -224,49 +234,50 @@ def default_oracle_precision(a: RationalLike, b: RationalLike, p: int) -> int:
     return 2 * max(va, vb) + 3
 
 
-def _odd_primes(*exponent_maps: Dict[int, int]) -> PlaceSet:
-    """Primes with an odd exponent in any of the maps (from factorize, so
-    already proved)."""
-    return PlaceSet(Place._proved(p) for f in exponent_maps
-                    for p, e in f.items() if e % 2)
-
-
 def _exponent_maps(*values: RationalLike) -> List[Dict[int, int]]:
     """The factorization exponents of each value; equal values are
-    factorized once."""
-    memo: Dict[RationalLike, Dict[int, int]] = {}
-    for r in values:
-        if r not in memo:
-            memo[r] = arith.factorize(r).factors
-    return [memo[r] for r in values]
+    factorized once (found by ==, as hashing a Fraction costs more)."""
+    maps: List[Dict[int, int]] = []
+    for i, r in enumerate(values):
+        first = values.index(r)
+        maps.append(maps[first] if first < i else arith.factorize(r).factors)
+    return maps
 
 
-def _scan_places(fa: Dict[int, int], fb: Dict[int, int]) -> List[Place]:
-    """Places where (a,b)_v can be -1, given the exponent maps of a and b:
-    infinity, 2, and the supports."""
-    return [REAL_PLACE] + [Place._proved(p) for p in {2} | fa.keys() | fb.keys()]
-
-
-def _delta(a: RationalLike, b: RationalLike, fa: Dict[int, int], fb: Dict[int, int]) -> PlaceSet:
-    return PlaceSet(v for v in _scan_places(fa, fb) if hilbert(a, b, v) == -1)
+def _ramified(a: RationalLike, b: RationalLike,
+              fa: Dict[int, int], fb: Dict[int, int]) -> Tuple[bool, List[int]]:
+    """Whether (a,b)_inf = -1, and the primes p with (a,b)_p = -1 in
+    ascending order, given the exponent maps of a and b.  Off 2 and the
+    supports the symbol is +1, so one scan reads the closed form at those
+    primes, which factorize has proved already."""
+    an, ad = arith.num_den(a)
+    bn, bd = arith.num_den(b)
+    # a * den(a)^2 and b * den(b)^2 are integers with the same symbols
+    x, y = an * ad, bn * bd
+    primes = [p for p in sorted({2, *fa, *fb})
+              if local_symbol(p, *local_data(x, p), *local_data(y, p)) == -1]
+    return x < 0 and y < 0, primes
 
 
 def _delta_upper(a: RationalLike, b: RationalLike,
-                 fa: Dict[int, int], fb: Dict[int, int]) -> PlaceSet:
-    return _delta(a, b, fa, fb) & _odd_primes(fa, fb)
+                 fa: Dict[int, int], fb: Dict[int, int]) -> List[int]:
+    """The primes of delta(a, b) with an odd exponent in a or in b."""
+    return [p for p in _ramified(a, b, fa, fb)[1]
+            if fa.get(p, 0) % 2 or fb.get(p, 0) % 2]
 
 
 def delta(a: RationalLike, b: RationalLike) -> PlaceSet:
     """Places v with (a,b)_v = -1 (ramification set of the quaternion
     algebra); the scan is restricted to the finite set where -1 can occur."""
     a, b = arith.rational(a), arith.rational(b)
-    return _delta(a, b, *_exponent_maps(a, b))
+    real, primes = _ramified(a, b, *_exponent_maps(a, b))
+    return PlaceSet._of_proved(primes, real)
 
 
 def delta_upper(a: RationalLike, b: RationalLike) -> PlaceSet:
     """delta(a, b) restricted to the odd supports of a and b."""
     a, b = arith.rational(a), arith.rational(b)
-    return _delta_upper(a, b, *_exponent_maps(a, b))
+    return PlaceSet._of_proved(_delta_upper(a, b, *_exponent_maps(a, b)))
 
 
 #: How many (a, b, c, d) quadruples omega remembers; see omega.
@@ -287,10 +298,11 @@ def omega(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) ->
 @functools.lru_cache(maxsize=OMEGA_CACHE_SIZE)
 def _omega(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) -> PlaceSet:
     fa, fb, fc, fd = _exponent_maps(a, b, c, d)
-    first = _delta_upper(a, b, fa, fb)
-    if (a, b) == (c, d):
-        return first
-    return first & _delta_upper(c, d, fc, fd)
+    primes = _delta_upper(a, b, fa, fb)
+    if (a, b) != (c, d):
+        second = set(_delta_upper(c, d, fc, fd))
+        primes = [p for p in primes if p in second]
+    return PlaceSet._of_proved(primes)
 
 
 omega.cache_info = _omega.cache_info
@@ -298,12 +310,12 @@ omega.cache_clear = _omega.cache_clear
 
 
 def reciprocity_check(a: RationalLike, b: RationalLike) -> bool:
-    """Product of the local symbols over the scan set; always +1."""
+    """Whether the local symbols over the scan set (inf, 2 and the
+    supports) multiply to +1, i.e. are -1 at an even number of places;
+    always True, by Hilbert reciprocity."""
     a, b = arith.rational(a), arith.rational(b)
-    prod = 1
-    for v in _scan_places(*_exponent_maps(a, b)):
-        prod *= hilbert(a, b, v)
-    return prod == 1
+    real, primes = _ramified(a, b, *_exponent_maps(a, b))
+    return (real + len(primes)) % 2 == 0
 
 
 #: Candidates b = 1, -1, 2, -2, ... that find_local_counterexample tries

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -253,3 +255,22 @@ def test_emit_other_formats():
     assert r"\exists x2" in latex
     with pytest.raises(ValueError):
         fm.emit(f, "xml")
+
+
+@pytest.mark.parametrize("fmt", ["json", "sexpr", "latex"])
+def test_emit_leaves_no_cycle_that_keeps_a_dropped_formula_alive(fmt):
+    # names no other test uses, so that no other formula shares the atoms
+    u, v = Circuit.var("emit cycle u"), Circuit.var("emit cycle v")
+    gc.collect()
+    gc.disable()
+    try:
+        f = fm.Formula([("exists", "emit cycle v")],
+                       ("or", (("eq", u * v - 1), ("and", (("neq", u), ("eq", v + 2))))),
+                       ["emit cycle u"])
+        ref = weakref.ref(f.atoms()[0])
+        del u, v
+        fm.emit(f, fmt)
+        del f
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -349,6 +349,25 @@ def test_delta_even_cardinality_and_reciprocity(a, b):
     assert places.reciprocity_check(a, b)
 
 
+_nonzero_int_or_fraction = st.one_of(
+    st.integers(-10**6, 10**6).filter(lambda n: n != 0),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+    .filter(lambda q: q != 0))
+
+
+@given(_nonzero_int_or_fraction, _nonzero_int_or_fraction)
+@settings(max_examples=300)
+def test_one_scan_agrees_with_the_public_symbol(a, b):
+    scan = ["inf", *sorted({2} | arith.factorize(a).factors.keys()
+                            | arith.factorize(b).factors.keys())]
+    symbols = {v: places.hilbert(a, b, v) for v in scan}
+    assert places.delta(a, b) == PlaceSet(v for v, s in symbols.items() if s == -1)
+    product = 1
+    for s in symbols.values():
+        product *= s
+    assert places.reciprocity_check(a, b) == (product == 1)
+
+
 def test_reciprocity_examples():
     assert places.reciprocity_check(-1, -1)
     assert places.reciprocity_check(1, Fraction(77, 30))

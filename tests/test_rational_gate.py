@@ -97,6 +97,11 @@ RATIONAL = {
 INTEGER = {
     "arith.integer(x)": lambda x: arith.integer(x),
     "arith.legendre(a)": lambda x: arith.legendre(x, 7),
+    "arith.is_prime(n)": lambda x: arith.is_prime(x),
+    "arith.next_prime(n)": lambda x: arith.next_prime(x),
+    "arith.primes_up_to(n)": lambda x: arith.primes_up_to(x),
+    "arith.crt(modulus)": lambda x: arith.crt([(x, 1), (5, 2)]),
+    "arith.crt(residue)": lambda x: arith.crt([(7, x), (5, 2)]),
     "places.hilbert_oracle(precision)": lambda x: places.hilbert_oracle(2, 3, 7, x),
     "kernels.crt_primes(k)": lambda x: kernels.crt_primes(x),
     "kernels.norm_int(w)": lambda x: kernels.norm_int([x, 1]),

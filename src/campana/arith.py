@@ -67,7 +67,7 @@ def _miller_rabin(n: int) -> bool:
     """Miller-Rabin; deterministic below _MR_DETERMINISTIC_BOUND."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

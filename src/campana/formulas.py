@@ -28,18 +28,19 @@ EXISTS = "exists"
 
 
 class Gensym:
-    """Deterministic fresh-name source: x1, x2, ... in construction order."""
+    """Deterministic witness allocator: x1, x2, ... in construction order;
+    names lists every name handed out, in order: the tower's prefix."""
 
     def __init__(self, start: int = 1):
-        self.counter = start
+        self.start = start
+        self.names: List[str] = []
 
-    def fresh(self) -> str:
-        name = f"x{self.counter}"
-        self.counter += 1
-        return name
-
-    def take(self, k: int) -> List[str]:
-        return [self.fresh() for _ in range(k)]
+    def take(self, k: int) -> List[Circuit]:
+        """k fresh variables, as circuits."""
+        i = self.start + len(self.names)
+        new = [f"x{j}" for j in range(i, i + k)]
+        self.names += new
+        return [Circuit.var(n) for n in new]
 
 
 def _fold_matrix(m: MatrixNode, atom: Callable, join: Callable):
@@ -153,84 +154,63 @@ def stats(f: Formula) -> FormulaStats:
 
 
 # ---------------------------------------------------------------------------
-# the definitional tower; each block returns (bound names, atom circuits)
+# the definitional tower; each block takes its witnesses from the Gensym and
+# returns its atom circuits
 # ---------------------------------------------------------------------------
 
-def _s_block(a: Circuit, b: Circuit, r: Circuit, gs: Gensym):
+def _s_block(a: Circuit, b: Circuit, r: Circuit, gs: Gensym) -> List[Circuit]:
     """r is a reduced trace of a norm-1 quaternion:
     exists x2,x3,x4: r^2 - 4a x2^2 - 4b x3^2 + 4ab x4^2 = 4."""
-    n2, n3, n4 = gs.take(3)
-    x2, x3, x4 = Circuit.var(n2), Circuit.var(n3), Circuit.var(n4)
-    atom = r**2 - 4*a*x2**2 - 4*b*x3**2 + 4*a*b*x4**2 - 4
-    return [n2, n3, n4], [atom]
+    x2, x3, x4 = gs.take(3)
+    return [r**2 - 4*a*x2**2 - 4*b*x3**2 + 4*a*b*x4**2 - 4]
 
 
 def _t_block(a, b, r, gs):
     """r is a sum of two traces."""
-    nx = gs.fresh()
-    x = Circuit.var(nx)
-    v1, a1 = _s_block(a, b, x, gs)
-    v2, a2 = _s_block(a, b, r - x, gs)
-    return [nx] + v1 + v2, a1 + a2
+    x, = gs.take(1)
+    return _s_block(a, b, x, gs) + _s_block(a, b, r - x, gs)
 
 
 def _t_unit_block(a, b, r, gs):
     """r is an invertible element of T: r in T and r v = 1 with v in T."""
-    v1, a1 = _t_block(a, b, r, gs)
-    nv = gs.fresh()
-    v = Circuit.var(nv)
-    v2, a2 = _t_block(a, b, v, gs)
-    return v1 + [nv] + v2, a1 + a2 + [r*v - 1]
+    atoms = _t_block(a, b, r, gs)
+    v, = gs.take(1)
+    return atoms + _t_block(a, b, v, gs) + [r*v - 1]
 
 
 def _i_block(a, b, c, r, gs):
     """r in I^c: r = c x^2 u and r = 1 - y^2 v with u, v units of T."""
-    nx, ny, nu, nv = gs.take(4)
-    x, y = Circuit.var(nx), Circuit.var(ny)
-    u, v = Circuit.var(nu), Circuit.var(nv)
-    vu, au = _t_unit_block(a, b, u, gs)
-    vv, av = _t_unit_block(a, b, v, gs)
-    atoms = au + av + [r - c*x**2*u, r - 1 + y**2*v]
-    return [nx, ny, nu, nv] + vu + vv, atoms
+    x, y, u, v = gs.take(4)
+    return (_t_unit_block(a, b, u, gs) + _t_unit_block(a, b, v, gs)
+            + [r - c*x**2*u, r - 1 + y**2*v])
 
 
 def _j_block(a, b, r, gs):
     """r in the radical set of (a,b): r and r-x in I^a, r and r-y in I^b."""
-    nx, ny = gs.take(2)
-    x, y = Circuit.var(nx), Circuit.var(ny)
-    v1, a1 = _i_block(a, b, a, x, gs)
-    v2, a2 = _i_block(a, b, a, r - x, gs)
-    v3, a3 = _i_block(a, b, b, y, gs)
-    v4, a4 = _i_block(a, b, b, r - y, gs)
-    return [nx, ny] + v1 + v2 + v3 + v4, a1 + a2 + a3 + a4
+    x, y = gs.take(2)
+    return (_i_block(a, b, a, x, gs) + _i_block(a, b, a, r - x, gs)
+            + _i_block(a, b, b, y, gs) + _i_block(a, b, b, r - y, gs))
 
 
 def _jabcd_block(a, b, c, d, r, gs):
     """r in J of (a,b,c,d): r = x + (r - x) with x in J(a,b), r-x in J(c,d)."""
-    nx = gs.fresh()
-    x = Circuit.var(nx)
-    v1, a1 = _j_block(a, b, x, gs)
-    v2, a2 = _j_block(c, d, r - x, gs)
-    return [nx] + v1 + v2, a1 + a2
+    x, = gs.take(1)
+    return _j_block(a, b, x, gs) + _j_block(c, d, r - x, gs)
 
 
 def _inv_j_block(a, b, c, d, r, gs):
     """r inverts an element of J: r y = 1 with y in J."""
-    ny = gs.fresh()
-    y = Circuit.var(ny)
-    v1, a1 = _jabcd_block(a, b, c, d, y, gs)
-    return [ny] + v1, a1 + [r*y - 1]
+    y, = gs.take(1)
+    return _jabcd_block(a, b, c, d, y, gs) + [r*y - 1]
 
 
 def _disjoint_block(a, b, c, d, a2, b2, c2, d2, gs):
     """The two radical place sets are disjoint: all eight parameters are
     nonzero and 1 = y + (1-y) splits across the two radicals."""
-    nx, ny = gs.take(2)
-    x, y = Circuit.var(nx), Circuit.var(ny)
+    x, y = gs.take(2)
     nonzero = a*b*c*d*a2*b2*c2*d2*x - 1
-    v1, a1 = _jabcd_block(a, b, c, d, y, gs)
-    v2, a2_ = _jabcd_block(a2, b2, c2, d2, 1 - y, gs)
-    return [nx, ny] + v1 + v2, [nonzero] + a1 + a2_
+    return ([nonzero] + _jabcd_block(a, b, c, d, y, gs)
+            + _jabcd_block(a2, b2, c2, d2, 1 - y, gs))
 
 
 def _jn_block(a, b, c, d, n, r, gs):
@@ -238,28 +218,22 @@ def _jn_block(a, b, c, d, n, r, gs):
     n = arith.check_n(n)
     if n < 2:
         raise ValueError("n must be >= 2 (n = 1 is the plain radical set)")
-    nx, ny = gs.take(2)
-    x, y = Circuit.var(nx), Circuit.var(ny)
-    product = r - x*y**(n - 1)
-    v1, a1 = _jabcd_block(a, b, c, d, x, gs)
-    v2, a2 = _jabcd_block(a, b, c, d, y, gs)
-    return [nx, ny] + v1 + v2, [product] + a1 + a2
+    x, y = gs.take(2)
+    return ([r - x*y**(n - 1)] + _jabcd_block(a, b, c, d, x, gs)
+            + _jabcd_block(a, b, c, d, y, gs))
 
 
 def _inv_jn_block(a, b, c, d, n, r, gs):
     """r inverts an element of J_n."""
-    ny = gs.fresh()
-    y = Circuit.var(ny)
-    v1, a1 = _jn_block(a, b, c, d, n, y, gs)
-    return [ny] + v1, [r*y - 1] + a1
+    y, = gs.take(1)
+    return [r*y - 1] + _jn_block(a, b, c, d, n, y, gs)
 
 
 def _premise_block(a, b, c, d, a2, b2, c2, d2, r, gs):
     """Disjointness of the two radicals together with r inverting an
     element of the second radical."""
-    v1, a1 = _disjoint_block(a, b, c, d, a2, b2, c2, d2, gs)
-    v2, a2_ = _inv_j_block(a2, b2, c2, d2, r, gs)
-    return v1 + v2, a1 + a2_
+    return (_disjoint_block(a, b, c, d, a2, b2, c2, d2, gs)
+            + _inv_j_block(a2, b2, c2, d2, r, gs))
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +248,14 @@ _EIGHT = ("a", "b", "c", "d", "a2", "b2", "c2", "d2")
 
 
 def _exists_formula(block, names: Sequence[str], start: int = 1) -> Formula:
-    """exists (the block's witnesses): the conjunction of its atoms, free in
-    names.  block(one circuit per name, Gensym) -> (witnesses, atoms)."""
-    bound, atoms = block(*(Circuit.var(n) for n in names), Gensym(start))
+    """exists (the block's witnesses, in the order it took them): the
+    conjunction of its atoms, free in names.  block(one circuit per name,
+    Gensym) -> atoms."""
+    gs = Gensym(start)
+    atoms = block(*(Circuit.var(n) for n in names), gs)
     matrix = ("and", tuple(("eq", c) for c in atoms)) if len(atoms) > 1 \
         else ("eq", atoms[0])
-    return Formula([(EXISTS, n) for n in bound], matrix, tuple(names))
+    return Formula([(EXISTS, n) for n in gs.names], matrix, tuple(names))
 
 
 def build_S() -> Formula:
@@ -350,7 +326,7 @@ def combine_many(fs: Sequence[Circuit]) -> Circuit:
     if not fs:
         raise ValueError("need at least one circuit")
     if len(fs) == 1:
-        return fs[0]
+        return Circuit._lift(fs[0])
     return Circuit.norm(fs)
 
 
@@ -460,19 +436,15 @@ def _premise_implies(conclusion, real_embedded: bool) -> Formula:
     where conclusion(a2, b2, c2, d2, r, gs) is an existential block."""
     a, b, c, d, r = (Circuit.var(nm) for nm in _ABCDR)
     gs = Gensym()
-    u_names = gs.take(4)  # the universally quantified second tuple
-    a2, b2, c2, d2 = (Circuit.var(nm) for nm in u_names)
-    prem_vars, prem_atoms = _premise_block(a, b, c, d, a2, b2, c2, d2, r, gs)
-    concl_vars, concl_atoms = conclusion(a2, b2, c2, d2, r, gs)
+    a2, b2, c2, d2 = gs.take(4)  # the universally quantified second tuple
+    prem_atoms = _premise_block(a, b, c, d, a2, b2, c2, d2, r, gs)
+    split = len(gs.names)
+    concl_atoms = conclusion(a2, b2, c2, d2, r, gs)
     combine = combine_sos if real_embedded else combine_many
-    universal = Formula(
-        [(FORALL, nm) for nm in u_names + prem_vars],
-        ("neq", combine(prem_atoms)), _ABCDR,
-    )
-    existential = Formula(
-        [(EXISTS, nm) for nm in concl_vars],
-        ("eq", combine(concl_atoms)), _ABCDR + tuple(u_names),
-    )
+    universal = Formula([(FORALL, nm) for nm in gs.names[:split]],
+                        ("neq", combine(prem_atoms)), _ABCDR)
+    existential = Formula([(EXISTS, nm) for nm in gs.names[split:]],
+                          ("eq", combine(concl_atoms)), _ABCDR + tuple(gs.names[:4]))
     return prenex_or(universal, existential, real_embedded)
 
 
@@ -632,6 +604,9 @@ def parse(data: Union[bytes, str]) -> Formula:
     whose nodes are objects such as {"op": "add", "args": [i, j]} (written
     before array nodes); each atom is the canonical circuit all the same.
     A malformed document raises ValueError."""
+    if not isinstance(data, (str, bytes, bytearray)):
+        raise ValueError(f"a formula document is a str or bytes, "
+                         f"not {type(data).__name__}")
     try:
         return _parse_doc(json.loads(data))
     except RecursionError:

@@ -188,8 +188,10 @@ def suite_formulas(seed: int, samples: int) -> List[Row]:
             break
         for _ in range(min(samples, 200)):
             pt = [_sample_rational(rng, 50, 8) for _ in range(n)]
-            if kernels.norm_value(pt) == 0:
-                bad = f"norm_form({n}) vanishes at nonzero {pt}"
+            value = nf.evaluate({f"y{i+1}": v for i, v in enumerate(pt)})
+            if value == 0 or value != kernels.norm_value(pt):
+                bad = (f"norm_form({n}) is {value} at nonzero {pt}, "
+                       f"the norm kernel {kernels.norm_value(pt)}")
                 break
         if bad:
             break

@@ -269,7 +269,7 @@ def test_threads_building_the_same_circuits_get_the_same_objects():
             for r in range(rounds):  # new names each round: every lookup misses
                 start.wait(timeout=60)
                 a, b, s = (Circuit.var(f"{v}{r}") for v in "pqs")
-                out.append(fm._j_block(a, b, s, fm.Gensym())[1])
+                out.append(fm._j_block(a, b, s, fm.Gensym()))
         except Exception as exc:  # a thread cannot raise into the test
             errors.append(exc)
 

@@ -121,6 +121,9 @@ def test_combine_many_zero_set_and_degree():
         vals = [env["v0"]**2 + 1, env["v1"], env["v2"], env["v3"]]
         assert (h.evaluate(env) == 0) == all(v == 0 for v in vals)
     assert fm.combine_many([xs[0]]) is xs[0]
+    # a number is lifted to a circuit, as the norm node lifts two or more
+    assert fm.combine_many([1]) is Circuit.const(1)
+    assert fm.combine_many([Fraction(-2, 3)]) is Circuit.const(Fraction(-2, 3))
 
 
 def test_combine_sos_zero_set():

@@ -112,6 +112,8 @@ def test_document_must_be_an_object():
     _rejects("[]")
     _rejects("not json")
     _rejects(b"\xff")
+    _rejects(None)
+    _rejects(3)
 
 
 def test_unknown_op():

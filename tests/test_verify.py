@@ -1,6 +1,7 @@
 import pytest
 
-from campana import verify
+from campana import formulas, verify
+from campana.circuits import Circuit
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))
@@ -32,3 +33,12 @@ def test_samples_below_one_rejected(samples):
     # a run with no samples would report PASS without testing anything
     with pytest.raises(ValueError):
         verify.run("semantics", samples=samples)
+
+
+def test_formulas_fails_a_norm_form_with_a_nonzero_zero(monkeypatch):
+    # y1^n is homogeneous of degree n but vanishes at (0, 1, ...), and it
+    # is not the norm form: the anisotropy row must evaluate it
+    monkeypatch.setattr(formulas, "norm_form", lambda n: Circuit.var("y1")**n)
+    ok, table = verify.run("formulas", seed=7, samples=50)
+    assert not ok
+    assert "FAIL  formulas: norm forms anisotropic + homogeneous" in table

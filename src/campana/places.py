@@ -81,9 +81,14 @@ class PlaceSet:
     def of_primes(cls, primes: Iterable[int]) -> "PlaceSet":
         """The places of an iterable of primes, each through arith.prime
         (so None, or "inf", is refused rather than taken as the real
-        place); a PlaceSet gives its finite places, proved already."""
+        place); a PlaceSet gives its finite places, proved already.
+        Anything not iterable, such as None or 7, is a ValueError."""
         if isinstance(primes, PlaceSet):
             return cls(v for v in primes if not v.is_real)
+        try:
+            primes = iter(primes)
+        except TypeError:
+            raise ValueError(f"S must be an iterable of primes, not {primes!r}") from None
         return cls(Place._proved(arith.prime(p)) for p in primes)
 
     @classmethod
@@ -200,6 +205,16 @@ def _cleared_at(a: RationalLike, b: RationalLike, p: int):
         return _clear(a, b, p)
 
 
+#: How many residue classes hilbert_oracle remembers; see hilbert_oracle.
+_ORACLE_CACHE_SIZE = 1 << 14
+
+
+@functools.lru_cache(maxsize=_ORACLE_CACHE_SIZE)
+def _scan_class(ra: int, rb: int, p: int, m: int) -> bool:
+    """kernels.conic_has_solution on one class: ra <= rb, reduced mod p^m."""
+    return kernels.conic_has_solution(ra, rb, p, m)
+
+
 def hilbert_oracle(a: RationalLike, b: RationalLike, p: int, precision: int) -> int:
     """Independent local-solvability oracle at a finite prime.
 
@@ -213,6 +228,12 @@ def hilbert_oracle(a: RationalLike, b: RationalLike, p: int, precision: int) -> 
     independent of hilbert.  m is capped at 2*(v_p(2) + max residual
     valuation) + 1, which is always <= precision given the stated
     precondition, and suffices for Hensel lifting.
+
+    The scan reads a and b only mod p^m, and is symmetric in them, so its
+    answer is memoized per class (p, m and the sorted residues): the
+    _ORACLE_CACHE_SIZE most recently used classes.  The arguments are
+    checked on every call and errors are not memoized; hits and misses are
+    read with hilbert_oracle.cache_info().
     """
     p, (va, ua), (vb, ub) = _cleared_at(a, b, p)
     precision = arith.integer(precision, "precision")
@@ -226,7 +247,15 @@ def hilbert_oracle(a: RationalLike, b: RationalLike, p: int, precision: int) -> 
     rb = ub * p ** (vb % 2)
     resid = max(va % 2, vb % 2)
     m = min(precision, 2 * ((1 if p == 2 else 0) + resid) + 1)
-    return 1 if kernels.conic_has_solution(ra, rb, p, m) else -1
+    M = p ** m
+    ra, rb = ra % M, rb % M
+    if ra > rb:
+        ra, rb = rb, ra
+    return 1 if _scan_class(ra, rb, p, m) else -1
+
+
+hilbert_oracle.cache_info = _scan_class.cache_info
+hilbert_oracle.cache_clear = _scan_class.cache_clear
 
 
 def default_oracle_precision(a: RationalLike, b: RationalLike, p: int) -> int:
@@ -234,50 +263,45 @@ def default_oracle_precision(a: RationalLike, b: RationalLike, p: int) -> int:
     return 2 * max(va, vb) + 3
 
 
-def _exponent_maps(*values: RationalLike) -> List[Dict[int, int]]:
-    """The factorization exponents of each value; equal values are
-    factorized once (found by ==, as hashing a Fraction costs more)."""
-    maps: List[Dict[int, int]] = []
-    for i, r in enumerate(values):
-        first = values.index(r)
-        maps.append(maps[first] if first < i else arith.factorize(r).factors)
-    return maps
+# two entries, as omega reads two pairs
+@functools.lru_cache(maxsize=2, typed=True)
+def _pair(a: RationalLike, b: RationalLike
+          ) -> Tuple[bool, List[int], Dict[int, int], Dict[int, int]]:
+    """(whether (a,b)_inf = -1, the primes p with (a,b)_p = -1 in ascending
+    order, the exponent maps of a and b) for a and b read by arith.rational.
 
-
-def _ramified(a: RationalLike, b: RationalLike,
-              fa: Dict[int, int], fb: Dict[int, int]) -> Tuple[bool, List[int]]:
-    """Whether (a,b)_inf = -1, and the primes p with (a,b)_p = -1 in
-    ascending order, given the exponent maps of a and b.  Off 2 and the
-    supports the symbol is +1, so one scan reads the closed form at those
-    primes, which factorize has proved already."""
+    Off 2 and the supports the symbol is +1, so one scan reads the closed
+    form at those primes, which factorize has proved already.  The scan is
+    memoized for the two most recent pairs, so delta, delta_upper, omega
+    and reciprocity_check on one pair factorize it once; the list and maps
+    are shared, and only read.  Errors are not memoized."""
+    fa = arith.factorize(a).factors
+    fb = fa if b == a else arith.factorize(b).factors
     an, ad = arith.num_den(a)
     bn, bd = arith.num_den(b)
     # a * den(a)^2 and b * den(b)^2 are integers with the same symbols
     x, y = an * ad, bn * bd
     primes = [p for p in sorted({2, *fa, *fb})
               if local_symbol(p, *local_data(x, p), *local_data(y, p)) == -1]
-    return x < 0 and y < 0, primes
+    return x < 0 and y < 0, primes, fa, fb
 
 
-def _delta_upper(a: RationalLike, b: RationalLike,
-                 fa: Dict[int, int], fb: Dict[int, int]) -> List[int]:
+def _delta_upper(a: RationalLike, b: RationalLike) -> List[int]:
     """The primes of delta(a, b) with an odd exponent in a or in b."""
-    return [p for p in _ramified(a, b, fa, fb)[1]
-            if fa.get(p, 0) % 2 or fb.get(p, 0) % 2]
+    _, primes, fa, fb = _pair(a, b)
+    return [p for p in primes if fa.get(p, 0) % 2 or fb.get(p, 0) % 2]
 
 
 def delta(a: RationalLike, b: RationalLike) -> PlaceSet:
     """Places v with (a,b)_v = -1 (ramification set of the quaternion
     algebra); the scan is restricted to the finite set where -1 can occur."""
-    a, b = arith.rational(a), arith.rational(b)
-    real, primes = _ramified(a, b, *_exponent_maps(a, b))
+    real, primes, _, _ = _pair(arith.rational(a), arith.rational(b))
     return PlaceSet._of_proved(primes, real)
 
 
 def delta_upper(a: RationalLike, b: RationalLike) -> PlaceSet:
     """delta(a, b) restricted to the odd supports of a and b."""
-    a, b = arith.rational(a), arith.rational(b)
-    return PlaceSet._of_proved(_delta_upper(a, b, *_exponent_maps(a, b)))
+    return PlaceSet._of_proved(_delta_upper(arith.rational(a), arith.rational(b)))
 
 
 #: How many (a, b, c, d) quadruples omega remembers; see omega.
@@ -297,10 +321,9 @@ def omega(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) ->
 
 @functools.lru_cache(maxsize=OMEGA_CACHE_SIZE)
 def _omega(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) -> PlaceSet:
-    fa, fb, fc, fd = _exponent_maps(a, b, c, d)
-    primes = _delta_upper(a, b, fa, fb)
+    primes = _delta_upper(a, b)
     if (a, b) != (c, d):
-        second = set(_delta_upper(c, d, fc, fd))
+        second = set(_delta_upper(c, d))
         primes = [p for p in primes if p in second]
     return PlaceSet._of_proved(primes)
 
@@ -313,8 +336,7 @@ def reciprocity_check(a: RationalLike, b: RationalLike) -> bool:
     """Whether the local symbols over the scan set (inf, 2 and the
     supports) multiply to +1, i.e. are -1 at an even number of places;
     always True, by Hilbert reciprocity."""
-    a, b = arith.rational(a), arith.rational(b)
-    real, primes = _ramified(a, b, *_exponent_maps(a, b))
+    real, primes, _, _ = _pair(arith.rational(a), arith.rational(b))
     return (real + len(primes)) % 2 == 0
 
 

@@ -152,7 +152,7 @@ def generate_trace_element(
     a, b = arith.rational(a), arith.rational(b)
     if a == 0 or b == 0:
         raise ValueError("a, b must be nonzero")
-    rng = random.Random(seed)
+    rng = random.Random(arith.integer(seed, "seed"))
     for _ in range(100):
         z = tuple(
             Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)

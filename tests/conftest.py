@@ -15,6 +15,9 @@ def pytest_collection_modifyitems(items):
 
 @pytest.fixture(autouse=True)
 def _empty_omega_memo():
-    """Each test starts with places.omega's memo empty, so a test that counts
-    the work omega does sees the same counts in any test order."""
+    """Each test starts with the memos of places empty (omega's, the
+    oracle's and the pair scan's), so a test that counts the work they save
+    sees the same counts in any test order."""
     places.omega.cache_clear()
+    places.hilbert_oracle.cache_clear()
+    places._pair.cache_clear()

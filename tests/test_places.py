@@ -10,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from campana import arith, places
+from campana import arith, kernels, places
 from campana.errors import SearchExhausted
 from campana.places import PlaceSet, REAL_PLACE, Place
 
@@ -138,6 +138,53 @@ def test_hilbert_matches_oracle_sampled():
         assert places.hilbert(a, b, p) == places.hilbert_oracle(a, b, p, prec), (a, b, p)
 
 
+def _oracle_case(p):
+    """p, and integers a, b with v_p at most 1, which the oracle scans as
+    they are: then m = 2 * (v_p(2) + max(v_p(a), v_p(b))) + 1."""
+    # small values, so that classes repeat across primes and examples
+    unit_or_p = st.one_of(st.integers(-60, 60), st.integers(-10**6, 10**6)).filter(
+        lambda n: n % (p * p))
+    return st.tuples(st.just(p), unit_or_p, unit_or_p,
+                     st.integers(-3, 3), st.integers(-3, 3))
+
+
+@given(st.sampled_from(arith.primes_up_to(50)).flatmap(_oracle_case))
+@settings(max_examples=300)
+def test_the_oracle_memo_answers_each_class_as_the_kernel_does(case):
+    p, a, b, j, k = case
+    m = 2 * ((p == 2) + max(a % p == 0, b % p == 0)) + 1
+    M = p ** m
+    precision = places.default_oracle_precision(a, b, p)
+    kernel = kernels.conic_has_solution
+    # one class: shifted by multiples of p^m, and swapped
+    pairs = [(a, b), (a + j * M, b + k * M), (b, a), (b + k * M, a + j * M)]
+    calls = []
+    # the memo is kept from earlier examples, so a wrongly keyed entry shows
+    before = places.hilbert_oracle.cache_info()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "conic_has_solution",
+                   lambda *args: calls.append(args) or kernel(*args))
+        for x, y in pairs:
+            assert places.default_oracle_precision(x, y, p) == precision
+            got = places.hilbert_oracle(x, y, p, precision)
+            assert got == (1 if kernel(x, y, p, m) else -1), (x, y)
+            with pytest.raises(ValueError):  # checked before the lookup
+                places.hilbert_oracle(x, y, p, 2)
+    after = places.hilbert_oracle.cache_info()
+    assert len(calls) == after.misses - before.misses <= 1
+    assert after.hits - before.hits == len(pairs) - len(calls)
+
+
+def test_the_oracle_memo_keeps_primes_apart():
+    # small residues recur at every prime, with different symbols
+    values = [n for n in range(-20, 21) if n]
+    for p in arith.primes_up_to(13):
+        for a in values:
+            for b in values:
+                prec = places.default_oracle_precision(a, b, p)
+                assert places.hilbert_oracle(a, b, p, prec) == places.hilbert(a, b, p)
+
+
 def test_the_oracle_pair_proves_p_once(monkeypatch):
     calls = []
     is_prime = arith.is_prime
@@ -208,8 +255,21 @@ def test_each_value_is_factorized_once_per_call(monkeypatch):
                               (places.omega, (x, y, x, y), 2),
                               (places.reciprocity_check, (x, y), 2)):
         seen.clear()
+        places._pair.cache_clear()
         call(*args)
         assert len(seen) == count, call.__name__
+
+
+def test_the_views_of_one_pair_factorize_it_once(monkeypatch):
+    seen = []
+    factorize = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda r: seen.append(r) or factorize(r))
+    x, y = Fraction(-1155, 8), Fraction(98, 3)
+    places.delta(x, y)
+    places.delta_upper(x, y)
+    places.omega(x, y, 6, -35)
+    places.reciprocity_check(x, y)
+    assert seen == [x, y, 6, -35]
 
 
 def test_place_set_refuses_assignment():
@@ -355,17 +415,36 @@ _nonzero_int_or_fraction = st.one_of(
     .filter(lambda q: q != 0))
 
 
-@given(_nonzero_int_or_fraction, _nonzero_int_or_fraction)
-@settings(max_examples=300)
-def test_one_scan_agrees_with_the_public_symbol(a, b):
-    scan = ["inf", *sorted({2} | arith.factorize(a).factors.keys()
-                            | arith.factorize(b).factors.keys())]
-    symbols = {v: places.hilbert(a, b, v) for v in scan}
-    assert places.delta(a, b) == PlaceSet(v for v, s in symbols.items() if s == -1)
+def _expected_views(a, b):
+    """delta(a, b), delta_upper(a, b) and reciprocity_check(a, b) read off
+    the public symbol at inf, 2 and the supports."""
+    fa, fb = arith.factorize(a).factors, arith.factorize(b).factors
+    symbols = {v: places.hilbert(a, b, v) for v in ["inf", *sorted({2, *fa, *fb})]}
+    ramified = PlaceSet(v for v, s in symbols.items() if s == -1)
+    odd = PlaceSet(p for f in (fa, fb) for p, e in f.items() if e % 2)
     product = 1
     for s in symbols.values():
         product *= s
-    assert places.reciprocity_check(a, b) == (product == 1)
+    return ramified, ramified & odd, product == 1
+
+
+@given(st.lists(st.tuples(_nonzero_int_or_fraction, _nonzero_int_or_fraction),
+                min_size=1, max_size=4))
+@settings(max_examples=150)
+def test_one_scan_agrees_with_the_public_symbol(pairs):
+    want = [_expected_views(a, b) for a, b in pairs]
+    # the views of different pairs interleave, so that a stale or wrongly
+    # keyed entry of the pair memo would be read
+    n = len(pairs)
+    for k in range(3 * n):
+        i, j = k % n, (2 * k + 1) % n
+        (a, b), (c, d) = pairs[i], pairs[j]
+        assert places.delta(a, b) == want[i][0]
+        assert places.delta_upper(c, d) == want[j][1]
+        places.omega.cache_clear()  # so that omega reads the pair memo
+        assert places.omega(a, b, c, d) == want[i][1] & want[j][1]
+        assert places.reciprocity_check(c, d) == want[j][2]
+        assert places.delta_upper(a, b) == want[i][1]
 
 
 def test_reciprocity_examples():

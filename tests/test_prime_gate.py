@@ -44,6 +44,23 @@ GATED = {
     "parametrize.construct_omega": ("S", lambda S: parametrize.construct_omega(S)),
 }
 
+#: name -> call(S) for each function in GATED that takes a prime set S,
+#: which passes S itself rather than inside a list.
+TAKES_S = {
+    "places.PlaceSet.of_primes": lambda S: places.PlaceSet.of_primes(S),
+    "semantics.campana_member": lambda S: semantics.campana_member(S, 2, 0),
+    "semantics.s_integer_member": lambda S: semantics.s_integer_member(S, 0),
+    "semantics.campana_member_form":
+        lambda S: semantics.campana_member_form(S, 2, X_FORM, 3),
+    "semantics.campana_via_coordinates":
+        lambda S: semantics.campana_via_coordinates(1, 9, S, 2),
+    "parametrize.uniformizer_product": lambda S: parametrize.uniformizer_product(S),
+    "parametrize.find_b": lambda S: parametrize.find_b(3, S),
+    "parametrize.construct_even": lambda S: parametrize.construct_even(S),
+    "parametrize.construct_odd": lambda S: parametrize.construct_odd(S),
+    "parametrize.construct_omega": lambda S: parametrize.construct_omega(S),
+}
+
 #: Documented to take a prime that is already proved.
 EXEMPT = {"arith.split_power", "places.local_data", "places.local_symbol"}
 
@@ -67,6 +84,19 @@ def test_anything_but_a_prime_is_a_value_error(name, bad):
     kind, call = GATED[name]
     with pytest.raises(ValueError):
         call(_argument(kind, bad))
+
+
+@pytest.mark.parametrize("name, S", [
+    pytest.param(name, S, id=f"{name}({S!r})")
+    for name in sorted(TAKES_S) for S in (None, 7)
+])
+def test_a_prime_set_that_is_not_iterable_is_a_value_error(name, S):
+    with pytest.raises(ValueError):
+        TAKES_S[name](S)
+
+
+def test_every_function_that_takes_a_prime_set_is_in_the_table():
+    assert TAKES_S.keys() == {name for name, (kind, _) in GATED.items() if kind == "S"}
 
 
 def test_every_function_that_takes_a_prime_is_in_the_table():

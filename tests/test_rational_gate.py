@@ -103,6 +103,8 @@ INTEGER = {
     "arith.crt(modulus)": lambda x: arith.crt([(x, 1), (5, 2)]),
     "arith.crt(residue)": lambda x: arith.crt([(7, x), (5, 2)]),
     "places.hilbert_oracle(precision)": lambda x: places.hilbert_oracle(2, 3, 7, x),
+    "semantics.generate_trace_element(seed)":
+        lambda x: semantics.generate_trace_element(3, 5, x),
     "kernels.crt_primes(k)": lambda x: kernels.crt_primes(x),
     "kernels.norm_int(w)": lambda x: kernels.norm_int([x, 1]),
     "kernels.norm_mod(coeffs)": lambda x: kernels.norm_mod([x, 1], 7),
@@ -118,7 +120,7 @@ INTEGER = {
 #: Parameters of the scanned modules that carry a number other than a
 #: prime, a place, a prime set or an n.
 NUMBER_PARAMETERS = {"a", "b", "c", "d", "a2", "b2", "c2", "d2", "r", "x", "x0", "x1",
-                     "lam", "values", "w", "u", "precision", "k"}
+                     "lam", "values", "w", "u", "precision", "k", "seed"}
 
 #: Documented to take integers that are already proved: places.local_data
 #: and places.local_symbol read the cleared integers of a rational (as does

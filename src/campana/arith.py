@@ -229,6 +229,16 @@ def integer(x, name: str = "the argument") -> int:
         raise ValueError(f"{name} must be an integer, not {x!r}") from None
 
 
+def listed(xs, name: str = "the argument") -> list:
+    """The items of xs as a list; anything not iterable, such as None or 7,
+    is a ValueError."""
+    try:
+        items = iter(xs)
+    except TypeError:
+        raise ValueError(f"{name} must be iterable, not {xs!r}") from None
+    return list(items)
+
+
 def num_den(r: RationalLike) -> Tuple[int, int]:
     """(numerator, denominator) of r, read by rational(), in lowest terms."""
     if type(r) is int:

@@ -4,8 +4,9 @@ Circuits are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): each distinct subterm exists once in the
 process, so structurally equal circuits are the same object, `==` is
 identity, and an operator costs one table lookup whatever the size of its
-operands.  The table holds its circuits weakly: a circuit nothing else
-refers to is dropped.
+operands.  The table holds its circuits weakly, and an entry goes as its
+circuit dies, taking with it the children that nothing else holds.  An
+insert is one setdefault, so the table takes no lock.
 
 `Circuit.nodes` is a circuit's node array, made when first asked for: each
 distinct subterm once, in one canonical order, the left-to-right
@@ -27,10 +28,11 @@ from __future__ import annotations
 
 import operator
 import re
-import threading
 import weakref
+from _weakref import _remove_dead_weakref
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,40 +82,38 @@ class Circuit:
 
     @staticmethod
     def _lift(x) -> "Circuit":
+        if type(x) is int:
+            return _intern(("int", x))
         if isinstance(x, Circuit):
             return x
         if isinstance(x, (int, Fraction)):
             return Circuit.const(x)
         raise TypeError(f"cannot use {type(x).__name__} in a circuit")
 
-    def _binary(self, op: str, other) -> "Circuit":
-        if type(other) is not Circuit:
-            other = Circuit._lift(other)
-        return _intern((op, self, other))
-
     def __add__(self, other):
-        return self._binary("add", other)
+        return _intern(("add", self, other if type(other) is Circuit else Circuit._lift(other)))
 
     def __radd__(self, other):
-        return Circuit._lift(other)._binary("add", self)
+        return _intern(("add", Circuit._lift(other), self))
 
     def __mul__(self, other):
-        return self._binary("mul", other)
+        return _intern(("mul", self, other if type(other) is Circuit else Circuit._lift(other)))
 
     def __rmul__(self, other):
-        return Circuit._lift(other)._binary("mul", self)
+        return _intern(("mul", Circuit._lift(other), self))
 
     def __neg__(self) -> "Circuit":
         return _intern(("neg", self))
 
     def __sub__(self, other):
-        return self._binary("add", -Circuit._lift(other))
+        return _intern(("add", self, _intern(("neg", Circuit._lift(other)))))
 
     def __rsub__(self, other):
-        return Circuit._lift(other)._binary("add", -self)
+        return _intern(("add", Circuit._lift(other), _intern(("neg", self))))
 
     def __pow__(self, k: int) -> "Circuit":
-        k = arith.integer(k, "pow exponent")
+        if type(k) is not int:
+            k = arith.integer(k, "pow exponent")
         if k < 1:
             raise ValueError("pow exponent must be a positive integer")
         return _intern(("pow", self, k))
@@ -121,15 +121,18 @@ class Circuit:
     @staticmethod
     def norm(children: Sequence["Circuit"]) -> "Circuit":
         """Opaque norm-form application: the anisotropic degree-n norm form
-        (n = number of children) evaluated at the children."""
-        kids = tuple([Circuit._lift(c) for c in children])
+        (n = number of children) evaluated at the children; ValueError if
+        children is not iterable."""
+        kids = tuple([Circuit._lift(c) for c in arith.listed(children, "norm's children")])
         if not kids:
             raise ValueError("norm needs at least one argument")
         return _intern(("norm", kids))
 
     def substitute(self, name: str, replacement: "Circuit") -> "Circuit":
-        """This circuit with the variable `name` replaced by `replacement`;
-        the circuit itself if name does not occur."""
+        """This circuit with the variable `name` replaced by `replacement`,
+        lifted as an operand is (a number becomes its constant); the circuit
+        itself if name does not occur."""
+        replacement = Circuit._lift(replacement)
         if ("var", name) not in self.nodes:
             return self
         return self._fold(_SUBST, {name: replacement})
@@ -149,8 +152,11 @@ class Circuit:
         return len(self.nodes) - 1
 
     # -- analysis ----------------------------------------------------
-    def _fold(self, rules: Mapping[str, Callable], env=None, q=None):
-        """One pass over the nodes: rules[op](node, values so far, env, q)."""
+    def _fold(self, rules: Mapping[str, Callable], env: Mapping, q=None):
+        """One pass over the nodes: rules[op](node, values so far, env, q).
+        ValueError, once, if env is not a mapping."""
+        if not isinstance(env, Mapping):
+            raise ValueError(f"env must be a mapping of variable names, not {env!r}")
         val: list = []
         for nd in self.nodes:
             val.append(rules[nd[0]](nd, val, env, q))
@@ -233,45 +239,37 @@ class _Ref(weakref.ref):
 
 
 _TABLE: Dict[tuple, _Ref] = {}  # node key -> its circuit
-# The references whose circuit has died, put there by the reference itself.
-# Their table entries go at the next lookup that misses; until then each one
-# holds its key, so the children of a dead circuit live until then too.
-_DEAD: List[_Ref] = []
-_died = _DEAD.append
-# makes a lookup that misses, the purge and the insert after it one step;
-# reentrant, since a finalizer run by the collector inside it may build
-_LOCK = threading.RLock()
 
 
-def _purge() -> None:
-    """Drop the table entries of the dead circuits, and of the children
-    that die as their keys go."""
-    while _DEAD:
-        ref = _DEAD.pop()
-        if _TABLE.get(ref.key) is ref:
-            del _TABLE[ref.key]
-        del ref  # the key's children may die now, and join _DEAD
+def _drop(ref: _Ref, table=_TABLE, remove=_remove_dead_weakref) -> None:
+    """A circuit has died: drop its entry, unless a live circuit has taken
+    the key since.  One C call; the table and the helper are bound here so
+    that it still works at interpreter exit.  The entry lets go of the key,
+    so the children that die with it are dropped the same way."""
+    remove(table, ref.key)
 
 
 def _intern(key: tuple) -> Circuit:
     """The circuit whose node is `key`, each child given by its circuit:
-    the one made before, while it lives, or else a new one."""
+    the one made before, while it lives, or else a new one.  The insert is
+    one setdefault, so it needs no lock: a thread that loses the race takes
+    the winner's circuit.  An entry whose circuit is dead but whose drop
+    has not run yet (the collector clears references before it calls them)
+    is removed and the insert tried again."""
     ref = _TABLE.get(key)
     circ = ref() if ref is not None else None
     if circ is None:
-        with _LOCK:
-            if _DEAD:
-                _purge()
-            ref = _TABLE.get(key)
-            circ = ref() if ref is not None else None
-            if circ is None:
-                op = key[0]
-                circ = object.__new__(Circuit)
-                circ._key, circ._kids = key, _CHILDREN[op](key)
-                circ._names = circ._nodes = None
-                circ._degree = _DEGREE[op](key)
-                ref = _TABLE[key] = _Ref(circ, _died)
-                ref.key = key
+        op = key[0]
+        circ = object.__new__(Circuit)
+        circ._key, circ._kids = key, _CHILDREN[op](key)
+        circ._names = circ._nodes = None
+        circ._degree = _DEGREE[op](key)
+        new = _Ref(circ, _drop)
+        new.key = key
+        while (ref := _TABLE.setdefault(key, new)) is not new:
+            if (old := ref()) is not None:
+                return old
+            _remove_dead_weakref(_TABLE, key)
     return circ
 
 

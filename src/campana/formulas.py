@@ -321,8 +321,9 @@ def combine_pair(f: Circuit, g: Circuit) -> Circuit:
 
 def combine_many(fs: Sequence[Circuit]) -> Circuit:
     """Norm-form composition: vanishes over Q iff every f does.  Degree is
-    len(fs) * max degree; the norm polynomial itself stays opaque."""
-    fs = list(fs)
+    len(fs) * max degree; the norm polynomial itself stays opaque.  fs
+    that is not iterable is a ValueError."""
+    fs = arith.listed(fs, "fs")
     if not fs:
         raise ValueError("need at least one circuit")
     if len(fs) == 1:
@@ -331,8 +332,9 @@ def combine_many(fs: Sequence[Circuit]) -> Circuit:
 
 
 def combine_sos(fs: Sequence[Circuit]) -> Circuit:
-    """Sum of squares; vanishes over a real-embedded field iff every f does."""
-    fs = list(fs)
+    """Sum of squares; vanishes over a real-embedded field iff every f does.
+    fs that is not iterable is a ValueError."""
+    fs = arith.listed(fs, "fs")
     if not fs:
         raise ValueError("need at least one circuit")
     acc = fs[0]**2

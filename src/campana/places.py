@@ -85,11 +85,7 @@ class PlaceSet:
         Anything not iterable, such as None or 7, is a ValueError."""
         if isinstance(primes, PlaceSet):
             return cls(v for v in primes if not v.is_real)
-        try:
-            primes = iter(primes)
-        except TypeError:
-            raise ValueError(f"S must be an iterable of primes, not {primes!r}") from None
-        return cls(Place._proved(arith.prime(p)) for p in primes)
+        return cls(Place._proved(arith.prime(p)) for p in arith.listed(primes, "S"))
 
     @classmethod
     def _of_proved(cls, primes: List[int], real: bool = False) -> "PlaceSet":

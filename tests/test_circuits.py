@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from campana import kernels
+from campana import formulas as fm, kernels
 from campana.circuits import Circuit
 
 
@@ -293,7 +293,8 @@ def test_threads_building_the_same_circuits_get_the_same_objects():
 def test_the_table_forgets_circuits_nothing_refers_to():
     from campana import circuits, formulas as fm
 
-    # dead entries go at a lookup that misses, such as one for a new name
+    # an entry goes as its circuit dies, so once f is gone only g's three
+    # nodes are new
     Circuit.var("a name no other test uses") + 1
     before = len(circuits._TABLE)
     f = fm.build_premise()
@@ -302,6 +303,115 @@ def test_the_table_forgets_circuits_nothing_refers_to():
     g = Circuit.var("another name no other test uses") + 1
     assert grown > 3000 and len(circuits._TABLE) <= before + 3
     assert g.nodes == (("var", "another name no other test uses"), ("int", 1), ("add", 0, 1))
+
+
+def test_the_table_drops_each_entry_as_its_circuit_dies():
+    import gc
+
+    from campana import circuits
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(circuits._TABLE)
+        f = fm.build_premise()
+        assert len(circuits._TABLE) > before + 3000
+        del f  # no lookup and no collection after it
+        assert len(circuits._TABLE) == before
+    finally:
+        gc.enable()
+
+
+def test_a_deep_chain_is_dropped_without_a_recursion_error():
+    import sys
+
+    from campana import circuits
+
+    before = len(circuits._TABLE)
+    c = Circuit.var("the bottom of a deep chain")
+    for _ in range(300_000):
+        c = -c
+    assert len(circuits._TABLE) == before + 300_001
+    # each drop lets go of the key that holds the next node down, so the
+    # whole chain goes in one cascade; an error in a drop is only reported
+    lost = []
+    old, sys.unraisablehook = sys.unraisablehook, lost.append
+    try:
+        del c
+    finally:
+        sys.unraisablehook = old
+    assert not lost and len(circuits._TABLE) == before
+
+
+def test_an_entry_whose_circuit_died_before_its_drop_ran_is_replaced():
+    from campana import circuits
+
+    class Gone:
+        pass
+
+    # a cleared reference still in the table, as the cyclic collector leaves
+    # one between clearing it and calling its drop
+    key, gone = ("var", "a name whose entry is dead"), Gone()
+    ref = circuits._Ref(gone)
+    ref.key = key
+    del gone
+    circuits._TABLE[key] = ref
+    c = Circuit.var("a name whose entry is dead")
+    assert c.nodes == (key,) and circuits._TABLE[key]() is c
+    assert Circuit.var("a name whose entry is dead") is c
+    del c
+    assert key not in circuits._TABLE
+
+
+def test_a_formula_alive_at_exit_writes_nothing_to_stderr():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    from campana import circuits
+
+    src = str(pathlib.Path(circuits.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "from campana import formulas\nf = formulas.build_campana(7)\n"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0 and done.stderr == b""
+
+
+def test_substitute_lifts_the_replacement_as_an_operand_is_lifted():
+    x = Circuit.var("x")
+    for value in (3, Fraction(1, 2)):
+        # substitute("x", 3) returned the int 3, and (x + 1) an AttributeError
+        assert x.substitute("x", value) is Circuit.const(value)
+        assert (x + 1).substitute("x", value) is Circuit.const(value) + 1
+    with pytest.raises(TypeError):
+        (x + 1).substitute("x", None)
+    with pytest.raises(TypeError):
+        x + None
+
+
+@pytest.mark.parametrize("env", [None, ["x"], "x", 3, ("x", 1)])
+@pytest.mark.parametrize("call", [
+    lambda f, env: f.evaluate(env),
+    lambda f, env: f.evaluate_mod(env, 7),
+    lambda f, env: f.evaluate_vec(env, 7),
+    lambda f, env: fm.evaluate_matrix(fm.build_S(), env),
+], ids=["evaluate", "evaluate_mod", "evaluate_vec", "evaluate_matrix"])
+def test_values_that_are_not_a_mapping_are_a_value_error(call, env):
+    # None raised TypeError, and so did ["x"] (list indices)
+    with pytest.raises(ValueError, match="mapping"):
+        call(Circuit.var("x") * Circuit.var("x") + 1, env)
+
+
+@pytest.mark.parametrize("bad", [None, 7, Fraction(1, 2)])
+@pytest.mark.parametrize("name", ["Circuit.norm", "combine_many", "combine_sos"])
+def test_circuits_that_are_not_iterable_are_a_value_error(name, bad):
+    # each raised TypeError: ... is not iterable
+    call = {"Circuit.norm": Circuit.norm, "combine_many": fm.combine_many,
+            "combine_sos": fm.combine_sos}[name]
+    with pytest.raises(ValueError, match="iterable"):
+        call(bad)
 
 
 @pytest.mark.parametrize("value", [0.1, 2.0, float("nan"), "1/3", "3", None, 1 + 2j,

@@ -229,7 +229,7 @@ def integer(x, name: str = "the argument") -> int:
         raise ValueError(f"{name} must be an integer, not {x!r}") from None
 
 
-def listed(xs, name: str = "the argument") -> list:
+def listed(xs, name: str) -> list:
     """The items of xs as a list; anything not iterable, such as None or 7,
     is a ValueError."""
     try:

@@ -104,6 +104,9 @@ def norm_mod_rows(H, qs) -> np.ndarray:
     """
     qlist = [_modulus(m) for m in qs]
     rows = np.asarray(H)
+    if rows.dtype.kind == "f" and not isinstance(H, np.ndarray):
+        # Python ints on both sides of 2^63 promote to float64: keep them exact
+        rows = np.asarray(H, dtype=object)
     if not qlist and rows.size == 0:
         return np.zeros(0, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[0] != len(qlist) or rows.shape[1] == 0:

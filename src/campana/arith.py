@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .errors import SearchExhausted
 
 RationalLike = Union[int, Fraction]
@@ -30,16 +32,22 @@ _small_primes_cache: List[int] = []
 
 
 def _small_primes() -> List[int]:
-    """Primes below TRIAL_DIVISION_BOUND, sieved once on demand."""
+    """Primes below TRIAL_DIVISION_BOUND as Python ints, sieved once, on
+    first use: a numpy sieve over the odd numbers, whose slot i stands for
+    2i + 1, read out with one flatnonzero."""
     global _small_primes_cache
     if not _small_primes_cache:
         n = TRIAL_DIVISION_BOUND
-        sieve = bytearray([1]) * n
-        sieve[0] = sieve[1] = 0
-        for i in range(2, int(math.isqrt(n)) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(range(i * i, n, i)))
-        _small_primes_cache = [i for i, fl in enumerate(sieve) if fl]
+        odd = np.ones(n // 2, dtype=bool)
+        for i in range(3, math.isqrt(n) + 1, 2):
+            if odd[i >> 1]:
+                odd[i * i >> 1 :: i] = False
+        ps = np.flatnonzero(odd)
+        del odd
+        ps *= 2
+        ps += 1
+        ps[0] = 2  # slot 0 stands for 1, not a prime; it holds 2, the even one
+        _small_primes_cache = ps.tolist()
     return _small_primes_cache
 
 

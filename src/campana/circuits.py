@@ -73,7 +73,10 @@ class Circuit:
     # -- constructors ------------------------------------------------
     @staticmethod
     def var(name: str) -> "Circuit":
-        return _intern(("var", str(name)))
+        """The variable name; a name that is not a str is a ValueError, as
+        in read_nodes."""
+        return _intern(("var", _checked(name, type(name) is str,
+                                        "a var name must be a string")))
 
     @staticmethod
     def const(value: ConstLike) -> "Circuit":

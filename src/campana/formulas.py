@@ -130,6 +130,14 @@ class Formula:
                 f"{st.atoms} atoms, degree<={st.degree_bound})")
 
 
+def _formula(f, name: str = "f") -> Formula:
+    """f itself, the check every public function that takes a Formula
+    makes first: anything else, None included, is a ValueError."""
+    if not isinstance(f, Formula):
+        raise ValueError(f"{name} must be a Formula, not {type(f).__name__}")
+    return f
+
+
 @dataclass(frozen=True)
 class FormulaStats:
     universals: int
@@ -142,6 +150,7 @@ class FormulaStats:
 def stats(f: Formula) -> FormulaStats:
     """Quantifier counts, atom count, and the syntactic degree bound (the
     stored override wins when a substitution has inflated the bound)."""
+    f = _formula(f)
     universals = sum(1 for q, _ in f.prefix if q == FORALL)
     existentials = sum(1 for q, _ in f.prefix if q == EXISTS)
     atom_list = f.atoms()
@@ -333,8 +342,9 @@ def combine_many(fs: Sequence[Circuit]) -> Circuit:
 
 def combine_sos(fs: Sequence[Circuit]) -> Circuit:
     """Sum of squares; vanishes over a real-embedded field iff every f does.
-    fs that is not iterable is a ValueError."""
-    fs = arith.listed(fs, "fs")
+    Numbers are lifted to constants, as combine_many lifts them; fs that is
+    not iterable is a ValueError."""
+    fs = [Circuit._lift(f) for f in arith.listed(fs, "fs")]
     if not fs:
         raise ValueError("need at least one circuit")
     acc = fs[0]**2
@@ -380,6 +390,8 @@ def prenex_or(universal_part: Formula, existential_part: Formula,
 
     Valid because when some x makes P vanish no y can invert it, forcing
     Q to vanish for a suitable z; and otherwise y = 1/P(x) frees Q."""
+    universal_part = _formula(universal_part, "universal_part")
+    existential_part = _formula(existential_part, "existential_part")
     if any(q != FORALL for q, _ in universal_part.prefix):
         raise ValueError("universal part must have an all-forall prefix")
     if universal_part.matrix[0] != "neq":
@@ -492,7 +504,11 @@ def substitute_form(base: Formula, F: BinaryForm) -> Formula:
     """Replace the free variable r by F(lam, 1).  The degree bound is
     recorded as deg(F) times the base bound: the substitution composes the
     defining polynomial with F, and the composed bound is what matters even
-    when the syntactic recomputation would come out lower."""
+    when the syntactic recomputation would come out lower.  F that is not a
+    BinaryForm is a ValueError."""
+    base = _formula(base, "base")
+    if not isinstance(F, BinaryForm):
+        raise ValueError(f"F must be a BinaryForm, not {type(F).__name__}")
     if "r" not in base.free:
         raise ValueError("'r' is not free in the formula")
     used = set(base.free) | {n for _, n in base.prefix}
@@ -526,7 +542,7 @@ def evaluate_matrix(f: Formula, assignment: Mapping[str, Union[int, Fraction]]) 
     assignment (free and bound variables alike).  An and stops at its first
     false child and an or at its first true one, so the atoms after it are
     not evaluated and need no values."""
-    return _fold_matrix(f.matrix,
+    return _fold_matrix(_formula(f).matrix,
                         lambda kind, c: (c.evaluate(assignment) == 0) == (kind == "eq"),
                         lambda kind, kids: all(kids) if kind == "and" else any(kids))
 
@@ -567,6 +583,7 @@ def emit(f: Formula, format: str = "json") -> bytes:
     once, in canonical order, each node an array such as ["add", i, j] with
     the indices of its children, and each atom names its root in it.  sexpr
     is a lossless prefix rendering; latex is for human eyes."""
+    f = _formula(f)
     if format == "json":
         lay = f.layout()
         doc = {

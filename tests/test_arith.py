@@ -82,6 +82,54 @@ def test_is_prime_lookup_agrees_with_miller_rabin_across_the_bound():
         assert arith.is_prime(n) == arith._miller_rabin(n) == want, n
 
 
+def _reference_sieve(n):
+    flags = [True] * n
+    flags[:2] = [False] * min(n, 2)
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = [False] * len(range(i * i, n, i))
+    return [i for i, fl in enumerate(flags) if fl]
+
+
+def test_small_prime_table_ends_and_count():
+    ps = arith._small_primes()
+    assert len(ps) == 78_498
+    assert ps[:3] == [2, 3, 5]
+    assert ps[-1] == 999_983
+    assert arith._small_primes() is ps  # one table, sieved once
+
+
+def test_small_prime_table_matches_a_reference_sieve():
+    ps = arith._small_primes()
+    below = ps[: ps.index(100_003)]
+    assert below == _reference_sieve(10**5)
+
+
+def test_small_prime_table_holds_python_ints():
+    # a numpy integer would fail the type gates, the factor dict keys and json
+    assert all(type(p) is int for p in arith._small_primes())
+    assert type(next(iter(arith.factorize(6).factors))) is int
+    assert type(arith.primes_up_to(10)[-1]) is int
+
+
+def test_import_leaves_the_small_prime_table_unbuilt():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    code = ("import campana; from campana import arith;"
+            "print(len(arith._small_primes_cache))")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(arith.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0"]
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, -2, -3, -999_983, -(10**30)])
+def test_is_prime_below_two_is_false(n):
+    assert arith.is_prime(n) is False
+
+
 def test_next_prime():
     assert arith.next_prime(0) == 2
     assert arith.next_prime(2) == 3

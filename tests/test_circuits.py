@@ -532,3 +532,10 @@ def test_substitution_agrees_with_evaluation(case, data):
         # exactly where the values stay small: degree bounds their growth
         if c.degree() <= 64 and max(abs(vg.numerator), vg.denominator).bit_length() <= 256:
             assert s.evaluate(points[0]) == c.evaluate({**points[0], "x": g.evaluate(points[0])})
+
+
+@pytest.mark.parametrize("name", [None, 3, 2.5, b"x", ("x",)],
+                         ids=["None", "int", "float", "bytes", "tuple"])
+def test_var_refuses_a_name_that_is_not_a_string(name):
+    with pytest.raises(ValueError, match="var name must be a string"):
+        Circuit.var(name)

@@ -133,6 +133,13 @@ def test_combine_sos_zero_set():
     assert h.evaluate({"x": 0, "y": 0, "z": 0}) > 0
 
 
+def test_combine_sos_lifts_numbers_to_circuits():
+    h = fm.combine_sos([1, 2])
+    assert h is Circuit.const(1) ** 2 + Circuit.const(2) ** 2
+    assert h.evaluate({}) == 5
+    assert fm.combine_sos([Fraction(1, 2)]).evaluate({}) == Fraction(1, 4)
+
+
 def test_norm_form_closed_forms():
     f2 = fm.norm_form(2)
     assert f2.evaluate({"y1": 3, "y2": 1}) == 7  # 3^2 - 2
@@ -229,6 +236,14 @@ def test_substitute_form_degree():
     assert fm.stats(gx).degree_bound == 3387
 
 
+
+@pytest.mark.parametrize("F", [None, 3, {(1, 0): 1}, Circuit.var("x")],
+                         ids=["None", "int", "dict", "circuit"])
+def test_substitute_form_refuses_a_non_form(F):
+    with pytest.raises(ValueError, match="must be a BinaryForm"):
+        fm.substitute_form(fm.build_S(), F)
+
+
 def test_substitute_form_preserves_matrix_semantics():
     f = fm.build_S()
     F = BinaryForm.from_x_coeffs([1, 1])  # x + y, so r := lam + 1
@@ -277,3 +292,38 @@ def test_emit_leaves_no_cycle_that_keeps_a_dropped_formula_alive(fmt):
         assert ref() is None
     finally:
         gc.enable()
+
+
+# every public function that takes a Formula, with the Formula slot open
+_FORMULA_TAKERS = {
+    "stats": lambda g: fm.stats(g),
+    "emit": lambda g: fm.emit(g),
+    "evaluate_matrix": lambda g: fm.evaluate_matrix(g, {}),
+    "prenex_or[universal_part]": lambda g: fm.prenex_or(g, fm.build_S()),
+    "prenex_or[existential_part]": lambda g: fm.prenex_or(_forall_neq(), g),
+    "substitute_form": lambda g: fm.substitute_form(g, X_FORM),
+}
+
+
+def _forall_neq():
+    return fm.Formula([(fm.FORALL, "x")], ("neq", Circuit.var("x")), [])
+
+
+@pytest.mark.parametrize("bad", [None, 3, "x", [], Circuit.var("x"),
+                                 ("eq", Circuit.var("x"))],
+                         ids=["None", "int", "str", "list", "circuit", "matrix"])
+@pytest.mark.parametrize("name", sorted(_FORMULA_TAKERS))
+def test_a_non_formula_is_a_value_error(name, bad):
+    with pytest.raises(ValueError, match="must be a Formula"):
+        _FORMULA_TAKERS[name](bad)
+
+
+def test_formula_takers_table_is_complete():
+    import inspect
+    takers = {f"{fn.__name__}[{p}]" if fn is fm.prenex_or else fn.__name__
+              for fn in vars(fm).values()
+              if inspect.isfunction(fn) and fn.__module__ == fm.__name__
+              and not fn.__name__.startswith("_")
+              for p, par in inspect.signature(fn).parameters.items()
+              if par.annotation == "Formula"}
+    assert takers == set(_FORMULA_TAKERS)

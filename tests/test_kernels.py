@@ -265,6 +265,16 @@ def test_norm_mod_rows_edge_rows():
     assert _kernels_py.norm_mod_rows(H, np.array([q, q])).tolist() == [7, q - 1]
 
 
+def test_norm_mod_rows_ints_across_2_63():
+    # numpy reads a list with ints on both sides of 2^63 as float64
+    rows = [[1, 2**63], [3, -1, 2**63 + 5], [2**64 - 1, -(2**63), 7]]
+    for h in rows:
+        for q in (7, 101, kernels.crt_primes(1)[0]):
+            assert _kernels_py.norm_mod(h, q) == sympy_norm(h) % q
+    assert _kernels_py.norm_mod_rows([rows[0], [5, 6]], [7, 11]).tolist() == \
+        [sympy_norm(rows[0]) % 7, sympy_norm([5, 6]) % 11]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.integers(max_value=1), st.integers(min_value=2**31)))
 def test_norm_mod_rejects_modulus_out_of_range(q):

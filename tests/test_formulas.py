@@ -236,7 +236,6 @@ def test_substitute_form_degree():
     assert fm.stats(gx).degree_bound == 3387
 
 
-
 @pytest.mark.parametrize("F", [None, 3, {(1, 0): 1}, Circuit.var("x")],
                          ids=["None", "int", "dict", "circuit"])
 def test_substitute_form_refuses_a_non_form(F):
@@ -294,14 +293,15 @@ def test_emit_leaves_no_cycle_that_keeps_a_dropped_formula_alive(fmt):
         gc.enable()
 
 
-# every public function that takes a Formula, with the Formula slot open
+# every Formula parameter of a public function, as function[parameter],
+# with a call that passes g there
 _FORMULA_TAKERS = {
-    "stats": lambda g: fm.stats(g),
-    "emit": lambda g: fm.emit(g),
-    "evaluate_matrix": lambda g: fm.evaluate_matrix(g, {}),
+    "stats[f]": fm.stats,
+    "emit[f]": fm.emit,
+    "evaluate_matrix[f]": lambda g: fm.evaluate_matrix(g, {}),
     "prenex_or[universal_part]": lambda g: fm.prenex_or(g, fm.build_S()),
     "prenex_or[existential_part]": lambda g: fm.prenex_or(_forall_neq(), g),
-    "substitute_form": lambda g: fm.substitute_form(g, X_FORM),
+    "substitute_form[base]": lambda g: fm.substitute_form(g, X_FORM),
 }
 
 
@@ -320,8 +320,7 @@ def test_a_non_formula_is_a_value_error(name, bad):
 
 def test_formula_takers_table_is_complete():
     import inspect
-    takers = {f"{fn.__name__}[{p}]" if fn is fm.prenex_or else fn.__name__
-              for fn in vars(fm).values()
+    takers = {f"{fn.__name__}[{p}]" for fn in vars(fm).values()
               if inspect.isfunction(fn) and fn.__module__ == fm.__name__
               and not fn.__name__.startswith("_")
               for p, par in inspect.signature(fn).parameters.items()

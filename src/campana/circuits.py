@@ -84,14 +84,17 @@ class Circuit:
         return _intern(("int", arith.rational(value)))
 
     @staticmethod
-    def _lift(x) -> "Circuit":
+    def _lift(x, error=TypeError) -> "Circuit":
+        """x as a circuit: a circuit itself, a number its constant.  Anything
+        else raises error: an operator's TypeError, as Python's own operators
+        raise, or the ValueError of a function that takes a circuit."""
         if type(x) is int:
             return _intern(("int", x))
         if isinstance(x, Circuit):
             return x
         if isinstance(x, (int, Fraction)):
             return Circuit.const(x)
-        raise TypeError(f"cannot use {type(x).__name__} in a circuit")
+        raise error(f"cannot use {type(x).__name__} in a circuit")
 
     def __add__(self, other):
         return _intern(("add", self, other if type(other) is Circuit else Circuit._lift(other)))
@@ -125,8 +128,9 @@ class Circuit:
     def norm(children: Sequence["Circuit"]) -> "Circuit":
         """Opaque norm-form application: the anisotropic degree-n norm form
         (n = number of children) evaluated at the children; ValueError if
-        children is not iterable."""
-        kids = tuple([Circuit._lift(c) for c in arith.listed(children, "norm's children")])
+        children is not iterable or a child is not a circuit or a number."""
+        kids = tuple([Circuit._lift(c, ValueError)
+                      for c in arith.listed(children, "norm's children")])
         if not kids:
             raise ValueError("norm needs at least one argument")
         return _intern(("norm", kids))
@@ -134,8 +138,10 @@ class Circuit:
     def substitute(self, name: str, replacement: "Circuit") -> "Circuit":
         """This circuit with the variable `name` replaced by `replacement`,
         lifted as an operand is (a number becomes its constant); the circuit
-        itself if name does not occur."""
-        replacement = Circuit._lift(replacement)
+        itself if name does not occur.  A name that is not a str, or a
+        replacement that is not a circuit or a number, is a ValueError."""
+        _checked(name, type(name) is str, "a var name must be a string")
+        replacement = Circuit._lift(replacement, ValueError)
         if ("var", name) not in self.nodes:
             return self
         return self._fold(_SUBST, {name: replacement})

@@ -10,6 +10,7 @@ single atom.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,7 +86,7 @@ class Formula:
         self.matrix = matrix
         self.free = tuple(str(n) for n in free)
         self.degree_override = degree_override
-        self.real_embedded = real_embedded
+        self.real_embedded = _real(real_embedded)
         bound = [n for _, n in self.prefix]
         if len(set(bound)) != len(bound):
             raise ValueError("a variable is bound twice")
@@ -136,6 +137,14 @@ def _formula(f, name: str = "f") -> Formula:
     if not isinstance(f, Formula):
         raise ValueError(f"{name} must be a Formula, not {type(f).__name__}")
     return f
+
+
+def _real(real_embedded) -> bool:
+    """real_embedded itself, the check every function that takes the flag
+    makes first: anything but a bool ('no', None, 1) is a ValueError."""
+    if type(real_embedded) is not bool:
+        raise ValueError(f"real_embedded must be a bool, not {real_embedded!r}")
+    return real_embedded
 
 
 @dataclass(frozen=True)
@@ -249,6 +258,12 @@ def _premise_block(a, b, c, d, a2, b2, c2, d2, r, gs):
 # public builders
 # ---------------------------------------------------------------------------
 
+# The builders that take no argument are constants, built once per process
+# by functools.cache, and build_integrality keeps its two variants: each
+# returns one shared Formula, which holds its circuits (and its layout, once
+# emitted) until cache_clear().  build_Jn, build_inv_Jn and build_campana
+# take an unbounded n and build afresh on every call.
+
 #: The builders' free names: the first tuple (a, b, c, d), the element r, and
 #: the second tuple (a2, b2, c2, d2) of the disjointness blocks.
 _ABR = ("a", "b", "r")
@@ -267,35 +282,43 @@ def _exists_formula(block, names: Sequence[str], start: int = 1) -> Formula:
     return Formula([(EXISTS, n) for n in gs.names], matrix, tuple(names))
 
 
+@functools.cache
 def build_S() -> Formula:
     # the quaternion coordinates are x2, x3, x4
     return _exists_formula(_s_block, _ABR, start=2)
 
 
+@functools.cache
 def build_T() -> Formula:
     return _exists_formula(_t_block, _ABR)
 
 
+@functools.cache
 def build_T_unit() -> Formula:
     return _exists_formula(_t_unit_block, _ABR)
 
 
+@functools.cache
 def build_I() -> Formula:
     return _exists_formula(_i_block, ("a", "b", "c", "r"))
 
 
+@functools.cache
 def build_J() -> Formula:
     return _exists_formula(_j_block, _ABR)
 
 
+@functools.cache
 def build_Jabcd() -> Formula:
     return _exists_formula(_jabcd_block, _ABCDR)
 
 
+@functools.cache
 def build_inv_J() -> Formula:
     return _exists_formula(_inv_j_block, _ABCDR)
 
 
+@functools.cache
 def build_disjoint() -> Formula:
     return _exists_formula(_disjoint_block, _EIGHT)
 
@@ -310,6 +333,7 @@ def build_inv_Jn(n: int) -> Formula:
         lambda a, b, c, d, r, gs: _inv_jn_block(a, b, c, d, n, r, gs), _ABCDR)
 
 
+@functools.cache
 def build_premise() -> Formula:
     """The hypothesis block of the main formula: disjoint radicals and r
     inverting an element of the second radical."""
@@ -324,27 +348,30 @@ N_Q = 2  # smallest positive nonsquare: x^2 - 2 has no rational roots
 
 
 def combine_pair(f: Circuit, g: Circuit) -> Circuit:
-    """f^2 - 2 g^2 vanishes over Q iff both f and g do."""
+    """f^2 - 2 g^2 vanishes over Q iff both f and g do.  Numbers are lifted
+    to constants; anything else is a ValueError."""
+    f, g = Circuit._lift(f, ValueError), Circuit._lift(g, ValueError)
     return f**2 - N_Q * g**2
 
 
 def combine_many(fs: Sequence[Circuit]) -> Circuit:
     """Norm-form composition: vanishes over Q iff every f does.  Degree is
     len(fs) * max degree; the norm polynomial itself stays opaque.  fs
-    that is not iterable is a ValueError."""
+    that is not iterable, or an f that is not a circuit or a number, is a
+    ValueError."""
     fs = arith.listed(fs, "fs")
     if not fs:
         raise ValueError("need at least one circuit")
     if len(fs) == 1:
-        return Circuit._lift(fs[0])
+        return Circuit._lift(fs[0], ValueError)
     return Circuit.norm(fs)
 
 
 def combine_sos(fs: Sequence[Circuit]) -> Circuit:
     """Sum of squares; vanishes over a real-embedded field iff every f does.
     Numbers are lifted to constants, as combine_many lifts them; fs that is
-    not iterable is a ValueError."""
-    fs = [Circuit._lift(f) for f in arith.listed(fs, "fs")]
+    not iterable, or an f that is not a circuit or a number, is a ValueError."""
+    fs = [Circuit._lift(f, ValueError) for f in arith.listed(fs, "fs")]
     if not fs:
         raise ValueError("need at least one circuit")
     acc = fs[0]**2
@@ -392,6 +419,7 @@ def prenex_or(universal_part: Formula, existential_part: Formula,
     Q to vanish for a suitable z; and otherwise y = 1/P(x) frees Q."""
     universal_part = _formula(universal_part, "universal_part")
     existential_part = _formula(existential_part, "existential_part")
+    real_embedded = _real(real_embedded)
     if any(q != FORALL for q, _ in universal_part.prefix):
         raise ValueError("universal part must have an all-forall prefix")
     if universal_part.matrix[0] != "neq":
@@ -430,6 +458,7 @@ def build_campana(n: int, real_embedded: bool = False) -> Formula:
     n = arith.check_n(n)
     if n < 2:
         raise ValueError("n must be >= 2 (the n = 1 set is the whole field)")
+    real_embedded = _real(real_embedded)
     return _premise_implies(
         lambda a2, b2, c2, d2, r, gs: _inv_jn_block(a2, b2, c2, d2, n, r, gs),
         real_embedded)
@@ -438,11 +467,21 @@ def build_campana(n: int, real_embedded: bool = False) -> Formula:
 def build_integrality(real_embedded: bool = False) -> Formula:
     """The forall-exists definition of integrality outside the radical set:
     whenever a second tuple has disjoint radical set and r inverts one of
-    its radical elements, that radical must be trivial (contain 1)."""
+    its radical elements, that radical must be trivial (contain 1).  Each
+    variant is built once and shared (see the builders above)."""
+    return _integrality(_real(real_embedded))
+
+
+@functools.lru_cache(maxsize=2)
+def _integrality(real_embedded: bool) -> Formula:
     return _premise_implies(
         lambda a2, b2, c2, d2, r, gs: _jabcd_block(a2, b2, c2, d2,
                                                    Circuit.const(1), gs),
         real_embedded)
+
+
+build_integrality.cache_info = _integrality.cache_info
+build_integrality.cache_clear = _integrality.cache_clear
 
 
 def _premise_implies(conclusion, real_embedded: bool) -> Formula:
@@ -647,9 +686,7 @@ def _parse_doc(doc) -> Formula:
     override = doc.get("degree_override")
     if override is not None and not (type(override) is int and override >= 0):
         raise ValueError(f"degree_override must be an int >= 0, not {override!r}")
-    real_embedded = doc.get("real_embedded", False)
-    if type(real_embedded) is not bool:
-        raise ValueError(f"real_embedded must be a bool, not {real_embedded!r}")
+    real_embedded = _real(doc.get("real_embedded", False))
     made = read_nodes(doc["nodes"])
     return Formula(prefix, _parse_matrix(doc["matrix"], made), free,
                    degree_override=override, real_embedded=real_embedded)

@@ -1,6 +1,6 @@
 import pytest
 
-from campana import places
+from campana import formulas, places
 
 #: Tests that take minutes on the pure-Python kernel backend; each still
 #: runs in a plain `pytest`, and `pytest -m "not slow"` leaves them out.
@@ -14,10 +14,14 @@ def pytest_collection_modifyitems(items):
 
 
 @pytest.fixture(autouse=True)
-def _empty_omega_memo():
+def _empty_memos():
     """Each test starts with the memos of places empty (omega's, the
-    oracle's and the pair scan's), so a test that counts the work they save
-    sees the same counts in any test order."""
+    oracle's and the pair scan's), and those of the formula builders that
+    take no n, so a test that counts the work they save, or the formulas a
+    build makes, sees the same counts in any test order."""
     places.omega.cache_clear()
     places.hilbert_oracle.cache_clear()
     places._pair.cache_clear()
+    for target in formulas.TARGETS.values():
+        if not target.takes_n:
+            target.builder.cache_clear()

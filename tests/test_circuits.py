@@ -294,10 +294,11 @@ def test_the_table_forgets_circuits_nothing_refers_to():
     from campana import circuits, formulas as fm
 
     # an entry goes as its circuit dies, so once f is gone only g's three
-    # nodes are new
+    # nodes are new (build_campana builds afresh; the builders without n
+    # keep theirs)
     Circuit.var("a name no other test uses") + 1
     before = len(circuits._TABLE)
-    f = fm.build_premise()
+    f = fm.build_campana(2)
     grown = len(circuits._TABLE) - before
     del f
     g = Circuit.var("another name no other test uses") + 1
@@ -314,7 +315,7 @@ def test_the_table_drops_each_entry_as_its_circuit_dies():
     gc.disable()
     try:
         before = len(circuits._TABLE)
-        f = fm.build_premise()
+        f = fm.build_campana(2)
         assert len(circuits._TABLE) > before + 3000
         del f  # no lookup and no collection after it
         assert len(circuits._TABLE) == before
@@ -385,10 +386,36 @@ def test_substitute_lifts_the_replacement_as_an_operand_is_lifted():
         # substitute("x", 3) returned the int 3, and (x + 1) an AttributeError
         assert x.substitute("x", value) is Circuit.const(value)
         assert (x + 1).substitute("x", value) is Circuit.const(value) + 1
-    with pytest.raises(TypeError):
+    # a function argument that is not a circuit is a ValueError; the
+    # operators keep Python's TypeError
+    with pytest.raises(ValueError):
         (x + 1).substitute("x", None)
     with pytest.raises(TypeError):
         x + None
+
+
+@pytest.mark.parametrize("name", [3, None, Circuit.var("x")], ids=["int", "None", "circuit"])
+def test_substitute_refuses_a_name_that_is_not_a_string(name):
+    # each returned x unchanged, as if the name did not occur
+    with pytest.raises(ValueError, match="var name must be a string"):
+        Circuit.var("x").substitute(name, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: fm.combine_pair(None, x),
+    lambda x: fm.combine_pair(x, 0.5),
+    lambda x: fm.combine_many([None, x]),
+    lambda x: fm.combine_many([None]),
+    lambda x: fm.combine_sos([None]),
+    lambda x: fm.combine_sos([x, "x"]),
+    lambda x: Circuit.norm([None]),
+    lambda x: x.substitute("x", None),
+], ids=["combine_pair[f]", "combine_pair[g]", "combine_many", "combine_many[one]",
+        "combine_sos", "combine_sos[str]", "Circuit.norm", "substitute[replacement]"])
+def test_an_argument_that_is_not_a_circuit_is_a_value_error(call):
+    # each raised TypeError, through Circuit._lift or **
+    with pytest.raises(ValueError, match="cannot use .* in a circuit"):
+        call(Circuit.var("x"))
 
 
 @pytest.mark.parametrize("env", [None, ["x"], "x", 3, ("x", 1)])

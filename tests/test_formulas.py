@@ -326,3 +326,85 @@ def test_formula_takers_table_is_complete():
               for p, par in inspect.signature(fn).parameters.items()
               if par.annotation == "Formula"}
     assert takers == set(_FORMULA_TAKERS)
+
+
+# every public function with a real_embedded parameter, and Formula, with a
+# call that passes flag there; a flag that is not a bool was stored as given
+# (build_integrality(real_embedded="no") built the sum-of-squares variant
+# marked "no", and parse(emit(f)) != f)
+_REAL_TAKERS = {
+    "Formula": lambda flag: fm.Formula([], ("eq", Circuit.var("x")), ["x"],
+                                       real_embedded=flag),
+    "prenex_or": lambda flag: fm.prenex_or(_forall_neq(), fm.build_S(), real_embedded=flag),
+    "build_campana": lambda flag: fm.build_campana(2, real_embedded=flag),
+    "build_integrality": lambda flag: fm.build_integrality(real_embedded=flag),
+}
+
+
+@pytest.mark.parametrize("flag", ["no", None, 0, 1, np.bool_(True), "True"],
+                         ids=["no", "None", "0", "1", "numpy bool", "str"])
+@pytest.mark.parametrize("name", sorted(_REAL_TAKERS))
+def test_a_real_embedded_that_is_not_a_bool_is_a_value_error(name, flag):
+    with pytest.raises(ValueError, match="real_embedded must be a bool"):
+        _REAL_TAKERS[name](flag)
+
+
+def test_real_takers_table_is_complete():
+    import inspect
+    takers = {name for name, fn in vars(fm).items()
+              if inspect.isfunction(fn) and fn.__module__ == fm.__name__
+              and not name.startswith("_")
+              and "real_embedded" in inspect.signature(fn).parameters}
+    assert takers | {"Formula"} == set(_REAL_TAKERS)
+
+
+# the builders that take no n: each builds its formula once per process
+_CACHED = [(name, real) for name, target in fm.TARGETS.items() if not target.takes_n
+           for real in ((False, True) if target.has_real else (False,))]
+
+
+def test_the_cached_builders_are_those_without_n():
+    for target in fm.TARGETS.values():
+        assert hasattr(target.builder, "cache_clear") == (not target.takes_n)
+    assert len({name for name, _ in _CACHED}) == 10
+
+
+@pytest.mark.parametrize("name, real", _CACHED)
+def test_a_cached_builder_returns_one_shared_formula(name, real):
+    target = fm.TARGETS[name]
+    f = target.build(real=real)
+    assert target.build(real=real) is f
+    info = target.builder.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    if target.has_real:
+        # keyword and positional calls share the entry
+        assert target.builder(real_embedded=real) is target.builder(real) is f
+
+
+@pytest.mark.parametrize("name, real", _CACHED)
+def test_a_cleared_builder_builds_the_same_bytes_again(name, real):
+    target = fm.TARGETS[name]
+    f = target.build(real=real)
+    blobs = [fm.emit(f, fmt) for fmt in ("json", "sexpr", "latex")]
+    target.builder.cache_clear()
+    g = target.build(real=real)
+    assert g is not f and g == f
+    assert [fm.emit(g, fmt) for fmt in ("json", "sexpr", "latex")] == blobs
+
+
+def test_a_cleared_builder_lets_its_circuits_leave_the_table():
+    from campana import circuits
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(circuits._TABLE)
+        f = fm.build_premise()
+        fm.emit(f)  # the layout the formula keeps holds no more circuits
+        ref = weakref.ref(f.atoms()[-1])
+        del f
+        assert ref() is not None and len(circuits._TABLE) > before + 3000
+        fm.build_premise.cache_clear()
+        assert ref() is None and len(circuits._TABLE) == before
+    finally:
+        gc.enable()

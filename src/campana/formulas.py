@@ -140,8 +140,9 @@ def _formula(f, name: str = "f") -> Formula:
 
 
 def _real(real_embedded) -> bool:
-    """real_embedded itself, the check every function that takes the flag
-    makes first: anything but a bool ('no', None, 1) is a ValueError."""
+    """real_embedded itself, checked: anything but a bool ('no', None, 1) is
+    a ValueError.  Formula makes the check, so prenex_or and parse do too;
+    the headline builders make it before they build."""
     if type(real_embedded) is not bool:
         raise ValueError(f"real_embedded must be a bool, not {real_embedded!r}")
     return real_embedded
@@ -419,7 +420,6 @@ def prenex_or(universal_part: Formula, existential_part: Formula,
     Q to vanish for a suitable z; and otherwise y = 1/P(x) frees Q."""
     universal_part = _formula(universal_part, "universal_part")
     existential_part = _formula(existential_part, "existential_part")
-    real_embedded = _real(real_embedded)
     if any(q != FORALL for q, _ in universal_part.prefix):
         raise ValueError("universal part must have an all-forall prefix")
     if universal_part.matrix[0] != "neq":
@@ -686,10 +686,10 @@ def _parse_doc(doc) -> Formula:
     override = doc.get("degree_override")
     if override is not None and not (type(override) is int and override >= 0):
         raise ValueError(f"degree_override must be an int >= 0, not {override!r}")
-    real_embedded = _real(doc.get("real_embedded", False))
     made = read_nodes(doc["nodes"])
     return Formula(prefix, _parse_matrix(doc["matrix"], made), free,
-                   degree_override=override, real_embedded=real_embedded)
+                   degree_override=override,
+                   real_embedded=doc.get("real_embedded", False))
 
 
 def _parse_matrix(m, made: List[Circuit]) -> MatrixNode:

@@ -23,6 +23,7 @@ from .formulas import (
     substitute_form,
 )
 from .kernels import BACKEND
+from .memo import clear_memos, memos
 from .parametrize import ConstructionReport, SearchConfig, construct_omega, find_b
 from .places import (
     Place,

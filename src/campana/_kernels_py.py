@@ -10,7 +10,6 @@ answer goes through a float.
 """
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections import OrderedDict
@@ -18,12 +17,27 @@ from collections import OrderedDict
 import numpy as np
 
 from .arith import integer
+from .memo import MemoInfo, register
 
 #: Residues mod M kept across calls by the conic scan, summed over M (at
 #: most about 5 bytes each: the bool mask, and the int64 list of the
 #: distinct squares, which holds at most about half of the residues).
 SCAN_TABLE_BUDGET = 1 << 22
 _scan_tables: "OrderedDict[int, tuple]" = OrderedDict()
+_scan_counts = [0, 0]  # hits, misses of _square_tables
+
+
+def _scan_info() -> MemoInfo:
+    """The square tables' memo: its entries are residues, summed over M."""
+    return MemoInfo(*_scan_counts, sum(_scan_tables), SCAN_TABLE_BUDGET)
+
+
+def _scan_clear() -> None:
+    _scan_tables.clear()
+    _scan_counts[:] = [0, 0]
+
+
+register("_kernels_py._scan_tables", _scan_info, _scan_clear)
 
 
 def _square_tables(M: int) -> tuple:
@@ -32,8 +46,10 @@ def _square_tables(M: int) -> tuple:
     beyond SCAN_TABLE_BUDGET."""
     tables = _scan_tables.get(M)
     if tables is not None:
+        _scan_counts[0] += 1
         _scan_tables.move_to_end(M)
         return tables
+    _scan_counts[1] += 1
     t = np.arange(M // 2 + 1, dtype=np.int64)  # (M - t)^2 = t^2 mod M
     is_square = np.zeros(M, dtype=bool)
     is_square[t * t % M] = True
@@ -133,12 +149,6 @@ def _modulus(q) -> int:
     return q
 
 
-@functools.lru_cache(maxsize=64)
-def _slot_weights(q: int, s: int) -> tuple:
-    """256^j mod q for the s bytes of a slot."""
-    return tuple(pow(256, j, q) for j in range(s))
-
-
 def _halve_rows(g, qs: list):
     """Graeffe's root squaring mod q on the rows of g while their length n
     is even; returns the rows of odd length left.
@@ -168,7 +178,8 @@ def _halve_rows(g, qs: list):
         m = n // 2
         s = max(1, ((m * top * top).bit_length() + 7) // 8)
         if weights is None:  # the first step has the widest slots
-            weights = np.array([_slot_weights(p, s) for p in qs], dtype=np.int64)
+            slot = {p: [pow(256, j, p) for j in range(s)] for p in set(qs)}
+            weights = np.array([slot[p] for p in qs], dtype=np.int64)
         # little-endian bytes of the coefficients (< 2^31) in their slots;
         # per row, h0's m slots and then h1's
         raw = np.ascontiguousarray(g, dtype="<i8").view(np.uint8).reshape(rows, m, 2, 8)

@@ -10,7 +10,6 @@ single atom.
 """
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +19,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 from . import arith
 from .circuits import Circuit, Layout, layout, read_nodes, render_all, to_json
 from .forms import BinaryForm
+from .memo import memo
 
 # matrix nodes: ("eq", Circuit) | ("neq", Circuit) | ("and", tuple) | ("or", tuple)
 MatrixNode = tuple
@@ -260,10 +260,10 @@ def _premise_block(a, b, c, d, a2, b2, c2, d2, r, gs):
 # ---------------------------------------------------------------------------
 
 # The builders that take no argument are constants, built once per process
-# by functools.cache, and build_integrality keeps its two variants: each
-# returns one shared Formula, which holds its circuits (and its layout, once
-# emitted) until cache_clear().  build_Jn, build_inv_Jn and build_campana
-# take an unbounded n and build afresh on every call.
+# by memo, and build_integrality keeps its two variants: each returns one
+# shared Formula, which holds its circuits (and its layout, once emitted)
+# until cache_clear() or clear_memos().  build_Jn, build_inv_Jn and
+# build_campana take an unbounded n and build afresh on every call.
 
 #: The builders' free names: the first tuple (a, b, c, d), the element r, and
 #: the second tuple (a2, b2, c2, d2) of the disjointness blocks.
@@ -283,43 +283,43 @@ def _exists_formula(block, names: Sequence[str], start: int = 1) -> Formula:
     return Formula([(EXISTS, n) for n in gs.names], matrix, tuple(names))
 
 
-@functools.cache
+@memo("formulas.build_S")
 def build_S() -> Formula:
     # the quaternion coordinates are x2, x3, x4
     return _exists_formula(_s_block, _ABR, start=2)
 
 
-@functools.cache
+@memo("formulas.build_T")
 def build_T() -> Formula:
     return _exists_formula(_t_block, _ABR)
 
 
-@functools.cache
+@memo("formulas.build_T_unit")
 def build_T_unit() -> Formula:
     return _exists_formula(_t_unit_block, _ABR)
 
 
-@functools.cache
+@memo("formulas.build_I")
 def build_I() -> Formula:
     return _exists_formula(_i_block, ("a", "b", "c", "r"))
 
 
-@functools.cache
+@memo("formulas.build_J")
 def build_J() -> Formula:
     return _exists_formula(_j_block, _ABR)
 
 
-@functools.cache
+@memo("formulas.build_Jabcd")
 def build_Jabcd() -> Formula:
     return _exists_formula(_jabcd_block, _ABCDR)
 
 
-@functools.cache
+@memo("formulas.build_inv_J")
 def build_inv_J() -> Formula:
     return _exists_formula(_inv_j_block, _ABCDR)
 
 
-@functools.cache
+@memo("formulas.build_disjoint")
 def build_disjoint() -> Formula:
     return _exists_formula(_disjoint_block, _EIGHT)
 
@@ -334,7 +334,7 @@ def build_inv_Jn(n: int) -> Formula:
         lambda a, b, c, d, r, gs: _inv_jn_block(a, b, c, d, n, r, gs), _ABCDR)
 
 
-@functools.cache
+@memo("formulas.build_premise")
 def build_premise() -> Formula:
     """The hypothesis block of the main formula: disjoint radicals and r
     inverting an element of the second radical."""
@@ -472,7 +472,7 @@ def build_integrality(real_embedded: bool = False) -> Formula:
     return _integrality(_real(real_embedded))
 
 
-@functools.lru_cache(maxsize=2)
+@memo("formulas._integrality", maxsize=2)
 def _integrality(real_embedded: bool) -> Formula:
     return _premise_implies(
         lambda a2, b2, c2, d2, r, gs: _jabcd_block(a2, b2, c2, d2,

@@ -21,13 +21,17 @@ from .errors import InvariantError
 BACKEND = "py"
 
 _CRT_PRIME_CEILING = (1 << 31) - 1
+#: How many primes crt_primes can give: the odd primes below 2^31, that is
+#: pi(2^31) - 1 = 105,097,565 - 1, as its search steps down over odd n.
+CRT_PRIME_COUNT = 105_097_564
 _crt_primes: List[int] = []
 
 
 def crt_primes(k: int) -> List[int]:
-    """The k largest primes below 2^31, cached; k is an int >= 0."""
-    if arith.integer(k, "k") < 0:
-        raise ValueError(f"k must be >= 0, not {k}")
+    """The k largest primes below 2^31, cached; k is an int with
+    0 <= k <= CRT_PRIME_COUNT."""
+    if not 0 <= arith.integer(k, "k") <= CRT_PRIME_COUNT:
+        raise ValueError(f"k must be in [0, {CRT_PRIME_COUNT}], not {k}")
     while len(_crt_primes) < k:
         n = (_crt_primes[-1] if _crt_primes else _CRT_PRIME_CEILING + 2) - 2
         while not arith.is_prime(n):

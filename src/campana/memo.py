@@ -1,0 +1,62 @@
+"""Every process-wide memo of campana, by name.
+
+memo(name) is functools.lru_cache that also registers the cache under
+name, the module and attribute that hold it; it returns the cache object
+itself, so a call costs what lru_cache costs.  A hand-rolled table (the
+conic scan's square tables) registers its own info and clear functions.
+memos() reads every memo and clear_memos() empties every one.
+
+Three pieces of process-wide state are not memos, and are left out:
+- arith._small_primes_cache and kernels._crt_primes hold a prefix of one
+  fixed sequence of primes, the same whatever was asked, so emptying them
+  changes no answer and no count, only the time of the next call;
+- circuits._TABLE is the hash-consing table: two circuits are == only if
+  they are one object, which holds only while the table holds every live
+  circuit, so it must never be emptied.
+"""
+from __future__ import annotations
+
+import functools
+from typing import Callable, Dict, NamedTuple, Optional
+
+
+class MemoInfo(NamedTuple):
+    """A memo's counts since it was last emptied; bound None is unbounded."""
+
+    hits: int
+    misses: int
+    entries: int
+    bound: Optional[int]
+
+
+_REGISTRY: Dict[str, tuple] = {}  # name -> (info, clear)
+
+
+def register(name: str, info: Callable[[], MemoInfo], clear: Callable[[], None]) -> None:
+    """Register a hand-rolled memo under name."""
+    _REGISTRY[name] = (info, clear)
+
+
+def memo(name: str, maxsize: Optional[int] = None, typed: bool = False):
+    """functools.lru_cache(maxsize, typed), registered under name."""
+    def decorate(fn):
+        cache = functools.lru_cache(maxsize=maxsize, typed=typed)(fn)
+
+        def info() -> MemoInfo:
+            hits, misses, bound, entries = cache.cache_info()
+            return MemoInfo(hits, misses, entries, bound)
+
+        register(name, info, cache.cache_clear)
+        return cache
+    return decorate
+
+
+def memos() -> Dict[str, MemoInfo]:
+    """{name: (hits, misses, entries, bound)} of every memo."""
+    return {name: info() for name, (info, _) in _REGISTRY.items()}
+
+
+def clear_memos() -> None:
+    """Empty every memo and reset its counts."""
+    for _, clear in _REGISTRY.values():
+        clear()

@@ -7,7 +7,6 @@ Hensel-liftable solutions of z^2 = a x^2 + b y^2 over Z/p^m.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -15,6 +14,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from . import arith, kernels
 from .arith import RationalLike
 from .errors import SearchExhausted
+from .memo import memo
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def _clear(a: RationalLike, b: RationalLike, p: int):
 
 
 # typed keys: 7.0 == 7 and both hash alike, but only the int is a prime
-_last_cleared = functools.lru_cache(maxsize=1, typed=True)(_clear)
+_last_cleared = memo("places._last_cleared", maxsize=1, typed=True)(_clear)
 
 
 def _cleared_at(a: RationalLike, b: RationalLike, p: int):
@@ -205,7 +205,7 @@ def _cleared_at(a: RationalLike, b: RationalLike, p: int):
 _ORACLE_CACHE_SIZE = 1 << 14
 
 
-@functools.lru_cache(maxsize=_ORACLE_CACHE_SIZE)
+@memo("places._scan_class", maxsize=_ORACLE_CACHE_SIZE)
 def _scan_class(ra: int, rb: int, p: int, m: int) -> bool:
     """kernels.conic_has_solution on one class: ra <= rb, reduced mod p^m."""
     return kernels.conic_has_solution(ra, rb, p, m)
@@ -260,7 +260,7 @@ def default_oracle_precision(a: RationalLike, b: RationalLike, p: int) -> int:
 
 
 # two entries, as omega reads two pairs
-@functools.lru_cache(maxsize=2, typed=True)
+@memo("places._pair", maxsize=2, typed=True)
 def _pair(a: RationalLike, b: RationalLike
           ) -> Tuple[bool, List[int], Dict[int, int], Dict[int, int]]:
     """(whether (a,b)_inf = -1, the primes p with (a,b)_p = -1 in ascending
@@ -315,7 +315,7 @@ def omega(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) ->
     return _omega(*map(arith.rational, (a, b, c, d)))
 
 
-@functools.lru_cache(maxsize=OMEGA_CACHE_SIZE)
+@memo("places._omega", maxsize=OMEGA_CACHE_SIZE)
 def _omega(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) -> PlaceSet:
     primes = _delta_upper(a, b)
     if (a, b) != (c, d):

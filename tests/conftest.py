@@ -1,6 +1,6 @@
 import pytest
 
-from campana import formulas, places
+import campana
 
 #: Tests that take minutes on the pure-Python kernel backend; each still
 #: runs in a plain `pytest`, and `pytest -m "not slow"` leaves them out.
@@ -15,13 +15,7 @@ def pytest_collection_modifyitems(items):
 
 @pytest.fixture(autouse=True)
 def _empty_memos():
-    """Each test starts with the memos of places empty (omega's, the
-    oracle's and the pair scan's), and those of the formula builders that
-    take no n, so a test that counts the work they save, or the formulas a
-    build makes, sees the same counts in any test order."""
-    places.omega.cache_clear()
-    places.hilbert_oracle.cache_clear()
-    places._pair.cache_clear()
-    for target in formulas.TARGETS.values():
-        if not target.takes_n:
-            target.builder.cache_clear()
+    """Each test starts with every process-wide memo empty, so a test that
+    counts the work they save, or the formulas a build makes, sees the same
+    counts in any test order."""
+    campana.clear_memos()

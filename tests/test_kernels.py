@@ -321,6 +321,16 @@ def test_crt_primes_takes_an_int_at_least_zero():
         kernels.crt_primes(-1)
 
 
+def test_crt_primes_refuses_more_than_the_odd_primes_below_2_31():
+    # pi(2^31) = 105,097,565 counts 2, which the search over odd n never
+    # reaches; past the last odd prime it stepped down forever
+    assert kernels.crt_primes(3) and kernels.CRT_PRIME_COUNT == 105_097_564
+    cached = list(kernels._crt_primes)
+    with pytest.raises(ValueError, match="105097564"):
+        kernels.crt_primes(105_097_565)
+    assert kernels._crt_primes == cached
+
+
 def test_crt_primes_are_prime_and_descending():
     ps = kernels.crt_primes(5)
     assert ps == sorted(ps, reverse=True)

@@ -27,6 +27,10 @@ MatrixNode = tuple
 FORALL = "forall"
 EXISTS = "exists"
 
+#: The bound of the J(a,b,c,d) block memo.  Its key set is finite: the 13
+#: emit targets at any n, with either combiner, use 15 keys.
+JABCD_MEMO_SIZE = 32
+
 
 class Gensym:
     """Deterministic witness allocator: x1, x2, ... in construction order;
@@ -57,20 +61,33 @@ def _fold_matrix(m: MatrixNode, atom: Callable, join: Callable):
 
 
 def _fold(m: MatrixNode, atom: Callable, join: Callable):
-    """_fold_matrix's walk.  (Not a closure, for _parse_matrix's reason: a
-    recursive closure is a reference cycle, which would keep atom and join,
-    and the layout they read, alive until the cycle collector ran.)"""
-    kind = m[0]
-    if kind in ("eq", "neq"):
-        return atom(kind, m[1])
-    if kind in ("and", "or"):
-        return join(kind, (_fold(c, atom, join) for c in m[1]))
-    raise ValueError(f"unknown matrix node {kind!r}")
+    """_fold_matrix's walk, which refuses a node that is not one of the
+    four forms, so Formula's walk over its atoms checks every node.  (Not a
+    closure, for _parse_matrix's reason: a recursive closure is a reference
+    cycle, which would keep atom and join, and the layout they read, alive
+    until the cycle collector ran.)"""
+    if type(m) is tuple and len(m) == 2:
+        kind, payload = m
+        if kind in ("eq", "neq") and isinstance(payload, Circuit):
+            return atom(kind, payload)
+        if kind in ("and", "or") and type(payload) is tuple and payload:
+            return join(kind, (_fold(c, atom, join) for c in payload))
+    raise ValueError(f"a matrix node is (eq or neq, circuit) or (and or or, "
+                     f"a nonempty tuple of nodes), not {m!r:.80}")
+
+
+_SEQUENCES = {list, tuple}
+_QUANTIFIERS = {FORALL, EXISTS}
 
 
 class Formula:
     """Prenex formula: quantifier prefix over a quantifier-free matrix of
-    polynomial (in)equations.  Immutable."""
+    polynomial (in)equations.  Immutable.  Every argument is checked, as
+    parse checks a document: the prefix is a list or tuple of (quantifier,
+    name) pairs, free a list or tuple of names, each name a str, the
+    override None or an int >= 0, and the matrix nodes of the forms above
+    with each variable of an atom free or bound; anything else is a
+    ValueError."""
 
     __slots__ = ("prefix", "matrix", "free", "degree_override", "real_embedded", "_layout")
 
@@ -82,9 +99,21 @@ class Formula:
         degree_override: Optional[int] = None,
         real_embedded: bool = False,
     ):
-        self.prefix = tuple((str(q), str(n)) for q, n in prefix)
+        if not (type(prefix) in _SEQUENCES and all(
+                type(p) in _SEQUENCES and len(p) == 2
+                and type(p[0]) is type(p[1]) is str and p[0] in _QUANTIFIERS
+                for p in prefix)):
+            raise ValueError("prefix must be a list of (quantifier, name) pairs, "
+                             "each quantifier 'forall' or 'exists'")
+        if not (type(free) in _SEQUENCES and all(type(n) is str for n in free)):
+            raise ValueError(f"free must be a list of names, not {free!r}")
+        if degree_override is not None and not (
+                type(degree_override) is int and degree_override >= 0):
+            raise ValueError(f"degree_override must be an int >= 0, "
+                             f"not {degree_override!r}")
+        self.prefix = tuple(map(tuple, prefix))
         self.matrix = matrix
-        self.free = tuple(str(n) for n in free)
+        self.free = tuple(free)
         self.degree_override = degree_override
         self.real_embedded = _real(real_embedded)
         bound = [n for _, n in self.prefix]
@@ -94,13 +123,10 @@ class Formula:
             raise ValueError("a free variable is listed twice")
         if set(bound) & set(self.free):
             raise ValueError("a variable is both free and bound")
-        for q, _ in self.prefix:
-            if q not in (FORALL, EXISTS):
-                raise ValueError(f"bad quantifier {q!r}")
         self._layout: Optional[Layout] = None  # made by the first emit
         names = set(self.free) | set(bound)
         for circ in self.atoms():
-            stray = set(circ.free_vars()) - names
+            stray = circ._free_names() - names
             if stray:
                 raise ValueError(f"unbound matrix variables: {sorted(stray)}")
 
@@ -212,9 +238,25 @@ def _j_block(a, b, r, gs):
 
 
 def _jabcd_block(a, b, c, d, r, gs):
-    """r in J of (a,b,c,d): r = x + (r - x) with x in J(a,b), r-x in J(c,d)."""
+    """r in J of (a,b,c,d): r = x + (r - x) with x in J(a,b), r-x in J(c,d).
+    inv J, the disjointness block, J_n, inv J_n and the premise are made
+    of these, so each is built once per process, by _jabcd_record."""
+    atoms, names = _jabcd_record(a, b, c, d, r, gs.start + len(gs.names))
+    gs.names.extend(names)
+    return list(atoms)
+
+
+@memo("formulas._jabcd_record", maxsize=JABCD_MEMO_SIZE)
+def _jabcd_record(a, b, c, d, r, first: int) -> Tuple[Tuple[Circuit, ...], Tuple[str, ...]]:
+    """The atoms of _jabcd_block at (a, b, c, d, r) with its witnesses
+    numbered from first, and the witness names it took.  Circuits are
+    hash-consed, so the key holds them by identity; n is never part of it."""
+    gs = Gensym(first)
     x, = gs.take(1)
-    return _j_block(a, b, x, gs) + _j_block(c, d, r - x, gs)
+    atoms = tuple(_j_block(a, b, x, gs) + _j_block(c, d, r - x, gs))
+    for atom in atoms:
+        atom._free_names()  # kept, so the walk from a combined atom stops here
+    return atoms, tuple(gs.names)
 
 
 def _inv_j_block(a, b, c, d, r, gs):
@@ -676,19 +718,9 @@ def _parse_doc(doc) -> Formula:
             and _DOC_KEYS <= doc.keys() <= _DOC_KEYS | _OPTIONAL_KEYS):
         raise ValueError(f"a formula document has the keys {sorted(_DOC_KEYS)} "
                          f"and optionally {sorted(_OPTIONAL_KEYS)}")
-    free, prefix = doc["free"], doc["prefix"]
-    if not (isinstance(free, list) and all(type(n) is str for n in free)):
-        raise ValueError(f"free must be a list of names, not {free!r}")
-    if not (isinstance(prefix, list) and all(
-            type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is str
-            for p in prefix)):
-        raise ValueError("prefix must be a list of [quantifier, name] pairs")
-    override = doc.get("degree_override")
-    if override is not None and not (type(override) is int and override >= 0):
-        raise ValueError(f"degree_override must be an int >= 0, not {override!r}")
     made = read_nodes(doc["nodes"])
-    return Formula(prefix, _parse_matrix(doc["matrix"], made), free,
-                   degree_override=override,
+    return Formula(doc["prefix"], _parse_matrix(doc["matrix"], made), doc["free"],
+                   degree_override=doc.get("degree_override"),
                    real_embedded=doc.get("real_embedded", False))
 
 
@@ -703,6 +735,6 @@ def _parse_matrix(m, made: List[Circuit]) -> MatrixNode:
         if not (type(payload) is int and 0 <= payload < len(made)):
             raise ValueError(f"an atom is a node index, not {payload!r}")
         return (kind, made[payload])
-    if kind in ("and", "or") and isinstance(payload, list) and payload:
+    if kind in ("and", "or") and isinstance(payload, list):
         return (kind, tuple(_parse_matrix(c, made) for c in payload))
     raise ValueError(f"bad matrix node {m!r}")

@@ -13,6 +13,7 @@ from typing import Callable, Dict, List, Tuple
 
 from . import arith, formulas as fm, kernels, parametrize, places, semantics
 from .circuits import Circuit
+from .memo import clear_memos
 
 Row = Tuple[str, bool, str]
 
@@ -148,6 +149,7 @@ def suite_formulas(seed: int, samples: int) -> List[Row]:
              for n in ((2, 7, 100) if t.takes_n else (None,))
              for real in ((False, True) if t.has_real else (False,))]
     bad = bad_trip = None
+    warm = []
     for name, n, real in cases:
         target = fm.TARGETS[name]
         f = target.build(n, real)
@@ -155,12 +157,24 @@ def suite_formulas(seed: int, samples: int) -> List[Row]:
         want = fm.FormulaStats(*target.ledger(n, real), real_embedded=real)
         if bad is None and got != want:
             bad = f"{name}(n={n}, real={real}): {got}, expected {want}"
-        if bad_trip is None and fm.parse(fm.emit(f, "json")) != f:
+        warm.append(fm.emit(f, "json"))
+        if bad_trip is None and fm.parse(warm[-1]) != f:
             bad_trip = f"{name}(n={n}, real={real}) changes under emit/parse"
     rows.append((f"quantifier/atom/degree ledger ({len(cases)} builds)",
                  bad is None, bad or "exact match"))
     rows.append((f"emit/parse round trip ({len(cases)} builds)",
                  bad_trip is None, bad_trip or "identity"))
+
+    # each build again from empty memos: the formula builders' and the
+    # J(a,b,c,d) blocks' memos must give the bytes a build from scratch gives
+    bad = None
+    for (name, n, real), blob in zip(cases, warm):
+        clear_memos()
+        if fm.emit(fm.TARGETS[name].build(n, real), "json") != blob:
+            bad = f"{name}(n={n}, real={real}) emits other bytes when built cold"
+            break
+    rows.append((f"cold and warm builds agree ({len(cases)} builds)",
+                 bad is None, bad or "same bytes"))
 
     bad = None
     x, y = Circuit.var("x"), Circuit.var("y")

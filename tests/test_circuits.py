@@ -293,14 +293,14 @@ def test_threads_building_the_same_circuits_get_the_same_objects():
 def test_the_table_forgets_circuits_nothing_refers_to():
     from campana import circuits, formulas as fm
 
-    # an entry goes as its circuit dies, so once f is gone only g's three
-    # nodes are new (build_campana builds afresh; the builders without n
-    # keep theirs)
+    # an entry goes as its circuit dies, so once f and the J(a,b,c,d) block
+    # memo that keeps its tower are gone only g's three nodes are new
     Circuit.var("a name no other test uses") + 1
     before = len(circuits._TABLE)
     f = fm.build_campana(2)
     grown = len(circuits._TABLE) - before
     del f
+    fm._jabcd_record.cache_clear()
     g = Circuit.var("another name no other test uses") + 1
     assert grown > 3000 and len(circuits._TABLE) <= before + 3
     assert g.nodes == (("var", "another name no other test uses"), ("int", 1), ("add", 0, 1))
@@ -318,6 +318,7 @@ def test_the_table_drops_each_entry_as_its_circuit_dies():
         f = fm.build_campana(2)
         assert len(circuits._TABLE) > before + 3000
         del f  # no lookup and no collection after it
+        fm._jabcd_record.cache_clear()  # which holds the tower's blocks
         assert len(circuits._TABLE) == before
     finally:
         gc.enable()

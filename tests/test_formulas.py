@@ -405,6 +405,97 @@ def test_a_cleared_builder_lets_its_circuits_leave_the_table():
         del f
         assert ref() is not None and len(circuits._TABLE) > before + 3000
         fm.build_premise.cache_clear()
-        assert ref() is None and len(circuits._TABLE) == before
+        # the J(a,b,c,d) blocks stay in their own memo until it is cleared
+        assert ref() is None and len(circuits._TABLE) > before + 3000
+        fm._jabcd_record.cache_clear()
+        assert len(circuits._TABLE) == before
     finally:
         gc.enable()
+
+
+# the J(a,b,c,d) block memo: every target that takes n is built from it
+_N_CASES = [(name, n, real) for name in ("Jn", "invJn", "campana") for n in (2, 3, 7, 100)
+            for real in ((False, True) if fm.TARGETS[name].has_real else (False,))]
+
+
+def _emits(f):
+    return [fm.emit(f, fmt) for fmt in ("json", "sexpr", "latex")]
+
+
+@pytest.mark.parametrize("name, n, real", _N_CASES)
+def test_a_build_from_cold_memos_emits_what_a_warm_build_emits(name, n, real):
+    import campana
+
+    campana.clear_memos()
+    cold = _emits(fm.TARGETS[name].build(n, real))
+    for other, m, flag in _N_CASES:
+        fm.TARGETS[other].build(m, flag)
+    hits = fm._jabcd_record.cache_info().hits
+    assert _emits(fm.TARGETS[name].build(n, real)) == cold
+    assert fm._jabcd_record.cache_info().hits > hits
+
+
+def test_n_never_enters_a_block_memo_key():
+    def build_all(n):
+        for name in ("Jn", "invJn", "campana"):
+            for real in (False, True):
+                fm.TARGETS[name].build(n, real)
+
+    build_all(2)
+    entries = fm._jabcd_record.cache_info().currsize
+    for n in range(3, 41):
+        build_all(n)
+    info = fm._jabcd_record.cache_info()
+    assert info.currsize == entries and info.misses == entries
+
+
+def test_the_block_memo_keeps_every_key_of_the_targets():
+    for target in fm.TARGETS.values():
+        for n in (2, 3, 7, 100):
+            for real in (False, True):
+                target.build(n, real)
+    info = fm._jabcd_record.cache_info()
+    assert info.currsize == info.misses == 15 < info.maxsize == fm.JABCD_MEMO_SIZE
+
+
+# Formula refuses what parse would refuse in a document, and a matrix node
+# that emit could not write so that parse reads it back as the same node
+_X = Circuit.var("x")
+_BAD_FORMULAS = {
+    "name None": lambda: fm.Formula([("exists", None)], ("eq", _X), ["x"]),
+    "bound name int": lambda: fm.Formula([("forall", 3)], ("eq", _X), ["x"]),
+    "free name int": lambda: fm.Formula([], ("eq", _X), ["x", 3]),
+    "free bare str": lambda: fm.Formula([], ("eq", _X), "x"),
+    "free set": lambda: fm.Formula([], ("eq", _X), {"x"}),
+    "free None": lambda: fm.Formula([], ("eq", _X), None),
+    "prefix None": lambda: fm.Formula(None, ("eq", _X), ["x"]),
+    "prefix dict": lambda: fm.Formula({}, ("eq", _X), ["x"]),
+    "pair of one": lambda: fm.Formula([("exists",)], ("eq", _X), ["x"]),
+    "pair of three": lambda: fm.Formula([("exists", "y", "z")], ("eq", _X), ["x"]),
+    "pair a str": lambda: fm.Formula(["ey"], ("eq", _X), ["x"]),
+    "pair a dict": lambda: fm.Formula([{"exists": 0, "y": 0}], ("eq", _X), ["x"]),
+    "bad quantifier": lambda: fm.Formula([("some", "y")], ("eq", _X), ["x"]),
+    "quantifier a list": lambda: fm.Formula([(["exists"], "y")], ("eq", _X), ["x"]),
+    "override -5": lambda: fm.Formula([], ("eq", _X), ["x"], degree_override=-5),
+    "override '7'": lambda: fm.Formula([], ("eq", _X), ["x"], degree_override="7"),
+    "override True": lambda: fm.Formula([], ("eq", _X), ["x"], degree_override=True),
+    "override 2.0": lambda: fm.Formula([], ("eq", _X), ["x"], degree_override=2.0),
+    "atom an int": lambda: fm.Formula([], ("eq", 5), ["x"]),
+    "atom a str": lambda: fm.Formula([], ("eq", "x"), ["x"]),
+    "atom None": lambda: fm.Formula([], ("neq", None), ["x"]),
+    "empty and": lambda: fm.Formula([], ("and", ()), ["x"]),
+    "empty or": lambda: fm.Formula([], ("or", ()), ["x"]),
+    "children a list": lambda: fm.Formula([], ("and", [("eq", _X)]), ["x"]),
+    "children one node": lambda: fm.Formula([], ("or", ("eq", _X)), ["x"]),
+    "node a list": lambda: fm.Formula([], ["eq", _X], ["x"]),
+    "node of three": lambda: fm.Formula([], ("eq", _X, _X), ["x"]),
+    "node None": lambda: fm.Formula([], None, ["x"]),
+    "unknown kind": lambda: fm.Formula([], ("xor", (("eq", _X),)), ["x"]),
+    "bad child": lambda: fm.Formula([], ("and", (("eq", _X), 0)), ["x"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FORMULAS))
+def test_formula_refuses_a_bad_argument_with_a_value_error(case):
+    with pytest.raises(ValueError):
+        _BAD_FORMULAS[case]()

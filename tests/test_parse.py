@@ -230,6 +230,55 @@ def test_emit_then_parse_is_the_identity(f):
         assert fm.emit(g, fmt) == fm.emit(f, fmt)
 
 
+# loose arguments for the Formula constructor: mostly well formed, each part
+# sometimes replaced by something emit could not write or parse would refuse
+loose_names = st.sampled_from(FREE + BOUND) | st.none() | st.integers(0, 3) | st.text(max_size=2)
+loose_pairs = (st.tuples(st.sampled_from([fm.FORALL, fm.EXISTS, "some"]), loose_names)
+               | st.lists(st.sampled_from([fm.FORALL, "x1", "x2"]), max_size=3)
+               | st.text(max_size=2) | st.dictionaries(st.sampled_from([fm.EXISTS, "x1"]),
+                                                      st.none(), max_size=2))
+
+
+@st.composite
+def loose_matrices(draw, depth=2):
+    if depth == 0 or draw(st.booleans()):
+        atom = draw(circuits() | st.integers(0, 3) | st.text(max_size=2) | st.none())
+        node = (draw(st.sampled_from(["eq", "neq", "eq", "neq", "xor"])), atom)
+    else:
+        kids = draw(st.lists(loose_matrices(depth=depth - 1), max_size=3))
+        node = (draw(st.sampled_from(["and", "or"])),
+                draw(st.sampled_from([tuple, tuple, list]))(kids))
+    return draw(st.sampled_from([node, node, node, list(node), node + (None,)]))
+
+
+@st.composite
+def constructor_args(draw):
+    valid_prefix = [(draw(st.sampled_from([fm.FORALL, fm.EXISTS])), n) for n in BOUND]
+    prefix = draw(st.sampled_from([valid_prefix, tuple(valid_prefix),
+                                   [list(p) for p in valid_prefix]])
+                  | st.lists(loose_pairs, max_size=3) | st.text(max_size=3) | st.none())
+    free = draw(st.sampled_from([list(FREE), FREE]) | st.lists(loose_names, max_size=3)
+                | st.text(max_size=3) | st.frozensets(st.sampled_from(FREE)))
+    override = draw(st.none() | st.integers(-3, 10**6) | st.booleans()
+                    | st.sampled_from(["7", 2.0]))
+    return prefix, draw(loose_matrices()), free, override, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(constructor_args())
+def test_every_formula_the_constructor_accepts_round_trips(args):
+    prefix, matrix, free, override, real = args
+    try:
+        f = fm.Formula(prefix, matrix, free, degree_override=override, real_embedded=real)
+    except ValueError:
+        return
+    blob = fm.emit(f, "json")
+    g = fm.parse(blob)
+    assert g == f and fm.emit(g, "json") == blob
+    for fmt in ("sexpr", "latex"):
+        assert fm.emit(g, fmt) == fm.emit(f, fmt)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)
     | st.text(max_size=4) | st.sampled_from(["1/2", "-7/3", "var", "norm"]),

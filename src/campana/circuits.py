@@ -142,7 +142,7 @@ class Circuit:
         replacement that is not a circuit or a number, is a ValueError."""
         _checked(name, type(name) is str, "a var name must be a string")
         replacement = Circuit._lift(replacement, ValueError)
-        if ("var", name) not in self.nodes:
+        if name not in self._free_names():
             return self
         return self._fold(_SUBST, {name: replacement})
 

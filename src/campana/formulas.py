@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import arith
@@ -116,15 +116,15 @@ class Formula:
         self.free = tuple(free)
         self.degree_override = degree_override
         self.real_embedded = _real(real_embedded)
-        bound = [n for _, n in self.prefix]
-        if len(set(bound)) != len(bound):
+        bound, free = {n for _, n in self.prefix}, set(self.free)
+        if len(bound) != len(self.prefix):
             raise ValueError("a variable is bound twice")
-        if len(set(self.free)) != len(self.free):
+        if len(free) != len(self.free):
             raise ValueError("a free variable is listed twice")
-        if set(bound) & set(self.free):
+        if bound & free:
             raise ValueError("a variable is both free and bound")
         self._layout: Optional[Layout] = None  # made by the first emit
-        names = set(self.free) | set(bound)
+        names = free | bound
         for circ in self.atoms():
             stray = circ._free_names() - names
             if stray:
@@ -456,7 +456,11 @@ def prenex_or(universal_part: Formula, existential_part: Formula,
               real_embedded: bool = False) -> Formula:
     """Merge "forall x: P(x) != 0" OR "exists z: Q(z) = 0" into the single
     prenex formula forall x exists y exists z: (y P(x) - 1) Q(z) = 0,
-    marked real_embedded as given.
+    marked real_embedded as given, with y the first of x1, x2, ... that
+    neither part uses.  The merged prefix scopes over both parts: a name
+    free in the existential part and bound in the universal one is bound by
+    its forall, but one free in the universal part and bound in the
+    existential one would be captured by its exists, a ValueError.
 
     Valid because when some x makes P vanish no y can invert it, forcing
     Q to vanish for a suitable z; and otherwise y = 1/P(x) frees Q."""
@@ -470,22 +474,27 @@ def prenex_or(universal_part: Formula, existential_part: Formula,
         raise ValueError("existential part must have an all-exists prefix")
     if existential_part.matrix[0] != "eq":
         raise ValueError("existential part must be a single equation")
-    used = {n for _, n in universal_part.prefix}
-    used |= {n for _, n in existential_part.prefix}
-    used |= set(universal_part.free) | set(existential_part.free)
-    idx = 1
-    while f"x{idx}" in used:
-        idx += 1
-    y_name = f"x{idx}"
-    P = universal_part.matrix[1]
-    Q = existential_part.matrix[1]
-    atom = (Circuit.var(y_name) * P - 1) * Q
-    prefix = (list(universal_part.prefix) + [(EXISTS, y_name)]
-              + list(existential_part.prefix))
-    bound = {n for _, n in prefix}
+    universals = [n for _, n in universal_part.prefix]
+    existentials = [n for _, n in existential_part.prefix]
+    captured = set(universal_part.free).intersection(existentials)
+    if captured:
+        raise ValueError(f"the existential part binds {sorted(captured)}, "
+                         f"free in the universal part")
+    used = {*universals, *existentials, *universal_part.free, *existential_part.free}
+    y = next(f"x{i}" for i in count(1) if f"x{i}" not in used)
+    bound = set(universals)
     free = [n for n in dict.fromkeys(universal_part.free + existential_part.free)
             if n not in bound]
-    return Formula(prefix, ("eq", atom), free, real_embedded=real_embedded)
+    return _prenex(universals, universal_part.matrix[1], y, existentials,
+                   existential_part.matrix[1], free, real_embedded)
+
+
+def _prenex(universals, P, y, existentials, Q, free, real_embedded) -> Formula:
+    """forall universals exists y exists existentials: (y P - 1) Q = 0."""
+    prefix = ([(FORALL, n) for n in universals] + [(EXISTS, y)]
+              + [(EXISTS, n) for n in existentials])
+    return Formula(prefix, ("eq", (Circuit.var(y) * P - 1) * Q), free,
+                   real_embedded=real_embedded)
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +544,11 @@ def _premise_implies(conclusion, real_embedded: bool) -> Formula:
     prem_atoms = _premise_block(a, b, c, d, a2, b2, c2, d2, r, gs)
     split = len(gs.names)
     concl_atoms = conclusion(a2, b2, c2, d2, r, gs)
+    gs.take(1)  # prenex_or's y: the first name after every block witness
+    *names, y = gs.names
     combine = combine_sos if real_embedded else combine_many
-    universal = Formula([(FORALL, nm) for nm in gs.names[:split]],
-                        ("neq", combine(prem_atoms)), _ABCDR)
-    existential = Formula([(EXISTS, nm) for nm in gs.names[split:]],
-                          ("eq", combine(concl_atoms)), _ABCDR + tuple(gs.names[:4]))
-    return prenex_or(universal, existential, real_embedded)
+    return _prenex(names[:split], combine(prem_atoms), y, names[split:],
+                   combine(concl_atoms), _ABCDR, real_embedded)
 
 
 class Target(NamedTuple):
@@ -586,10 +594,13 @@ def substitute_form(base: Formula, F: BinaryForm) -> Formula:
     recorded as deg(F) times the base bound: the substitution composes the
     defining polynomial with F, and the composed bound is what matters even
     when the syntactic recomputation would come out lower.  F that is not a
-    BinaryForm is a ValueError."""
+    BinaryForm of degree >= 1 is a ValueError (a constant F would drop lam
+    from the matrix, and record a bound of 0)."""
     base = _formula(base, "base")
     if not isinstance(F, BinaryForm):
         raise ValueError(f"F must be a BinaryForm, not {type(F).__name__}")
+    if F.degree < 1:
+        raise ValueError(f"F must be a BinaryForm of degree >= 1, not {F!r}")
     if "r" not in base.free:
         raise ValueError("'r' is not free in the formula")
     used = set(base.free) | {n for _, n in base.prefix}

@@ -395,6 +395,14 @@ def test_substitute_lifts_the_replacement_as_an_operand_is_lifted():
         x + None
 
 
+def test_substitute_of_an_absent_name_makes_no_node_array():
+    # it looked the name up in the node array, which it made and kept
+    circ = Circuit.var("absent name u") * Circuit.var("absent name v") + 1
+    assert circ.substitute("absent name w", 2) is circ
+    assert circ._nodes is None
+    assert circ.substitute("absent name u", 2) is 2 * Circuit.var("absent name v") + 1
+
+
 @pytest.mark.parametrize("call", [
     lambda x: fm.combine_pair(None, x),
     lambda x: fm.combine_pair(x, 0.5),

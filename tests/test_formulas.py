@@ -211,19 +211,55 @@ def test_prenex_or_trivial_example():
         g.prefix, g.matrix, g.free, real_embedded=True)
 
 
+def test_prenex_or_refuses_to_capture_a_free_universal_name():
+    # "x != 0" OR "exists x: x^2 + 1 = 0" is false at x = 0; merged with
+    # the exists over x it became a true sentence with no free names
+    x, u = Circuit.var("x"), Circuit.var("u")
+    uni = fm.Formula([("forall", "u")], ("neq", x), ["x"])
+    with pytest.raises(ValueError, match=r"binds \['x'\], free in the universal"):
+        fm.prenex_or(uni, fm.Formula([("exists", "x")], ("eq", x**2 + 1), []))
+    # a name free in the existential part is bound by the universal forall
+    g = fm.prenex_or(fm.Formula([("forall", "u")], ("neq", u), []),
+                     fm.Formula([("exists", "z")], ("eq", Circuit.var("z") - u), ["u"]))
+    assert g.free == () and g.prefix == (("forall", "u"), ("exists", "x1"), ("exists", "z"))
+
+
 @pytest.mark.parametrize("real", [False, True])
-@pytest.mark.parametrize("build", [lambda real: fm.build_campana(3, real),
-                                   fm.build_integrality],
-                         ids=["campana", "integrality"])
-def test_premise_implication_makes_three_formulas(monkeypatch, build, real):
-    # the universal part, the existential part and their prenex merge; each
-    # Formula checks its whole prefix again
+@pytest.mark.parametrize("n", [2, 7])
+def test_the_headline_is_prenex_or_of_its_two_parts(n, real):
+    # build_campana makes the merge directly; prenex_or of the universal
+    # premise and the existential conclusion is the same formula
+    abcdr = [Circuit.var(nm) for nm in fm._ABCDR]
+    gs = fm.Gensym()
+    second = gs.take(4)
+    prem = fm._premise_block(*abcdr[:4], *second, abcdr[4], gs)
+    split = len(gs.names)
+    concl = fm._inv_jn_block(*second, n, abcdr[4], gs)
+    combine = fm.combine_sos if real else fm.combine_many
+    uni = fm.Formula([("forall", nm) for nm in gs.names[:split]],
+                     ("neq", combine(prem)), fm._ABCDR)
+    exi = fm.Formula([("exists", nm) for nm in gs.names[split:]],
+                     ("eq", combine(concl)), fm._ABCDR + tuple(gs.names[:4]))
+    assert fm.prenex_or(uni, exi, real) == fm.build_campana(n, real)
+
+
+_BUILDS = [(name, real) for name, t in sorted(fm.TARGETS.items())
+           for real in ((False, True) if t.has_real else (False,))]
+
+
+@pytest.mark.parametrize("name, real", _BUILDS)
+def test_a_cold_build_makes_one_formula(monkeypatch, name, real):
+    # build_campana and build_integrality made three: a universal and an
+    # existential part, and their prenex_or merge, which checked both again
+    import campana
+
+    campana.clear_memos()
     made = []
     init = fm.Formula.__init__
     monkeypatch.setattr(fm.Formula, "__init__",
                         lambda self, *a, **k: made.append(1) or init(self, *a, **k))
-    assert build(real).real_embedded == real
-    assert len(made) == 3
+    assert fm.TARGETS[name].build(3, real).real_embedded == real
+    assert len(made) == 1
 
 
 def test_substitute_form_degree():
@@ -236,8 +272,9 @@ def test_substitute_form_degree():
     assert fm.stats(gx).degree_bound == 3387
 
 
-@pytest.mark.parametrize("F", [None, 3, {(1, 0): 1}, Circuit.var("x")],
-                         ids=["None", "int", "dict", "circuit"])
+@pytest.mark.parametrize("F", [None, 3, {(1, 0): 1}, Circuit.var("x"),
+                               BinaryForm({(0, 0): 3})],
+                         ids=["None", "int", "dict", "circuit", "degree 0"])
 def test_substitute_form_refuses_a_non_form(F):
     with pytest.raises(ValueError, match="must be a BinaryForm"):
         fm.substitute_form(fm.build_S(), F)

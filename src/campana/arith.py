@@ -268,6 +268,29 @@ def split_power(n: int, p: int) -> Tuple[int, int]:
     return v, n
 
 
+#: The bit bound of an exact power x^k (Circuit.evaluate, BinaryForm): with
+#: b the bit length of x's numerator or of its denominator, x^k is refused
+#: with ValueError, before it is computed, when (b - 1) k >= POWER_BITS, as
+#: that part of x^k is then at least 2^POWER_BITS.  A power let through has
+#: fewer than 2 POWER_BITS bits in each part; the largest, 3^(2^22 - 1),
+#: takes about 0.4 s on a 2-vCPU x86-64 machine.  So 2^(10^40), which would
+#: run until memory is gone, is refused at once.
+POWER_BITS = 1 << 22
+
+
+def _power(x: RationalLike, k: int) -> RationalLike:
+    """x ** k for an int or a Fraction x and an int k >= 0, checked against
+    POWER_BITS before it is computed."""
+    if type(x) is int:
+        bits = x.bit_length()
+    else:
+        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+    if (bits - 1) * k >= POWER_BITS:
+        raise ValueError(f"x^{k} with x of {bits} bits would exceed "
+                         f"POWER_BITS = {POWER_BITS} bits")
+    return x ** k
+
+
 def prime(p) -> int:
     """p as a proved prime: the one gate for every prime argument.
 
@@ -345,12 +368,16 @@ def place_prime(v) -> Optional[int]:
     """The prime of a place-like argument, or None for the real place.
 
     v may be a places.Place (its prime was proved at construction), None or
-    "inf" for the real place, or a prime, which goes through prime().
+    "inf" for the real place, or a prime, which goes through prime().  Any
+    other object with a prime attribute is not a Place, and prime() refuses
+    it.
     """
     if v is None or isinstance(v, str) and v == "inf":
         return None
     if hasattr(v, "prime"):
-        return v.prime
+        from .places import Place  # places imports this module
+        if isinstance(v, Place):
+            return v.prime
     return prime(v)
 
 

@@ -477,7 +477,7 @@ OPS: Dict[str, _Op] = {
     "pow": _Op(
         children=lambda nd: nd[1:2], remap=lambda nd, f: ("pow", f(nd[1]), nd[2]),
         degree=lambda key: key[2] * key[1]._degree,
-        exact=lambda nd, v, env, q: v[nd[1]] ** nd[2],
+        exact=lambda nd, v, env, q: arith._power(v[nd[1]], nd[2]),
         mod=lambda nd, v, env, q: pow(v[nd[1]], nd[2], q),
         vec=lambda nd, v, env, q: _vec_pow(v[nd[1]], nd[2], q),
         arity=3, fields=("arg", "k"),

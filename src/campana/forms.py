@@ -39,7 +39,7 @@ class BinaryForm:
     def __call__(self, x: "Fraction | int", y: "Fraction | int") -> Fraction:
         x, y = arith.rational(x), arith.rational(y)
         return sum(
-            (c * x**i * y**j for (i, j), c in self.coeffs.items()),
+            (c * arith._power(x, i) * arith._power(y, j) for (i, j), c in self.coeffs.items()),
             start=Fraction(0),
         )
 
@@ -52,6 +52,14 @@ class BinaryForm:
             f"{c}*x^{i}*y^{j}" for (i, j), c in sorted(self.coeffs.items())
         )
         return f"BinaryForm({terms})"
+
+
+def binary_form(F) -> BinaryForm:
+    """F itself, the check every function that takes a form F makes first:
+    anything but a BinaryForm (None, a str, a function) is a ValueError."""
+    if not isinstance(F, BinaryForm):
+        raise ValueError(f"F must be a BinaryForm, not {type(F).__name__}")
+    return F
 
 
 X_FORM = BinaryForm({(1, 0): 1})  # F = x, the identity divisor case

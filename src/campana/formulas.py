@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from . import arith
 from .circuits import Circuit, Layout, layout, read_nodes, render_all, to_json
-from .forms import BinaryForm
+from .forms import BinaryForm, binary_form
 from .memo import memo
 
 # matrix nodes: ("eq", Circuit) | ("neq", Circuit) | ("and", tuple) | ("or", tuple)
@@ -597,9 +597,7 @@ def substitute_form(base: Formula, F: BinaryForm) -> Formula:
     BinaryForm of degree >= 1 is a ValueError (a constant F would drop lam
     from the matrix, and record a bound of 0)."""
     base = _formula(base, "base")
-    if not isinstance(F, BinaryForm):
-        raise ValueError(f"F must be a BinaryForm, not {type(F).__name__}")
-    if F.degree < 1:
+    if binary_form(F).degree < 1:
         raise ValueError(f"F must be a BinaryForm of degree >= 1, not {F!r}")
     if "r" not in base.free:
         raise ValueError("'r' is not free in the formula")

@@ -53,20 +53,18 @@ class Place:
 REAL_PLACE = Place(None)
 
 
-def _as_place(v) -> Place:
-    """v as a Place; a prime given as an int is proved once."""
-    return v if isinstance(v, Place) else Place._proved(arith.place_prime(v))
-
-
 class PlaceSet:
     """Finite set of places, canonically ordered: infinity first, then
-    primes ascending.  Immutable, so a memoized one can be shared."""
+    primes ascending.  It holds a real flag and the sorted tuple of its
+    proved primes; iterating gives Places.  Immutable, so a memoized one
+    can be shared."""
 
-    __slots__ = ("_places",)
+    __slots__ = ("_real", "_primes")
 
     def __init__(self, places: Iterable = ()):
-        seen = {_as_place(v) for v in places}
-        object.__setattr__(self, "_places", tuple(sorted(seen, key=Place._sort_key)))
+        primes = {arith.place_prime(v) for v in places}
+        object.__setattr__(self, "_real", None in primes)
+        object.__setattr__(self, "_primes", tuple(sorted(primes - {None})))
 
     def __setattr__(self, name, value):
         raise AttributeError("PlaceSet is immutable")
@@ -75,7 +73,7 @@ class PlaceSet:
         raise AttributeError("PlaceSet is immutable")
 
     def __reduce__(self):
-        return PlaceSet, (self._places,)
+        return PlaceSet, (tuple(self),)
 
     @classmethod
     def of_primes(cls, primes: Iterable[int]) -> "PlaceSet":
@@ -84,51 +82,53 @@ class PlaceSet:
         place); a PlaceSet gives its finite places, proved already.
         Anything not iterable, such as None or 7, is a ValueError."""
         if isinstance(primes, PlaceSet):
-            return cls(v for v in primes if not v.is_real)
-        return cls(Place._proved(arith.prime(p)) for p in arith.listed(primes, "S"))
+            return cls._of_proved(primes._primes)
+        return cls._of_proved(sorted({arith.prime(p) for p in arith.listed(primes, "S")}))
 
     @classmethod
-    def _of_proved(cls, primes: List[int], real: bool = False) -> "PlaceSet":
+    def _of_proved(cls, primes: Iterable[int], real: bool = False) -> "PlaceSet":
         """The places of distinct primes in ascending order, each already
         proved, after the real place if real: no place is gated or sorted
         again."""
-        places = [Place._proved(p) for p in primes]
         s = object.__new__(cls)
-        object.__setattr__(s, "_places", tuple([REAL_PLACE] + places if real else places))
+        object.__setattr__(s, "_real", real)
+        object.__setattr__(s, "_primes", tuple(primes))
         return s
 
     def primes(self) -> Tuple[int, ...]:
-        return tuple(p.prime for p in self._places if not p.is_real)
+        return self._primes
 
     def __iter__(self) -> Iterator[Place]:
-        return iter(self._places)
+        return iter([REAL_PLACE] * self._real + [Place._proved(p) for p in self._primes])
 
     def __len__(self) -> int:
-        return len(self._places)
+        return self._real + len(self._primes)
 
     def __contains__(self, v) -> bool:
-        return _as_place(v) in self._places
+        p = arith.place_prime(v)
+        return self._real if p is None else p in self._primes
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PlaceSet):
-            return self._places == other._places
+            return self._real == other._real and self._primes == other._primes
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._places)
+        return hash((self._real, self._primes))
 
     def __or__(self, other: "PlaceSet") -> "PlaceSet":
-        return PlaceSet(tuple(self._places) + tuple(other._places))
+        return self._of_proved(sorted({*self._primes, *other._primes}), self._real or other._real)
 
     def __and__(self, other: "PlaceSet") -> "PlaceSet":
-        return PlaceSet(p for p in self._places if p in other)
+        return self._of_proved([p for p in self._primes if p in other._primes],
+                               self._real and other._real)
 
     def isdisjoint(self, other: "PlaceSet") -> bool:
         return len(self & other) == 0
 
     def __repr__(self):
-        inner = ", ".join("inf" if p.is_real else str(p.prime) for p in self._places)
-        return "{" + inner + "}"
+        inner = ["inf"] * self._real + [str(p) for p in self._primes]
+        return "{" + ", ".join(inner) + "}"
 
 
 def local_data(x: int, p: int) -> Tuple[int, int]:

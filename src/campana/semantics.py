@@ -13,7 +13,7 @@ from typing import Iterable, Tuple
 from . import arith, places
 from .arith import RationalLike
 from .errors import DegenerateSampler, InvariantError
-from .forms import BinaryForm
+from .forms import BinaryForm, binary_form
 
 
 def in_J(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike,
@@ -101,8 +101,9 @@ def s_integer_member(S, r: RationalLike) -> bool:
 
 
 def campana_member_form(S, n: int, F: BinaryForm, lam: RationalLike) -> bool:
-    """Campana condition twisted by a binary form: tests F(lam, 1)."""
-    value = F(lam, 1)
+    """Campana condition twisted by a binary form: tests F(lam, 1).  F must
+    be a BinaryForm (ValueError otherwise, as in formulas.substitute_form)."""
+    value = binary_form(F)(lam, 1)
     if value == 0:
         raise ValueError("F(lam, 1) = 0: lam is a root of the form")
     return campana_member(S, n, value)

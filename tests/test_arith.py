@@ -219,3 +219,16 @@ def test_is_square_local_examples():
 )
 def test_squares_are_local_squares(x, v):
     assert arith.is_square_local(x * x, v)
+
+
+def test_an_exact_power_past_the_bit_bound_is_refused():
+    bound = arith.POWER_BITS
+    assert arith._power(2, bound - 1).bit_length() == bound
+    assert arith._power(Fraction(-3, 2), bound - 1).denominator.bit_length() == bound
+    for x, k in [(2, bound), (-3, bound), (Fraction(1, 2), bound), (Fraction(3, 5), bound // 2),
+                 (2**64, 10**40)]:
+        with pytest.raises(ValueError, match="POWER_BITS"):
+            arith._power(x, k)
+    # a base of at most one bit has a power of at most one bit
+    for x in (0, 1, -1):
+        assert arith._power(x, 10**40 + 1) == x

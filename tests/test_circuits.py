@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -168,6 +169,18 @@ def test_pow_rejects_bad_exponent():
         with pytest.raises(ValueError):
             x**bad
     assert x ** np.int64(2) is x**2
+
+
+def test_exact_evaluation_of_a_huge_power_is_refused_at_once():
+    # it allocated until memory ran out; the mod-q forms read only k mod q
+    f = Circuit.var("x") ** 10**40
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="POWER_BITS"):
+        f.evaluate({"x": 2})
+    assert time.perf_counter() - start < 1
+    assert f.evaluate({"x": -1}) == 1
+    assert f.evaluate_mod({"x": 2}, 7) == pow(2, 10**40, 7)
+    assert int(f.evaluate_vec({"x": [2]}, 7)[0]) == pow(2, 10**40, 7)
 
 
 def test_norm_node_empty_rejected():

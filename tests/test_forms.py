@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -49,3 +50,14 @@ def test_homogeneous_scaling():
     F = BinaryForm({(3, 0): 2, (1, 2): -1})
     lam = Fraction(5, 2)
     assert F(lam * 3, lam * 7) == lam**3 * F(3, 7)
+
+
+def test_a_huge_power_is_refused_at_once():
+    # each ran until memory was gone
+    start = time.perf_counter()
+    for F, x, y in [(BinaryForm({(10**40, 0): 1}), 2, 1),
+                    (BinaryForm({(0, 10**40): 1}), 1, Fraction(1, 2))]:
+        with pytest.raises(ValueError, match="POWER_BITS"):
+            F(x, y)
+    assert time.perf_counter() - start < 1
+    assert BinaryForm({(10**40, 0): 1})(-1, 1) == 1

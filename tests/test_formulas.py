@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import sympy
 
-from campana import formulas as fm, kernels
+from campana import formulas as fm, kernels, semantics
 from campana.circuits import Circuit
 from campana.forms import BinaryForm, X_FORM
 
@@ -272,12 +272,22 @@ def test_substitute_form_degree():
     assert fm.stats(gx).degree_bound == 3387
 
 
-@pytest.mark.parametrize("F", [None, 3, {(1, 0): 1}, Circuit.var("x"),
-                               BinaryForm({(0, 0): 3})],
-                         ids=["None", "int", "dict", "circuit", "degree 0"])
+#: Not binary forms, refused by substitute_form and campana_member_form.
+NOT_FORMS = {"None": None, "int": 3, "dict": {(1, 0): 1}, "circuit": Circuit.var("x"),
+             "str": "x", "function": lambda x, y: 1}
+
+
+@pytest.mark.parametrize("F", [*NOT_FORMS.values(), BinaryForm({(0, 0): 3})],
+                         ids=[*NOT_FORMS, "degree 0"])
 def test_substitute_form_refuses_a_non_form(F):
     with pytest.raises(ValueError, match="must be a BinaryForm"):
         fm.substitute_form(fm.build_S(), F)
+
+
+@pytest.mark.parametrize("F", NOT_FORMS.values(), ids=NOT_FORMS)
+def test_campana_member_form_refuses_a_non_form(F):
+    with pytest.raises(ValueError, match="must be a BinaryForm"):
+        semantics.campana_member_form([], 2, F, 3)
 
 
 def test_substitute_form_preserves_matrix_semantics():

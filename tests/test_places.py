@@ -40,6 +40,49 @@ def test_place_set_canonical():
     assert PlaceSet([2]).isdisjoint(PlaceSet([3, "inf"]))
 
 
+_model_primes = [2, 3, 5, 7, 11, 13, 10**9 + 7]
+# a place as a prime int, a Place (the real one too), "inf" or None
+_model_place = st.one_of(
+    st.sampled_from(_model_primes),
+    st.sampled_from([None, *_model_primes]).map(Place),
+    st.sampled_from(["inf", None]))
+
+
+def _model(items):
+    """(whether the real place is in items, the frozenset of their primes)."""
+    primes = {v.prime if isinstance(v, Place) else v for v in items}
+    return bool(primes & {None, "inf"}), frozenset(primes - {None, "inf"})
+
+
+def _model_places(real, primes):
+    return [REAL_PLACE] * real + [Place(p) for p in sorted(primes)]
+
+
+@given(st.lists(_model_place, max_size=8), st.lists(_model_place, max_size=8),
+       st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_place_set_agrees_with_a_set_model(items, other_items, rnd):
+    s, t = PlaceSet(items), PlaceSet(other_items)
+    (real, primes), (other_real, other_primes) = _model(items), _model(other_items)
+    assert len(s) == real + len(primes)
+    assert list(s) == _model_places(real, primes)
+    assert s.primes() == tuple(sorted(primes))
+    assert repr(s) == "{" + ", ".join(["inf"] * real + [str(p) for p in sorted(primes)]) + "}"
+    for v in ["inf", None, *_model_primes, *map(Place, [None, *_model_primes])]:
+        p = v.prime if isinstance(v, Place) else v
+        assert (v in s) == (real if p in (None, "inf") else p in primes)
+    shuffled = list(items)
+    rnd.shuffle(shuffled)
+    assert PlaceSet(shuffled) == s and hash(PlaceSet(shuffled)) == hash(s)
+    same = (real, primes) == (other_real, other_primes)
+    assert (s == t) == same and (not same or hash(s) == hash(t))
+    assert list(s | t) == _model_places(real or other_real, primes | other_primes)
+    assert list(s & t) == _model_places(real and other_real, primes & other_primes)
+    assert s.isdisjoint(t) == (not (real and other_real) and not primes & other_primes)
+    copied = pickle.loads(pickle.dumps(s))
+    assert copied == s and list(copied) == list(s) and hash(copied) == hash(s)
+
+
 def test_hilbert_examples():
     assert places.hilbert(-1, -1, "inf") == -1
     assert places.hilbert(2, 5, 5) == -1
@@ -275,10 +318,11 @@ def test_the_views_of_one_pair_factorize_it_once(monkeypatch):
 def test_place_set_refuses_assignment():
     s = places.omega(6, 35, 6, 35)
     before = s.primes()
-    with pytest.raises(AttributeError):
-        s._places = ()
-    with pytest.raises(AttributeError):
-        del s._places
+    for slot, value in (("_real", True), ("_primes", ())):
+        with pytest.raises(AttributeError):
+            setattr(s, slot, value)
+        with pytest.raises(AttributeError):
+            delattr(s, slot)
     with pytest.raises(AttributeError):
         s.extra = 1
     assert s.primes() == before

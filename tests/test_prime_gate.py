@@ -3,16 +3,18 @@ sends it through arith.prime, so anything but a prime int is a ValueError:
 never a truncation, a TypeError or a silent reading as the real place."""
 import inspect
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from campana import arith, parametrize, places, semantics
 from campana.forms import X_FORM
 
-#: Not primes: non-integers with and without an integral value, a str, and
-#: integers that are not prime.  A p and an S also refuse None; a v takes
-#: None as the real place.
-NOT_PRIMES = (3.7, 7.0, "7", Fraction(7), 4, 1)
+#: Not primes: non-integers with and without an integral value, a str,
+#: integers that are not prime, and an object with a prime attribute that is
+#: not a places.Place.  A p and an S also refuse None; a v takes None as the
+#: real place.
+NOT_PRIMES = (3.7, 7.0, "7", Fraction(7), 4, 1, SimpleNamespace(prime=9))
 
 #: name -> (kind of argument, call).  call(x) passes x as that argument, an
 #: S as a list, and is a valid call for x = 7 (an S of [7]).
@@ -25,6 +27,8 @@ GATED = {
     "arith.is_square_local": ("v", lambda v: arith.is_square_local(2, v)),
     "places.Place": ("v", lambda v: places.Place(v)),
     "places.PlaceSet.of_primes": ("S", lambda S: places.PlaceSet.of_primes(S)),
+    "places.PlaceSet": ("v", lambda v: places.PlaceSet([v])),
+    "places.PlaceSet.__contains__": ("v", lambda v: v in places.PlaceSet.of_primes([7])),
     "places.hilbert": ("v", lambda v: places.hilbert(2, 3, v)),
     "places.hilbert_oracle": ("p", lambda p: places.hilbert_oracle(2, 3, p, 5)),
     "places.default_oracle_precision":

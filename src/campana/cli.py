@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--real", action="store_true",
                    help="sum-of-squares combiner (real-embedded variant)")
-    p.add_argument("--format", choices=["json", "sexpr", "latex"], default="json")
+    p.add_argument("--format", choices=fm.FORMATS, default="json")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_emit)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain, combinations, count
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -87,9 +88,11 @@ class Formula:
     name) pairs, free a list or tuple of names, each name a str, the
     override None or an int >= 0, and the matrix nodes of the forms above
     with each variable of an atom free or bound; anything else is a
-    ValueError."""
+    ValueError.  Every slot is read-only once made, so the layout and the
+    documents emit keeps on a formula always describe it."""
 
-    __slots__ = ("prefix", "matrix", "free", "degree_override", "real_embedded", "_layout")
+    __slots__ = ("prefix", "matrix", "free", "degree_override", "real_embedded",
+                 "_layout", "_emitted")
 
     def __init__(
         self,
@@ -111,11 +114,12 @@ class Formula:
                 type(degree_override) is int and degree_override >= 0):
             raise ValueError(f"degree_override must be an int >= 0, "
                              f"not {degree_override!r}")
-        self.prefix = tuple(map(tuple, prefix))
-        self.matrix = matrix
-        self.free = tuple(free)
-        self.degree_override = degree_override
-        self.real_embedded = _real(real_embedded)
+        init = partial(object.__setattr__, self)
+        init("prefix", tuple(map(tuple, prefix)))
+        init("matrix", matrix)
+        init("free", tuple(free))
+        init("degree_override", degree_override)
+        init("real_embedded", _real(real_embedded))
         bound, free = {n for _, n in self.prefix}, set(self.free)
         if len(bound) != len(self.prefix):
             raise ValueError("a variable is bound twice")
@@ -123,7 +127,8 @@ class Formula:
             raise ValueError("a free variable is listed twice")
         if bound & free:
             raise ValueError("a variable is both free and bound")
-        self._layout: Optional[Layout] = None  # made by the first emit
+        init("_layout", None)  # made by the first emit
+        init("_emitted", {})  # format -> the bytes emit made, filled by emit
         names = free | bound
         for circ in self.atoms():
             stray = circ._free_names() - names
@@ -137,8 +142,18 @@ class Formula:
     def layout(self) -> Layout:
         """The distinct nodes of all the atoms in canonical order, made once."""
         if self._layout is None:
-            self._layout = layout(self.atoms())
+            object.__setattr__(self, "_layout", layout(self.atoms()))
         return self._layout
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Formula is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Formula is immutable")
+
+    def __reduce__(self):
+        return Formula, (self.prefix, self.matrix, self.free, self.degree_override,
+                         self.real_embedded)
 
     def __eq__(self, other):
         if not isinstance(other, Formula):
@@ -667,13 +682,32 @@ def _text(f: Formula, style: str) -> str:
     return _text_matrix(f.matrix, style, render_all(f.layout(), style))
 
 
+#: The formats emit writes.
+FORMATS = ("json", "sexpr", "latex")
+
+
 def emit(f: Formula, format: str = "json") -> bytes:
     """Serialize a formula.  json is canonical and round-trips through
     parse(): one node list holds each distinct subterm of all the atoms
     once, in canonical order, each node an array such as ["add", i, j] with
     the indices of its children, and each atom names its root in it.  sexpr
-    is a lossless prefix rendering; latex is for human eyes."""
+    is a lossless prefix rendering; latex is for human eyes.  Each format is
+    rendered once per Formula, which keeps the bytes: a later call returns
+    the same bytes object, so a shared builder formula renders once per
+    process."""
     f = _formula(f)
+    # compared, not hashed, so that an unhashable format is a ValueError too
+    key = next((known for known in FORMATS if known == format), None)
+    if key is None:
+        raise ValueError(f"unknown format {format!r}")
+    blob = f._emitted.get(key)
+    if blob is None:  # setdefault: two threads that both render keep one
+        blob = f._emitted.setdefault(key, _render(f, key))
+    return blob
+
+
+def _render(f: Formula, format: str) -> bytes:
+    """emit's bytes, made anew, for a format emit has checked."""
     if format == "json":
         lay = f.layout()
         doc = {
@@ -693,11 +727,9 @@ def emit(f: Formula, format: str = "json") -> bytes:
         text = (f"(formula (free {free}) (prefix {prefix}) "
                 f"(matrix {_text(f, 'sexpr')}))")
         return text.encode()
-    if format == "latex":
-        quant = {"forall": r"\forall", "exists": r"\exists"}
-        prefix = r"\,".join(f"{quant[q]} {n}" for q, n in f.prefix)
-        return (prefix + r"\colon " + _text(f, 'latex')).encode()
-    raise ValueError(f"unknown format {format!r}")
+    quant = {"forall": r"\forall", "exists": r"\exists"}
+    prefix = r"\,".join(f"{quant[q]} {n}" for q, n in f.prefix)
+    return (prefix + r"\colon " + _text(f, 'latex')).encode()
 
 
 _DOC_KEYS = {"free", "prefix", "nodes", "matrix"}

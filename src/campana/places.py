@@ -117,13 +117,21 @@ class PlaceSet:
         return hash((self._real, self._primes))
 
     def __or__(self, other: "PlaceSet") -> "PlaceSet":
+        if not isinstance(other, PlaceSet):
+            return NotImplemented
         return self._of_proved(sorted({*self._primes, *other._primes}), self._real or other._real)
 
     def __and__(self, other: "PlaceSet") -> "PlaceSet":
+        if not isinstance(other, PlaceSet):
+            return NotImplemented
         return self._of_proved([p for p in self._primes if p in other._primes],
                                self._real and other._real)
 
     def isdisjoint(self, other: "PlaceSet") -> bool:
+        """Whether no place is in both; other that is not a PlaceSet is a
+        ValueError."""
+        if not isinstance(other, PlaceSet):
+            raise ValueError(f"isdisjoint takes a PlaceSet, not {type(other).__name__}")
         return len(self & other) == 0
 
     def __repr__(self):

@@ -157,8 +157,8 @@ def suite_formulas(seed: int, samples: int) -> List[Row]:
         want = fm.FormulaStats(*target.ledger(n, real), real_embedded=real)
         if bad is None and got != want:
             bad = f"{name}(n={n}, real={real}): {got}, expected {want}"
-        warm.append(fm.emit(f, "json"))
-        if bad_trip is None and fm.parse(warm[-1]) != f:
+        warm.append([fm.emit(f, fmt) for fmt in fm.FORMATS])
+        if bad_trip is None and fm.parse(warm[-1][0]) != f:
             bad_trip = f"{name}(n={n}, real={real}) changes under emit/parse"
     rows.append((f"quantifier/atom/degree ledger ({len(cases)} builds)",
                  bad is None, bad or "exact match"))
@@ -166,12 +166,15 @@ def suite_formulas(seed: int, samples: int) -> List[Row]:
                  bad_trip is None, bad_trip or "identity"))
 
     # each build again from empty memos: the formula builders' and the
-    # J(a,b,c,d) blocks' memos must give the bytes a build from scratch gives
+    # J(a,b,c,d) blocks' memos, and the bytes emit keeps on a formula, must
+    # give in every format the bytes a build from scratch gives
     bad = None
-    for (name, n, real), blob in zip(cases, warm):
+    for (name, n, real), blobs in zip(cases, warm):
         clear_memos()
-        if fm.emit(fm.TARGETS[name].build(n, real), "json") != blob:
-            bad = f"{name}(n={n}, real={real}) emits other bytes when built cold"
+        cold = fm.TARGETS[name].build(n, real)
+        differ = [fmt for fmt, blob in zip(fm.FORMATS, blobs) if fm.emit(cold, fmt) != blob]
+        if differ:
+            bad = f"{name}(n={n}, real={real}) emits other {'/'.join(differ)} when built cold"
             break
     rows.append((f"cold and warm builds agree ({len(cases)} builds)",
                  bad is None, bad or "same bytes"))

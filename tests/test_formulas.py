@@ -546,3 +546,94 @@ _BAD_FORMULAS = {
 def test_formula_refuses_a_bad_argument_with_a_value_error(case):
     with pytest.raises(ValueError):
         _BAD_FORMULAS[case]()
+
+
+# emit keeps each format's bytes on the Formula, so a Formula is read-only
+_SLOTS = ("prefix", "matrix", "free", "degree_override", "real_embedded",
+          "_layout", "_emitted")
+
+
+@pytest.mark.parametrize("slot", _SLOTS)
+def test_a_formula_refuses_assignment_and_deletion(slot):
+    f = fm.Formula([("exists", "x")], ("eq", Circuit.var("x") - 1), [])
+    blob = fm.emit(f)
+    before = getattr(f, slot)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(f, slot, None)
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(f, slot)
+    assert getattr(f, slot) is before and fm.emit(f) is blob
+
+
+def test_a_formula_refuses_a_new_attribute():
+    with pytest.raises(AttributeError):
+        fm.build_S().extra = 1
+
+
+def test_a_formula_pickles_and_copies_to_an_equal_formula():
+    import copy
+    import pickle
+
+    f = fm.build_integrality(real_embedded=True)
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert g == f and fm.emit(g) == fm.emit(f)
+
+
+_BAD_FORMATS = {"yaml": "yaml", "None": None, "list": [], "int": 3, "bytes": b"json"}
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["fresh", "full cache"])
+@pytest.mark.parametrize("fmt", _BAD_FORMATS.values(), ids=_BAD_FORMATS)
+def test_emit_refuses_a_bad_format_and_keeps_its_cache(fmt, full):
+    f = fm.Formula([("exists", "x")], ("eq", Circuit.var("x") - 1), [])
+    if full:
+        for good in fm.FORMATS:
+            fm.emit(f, good)
+    before = dict(f._emitted)
+    with pytest.raises(ValueError, match="unknown format"):
+        fm.emit(f, fmt)
+    assert f._emitted == before and len(before) == 3 * full
+
+
+_EVERY_TARGET = [(name, n, real) for name in fm.TARGETS for n in (2, 7)
+                 for real in (False, True)]
+
+
+@pytest.mark.parametrize("name, n, real", _EVERY_TARGET)
+def test_emit_renders_once_and_a_cold_rebuild_emits_the_same_bytes(name, n, real):
+    import campana
+
+    f = fm.TARGETS[name].build(n, real)
+    warm = _emits(f)
+    assert all(fm.emit(f, fmt) is blob for fmt, blob in zip(fm.FORMATS, warm))
+    assert [fm._render(f, fmt) for fmt in fm.FORMATS] == warm
+    campana.clear_memos()
+    cold = fm.TARGETS[name].build(n, real)
+    assert cold is not f and not cold._emitted
+    assert _emits(cold) == warm
+
+
+def test_threads_that_emit_one_fresh_formula_all_get_one_bytes_object():
+    import sys
+    import threading
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            f = fm.parse(fm.emit(fm.build_T_unit()))  # a fresh Formula, nothing kept
+            barrier, got = threading.Barrier(4), []
+
+            def emit_all():
+                barrier.wait(timeout=10)
+                got.append([fm.emit(f, fmt) for fmt in fm.FORMATS])
+
+            threads = [threading.Thread(target=emit_all) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads) and len(got) == 4
+            assert all(a is b for blobs in got for a, b in zip(blobs, got[0]))
+    finally:
+        sys.setswitchinterval(interval)

@@ -330,6 +330,19 @@ def test_place_set_refuses_assignment():
     assert pickle.loads(pickle.dumps(s)) == s and copy.deepcopy(s) == s
 
 
+@pytest.mark.parametrize("other", [{3}, [3], None, 3, "inf"], ids=repr)
+def test_place_set_operators_refuse_what_is_not_a_place_set(other):
+    s = places.PlaceSet([2])
+    for op in (lambda: s | other, lambda: s & other, lambda: other | s, lambda: other & s):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+    with pytest.raises(ValueError, match="takes a PlaceSet"):
+        s.isdisjoint(other)
+    assert s | places.PlaceSet([3, None]) == places.PlaceSet([None, 2, 3])
+    assert (s & places.PlaceSet([2, 5])).primes() == (2,)
+    assert s.isdisjoint(places.PlaceSet([3])) and not s.isdisjoint(s)
+
+
 # a small pool, so that drawn quadruples repeat, with each integer drawn
 # both as an int and as a Fraction
 _memo_pool = [Fraction(v) for v in (-35, -10, -6, -1, 1, 2, 3, 5, 6, 15)] + [

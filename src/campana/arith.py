@@ -325,11 +325,14 @@ def valuation(r: RationalLike, p: int) -> int:
 
 
 def crt(congruences: Sequence[Tuple[int, int]]) -> int:
-    """Least nonnegative x with x = r_i (mod m_i); moduli must be coprime."""
+    """Least nonnegative x with x = r_i (mod m_i), for a list of pairs
+    (m_i, r_i); moduli must be coprime."""
+    congruences = listed(congruences, "congruences")
     if not congruences:
         raise ValueError("empty congruence list")
     x, m = 0, 1
-    for mi, ri in congruences:
+    for pair in congruences:
+        mi, ri = listed(pair, "a congruence")
         mi, ri = integer(mi, "a modulus"), integer(ri, "a residue")
         if mi <= 0:
             raise ValueError(f"modulus {mi} must be positive")

@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 verified failure or search exhaustion, 2 usage
 error, 141 (128 + SIGPIPE) when the reader of stdout goes away before the
 output is written, as `head` can.  Rationals are written "num/den" or
-plain integers; the place at infinity is "inf".  An optional config file
-(key=value lines, '#' comments) supplies search caps and default sample
-counts; flags override it.
+plain integers; the place at infinity is "inf".  Every setting is a flag
+of its command (construct --candidate-cap, verify --seed and --samples);
+one left out takes the default of the function the command calls.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import formulas as fm, parametrize, places, semantics, verify
 from .errors import SearchExhausted
@@ -57,37 +57,14 @@ def _parse_prime_list(text: str) -> List[int]:
     return out
 
 
-CONFIG_KEYS = ("candidate_cap", "seed", "samples")
+def _given(args, *flags) -> dict:
+    """The named flags the command line gave, by name: a flag left out is
+    not passed on, so the called function's default is the only one."""
+    return {flag: getattr(args, flag) for flag in flags
+            if getattr(args, flag) is not None}
 
 
-def _load_config(path: Optional[str]) -> Dict[str, int]:
-    """The integer settings of a key=value config file, by key."""
-    if not path:
-        return {}
-    cfg: Dict[str, int] = {}
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise CliError(f"{path}:{lineno}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in CONFIG_KEYS:
-                    raise CliError(f"{path}:{lineno}: unknown key {key!r} "
-                                   f"(known: {', '.join(CONFIG_KEYS)})")
-                try:
-                    cfg[key] = int(value)
-                except ValueError:
-                    raise CliError(f"{path}:{lineno}: {key} must be an "
-                                   f"integer, not {value!r}")
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}")
-    return cfg
-
-
-def cmd_hilbert(args, cfg) -> int:
+def cmd_hilbert(args) -> int:
     a = _parse_rational(args.a)
     b = _parse_rational(args.b)
     v = _parse_place(args.place)
@@ -99,13 +76,12 @@ def cmd_hilbert(args, cfg) -> int:
     return 0
 
 
-def cmd_construct(args, cfg) -> int:
+def cmd_construct(args) -> int:
     primes = _parse_prime_list(" ".join(args.primes))
     if len(set(primes)) != len(primes):
         raise CliError("duplicate primes in S")
     try:
-        sc = parametrize.SearchConfig(**{key: value for key, value in cfg.items()
-                                         if key == "candidate_cap"})
+        sc = parametrize.SearchConfig(**_given(args, "candidate_cap"))
         report = parametrize.construct_omega(primes, sc)
     except ValueError as exc:
         raise CliError(str(exc))
@@ -148,7 +124,7 @@ _MEMBER = {
 _MEMBER_FLAGS = {kind: flags for kind, (flags, _) in _MEMBER.items()}
 
 
-def cmd_member(args, cfg) -> int:
+def cmd_member(args) -> int:
     r = _parse_rational(args.r)
     takes, verdict_of = _MEMBER[args.kind]
     _check_flags(args, args.kind, takes)
@@ -160,7 +136,7 @@ def cmd_member(args, cfg) -> int:
     return 0
 
 
-def cmd_emit(args, cfg) -> int:
+def cmd_emit(args) -> int:
     target = fm.TARGETS[args.target]
     _check_flags(args, f"target {args.target!r}",
                  ("n",) * target.takes_n + ("real",) * target.has_real)
@@ -172,7 +148,7 @@ def cmd_emit(args, cfg) -> int:
     s = fm.stats(formula)
     stats_line = (f"universals={s.universals} existentials={s.existentials} "
                   f"degree<={s.degree_bound}")
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "wb") as fh:
                 fh.write(payload)
@@ -186,11 +162,9 @@ def cmd_emit(args, cfg) -> int:
     return 0
 
 
-def cmd_verify(args, cfg) -> int:
-    seed = args.seed if args.seed is not None else cfg.get("seed", 42)
-    samples = args.samples if args.samples is not None else cfg.get("samples", 1000)
+def cmd_verify(args) -> int:
     try:
-        ok, table = verify.run(args.suite, seed=seed, samples=samples)
+        ok, table = verify.run(args.suite, **_given(args, "seed", "samples"))
     except ValueError as exc:
         raise CliError(str(exc))
     print(table)
@@ -203,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hilbert symbols, radical place sets, and forall-exists "
                     "formula compilation for Campana points over Q.",
     )
-    parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hilbert", help="local Hilbert symbol (a,b)_v")
@@ -214,6 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build (a,b,c,d) realizing a prime set")
     p.add_argument("primes", nargs="*", help="the target primes")
+    p.add_argument("--candidate-cap", type=int,
+                   help="how many helper primes the search may try (default "
+                        f"{parametrize.SearchConfig.candidate_cap})")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("member", help="semantic membership tests")
@@ -250,8 +226,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse exits 2 on usage errors already; normalize others
         return exc.code if exc.code in (0, 2) else USAGE_ERROR
     try:
-        cfg = _load_config(args.config)
-        code = args.func(args, cfg)
+        code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:

@@ -9,14 +9,20 @@ from . import arith
 
 class BinaryForm:
     """F = sum of coef * x^i * y^j with i + j constant (homogeneity is
-    checked at construction).  Coefficients and points go through
-    arith.rational, and i, j must be integers >= 0 (ValueError otherwise)."""
+    checked at construction).  coeffs maps each pair (i, j) to its
+    coefficient; coefficients and points go through arith.rational, and
+    i, j must be integers >= 0 (ValueError otherwise)."""
 
     __slots__ = ("coeffs", "degree")
 
     def __init__(self, coeffs: Mapping[Tuple[int, int], "Fraction | int"]):
+        if not callable(getattr(coeffs, "items", None)):
+            raise ValueError(f"coeffs must map (i, j) to a coefficient, not {coeffs!r}")
         cleaned: Dict[Tuple[int, int], Fraction] = {}
-        for (i, j), c in coeffs.items():
+        for key, c in coeffs.items():
+            if not (type(key) is tuple and len(key) == 2):
+                raise ValueError(f"a key of coeffs is a pair (i, j), not {key!r}")
+            i, j = key
             c, i, j = Fraction(arith.rational(c)), arith.integer(i, "i"), arith.integer(j, "j")
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in x^{i} y^{j}")
@@ -32,7 +38,9 @@ class BinaryForm:
 
     @classmethod
     def from_x_coeffs(cls, coeffs: Sequence["Fraction | int"]) -> "BinaryForm":
-        """coeffs[k] multiplies x^k y^(d-k), with d = len(coeffs) - 1."""
+        """coeffs[k] multiplies x^k y^(d-k), with d = len(coeffs) - 1;
+        coeffs that is not iterable, such as None or 7, is a ValueError."""
+        coeffs = arith.listed(coeffs, "coeffs")
         d = len(coeffs) - 1
         return cls({(k, d - k): c for k, c in enumerate(coeffs)})
 

@@ -85,21 +85,19 @@ class Formula:
     """Prenex formula: quantifier prefix over a quantifier-free matrix of
     polynomial (in)equations.  Immutable.  Every argument is checked, as
     parse checks a document: the prefix is a list or tuple of (quantifier,
-    name) pairs, free a list or tuple of names, each name a str, the
-    override None or an int >= 0, and the matrix nodes of the forms above
-    with each variable of an atom free or bound; anything else is a
-    ValueError.  Every slot is read-only once made, so the layout and the
-    documents emit keeps on a formula always describe it."""
+    name) pairs, free a list or tuple of names, each name a str, and the
+    matrix nodes of the forms above with each variable of an atom free or
+    bound; anything else is a ValueError.  Every slot is read-only once
+    made, so the layout and the documents emit keeps on a formula always
+    describe it."""
 
-    __slots__ = ("prefix", "matrix", "free", "degree_override", "real_embedded",
-                 "_layout", "_emitted")
+    __slots__ = ("prefix", "matrix", "free", "real_embedded", "_layout", "_emitted")
 
     def __init__(
         self,
         prefix: Sequence[Tuple[str, str]],
         matrix: MatrixNode,
         free: Sequence[str],
-        degree_override: Optional[int] = None,
         real_embedded: bool = False,
     ):
         if not (type(prefix) in _SEQUENCES and all(
@@ -110,15 +108,10 @@ class Formula:
                              "each quantifier 'forall' or 'exists'")
         if not (type(free) in _SEQUENCES and all(type(n) is str for n in free)):
             raise ValueError(f"free must be a list of names, not {free!r}")
-        if degree_override is not None and not (
-                type(degree_override) is int and degree_override >= 0):
-            raise ValueError(f"degree_override must be an int >= 0, "
-                             f"not {degree_override!r}")
         init = partial(object.__setattr__, self)
         init("prefix", tuple(map(tuple, prefix)))
         init("matrix", matrix)
         init("free", tuple(free))
-        init("degree_override", degree_override)
         init("real_embedded", _real(real_embedded))
         bound, free = {n for _, n in self.prefix}, set(self.free)
         if len(bound) != len(self.prefix):
@@ -152,8 +145,7 @@ class Formula:
         raise AttributeError("Formula is immutable")
 
     def __reduce__(self):
-        return Formula, (self.prefix, self.matrix, self.free, self.degree_override,
-                         self.real_embedded)
+        return Formula, (self.prefix, self.matrix, self.free, self.real_embedded)
 
     def __eq__(self, other):
         if not isinstance(other, Formula):
@@ -161,7 +153,6 @@ class Formula:
         return (
             self.prefix == other.prefix
             and self.free == other.free
-            and self.degree_override == other.degree_override
             and self.real_embedded == other.real_embedded
             and self.matrix == other.matrix
         )
@@ -199,18 +190,14 @@ class FormulaStats:
 
 
 def stats(f: Formula) -> FormulaStats:
-    """Quantifier counts, atom count, and the syntactic degree bound (the
-    stored override wins when a substitution has inflated the bound)."""
+    """Quantifier counts, atom count, and the syntactic degree bound: the
+    largest degree of an atom."""
     f = _formula(f)
     universals = sum(1 for q, _ in f.prefix if q == FORALL)
     existentials = sum(1 for q, _ in f.prefix if q == EXISTS)
     atom_list = f.atoms()
-    if f.degree_override is not None:
-        degree = f.degree_override
-    else:
-        degree = max(c.degree() for c in atom_list)
-    return FormulaStats(universals, existentials, len(atom_list), degree,
-                        f.real_embedded)
+    return FormulaStats(universals, existentials, len(atom_list),
+                        max(c.degree() for c in atom_list), f.real_embedded)
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +592,12 @@ TARGETS: Dict[str, Target] = {
 
 
 def substitute_form(base: Formula, F: BinaryForm) -> Formula:
-    """Replace the free variable r by F(lam, 1).  The degree bound is
-    recorded as deg(F) times the base bound: the substitution composes the
-    defining polynomial with F, and the composed bound is what matters even
-    when the syntactic recomputation would come out lower.  F that is not a
-    BinaryForm of degree >= 1 is a ValueError (a constant F would drop lam
-    from the matrix, and record a bound of 0)."""
+    """Replace the free variable r by F(lam, 1).  stats reads the degree
+    bound off the substituted circuits, as for any formula: it lies between
+    the base bound and deg(F) times it, and is lower than the product where
+    r never meets the top degree.  F that is not a BinaryForm of degree >= 1
+    is a ValueError (a constant F would drop lam from the matrix, which
+    lists it free)."""
     base = _formula(base, "base")
     if binary_form(F).degree < 1:
         raise ValueError(f"F must be a BinaryForm of degree >= 1, not {F!r}")
@@ -632,10 +619,7 @@ def substitute_form(base: Formula, F: BinaryForm) -> Formula:
                           lambda kind, c: (kind, c.substitute("r", replacement)),
                           lambda kind, kids: (kind, tuple(kids)))
     free = tuple("lam" if n == "r" else n for n in base.free)
-    base_bound = stats(base).degree_bound
-    return Formula(base.prefix, matrix, free,
-                   degree_override=F.degree * base_bound,
-                   real_embedded=base.real_embedded)
+    return Formula(base.prefix, matrix, free, real_embedded=base.real_embedded)
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +700,6 @@ def _render(f: Formula, format: str) -> bytes:
             "nodes": to_json(lay),
             "matrix": _emit_matrix(f.matrix, lay.index),
         }
-        if f.degree_override is not None:
-            doc["degree_override"] = f.degree_override
         if f.real_embedded:
             doc["real_embedded"] = True
         return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
@@ -733,7 +715,6 @@ def _render(f: Formula, format: str) -> bytes:
 
 
 _DOC_KEYS = {"free", "prefix", "nodes", "matrix"}
-_OPTIONAL_KEYS = {"degree_override", "real_embedded"}
 
 
 def parse(data: Union[bytes, str]) -> Formula:
@@ -756,12 +737,11 @@ def parse(data: Union[bytes, str]) -> Formula:
 
 def _parse_doc(doc) -> Formula:
     if not (isinstance(doc, dict)
-            and _DOC_KEYS <= doc.keys() <= _DOC_KEYS | _OPTIONAL_KEYS):
+            and _DOC_KEYS <= doc.keys() <= _DOC_KEYS | {"real_embedded"}):
         raise ValueError(f"a formula document has the keys {sorted(_DOC_KEYS)} "
-                         f"and optionally {sorted(_OPTIONAL_KEYS)}")
+                         f"and optionally 'real_embedded'")
     made = read_nodes(doc["nodes"])
     return Formula(doc["prefix"], _parse_matrix(doc["matrix"], made), doc["free"],
-                   degree_override=doc.get("degree_override"),
                    real_embedded=doc.get("real_embedded", False))
 
 

@@ -105,7 +105,7 @@ def norm_int(w: Sequence[int]) -> int:
     resultants up to the Hadamard-style bound of that odd part, with all
     primes in one row call.
     """
-    w = [arith.integer(x, "a coefficient") for x in w]
+    w = [arith.integer(x, "a coefficient") for x in arith.listed(w, "w")]
     if not w:
         raise ValueError("a norm needs at least one coefficient")
     if not any(w):
@@ -129,10 +129,10 @@ def norm_int(w: Sequence[int]) -> int:
 
 def _clear_denominators(values: Sequence[Fraction]) -> Tuple[List[int], int]:
     """(w, l) with l the least common denominator of a nonempty vector of
-    rationals and w = l * values, a vector of integers.  Each value is read
-    by arith.num_den, so a float is refused, as its binary expansion would
-    reach the exact answer."""
-    pairs = [arith.num_den(v) for v in values]
+    rationals and w = l * values, a vector of integers.  values that is not
+    iterable is a ValueError, and each value is read by arith.num_den, so a
+    float is refused, as its binary expansion would reach the exact answer."""
+    pairs = [arith.num_den(v) for v in arith.listed(values, "values")]
     if not pairs:
         raise ValueError("a norm needs at least one coefficient")
     lcm = math.lcm(*(d for _, d in pairs))

@@ -21,12 +21,15 @@ from .errors import InvariantError, SearchExhausted
 
 @dataclass
 class SearchConfig:
-    """The bound on find_b's helper primes.  `steps` is not a knob: it
-    counts the helper primes find_b has tried, over every call that shares
-    the config."""
+    """The bound on find_b's helper primes, an integer (ValueError
+    otherwise).  `steps` is not a knob: it counts the helper primes find_b
+    has tried, over every call that shares the config."""
 
     candidate_cap: int = 100_000
     steps: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        self.candidate_cap = arith.integer(self.candidate_cap, "candidate_cap")
 
     def tick(self):
         self.steps += 1
@@ -34,6 +37,16 @@ class SearchConfig:
             raise SearchExhausted(
                 f"candidate cap {self.candidate_cap} reached after {self.steps - 1} steps"
             )
+
+
+def _search_config(config) -> SearchConfig:
+    """config itself, or a fresh SearchConfig for None; anything else is
+    a ValueError."""
+    if config is None:
+        return SearchConfig()
+    if not isinstance(config, SearchConfig):
+        raise ValueError(f"config must be a SearchConfig, not {config!r}")
+    return config
 
 
 @dataclass
@@ -93,7 +106,7 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
     Each helper prime tried is one step of the config; b is re-verified
     through the places module.
     """
-    cfg = config if config is not None else SearchConfig()
+    cfg = _search_config(config)
     a = arith.rational(a)
     if a == 0:
         raise ValueError("a must be nonzero")
@@ -209,7 +222,7 @@ def construct_omega(
     constructions with distinct auxiliary primes; their ramification sets
     are S plus one auxiliary each, so the intersection is exactly S.
     """
-    cfg = config if config is not None else SearchConfig()
+    cfg = _search_config(config)
     target = places.PlaceSet.of_primes(S)
     primes = target.primes()
     aux: List[int] = []

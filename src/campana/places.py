@@ -62,7 +62,7 @@ class PlaceSet:
     __slots__ = ("_real", "_primes")
 
     def __init__(self, places: Iterable = ()):
-        primes = {arith.place_prime(v) for v in places}
+        primes = {arith.place_prime(v) for v in arith.listed(places, "places")}
         object.__setattr__(self, "_real", None in primes)
         object.__setattr__(self, "_primes", tuple(sorted(primes - {None})))
 

@@ -88,11 +88,9 @@ def test_construct_primes_parse_like_a_prime_list(capsys):
     assert code == 2 and "5x" in err
 
 
-def test_construct_search_exhaustion_exits_1(capsys, tmp_path):
-    cfgfile = tmp_path / "caps.cfg"
+def test_construct_search_exhaustion_exits_1(capsys):
     # S = {2, 17} needs one helper prime, which a cap of 0 forbids
-    cfgfile.write_text("candidate_cap = 0  # tight on purpose\n")
-    code, _, err = run(capsys, "--config", str(cfgfile), "construct", "2", "17")
+    code, _, err = run(capsys, "construct", "2", "17", "--candidate-cap", "0")
     assert code == 1
     assert "search exhausted" in err
 
@@ -212,6 +210,12 @@ def test_emit_to_file(capsys, tmp_path):
     assert doc["free"] == ["a", "b", "c", "d", "r"]
 
 
+def test_emit_to_an_empty_path_fails_to_write(capsys):
+    # -o '' was read as no -o: the document went to stdout and the exit was 0
+    code, out, err = run(capsys, "emit", "S", "-o", "")
+    assert code == 1 and out == "" and "cannot write" in err
+
+
 def test_emit_real_variant(capsys):
     code, out, _ = run(capsys, "emit", "campana", "--n", "10", "--real",
                        "--format", "sexpr", "-o", "/dev/null")
@@ -235,51 +239,15 @@ def test_verify_command(capsys):
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])
-def test_verify_without_samples_exits_2(capsys, tmp_path, samples):
+def test_verify_without_samples_exits_2(capsys, samples):
     code, out, err = run(capsys, "verify", "hilbert", "--samples", samples)
     assert code == 2 and "samples" in err and out == ""
-    cfgfile = tmp_path / "verify.cfg"
-    cfgfile.write_text(f"samples = {samples}\n")
-    code, out, err = run(capsys, "--config", str(cfgfile), "verify", "hilbert")
-    assert code == 2 and "samples" in err and out == ""
-
-
-def test_bad_config_file(capsys, tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("no equals sign here\n")
-    code, _, err = run(capsys, "--config", str(bad), "hilbert", "2", "3", "5")
-    assert code == 2
-    code, _, _ = run(capsys, "--config", str(tmp_path / "missing.cfg"),
-                     "hilbert", "2", "3", "5")
-    assert code == 2
 
 
 def test_unknown_subcommand(capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["nosuch"])
     assert cli.main(["nosuch"]) == 2
-
-
-@pytest.mark.parametrize("line, key", [("seed=abc", "seed"),
-                                       ("samples = x", "samples"),
-                                       ("candidate_cap=1.5", "candidate_cap"),
-                                       ("candiate_cap=5", "candiate_cap"),
-                                       ("Seed=1", "Seed"),
-                                       ("q_prime_bound=1000", "q_prime_bound")])
-def test_bad_config_entry_exits_2_naming_the_key(capsys, tmp_path, line, key):
-    cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text(f"candidate_cap = 1000\n{line}\n")
-    code, out, err = run(capsys, "--config", str(cfgfile), "verify", "hilbert",
-                         "--samples", "5")
-    assert code == 2
-    assert key in err and "Traceback" not in err and out == ""
-
-
-def test_config_supplies_verify_defaults(capsys, tmp_path):
-    cfgfile = tmp_path / "verify.cfg"
-    cfgfile.write_text("seed = 7\nsamples = 20\n")
-    code, out, _ = run(capsys, "--config", str(cfgfile), "verify", "hilbert")
-    assert code == 0 and "PASS" in out
 
 
 def test_unfactorable_input_exits_with_a_message(capsys):

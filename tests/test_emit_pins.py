@@ -8,7 +8,9 @@ again when circuits became hash-consed and emit began to write one node
 list for all the atoms, each distinct subterm once, and again when each
 node became an array such as ["add", i, j] instead of an object such as
 {"op": "add", "args": [i, j]}; the documents were otherwise the same
-bytes.  Every stored circuit
+bytes.  The two SUBSTITUTED json digests were recorded again when a
+Formula stopped storing a degree bound of its own, so those documents lost
+their degree_override key.  Every stored circuit
 holds exactly the nodes reachable from its root, children before parents,
 with the root last, each distinct node once in the left-to-right
 first-visit postorder; the check below walks the nodes with its own
@@ -98,10 +100,10 @@ F = BinaryForm({(2, 0): 1, (1, 1): -3, (0, 2): 5})
 
 # (base target, format) -> sha256 of emit(substitute_form(base, F), format)
 SUBSTITUTED = {
-    ('S', 'json'): 'c1f742b4c218c8ee3cfe060c30f8a5335c35249e0bac225d16620c10162ccd04',
+    ('S', 'json'): '1bed0a46dafafd0e246422168a32b7b0e3924a3f2bd96d6f10fb17b81201f111',
     ('S', 'sexpr'): 'ccd6852a87c285a4862ad7588e22abfe16de905ded79f9d6b0c7b33d0606fbeb',
     ('S', 'latex'): '2e8ae25095c41f1c5109eb6e989f8be1e65c14aaa087bc2e7d37bdd5678be621',
-    ('campana', 'json'): '83b5676463b131473c08ba940034883897f199e2776511ca048d4fab6d6db08f',
+    ('campana', 'json'): 'dac5d3e7f2e97f355e146fcb4ce4cc4e002bd8935f6da4a944a175a19a4214f8',
     ('campana', 'sexpr'): 'e7cb53d91ea31c3ac5cdc3a78615476381d8efeee97ecbbb35be01c458b8ec18',
     ('campana', 'latex'): '0e949ebcdddd803024daedd00f11cba1e85136c481ae4e0a6c7899c3e987fb4d',
 }

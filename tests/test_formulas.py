@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from campana import formulas as fm, kernels, semantics
 from campana.circuits import Circuit
@@ -263,13 +264,73 @@ def test_a_cold_build_makes_one_formula(monkeypatch, name, real):
 
 
 def test_substitute_form_degree():
+    # r meets no top-degree term of campana's atom, so a quadratic F leaves
+    # its degree as it was; the bound once stored was 2 * 3387
     base = fm.build_campana(2)
     F = BinaryForm({(2, 0): 1, (0, 2): 1})
     g = fm.substitute_form(base, F)
-    assert fm.stats(g).degree_bound == 2 * 3387
+    assert fm.stats(g).degree_bound == 3387
     assert "lam" in g.free and "r" not in g.free
     gx = fm.substitute_form(base, X_FORM)
     assert fm.stats(gx).degree_bound == 3387
+
+
+#: The form pinned by test_emit_pins, and a cubic.
+QUADRATIC = BinaryForm({(2, 0): 1, (1, 1): -3, (0, 2): 5})
+CUBIC = BinaryForm.from_x_coeffs([2, 0, -1, 1])
+
+
+def _sympy(circ):
+    """circ as a sympy expression, read node by node; it has no norm node."""
+    made = []
+    for op, *args in circ.nodes:
+        if op == "var":
+            made.append(sympy.Symbol(args[0]))
+        elif op == "int":
+            made.append(sympy.Rational(args[0].numerator, args[0].denominator))
+        elif op == "neg":
+            made.append(-made[args[0]])
+        elif op == "pow":
+            made.append(made[args[0]] ** args[1])
+        else:
+            x, y = made[args[0]], made[args[1]]
+            made.append(x + y if op == "add" else x * y)
+    return made[circ.root]
+
+
+def test_substituted_degree_is_the_degree_of_the_polynomial():
+    # stats gave 8, deg F times the base bound, where the polynomial has 4
+    g = fm.substitute_form(fm.build_S(), QUADRATIC)
+    atom, = g.atoms()
+    expr = sympy.expand(_sympy(atom))
+    assert sympy.Poly(expr, *sorted(expr.free_symbols, key=str)).total_degree() == 4
+    assert fm.stats(g).degree_bound == 4
+
+
+@pytest.mark.parametrize("F", [QUADRATIC, CUBIC], ids=["quadratic", "cubic"])
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("n", [2, 7, 100])
+def test_substituted_campana_keeps_the_ledger_degree(n, real, F):
+    g = fm.substitute_form(fm.build_campana(n, real), F)
+    assert fm.stats(g).degree_bound == fm.TARGETS["campana"].ledger(n, real)[3]
+
+
+#: The emit targets with r free: every one but disjoint.
+_R_TARGETS = sorted(name for name, target in fm.TARGETS.items()
+                    if "r" in target.build(3).free)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_R_TARGETS), st.sampled_from([2, 3, 7]), st.booleans(),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(lambda cs: cs + [1]))
+def test_substitution_degree_lies_between_the_base_bound_and_its_multiple(
+        name, n, real, coeffs):
+    F = BinaryForm.from_x_coeffs(coeffs)  # degree 1-4, its x^d coefficient 1
+    base = fm.TARGETS[name].build(n, real)
+    g = fm.substitute_form(base, F)
+    low, sub = fm.stats(base).degree_bound, fm.stats(g).degree_bound
+    assert low <= sub <= F.degree * low
+    assert sub == max(atom.degree() for atom in g.atoms())
 
 
 #: Not binary forms, refused by substitute_form and campana_member_form.
@@ -523,10 +584,6 @@ _BAD_FORMULAS = {
     "pair a dict": lambda: fm.Formula([{"exists": 0, "y": 0}], ("eq", _X), ["x"]),
     "bad quantifier": lambda: fm.Formula([("some", "y")], ("eq", _X), ["x"]),
     "quantifier a list": lambda: fm.Formula([(["exists"], "y")], ("eq", _X), ["x"]),
-    "override -5": lambda: fm.Formula([], ("eq", _X), ["x"], degree_override=-5),
-    "override '7'": lambda: fm.Formula([], ("eq", _X), ["x"], degree_override="7"),
-    "override True": lambda: fm.Formula([], ("eq", _X), ["x"], degree_override=True),
-    "override 2.0": lambda: fm.Formula([], ("eq", _X), ["x"], degree_override=2.0),
     "atom an int": lambda: fm.Formula([], ("eq", 5), ["x"]),
     "atom a str": lambda: fm.Formula([], ("eq", "x"), ["x"]),
     "atom None": lambda: fm.Formula([], ("neq", None), ["x"]),
@@ -549,8 +606,7 @@ def test_formula_refuses_a_bad_argument_with_a_value_error(case):
 
 
 # emit keeps each format's bytes on the Formula, so a Formula is read-only
-_SLOTS = ("prefix", "matrix", "free", "degree_override", "real_embedded",
-          "_layout", "_emitted")
+_SLOTS = ("prefix", "matrix", "free", "real_embedded", "_layout", "_emitted")
 
 
 @pytest.mark.parametrize("slot", _SLOTS)

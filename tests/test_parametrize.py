@@ -147,6 +147,20 @@ def test_construct_omega_rejects_composites():
         pz.construct_omega([1])
 
 
+@pytest.mark.parametrize("config", [5, "cfg", {"candidate_cap": 5}])
+@pytest.mark.parametrize("call", [
+    lambda cfg: pz.find_b(3, [5, 7], cfg),
+    lambda cfg: pz.construct_even([2, 3], cfg),
+    lambda cfg: pz.construct_odd([7], cfg),
+    lambda cfg: pz.construct_omega([2, 3], cfg),
+    lambda cfg: pz.construct_omega([], cfg),
+], ids=["find_b", "construct_even", "construct_odd", "construct_omega", "construct_omega[]"])
+def test_a_config_that_is_not_a_search_config_is_a_value_error(call, config):
+    # construct_omega([2, 3], 5) raised AttributeError
+    with pytest.raises(ValueError, match="SearchConfig"):
+        call(config)
+
+
 @pytest.mark.parametrize("S", [[3, 5, 7, 11], [3, 5, 7]], ids=["even", "odd"])
 def test_construct_omega_proves_each_prime_of_S_once(monkeypatch, S):
     proofs = collections.Counter()

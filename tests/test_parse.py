@@ -213,9 +213,7 @@ def matrices(draw, depth=2):
 @st.composite
 def formulas(draw):
     prefix = [(draw(st.sampled_from([fm.FORALL, fm.EXISTS])), n) for n in BOUND]
-    return fm.Formula(prefix, draw(matrices()), FREE,
-                      degree_override=draw(st.none() | st.integers(0, 10**6)),
-                      real_embedded=draw(st.booleans()))
+    return fm.Formula(prefix, draw(matrices()), FREE, real_embedded=draw(st.booleans()))
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,17 +257,15 @@ def constructor_args(draw):
                   | st.lists(loose_pairs, max_size=3) | st.text(max_size=3) | st.none())
     free = draw(st.sampled_from([list(FREE), FREE]) | st.lists(loose_names, max_size=3)
                 | st.text(max_size=3) | st.frozensets(st.sampled_from(FREE)))
-    override = draw(st.none() | st.integers(-3, 10**6) | st.booleans()
-                    | st.sampled_from(["7", 2.0]))
-    return prefix, draw(loose_matrices()), free, override, draw(st.booleans())
+    return prefix, draw(loose_matrices()), free, draw(st.booleans())
 
 
 @settings(max_examples=400, deadline=None)
 @given(constructor_args())
 def test_every_formula_the_constructor_accepts_round_trips(args):
-    prefix, matrix, free, override, real = args
+    prefix, matrix, free, real = args
     try:
-        f = fm.Formula(prefix, matrix, free, degree_override=override, real_embedded=real)
+        f = fm.Formula(prefix, matrix, free, real_embedded=real)
     except ValueError:
         return
     blob = fm.emit(f, "json")

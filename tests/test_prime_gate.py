@@ -90,13 +90,17 @@ def test_anything_but_a_prime_is_a_value_error(name, bad):
         call(_argument(kind, bad))
 
 
+#: TAKES_S, and PlaceSet, which takes its places v in an iterable too.
+TAKES_ITERABLE = {**TAKES_S, "places.PlaceSet": lambda S: places.PlaceSet(S)}
+
+
 @pytest.mark.parametrize("name, S", [
     pytest.param(name, S, id=f"{name}({S!r})")
-    for name in sorted(TAKES_S) for S in (None, 7)
+    for name in sorted(TAKES_ITERABLE) for S in (None, 7)
 ])
 def test_a_prime_set_that_is_not_iterable_is_a_value_error(name, S):
     with pytest.raises(ValueError):
-        TAKES_S[name](S)
+        TAKES_ITERABLE[name](S)
 
 
 def test_every_function_that_takes_a_prime_set_is_in_the_table():

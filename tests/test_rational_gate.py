@@ -115,7 +115,28 @@ INTEGER = {
     "Circuit.evaluate_vec(q)": lambda x: int((X * X).evaluate_vec({"x": [2]}, x)[0]),
     "BinaryForm(i)": lambda x: BinaryForm(_terms(((x, 0), 1))).degree,
     "BinaryForm(j)": lambda x: BinaryForm(_terms(((0, x), 1))).degree,
+    "parametrize.SearchConfig(candidate_cap)":
+        lambda x: parametrize.SearchConfig(candidate_cap=x).candidate_cap,
 }
+
+#: "function(parameter)" -> call(xs), which passes xs as that parameter: an
+#: iterable of numbers or of pairs, or a mapping for BinaryForm's coeffs.
+#: Before their gates, most raised TypeError or AttributeError on these.
+COLLECTION = {
+    "arith.crt(congruences)": lambda xs: arith.crt(xs),
+    "arith.crt(a congruence)": lambda xs: arith.crt([xs]),
+    "kernels.norm_value(values)": lambda xs: kernels.norm_value(xs),
+    "kernels.norm_int(w)": lambda xs: kernels.norm_int(xs),
+    "kernels.norm_is_zero(values)": lambda xs: kernels.norm_is_zero(xs),
+    "BinaryForm(coeffs)": lambda xs: BinaryForm(xs),
+    "BinaryForm(a key)": lambda xs: BinaryForm({xs: 1}),
+    "BinaryForm.from_x_coeffs(coeffs)": lambda xs: BinaryForm.from_x_coeffs(xs),
+}
+
+#: Values that no call in COLLECTION takes; a list only where it takes none.
+NOT_COLLECTIONS = {name: (None, 7) for name in COLLECTION}
+NOT_COLLECTIONS["arith.crt(a congruence)"] += ([5],)
+NOT_COLLECTIONS["BinaryForm(coeffs)"] += ([((1, 0), 1)],)
 
 #: Parameters of the scanned modules that carry a number other than a
 #: prime, a place, a prime set or an n.
@@ -143,6 +164,15 @@ def test_anything_else_is_a_value_error(name, bad):
     call = RATIONAL.get(name) or INTEGER[name]
     with pytest.raises(ValueError):
         call(bad)
+
+
+@pytest.mark.parametrize("name, bad", [
+    pytest.param(name, bad, id=f"{name}-{bad!r}")
+    for name, bads in sorted(NOT_COLLECTIONS.items()) for bad in bads
+])
+def test_a_collection_of_the_wrong_kind_is_a_value_error(name, bad):
+    with pytest.raises(ValueError):
+        COLLECTION[name](bad)
 
 
 @pytest.mark.parametrize("name", sorted(RATIONAL))

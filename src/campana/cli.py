@@ -3,9 +3,8 @@
 Exit codes: 0 success, 1 verified failure or search exhaustion, 2 usage
 error, 141 (128 + SIGPIPE) when the reader of stdout goes away before the
 output is written, as `head` can.  Rationals are written "num/den" or
-plain integers; the place at infinity is "inf".  Every setting is a flag
-of its command (construct --candidate-cap, verify --seed and --samples);
-one left out takes the default of the function the command calls.
+plain integers; the place at infinity is "inf".  The only settings are
+verify's --seed and --samples; one left out takes verify.run's default.
 """
 from __future__ import annotations
 
@@ -81,8 +80,7 @@ def cmd_construct(args) -> int:
     if len(set(primes)) != len(primes):
         raise CliError("duplicate primes in S")
     try:
-        sc = parametrize.SearchConfig(**_given(args, "candidate_cap"))
-        report = parametrize.construct_omega(primes, sc)
+        report = parametrize.construct_omega(primes)
     except ValueError as exc:
         raise CliError(str(exc))
     print(json.dumps(report.to_dict(), sort_keys=True))
@@ -187,9 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build (a,b,c,d) realizing a prime set")
     p.add_argument("primes", nargs="*", help="the target primes")
-    p.add_argument("--candidate-cap", type=int,
-                   help="how many helper primes the search may try (default "
-                        f"{parametrize.SearchConfig.candidate_cap})")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("member", help="semantic membership tests")

@@ -593,14 +593,15 @@ TARGETS: Dict[str, Target] = {
 
 def substitute_form(base: Formula, F: BinaryForm) -> Formula:
     """Replace the free variable r by F(lam, 1).  stats reads the degree
-    bound off the substituted circuits, as for any formula: it lies between
-    the base bound and deg(F) times it, and is lower than the product where
-    r never meets the top degree.  F that is not a BinaryForm of degree >= 1
-    is a ValueError (a constant F would drop lam from the matrix, which
-    lists it free)."""
+    bound off the substituted circuits, as for any formula: with e the
+    degree of F(lam, 1), it lies between the base bound and e times it, and
+    is lower than the product where r never meets the top degree.  F that
+    is not a BinaryForm in which x occurs is a ValueError: a constant
+    F(lam, 1), as from y^2, would drop lam from the matrix, which lists it
+    free."""
     base = _formula(base, "base")
-    if binary_form(F).degree < 1:
-        raise ValueError(f"F must be a BinaryForm of degree >= 1, not {F!r}")
+    if max(binary_form(F).dehomogenized()) < 1:
+        raise ValueError(f"F must be a BinaryForm in which x occurs, not {F!r}")
     if "r" not in base.free:
         raise ValueError("'r' is not free in the formula")
     used = set(base.free) | {n for _, n in base.prefix}

@@ -88,9 +88,12 @@ def test_construct_primes_parse_like_a_prime_list(capsys):
     assert code == 2 and "5x" in err
 
 
-def test_construct_search_exhaustion_exits_1(capsys):
+def test_construct_search_exhaustion_exits_1(capsys, monkeypatch):
     # S = {2, 17} needs one helper prime, which a cap of 0 forbids
-    code, _, err = run(capsys, "construct", "2", "17", "--candidate-cap", "0")
+    search = cli.parametrize.construct_omega
+    monkeypatch.setattr(cli.parametrize, "construct_omega", lambda S: search(
+        S, cli.parametrize.SearchConfig(candidate_cap=0)))
+    code, _, err = run(capsys, "construct", "2", "17")
     assert code == 1
     assert "search exhausted" in err
 
@@ -211,7 +214,6 @@ def test_emit_to_file(capsys, tmp_path):
 
 
 def test_emit_to_an_empty_path_fails_to_write(capsys):
-    # -o '' was read as no -o: the document went to stdout and the exit was 0
     code, out, err = run(capsys, "emit", "S", "-o", "")
     assert code == 1 and out == "" and "cannot write" in err
 

@@ -101,8 +101,13 @@ def conic_has_solution(a: int, b: int, p: int, m: int) -> bool:
 
 
 def norm_mod(coeffs: list, q: int) -> int:
-    """Res(x^n - 2, h) mod q for h = sum(coeffs[j] x^j), len(coeffs) = n."""
-    if len(coeffs) == 1:  # Res(x - 2, c) = c
+    """Res(x^n - 2, h) mod q for h = sum(coeffs[j] x^j), len(coeffs) = n;
+    coeffs without a length, such as None or 7, is a ValueError."""
+    try:
+        n = len(coeffs)
+    except TypeError:
+        raise ValueError(f"coeffs must be a sequence, not {coeffs!r}") from None
+    if n == 1:  # Res(x - 2, c) = c
         return integer(coeffs[0], "a coefficient") % _modulus(q)
     return int(norm_mod_rows([coeffs], [q])[0])
 

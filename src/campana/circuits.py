@@ -48,23 +48,23 @@ class Circuit:
     ("neg", i), ("pow", i, k) and ("norm", (i1, ..., in)), where i, j, ...
     are the indices of earlier nodes; the root is the last node.
 
-    Circuit(nodes, root) is the circuit whose `nodes` are exactly `nodes`,
-    with root len(nodes) - 1.  It reads them with read_nodes, as
-    formulas.parse does, and then asks for more: each node must be a tuple
-    and exactly its node form (a constant as an int or a Fraction, not
-    "p/q"; norm children as a tuple).  Anything else raises ValueError: an
-    unknown op or wrong fields, a child that does not come before its node,
-    a node the root does not reach, a repeated node, or another order."""
+    Circuit(nodes) is the circuit whose `nodes` are exactly `nodes`.  It
+    reads them with read_nodes, as formulas.parse does, and then asks for
+    more: each node must be a tuple and exactly its node form (a constant
+    as an int or a Fraction, not "p/q"; norm children as a tuple).
+    Anything else raises ValueError: no nodes, an unknown op or wrong
+    fields, a child that does not come before its node, a node the root
+    does not reach, a repeated node, or another order."""
 
     # _key: the node with each child given by its circuit, which is what the
     # table looks up; _kids: the child circuits; _names and _nodes: the free
     # variables and the node array, once asked for
     __slots__ = ("_key", "_kids", "_degree", "_names", "_nodes", "__weakref__")
 
-    def __new__(cls, nodes: Sequence[tuple], root: int) -> "Circuit":
+    def __new__(cls, nodes: Sequence[tuple]) -> "Circuit":
         nodes = tuple(nodes)
-        if not nodes or root != len(nodes) - 1:
-            raise ValueError("the root must be the last node")
+        if not nodes:
+            raise ValueError("a circuit has at least one node, its root")
         made = read_nodes(nodes)
         if made[-1].nodes != nodes:
             raise ValueError(_not_canonical(nodes, made))
@@ -231,7 +231,7 @@ class Circuit:
     __hash__ = object.__hash__
 
     def __reduce__(self):
-        return Circuit, (self.nodes, self.root)
+        return Circuit, (self.nodes,)
 
     def __repr__(self):
         return f"Circuit({len(self.nodes)} nodes, degree {self.degree()})"
@@ -331,7 +331,8 @@ class _Op(NamedTuple):
     that takes a function f or t calls it on the node's own child fields.
     load reads node i of a node list, an array of length arity, against the
     circuits made for nodes 0..i-1: it returns the table key, each child
-    index an int below i given by its circuit, or raises ValueError."""
+    index an int below i given by its circuit, or raises ValueError.  An
+    array node is the only node form read."""
 
     children: Callable  # node -> child fields
     remap: Callable     # (node, f) -> the node with each child j moved to f(j)
@@ -340,7 +341,6 @@ class _Op(NamedTuple):
     mod: Callable       # int in [0, q)
     arity: int          # the length of a node, op included
     load: Callable      # (array node of that length, i, circuits so far) -> table key
-    fields: Tuple[str, ...]  # the keys besides "op" of an object node (older JSON)
     sexpr: Callable     # (node, t) -> str, where t(j) is the text of child j
     latex: Callable
     vec: Optional[Callable] = None
@@ -427,7 +427,7 @@ OPS: Dict[str, _Op] = {
         exact=lambda nd, v, env, q: arith.rational(_lookup(env, nd[1])),
         mod=lambda nd, v, env, q: _int_mod(_lookup(env, nd[1]), q),
         vec=lambda nd, v, env, q: _vec_var(_lookup(env, nd[1]), q),
-        arity=2, fields=("name",),
+        arity=2,
         load=lambda nd, i, made: ("var", _checked(nd[1], type(nd[1]) is str,
                                                   "a var name must be a string")),
         sexpr=lambda nd, t: f"(var {nd[1]})",
@@ -440,7 +440,7 @@ OPS: Dict[str, _Op] = {
         exact=lambda nd, v, env, q: nd[1],
         mod=lambda nd, v, env, q: _const_mod(nd[1], q),
         vec=lambda nd, v, env, q: np.int64(_const_mod(nd[1], q)),
-        arity=2, fields=("value",), load=lambda nd, i, made: ("int", _value(nd[1])),
+        arity=2, load=lambda nd, i, made: ("int", _value(nd[1])),
         sexpr=lambda nd, t: f"(int {nd[1]})",
         latex=lambda nd, t: str(nd[1]) if isinstance(nd[1], int) else
         rf"\tfrac{{{nd[1].numerator}}}{{{nd[1].denominator}}}",
@@ -450,7 +450,7 @@ OPS: Dict[str, _Op] = {
         degree=lambda key: max(key[1]._degree, key[2]._degree),
         exact=lambda nd, v, env, q: v[nd[1]] + v[nd[2]],
         mod=lambda nd, v, env, q: (v[nd[1]] + v[nd[2]]) % q,
-        arity=3, fields=("args",),
+        arity=3,
         load=lambda nd, i, made: ("add", _kid(nd[1], i, made), _kid(nd[2], i, made)),
         sexpr=lambda nd, t: f"(add {t(nd[1])} {t(nd[2])})",
         latex=lambda nd, t: f"\\left({t(nd[1])} + {t(nd[2])}\\right)",
@@ -460,7 +460,7 @@ OPS: Dict[str, _Op] = {
         degree=lambda key: key[1]._degree + key[2]._degree,
         exact=lambda nd, v, env, q: v[nd[1]] * v[nd[2]],
         mod=lambda nd, v, env, q: v[nd[1]] * v[nd[2]] % q,
-        arity=3, fields=("args",),
+        arity=3,
         load=lambda nd, i, made: ("mul", _kid(nd[1], i, made), _kid(nd[2], i, made)),
         sexpr=lambda nd, t: f"(mul {t(nd[1])} {t(nd[2])})",
         latex=lambda nd, t: f"{t(nd[1])} \\cdot {t(nd[2])}",
@@ -470,7 +470,7 @@ OPS: Dict[str, _Op] = {
         degree=lambda key: key[1]._degree,
         exact=lambda nd, v, env, q: -v[nd[1]],
         mod=lambda nd, v, env, q: -v[nd[1]] % q,
-        arity=2, fields=("arg",), load=lambda nd, i, made: ("neg", _kid(nd[1], i, made)),
+        arity=2, load=lambda nd, i, made: ("neg", _kid(nd[1], i, made)),
         sexpr=lambda nd, t: f"(neg {t(nd[1])})",
         latex=lambda nd, t: f"-{t(nd[1])}",
     ),
@@ -480,7 +480,7 @@ OPS: Dict[str, _Op] = {
         exact=lambda nd, v, env, q: arith._power(v[nd[1]], nd[2]),
         mod=lambda nd, v, env, q: pow(v[nd[1]], nd[2], q),
         vec=lambda nd, v, env, q: _vec_pow(v[nd[1]], nd[2], q),
-        arity=3, fields=("arg", "k"),
+        arity=3,
         load=lambda nd, i, made: ("pow", _kid(nd[1], i, made), _checked(
             nd[2], type(nd[2]) is int and nd[2] >= 1, "pow k must be an int >= 1")),
         sexpr=lambda nd, t: f"(pow {t(nd[1])} {nd[2]})",
@@ -492,7 +492,7 @@ OPS: Dict[str, _Op] = {
         exact=lambda nd, v, env, q: kernels.norm_value([v[j] for j in nd[1]]),
         mod=lambda nd, v, env, q: kernels.norm_mod([v[j] for j in nd[1]], q),
         vec=lambda nd, v, env, q: _vec_norm([v[j] for j in nd[1]], q),
-        arity=2, fields=("args",),
+        arity=2,
         load=lambda nd, i, made: ("norm", tuple([_kid(j, i, made) for j in _checked(
             nd[1], type(nd[1]) in (list, tuple) and len(nd[1]) > 0,
             "norm takes a nonempty list of child indices")])),
@@ -532,33 +532,18 @@ def _malformed(i: int, nd) -> str:
     return f"node {i}: {nd!r} is not a known op and its fields"
 
 
-def _array(i: int, d: dict) -> list:
-    """The array form of an object node {"op": op, <the fields of OPS[op]>},
-    the JSON form before array nodes; ValueError on a missing or extra key."""
-    op = d.get("op")
-    row = OPS.get(op) if type(op) is str else None
-    if row is None or d.keys() != {"op", *row.fields}:
-        raise ValueError(_malformed(i, d))
-    values = [d[key] for key in row.fields]
-    if len(values) + 1 < row.arity and type(values[0]) is list:
-        values = values[0]  # add and mul: "args" holds both children
-    return [op, *values]
-
-
 def read_nodes(raw) -> List[Circuit]:
     """One circuit per node of a node list whose children come first, each
-    node checked, loaded and interned as it is read: an array node (a JSON
-    array or a node tuple) goes through the load rule of its op, and an
-    object node is turned into its array first.  ValueError, naming the
-    node, unless its op is known, its length right, each child index an int
-    below its own index and each other field well formed.  The list may
-    repeat nodes, hold nodes no root reaches and have any such order; each
-    circuit is canonical all the same."""
+    node checked, loaded and interned as it is read: each node is an array
+    (a JSON array or a node tuple) and goes through the load rule of its op.
+    ValueError, naming the node, unless it is an array, its op is known,
+    its length right, each child index an int below its own index and each
+    other field well formed.  The list may repeat nodes, hold nodes no root
+    reaches and have any such order; each circuit is canonical all the
+    same."""
     _checked(raw, type(raw) in (list, tuple), "nodes must be a list")
     made: List[Circuit] = []
     for i, nd in enumerate(raw):
-        if type(nd) is dict:
-            nd = _array(i, nd)
         row = OPS.get(nd[0]) if type(nd) in (list, tuple) and nd and type(nd[0]) is str else None
         if row is None or len(nd) != row.arity:
             raise ValueError(_malformed(i, nd))

@@ -720,13 +720,12 @@ _DOC_KEYS = {"free", "prefix", "nodes", "matrix"}
 
 def parse(data: Union[bytes, str]) -> Formula:
     """Inverse of emit(..., 'json').  The node list goes through
-    circuits.read_nodes, the reader Circuit(nodes, root) uses too, which
-    checks, loads and interns each node as it is read.  Any node list whose
-    children come first parses, also one that repeats nodes or holds nodes
-    no atom reaches (documents written before the node list was shared) or
-    whose nodes are objects such as {"op": "add", "args": [i, j]} (written
-    before array nodes); each atom is the canonical circuit all the same.
-    A malformed document raises ValueError."""
+    circuits.read_nodes, the reader Circuit(nodes) uses too, which checks,
+    loads and interns each node as it is read.  Each node is an array such
+    as ["add", i, j]; any such list whose children come first parses, also
+    one that repeats nodes or holds nodes no atom reaches (documents written
+    before the node list was shared), and each atom is the canonical circuit
+    all the same.  A malformed document raises ValueError."""
     if not isinstance(data, (str, bytes, bytearray)):
         raise ValueError(f"a formula document is a str or bytes, "
                          f"not {type(data).__name__}")

@@ -41,11 +41,13 @@ class SearchConfig:
 
 def _search_config(config) -> SearchConfig:
     """config itself, or a fresh SearchConfig for None; anything else is
-    a ValueError."""
+    a ValueError.  The cap is read again by arith.integer, as it may have
+    been assigned since the config was made."""
     if config is None:
         return SearchConfig()
     if not isinstance(config, SearchConfig):
         raise ValueError(f"config must be a SearchConfig, not {config!r}")
+    config.candidate_cap = arith.integer(config.candidate_cap, "candidate_cap")
     return config
 
 

@@ -226,13 +226,15 @@ SUITES: Dict[str, Callable[[int, int], List[Row]]] = {
 
 def run(suite: str, seed: int = 42, samples: int = 1000) -> Tuple[bool, str]:
     """Run one suite (or 'all'); returns (all_passed, printable table).
-    samples < 1 would pass without testing anything, so it is refused."""
+    suite is a str, 'all' or a SUITES key, and seed and samples are
+    integers; anything else is a ValueError.  samples < 1 would pass
+    without testing anything, so it is refused too."""
+    if not (type(suite) is str and (suite == "all" or suite in SUITES)):
+        raise ValueError(f"unknown suite {suite!r}")
+    seed, samples = arith.integer(seed, "seed"), arith.integer(samples, "samples")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     names = list(SUITES) if suite == "all" else [suite]
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
     lines = []
     ok = True
     for name in names:

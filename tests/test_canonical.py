@@ -112,7 +112,7 @@ def test_sharing_of_python_objects_does_not_change_the_nodes(tree):
         assert shared.nodes == plain.nodes
         assert shared == plain
     assert plain.nodes == expected_nodes([tree])
-    assert Circuit(plain.nodes, plain.root) is plain
+    assert Circuit(plain.nodes) is plain
 
 
 @settings(max_examples=200, deadline=None)
@@ -150,11 +150,13 @@ def _written_out(tree, out):
     at = [_written_out(kid, out) for kid in _children(tree)]
     op = tree[0]
     if op in ("var", "int"):
-        node = {"op": op, ("name" if op == "var" else "value"): tree[1]}
-    elif op in ("neg", "pow"):
-        node = {"op": op, "arg": at[0], **({"k": tree[2]} if op == "pow" else {})}
+        node = list(tree)
+    elif op == "norm":
+        node = ["norm", at]
+    elif op == "pow":
+        node = ["pow", at[0], tree[2]]
     else:
-        node = {"op": op, "args": at}
+        node = [op, *at]
     out.append(node)
     return len(out) - 1
 

@@ -216,8 +216,8 @@ def test_vectorized_evaluation_rejects_non_integers():
 
 
 def test_root_is_the_last_node():
-    with pytest.raises(ValueError):
-        Circuit((("var", "x"), ("var", "y")), 0)
+    with pytest.raises(ValueError, match="node 0 is not reachable"):
+        Circuit((("var", "x"), ("var", "y")))
 
 
 @pytest.mark.parametrize("nodes, why", [
@@ -238,7 +238,7 @@ def test_root_is_the_last_node():
 ])
 def test_constructor_rejects_malformed_nodes(nodes, why):
     with pytest.raises(ValueError, match=why):
-        Circuit(nodes, len(nodes) - 1)
+        Circuit(nodes)
 
 
 def test_constructor_returns_the_canonical_circuit():
@@ -246,8 +246,8 @@ def test_constructor_returns_the_canonical_circuit():
     f = Circuit.norm([x * y + 1, x, (x * y) ** 3])
     assert f.nodes == (("var", "x"), ("var", "y"), ("mul", 0, 1), ("int", 1),
                        ("add", 2, 3), ("pow", 2, 3), ("norm", (4, 0, 5)))
-    assert Circuit(f.nodes, f.root) is f
-    assert Circuit(list(f.nodes), f.root) is f
+    assert Circuit(f.nodes) is f
+    assert Circuit(list(f.nodes)) is f
     assert copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
 
 

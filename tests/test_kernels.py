@@ -303,6 +303,9 @@ def test_norm_mod_rows_rejects_bad_shapes_and_types():
         _kernels_py.norm_mod_rows([[1.5, 2]], [7])
     with pytest.raises(ValueError):
         _kernels_py.norm_mod([Fraction(1, 2), 1], 7)
+    for coeffs in (None, 7):
+        with pytest.raises(ValueError):
+            kernels.norm_mod(coeffs, 7)
 
 
 def test_norm_int_and_zero_test_use_row_kernel():

@@ -147,18 +147,31 @@ def test_construct_omega_rejects_composites():
         pz.construct_omega([1])
 
 
-@pytest.mark.parametrize("config", [5, "cfg", {"candidate_cap": 5}])
-@pytest.mark.parametrize("call", [
+# each search that takes a config, called with one
+searches = pytest.mark.parametrize("call", [
     lambda cfg: pz.find_b(3, [5, 7], cfg),
     lambda cfg: pz.construct_even([2, 3], cfg),
     lambda cfg: pz.construct_odd([7], cfg),
     lambda cfg: pz.construct_omega([2, 3], cfg),
     lambda cfg: pz.construct_omega([], cfg),
 ], ids=["find_b", "construct_even", "construct_odd", "construct_omega", "construct_omega[]"])
+
+
+@pytest.mark.parametrize("config", [5, "cfg", {"candidate_cap": 5}])
+@searches
 def test_a_config_that_is_not_a_search_config_is_a_value_error(call, config):
     # construct_omega([2, 3], 5) raised AttributeError
     with pytest.raises(ValueError, match="SearchConfig"):
         call(config)
+
+
+@pytest.mark.parametrize("cap", ["5", None, 2.5])
+@searches
+def test_a_cap_assigned_after_construction_is_read_by_the_gate(call, cap):
+    cfg = pz.SearchConfig()
+    cfg.candidate_cap = cap
+    with pytest.raises(ValueError, match="candidate_cap"):
+        call(cfg)
 
 
 @pytest.mark.parametrize("S", [[3, 5, 7, 11], [3, 5, 7]], ids=["even", "odd"])

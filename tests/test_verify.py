@@ -23,6 +23,18 @@ def test_unknown_suite_rejected():
         verify.run("nosuch")
 
 
+@pytest.mark.parametrize("args", [
+    {"suite": ["hilbert"]}, {"suite": ("all",)}, {"suite": None},
+    {"suite": "hilbert", "samples": "5"}, {"suite": "hilbert", "samples": 2.5},
+    {"suite": "hilbert", "samples": None},
+    {"suite": "hilbert", "seed": "x"}, {"suite": "hilbert", "seed": None},
+    {"suite": "hilbert", "seed": 1.0},
+])
+def test_a_suite_that_is_not_a_str_or_a_non_integer_seed_or_samples_is_refused(args):
+    with pytest.raises(ValueError):
+        verify.run(**args)
+
+
 def test_deterministic_for_fixed_seed():
     assert verify.run("semantics", seed=3, samples=60) == \
         verify.run("semantics", seed=3, samples=60)

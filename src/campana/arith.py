@@ -278,17 +278,39 @@ def split_power(n: int, p: int) -> Tuple[int, int]:
 POWER_BITS = 1 << 22
 
 
+def _bits(x: RationalLike) -> int:
+    """The bit length of an int, or of a Fraction's numerator or
+    denominator, whichever is longer."""
+    if type(x) is int:
+        return x.bit_length()
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
+
+
 def _power(x: RationalLike, k: int) -> RationalLike:
     """x ** k for an int or a Fraction x and an int k >= 0, checked against
     POWER_BITS before it is computed."""
-    if type(x) is int:
-        bits = x.bit_length()
-    else:
-        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+    bits = _bits(x)
     if (bits - 1) * k >= POWER_BITS:
         raise ValueError(f"x^{k} with x of {bits} bits would exceed "
                          f"POWER_BITS = {POWER_BITS} bits")
     return x ** k
+
+
+def _product(x: RationalLike, y: RationalLike) -> RationalLike:
+    """x * y for ints or Fractions x and y, refused with ValueError before it
+    is computed when their bit lengths (as _bits reads them) sum past
+    2 POWER_BITS, the size a power let through keeps below.  So a chain of
+    products, such as 60 squarings of 2, is refused where it passes the
+    bound instead of running until memory is gone; a bound on the degree
+    would miss a chain of constants, whose degree is 0."""
+    if type(x) is int and type(y) is int:
+        bits = x.bit_length() + y.bit_length()
+    else:
+        bits = _bits(x) + _bits(y)
+    if bits > 2 * POWER_BITS:
+        raise ValueError(f"a product of factors of {bits} bits in all would "
+                         f"exceed 2 POWER_BITS = {2 * POWER_BITS} bits")
+    return x * y
 
 
 def prime(p) -> int:

@@ -205,7 +205,10 @@ class Circuit:
         is read by arith.rational, so a float or a str raises ValueError.
         The fold works on Python ints until a rational value or constant
         meets it, and makes one Fraction at the root; norm nodes go through
-        the exact resultant evaluator."""
+        the exact resultant evaluator.  A value past the bit bounds of
+        arith.POWER_BITS is refused with ValueError before it is computed:
+        a power, a product whose factors' bits sum past 2 POWER_BITS, and a
+        norm of m values of at most b bits with m (b + 2) past it."""
         return Fraction(self._fold(_EXACT, env))
 
     def evaluate_mod(self, env: Mapping[str, int], q: int) -> int:
@@ -395,6 +398,17 @@ def _vec_norm(args, q: int):
     return kernels.norm_mod_rows(flat, [q] * len(flat)).reshape(shape)
 
 
+def _exact_norm(values: list) -> ConstLike:
+    """kernels.norm_value at the values, refused with ValueError before it
+    is computed when len(values) * (their largest bit length + 2) passes
+    2 POWER_BITS, the bound arith._product keeps for a mul node."""
+    bits = len(values) * (max(map(arith._bits, values)) + 2)
+    if bits > 2 * arith.POWER_BITS:
+        raise ValueError(f"a norm of {len(values)} values would take about {bits} "
+                         f"bits, past 2 POWER_BITS = {2 * arith.POWER_BITS}")
+    return kernels.norm_value(values)
+
+
 def _checked(x, ok: bool, what: str):
     if not ok:
         raise ValueError(f"{what}, not {x!r}")
@@ -458,7 +472,7 @@ OPS: Dict[str, _Op] = {
     "mul": _Op(
         children=lambda nd: nd[1:], remap=lambda nd, f: ("mul", f(nd[1]), f(nd[2])),
         degree=lambda key: key[1]._degree + key[2]._degree,
-        exact=lambda nd, v, env, q: v[nd[1]] * v[nd[2]],
+        exact=lambda nd, v, env, q: arith._product(v[nd[1]], v[nd[2]]),
         mod=lambda nd, v, env, q: v[nd[1]] * v[nd[2]] % q,
         arity=3,
         load=lambda nd, i, made: ("mul", _kid(nd[1], i, made), _kid(nd[2], i, made)),
@@ -489,7 +503,7 @@ OPS: Dict[str, _Op] = {
     "norm": _Op(
         children=lambda nd: nd[1], remap=lambda nd, f: ("norm", tuple(map(f, nd[1]))),
         degree=lambda key: len(key[1]) * max(c._degree for c in key[1]),
-        exact=lambda nd, v, env, q: kernels.norm_value([v[j] for j in nd[1]]),
+        exact=lambda nd, v, env, q: _exact_norm([v[j] for j in nd[1]]),
         mod=lambda nd, v, env, q: kernels.norm_mod([v[j] for j in nd[1]], q),
         vec=lambda nd, v, env, q: _vec_norm([v[j] for j in nd[1]], q),
         arity=2,

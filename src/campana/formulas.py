@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from . import arith
 from .circuits import Circuit, Layout, layout, read_nodes, render_all, to_json
+from .errors import InvariantError
 from .forms import BinaryForm, binary_form
 from .memo import memo
 
@@ -89,9 +90,12 @@ class Formula:
     matrix nodes of the forms above with each variable of an atom free or
     bound; anything else is a ValueError.  Every slot is read-only once
     made, so the layout and the documents emit keeps on a formula always
-    describe it."""
+    describe it.  _family is None but on the formulas build_Jn, build_inv_Jn
+    and build_campana return (see _n_family); a copy, a pickle or a parse
+    of one has none, and == ignores it."""
 
-    __slots__ = ("prefix", "matrix", "free", "real_embedded", "_layout", "_emitted")
+    __slots__ = ("prefix", "matrix", "free", "real_embedded", "_layout", "_emitted",
+                 "_family")
 
     def __init__(
         self,
@@ -122,6 +126,7 @@ class Formula:
             raise ValueError("a variable is both free and bound")
         init("_layout", None)  # made by the first emit
         init("_emitted", {})  # format -> the bytes emit made, filled by emit
+        init("_family", None)  # (target, real_embedded, n - 1) of an n-family member
         names = free | bound
         for circ in self.atoms():
             stray = circ._free_names() - names
@@ -307,7 +312,8 @@ def _premise_block(a, b, c, d, a2, b2, c2, d2, r, gs):
 # by memo, and build_integrality keeps its two variants: each returns one
 # shared Formula, which holds its circuits (and its layout, once emitted)
 # until cache_clear() or clear_memos().  build_Jn, build_inv_Jn and
-# build_campana take an unbounded n and build afresh on every call.
+# build_campana take an unbounded n and build afresh on every call; emit
+# writes their documents into one template per family (_n_template).
 
 #: The builders' free names: the first tuple (a, b, c, d), the element r, and
 #: the second tuple (a2, b2, c2, d2) of the disjointness blocks.
@@ -369,13 +375,23 @@ def build_disjoint() -> Formula:
 
 
 def build_Jn(n: int) -> Formula:
-    return _exists_formula(
-        lambda a, b, c, d, r, gs: _jn_block(a, b, c, d, n, r, gs), _ABCDR)
+    n = arith.check_n(n)
+    return _n_family(_exists_formula(
+        lambda a, b, c, d, r, gs: _jn_block(a, b, c, d, n, r, gs), _ABCDR), "Jn", False, n)
 
 
 def build_inv_Jn(n: int) -> Formula:
-    return _exists_formula(
-        lambda a, b, c, d, r, gs: _inv_jn_block(a, b, c, d, n, r, gs), _ABCDR)
+    n = arith.check_n(n)
+    return _n_family(_exists_formula(
+        lambda a, b, c, d, r, gs: _inv_jn_block(a, b, c, d, n, r, gs), _ABCDR),
+        "invJn", False, n)
+
+
+def _n_family(f: Formula, target: str, real_embedded: bool, n: int) -> Formula:
+    """f, tagged as the member at n of the target's n-family, so that emit
+    writes its documents into the family's template (_n_template)."""
+    object.__setattr__(f, "_family", (target, real_embedded, n - 1))
+    return f
 
 
 @memo("formulas.build_premise")
@@ -512,9 +528,9 @@ def build_campana(n: int, real_embedded: bool = False) -> Formula:
     if n < 2:
         raise ValueError("n must be >= 2 (the n = 1 set is the whole field)")
     real_embedded = _real(real_embedded)
-    return _premise_implies(
+    return _n_family(_premise_implies(
         lambda a2, b2, c2, d2, r, gs: _inv_jn_block(a2, b2, c2, d2, n, r, gs),
-        real_embedded)
+        real_embedded), "campana", real_embedded, n)
 
 
 def build_integrality(real_embedded: bool = False) -> Formula:
@@ -677,22 +693,60 @@ def emit(f: Formula, format: str = "json") -> bytes:
     once, in canonical order, each node an array such as ["add", i, j] with
     the indices of its children, and each atom names its root in it.  sexpr
     is a lossless prefix rendering; latex is for human eyes.  Each format is
-    rendered once per Formula, which keeps the bytes: a later call returns
-    the same bytes object, so a shared builder formula renders once per
-    process."""
+    made once per Formula, which keeps the bytes: a later call returns the
+    same bytes object, so a shared builder formula renders once per
+    process.  A member of an n-family (build_Jn, build_inv_Jn and
+    build_campana) is not rendered: its n - 1 is written into the family's
+    template, which is rendered once per process, on the first emit."""
     f = _formula(f)
     # compared, not hashed, so that an unhashable format is a ValueError too
     key = next((known for known in FORMATS if known == format), None)
     if key is None:
         raise ValueError(f"unknown format {format!r}")
     blob = f._emitted.get(key)
-    if blob is None:  # setdefault: two threads that both render keep one
-        blob = f._emitted.setdefault(key, _render(f, key))
+    if blob is None:  # setdefault: two threads that both make it keep one
+        if f._family is None:
+            blob = _render(f, key)
+        else:
+            target, real_embedded, k = f._family
+            head, tail = _n_template(target, real_embedded)[key]
+            blob = b"".join((head, str(k).encode(), tail))
+        blob = f._emitted.setdefault(key, blob)
     return blob
 
 
+#: The exponent an n-family's template is rendered at.  Its decimal text
+#: occurs nowhere else in the template's documents, which _n_template checks.
+_HOLE = 10**18 + 9
+
+
+@memo("formulas._n_template", maxsize=4)
+def _n_template(target: str, real_embedded: bool) -> Dict[str, Tuple[bytes, bytes]]:
+    """{format: (head, tail)}: the documents of the target's member at
+    n - 1 = _HOLE, split at the hole's text, for the four n-families (Jn,
+    invJn, and campana with either combiner).  n reaches one node of these
+    formulas, the exponent k = n - 1 of pow(y, k) in J_n's atom
+    r - x y^k, and a document's layout does not depend on k: J_n's witness
+    y occurs elsewhere only linearly, so pow(y, k) is never shared and never
+    equal to another node, for any k >= 1.  So the member at any n has the
+    documents head + str(n - 1) + tail, byte for byte.  InvariantError
+    unless the hole's text occurs exactly once in every format."""
+    f = TARGETS[target].build(_HOLE + 1, real_embedded)
+    hole = str(_HOLE).encode()
+    parts = {}
+    for fmt in FORMATS:
+        pieces = _render(f, fmt).split(hole)
+        if len(pieces) != 2:
+            raise InvariantError(f"the {fmt} template of {target} holds the hole "
+                                 f"{_HOLE} {len(pieces) - 1} times, not once")
+        parts[fmt] = tuple(pieces)
+    return parts
+
+
 def _render(f: Formula, format: str) -> bytes:
-    """emit's bytes, made anew, for a format emit has checked."""
+    """emit's bytes, rendered from scratch, for a format emit has checked:
+    the one renderer, which _n_template renders with too, and the oracle
+    the tests and `verify formulas` hold emit's splices to."""
     if format == "json":
         lay = f.layout()
         doc = {

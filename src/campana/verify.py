@@ -148,7 +148,7 @@ def suite_formulas(seed: int, samples: int) -> List[Row]:
     cases = [(name, n, real) for name, t in fm.TARGETS.items()
              for n in ((2, 7, 100) if t.takes_n else (None,))
              for real in ((False, True) if t.has_real else (False,))]
-    bad = bad_trip = None
+    bad = bad_trip = bad_family = None
     warm = []
     for name, n, real in cases:
         target = fm.TARGETS[name]
@@ -160,10 +160,20 @@ def suite_formulas(seed: int, samples: int) -> List[Row]:
         warm.append([fm.emit(f, fmt) for fmt in fm.FORMATS])
         if bad_trip is None and fm.parse(warm[-1][0]) != f:
             bad_trip = f"{name}(n={n}, real={real}) changes under emit/parse"
+        # an n-family member's documents are spliced into its family's
+        # template; the renderer itself must give the same bytes
+        differ = [fmt for fmt, blob in zip(fm.FORMATS, warm[-1])
+                  if target.takes_n and blob != fm._render(f, fmt)]
+        if bad_family is None and differ:
+            bad_family = (f"{name}(n={n}, real={real}) emits other "
+                          f"{'/'.join(differ)} than a fresh render")
     rows.append((f"quantifier/atom/degree ledger ({len(cases)} builds)",
                  bad is None, bad or "exact match"))
     rows.append((f"emit/parse round trip ({len(cases)} builds)",
                  bad_trip is None, bad_trip or "identity"))
+    families = sum(1 for name, _, _ in cases if fm.TARGETS[name].takes_n)
+    rows.append((f"n-family emits equal a fresh render ({families} builds)",
+                 bad_family is None, bad_family or "same bytes"))
 
     # each build again from empty memos: the formula builders' and the
     # J(a,b,c,d) blocks' memos, and the bytes emit keeps on a formula, must

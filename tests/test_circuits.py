@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from campana import formulas as fm, kernels
+from campana import arith, formulas as fm, kernels
 from campana.circuits import Circuit
 
 
@@ -169,6 +169,53 @@ def test_pow_rejects_bad_exponent():
         with pytest.raises(ValueError):
             x**bad
     assert x ** np.int64(2) is x**2
+
+
+@pytest.mark.parametrize("base", [Circuit.var("x"), Circuit.const(2)], ids=["var", "const"])
+def test_exact_evaluation_of_a_squaring_chain_is_refused_at_the_bound(base):
+    # 60 squarings of 2 would run until memory is gone; the chain of a
+    # constant has degree 0, so a degree bound would not see it
+    c = base
+    for _ in range(60):
+        c = c * c
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="POWER_BITS"):
+        c.evaluate({"x": 2})
+    assert time.perf_counter() - start < 2
+    assert c.evaluate_mod({"x": 2}, 7) == pow(2, 2**60, 7)
+
+
+def test_exact_evaluation_of_a_norm_chain_is_refused_at_the_bound():
+    # norm(v, v) = v^2 - 2 v^2 = -v^2, so each level doubles the bits
+    x = Circuit.var("x")
+    chain = [x]
+    for _ in range(60):
+        chain.append(Circuit.norm([chain[-1]] * 2))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="POWER_BITS"):
+        chain[-1].evaluate({"x": 2})
+    assert time.perf_counter() - start < 2
+    # 22 levels stay under the bound, and the 23rd passes it
+    assert chain[22].evaluate({"x": 2}) == -(2 ** 2**22)
+    with pytest.raises(ValueError, match="POWER_BITS"):
+        chain[23].evaluate({"x": 2})
+
+
+def test_a_product_just_under_the_bound_evaluates_exactly():
+    bound = arith.POWER_BITS
+    x = Circuit.var("x")
+    half = x ** (bound - 1)  # 2^(bound - 1) has bound bits
+    assert (half * half).evaluate({"x": 2}) == 2 ** (2 * bound - 2)
+    assert (half * half).evaluate({"x": Fraction(1, 2)}) == Fraction(1, 2 ** (2 * bound - 2))
+    with pytest.raises(ValueError, match="POWER_BITS"):
+        (half * (half * x)).evaluate({"x": 2})  # factors of bound and bound + 1 bits
+    # 22 squarings of 2 give 2^(2^22), of 2^22 + 1 bits; a 23rd is refused
+    c = x
+    for _ in range(22):
+        c = c * c
+    assert c.evaluate({"x": 2}) == 2 ** 2**22
+    with pytest.raises(ValueError, match="POWER_BITS"):
+        (c * c).evaluate({"x": 2})
 
 
 def test_exact_evaluation_of_a_huge_power_is_refused_at_once():

@@ -607,7 +607,7 @@ def test_formula_refuses_a_bad_argument_with_a_value_error(case):
 
 
 # emit keeps each format's bytes on the Formula, so a Formula is read-only
-_SLOTS = ("prefix", "matrix", "free", "real_embedded", "_layout", "_emitted")
+_SLOTS = ("prefix", "matrix", "free", "real_embedded", "_layout", "_emitted", "_family")
 
 
 @pytest.mark.parametrize("slot", _SLOTS)
@@ -627,13 +627,20 @@ def test_a_formula_refuses_a_new_attribute():
         fm.build_S().extra = 1
 
 
-def test_a_formula_pickles_and_copies_to_an_equal_formula():
+@pytest.mark.parametrize("name, real", [("integrality", True), ("Jn", False), ("invJn", False),
+                                        ("campana", False), ("campana", True)])
+def test_a_formula_pickles_and_copies_to_an_equal_formula(name, real):
     import copy
     import pickle
 
-    f = fm.build_integrality(real_embedded=True)
-    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
-        assert g == f and fm.emit(g) == fm.emit(f)
+    # an n-family member's copies are not tagged, so they are rendered: the
+    # same bytes as the splice
+    f = fm.TARGETS[name].build(7, real)
+    want = [fm.emit(f, fmt) for fmt in fm.FORMATS]
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f),
+              fm.parse(want[0])):
+        assert g == f and g._family is None
+        assert [fm.emit(g, fmt) for fmt in fm.FORMATS] == want
 
 
 _BAD_FORMATS = {"yaml": "yaml", "None": None, "list": [], "int": 3, "bytes": b"json"}
@@ -661,6 +668,9 @@ def test_emit_renders_once_and_a_cold_rebuild_emits_the_same_bytes(name, n, real
     import campana
 
     f = fm.TARGETS[name].build(n, real)
+    # an n-family member's bytes are spliced into its family's template, so
+    # this holds the splice to the renderer
+    assert (f._family is not None) == fm.TARGETS[name].takes_n
     warm = _emits(f)
     assert all(fm.emit(f, fmt) is blob for fmt, blob in zip(fm.FORMATS, warm))
     assert [fm._render(f, fmt) for fmt in fm.FORMATS] == warm
@@ -694,3 +704,34 @@ def test_threads_that_emit_one_fresh_formula_all_get_one_bytes_object():
             assert all(a is b for blobs in got for a, b in zip(blobs, got[0]))
     finally:
         sys.setswitchinterval(interval)
+
+
+_FAMILIES = [("Jn", False), ("invJn", False), ("campana", False), ("campana", True)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 10**9), st.sampled_from(_FAMILIES), st.sampled_from(fm.FORMATS))
+def test_an_n_family_member_emits_what_the_renderer_renders(n, family, fmt):
+    name, real = family
+    f = fm.TARGETS[name].build(n, real)
+    assert f._family == (name, real, n - 1)
+    assert fm.emit(f, fmt) == fm._render(f, fmt)
+
+
+def test_the_template_is_made_on_the_first_emit_and_never_at_build():
+    import campana
+
+    for name, real in _FAMILIES:
+        fm.TARGETS[name].build(7, real).atoms()
+    assert campana.memos()["formulas._n_template"].misses == 0
+    for n in (2, 3, 100):
+        fm.emit(fm.build_inv_Jn(n), "latex")
+    assert campana.memos()["formulas._n_template"] == (2, 1, 1, 4)
+
+
+def test_a_hole_whose_text_is_not_unique_is_an_invariant_error(monkeypatch):
+    from campana.errors import InvariantError
+
+    monkeypatch.setattr(fm, "_HOLE", 2)
+    with pytest.raises(InvariantError, match="not once"):
+        fm.emit(fm.build_Jn(5))

@@ -44,6 +44,7 @@ def test_clear_memos_empties_every_memo():
             target.builder()
     fm.build_integrality(False)
     fm.build_integrality(True)
+    fm.emit(fm.build_Jn(2))
     kernels.conic_has_solution(3, 5, 7, 3)
     caches = _module_caches()
     full = campana.memos()

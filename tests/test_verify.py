@@ -54,3 +54,20 @@ def test_formulas_fails_a_norm_form_with_a_nonzero_zero(monkeypatch):
     ok, table = verify.run("formulas", seed=7, samples=50)
     assert not ok
     assert "FAIL  formulas: norm forms anisotropic + homogeneous" in table
+
+
+def test_formulas_fails_a_wrong_n_family_template(monkeypatch):
+    # the cold and warm row compares one splice with another, and a JSON
+    # document with a trailing space still parses, so only the row that
+    # renders afresh can see a wrong template
+    template = formulas._n_template
+
+    def wrong(target, real_embedded):
+        return {fmt: (head, tail + b" ")
+                for fmt, (head, tail) in template(target, real_embedded).items()}
+
+    monkeypatch.setattr(formulas, "_n_template", wrong)
+    ok, table = verify.run("formulas", seed=7, samples=50)
+    assert not ok
+    assert "FAIL  formulas: n-family emits equal a fresh render" in table
+    assert "PASS  formulas: cold and warm builds agree" in table

@@ -26,9 +26,7 @@ from .kernels import BACKEND
 from .memo import clear_memos, memos
 from .parametrize import ConstructionReport, SearchConfig, construct_omega, find_b
 from .places import (
-    Place,
     PlaceSet,
-    REAL_PLACE,
     delta,
     delta_upper,
     hilbert,

@@ -390,31 +390,26 @@ def unit_part(r: RationalLike, p: int) -> Fraction:
 
 
 def place_prime(v) -> Optional[int]:
-    """The prime of a place-like argument, or None for the real place.
-
-    v may be a places.Place (its prime was proved at construction), None or
-    "inf" for the real place, or a prime, which goes through prime().  Any
-    other object with a prime attribute is not a Place, and prime() refuses
-    it.
-    """
+    """The prime of a place: None for the real place, given as None or
+    "inf", and otherwise v through prime(), so a prime int (or any type
+    with __index__)."""
     if v is None or isinstance(v, str) and v == "inf":
         return None
-    if hasattr(v, "prime"):
-        from .places import Place  # places imports this module
-        if isinstance(v, Place):
-            return v.prime
     return prime(v)
 
 
 def is_square_local(a: RationalLike, v) -> bool:
-    """Squareness of a nonzero rational in the completion at v.
+    """Squareness of a nonzero rational in the completion at v: a prime, or
+    "inf"/None for the real place."""
+    return _is_square_at(a, place_prime(v))
 
-    v may be a places.Place, a prime, or "inf"/None for the real place.
-    """
+
+def _is_square_at(a: RationalLike, p: Optional[int]) -> bool:
+    """is_square_local(a, p) for p None (the real place) or a prime already
+    proved (not checked again)."""
     num, den = num_den(a)
     if num == 0:
         raise ValueError("a must be nonzero")
-    p = place_prime(v)
     if p is None:
         return num > 0
     # a * den^2 is an integer in the square class of a

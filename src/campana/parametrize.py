@@ -116,9 +116,9 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
     primes = target_set.primes()
     if len(primes) % 2:
         raise ValueError("|S| must be even")
-    for v in target_set:
-        if arith.is_square_local(a, v):
-            raise ValueError(f"a is a square in Q_{v.prime}; no b can ramify there")
+    for p in primes:
+        if arith._is_square_at(a, p):
+            raise ValueError(f"a is a square in Q_{p}; no b can ramify there")
     if not primes:
         return Fraction(1)
 
@@ -200,18 +200,17 @@ def construct_odd(
     a0 = uniformizer_product(target)
     # a0 is squarefree and > 1, so it is a nonsquare mod infinitely many q.
     # next_prime has proved each q, so the search reads Euler's criterion
-    # and the checks below read q's place, with no second proof
+    # and the checks below take q as proved, with no second proof
     q = 3
     while q in blocked or pow(a0, (q - 1) // 2, q) != q - 1:
         q = arith.next_prime(q)
-    aux = places.Place._proved(q)
     a = a0 * q * q
     if (any(arith.split_power(a, p)[0] != 1 for p in primes)
-            or arith.split_power(a, q)[0] != 2 or arith.is_square_local(a, aux)):
+            or arith.split_power(a, q)[0] != 2 or arith._is_square_at(a, q)):
         raise InvariantError(
             f"a = {a} lacks valuation 1 on {primes} or a nonsquare "
             f"valuation-2 unit at the auxiliary prime {q}")
-    b = find_b(a, target | places.PlaceSet([aux]), config)
+    b = find_b(a, target | places.PlaceSet._of_proved([q]), config)
     return Fraction(a), b, q
 
 

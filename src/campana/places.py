@@ -7,7 +7,6 @@ Hensel-liftable solutions of z^2 = a x^2 + b y^2 over Z/p^m.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -17,47 +16,11 @@ from .errors import SearchExhausted
 from .memo import memo
 
 
-@dataclass(frozen=True)
-class Place:
-    """A place of Q: a finite prime, or the single real archimedean place
-    (prime is None)."""
-
-    prime: Optional[int]
-
-    def __post_init__(self):
-        if self.prime is not None:
-            object.__setattr__(self, "prime", arith.prime(self.prime))
-
-    @classmethod
-    def _proved(cls, p: Optional[int]) -> "Place":
-        """The place of p, where p is None or an int already proved prime
-        (by arith.prime, or as a factor from arith.factorize)."""
-        place = object.__new__(cls)
-        object.__setattr__(place, "prime", p)
-        return place
-
-    @property
-    def is_real(self) -> bool:
-        return self.prime is None
-
-    def _sort_key(self) -> Tuple[int, int]:
-        return (0, 0) if self.is_real else (1, self.prime)
-
-    def __lt__(self, other: "Place") -> bool:
-        return self._sort_key() < other._sort_key()
-
-    def __repr__(self):
-        return "Place(inf)" if self.is_real else f"Place({self.prime})"
-
-
-REAL_PLACE = Place(None)
-
-
 class PlaceSet:
     """Finite set of places, canonically ordered: infinity first, then
     primes ascending.  It holds a real flag and the sorted tuple of its
-    proved primes; iterating gives Places.  Immutable, so a memoized one
-    can be shared."""
+    proved primes; iterating gives None for the real place, then the
+    primes as ints.  Immutable, so a memoized one can be shared."""
 
     __slots__ = ("_real", "_primes")
 
@@ -73,7 +36,7 @@ class PlaceSet:
         raise AttributeError("PlaceSet is immutable")
 
     def __reduce__(self):
-        return PlaceSet, (tuple(self),)
+        return PlaceSet._of_proved, (self._primes, self._real)
 
     @classmethod
     def of_primes(cls, primes: Iterable[int]) -> "PlaceSet":
@@ -98,8 +61,8 @@ class PlaceSet:
     def primes(self) -> Tuple[int, ...]:
         return self._primes
 
-    def __iter__(self) -> Iterator[Place]:
-        return iter([REAL_PLACE] * self._real + [Place._proved(p) for p in self._primes])
+    def __iter__(self) -> Iterator[Optional[int]]:
+        return iter([None] * self._real + list(self._primes))
 
     def __len__(self) -> int:
         return self._real + len(self._primes)
@@ -352,20 +315,20 @@ COUNTEREXAMPLE_CAP = 10_000
 def find_local_counterexample(a: RationalLike, v) -> Fraction:
     """Given a nonsquare in Q_v, find b with (a,b)_v = -1 by bounded
     enumeration over small integers (existence is guaranteed, so hitting
-    COUNTEREXAMPLE_CAP raises SearchExhausted)."""
+    COUNTEREXAMPLE_CAP raises SearchExhausted).  v is proved once: the
+    candidates are read by the closed form at the proved prime."""
     a = arith.rational(a)
     p = arith.place_prime(v)
-    if arith.is_square_local(a, p):
+    if arith._is_square_at(a, p):
         raise ValueError(f"{a} is a square in Q_v at {v}; no counterexample")
     if p is None:
         return Fraction(-1)
-    count = 0
-    n = 1
-    while count < COUNTEREXAMPLE_CAP:
+    an, ad = arith.num_den(a)
+    # a * den(a)^2 is an integer with the symbols of a
+    alpha, u = local_data(an * ad, p)
+    for n in range(1, COUNTEREXAMPLE_CAP // 2 + 1):
         for b in (n, -n):
-            count += 1
-            if hilbert(a, b, p) == -1:
+            if local_symbol(p, alpha, u, *local_data(b, p)) == -1:
                 return Fraction(b)
-        n += 1
     raise SearchExhausted(
         f"no b with (a,b)_v = -1 found within {COUNTEREXAMPLE_CAP} candidates")

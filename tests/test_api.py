@@ -1,5 +1,6 @@
 """The shape of the public API: builders and searches take no option that
-no caller sets, and library invariants never rest on `assert`."""
+no caller sets, library invariants never rest on `assert`, and no module of
+the package imports itself back."""
 import ast
 import inspect
 import pathlib
@@ -37,3 +38,28 @@ def test_library_code_has_no_assert(path):
     lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+def _package_imports(path, modules):
+    """The package modules that the module at path imports relatively,
+    function-level imports included."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found & modules
+
+
+def test_the_package_import_graph_has_no_cycle():
+    paths = list(pathlib.Path(campana.__file__).parent.glob("*.py"))
+    modules = {path.stem for path in paths}
+    graph = {path.stem: _package_imports(path, modules) for path in paths}
+    # peel off modules whose imports are all peeled; a cycle never peels
+    done = set()
+    while done != graph.keys():
+        ready = {m for m, deps in graph.items() if m not in done and deps <= done}
+        assert ready, {m: sorted(graph[m] - done) for m in sorted(graph.keys() - done)}
+        done |= ready

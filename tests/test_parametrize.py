@@ -31,7 +31,7 @@ def test_find_b_reverification_raises(monkeypatch):
 
 
 def test_construct_odd_invariant_raises(monkeypatch):
-    monkeypatch.setattr(pz.arith, "is_square_local", lambda a, p: True)
+    monkeypatch.setattr(pz.arith, "_is_square_at", lambda a, p: True)
     with pytest.raises(InvariantError):
         pz.construct_odd([3])
 

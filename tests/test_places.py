@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from campana import arith, kernels, places
 from campana.errors import SearchExhausted
-from campana.places import PlaceSet, REAL_PLACE, Place
+from campana.places import PlaceSet
 
 
 nonzero_small = st.fractions(
@@ -21,13 +21,11 @@ nonzero_small = st.fractions(
 place_st = st.sampled_from(["inf", 2, 3, 5, 7, 11, 13])
 
 
-def test_place_type():
-    assert Place(7).prime == 7
-    assert REAL_PLACE.is_real
+def test_a_place_is_a_prime_or_the_real_place():
+    assert list(PlaceSet([5, "inf", 2])) == list(PlaceSet([2, None, 5])) == [None, 2, 5]
     for bad in (8, 1, 7.0, "7", Fraction(7)):
         with pytest.raises(ValueError):
-            Place(bad)
-    assert sorted([Place(5), REAL_PLACE, Place(2)]) == [REAL_PLACE, Place(2), Place(5)]
+            PlaceSet([bad])
 
 
 def test_place_set_canonical():
@@ -41,21 +39,18 @@ def test_place_set_canonical():
 
 
 _model_primes = [2, 3, 5, 7, 11, 13, 10**9 + 7]
-# a place as a prime int, a Place (the real one too), "inf" or None
-_model_place = st.one_of(
-    st.sampled_from(_model_primes),
-    st.sampled_from([None, *_model_primes]).map(Place),
-    st.sampled_from(["inf", None]))
+_REAL = (None, "inf")
+# a place as a prime int, or the real place as None or "inf"
+_model_place = st.sampled_from([*_REAL, *_model_primes])
 
 
 def _model(items):
     """(whether the real place is in items, the frozenset of their primes)."""
-    primes = {v.prime if isinstance(v, Place) else v for v in items}
-    return bool(primes & {None, "inf"}), frozenset(primes - {None, "inf"})
+    return any(v in _REAL for v in items), frozenset(v for v in items if v not in _REAL)
 
 
 def _model_places(real, primes):
-    return [REAL_PLACE] * real + [Place(p) for p in sorted(primes)]
+    return [None] * real + sorted(primes)
 
 
 @given(st.lists(_model_place, max_size=8), st.lists(_model_place, max_size=8),
@@ -68,9 +63,9 @@ def test_place_set_agrees_with_a_set_model(items, other_items, rnd):
     assert list(s) == _model_places(real, primes)
     assert s.primes() == tuple(sorted(primes))
     assert repr(s) == "{" + ", ".join(["inf"] * real + [str(p) for p in sorted(primes)]) + "}"
-    for v in ["inf", None, *_model_primes, *map(Place, [None, *_model_primes])]:
-        p = v.prime if isinstance(v, Place) else v
-        assert (v in s) == (real if p in (None, "inf") else p in primes)
+    for v in [*_REAL, *_model_primes]:
+        assert (v in s) == (real if v in _REAL else v in primes)
+    assert PlaceSet(list(s)) == s
     shuffled = list(items)
     rnd.shuffle(shuffled)
     assert PlaceSet(shuffled) == s and hash(PlaceSet(shuffled)) == hash(s)
@@ -106,8 +101,8 @@ def test_composite_prime_is_a_value_error():
 
 
 def test_hilbert_place_forms():
-    assert places.hilbert(2, 5, Place(5)) == places.hilbert(2, 5, 5) == -1
-    for v in (REAL_PLACE, "inf", None):
+    assert places.hilbert(2, 5, 5) == -1
+    for v in ("inf", None):
         assert places.hilbert(-1, -1, v) == -1
         assert places.hilbert(-1, 3, v) == 1
     for bad in (1, 0, -5, 9, 7.0, "7", "oo", Fraction(7), object()):
@@ -267,7 +262,7 @@ def test_hilbert_a_minus_a(a, v):
 def test_delta_examples():
     assert places.delta(1, 1) == PlaceSet([])
     assert places.delta(-1, -1) == PlaceSet(["inf", 2])
-    assert Place(5) in places.delta(2, 5)
+    assert 5 in places.delta(2, 5)
 
 
 def test_delta_upper_and_omega():
@@ -524,6 +519,17 @@ def test_find_local_counterexample():
     assert places.hilbert(5, b, 5) == -1
     with pytest.raises(ValueError):
         places.find_local_counterexample(2, 7)  # 2 is a square in Q_7
+
+
+def test_find_local_counterexample_proves_v_once(monkeypatch):
+    calls = []
+    prime = arith.prime
+    monkeypatch.setattr(arith, "prime", lambda p: calls.append(p) or prime(p))
+    for a, v in ((3, 7), (2, 3), (Fraction(5, 12), 2), (-1, "inf")):
+        calls.clear()
+        b = places.find_local_counterexample(a, v)
+        assert calls == ([] if v == "inf" else [v])
+        assert places.hilbert(a, b, v) == -1
 
 
 @given(nonzero_small, place_st)

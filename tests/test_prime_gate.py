@@ -11,9 +11,9 @@ from campana import arith, parametrize, places, semantics
 from campana.forms import X_FORM
 
 #: Not primes: non-integers with and without an integral value, a str,
-#: integers that are not prime, and an object with a prime attribute that is
-#: not a places.Place.  A p and an S also refuse None; a v takes None as the
-#: real place.
+#: integers that are not prime, and an object with a prime attribute, as a
+#: place is a prime int and never an object that holds one.  A p and an S
+#: also refuse None; a v takes None (or "inf") as the real place.
 NOT_PRIMES = (3.7, 7.0, "7", Fraction(7), 4, 1, SimpleNamespace(prime=9))
 
 #: name -> (kind of argument, call).  call(x) passes x as that argument, an
@@ -25,7 +25,6 @@ GATED = {
     "arith.legendre": ("p", lambda p: arith.legendre(3, p)),
     "arith.unit_part": ("p", lambda p: arith.unit_part(12, p)),
     "arith.is_square_local": ("v", lambda v: arith.is_square_local(2, v)),
-    "places.Place": ("v", lambda v: places.Place(v)),
     "places.PlaceSet.of_primes": ("S", lambda S: places.PlaceSet.of_primes(S)),
     "places.PlaceSet": ("v", lambda v: places.PlaceSet([v])),
     "places.PlaceSet.__contains__": ("v", lambda v: v in places.PlaceSet.of_primes([7])),

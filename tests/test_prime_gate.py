@@ -89,6 +89,38 @@ def test_anything_but_a_prime_is_a_value_error(name, bad):
         call(_argument(kind, bad))
 
 
+#: name -> (call(v), its answer at the real place) for each function in GATED
+#: that takes a place v, which must read None and "inf" alike.
+AT_THE_REAL_PLACE = {
+    "arith.place_prime": (lambda v: arith.place_prime(v), None),
+    "arith.is_square_local":
+        (lambda v: (arith.is_square_local(2, v), arith.is_square_local(-2, v)),
+         (True, False)),
+    "places.PlaceSet": (lambda v: list(places.PlaceSet([v, 7])), [None, 7]),
+    "places.PlaceSet.__contains__":
+        (lambda v: (v in places.PlaceSet([None, 7]), v in places.PlaceSet.of_primes([7])),
+         (True, False)),
+    "places.hilbert":
+        (lambda v: (places.hilbert(-1, -1, v), places.hilbert(2, 3, v)), (-1, 1)),
+    "places.find_local_counterexample":
+        (lambda v: places.hilbert(-3, places.find_local_counterexample(-3, v), v), -1),
+}
+
+
+def test_every_function_that_takes_a_place_is_in_the_real_place_table():
+    assert AT_THE_REAL_PLACE.keys() == {
+        name for name, (kind, _) in GATED.items() if kind == "v"}
+
+
+@pytest.mark.parametrize("name, real", [
+    pytest.param(name, real, id=f"{name}({real!r})")
+    for name in sorted(AT_THE_REAL_PLACE) for real in (None, "inf")
+])
+def test_a_place_takes_none_or_inf_as_the_real_place(name, real):
+    call, answer = AT_THE_REAL_PLACE[name]
+    assert call(real) == answer
+
+
 #: TAKES_S, and PlaceSet, which takes its places v in an iterable too.
 TAKES_ITERABLE = {**TAKES_S, "places.PlaceSet": lambda S: places.PlaceSet(S)}
 

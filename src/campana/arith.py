@@ -256,6 +256,18 @@ def num_den(r: RationalLike) -> Tuple[int, int]:
     return r.numerator, r.denominator
 
 
+def square_class(r: RationalLike, name: str) -> int:
+    """num * den for r read by rational(): r * den^2, an integer in the
+    square class of r, so with its Hilbert symbols and local squareness.
+    The one gate for an argument read that way: 0, which has no square
+    class, is refused with a ValueError naming the argument."""
+    # an int skips the call: hilbert and the oracle read two per call
+    num, den = (r, 1) if type(r) is int else num_den(r)
+    if num == 0:
+        raise ValueError(f"{name} must be nonzero")
+    return num * den
+
+
 def split_power(n: int, p: int) -> Tuple[int, int]:
     """(v, m) with n = p**v * m and p not dividing m, for a nonzero integer
     n and a p already known to be prime (not checked again)."""
@@ -407,13 +419,10 @@ def is_square_local(a: RationalLike, v) -> bool:
 def _is_square_at(a: RationalLike, p: Optional[int]) -> bool:
     """is_square_local(a, p) for p None (the real place) or a prime already
     proved (not checked again)."""
-    num, den = num_den(a)
-    if num == 0:
-        raise ValueError("a must be nonzero")
+    x = square_class(a, "a")
     if p is None:
-        return num > 0
-    # a * den^2 is an integer in the square class of a
-    val, u = split_power(num * den, p)
+        return x > 0
+    val, u = split_power(x, p)
     if val % 2:
         return False
     if p == 2:

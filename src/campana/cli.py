@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verified failure or search exhaustion, 2 usage
-error, 141 (128 + SIGPIPE) when the reader of stdout goes away before the
-output is written, as `head` can.  Rationals are written "num/den" or
-plain integers; the place at infinity is "inf".  The only settings are
-verify's --seed and --samples; one left out takes verify.run's default.
+error (any ValueError, from parsing the command line or from the library,
+printed as "error: ..."), 141 (128 + SIGPIPE) when the reader of stdout
+goes away before the output is written, as `head` can.  Rationals are
+written "num/den" or plain integers; the place at infinity is "inf".  The
+only settings are verify's --seed and --samples; one left out takes
+verify.run's default.
 """
 from __future__ import annotations
 
@@ -22,38 +24,24 @@ USAGE_ERROR = 2
 BROKEN_PIPE = 141  # the status of a command that SIGPIPE ended
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
-
-
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"not a rational: {text!r} ({exc})")
+        raise ValueError(f"not a rational: {text!r} ({exc})") from None
 
 
 def _parse_place(text: str):
-    """"inf" or the int a place is written as; places.hilbert proves it prime."""
+    """"inf" or the int a place is written as (int's ValueError names any
+    other word); places.hilbert proves it prime."""
     text = text.strip()
-    if text == "inf":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise CliError(f"not a place: {text!r}")
+    return text if text == "inf" else int(text)
 
 
 def _parse_prime_list(text: str) -> List[int]:
-    out = []
-    for t in text.replace(",", " ").split():
-        try:
-            out.append(int(t))
-        except ValueError:
-            raise CliError(f"not an integer: {t!r}")
-    return out
+    """The ints of a comma/space separated list; int's ValueError names a
+    word that is not one."""
+    return [int(t) for t in text.replace(",", " ").split()]
 
 
 def _given(args, *flags) -> dict:
@@ -67,22 +55,15 @@ def cmd_hilbert(args) -> int:
     a = _parse_rational(args.a)
     b = _parse_rational(args.b)
     v = _parse_place(args.place)
-    try:
-        value = places.hilbert(a, b, v)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    print(f"{value:+d}")
+    print(f"{places.hilbert(a, b, v):+d}")
     return 0
 
 
 def cmd_construct(args) -> int:
     primes = _parse_prime_list(" ".join(args.primes))
     if len(set(primes)) != len(primes):
-        raise CliError("duplicate primes in S")
-    try:
-        report = parametrize.construct_omega(primes)
-    except ValueError as exc:
-        raise CliError(str(exc))
+        raise ValueError("duplicate primes in S")
+    report = parametrize.construct_omega(primes)
     print(json.dumps(report.to_dict(), sort_keys=True))
     return 0 if report.success else 1
 
@@ -94,15 +75,15 @@ def _check_flags(args, what: str, takes: tuple):
         value = getattr(args, flag, None)
         given = value is not None and value is not False
         if given and flag not in takes:
-            raise CliError(f"{what} takes no --{flag}")
+            raise ValueError(f"{what} takes no --{flag}")
         if not given and flag in takes and flag not in ("s", "real"):
-            raise CliError(f"{what} needs --{flag}")
+            raise ValueError(f"{what} needs --{flag}")
 
 
 def _parse_abcd(text: str) -> List[Fraction]:
     parts = text.replace(",", " ").split()
     if len(parts) != 4:
-        raise CliError("--abcd needs exactly four rationals")
+        raise ValueError("--abcd needs exactly four rationals")
     return [_parse_rational(p) for p in parts]
 
 
@@ -126,11 +107,7 @@ def cmd_member(args) -> int:
     r = _parse_rational(args.r)
     takes, verdict_of = _MEMBER[args.kind]
     _check_flags(args, args.kind, takes)
-    try:
-        verdict = verdict_of(args, r)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    print("true" if verdict else "false")
+    print("true" if verdict_of(args, r) else "false")
     return 0
 
 
@@ -138,11 +115,8 @@ def cmd_emit(args) -> int:
     target = fm.TARGETS[args.target]
     _check_flags(args, f"target {args.target!r}",
                  ("n",) * target.takes_n + ("real",) * target.has_real)
-    try:
-        formula = target.build(args.n, args.real)
-        payload = fm.emit(formula, args.format)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    formula = target.build(args.n, args.real)
+    payload = fm.emit(formula, args.format)
     s = fm.stats(formula)
     stats_line = (f"universals={s.universals} existentials={s.existentials} "
                   f"degree<={s.degree_bound}")
@@ -161,10 +135,7 @@ def cmd_emit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        ok, table = verify.run(args.suite, **_given(args, "seed", "samples"))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    ok, table = verify.run(args.suite, **_given(args, "seed", "samples"))
     print(table)
     return 0 if ok else 1
 
@@ -230,9 +201,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return BROKEN_PIPE
-    except CliError as exc:
+    except ValueError as exc:  # every refusal, by the CLI or the library
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return USAGE_ERROR
     except SearchExhausted as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return 1

@@ -109,21 +109,18 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
     through the places module.
     """
     cfg = _search_config(config)
-    a = arith.rational(a)
-    if a == 0:
-        raise ValueError("a must be nonzero")
+    x = arith.square_class(a, "a")
     target_set = places.PlaceSet.of_primes(S)
     primes = target_set.primes()
     if len(primes) % 2:
         raise ValueError("|S| must be even")
     for p in primes:
-        if arith._is_square_at(a, p):
+        if arith._is_square_at(x, p):
             raise ValueError(f"a is a square in Q_{p}; no b can ramify there")
     if not primes:
         return Fraction(1)
 
-    # a * den(a)^2 has the symbols of a; bit i is V[i]
-    x = a.numerator * a.denominator
+    # bit i of a symbol vector is V[i]
     V = [2] + sorted((set(arith.factorize(a).factors) | set(primes)) - {2})
     local = [(p, *places.local_data(x, p)) for p in V]
     target = sum(1 << i for i, p in enumerate(V) if p in primes)

@@ -132,30 +132,23 @@ def local_symbol(p: int, alpha: int, u: int, beta: int, w: int) -> int:
 
 def hilbert(a: RationalLike, b: RationalLike, v) -> int:
     """Quadratic Hilbert symbol (a,b)_v over Q_v, by the closed-form local
-    formulas.  Returns +1 or -1."""
-    an, ad = arith.num_den(a)
-    bn, bd = arith.num_den(b)
-    if an == 0 or bn == 0:
-        raise ValueError("a, b must be nonzero")
+    formulas, on the square classes of a and b.  Returns +1 or -1."""
+    x, y = arith.square_class(a, "a"), arith.square_class(b, "b")
     p = arith.place_prime(v)
     if p is None:
-        return -1 if (an < 0 and bn < 0) else 1
-    # a * den(a)^2 and b * den(b)^2 are integers with the same symbol
-    alpha, u = local_data(an * ad, p)
-    beta, w = local_data(bn * bd, p)
+        return -1 if (x < 0 and y < 0) else 1
+    alpha, u = local_data(x, p)
+    beta, w = local_data(y, p)
     return local_symbol(p, alpha, u, beta, w)
 
 
 def _clear(a: RationalLike, b: RationalLike, p: int):
-    """(p, (v, u) of a * den(a)^2, (v, u) of b * den(b)^2), with p through
+    """(p, (v, u) of the square class of a, the same of b), with p through
     arith.prime; v is |v_p(a)| (resp. |v_p(b)|), as p divides only one of
     a rational's numerator and denominator."""
     p = arith.prime(p)
-    an, ad = arith.num_den(a)
-    bn, bd = arith.num_den(b)
-    if an == 0 or bn == 0:
-        raise ValueError("a, b must be nonzero")
-    return p, arith.split_power(an * ad, p), arith.split_power(bn * bd, p)
+    x, y = arith.square_class(a, "a"), arith.square_class(b, "b")
+    return p, arith.split_power(x, p), arith.split_power(y, p)
 
 
 # typed keys: 7.0 == 7 and both hash alike, but only the int is a prime
@@ -242,12 +235,9 @@ def _pair(a: RationalLike, b: RationalLike
     memoized for the two most recent pairs, so delta, delta_upper, omega
     and reciprocity_check on one pair factorize it once; the list and maps
     are shared, and only read.  Errors are not memoized."""
+    x, y = arith.square_class(a, "a"), arith.square_class(b, "b")
     fa = arith.factorize(a).factors
     fb = fa if b == a else arith.factorize(b).factors
-    an, ad = arith.num_den(a)
-    bn, bd = arith.num_den(b)
-    # a * den(a)^2 and b * den(b)^2 are integers with the same symbols
-    x, y = an * ad, bn * bd
     primes = [p for p in sorted({2, *fa, *fb})
               if local_symbol(p, *local_data(x, p), *local_data(y, p)) == -1]
     return x < 0 and y < 0, primes, fa, fb
@@ -282,7 +272,8 @@ def omega(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) ->
     Memoized per quadruple: the OMEGA_CACHE_SIZE most recently used
     quadruples (read by arith.rational, so 3 and Fraction(6, 2) are one key)
     keep their PlaceSet, which is immutable.  Errors are raised again on
-    every call; hits and misses are read with omega.cache_info()."""
+    every call (a zero c or d is refused as the a or b of its pair); hits
+    and misses are read with omega.cache_info()."""
     return _omega(*map(arith.rational, (a, b, c, d)))
 
 
@@ -317,15 +308,13 @@ def find_local_counterexample(a: RationalLike, v) -> Fraction:
     enumeration over small integers (existence is guaranteed, so hitting
     COUNTEREXAMPLE_CAP raises SearchExhausted).  v is proved once: the
     candidates are read by the closed form at the proved prime."""
-    a = arith.rational(a)
+    x = arith.square_class(a, "a")
     p = arith.place_prime(v)
-    if arith._is_square_at(a, p):
+    if arith._is_square_at(x, p):
         raise ValueError(f"{a} is a square in Q_v at {v}; no counterexample")
     if p is None:
         return Fraction(-1)
-    an, ad = arith.num_den(a)
-    # a * den(a)^2 is an integer with the symbols of a
-    alpha, u = local_data(an * ad, p)
+    alpha, u = local_data(x, p)
     for n in range(1, COUNTEREXAMPLE_CAP // 2 + 1):
         for b in (n, -n):
             if local_symbol(p, alpha, u, *local_data(b, p)) == -1:

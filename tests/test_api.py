@@ -1,6 +1,6 @@
 """The shape of the public API: builders and searches take no option that
-no caller sets, library invariants never rest on `assert`, and no module of
-the package imports itself back."""
+no caller sets, library invariants never rest on `assert`, no module of
+the package imports itself back, and the CLI has one error path."""
 import ast
 import inspect
 import pathlib
@@ -8,7 +8,7 @@ import pathlib
 import pytest
 
 import campana
-from campana import formulas as fm, parametrize, places
+from campana import cli, formulas as fm, parametrize, places
 
 
 def _parameters(fn):
@@ -63,3 +63,27 @@ def test_the_package_import_graph_has_no_cycle():
         ready = {m for m, deps in graph.items() if m not in done and deps <= done}
         assert ready, {m: sorted(graph[m] - done) for m in sorted(graph.keys() - done)}
         done |= ready
+
+
+def _catches_value_error(handler):
+    """Whether an except clause catches ValueError: bare, or naming it, a
+    base of it, or a tuple holding one of those."""
+    if handler.type is None:
+        return True
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(t, ast.Name) and t.id in ("ValueError", "Exception", "BaseException")
+               for t in caught)
+
+
+def test_the_cli_has_one_error_path():
+    # every refusal is a ValueError, which main alone turns into exit 2
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    exceptions = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  and any(isinstance(b, ast.Name) and b.id.endswith(("Error", "Exception"))
+                          for b in node.bases)]
+    assert exceptions == []
+    handling = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for h in ast.walk(fn) if isinstance(h, ast.ExceptHandler)
+                and _catches_value_error(h)
+                and not any(isinstance(node, ast.Raise) for node in ast.walk(h))}
+    assert handling == {"main"}

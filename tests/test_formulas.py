@@ -180,15 +180,26 @@ def test_norm_form_matches_sympy_determinant():
             assert f.evaluate({f"y{i + 1}": x for i, x in enumerate(pt)}) == want
 
 
-@pytest.mark.parametrize("n", [2.0, "3", None, True, False, 0, -1, Fraction(2)])
+@pytest.mark.parametrize("n", [2.0, "3", None, True, False, 0, -1, Fraction(2),
+                               10**6, fm.NORM_FORM_MAX_N + 1])
 def test_norm_form_refuses_a_non_integer_or_nonpositive_n(n):
+    # above NORM_FORM_MAX_N, at once: 10**6 would otherwise never finish
     with pytest.raises(ValueError, match="n must be"):
         fm.norm_form(n)
 
 
+def test_norm_form_builds_its_largest_n():
+    n = fm.NORM_FORM_MAX_N
+    f = fm.norm_form(n)
+    assert f.degree() == n
+    # the norms of 1 and of t, a root of t^n - 2: 1 and (-1)^(n+1) 2
+    for j, want in ((0, 1), (1, 2 * (-1) ** (n + 1))):
+        assert f.evaluate({f"y{i + 1}": int(i == j) for i in range(n)}) == want
+
+
 @pytest.mark.parametrize("build", [fm.build_Jn, fm.build_inv_Jn, fm.build_campana])
 def test_jn_builders_refuse_a_non_integer_n(build):
-    for n in ("3", None, 2.0, True):
+    for n in ("3", None, 2.0, True, 0, 1):
         with pytest.raises(ValueError, match="n must be"):
             build(n)
     assert build(np.int64(3)) == build(3)

@@ -10,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from campana import arith, kernels, places
+from campana import arith, kernels, parametrize, places
 from campana.errors import SearchExhausted
 from campana.places import PlaceSet
 
@@ -541,3 +541,45 @@ def test_prop_lin_both_directions(a, v):
     else:
         b = places.find_local_counterexample(a, v)
         assert places.hilbert(a, b, v) == -1
+
+
+#: Each function that reads its a (and its b) through arith.square_class:
+#: a call on (a, b) with its other arguments valid, and the names it reads.
+_SQUARE_CLASS_READERS = {
+    "hilbert": (lambda a, b: places.hilbert(a, b, 5), "ab"),
+    "hilbert_oracle": (lambda a, b: places.hilbert_oracle(a, b, 5, 9), "ab"),
+    "default_oracle_precision":
+        (lambda a, b: places.default_oracle_precision(a, b, 5), "ab"),
+    "delta": (places.delta, "ab"),
+    "delta_upper": (places.delta_upper, "ab"),
+    "omega": (lambda a, b: places.omega(a, b, 3, 5), "ab"),
+    "reciprocity_check": (places.reciprocity_check, "ab"),
+    "find_local_counterexample":
+        (lambda a, b: places.find_local_counterexample(a, 5), "a"),
+    "arith.is_square_local": (lambda a, b: arith.is_square_local(a, 5), "a"),
+    "parametrize.find_b": (lambda a, b: parametrize.find_b(a, [5, 7]), "a"),
+}
+
+
+@pytest.mark.parametrize("name, zero", [
+    (name, zero) for name, (_, names) in sorted(_SQUARE_CLASS_READERS.items())
+    for zero in names])
+def test_a_zero_argument_is_refused_by_name(name, zero):
+    # 0 has no square class: each reader refuses it through the one gate
+    call, _ = _SQUARE_CLASS_READERS[name]
+    args = {"a": 3, "b": 3, zero: 0}
+    with pytest.raises(ValueError, match=f"^{zero} must be nonzero$"):
+        call(args["a"], args["b"])
+
+
+@given(nonzero_small, nonzero_small, nonzero_small, place_st)
+@settings(max_examples=200)
+def test_a_and_a_times_a_square_read_alike(a, b, s, v):
+    # a and a s^2 have one square class, which is all the gate passes on
+    a2 = a * s * s
+    assert places.hilbert(a, b, v) == places.hilbert(a2, b, v)
+    assert arith.is_square_local(a, v) == arith.is_square_local(a2, v)
+    assert places.delta(a, b) == places.delta(a2, b)
+    if v != "inf":
+        assert (places.hilbert_oracle(a, b, v, places.default_oracle_precision(a, b, v))
+                == places.hilbert_oracle(a2, b, v, places.default_oracle_precision(a2, b, v)))

@@ -35,6 +35,7 @@ RATIONAL = {
     "arith.rational(r)": lambda x: arith.rational(x),
     "arith.num_den(r)": lambda x: arith.num_den(x),
     "arith.factorize(r)": lambda x: arith.factorize(x),
+    "arith.square_class(r)": lambda x: arith.square_class(x, "r"),
     "arith.valuation(r)": lambda x: arith.valuation(x, 3),
     "arith.unit_part(r)": lambda x: arith.unit_part(x, 3),
     "arith.is_square_local(a)": lambda x: arith.is_square_local(x, 5),

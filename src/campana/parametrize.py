@@ -1,10 +1,10 @@
 """Constructing (a,b,c,d) with omega(a,b,c,d) equal to a prescribed prime set.
 
-The route: a is built from S alone (the product of S, times the square of
-an auxiliary prime for odd-size sets), so it has no prime factor outside S
-and the auxiliary; b with the prescribed ramification solves one linear
-system over F_2 in the local symbols of a; and two overlapping odd
-constructions with distinct auxiliaries are intersected.  Every output is
+One routine builds every pair (a, b): a is the product of S, times the
+square of an auxiliary prime q when |S| is odd, so it has no prime factor
+outside S and q; b, ramified exactly on S and q, solves one linear system
+over F_2 in the local symbols of a.  Even |S| uses its pair twice; odd |S|
+intersects two pairs with distinct auxiliaries.  Every output is
 verified independently by the places module before it is returned.
 """
 from __future__ import annotations
@@ -164,51 +164,32 @@ def find_b(a: RationalLike, S: Iterable[int], config: Optional[SearchConfig] = N
     return Fraction(b)
 
 
-def construct_even(
-    S: Iterable[int], config: Optional[SearchConfig] = None
-) -> Tuple[Fraction, Fraction]:
-    """(a,b) whose ramification set (and its odd-support refinement) is
-    exactly S; requires |S| even."""
-    target = places.PlaceSet.of_primes(S)
-    if len(target) % 2:
-        raise ValueError("|S| must be even")
-    if not target:
-        return Fraction(1), Fraction(1)
-    a = Fraction(uniformizer_product(target))
-    b = find_b(a, target, config)
-    return a, b
-
-
-def construct_odd(
-    S: Iterable[int],
-    config: Optional[SearchConfig] = None,
-    avoid: Iterable[int] = (),
-) -> Tuple[Fraction, Fraction, int]:
-    """(a,b,q) for odd |S|: q is the smallest odd prime outside S (and
-    outside `avoid`) at which prod(S) is a nonsquare, a = prod(S) * q^2 has
-    valuation 1 on S and 2 at q with a nonsquare unit, and b ramifies
-    exactly on S u {q}; then the ramification primes where a has odd
-    valuation are exactly S."""
-    target = places.PlaceSet.of_primes(S)
+def _ramified_pair(
+    target: places.PlaceSet, cfg: SearchConfig, avoid: Iterable[int] = ()
+) -> Tuple[Fraction, Fraction, Optional[int]]:
+    """(a, b, q) with b ramified exactly on S u {q} and a = prod(S) * q^2,
+    so the ramification primes where a has odd valuation are exactly S.
+    q is None for even |S| (and a = b = 1 for empty S).  For odd |S|, q is
+    the smallest odd prime outside S and `avoid` at which prod(S) is a
+    nonsquare, so the unit of a at q, of valuation 2, is a nonsquare."""
     primes = target.primes()
-    if len(primes) % 2 == 0:
-        raise ValueError("|S| must be odd")
-    blocked = set(primes) | set(avoid)
-    a0 = uniformizer_product(target)
-    # a0 is squarefree and > 1, so it is a nonsquare mod infinitely many q.
-    # next_prime has proved each q, so the search reads Euler's criterion
-    # and the checks below take q as proved, with no second proof
-    q = 3
-    while q in blocked or pow(a0, (q - 1) // 2, q) != q - 1:
-        q = arith.next_prime(q)
-    a = a0 * q * q
-    if (any(arith.split_power(a, p)[0] != 1 for p in primes)
-            or arith.split_power(a, q)[0] != 2 or arith._is_square_at(a, q)):
-        raise InvariantError(
-            f"a = {a} lacks valuation 1 on {primes} or a nonsquare "
-            f"valuation-2 unit at the auxiliary prime {q}")
-    b = find_b(a, target | places.PlaceSet._of_proved([q]), config)
-    return Fraction(a), b, q
+    if not primes:
+        return Fraction(1), Fraction(1), None
+    a, q = uniformizer_product(target), None
+    if len(primes) % 2:
+        blocked = set(primes) | set(avoid)
+        # a is squarefree and > 1, so it is a nonsquare mod infinitely many
+        # q.  next_prime has proved each q, so the search reads Euler's
+        # criterion and the check below takes q as proved, with no second proof
+        q = 3
+        while q in blocked or pow(a, (q - 1) // 2, q) != q - 1:
+            q = arith.next_prime(q)
+        a *= q * q
+        if arith.split_power(a, q)[0] != 2 or arith._is_square_at(a, q):
+            raise InvariantError(
+                f"a = {a} lacks a nonsquare valuation-2 unit at the auxiliary prime {q}")
+        target |= places.PlaceSet._of_proved([q])
+    return Fraction(a), find_b(a, target, cfg), q
 
 
 def construct_omega(
@@ -216,21 +197,15 @@ def construct_omega(
 ) -> ConstructionReport:
     """(a,b,c,d) with omega(a,b,c,d) = S, for any finite set of primes.
 
-    Even |S|: one even construction used twice.  Odd |S|: two odd
-    constructions with distinct auxiliary primes; their ramification sets
-    are S plus one auxiliary each, so the intersection is exactly S.
+    Even |S|: one ramified pair, used twice.  Odd |S|: two pairs with
+    distinct auxiliary primes; their ramification sets are S plus one
+    auxiliary each, so the intersection is exactly S.
     """
     cfg = _search_config(config)
     target = places.PlaceSet.of_primes(S)
-    primes = target.primes()
-    aux: List[int] = []
-    if len(primes) % 2 == 0:
-        a, b = construct_even(target, cfg)
-        c, d = a, b
-    else:
-        a, b, q1 = construct_odd(target, cfg)
-        c, d, q2 = construct_odd(target, cfg, avoid=[q1])
-        aux = [q1, q2]
+    a, b, q = _ramified_pair(target, cfg)
+    c, d, q2 = (a, b, None) if q is None else _ramified_pair(target, cfg, avoid=[q])
+    aux = [] if q is None else [q, q2]
     achieved = places.omega(a, b, c, d)
     return ConstructionReport(
         a=a, b=b, c=c, d=d,

@@ -272,9 +272,12 @@ def omega(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) ->
     Memoized per quadruple: the OMEGA_CACHE_SIZE most recently used
     quadruples (read by arith.rational, so 3 and Fraction(6, 2) are one key)
     keep their PlaceSet, which is immutable.  Errors are raised again on
-    every call (a zero c or d is refused as the a or b of its pair); hits
-    and misses are read with omega.cache_info()."""
-    return _omega(*map(arith.rational, (a, b, c, d)))
+    every call, and a zero is refused by its own letter before the scan;
+    hits and misses are read with omega.cache_info()."""
+    args = tuple(map(arith.rational, (a, b, c, d)))
+    if 0 in args:
+        raise ValueError(f"{'abcd'[args.index(0)]} must be nonzero")
+    return _omega(*args)
 
 
 @memo("places._omega", maxsize=OMEGA_CACHE_SIZE)

@@ -67,6 +67,8 @@ def disjoint_omegas(a, b, c, d, a2, b2, c2, d2) -> bool:
     on the place sets, and cross-checked against the 1 in J + J' splitting
     criterion; the two verdicts must agree."""
     o1 = places.omega(a, b, c, d)
+    for name, r in zip(("a2", "b2", "c2", "d2"), (a2, b2, c2, d2)):
+        arith.square_class(r, name)
     o2 = places.omega(a2, b2, c2, d2)
     direct = o1.isdisjoint(o2)
     via_sum = _sum_criterion(
@@ -150,9 +152,9 @@ def generate_trace_element(
     w = z^2/nrd(z), computed via z^2 = trd(z) z - nrd(z).  The witness
     satisfies t^2 - 4a w2^2 - 4b w3^2 + 4ab w4^2 = 4 exactly.
     """
+    arith.square_class(a, "a")
+    arith.square_class(b, "b")
     a, b = arith.rational(a), arith.rational(b)
-    if a == 0 or b == 0:
-        raise ValueError("a, b must be nonzero")
     rng = random.Random(arith.integer(seed, "seed"))
     for _ in range(100):
         z = tuple(

@@ -87,3 +87,19 @@ def test_the_cli_has_one_error_path():
                 and _catches_value_error(h)
                 and not any(isinstance(node, ast.Raise) for node in ast.walk(h))}
     assert handling == {"main"}
+
+
+def _callers(tree, callee):
+    """The top-level functions of a module that call callee, by its bare
+    name or as an attribute."""
+    return {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+
+
+def test_one_routine_builds_every_ramified_pair():
+    # a second construction would call find_b, or search primes, on its own
+    tree = ast.parse(pathlib.Path(parametrize.__file__).read_text())
+    builders = _callers(tree, "find_b")
+    assert len(builders) == 1
+    assert _callers(tree, "next_prime") <= builders | {"find_b"}

@@ -30,10 +30,11 @@ def test_find_b_reverification_raises(monkeypatch):
         pz.find_b(pz.uniformizer_product([3, 5]), [3, 5])
 
 
-def test_construct_odd_invariant_raises(monkeypatch):
+def test_construct_omega_aux_invariant_raises(monkeypatch):
+    # the unit of a at its auxiliary prime is read as a square
     monkeypatch.setattr(pz.arith, "_is_square_at", lambda a, p: True)
     with pytest.raises(InvariantError):
-        pz.construct_odd([3])
+        pz.construct_omega([3])
 
 
 def test_find_b_small_examples():
@@ -86,23 +87,60 @@ def test_find_b_meets_its_target(num, den, data):
     assert places.delta(a, b) == places.PlaceSet.of_primes(S)
 
 
-def test_construct_even():
-    a, b = pz.construct_even([3, 5])
-    assert places.delta(a, b) == places.PlaceSet.of_primes([3, 5])
-    a, b = pz.construct_even([])
-    assert places.delta(a, b).primes() == ()
+def check_report(S, report):
+    """Each pair (a, b) of the report ramifies exactly on S and its
+    auxiliary prime, if any, with valuation 1 in a on S and valuation 2 and
+    a nonsquare unit at the auxiliary; the auxiliaries are distinct."""
+    pairs = [(report.a, report.b), (report.c, report.d)]
+    aux = report.auxiliary_primes
+    if len(S) % 2 == 0:
+        assert aux == [] and pairs[0] == pairs[1]
+    else:
+        assert len(aux) == 2 and aux[0] != aux[1]
+    for (a, b), extra in zip(pairs, aux or [None, None]):
+        ramified = set(S) | ({extra} if extra else set())
+        assert places.delta(a, b) == places.PlaceSet.of_primes(ramified)
+        assert all(arith.valuation(a, p) == 1 for p in S)
+        if extra:
+            assert extra not in S and extra != 2
+            assert arith.valuation(a, extra) == 2
+            assert not arith.is_square_local(arith.unit_part(a, extra), extra)
+    assert report.success
+    assert report.achieved == places.PlaceSet.of_primes(S)
 
 
-def test_construct_odd():
-    a, b, aux = pz.construct_odd([3])
-    assert places.delta(a, b) == places.PlaceSet.of_primes([3, aux])
-    assert aux not in (2, 3)
-    assert arith.valuation(a, 3) == 1
-    assert arith.valuation(a, aux) == 2
-    assert not arith.is_square_local(arith.unit_part(a, aux), aux)
-    # avoid forces a different auxiliary prime
-    _, _, aux2 = pz.construct_odd([3], avoid=(aux,))
-    assert aux2 != aux
+@given(st.lists(st.sampled_from(arith.primes_up_to(100)), max_size=6, unique=True))
+@settings(max_examples=100, deadline=None)
+def test_construct_omega_pairs_meet_their_definition(S):
+    check_report(S, pz.construct_omega(S))
+
+
+#: construct_omega(S).to_dict() for fixed S: a change in the choice of a,
+#: b, the auxiliary primes or the step count shows here
+PINNED = {
+    (): ("1", "1", "1", "1", 0, []),
+    (2,): ("18", "3", "50", "5", 0, [3, 5]),
+    (3,): ("75", "5", "147", "-7", 0, [5, 7]),
+    (3, 5): ("15", "2", "15", "2", 0, []),
+    (2, 3, 5): ("3630", "-22", "15870", "23", 0, [11, 23]),
+    (97,): ("2425", "5", "4753", "7", 0, [5, 7]),
+    (2, 89, 97): ("2089186", "165", "2917954", "13", 2, [11, 13]),
+    (3, 5, 7, 11, 13): ("7942935", "138", "14429415", "930", 0, [23, 31]),
+}
+
+
+# () checks that the empty set gives an empty delta
+@pytest.mark.parametrize("S", sorted(PINNED), ids=str)
+def test_construct_omega_pairs_ramify_on_S_and_the_auxiliaries(S):
+    check_report(S, pz.construct_omega(S))
+
+
+@pytest.mark.parametrize("S", sorted(PINNED), ids=str)
+def test_construct_omega_is_pinned(S):
+    a, b, c, d, steps, aux = PINNED[S]
+    assert pz.construct_omega(list(S)).to_dict() == {
+        "a": a, "b": b, "c": c, "d": d, "target": list(S), "achieved": list(S),
+        "search_steps": steps, "aux": aux}
 
 
 def test_construct_omega_round_trip():
@@ -150,11 +188,9 @@ def test_construct_omega_rejects_composites():
 # each search that takes a config, called with one
 searches = pytest.mark.parametrize("call", [
     lambda cfg: pz.find_b(3, [5, 7], cfg),
-    lambda cfg: pz.construct_even([2, 3], cfg),
-    lambda cfg: pz.construct_odd([7], cfg),
     lambda cfg: pz.construct_omega([2, 3], cfg),
     lambda cfg: pz.construct_omega([], cfg),
-], ids=["find_b", "construct_even", "construct_odd", "construct_omega", "construct_omega[]"])
+], ids=["find_b", "construct_omega", "construct_omega[]"])
 
 
 @pytest.mark.parametrize("config", [5, "cfg", {"candidate_cap": 5}])

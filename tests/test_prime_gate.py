@@ -42,8 +42,6 @@ GATED = {
         ("S", lambda S: semantics.campana_via_coordinates(1, 9, S, 2)),
     "parametrize.uniformizer_product": ("S", lambda S: parametrize.uniformizer_product(S)),
     "parametrize.find_b": ("S", lambda S: parametrize.find_b(3, [5, *S])),
-    "parametrize.construct_even": ("S", lambda S: parametrize.construct_even([5, *S])),
-    "parametrize.construct_odd": ("S", lambda S: parametrize.construct_odd(S)),
     "parametrize.construct_omega": ("S", lambda S: parametrize.construct_omega(S)),
 }
 
@@ -59,8 +57,6 @@ TAKES_S = {
         lambda S: semantics.campana_via_coordinates(1, 9, S, 2),
     "parametrize.uniformizer_product": lambda S: parametrize.uniformizer_product(S),
     "parametrize.find_b": lambda S: parametrize.find_b(3, S),
-    "parametrize.construct_even": lambda S: parametrize.construct_even(S),
-    "parametrize.construct_odd": lambda S: parametrize.construct_odd(S),
     "parametrize.construct_omega": lambda S: parametrize.construct_omega(S),
 }
 

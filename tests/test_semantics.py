@@ -95,6 +95,29 @@ def test_every_argument_is_checked_before_the_r_zero_shortcut(call):
         call()
 
 
+#: name -> (call on its rational arguments, their letters, valid values).
+#: omega read a zero c or d as the a or b of its second pair.
+ZERO_BY_LETTER = {
+    "places.omega": (places.omega, "a b c d", OMEGA_35),
+    "in_J": (lambda *abcd: sm.in_J(*abcd, 1), "a b c d", OMEGA_35),
+    "disjoint_omegas": (sm.disjoint_omegas, "a b c d a2 b2 c2 d2", OMEGA_2 + OMEGA_35),
+    "generate_trace_element":
+        (lambda a, b: sm.generate_trace_element(a, b, 1), "a b", (3, 5)),
+}
+
+
+@pytest.mark.parametrize("name, i", [
+    pytest.param(name, i, id=f"{name}[{letter}]")
+    for name, (_, letters, _) in ZERO_BY_LETTER.items()
+    for i, letter in enumerate(letters.split())])
+def test_a_zero_argument_is_refused_by_its_own_letter(name, i):
+    call, letters, valid = ZERO_BY_LETTER[name]
+    args = list(valid)
+    args[i] = 0
+    with pytest.raises(ValueError, match=f"^{letters.split()[i]} must be nonzero$"):
+        call(*args)
+
+
 def test_valuations_on_omega_primes_are_not_proved_again(monkeypatch):
     places.omega(*OMEGA_35)  # the memo now holds {3, 5}
     proofs = []

@@ -61,7 +61,8 @@ def primes_up_to(n: int) -> List[int]:
 
 def is_prime(n: int) -> bool:
     """A lookup in the sieved primes below TRIAL_DIVISION_BOUND; above it,
-    Miller-Rabin, deterministic below _MR_DETERMINISTIC_BOUND."""
+    Miller-Rabin, deterministic below _MR_DETERMINISTIC_BOUND (about 3.3e24)
+    and with 20 more seeded random bases, a probable-prime test, above."""
     if type(n) is not int:
         n = integer(n, "n")
     if n < TRIAL_DIVISION_BOUND:
@@ -199,7 +200,8 @@ class Factorization:
 
 
 def factorize(r: RationalLike) -> Factorization:
-    """Exact factorization of a nonzero rational (denominator exponents < 0)."""
+    """Exact factorization of a nonzero rational (denominator exponents < 0).
+    A factor above _MR_DETERMINISTIC_BOUND is a probable prime (is_prime)."""
     num, den = num_den(r)
     if num == 0:
         raise ValueError("cannot factorize 0")
@@ -326,11 +328,12 @@ def _product(x: RationalLike, y: RationalLike) -> RationalLike:
 
 
 def prime(p) -> int:
-    """p as a proved prime: the one gate for every prime argument.
+    """p as a prime: the one gate for every prime argument.
 
     p must be an integer (an int, or any type with __index__; never a
     float, a str or a Fraction, even one with an integral value) that is
-    prime.  Anything else raises ValueError.
+    prime.  Anything else raises ValueError.  The check is is_prime's, so
+    above _MR_DETERMINISTIC_BOUND (about 3.3e24) p is a probable prime.
     """
     q = integer(p, "a prime")
     if not is_prime(q):

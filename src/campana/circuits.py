@@ -22,7 +22,9 @@ norm form of degree len(children) applied to the children (see
 kernels.norm_value).  It lets a conjunction of hundreds of equations be
 collapsed into one equation without expanding the norm polynomial.
 
-Everything that depends on a node's op lives in one table, OPS.
+Everything that depends on a node's op lives in one table, OPS, except
+reading a node list: read_nodes checks and loads each op inline, as one
+call per node was most of the cost of parse.
 """
 from __future__ import annotations
 
@@ -336,18 +338,15 @@ class _Op(NamedTuple):
     rules (exact, mod, vec) take (node, values of the earlier nodes, env,
     q); vec is the mod rule applied to int64 arrays unless given.  A rule
     that takes a function f or t calls it on the node's own child fields.
-    load reads node i of a node list, an array of length arity, against the
-    circuits made for nodes 0..i-1: it returns the table key, each child
-    index an int below i given by its circuit, or raises ValueError.  An
-    array node is the only node form read."""
+    Reading a node list is the one per-op step not in this table: read_nodes
+    checks and loads each op inline, since a call per node through a row
+    was most of the cost of parse."""
 
     children: Callable  # node -> child fields
     remap: Callable     # (node, f) -> the node with each child j moved to f(j)
     degree: Callable    # table key, whose children are circuits -> int
     exact: Callable     # int or Fraction
     mod: Callable       # int in [0, q)
-    arity: int          # the length of a node, op included
-    load: Callable      # (array node of that length, i, circuits so far) -> table key
     sexpr: Callable     # (node, t) -> str, where t(j) is the text of child j
     latex: Callable
     vec: Optional[Callable] = None
@@ -419,22 +418,15 @@ def _checked(x, ok: bool, what: str):
     return x
 
 
-def _kid(j, i: int, made: List[Circuit]) -> Circuit:
-    """The circuit of child index j of node i; j must be an int below i."""
-    if type(j) is not int or not 0 <= j < i:
-        raise ValueError(f"expected child indices below {i}, not {j!r}")
-    return made[j]
-
-
 _RATIONAL = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")  # p/q with q >= 1
 
 
-def _value(x) -> ConstLike:
-    """An int node's value: an int, a Fraction that is not one, or "p/q"."""
+def _value(x, i: int) -> ConstLike:
+    """The value of int node i: an int, a Fraction that is not one, or "p/q"."""
     if type(x) is int or type(x) is Fraction and x.denominator != 1:
         return x
-    _checked(x, type(x) is str and _RATIONAL.fullmatch(x) is not None,
-             "an int value must be an int or a 'p/q' string")
+    if type(x) is not str or _RATIONAL.fullmatch(x) is None:
+        raise _bad(i, "an int value must be an int or a 'p/q' string", x)
     return arith.rational(Fraction(x))
 
 
@@ -445,9 +437,6 @@ OPS: Dict[str, _Op] = {
         exact=lambda nd, v, env, q: arith.rational(_lookup(env, nd[1])),
         mod=lambda nd, v, env, q: _int_mod(_lookup(env, nd[1]), q),
         vec=lambda nd, v, env, q: _vec_var(_lookup(env, nd[1]), q),
-        arity=2,
-        load=lambda nd, i, made: ("var", _checked(nd[1], type(nd[1]) is str,
-                                                  "a var name must be a string")),
         sexpr=lambda nd, t: f"(var {nd[1]})",
         latex=lambda nd, t: f"{nd[1][0]}_{{{nd[1][1:]}}}" if nd[1][1:].isdigit()
         else nd[1],
@@ -458,7 +447,6 @@ OPS: Dict[str, _Op] = {
         exact=lambda nd, v, env, q: nd[1],
         mod=lambda nd, v, env, q: _const_mod(nd[1], q),
         vec=lambda nd, v, env, q: np.int64(_const_mod(nd[1], q)),
-        arity=2, load=lambda nd, i, made: ("int", _value(nd[1])),
         sexpr=lambda nd, t: f"(int {nd[1]})",
         latex=lambda nd, t: str(nd[1]) if isinstance(nd[1], int) else
         rf"\tfrac{{{nd[1].numerator}}}{{{nd[1].denominator}}}",
@@ -468,8 +456,6 @@ OPS: Dict[str, _Op] = {
         degree=lambda key: max(key[1]._degree, key[2]._degree),
         exact=lambda nd, v, env, q: v[nd[1]] + v[nd[2]],
         mod=lambda nd, v, env, q: (v[nd[1]] + v[nd[2]]) % q,
-        arity=3,
-        load=lambda nd, i, made: ("add", _kid(nd[1], i, made), _kid(nd[2], i, made)),
         sexpr=lambda nd, t: f"(add {t(nd[1])} {t(nd[2])})",
         latex=lambda nd, t: f"\\left({t(nd[1])} + {t(nd[2])}\\right)",
     ),
@@ -478,8 +464,6 @@ OPS: Dict[str, _Op] = {
         degree=lambda key: key[1]._degree + key[2]._degree,
         exact=lambda nd, v, env, q: arith._product(v[nd[1]], v[nd[2]]),
         mod=lambda nd, v, env, q: v[nd[1]] * v[nd[2]] % q,
-        arity=3,
-        load=lambda nd, i, made: ("mul", _kid(nd[1], i, made), _kid(nd[2], i, made)),
         sexpr=lambda nd, t: f"(mul {t(nd[1])} {t(nd[2])})",
         latex=lambda nd, t: f"{t(nd[1])} \\cdot {t(nd[2])}",
     ),
@@ -488,7 +472,6 @@ OPS: Dict[str, _Op] = {
         degree=lambda key: key[1]._degree,
         exact=lambda nd, v, env, q: -v[nd[1]],
         mod=lambda nd, v, env, q: -v[nd[1]] % q,
-        arity=2, load=lambda nd, i, made: ("neg", _kid(nd[1], i, made)),
         sexpr=lambda nd, t: f"(neg {t(nd[1])})",
         latex=lambda nd, t: f"-{t(nd[1])}",
     ),
@@ -498,9 +481,6 @@ OPS: Dict[str, _Op] = {
         exact=lambda nd, v, env, q: arith._power(v[nd[1]], nd[2]),
         mod=lambda nd, v, env, q: pow(v[nd[1]], nd[2], q),
         vec=lambda nd, v, env, q: _vec_pow(v[nd[1]], nd[2], q),
-        arity=3,
-        load=lambda nd, i, made: ("pow", _kid(nd[1], i, made), _checked(
-            nd[2], type(nd[2]) is int and nd[2] >= 1, "pow k must be an int >= 1")),
         sexpr=lambda nd, t: f"(pow {t(nd[1])} {nd[2]})",
         latex=lambda nd, t: f"\\left({t(nd[1])}\\right)^{{{nd[2]}}}",
     ),
@@ -510,10 +490,6 @@ OPS: Dict[str, _Op] = {
         exact=lambda nd, v, env, q: _exact_norm([v[j] for j in nd[1]]),
         mod=lambda nd, v, env, q: kernels.norm_mod([v[j] for j in nd[1]], q),
         vec=lambda nd, v, env, q: _vec_norm([v[j] for j in nd[1]], q),
-        arity=2,
-        load=lambda nd, i, made: ("norm", tuple([_kid(j, i, made) for j in _checked(
-            nd[1], type(nd[1]) in (list, tuple) and len(nd[1]) > 0,
-            "norm takes a nonempty list of child indices")])),
         sexpr=lambda nd, t: f"(norm {' '.join(map(t, nd[1]))})",
         latex=lambda nd, t: rf"\mathrm{{N}}_{{{len(nd[1])}}}\!\left("
         rf"{', '.join(map(t, nd[1]))}\right)",
@@ -552,25 +528,66 @@ def _malformed(i: int, nd) -> str:
 
 def read_nodes(raw) -> List[Circuit]:
     """One circuit per node of a node list whose children come first, each
-    node checked, loaded and interned as it is read: each node is an array
-    (a JSON array or a node tuple) and goes through the load rule of its op.
-    ValueError, naming the node, unless it is an array, its op is known,
-    its length right, each child index an int below its own index and each
-    other field well formed.  The list may repeat nodes, hold nodes no root
-    reaches and have any such order; each circuit is canonical all the
-    same."""
+    node checked, loaded and interned as it is read.  ValueError, naming
+    the node, unless it is an array (a JSON array or a node tuple), its op
+    is known, its length right, each child index an int below its own index
+    and each other field well formed.  The list may repeat nodes, hold nodes
+    no root reaches and have any such order; each circuit is canonical all
+    the same.  Each op is read inline, and a circuit already in the table
+    taken without a call: parse spends most of its time here."""
     _checked(raw, type(raw) in (list, tuple), "nodes must be a list")
     made: List[Circuit] = []
+    get, append = _TABLE.get, made.append
     for i, nd in enumerate(raw):
-        row = OPS.get(nd[0]) if type(nd) in (list, tuple) and nd and type(nd[0]) is str else None
-        if row is None or len(nd) != row.arity:
+        n = len(nd) if type(nd) in (list, tuple) and nd and type(op := nd[0]) is str else 0
+        if n == 3:
+            _, j, k = nd
+            if op == "add" or op == "mul":
+                if type(j) is not int or not 0 <= j < i:
+                    raise _bad_kid(i, j)
+                if type(k) is not int or not 0 <= k < i:
+                    raise _bad_kid(i, k)
+                key = ("add" if op == "add" else "mul", made[j], made[k])
+            elif op == "pow":
+                if type(j) is not int or not 0 <= j < i:
+                    raise _bad_kid(i, j)
+                if type(k) is not int or k < 1:
+                    raise _bad(i, "pow k must be an int >= 1", k)
+                key = ("pow", made[j], k)
+            else:
+                raise ValueError(_malformed(i, nd))
+        elif n == 2 and op == "var":
+            if type(name := nd[1]) is not str:
+                raise _bad(i, "a var name must be a string", name)
+            key = ("var", name)
+        elif n == 2 and op == "neg":
+            if type(j := nd[1]) is not int or not 0 <= j < i:
+                raise _bad_kid(i, j)
+            key = ("neg", made[j])
+        elif n == 2 and op == "int":
+            key = ("int", _value(nd[1], i))
+        elif n == 2 and op == "norm":
+            if type(js := nd[1]) not in (list, tuple) or not js:
+                raise _bad(i, "norm takes a nonempty list of child indices", js)
+            for j in js:
+                if type(j) is not int or not 0 <= j < i:
+                    raise _bad_kid(i, j)
+            key = ("norm", tuple([made[j] for j in js]))
+        else:
             raise ValueError(_malformed(i, nd))
-        try:
-            key = row.load(nd, i, made)
-        except ValueError as exc:
-            raise ValueError(f"node {i}: {exc}") from None
-        made.append(_intern(key))
+        ref = get(key)
+        if ref is None or (circ := ref()) is None:
+            circ = _intern(key)
+        append(circ)
     return made
+
+
+def _bad(i: int, what: str, x) -> ValueError:
+    return ValueError(f"node {i}: {what}, not {x!r}")
+
+
+def _bad_kid(i: int, j) -> ValueError:
+    return _bad(i, f"expected child indices below {i}", j)
 
 
 def _not_canonical(nodes: Sequence[tuple], made: List[Circuit]) -> str:

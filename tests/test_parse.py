@@ -299,3 +299,79 @@ def test_mutated_document_parses_or_raises_value_error(f, data):
     assert fm.parse(fm.emit(g, "json")) == g
     fm.stats(g)
     fm.emit(g, "sexpr"), fm.emit(g, "latex")
+
+
+# ---------------------------------------------------------------------------
+# the reader's refusal table: every single mutation of every node of a few
+# canonical node lists is a ValueError naming that node, through parse and
+# through Circuit(nodes) alike
+# ---------------------------------------------------------------------------
+
+def _bad_children(i):
+    """Child indices that are not an int below the node's own index i."""
+    return (-1, i, i + 1, True, 1.0, "0", None)
+
+
+def _mutations(i, nd):
+    """Each single mutation of node i, an array node given as a list or as a
+    node tuple; the result has the same kind of array, and a norm node's
+    children keep their kind too."""
+    like, op = type(nd), nd[0]
+    nd = list(nd)
+    if op == "norm":
+        kids = list(nd[1])
+        for at in range(len(kids)):
+            for bad in _bad_children(i):
+                yield like([op, type(nd[1])(kids[:at] + [bad] + kids[at + 1:])])
+    elif op != "var" and op != "int":
+        for bad in _bad_children(i):
+            yield like([op, bad] + nd[2:])
+    if op in ("add", "mul"):
+        for bad in _bad_children(i):
+            yield like(nd[:2] + [bad])
+    if op == "pow":
+        for bad in (0, True, 2.0):
+            yield like(nd[:2] + [bad])
+    if op == "var":
+        yield like([op, 1])
+    yield like(["sub"] + nd[1:])
+    for at in range(len(nd)):
+        yield like(nd[:at] + nd[at + 1:])
+    yield like(nd + [0])
+
+
+def _fraction_and_norm_formula():
+    x, y = Circuit.var("x"), Circuit.var("y")
+    atom = Circuit.norm([x * Fraction(1, 3), y + 2, x]) - Fraction(-3, 4) * y
+    return fm.Formula([], ("eq", atom), ["x", "y"])
+
+
+REFUSAL_TABLE_FORMULAS = {"S": fm.build_S, "J": fm.build_J,
+                          "fraction and norm": _fraction_and_norm_formula}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSAL_TABLE_FORMULAS))
+def test_parse_refuses_every_single_node_mutation_at_that_node(name):
+    f = REFUSAL_TABLE_FORMULAS[name]()
+    text = fm.emit(f, "json").decode()
+    nodes = json.loads(text)["nodes"]
+    assert all(a is b for a, b in zip(fm.parse(text).atoms(), f.atoms(), strict=True))
+    # the document text around its node list, so that each mutation is one join
+    texts = [json.dumps(nd, separators=(",", ":")) for nd in nodes]
+    head, tail = text.split(f"[{','.join(texts)}]")
+    for i, nd in enumerate(nodes):
+        for bad in _mutations(i, nd):
+            mutated = ",".join(texts[:i] + [json.dumps(bad)] + texts[i + 1:])
+            with pytest.raises(ValueError, match=rf"^node {i}: "):
+                fm.parse(f"{head}[{mutated}]{tail}")
+
+
+@pytest.mark.parametrize("name", sorted(REFUSAL_TABLE_FORMULAS))
+def test_circuit_refuses_every_single_node_mutation_at_that_node(name):
+    for atom in REFUSAL_TABLE_FORMULAS[name]().atoms():
+        nodes = atom.nodes
+        assert Circuit(nodes) is atom and Circuit(list(nodes)) is atom
+        for i, nd in enumerate(nodes):
+            for bad in _mutations(i, nd):
+                with pytest.raises(ValueError, match=rf"^node {i}: "):
+                    Circuit(nodes[:i] + (bad,) + nodes[i + 1:])

@@ -156,3 +156,13 @@ def test_the_oracle_pair_memo_does_not_let_an_equal_non_int_through():
     places.default_oracle_precision(2, 3, 7)
     with pytest.raises(ValueError):
         places.hilbert_oracle(2, 3, [7], 5)
+
+
+def test_above_the_deterministic_bound_the_gate_is_a_probable_prime_test():
+    # past _MR_DETERMINISTIC_BOUND is_prime adds 20 seeded random bases: a
+    # Mersenne prime passes and a product of two Mersenne primes does not
+    big_prime, composite = 2**89 - 1, (2**61 - 1) * (2**31 - 1)
+    assert min(big_prime, composite) > arith._MR_DETERMINISTIC_BOUND
+    assert arith.prime(big_prime) == big_prime
+    with pytest.raises(ValueError, match="is not prime"):
+        arith.prime(composite)

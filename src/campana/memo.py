@@ -13,6 +13,11 @@ Three pieces of process-wide state are not memos, and are left out:
 - circuits._TABLE is the hash-consing table: two circuits are == only if
   they are one object, which holds only while the table holds every live
   circuit, so it must never be emptied.
+One more process-wide setting is touched but not kept: formulas.parse
+pauses the cyclic garbage collector (gc.disable) while it runs and turns
+it back on when it ends, if it was on when the call began.  A thread that
+turns the collector off while another thread is inside parse sees it
+turned back on when that parse ends.
 """
 from __future__ import annotations
 

@@ -1,7 +1,10 @@
 """formulas.parse: validation of malformed documents, and emit/parse
 properties on random circuits."""
 import copy
+import gc
 import json
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -375,3 +378,95 @@ def test_circuit_refuses_every_single_node_mutation_at_that_node(name):
             for bad in _mutations(i, nd):
                 with pytest.raises(ValueError, match=rf"^node {i}: "):
                     Circuit(nodes[:i] + (bad,) + nodes[i + 1:])
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector is paused while parse runs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [lambda: fm.build_campana(7), fm.build_premise],
+                         ids=["campana(7)", "premise"])
+def test_parse_runs_no_collection(build):
+    f = build()  # kept alive, so each node of the document is a table hit
+    doc = fm.emit(f, "json")
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        fm.parse(doc)
+    finally:
+        gc.callbacks.remove(count)
+    assert started == []
+
+
+BAD_DOCUMENTS = {
+    "bad node": _doc([XA, ["sub", 0, 0]]),
+    "bad key": _doc([XA], extra=1),
+    "not str data": 123,
+    "nested too deeply": _doc([XA]).replace(
+        '{"eq": 0}', '{"and": [' * 5000 + '{"eq": 0}' + ']}' * 5000),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", ["valid"] + sorted(BAD_DOCUMENTS))
+def test_parse_leaves_the_collector_as_it_found_it(case, enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if case == "valid":
+            assert fm.parse(_doc([XA])).atoms() == [Circuit.var("x")]
+        else:
+            _rejects(BAD_DOCUMENTS[case])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_parse_in_two_threads_leaves_the_collector_as_it_found_it(enabled):
+    f = fm.build_campana(7)
+    doc = fm.emit(f, "json")
+    parsed = []
+
+    def parse_a_few():
+        for _ in range(5):
+            parsed.append(fm.parse(doc) == f)
+
+    interval = sys.getswitchinterval()
+    (gc.enable if enabled else gc.disable)()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse_a_few) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert parsed == [True] * 10
+        assert gc.isenabled() is enabled
+    finally:
+        sys.setswitchinterval(interval)
+        gc.enable()
+
+
+def test_parse_leaves_no_cyclic_garbage():
+    """What makes the pause safe: every object parse makes dies by refcount."""
+    docs = [fm.emit(t.build(7, real), "json") for t in fm.TARGETS.values()
+            for real in ((False, True) if t.has_real else (False,))]
+    assert len(docs) == 15
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for doc in docs:
+            fm.parse(doc)
+        assert gc.collect() == 0 and gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()

@@ -158,10 +158,6 @@ class Circuit:
             self._nodes = tuple([_REMAP[c._key[0]](c._key, at) for c in lay.order])
         return self._nodes
 
-    @property
-    def root(self) -> int:
-        return len(self.nodes) - 1
-
     # -- analysis ----------------------------------------------------
     def _fold(self, rules: Mapping[str, Callable], env: Mapping, q=None):
         """One pass over the nodes: rules[op](node, values so far, env, q).

@@ -310,9 +310,9 @@ def _premise_block(a, b, c, d, a2, b2, c2, d2, r, gs):
 # The builders that take no argument are constants, built once per process
 # by memo, and build_integrality keeps its two variants: each returns one
 # shared Formula, which holds its circuits (and its layout, once emitted)
-# until cache_clear() or clear_memos().  build_Jn, build_inv_Jn and
-# build_campana take an unbounded n and build afresh on every call; emit
-# writes their documents into one template per family (_n_template).
+# until clear_memos().  build_Jn, build_inv_Jn and build_campana take an
+# unbounded n and build afresh on every call; emit writes their documents
+# into one template per family (_n_template).
 
 #: The builders' free names: the first tuple (a, b, c, d), the element r, and
 #: the second tuple (a2, b2, c2, d2) of the disjointness blocks.
@@ -560,10 +560,6 @@ def _integrality(real_embedded: bool) -> Formula:
         lambda a2, b2, c2, d2, r, gs: _jabcd_block(a2, b2, c2, d2,
                                                    Circuit.const(1), gs),
         real_embedded)
-
-
-build_integrality.cache_info = _integrality.cache_info
-build_integrality.cache_clear = _integrality.cache_clear
 
 
 def _premise_implies(conclusion, real_embedded: bool) -> Formula:

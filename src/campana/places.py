@@ -7,12 +7,12 @@ Hensel-liftable solutions of z^2 = a x^2 + b y^2 over Z/p^m.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import arith, kernels
 from .arith import RationalLike
-from .errors import SearchExhausted
 from .memo import memo
 
 
@@ -185,15 +185,16 @@ def hilbert_oracle(a: RationalLike, b: RationalLike, p: int, precision: int) -> 
     primitive point has x or y a unit and scales to x = 1 or y = 1, and
     a x^2 + b y^2 then depends on x or y only through a square, so the
     scan misses no point.  It reads no Legendre symbol, so it stays
-    independent of hilbert.  m is capped at 2*(v_p(2) + max residual
-    valuation) + 1, which is always <= precision given the stated
-    precondition, and suffices for Hensel lifting.
+    independent of hilbert.  m is 2*(v_p(2) + max residual valuation) + 1,
+    which suffices for Hensel lifting; precision below
+    2*(v_p(2) + max valuation) + 1 (and below 3) is refused, and a precision
+    that passes is never below m, so it is read for that check only.
 
     The scan reads a and b only mod p^m, and is symmetric in them, so its
     answer is memoized per class (p, m and the sorted residues): the
     _ORACLE_CACHE_SIZE most recently used classes.  The arguments are
     checked on every call and errors are not memoized; hits and misses are
-    read with hilbert_oracle.cache_info().
+    campana.memos()["places._scan_class"].
     """
     p, (va, ua), (vb, ub) = _cleared_at(a, b, p)
     precision = arith.integer(precision, "precision")
@@ -206,16 +207,12 @@ def hilbert_oracle(a: RationalLike, b: RationalLike, p: int, precision: int) -> 
     ra = ua * p ** (va % 2)
     rb = ub * p ** (vb % 2)
     resid = max(va % 2, vb % 2)
-    m = min(precision, 2 * ((1 if p == 2 else 0) + resid) + 1)
+    m = 2 * ((1 if p == 2 else 0) + resid) + 1
     M = p ** m
     ra, rb = ra % M, rb % M
     if ra > rb:
         ra, rb = rb, ra
     return 1 if _scan_class(ra, rb, p, m) else -1
-
-
-hilbert_oracle.cache_info = _scan_class.cache_info
-hilbert_oracle.cache_clear = _scan_class.cache_clear
 
 
 def default_oracle_precision(a: RationalLike, b: RationalLike, p: int) -> int:
@@ -273,7 +270,7 @@ def omega(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) ->
     quadruples (read by arith.rational, so 3 and Fraction(6, 2) are one key)
     keep their PlaceSet, which is immutable.  Errors are raised again on
     every call, and a zero is refused by its own letter before the scan;
-    hits and misses are read with omega.cache_info()."""
+    hits and misses are campana.memos()["places._omega"]."""
     args = tuple(map(arith.rational, (a, b, c, d)))
     if 0 in args:
         raise ValueError(f"{'abcd'[args.index(0)]} must be nonzero")
@@ -289,10 +286,6 @@ def _omega(a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) -
     return PlaceSet._of_proved(primes)
 
 
-omega.cache_info = _omega.cache_info
-omega.cache_clear = _omega.cache_clear
-
-
 def reciprocity_check(a: RationalLike, b: RationalLike) -> bool:
     """Whether the local symbols over the scan set (inf, 2 and the
     supports) multiply to +1, i.e. are -1 at an even number of places;
@@ -301,16 +294,14 @@ def reciprocity_check(a: RationalLike, b: RationalLike) -> bool:
     return (real + len(primes)) % 2 == 0
 
 
-#: Candidates b = 1, -1, 2, -2, ... that find_local_counterexample tries
-#: before it gives up.
-COUNTEREXAMPLE_CAP = 10_000
-
-
 def find_local_counterexample(a: RationalLike, v) -> Fraction:
-    """Given a nonsquare in Q_v, find b with (a,b)_v = -1 by bounded
-    enumeration over small integers (existence is guaranteed, so hitting
-    COUNTEREXAMPLE_CAP raises SearchExhausted).  v is proved once: the
-    candidates are read by the closed form at the proved prime."""
+    """Given a nonsquare a in Q_v, a b with (a,b)_v = -1, by the local
+    theory (Serre, A Course in Arithmetic, III 1.2): -1 at the real place;
+    p at an odd p when v_p(a) is even, as a is then a unit nonsquare times a
+    square; otherwise the first of b = 1, -1, 2, -2, ... with symbol -1,
+    a unit nonresidue below p at an odd p and at most 3 in size at p = 2.
+    v is proved once: the candidates are read by the closed form at the
+    proved prime."""
     x = arith.square_class(a, "a")
     p = arith.place_prime(v)
     if arith._is_square_at(x, p):
@@ -318,9 +309,9 @@ def find_local_counterexample(a: RationalLike, v) -> Fraction:
     if p is None:
         return Fraction(-1)
     alpha, u = local_data(x, p)
-    for n in range(1, COUNTEREXAMPLE_CAP // 2 + 1):
+    if p != 2 and alpha % 2 == 0:
+        return Fraction(p)
+    for n in itertools.count(1):
         for b in (n, -n):
             if local_symbol(p, alpha, u, *local_data(b, p)) == -1:
                 return Fraction(b)
-    raise SearchExhausted(
-        f"no b with (a,b)_v = -1 found within {COUNTEREXAMPLE_CAP} candidates")

@@ -2,8 +2,11 @@
 no caller sets, library invariants never rest on `assert`, no module of
 the package imports itself back, and the CLI has one error path."""
 import ast
+import importlib
 import inspect
 import pathlib
+import pkgutil
+import types
 
 import pytest
 
@@ -29,6 +32,18 @@ def test_searches_and_substitution_take_no_knobs():
     assert _parameters(places.find_local_counterexample) == [("a", empty), ("v", empty)]
     config = list(inspect.signature(parametrize.SearchConfig).parameters)
     assert config == ["candidate_cap"]
+
+
+def test_memo_counters_are_read_only_through_memos():
+    # a memo's counts and clearing go through campana.memos() and
+    # clear_memos(), not through accessors grafted onto a plain function
+    grafted = []
+    for info in pkgutil.iter_modules(campana.__path__):
+        module = importlib.import_module(f"campana.{info.name}")
+        grafted += [f"{info.name}.{attr}" for attr, obj in vars(module).items()
+                    if isinstance(obj, types.FunctionType)
+                    and (hasattr(obj, "cache_info") or hasattr(obj, "cache_clear"))]
+    assert grafted == []
 
 
 @pytest.mark.parametrize("path", sorted(

@@ -149,10 +149,10 @@ def _assert_compact(circ):
     """Each node is reachable and distinct, and the nodes come in the
     left-to-right first-visit postorder from the root."""
     nodes = circ.nodes
-    assert circ.root == len(nodes) - 1
+    root = len(nodes) - 1
     assert len(set(nodes)) == len(nodes)
-    order, seen = [], {circ.root}
-    stack = [(circ.root, iter(_children(nodes[circ.root])))]
+    order, seen = [], {root}
+    stack = [(root, iter(_children(nodes[root])))]
     while stack:
         i, kids = stack[-1]
         for j in kids:

@@ -8,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import campana
 from campana import formulas as fm, kernels, semantics
 from campana.circuits import Circuit
 from campana.forms import BinaryForm, X_FORM
@@ -306,7 +307,7 @@ def _sympy(circ):
         else:
             x, y = made[args[0]], made[args[1]]
             made.append(x + y if op == "add" else x * y)
-    return made[circ.root]
+    return made[-1]
 
 
 def test_substituted_degree_is_the_degree_of_the_polynomial():
@@ -483,10 +484,18 @@ _CACHED = [(name, real) for name, target in fm.TARGETS.items() if not target.tak
            for real in ((False, True) if target.has_real else (False,))]
 
 
+def _memo_name(name):
+    """The memo that holds a cached target's formulas."""
+    if name == "integrality":
+        return "formulas._integrality"
+    return f"formulas.{fm.TARGETS[name].builder.__name__}"
+
+
 def test_the_cached_builders_are_those_without_n():
     for target in fm.TARGETS.values():
-        assert hasattr(target.builder, "cache_clear") == (not target.takes_n)
+        assert (target.build(7) is target.build(7)) == (not target.takes_n)
     assert len({name for name, _ in _CACHED}) == 10
+    assert {_memo_name(name) for name, _ in _CACHED} <= set(campana.memos())
 
 
 @pytest.mark.parametrize("name, real", _CACHED)
@@ -494,7 +503,7 @@ def test_a_cached_builder_returns_one_shared_formula(name, real):
     target = fm.TARGETS[name]
     f = target.build(real=real)
     assert target.build(real=real) is f
-    info = target.builder.cache_info()
+    info = campana.memos()[_memo_name(name)]
     assert (info.hits, info.misses) == (1, 1)
     if target.has_real:
         # keyword and positional calls share the entry
@@ -506,7 +515,7 @@ def test_a_cleared_builder_builds_the_same_bytes_again(name, real):
     target = fm.TARGETS[name]
     f = target.build(real=real)
     blobs = [fm.emit(f, fmt) for fmt in ("json", "sexpr", "latex")]
-    target.builder.cache_clear()
+    campana.clear_memos()
     g = target.build(real=real)
     assert g is not f and g == f
     assert [fm.emit(g, fmt) for fmt in ("json", "sexpr", "latex")] == blobs

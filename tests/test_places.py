@@ -10,8 +10,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import campana
 from campana import arith, kernels, parametrize, places
-from campana.errors import SearchExhausted
 from campana.places import PlaceSet
 
 
@@ -198,7 +198,7 @@ def test_the_oracle_memo_answers_each_class_as_the_kernel_does(case):
     pairs = [(a, b), (a + j * M, b + k * M), (b, a), (b + k * M, a + j * M)]
     calls = []
     # the memo is kept from earlier examples, so a wrongly keyed entry shows
-    before = places.hilbert_oracle.cache_info()
+    before = campana.memos()["places._scan_class"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "conic_has_solution",
                    lambda *args: calls.append(args) or kernel(*args))
@@ -208,9 +208,24 @@ def test_the_oracle_memo_answers_each_class_as_the_kernel_does(case):
             assert got == (1 if kernel(x, y, p, m) else -1), (x, y)
             with pytest.raises(ValueError):  # checked before the lookup
                 places.hilbert_oracle(x, y, p, 2)
-    after = places.hilbert_oracle.cache_info()
+    after = campana.memos()["places._scan_class"]
     assert len(calls) == after.misses - before.misses <= 1
     assert after.hits - before.hits == len(pairs) - len(calls)
+
+
+@given(st.sampled_from(arith.primes_up_to(47)),
+       *[st.integers(-10**4, 10**4).filter(bool), st.integers(0, 4)] * 2)
+@settings(max_examples=200)
+def test_oracle_precision_past_the_gate_changes_no_answer(p, x, i, y, j):
+    a, b = x * p**i, y * p**j
+    va, vb = (arith.split_power(arith.square_class(r, "r"), p)[0] for r in (a, b))
+    gate = max(3, 2 * max(va, vb) + (3 if p == 2 else 1))
+    want = places.hilbert_oracle(a, b, p, places.default_oracle_precision(a, b, p))
+    for k in range(gate, gate + 11):
+        assert places.hilbert_oracle(a, b, p, k) == want, k
+    for k in range(gate):
+        with pytest.raises(ValueError):
+            places.hilbert_oracle(a, b, p, k)
 
 
 def test_the_oracle_memo_keeps_primes_apart():
@@ -358,16 +373,16 @@ def test_memoized_omega_equals_the_computation(quadruples):
     # more distinct keys than the memo holds, so every drawn key is evicted
     for k in range(places.OMEGA_CACHE_SIZE + 1):
         places.omega(k + 1, -1, k + 1, -1)
-    assert places.omega.cache_info().currsize == places.OMEGA_CACHE_SIZE
+    assert campana.memos()["places._omega"].entries == places.OMEGA_CACHE_SIZE
     for q in quadruples:
         assert places.omega(*q) == computed(q)
 
 
 def test_equal_values_share_one_memo_entry():
     places.omega(3, 5, 3, 5)
-    hits = places.omega.cache_info().hits
+    hits = campana.memos()["places._omega"].hits
     assert places.omega(Fraction(3), Fraction(10, 2), 3, np.int64(5)) == PlaceSet([3, 5])
-    assert places.omega.cache_info().hits == hits + 1
+    assert campana.memos()["places._omega"].hits == hits + 1
 
 
 def test_omega_errors_are_not_memoized():
@@ -407,7 +422,7 @@ def test_threads_sharing_the_omega_memo_get_the_computed_sets():
     finally:
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads) and not errors
-    assert places.omega.cache_info().currsize == places.OMEGA_CACHE_SIZE
+    assert campana.memos()["places._omega"].entries == places.OMEGA_CACHE_SIZE
 
 
 def _count_prime_proofs(monkeypatch):
@@ -493,7 +508,7 @@ def test_one_scan_agrees_with_the_public_symbol(pairs):
         (a, b), (c, d) = pairs[i], pairs[j]
         assert places.delta(a, b) == want[i][0]
         assert places.delta_upper(c, d) == want[j][1]
-        places.omega.cache_clear()  # so that omega reads the pair memo
+        places._omega.cache_clear()  # so that omega reads the pair memo
         assert places.omega(a, b, c, d) == want[i][1] & want[j][1]
         assert places.reciprocity_check(c, d) == want[j][2]
         assert places.delta_upper(a, b) == want[i][1]
@@ -532,7 +547,42 @@ def test_find_local_counterexample_proves_v_once(monkeypatch):
         assert places.hilbert(a, b, v) == -1
 
 
-@given(nonzero_small, place_st)
+#: Odd primes past 5,000, where a scan of b = +-1 .. +-5,000 finds no b
+#: when v_p(a) is even
+_LARGE_PRIMES = (5003, 10007, 10**9 + 7, 2**61 - 1)
+
+
+@pytest.mark.parametrize("p", _LARGE_PRIMES)
+def test_counterexamples_at_large_primes(p):
+    cases = [x for a in (-1, 2, 3, 5, 7) for x in (a, a * p * p, a * p)
+             if not arith.is_square_local(x, p)]
+    assert len(cases) >= 6
+    for a in cases:
+        b = places.find_local_counterexample(a, p)
+        assert type(b) is Fraction and places.hilbert(a, b, p) == -1, (a, b)
+
+
+#: (a, v): b, the first b = 1, -1, 2, -2, ... with (a, b)_v = -1; at an
+#: odd p with v_p(a) even that first b is the theorem's b = p
+_COUNTEREXAMPLE_PINS = {
+    (-1, "inf"): -1, (Fraction(-7, 2), "inf"): -1,
+    (-1, 2): -1, (3, 2): -1, (5, 2): 2, (6, 2): -1, (Fraction(1, 2), 2): 3,
+    (Fraction(-2, 3), 2): 2, (Fraction(7, 4), 2): -1,
+    (2, 3): 3, (3, 3): -1, (Fraction(-3, 4), 3): -1,
+    (5, 5): 2, (10, 5): 2, (Fraction(2, 9), 5): 5,
+    (-1, 7): 7, (7, 7): -1, (-13, 13): 2, (Fraction(-17, 9), 17): 3,
+    (-41, 41): 3, (Fraction(59, 12), 59): -1, (2, 997): 997,
+    (-1, 4999): 4999, (3, 4999): 4999,
+}
+
+
+def test_counterexamples_keep_their_pinned_values():
+    got = {key: places.find_local_counterexample(*key) for key in _COUNTEREXAMPLE_PINS}
+    assert got == _COUNTEREXAMPLE_PINS
+    assert {type(b) for b in got.values()} == {Fraction}
+
+
+@given(nonzero_small, st.sampled_from(["inf", 2, 3, 5, 7, 11, 13, *_LARGE_PRIMES]))
 @settings(max_examples=150)
 def test_prop_lin_both_directions(a, v):
     if arith.is_square_local(a, v):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -22,7 +23,7 @@ from . import arith
 from .circuits import Circuit, Layout, layout, read_nodes, render_all, to_json
 from .errors import InvariantError
 from .forms import BinaryForm, binary_form
-from .memo import memo
+from .memo import MemoInfo, memo, register
 
 # matrix nodes: ("eq", Circuit) | ("neq", Circuit) | ("and", tuple) | ("or", tuple)
 MatrixNode = tuple
@@ -93,7 +94,9 @@ class Formula:
     made, so the layout and the documents emit keeps on a formula always
     describe it.  _family is None but on the formulas build_Jn, build_inv_Jn
     and build_campana return (see _n_family); a copy, a pickle or a parse
-    of one has none, and == ignores it."""
+    of one has none, and == ignores it.  The family's template
+    (_n_template) serves both directions: emit writes a tagged member into
+    it, and parse reads one back through it, untagged like every parse."""
 
     __slots__ = ("prefix", "matrix", "free", "real_embedded", "_layout", "_emitted",
                  "_family")
@@ -312,7 +315,8 @@ def _premise_block(a, b, c, d, a2, b2, c2, d2, r, gs):
 # shared Formula, which holds its circuits (and its layout, once emitted)
 # until clear_memos().  build_Jn, build_inv_Jn and build_campana take an
 # unbounded n and build afresh on every call; emit writes their documents
-# into one template per family (_n_template).
+# into one template per family (_n_template), and parse reads them back
+# through it.
 
 #: The builders' free names: the first tuple (a, b, c, d), the element r, and
 #: the second tuple (a2, b2, c2, d2) of the disjointness blocks.
@@ -728,8 +732,22 @@ def emit(f: Formula, format: str = "json") -> bytes:
 #: occurs nowhere else in the template's documents, which _n_template checks.
 _HOLE = 10**18 + 9
 
+#: _n_template's memo: (target, real_embedded) -> {format: (head, tail)}.
+#: parse reads its json entries and never adds one.
+_templates: Dict[Tuple[str, bool], Dict[str, Tuple[bytes, bytes]]] = {}
+_template_counts = [0, 0]  # hits, misses of _n_template
 
-@memo("formulas._n_template", maxsize=4)
+
+def _templates_clear() -> None:
+    _templates.clear()
+    _template_counts[:] = [0, 0]
+
+
+register("formulas._n_template",
+         lambda: MemoInfo(*_template_counts, len(_templates), 4),
+         _templates_clear)
+
+
 def _n_template(target: str, real_embedded: bool) -> Dict[str, Tuple[bytes, bytes]]:
     """{format: (head, tail)}: the documents of the target's member at
     n - 1 = _HOLE, split at the hole's text, for the four n-families (Jn,
@@ -739,7 +757,17 @@ def _n_template(target: str, real_embedded: bool) -> Dict[str, Tuple[bytes, byte
     y occurs elsewhere only linearly, so pow(y, k) is never shared and never
     equal to another node, for any k >= 1.  So the member at any n has the
     documents head + str(n - 1) + tail, byte for byte.  InvariantError
-    unless the hole's text occurs exactly once in every format."""
+    unless the hole's text occurs exactly once in every format.
+
+    The template serves both directions: emit writes a member into it, and
+    parse reads one back (_template_member).  It is rendered on a family's
+    first emit, never by parse, and kept in _templates until clear_memos()."""
+    key = (target, real_embedded)
+    parts = _templates.get(key)
+    if parts is not None:
+        _template_counts[0] += 1
+        return parts
+    _template_counts[1] += 1
     f = TARGETS[target].build(_HOLE + 1, real_embedded)
     hole = str(_HOLE).encode()
     parts = {}
@@ -749,7 +777,32 @@ def _n_template(target: str, real_embedded: bool) -> Dict[str, Tuple[bytes, byte
             raise InvariantError(f"the {fmt} template of {target} holds the hole "
                                  f"{_HOLE} {len(pieces) - 1} times, not once")
         parts[fmt] = tuple(pieces)
-    return parts
+    return _templates.setdefault(key, parts)
+
+
+#: The text of k that a template read takes: a canonical positive decimal,
+#: at most 4,300 digits, the most int() reads from text by default.
+_K_TEXT = re.compile(rb"[1-9][0-9]{0,4299}")
+
+
+def _template_member(data) -> Optional[Formula]:
+    """The member at n = k + 1, built and untagged, if data is bytes that
+    are exactly head + k + tail for the json template of a family that
+    _n_template has rendered, with k as _K_TEXT writes it; None for any
+    other document, a near miss such as k = "07" or " 6", a str or a
+    bytearray included.  Never renders a template."""
+    if type(data) is not bytes:
+        return None
+    # a copy: an emit in another thread may add a template meanwhile
+    for (target, real_embedded), parts in tuple(_templates.items()):
+        head, tail = parts["json"]
+        if (data.startswith(head) and data.endswith(tail)
+                and _K_TEXT.fullmatch(data, len(head), len(data) - len(tail))):
+            k = int(data[len(head):len(data) - len(tail)])
+            f = TARGETS[target].build(k + 1, real_embedded)
+            object.__setattr__(f, "_family", None)
+            return f
+    return None
 
 
 def _render(f: Formula, format: str) -> bytes:
@@ -790,6 +843,19 @@ def parse(data: Union[bytes, str]) -> Formula:
     before the node list was shared), and each atom is the canonical circuit
     all the same.  A malformed document raises ValueError.
 
+    An n-family document is read through its family's template instead
+    (_template_member): bytes that are exactly head + k + tail, for the
+    json (head, tail) of a family that emit has rendered in this process
+    and k a canonical positive decimal of at most 4,300 digits, are the
+    member at n = k + 1, built as build_Jn, build_inv_Jn or build_campana
+    builds it and untagged, the formula the reader would read.  parse never
+    renders a template, so after clear_memos() such a document goes through
+    the reader until an emit renders its template again; so does a str, a
+    bytearray and any near miss.  3 of the 13 emit targets are families:
+    campana(7) takes 0.35 ms where the reader takes 3.47, Jn(7) 0.17 ms
+    where it takes 1.46, and the mean parse of a compile request 0.76 ms
+    where it took 1.22 (2-core x86-64; BENCH_40.json).
+
     The cyclic garbage collector is paused while parse runs, and turned
     back on when it returns or raises if it was on when the call began.
     json.loads makes one list per node and per prefix pair (6,491 and
@@ -797,11 +863,10 @@ def parse(data: Union[bytes, str]) -> Formula:
     the document is dropped, which happens before the collector comes back
     on.  Left on, they set off about three young collections a parse and
     are promoted into the oldest generation, which then starts a full
-    collection over every interned circuit about every 37 parses.  Paused,
-    the mean parse of a compile request takes 1.20 ms where it took 1.49,
-    and campana(7) 3.48 ms where it took 3.81 (2-core x86-64;
-    BENCH_38.json).  A thread that turns the collector off while another
-    thread is inside parse sees it turned back on when that parse ends."""
+    collection over every interned circuit about every 37 parses
+    (BENCH_38.json).  A template read builds inside the pause too.  A
+    thread that turns the collector off while another thread is inside
+    parse sees it turned back on when that parse ends."""
     if not isinstance(data, (str, bytes, bytearray)):
         raise ValueError(f"a formula document is a str or bytes, "
                          f"not {type(data).__name__}")
@@ -809,12 +874,20 @@ def parse(data: Union[bytes, str]) -> Formula:
     if paused:
         gc.disable()
     try:
-        return _parse_doc(json.loads(data))
-    except RecursionError:
-        raise ValueError("document nested too deeply") from None
+        f = _template_member(data)
+        return f if f is not None else _read(data)
     finally:
         if paused:
             gc.enable()
+
+
+def _read(data: Union[bytes, str]) -> Formula:
+    """The reader: the formula of any document, read node by node; the
+    reference a template read is held to."""
+    try:
+        return _parse_doc(json.loads(data))
+    except RecursionError:
+        raise ValueError("document nested too deeply") from None
 
 
 def _parse_doc(doc) -> Formula:

@@ -3,7 +3,8 @@
 memo(name) is functools.lru_cache that also registers the cache under
 name, the module and attribute that hold it; it returns the cache object
 itself, so a call costs what lru_cache costs.  A hand-rolled table (the
-conic scan's square tables) registers its own info and clear functions.
+conic scan's square tables, and the n-family templates, which parse reads
+as well as emit) registers its own info and clear functions.
 memos() reads every memo and clear_memos() empties every one.
 
 Three pieces of process-wide state are not memos, and are left out:

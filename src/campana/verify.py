@@ -148,7 +148,7 @@ def suite_formulas(seed: int, samples: int) -> List[Row]:
     cases = [(name, n, real) for name, t in fm.TARGETS.items()
              for n in ((2, 7, 100) if t.takes_n else (None,))
              for real in ((False, True) if t.has_real else (False,))]
-    bad = bad_trip = bad_family = None
+    bad = bad_trip = bad_family = bad_read = None
     warm = []
     for name, n, real in cases:
         target = fm.TARGETS[name]
@@ -158,8 +158,13 @@ def suite_formulas(seed: int, samples: int) -> List[Row]:
         if bad is None and got != want:
             bad = f"{name}(n={n}, real={real}): {got}, expected {want}"
         warm.append([fm.emit(f, fmt) for fmt in fm.FORMATS])
-        if bad_trip is None and fm.parse(warm[-1][0]) != f:
+        parsed = fm.parse(warm[-1][0])
+        if bad_trip is None and parsed != f:
             bad_trip = f"{name}(n={n}, real={real}) changes under emit/parse"
+        # parse reads an n-family member's json through its family's
+        # template; the reader itself must give the same formula
+        if bad_read is None and target.takes_n and parsed != fm._read(warm[-1][0]):
+            bad_read = f"{name}(n={n}, real={real}) parses other than the reader reads"
         # an n-family member's documents are spliced into its family's
         # template; the renderer itself must give the same bytes
         differ = [fmt for fmt, blob in zip(fm.FORMATS, warm[-1])
@@ -174,6 +179,8 @@ def suite_formulas(seed: int, samples: int) -> List[Row]:
     families = sum(1 for name, _, _ in cases if fm.TARGETS[name].takes_n)
     rows.append((f"n-family emits equal a fresh render ({families} builds)",
                  bad_family is None, bad_family or "same bytes"))
+    rows.append((f"n-family parses equal a fresh read ({families} builds)",
+                 bad_read is None, bad_read or "same formula"))
 
     # each build again from empty memos: the formula builders' and the
     # J(a,b,c,d) blocks' memos, and the bytes emit keeps on a formula, must

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import campana
 from campana import formulas as fm
 from campana.circuits import Circuit
 
@@ -384,11 +385,16 @@ def test_circuit_refuses_every_single_node_mutation_at_that_node(name):
 # the cyclic collector is paused while parse runs
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("build", [lambda: fm.build_campana(7), fm.build_premise],
-                         ids=["campana(7)", "premise"])
-def test_parse_runs_no_collection(build):
+@pytest.mark.parametrize("build, cold", [(lambda: fm.build_campana(7), False),
+                                         (fm.build_premise, False),
+                                         (lambda: fm.build_campana(7), True)],
+                         ids=["campana(7)", "premise", "campana(7) read"])
+def test_parse_runs_no_collection(build, cold):
     f = build()  # kept alive, so each node of the document is a table hit
     doc = fm.emit(f, "json")
+    if cold:  # no template: campana(7) goes through the reader
+        campana.clear_memos()
+    assert (fm._template_member(doc) is None) is (cold or not f._family)
     started = []
 
     def count(phase, info):
@@ -470,3 +476,124 @@ def test_parse_leaves_no_cyclic_garbage():
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
+
+
+# ---------------------------------------------------------------------------
+# an n-family document is read through its family's json template while
+# that is rendered, and through the reader otherwise
+# ---------------------------------------------------------------------------
+
+_FAMILIES = [("Jn", False), ("invJn", False), ("campana", False), ("campana", True)]
+
+
+def _same_outcome(doc):
+    """parse(doc) and the reader's result: the same formula, atom for atom,
+    or the same ValueError text."""
+    def outcome(read):
+        try:
+            return read(doc)
+        except ValueError as exc:
+            return str(exc)
+
+    got, want = outcome(fm.parse), outcome(fm._read)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got == want and got._family is None
+        assert all(a is b for a, b in zip(got.atoms(), want.atoms(), strict=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10**9), st.sampled_from(_FAMILIES))
+def test_a_family_document_parses_through_its_template_to_the_readers_formula(n, family):
+    name, real = family
+    doc = fm.emit(fm.TARGETS[name].build(n, real), "json")
+    assert fm._template_member(doc) is not None
+    g, h = fm.parse(doc), fm._read(doc)
+    assert all(a is b for a, b in zip(g.atoms(), h.atoms(), strict=True))
+    assert (g.prefix, g.free, g.real_embedded) == (h.prefix, h.free, h.real_embedded)
+    assert g._family is None
+
+
+# the text of k in a family document at n = 7, for texts that are not a
+# canonical positive decimal of at most 4,300 digits
+_NEAR_MISS_HOLES = ["0", "07", "-6", "6.0", "6e0", " 6", "1" * 4301]
+
+
+@pytest.mark.parametrize("family", _FAMILIES, ids=[f"{n}-{r}" for n, r in _FAMILIES])
+def test_a_near_miss_gets_the_readers_outcome(family):
+    name, real = family
+    doc = fm.emit(fm.TARGETS[name].build(7, real), "json")
+    head, tail = fm._templates[family]["json"]
+    other = next(f for f in _FAMILIES if f != family)
+    fm.emit(fm.TARGETS[other[0]].build(7, other[1]), "json")
+    near = [head + hole.encode() + tail for hole in _NEAR_MISS_HOLES]
+    near += [doc + b" ", doc + b"\n", doc.decode(), bytearray(doc),
+             fm._templates[other]["json"][0] + b"6" + tail]
+    for bad in near:
+        assert fm._template_member(bad) is None
+        _same_outcome(bad)
+    # the longest k the template reads
+    edge = head + b"9" * 4300 + tail
+    assert fm._template_member(edge) is not None
+    _same_outcome(edge)
+
+
+def test_parse_renders_no_template_and_reads_through_the_reader_after_clear_memos(monkeypatch):
+    reads = []
+
+    def counted(nodes):
+        reads.append(len(nodes))
+        return read_nodes(nodes)
+
+    read_nodes = fm.read_nodes
+    monkeypatch.setattr(fm, "read_nodes", counted)
+    f = fm.build_campana(7)
+    doc = fm.emit(f, "json")
+    info = campana.memos()["formulas._n_template"]
+    assert fm.parse(doc) == f and reads == []
+    campana.clear_memos()
+    for _ in range(2):
+        assert fm.parse(doc) == f and len(reads) == 1
+        reads.clear()
+        assert campana.memos()["formulas._n_template"] == (0, 0, 0, 4)
+    fm.emit(fm.build_campana(8), "json")  # renders the template again
+    assert fm.parse(doc) == f and reads == []
+    assert campana.memos()["formulas._n_template"].misses == info.misses == 1
+
+
+def test_threads_that_parse_while_others_render_and_clear_templates_read_right():
+    docs = {family: fm.emit(fm.TARGETS[family[0]].build(7, family[1]), "json")
+            for family in _FAMILIES}
+    want = {family: fm._read(doc) for family, doc in docs.items()}
+    wrong, stop = [], threading.Event()
+
+    def parse_all():
+        for _ in range(10):
+            for family, doc in docs.items():
+                if fm.parse(doc) != want[family]:
+                    wrong.append(family)
+
+    def render_and_clear():
+        while not stop.is_set():
+            for n, (name, real) in enumerate(_FAMILIES, start=2):
+                fm.emit(fm.TARGETS[name].build(n, real), "json")
+            campana.clear_memos()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        churn = threading.Thread(target=render_and_clear)
+        readers = [threading.Thread(target=parse_all) for _ in range(3)]
+        churn.start()
+        for t in readers:
+            t.start()
+        for t in readers:
+            t.join(timeout=120)
+        stop.set()
+        churn.join(timeout=60)
+        assert not any(t.is_alive() for t in readers + [churn])
+        assert wrong == []
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)

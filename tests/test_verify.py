@@ -71,3 +71,21 @@ def test_formulas_fails_a_wrong_n_family_template(monkeypatch):
     assert not ok
     assert "FAIL  formulas: n-family emits equal a fresh render" in table
     assert "PASS  formulas: cold and warm builds agree" in table
+
+
+def test_formulas_fails_a_wrong_n_family_template_read(monkeypatch):
+    # a template read that builds the member one n too far: the row that
+    # reads each family document afresh must see it
+    def wrong(data):
+        for (target, real), parts in list(formulas._templates.items()):
+            head, tail = parts["json"]
+            if type(data) is bytes and data.startswith(head) and data.endswith(tail):
+                k = int(data[len(head):len(data) - len(tail)])
+                return formulas.TARGETS[target].build(k + 2, real)
+        return None
+
+    monkeypatch.setattr(formulas, "_template_member", wrong)
+    ok, table = verify.run("formulas", seed=7, samples=50)
+    assert not ok
+    assert "FAIL  formulas: n-family parses equal a fresh read" in table
+    assert "PASS  formulas: n-family emits equal a fresh render" in table

@@ -22,9 +22,12 @@ norm form of degree len(children) applied to the children (see
 kernels.norm_value).  It lets a conjunction of hundreds of equations be
 collapsed into one equation without expanding the norm polynomial.
 
-Everything that depends on a node's op lives in one table, OPS, except
-reading a node list: read_nodes checks and loads each op inline, as one
-call per node was most of the cost of parse.
+Everything that depends on a node's op lives in one table, OPS, and one
+loop, fold_nodes, runs its rules over any node list whose children come
+first, a document's own too.  Two per-op walks stay outside it: read_nodes
+checks each op inline, as a call per node was most of parse's cost, and
+render_all drops each text at its one use, where a fold keeps them all
+(13.9 MB of latex for campana(7, real), whose root is 0.1 MB).
 """
 from __future__ import annotations
 
@@ -146,7 +149,7 @@ class Circuit:
         replacement = Circuit._lift(replacement, ValueError)
         if name not in self._free_names():
             return self
-        return self._fold(_SUBST, {name: replacement})
+        return fold_nodes(self.nodes, _SUBST, {name: replacement})[-1]
 
     # -- the node array ----------------------------------------------
     @property
@@ -159,19 +162,8 @@ class Circuit:
         return self._nodes
 
     # -- analysis ----------------------------------------------------
-    def _fold(self, rules: Mapping[str, Callable], env: Mapping, q=None):
-        """One pass over the nodes: rules[op](node, values so far, env, q).
-        ValueError, once, if env is not a mapping."""
-        if not isinstance(env, Mapping):
-            raise ValueError(f"env must be a mapping of variable names, not {env!r}")
-        val: list = []
-        for nd in self.nodes:
-            val.append(rules[nd[0]](nd, val, env, q))
-        return val[-1]
-
     def degree(self) -> int:
-        """Syntactic degree bound: Var 1, const 0, Add max, Mul sum,
-        Pow k*deg, norm len(children)*max(child degrees)."""
+        """Syntactic degree bound: var 1, int 0, add max, mul sum, pow k*deg, norm n*max."""
         return self._degree
 
     def free_vars(self) -> Tuple[str, ...]:
@@ -211,12 +203,12 @@ class Circuit:
         goes through norm_int's CRT, and three values took 0.1 s at 10,000
         bits, 0.59 s at 40,000 and 7.05 s at 160,000 (2-core x86-64),
         growing about as bits^1.8."""
-        return Fraction(self._fold(_EXACT, env))
+        return Fraction(fold_nodes(self.nodes, _EXACT, env)[-1])
 
     def evaluate_mod(self, env: Mapping[str, int], q: int) -> int:
         """Evaluation in Z/q at integer values, 2 <= q < 2^31 (ValueError otherwise);
         rational constants use modular inverses and need denominators prime to q."""
-        return self._fold(_MOD, env, _modulus(q))
+        return fold_nodes(self.nodes, _MOD, env, _modulus(q))[-1]
 
     def evaluate_vec(self, env: Mapping[str, "object"], q: int):
         """Vectorized mod-q evaluation over numpy int64 arrays, 2 <= q < 2^31
@@ -225,7 +217,7 @@ class Circuit:
         node's values are reduced, in [0, q), so a product of two of them is
         at most (q-1)^2 < 2^63.  The points of a norm node go to the kernel
         as rows of one call."""
-        return self._fold(_VEC, env, _modulus(q))
+        return fold_nodes(self.nodes, _VEC, env, _modulus(q))[-1]
 
     def __eq__(self, other):
         # hash-consing: structurally equal circuits are one object
@@ -277,7 +269,7 @@ def _intern(key: tuple) -> Circuit:
         circ = object.__new__(Circuit)
         circ._key, circ._kids = key, _CHILDREN[op](key)
         circ._names = circ._nodes = None
-        circ._degree = _DEGREE[op](key)
+        circ._degree = OPS[op].degree(key, _KID_DEGREES, None, None)
         new = _Ref(circ, _drop)
         new.key = key
         while (ref := _TABLE.setdefault(key, new)) is not new:
@@ -285,6 +277,26 @@ def _intern(key: tuple) -> Circuit:
                 return old
             _remove_dead_weakref(_TABLE, key)
     return circ
+
+
+class _KidDegrees:
+    """The values a degree rule reads at a table key: a child circuit's degree."""
+    __getitem__ = staticmethod(operator.attrgetter("_degree"))
+
+
+_KID_DEGREES = _KidDegrees()
+
+
+def fold_nodes(nodes: Sequence, rules: Mapping[str, Callable], env: Mapping, q=None) -> list:
+    """Every node's value, in order, for a node list whose children come
+    first, a circuit's or a document's: rules[op](node, values of the
+    earlier nodes, env, q).  ValueError, once, if env is not a mapping."""
+    if not isinstance(env, Mapping):
+        raise ValueError(f"env must be a mapping of variable names, not {env!r}")
+    values: list = []
+    for nd in nodes:
+        values.append(rules[nd[0]](nd, values, env, q))
+    return values
 
 
 class Layout(NamedTuple):
@@ -331,16 +343,16 @@ def layout(roots: Sequence[Circuit]) -> Layout:
 
 class _Op(NamedTuple):
     """Everything that depends on one op; a node is (op, *fields).  The fold
-    rules (exact, mod, vec) take (node, values of the earlier nodes, env,
-    q); vec is the mod rule applied to int64 arrays unless given.  A rule
-    that takes a function f or t calls it on the node's own child fields.
-    Reading a node list is the one per-op step not in this table: read_nodes
-    checks and loads each op inline, since a call per node through a row
-    was most of the cost of parse."""
+    rules (degree, exact, mod, vec) take (node, values of the earlier nodes,
+    env, q), as fold_nodes runs them; _intern runs degree on a table key,
+    whose children's values are their degrees.  vec is the mod rule applied
+    to int64 arrays unless given.  A rule that takes a function f or t calls
+    it on the node's own child fields.  read_nodes and render_all are the
+    two per-op walks outside fold_nodes, for the module docstring's reasons."""
 
     children: Callable  # node -> child fields
     remap: Callable     # (node, f) -> the node with each child j moved to f(j)
-    degree: Callable    # table key, whose children are circuits -> int
+    degree: Callable    # int, the syntactic degree bound
     exact: Callable     # int or Fraction
     mod: Callable       # int in [0, q)
     sexpr: Callable     # (node, t) -> str, where t(j) is the text of child j
@@ -429,7 +441,7 @@ def _value(x, i: int) -> ConstLike:
 OPS: Dict[str, _Op] = {
     "var": _Op(
         children=lambda nd: (), remap=lambda nd, f: nd,
-        degree=lambda key: 1,
+        degree=lambda nd, v, env, q: 1,
         exact=lambda nd, v, env, q: arith.rational(_lookup(env, nd[1])),
         mod=lambda nd, v, env, q: _int_mod(_lookup(env, nd[1]), q),
         vec=lambda nd, v, env, q: _vec_var(_lookup(env, nd[1]), q),
@@ -439,7 +451,7 @@ OPS: Dict[str, _Op] = {
     ),
     "int": _Op(
         children=lambda nd: (), remap=lambda nd, f: nd,
-        degree=lambda key: 0,
+        degree=lambda nd, v, env, q: 0,
         exact=lambda nd, v, env, q: nd[1],
         mod=lambda nd, v, env, q: _const_mod(nd[1], q),
         vec=lambda nd, v, env, q: np.int64(_const_mod(nd[1], q)),
@@ -449,7 +461,7 @@ OPS: Dict[str, _Op] = {
     ),
     "add": _Op(
         children=lambda nd: nd[1:], remap=lambda nd, f: ("add", f(nd[1]), f(nd[2])),
-        degree=lambda key: max(key[1]._degree, key[2]._degree),
+        degree=lambda nd, v, env, q: max(v[nd[1]], v[nd[2]]),
         exact=lambda nd, v, env, q: v[nd[1]] + v[nd[2]],
         mod=lambda nd, v, env, q: (v[nd[1]] + v[nd[2]]) % q,
         sexpr=lambda nd, t: f"(add {t(nd[1])} {t(nd[2])})",
@@ -457,7 +469,7 @@ OPS: Dict[str, _Op] = {
     ),
     "mul": _Op(
         children=lambda nd: nd[1:], remap=lambda nd, f: ("mul", f(nd[1]), f(nd[2])),
-        degree=lambda key: key[1]._degree + key[2]._degree,
+        degree=lambda nd, v, env, q: v[nd[1]] + v[nd[2]],
         exact=lambda nd, v, env, q: arith._product(v[nd[1]], v[nd[2]]),
         mod=lambda nd, v, env, q: v[nd[1]] * v[nd[2]] % q,
         sexpr=lambda nd, t: f"(mul {t(nd[1])} {t(nd[2])})",
@@ -465,7 +477,7 @@ OPS: Dict[str, _Op] = {
     ),
     "neg": _Op(
         children=lambda nd: nd[1:], remap=lambda nd, f: ("neg", f(nd[1])),
-        degree=lambda key: key[1]._degree,
+        degree=lambda nd, v, env, q: v[nd[1]],
         exact=lambda nd, v, env, q: -v[nd[1]],
         mod=lambda nd, v, env, q: -v[nd[1]] % q,
         sexpr=lambda nd, t: f"(neg {t(nd[1])})",
@@ -473,7 +485,7 @@ OPS: Dict[str, _Op] = {
     ),
     "pow": _Op(
         children=lambda nd: nd[1:2], remap=lambda nd, f: ("pow", f(nd[1]), nd[2]),
-        degree=lambda key: key[2] * key[1]._degree,
+        degree=lambda nd, v, env, q: nd[2] * v[nd[1]],
         exact=lambda nd, v, env, q: arith._power(v[nd[1]], nd[2]),
         mod=lambda nd, v, env, q: pow(v[nd[1]], nd[2], q),
         vec=lambda nd, v, env, q: _vec_pow(v[nd[1]], nd[2], q),
@@ -482,7 +494,7 @@ OPS: Dict[str, _Op] = {
     ),
     "norm": _Op(
         children=lambda nd: nd[1], remap=lambda nd, f: ("norm", tuple(map(f, nd[1]))),
-        degree=lambda key: len(key[1]) * max(c._degree for c in key[1]),
+        degree=lambda nd, v, env, q: len(nd[1]) * max([v[j] for j in nd[1]]),
         exact=lambda nd, v, env, q: _exact_norm([v[j] for j in nd[1]]),
         mod=lambda nd, v, env, q: kernels.norm_mod([v[j] for j in nd[1]], q),
         vec=lambda nd, v, env, q: _vec_norm([v[j] for j in nd[1]], q),
@@ -494,7 +506,6 @@ OPS: Dict[str, _Op] = {
 
 _CHILDREN = {op: row.children for op, row in OPS.items()}
 _REMAP = {op: row.remap for op, row in OPS.items()}
-_DEGREE = {op: row.degree for op, row in OPS.items()}
 _EXACT = {op: row.exact for op, row in OPS.items()}
 _MOD = {op: row.mod for op, row in OPS.items()}
 _VEC = {op: row.vec or row.mod for op, row in OPS.items()}

@@ -93,10 +93,10 @@ class Formula:
     bound; anything else is a ValueError.  Every slot is read-only once
     made, so the layout and the documents emit keeps on a formula always
     describe it.  _family is None but on the formulas build_Jn, build_inv_Jn
-    and build_campana return (see _n_family); a copy, a pickle or a parse
-    of one has none, and == ignores it.  The family's template
+    and build_campana return (see _n_family); a copy, a pickle or a parse by
+    the reader has none, and == ignores it.  The family's template
     (_n_template) serves both directions: emit writes a tagged member into
-    it, and parse reads one back through it, untagged like every parse."""
+    it, and parse reads one back through it, built and so tagged."""
 
     __slots__ = ("prefix", "matrix", "free", "real_embedded", "_layout", "_emitted",
                  "_family")
@@ -786,7 +786,7 @@ _K_TEXT = re.compile(rb"[1-9][0-9]{0,4299}")
 
 
 def _template_member(data) -> Optional[Formula]:
-    """The member at n = k + 1, built and untagged, if data is bytes that
+    """The member at n = k + 1, built and so tagged, if data is bytes that
     are exactly head + k + tail for the json template of a family that
     _n_template has rendered, with k as _K_TEXT writes it; None for any
     other document, a near miss such as k = "07" or " 6", a str or a
@@ -799,9 +799,7 @@ def _template_member(data) -> Optional[Formula]:
         if (data.startswith(head) and data.endswith(tail)
                 and _K_TEXT.fullmatch(data, len(head), len(data) - len(tail))):
             k = int(data[len(head):len(data) - len(tail)])
-            f = TARGETS[target].build(k + 1, real_embedded)
-            object.__setattr__(f, "_family", None)
-            return f
+            return TARGETS[target].build(k + 1, real_embedded)
     return None
 
 
@@ -848,13 +846,14 @@ def parse(data: Union[bytes, str]) -> Formula:
     json (head, tail) of a family that emit has rendered in this process
     and k a canonical positive decimal of at most 4,300 digits, are the
     member at n = k + 1, built as build_Jn, build_inv_Jn or build_campana
-    builds it and untagged, the formula the reader would read.  parse never
-    renders a template, so after clear_memos() such a document goes through
-    the reader until an emit renders its template again; so does a str, a
-    bytearray and any near miss.  3 of the 13 emit targets are families:
-    campana(7) takes 0.35 ms where the reader takes 3.47, Jn(7) 0.17 ms
-    where it takes 1.46, and the mean parse of a compile request 0.76 ms
-    where it took 1.22 (2-core x86-64; BENCH_40.json).
+    builds and tags it, so that its emit is the splice: the formula the
+    reader would read, untagged.  parse never renders a template, so after
+    clear_memos() such a document goes through the reader until an emit
+    renders its template again; so does a str, a bytearray and any near
+    miss.  3 of the 13 emit targets are families: campana(7) takes 0.35 ms
+    where the reader takes 3.47, Jn(7) 0.17 ms where it takes 1.46, and the
+    mean parse of a compile request 0.76 ms where it took 1.22 (2-core
+    x86-64; BENCH_40.json).
 
     The cyclic garbage collector is paused while parse runs, and turned
     back on when it returns or raises if it was on when the call began.

@@ -6,13 +6,14 @@ detail is a replayable description of the first counterexample.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from . import arith, formulas as fm, kernels, parametrize, places, semantics
-from .circuits import Circuit
+from .circuits import OPS, Circuit, fold_nodes
 from .memo import clear_memos
 
 Row = Tuple[str, bool, str]
@@ -141,14 +142,23 @@ def suite_semantics(seed: int, samples: int) -> List[Row]:
     return rows
 
 
+def _atom_indices(m: dict) -> List[int]:
+    """The root node indices of the atoms of a json document's matrix."""
+    (kind, payload), = m.items()
+    if kind in ("and", "or"):
+        return [i for kid in payload for i in _atom_indices(kid)]
+    return [payload]
+
+
 def suite_formulas(seed: int, samples: int) -> List[Row]:
     rng = random.Random(seed)
     rows: List[Row] = []
+    degree_rules = {op: row.degree for op, row in OPS.items()}
 
     cases = [(name, n, real) for name, t in fm.TARGETS.items()
              for n in ((2, 7, 100) if t.takes_n else (None,))
              for real in ((False, True) if t.has_real else (False,))]
-    bad = bad_trip = bad_family = bad_read = None
+    bad = bad_trip = bad_family = bad_read = bad_fold = None
     warm = []
     for name, n, real in cases:
         target = fm.TARGETS[name]
@@ -161,6 +171,14 @@ def suite_formulas(seed: int, samples: int) -> List[Row]:
         parsed = fm.parse(warm[-1][0])
         if bad_trip is None and parsed != f:
             bad_trip = f"{name}(n={n}, real={real}) changes under emit/parse"
+        # the document's own node list, folded by the degree rules as it
+        # stands, nothing interned, gives its largest atom the ledger degree
+        doc = json.loads(warm[-1][0])
+        degrees = fold_nodes(doc["nodes"], degree_rules, {})
+        top = max(degrees[i] for i in _atom_indices(doc["matrix"]))
+        if bad_fold is None and top != want.degree_bound:
+            bad_fold = (f"{name}(n={n}, real={real}): its document folds to degree "
+                        f"{top}, expected {want.degree_bound}")
         # parse reads an n-family member's json through its family's
         # template; the reader itself must give the same formula
         if bad_read is None and target.takes_n and parsed != fm._read(warm[-1][0]):
@@ -176,6 +194,8 @@ def suite_formulas(seed: int, samples: int) -> List[Row]:
                  bad is None, bad or "exact match"))
     rows.append((f"emit/parse round trip ({len(cases)} builds)",
                  bad_trip is None, bad_trip or "identity"))
+    rows.append((f"documents fold to the ledger degree ({len(cases)} builds)",
+                 bad_fold is None, bad_fold or "exact match"))
     families = sum(1 for name, _, _ in cases if fm.TARGETS[name].takes_n)
     rows.append((f"n-family emits equal a fresh render ({families} builds)",
                  bad_family is None, bad_family or "same bytes"))

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 import time
@@ -10,7 +11,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from campana import arith, formulas as fm, kernels
-from campana.circuits import Circuit
+from campana.circuits import OPS, Circuit, fold_nodes, read_nodes
 
 
 def test_basic_arithmetic():
@@ -589,12 +590,19 @@ def _folds_agree_case(draw):
     return q, points, pool
 
 
+#: The degree rules of OPS, as a rule table for fold_nodes.
+DEGREE_RULES = {op: row.degree for op, row in OPS.items()}
+
+
 @settings(max_examples=200, deadline=None)
 @given(_folds_agree_case())
 def test_exact_mod_and_vec_folds_agree(case):
     q, points, pool = case
     cols = {nm: [pt[nm] for pt in points] for nm in points[0]}
     for circ, ref in pool:
+        # the degree rule folded over the node list, as over a document,
+        # gives the degree _intern read off the children's circuits
+        assert fold_nodes(circ.nodes, DEGREE_RULES, {})[-1] == circ.degree()
         got = circ.evaluate(points[0])
         assert type(got) is Fraction and got == ref
         want = [circ.evaluate_mod(pt, q) for pt in points]
@@ -604,6 +612,14 @@ def test_exact_mod_and_vec_folds_agree(case):
             assert int(circ.evaluate_vec(scalars, q)) == want[0]
         vec = circ.evaluate_vec(cols, q)
         assert np.broadcast_to(vec, (len(points),)).tolist() == want
+
+
+@pytest.mark.parametrize("build", [fm.build_premise, lambda: fm.build_campana(7, True)],
+                         ids=["premise", "campana(7, real)"])
+def test_a_documents_raw_node_list_folds_to_its_circuits_degrees(build):
+    # json's lists fold as node tuples do
+    nodes = json.loads(fm.emit(build()))["nodes"]
+    assert fold_nodes(nodes, DEGREE_RULES, {}) == [c.degree() for c in read_nodes(nodes)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -486,9 +486,9 @@ def test_parse_leaves_no_cyclic_garbage():
 _FAMILIES = [("Jn", False), ("invJn", False), ("campana", False), ("campana", True)]
 
 
-def _same_outcome(doc):
+def _same_outcome(doc, tag=None):
     """parse(doc) and the reader's result: the same formula, atom for atom,
-    or the same ValueError text."""
+    parse's tagged with tag, or the same ValueError text."""
     def outcome(read):
         try:
             return read(doc)
@@ -499,7 +499,7 @@ def _same_outcome(doc):
     if isinstance(want, str):
         assert got == want
     else:
-        assert got == want and got._family is None
+        assert got == want and got._family == tag and want._family is None
         assert all(a is b for a, b in zip(got.atoms(), want.atoms(), strict=True))
 
 
@@ -512,7 +512,9 @@ def test_a_family_document_parses_through_its_template_to_the_readers_formula(n,
     g, h = fm.parse(doc), fm._read(doc)
     assert all(a is b for a, b in zip(g.atoms(), h.atoms(), strict=True))
     assert (g.prefix, g.free, g.real_embedded) == (h.prefix, h.free, h.real_embedded)
-    assert g._family is None
+    # tagged as the builder tags it, so that its emit is the splice; the
+    # reader's formula is untagged
+    assert g._family == (name, real, n - 1) and h._family is None
 
 
 # the text of k in a family document at n = 7, for texts that are not a
@@ -536,7 +538,7 @@ def test_a_near_miss_gets_the_readers_outcome(family):
     # the longest k the template reads
     edge = head + b"9" * 4300 + tail
     assert fm._template_member(edge) is not None
-    _same_outcome(edge)
+    _same_outcome(edge, (name, real, int("9" * 4300)))
 
 
 def test_parse_renders_no_template_and_reads_through_the_reader_after_clear_memos(monkeypatch):
@@ -554,7 +556,8 @@ def test_parse_renders_no_template_and_reads_through_the_reader_after_clear_memo
     assert fm.parse(doc) == f and reads == []
     campana.clear_memos()
     for _ in range(2):
-        assert fm.parse(doc) == f and len(reads) == 1
+        g = fm.parse(doc)
+        assert g == f and g._family is None and len(reads) == 1
         reads.clear()
         assert campana.memos()["formulas._n_template"] == (0, 0, 0, 4)
     fm.emit(fm.build_campana(8), "json")  # renders the template again

@@ -89,3 +89,18 @@ def test_formulas_fails_a_wrong_n_family_template_read(monkeypatch):
     assert not ok
     assert "FAIL  formulas: n-family parses equal a fresh read" in table
     assert "PASS  formulas: n-family emits equal a fresh render" in table
+
+
+def test_formulas_fails_a_wrong_pow_degree_rule(monkeypatch):
+    # pow read as its base's degree, in the fold over each document only:
+    # no circuit is interned with a wrong degree, so the ledger row passes
+    fold_nodes = verify.fold_nodes
+
+    def wrong(nodes, rules, env, q=None):
+        return fold_nodes(nodes, {**rules, "pow": lambda nd, v, env, q: v[nd[1]]}, env, q)
+
+    monkeypatch.setattr(verify, "fold_nodes", wrong)
+    ok, table = verify.run("formulas", seed=7, samples=50)
+    assert not ok
+    assert "FAIL  formulas: documents fold to the ledger degree (23 builds)" in table
+    assert "PASS  formulas: quantifier/atom/degree ledger" in table

@@ -290,7 +290,11 @@ _KID_DEGREES = _KidDegrees()
 def fold_nodes(nodes: Sequence, rules: Mapping[str, Callable], env: Mapping, q=None) -> list:
     """Every node's value, in order, for a node list whose children come
     first, a circuit's or a document's: rules[op](node, values of the
-    earlier nodes, env, q).  ValueError, once, if env is not a mapping."""
+    earlier nodes, env, q).  ValueError, once, if env is not a mapping.
+    The exact, mod and vec rules read a constant as the int or Fraction a
+    circuit holds, and a document writes a Fraction as "p/q" text, on
+    which they raise TypeError; so a document's raw node list is folded
+    only by rules that do not read a constant's value, such as degree."""
     if not isinstance(env, Mapping):
         raise ValueError(f"env must be a mapping of variable names, not {env!r}")
     values: list = []
@@ -618,20 +622,51 @@ def _not_canonical(nodes: Sequence[tuple], made: List[Circuit]) -> str:
     return "the nodes are not in canonical order (children first, left to right)"
 
 
+#: The byte bound of the text a sexpr or latex render holds.  Text writes a
+#: shared node out at each use, so its size doubles with each level of
+#: self-sharing: x squared 20 times, a 21-node circuit, is 14.7 MB of sexpr
+#: and 8.4 MB of latex, and 30 squarings would need about 15 GB.  So
+#: render_all refuses with ValueError, before it makes a node's text, once
+#: the texts it holds (the node's children's among them) pass TEXT_BYTES,
+#: and emit's matrix join refuses once the children it has taken pass it,
+#: instead of running until memory is gone.  A node's text is its
+#: children's and a few bytes per child, so a render never holds much more
+#: than twice TEXT_BYTES.  The largest emit target's text, campana(7, real)
+#: in latex, is 125 KB; json writes each node once and is not bounded.
+TEXT_BYTES = 1 << 26
+
+
+def _text_fits(size: int) -> None:
+    """ValueError if size bytes of text pass TEXT_BYTES."""
+    if size > TEXT_BYTES:
+        raise ValueError(f"a text of more than TEXT_BYTES = {TEXT_BYTES} bytes; "
+                         f"json writes each shared node once")
+
+
 def render_all(lay: Layout, style: str) -> Dict[Circuit, str]:
     """Each root of a layout as one expression, style "sexpr" or "latex",
     by root; a node shared by several parents is written out at each use.
     One pass over the distinct nodes; the text of a node with one use is
-    dropped when it is used."""
-    rules, shared = _RENDER[style], lay.shared
+    dropped when it is used.  ValueError, before a node's text is made,
+    once the texts held pass TEXT_BYTES."""
+    rules, shared, bound = _RENDER[style], lay.shared, TEXT_BYTES
     texts: Dict[Circuit, str] = {}
     take = texts.pop
+    held = 0  # the bytes of the texts in texts
 
     def t(kid: Circuit) -> str:
-        return texts[kid] if kid in shared else take(kid)
+        nonlocal held
+        if kid in shared:
+            return texts[kid]
+        text = take(kid)
+        held -= len(text)
+        return text
 
     for circ in lay.order:
+        if held > bound:
+            _text_fits(held)
         key = circ._key
-        texts[circ] = rules[key[0]](key, t)
+        text = texts[circ] = rules[key[0]](key, t)
+        held += len(text)
     return {r: texts[r] for r in lay.roots}
 

@@ -20,7 +20,7 @@ from itertools import chain, combinations, count
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import arith
-from .circuits import Circuit, Layout, layout, read_nodes, render_all, to_json
+from .circuits import Circuit, Layout, _text_fits, layout, read_nodes, render_all, to_json
 from .errors import InvariantError
 from .forms import BinaryForm, binary_form
 from .memo import MemoInfo, memo, register
@@ -310,13 +310,13 @@ def _premise_block(a, b, c, d, a2, b2, c2, d2, r, gs):
 # public builders
 # ---------------------------------------------------------------------------
 
-# The builders that take no argument are constants, built once per process
-# by memo, and build_integrality keeps its two variants: each returns one
-# shared Formula, which holds its circuits (and its layout, once emitted)
-# until clear_memos().  build_Jn, build_inv_Jn and build_campana take an
-# unbounded n and build afresh on every call; emit writes their documents
-# into one template per family (_n_template), and parse reads them back
-# through it.
+# The builders without n are constants: each passes its block to _shared,
+# which builds it once per process, so each returns one shared Formula (one
+# per combiner for build_integrality), which holds its circuits (and its
+# layout, once emitted) until clear_memos().  build_Jn, build_inv_Jn and
+# build_campana take an unbounded n and build afresh on every call; emit
+# writes their documents into one template per family (_n_template), and
+# parse reads them back through it.
 
 #: The builders' free names: the first tuple (a, b, c, d), the element r, and
 #: the second tuple (a2, b2, c2, d2) of the disjointness blocks.
@@ -336,45 +336,44 @@ def _exists_formula(block, names: Sequence[str], start: int = 1) -> Formula:
     return Formula([(EXISTS, n) for n in gs.names], matrix, tuple(names))
 
 
-@memo("formulas.build_S")
+@memo("formulas._shared", maxsize=11)
+def _shared(build, *args) -> Formula:
+    """build(*args), once per process: the formulas of the nine builders
+    without n and of build_integrality's two combiners, eleven keys."""
+    return build(*args)
+
+
 def build_S() -> Formula:
     # the quaternion coordinates are x2, x3, x4
-    return _exists_formula(_s_block, _ABR, start=2)
+    return _shared(_exists_formula, _s_block, _ABR, 2)
 
 
-@memo("formulas.build_T")
 def build_T() -> Formula:
-    return _exists_formula(_t_block, _ABR)
+    return _shared(_exists_formula, _t_block, _ABR)
 
 
-@memo("formulas.build_T_unit")
 def build_T_unit() -> Formula:
-    return _exists_formula(_t_unit_block, _ABR)
+    return _shared(_exists_formula, _t_unit_block, _ABR)
 
 
-@memo("formulas.build_I")
 def build_I() -> Formula:
-    return _exists_formula(_i_block, ("a", "b", "c", "r"))
+    return _shared(_exists_formula, _i_block, ("a", "b", "c", "r"))
 
 
-@memo("formulas.build_J")
 def build_J() -> Formula:
-    return _exists_formula(_j_block, _ABR)
+    return _shared(_exists_formula, _j_block, _ABR)
 
 
-@memo("formulas.build_Jabcd")
 def build_Jabcd() -> Formula:
-    return _exists_formula(_jabcd_block, _ABCDR)
+    return _shared(_exists_formula, _jabcd_block, _ABCDR)
 
 
-@memo("formulas.build_inv_J")
 def build_inv_J() -> Formula:
-    return _exists_formula(_inv_j_block, _ABCDR)
+    return _shared(_exists_formula, _inv_j_block, _ABCDR)
 
 
-@memo("formulas.build_disjoint")
 def build_disjoint() -> Formula:
-    return _exists_formula(_disjoint_block, _EIGHT)
+    return _shared(_exists_formula, _disjoint_block, _EIGHT)
 
 
 def build_Jn(n: int) -> Formula:
@@ -402,11 +401,10 @@ def _n_family(target: str, n, real_embedded, build) -> Formula:
     return f
 
 
-@memo("formulas.build_premise")
 def build_premise() -> Formula:
     """The hypothesis block of the main formula: disjoint radicals and r
     inverting an element of the second radical."""
-    return _exists_formula(_premise_block, _EIGHT + ("r",))
+    return _shared(_exists_formula, _premise_block, _EIGHT + ("r",))
 
 
 # ---------------------------------------------------------------------------
@@ -555,15 +553,12 @@ def build_integrality(real_embedded: bool = False) -> Formula:
     whenever a second tuple has disjoint radical set and r inverts one of
     its radical elements, that radical must be trivial (contain 1).  Each
     variant is built once and shared (see the builders above)."""
-    return _integrality(_real(real_embedded))
+    return _shared(_premise_implies, _trivial_radical, _real(real_embedded))
 
 
-@memo("formulas._integrality", maxsize=2)
-def _integrality(real_embedded: bool) -> Formula:
-    return _premise_implies(
-        lambda a2, b2, c2, d2, r, gs: _jabcd_block(a2, b2, c2, d2,
-                                                   Circuit.const(1), gs),
-        real_embedded)
+def _trivial_radical(a2, b2, c2, d2, r, gs):
+    """build_integrality's conclusion: 1 lies in the second radical."""
+    return _jabcd_block(a2, b2, c2, d2, Circuit.const(1), gs)
 
 
 def _premise_implies(conclusion, real_embedded: bool) -> Formula:
@@ -682,12 +677,19 @@ _MATRIX_TEXT = {
 
 
 def _text_matrix(m: MatrixNode, style: str, texts: Mapping[Circuit, str]) -> str:
-    """The matrix as text; texts[atom] is the rendering of each atom."""
+    """The matrix as text; texts[atom] is the rendering of each atom.  An
+    and or or whose children's texts pass circuits.TEXT_BYTES is refused
+    with ValueError as it takes them, before it is joined."""
     forms = _MATRIX_TEXT[style]
 
     def join(kind: str, kids) -> str:
         opening, sep, closing = forms[kind]
-        return opening + sep.join(kids) + closing
+        parts, size = [], 0
+        for kid in kids:
+            size += len(kid)
+            _text_fits(size)
+            parts.append(kid)
+        return opening + sep.join(parts) + closing
 
     return _fold_matrix(m, lambda kind, c: forms[kind].format(texts[c]), join)
 
@@ -839,21 +841,22 @@ def parse(data: Union[bytes, str]) -> Formula:
     as ["add", i, j]; any such list whose children come first parses, also
     one that repeats nodes or holds nodes no atom reaches (documents written
     before the node list was shared), and each atom is the canonical circuit
-    all the same.  A malformed document raises ValueError.
+    all the same.  A malformed document raises ValueError, and so does one
+    that repeats a key in an object, of which json would keep the last.
 
     An n-family document is read through its family's template instead
     (_template_member): bytes that are exactly head + k + tail, for the
     json (head, tail) of a family that emit has rendered in this process
     and k a canonical positive decimal of at most 4,300 digits, are the
     member at n = k + 1, built as build_Jn, build_inv_Jn or build_campana
-    builds and tags it, so that its emit is the splice: the formula the
-    reader would read, untagged.  parse never renders a template, so after
-    clear_memos() such a document goes through the reader until an emit
-    renders its template again; so does a str, a bytearray and any near
-    miss.  3 of the 13 emit targets are families: campana(7) takes 0.35 ms
-    where the reader takes 3.47, Jn(7) 0.17 ms where it takes 1.46, and the
-    mean parse of a compile request 0.76 ms where it took 1.22 (2-core
-    x86-64; BENCH_40.json).
+    builds it: the formula the reader would read, but tagged as the
+    builder tags it, so that its emit is the splice.  parse never renders a
+    template, so after clear_memos() such a document goes through the
+    reader until an emit renders its template again; so does a str, a
+    bytearray and any near miss.  3 of the 13 emit targets are families:
+    campana(7) takes 0.35 ms where the reader takes 3.47, Jn(7) 0.17 ms
+    where it takes 1.46, and the mean parse of a compile request 0.76 ms
+    where it took 1.22 (2-core x86-64; BENCH_40.json).
 
     The cyclic garbage collector is paused while parse runs, and turned
     back on when it returns or raises if it was on when the call began.
@@ -884,9 +887,20 @@ def _read(data: Union[bytes, str]) -> Formula:
     """The reader: the formula of any document, read node by node; the
     reference a template read is held to."""
     try:
-        return _parse_doc(json.loads(data))
+        return _parse_doc(json.loads(data, object_pairs_hook=_json_object))
     except RecursionError:
         raise ValueError("document nested too deeply") from None
+
+
+def _json_object(pairs: List[Tuple[str, object]]) -> dict:
+    """A JSON object, refused with ValueError if it repeats a key, of which
+    json would keep only the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for k in keys if keys.count(k) > 1)
+        raise ValueError(f"a formula document repeats the key {key!r}")
+    return obj
 
 
 def _parse_doc(doc) -> Formula:

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import campana
-from campana import formulas as fm, kernels, semantics
+from campana import circuits, formulas as fm, kernels, semantics
 from campana.circuits import Circuit, fold_nodes
 from campana.forms import BinaryForm, X_FORM
 
@@ -392,6 +393,58 @@ def test_emit_other_formats():
         fm.emit(f, "xml")
 
 
+# Text writes a shared node out at each use.  Each test lowers the bound to
+# 10 kB, so that a render past it holds tens of kB where it is guarded and
+# about a MB where it is not.
+_TEXT_BOUND = 10_000
+
+
+def _squared(k):
+    """x squared k times: k + 1 nodes, with a text of 2^k copies of x."""
+    c = Circuit.var("x")
+    for _ in range(k):
+        c = c * c
+    return c
+
+
+@pytest.mark.parametrize("fmt", ["sexpr", "latex"])
+def test_a_text_past_the_bound_is_refused_before_it_is_made(monkeypatch, fmt):
+    monkeypatch.setattr(circuits, "TEXT_BYTES", _TEXT_BOUND)
+    f = fm.Formula([], ("eq", _squared(16)), ["x"])  # 0.9 MB of sexpr
+    f.layout()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="TEXT_BYTES"):
+            fm.emit(f, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * _TEXT_BOUND
+    assert fm.parse(fm.emit(f, "json")) == f  # json writes each node once
+
+
+@pytest.mark.parametrize("fmt", ["sexpr", "latex"])
+def test_texts_that_pass_the_bound_together_are_refused(monkeypatch, fmt):
+    # each root's text is under a kB, and 200 of them are held at once
+    monkeypatch.setattr(circuits, "TEXT_BYTES", _TEXT_BOUND)
+    y = _squared(6)
+    roots = [y + i for i in range(1, 201)]
+    one = circuits.render_all(circuits.layout(roots[:1]), fmt)
+    assert len(one[roots[0]]) < 1000
+    with pytest.raises(ValueError, match="TEXT_BYTES"):
+        circuits.render_all(circuits.layout(roots), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["sexpr", "latex"])
+def test_a_matrix_join_past_the_bound_is_refused(monkeypatch, fmt):
+    # one atom of under a kB, 50 times over: render_all holds its text once
+    monkeypatch.setattr(circuits, "TEXT_BYTES", _TEXT_BOUND)
+    f = fm.Formula([], ("and", (("eq", _squared(6)),) * 50), ["x"])
+    with pytest.raises(ValueError, match="TEXT_BYTES"):
+        fm.emit(f, fmt)
+    assert fm.emit(fm.Formula([], ("and", (("eq", _squared(6)),) * 5), ["x"]), fmt)
+
+
 @pytest.mark.parametrize("fmt", ["json", "sexpr", "latex"])
 def test_emit_leaves_no_cycle_that_keeps_a_dropped_formula_alive(fmt):
     # names no other test uses, so that no other formula shares the atoms
@@ -481,18 +534,11 @@ _CACHED = [(name, real) for name, target in fm.TARGETS.items() if not target.tak
            for real in ((False, True) if target.has_real else (False,))]
 
 
-def _memo_name(name):
-    """The memo that holds a cached target's formulas."""
-    if name == "integrality":
-        return "formulas._integrality"
-    return f"formulas.{fm.TARGETS[name].builder.__name__}"
-
-
 def test_the_cached_builders_are_those_without_n():
     for target in fm.TARGETS.values():
         assert (target.build(7) is target.build(7)) == (not target.takes_n)
     assert len({name for name, _ in _CACHED}) == 10
-    assert {_memo_name(name) for name, _ in _CACHED} <= set(campana.memos())
+    assert len(_CACHED) == campana.memos()["formulas._shared"].bound == 11
 
 
 @pytest.mark.parametrize("name, real", _CACHED)
@@ -500,7 +546,7 @@ def test_a_cached_builder_returns_one_shared_formula(name, real):
     target = fm.TARGETS[name]
     f = target.build(real=real)
     assert target.build(real=real) is f
-    info = campana.memos()[_memo_name(name)]
+    info = campana.memos()["formulas._shared"]
     assert (info.hits, info.misses) == (1, 1)
     if target.has_real:
         # keyword and positional calls share the entry
@@ -519,8 +565,6 @@ def test_a_cleared_builder_builds_the_same_bytes_again(name, real):
 
 
 def test_a_cleared_builder_lets_its_circuits_leave_the_table():
-    from campana import circuits
-
     gc.collect()
     gc.disable()
     try:
@@ -530,7 +574,7 @@ def test_a_cleared_builder_lets_its_circuits_leave_the_table():
         ref = weakref.ref(f.atoms()[-1])
         del f
         assert ref() is not None and len(circuits._TABLE) > before + 3000
-        fm.build_premise.cache_clear()
+        fm._shared.cache_clear()
         # the J(a,b,c,d) blocks stay in their own memo until it is cleared
         assert ref() is None and len(circuits._TABLE) > before + 3000
         fm._jabcd_record.cache_clear()

@@ -145,6 +145,36 @@ def test_deep_nesting_is_a_value_error(depth):
     _rejects(_doc([XA]).replace('{"eq": 0}', matrix))
 
 
+# json keeps the last value of a repeated key, so each of these read as a
+# document with the first value dropped
+_REPEATED_KEYS = {
+    "atom": (b'{"free":["x"],"prefix":[],"nodes":[["var","x"],["int",1]],'
+             b'"matrix":{"eq":0,"eq":1}}', "eq"),
+    "nodes": (b'{"free":["x"],"prefix":[],"nodes":[["var","x"]],'
+              b'"nodes":[["var","x"],["int",1]],"matrix":{"eq":1}}', "nodes"),
+    "top level": (b'{"free":["x"],"prefix":[],"nodes":[["var","x"]],"matrix":{"eq":0},'
+                  b'"real_embedded":true,"real_embedded":false}', "real_embedded"),
+    "in an and": (b'{"free":["x"],"prefix":[],"nodes":[["var","x"],["int",1]],'
+                  b'"matrix":{"and":[{"eq":0},{"neq":0,"neq":1}]}}', "neq"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPEATED_KEYS))
+def test_a_repeated_key_is_a_value_error(name):
+    data, key = _REPEATED_KEYS[name]
+    json.loads(data)  # which reads it, keeping the last value
+    with pytest.raises(ValueError, match=f"repeats the key '{key}'"):
+        fm.parse(data)
+
+
+@pytest.mark.parametrize("name", sorted(fm.TARGETS))
+def test_the_reader_reads_every_emitted_target(name):
+    target = fm.TARGETS[name]
+    for real in (False, True) if target.has_real else (False,):
+        f = target.build(7, real)
+        assert fm._read(fm.emit(f)) == f
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------

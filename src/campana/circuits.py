@@ -622,17 +622,19 @@ def _not_canonical(nodes: Sequence[tuple], made: List[Circuit]) -> str:
     return "the nodes are not in canonical order (children first, left to right)"
 
 
-#: The byte bound of the text a sexpr or latex render holds.  Text writes a
+#: The byte bound of the text a sexpr or latex render makes.  Text writes a
 #: shared node out at each use, so its size doubles with each level of
 #: self-sharing: x squared 20 times, a 21-node circuit, is 14.7 MB of sexpr
 #: and 8.4 MB of latex, and 30 squarings would need about 15 GB.  So
 #: render_all refuses with ValueError, before it makes a node's text, once
-#: the texts it holds (the node's children's among them) pass TEXT_BYTES,
-#: and emit's matrix join refuses once the children it has taken pass it,
-#: instead of running until memory is gone.  A node's text is its
-#: children's and a few bytes per child, so a render never holds much more
-#: than twice TEXT_BYTES.  The largest emit target's text, campana(7, real)
-#: in latex, is 125 KB; json writes each node once and is not bounded.
+#: the texts it has made pass TEXT_BYTES, and emit's matrix join refuses
+#: once the children it has taken pass it, instead of running until memory
+#: is gone.  The texts a render holds are some of those it made, so it
+#: holds at most TEXT_BYTES and the one text that passes it: that node's
+#: children's texts, one per use, and a few bytes.  The emit target that
+#: makes the most, campana(n, real) in latex, makes 13.9 MB across its
+#: nodes for a root text of 125 KB; json writes each node once and is not
+#: bounded.
 TEXT_BYTES = 1 << 26
 
 
@@ -648,25 +650,20 @@ def render_all(lay: Layout, style: str) -> Dict[Circuit, str]:
     by root; a node shared by several parents is written out at each use.
     One pass over the distinct nodes; the text of a node with one use is
     dropped when it is used.  ValueError, before a node's text is made,
-    once the texts held pass TEXT_BYTES."""
+    once the texts made pass TEXT_BYTES."""
     rules, shared, bound = _RENDER[style], lay.shared, TEXT_BYTES
     texts: Dict[Circuit, str] = {}
     take = texts.pop
-    held = 0  # the bytes of the texts in texts
+    made = 0
 
     def t(kid: Circuit) -> str:
-        nonlocal held
-        if kid in shared:
-            return texts[kid]
-        text = take(kid)
-        held -= len(text)
-        return text
+        return texts[kid] if kid in shared else take(kid)
 
     for circ in lay.order:
-        if held > bound:
-            _text_fits(held)
+        if made > bound:
+            _text_fits(made)
         key = circ._key
         text = texts[circ] = rules[key[0]](key, t)
-        held += len(text)
+        made += len(text)
     return {r: texts[r] for r in lay.roots}
 

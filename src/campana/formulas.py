@@ -336,7 +336,7 @@ def _exists_formula(block, names: Sequence[str], start: int = 1) -> Formula:
     return Formula([(EXISTS, n) for n in gs.names], matrix, tuple(names))
 
 
-@memo("formulas._shared", maxsize=11)
+@memo("formulas._shared")
 def _shared(build, *args) -> Formula:
     """build(*args), once per process: the formulas of the nine builders
     without n and of build_integrality's two combiners, eleven keys."""

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import types
 
 import pytest
 
@@ -36,15 +37,22 @@ def test_searches_and_substitution_take_no_knobs():
 def test_memo_counters_are_read_only_through_memos():
     # a memo's counts and clearing go through campana.memos() and
     # clear_memos(), not through accessors that a public callable carries,
-    # whether grafted onto a function or a functools cache itself
+    # whether grafted onto a function or a functools cache itself, nor
+    # through accessors grafted onto a private plain function
+    counters = ("cache_info", "cache_clear")
     public = {f"campana.{name}": getattr(campana, name) for name in campana.__all__}
+    grafted = []
     for info in pkgutil.iter_modules(campana.__path__):
         module = importlib.import_module(f"campana.{info.name}")
-        public.update((f"{info.name}.{attr}", obj) for attr, obj in vars(module).items()
-                      if not attr.startswith("_"))
-    grafted = sorted(name for name, obj in public.items() if callable(obj) and any(
-        hasattr(obj, accessor) for accessor in ("cache_info", "cache_clear", "__wrapped__")))
-    assert grafted == []
+        for attr, obj in vars(module).items():
+            if not attr.startswith("_"):
+                public[f"{info.name}.{attr}"] = obj
+            elif isinstance(obj, types.FunctionType) and any(
+                    hasattr(obj, accessor) for accessor in counters):
+                grafted.append(f"{info.name}.{attr}")
+    grafted += [name for name, obj in public.items() if callable(obj) and any(
+        hasattr(obj, accessor) for accessor in counters + ("__wrapped__",))]
+    assert sorted(grafted) == []
 
 
 @pytest.mark.parametrize("path", sorted(

@@ -538,7 +538,7 @@ def test_the_cached_builders_are_those_without_n():
     for target in fm.TARGETS.values():
         assert (target.build(7) is target.build(7)) == (not target.takes_n)
     assert len({name for name, _ in _CACHED}) == 10
-    assert len(_CACHED) == campana.memos()["formulas._shared"].bound == 11
+    assert len(_CACHED) == 11
 
 
 @pytest.mark.parametrize("name, real", _CACHED)

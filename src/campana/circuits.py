@@ -57,9 +57,10 @@ class Circuit:
     reads them with read_nodes, as formulas.parse does, and then asks for
     more: each node must be a tuple and exactly its node form (a constant
     as an int or a Fraction, not "p/q"; norm children as a tuple).
-    Anything else raises ValueError: no nodes, an unknown op or wrong
-    fields, a child that does not come before its node, a node the root
-    does not reach, a repeated node, or another order."""
+    Anything else raises ValueError: nodes that are not iterable, no
+    nodes, an unknown op or wrong fields, a child that does not come before
+    its node, a node the root does not reach, a repeated node, or another
+    order."""
 
     # _key: the node with each child given by its circuit, which is what the
     # table looks up; _kids: the child circuits; _names and _nodes: the free
@@ -67,7 +68,7 @@ class Circuit:
     __slots__ = ("_key", "_kids", "_degree", "_names", "_nodes", "__weakref__")
 
     def __new__(cls, nodes: Sequence[tuple]) -> "Circuit":
-        nodes = tuple(nodes)
+        nodes = tuple(arith.listed(nodes, "nodes"))
         if not nodes:
             raise ValueError("a circuit has at least one node, its root")
         made = read_nodes(nodes)

@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 verified failure or search exhaustion, 2 usage
 error (any ValueError, from parsing the command line or from the library,
 printed as "error: ..."), 141 (128 + SIGPIPE) when the reader of stdout
-goes away before the output is written, as `head` can.  Rationals are
-written "num/den" or plain integers; the place at infinity is "inf".  The
-only settings are verify's --seed and --samples; one left out takes
-verify.run's default.
+goes away before the output is written, as `head` can.  A verify check
+that raises, a ValueError included, is neither a usage error nor a
+traceback: verify.run makes it its row's FAIL, so the command exits 1.
+Rationals are written "num/den" or plain integers; the place at infinity
+is "inf".  The only settings are verify's --seed and --samples; one left
+out takes verify.run's default.
 """
 from __future__ import annotations
 

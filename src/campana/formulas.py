@@ -31,11 +31,6 @@ MatrixNode = tuple
 FORALL = "forall"
 EXISTS = "exists"
 
-#: The bound of the J(a,b,c,d) block memo.  Its key set is finite: the 13
-#: emit targets at any n, with either combiner, use 15 keys.
-JABCD_MEMO_SIZE = 32
-
-
 class Gensym:
     """Deterministic witness allocator: x1, x2, ... in construction order;
     names lists every name handed out, in order: the tower's prefix."""
@@ -257,11 +252,13 @@ def _jabcd_block(a, b, c, d, r, gs):
     return list(atoms)
 
 
-@memo("formulas._jabcd_record", maxsize=JABCD_MEMO_SIZE)
+@memo("formulas._jabcd_record")
 def _jabcd_record(a, b, c, d, r, first: int) -> Tuple[Tuple[Circuit, ...], Tuple[str, ...]]:
     """The atoms of _jabcd_block at (a, b, c, d, r) with its witnesses
     numbered from first, and the witness names it took.  Circuits are
-    hash-consed, so the key holds them by identity; n is never part of it."""
+    hash-consed, so the key holds them by identity; n is never part of it,
+    so the key set is finite, and the memo unbounded: the 13 emit targets
+    at any n, with either combiner, use 15 keys."""
     gs = Gensym(first)
     x, = gs.take(1)
     atoms = tuple(_j_block(a, b, x, gs) + _j_block(c, d, r - x, gs))

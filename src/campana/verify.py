@@ -1,7 +1,13 @@
 """Seeded property suites behind the `verify` CLI command.
 
-Each suite returns a list of (name, passed, detail) rows; a failing row's
-detail is a replayable description of the first counterexample.
+Each suite returns a list of (name, passed, detail) rows.  A row is a
+label, a generator that yields counterexamples, and the detail shown when
+it yields none; `_row` reads every one.  A failing row's detail is a
+replayable description of its first counterexample, and only that one is
+drawn, so the random draws of later rows do not depend on how many more
+there are.  A check that raises is its row's failure, with the detail
+"raised ...", and the suite's later rows still run; a suite whose own
+set-up raises is one failing row, "set-up".
 """
 from __future__ import annotations
 
@@ -9,13 +15,28 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from . import arith, formulas as fm, kernels, parametrize, places, semantics
 from .circuits import OPS, Circuit, fold_nodes
 from .memo import clear_memos
 
 Row = Tuple[str, bool, str]
+
+
+def _row(label: str, counterexamples: Iterator[str], holds: str) -> Row:
+    """The row of one check: the first counterexample the generator
+    yields, or holds when it yields none, and "raised ..." when it raises."""
+    try:
+        bad = next(counterexamples, None)
+    except Exception as exc:
+        bad = f"raised {exc!r}"
+    return label, bad is None, holds if bad is None else bad
+
+
+def _documents(f: fm.Formula) -> List[bytes]:
+    """f's bytes in every format, in the order of formulas.FORMATS."""
+    return [fm.emit(f, fmt) for fmt in fm.FORMATS]
 
 
 def _sample_rational(rng: random.Random, num: int = 10**6, den: int = 1000) -> Fraction:
@@ -26,116 +47,106 @@ def _sample_rational(rng: random.Random, num: int = 10**6, den: int = 1000) -> F
 
 def suite_hilbert(seed: int, samples: int) -> List[Row]:
     rng = random.Random(seed)
-    rows: List[Row] = []
-
-    bad = None
     oracle_trials = min(samples, 2000)
-    for _ in range(oracle_trials):
-        a = rng.randint(-50, 50) or 1
-        b = rng.randint(-50, 50) or 1
-        p = rng.choice([2, 3, 5, 7, 11, 13, 17, 19, 23])
-        got = places.hilbert(a, b, p)
-        want = places.hilbert_oracle(a, b, p, places.default_oracle_precision(a, b, p))
-        if got != want:
-            bad = f"hilbert({a},{b},{p}) = {got}, oracle says {want}"
-            break
-    rows.append((f"symbol vs oracle ({oracle_trials} trials)", bad is None, bad or "agree"))
 
-    bad = None
-    for _ in range(samples):
-        a, b = _sample_rational(rng, 10**4, 100), _sample_rational(rng, 10**4, 100)
-        if not places.reciprocity_check(a, b):
-            bad = f"product formula fails for a={a}, b={b}"
-            break
-    rows.append((f"reciprocity ({samples} pairs)", bad is None, bad or "product is +1"))
+    def oracle_disagreements():
+        for _ in range(oracle_trials):
+            a = rng.randint(-50, 50) or 1
+            b = rng.randint(-50, 50) or 1
+            p = rng.choice([2, 3, 5, 7, 11, 13, 17, 19, 23])
+            got = places.hilbert(a, b, p)
+            want = places.hilbert_oracle(a, b, p, places.default_oracle_precision(a, b, p))
+            if got != want:
+                yield f"hilbert({a},{b},{p}) = {got}, oracle says {want}"
 
-    bad = None
-    for _ in range(min(samples, 500)):
-        a = _sample_rational(rng, 1000, 50)
-        v = rng.choice(["inf", 2, 3, 5, 7, 11, 10007])
-        if arith.is_square_local(a, v):
-            continue
-        b = places.find_local_counterexample(a, v)
-        if places.hilbert(a, b, v) != -1:
-            bad = f"find_local_counterexample({a},{v}) = {b} but symbol is +1"
-            break
-    rows.append(("local counterexamples ramify", bad is None, bad or "all -1"))
-    return rows
+    def reciprocity_failures():
+        for _ in range(samples):
+            a, b = _sample_rational(rng, 10**4, 100), _sample_rational(rng, 10**4, 100)
+            if not places.reciprocity_check(a, b):
+                yield f"product formula fails for a={a}, b={b}"
+
+    def unramified_counterexamples():
+        for _ in range(min(samples, 500)):
+            a = _sample_rational(rng, 1000, 50)
+            v = rng.choice(["inf", 2, 3, 5, 7, 11, 10007])
+            if arith.is_square_local(a, v):
+                continue
+            b = places.find_local_counterexample(a, v)
+            if places.hilbert(a, b, v) != -1:
+                yield f"find_local_counterexample({a},{v}) = {b} but symbol is +1"
+
+    return [
+        _row(f"symbol vs oracle ({oracle_trials} trials)", oracle_disagreements(), "agree"),
+        _row(f"reciprocity ({samples} pairs)", reciprocity_failures(), "product is +1"),
+        _row("local counterexamples ramify", unramified_counterexamples(), "all -1"),
+    ]
 
 
 def suite_construct(seed: int, samples: int) -> List[Row]:
     rng = random.Random(seed)
-    rows: List[Row] = []
-    small = [p for p in arith.primes_up_to(100)]
+    small = arith.primes_up_to(100)
     trials = [sorted(rng.sample(small, rng.randint(0, 6)))
               for _ in range(min(samples, 50))]
     trials += [list(s) for k in range(5)
                for s in itertools.combinations([2, 3, 5, 7], k)]
-    bad = None
-    for S in trials:
-        try:
-            report = parametrize.construct_omega(S)
-        except Exception as exc:
-            bad = f"construct_omega({S}) raised {exc!r}"
-            break
-        if not report.success:
-            bad = f"construct_omega({S}) achieved {report.achieved}"
-            break
-    rows.append((f"round trip ({len(trials)} sets)",
-                 bad is None, bad or "achieved = target"))
-    return rows
+
+    def misses():
+        for S in trials:
+            try:
+                report = parametrize.construct_omega(S)
+            except Exception as exc:  # named with its S, which _row cannot
+                yield f"construct_omega({S}) raised {exc!r}"
+                continue
+            if not report.success:
+                yield f"construct_omega({S}) achieved {report.achieved}"
+
+    return [_row(f"round trip ({len(trials)} sets)", misses(), "achieved = target")]
 
 
 def suite_semantics(seed: int, samples: int) -> List[Row]:
     rng = random.Random(seed)
-    rows: List[Row] = []
 
-    bad = None
-    for _ in range(samples):
-        x0 = rng.randint(-10**6, 10**6)
-        x1 = rng.randint(1, 10**6)
-        n = rng.randint(1, 6)
-        S = sorted(rng.sample([2, 3, 5, 7, 11, 13], rng.randint(0, 3)))
-        via = semantics.campana_via_coordinates(x0, x1, S, n)
-        direct = semantics.campana_member(S, n, Fraction(x0, x1))
-        if via != direct:
-            bad = f"(x0,x1,S,n)=({x0},{x1},{S},{n}): coords {via}, direct {direct}"
-            break
-    rows.append((f"coordinate equivalence ({samples} samples)",
-                 bad is None, bad or "equivalent"))
+    def coordinate_disagreements():
+        for _ in range(samples):
+            x0 = rng.randint(-10**6, 10**6)
+            x1 = rng.randint(1, 10**6)
+            n = rng.randint(1, 6)
+            S = sorted(rng.sample([2, 3, 5, 7, 11, 13], rng.randint(0, 3)))
+            via = semantics.campana_via_coordinates(x0, x1, S, n)
+            direct = semantics.campana_member(S, n, Fraction(x0, x1))
+            if via != direct:
+                yield f"(x0,x1,S,n)=({x0},{x1},{S},{n}): coords {via}, direct {direct}"
 
-    bad = None
-    for _ in range(samples):
-        r = _sample_rational(rng, 10**5, 1024)
-        S = sorted(rng.sample([2, 3, 5, 7], rng.randint(0, 2)))
-        if not semantics.campana_member(S, 1, r):
-            bad = f"r={r}, S={S} rejected at n=1"
-            break
-        prev = semantics.campana_member(S, 11, r)
-        for n in range(10, 0, -1):
-            cur = semantics.campana_member(S, n, r)
-            if prev and not cur:
-                bad = f"r={r}, S={S}: member at n={n+1} but not n={n}"
-                break
-            prev = cur
-        if bad:
-            break
-        if semantics.s_integer_member(S, r):
-            if not all(semantics.campana_member(S, n, r) for n in range(1, 11)):
-                bad = f"integer r={r}, S={S} missing from some level"
-                break
-    rows.append((f"filtration ({samples} samples)", bad is None, bad or "monotone"))
+    def filtration_breaks():
+        for _ in range(samples):
+            r = _sample_rational(rng, 10**5, 1024)
+            S = sorted(rng.sample([2, 3, 5, 7], rng.randint(0, 2)))
+            if not semantics.campana_member(S, 1, r):
+                yield f"r={r}, S={S} rejected at n=1"
+            prev = semantics.campana_member(S, 11, r)
+            for n in range(10, 0, -1):
+                cur = semantics.campana_member(S, n, r)
+                if prev and not cur:
+                    yield f"r={r}, S={S}: member at n={n+1} but not n={n}"
+                prev = cur
+            if semantics.s_integer_member(S, r) and not all(
+                    semantics.campana_member(S, n, r) for n in range(1, 11)):
+                yield f"integer r={r}, S={S} missing from some level"
 
-    bad = None
-    for i in range(min(samples, 1000)):
-        a = rng.randint(-20, 20) or 1
-        b = rng.randint(-20, 20) or 1
-        t, w = semantics.generate_trace_element(a, b, seed + i)
-        if t*t - 4*a*w[1]**2 - 4*b*w[2]**2 + 4*a*b*w[3]**2 != 4:
-            bad = f"trace witness broken for a={a}, b={b}, seed={seed+i}"
-            break
-    rows.append(("trace witnesses on the conic", bad is None, bad or "exact"))
-    return rows
+    def broken_traces():
+        for i in range(min(samples, 1000)):
+            a = rng.randint(-20, 20) or 1
+            b = rng.randint(-20, 20) or 1
+            t, w = semantics.generate_trace_element(a, b, seed + i)
+            if t*t - 4*a*w[1]**2 - 4*b*w[2]**2 + 4*a*b*w[3]**2 != 4:
+                yield f"trace witness broken for a={a}, b={b}, seed={seed+i}"
+
+    return [
+        _row(f"coordinate equivalence ({samples} samples)",
+             coordinate_disagreements(), "equivalent"),
+        _row(f"filtration ({samples} samples)", filtration_breaks(), "monotone"),
+        _row("trace witnesses on the conic", broken_traces(), "exact"),
+    ]
 
 
 def _atom_indices(m: dict) -> List[int]:
@@ -148,105 +159,106 @@ def _atom_indices(m: dict) -> List[int]:
 
 def suite_formulas(seed: int, samples: int) -> List[Row]:
     rng = random.Random(seed)
-    rows: List[Row] = []
     degree_rules = {op: row.degree for op, row in OPS.items()}
-
-    cases = [(name, n, real) for name, t in fm.TARGETS.items()
+    # (case, target, n, real, its bytes in every format): each case is
+    # built once here and only its bytes are kept, so that no formula of
+    # this warm pass is alive when the cold row builds; a row that needs
+    # the formula builds it again
+    cases = [(f"{name}(n={n}, real={real})", t, n, real, _documents(t.build(n, real)))
+             for name, t in fm.TARGETS.items()
              for n in ((2, 7, 100) if t.takes_n else (None,))
              for real in ((False, True) if t.has_real else (False,))]
-    bad = bad_trip = bad_family = bad_read = bad_fold = None
-    warm = []
-    for name, n, real in cases:
-        target = fm.TARGETS[name]
-        f = target.build(n, real)
-        got = fm.stats(f)
-        want = fm.FormulaStats(*target.ledger(n, real), real_embedded=real)
-        if bad is None and got != want:
-            bad = f"{name}(n={n}, real={real}): {got}, expected {want}"
-        warm.append([fm.emit(f, fmt) for fmt in fm.FORMATS])
-        parsed = fm.parse(warm[-1][0])
-        if bad_trip is None and parsed != f:
-            bad_trip = f"{name}(n={n}, real={real}) changes under emit/parse"
+    families = [case for case in cases if case[1].takes_n]
+
+    def ledger_misses():
+        for what, t, n, real, _ in cases:
+            got = fm.stats(t.build(n, real))
+            want = fm.FormulaStats(*t.ledger(n, real), real_embedded=real)
+            if got != want:
+                yield f"{what}: {got}, expected {want}"
+
+    def round_trip_changes():
+        for what, t, n, real, blobs in cases:
+            if fm.parse(blobs[0]) != t.build(n, real):
+                yield f"{what} changes under emit/parse"
+
+    def misfolded_documents():
         # the document's own node list, folded by the degree rules as it
         # stands, nothing interned, gives its largest atom the ledger degree
-        doc = json.loads(warm[-1][0])
-        degrees = fold_nodes(doc["nodes"], degree_rules, {})
-        top = max(degrees[i] for i in _atom_indices(doc["matrix"]))
-        if bad_fold is None and top != want.degree_bound:
-            bad_fold = (f"{name}(n={n}, real={real}): its document folds to degree "
-                        f"{top}, expected {want.degree_bound}")
-        # parse reads an n-family member's json through its family's
-        # template; the reader itself must give the same formula
-        if bad_read is None and target.takes_n and parsed != fm._read(warm[-1][0]):
-            bad_read = f"{name}(n={n}, real={real}) parses other than the reader reads"
+        for what, t, n, real, blobs in cases:
+            doc = json.loads(blobs[0])
+            degrees = fold_nodes(doc["nodes"], degree_rules, {})
+            top = max(degrees[i] for i in _atom_indices(doc["matrix"]))
+            want = fm.FormulaStats(*t.ledger(n, real)).degree_bound
+            if top != want:
+                yield f"{what}: its document folds to degree {top}, expected {want}"
+
+    def unlike_a_fresh_render():
         # an n-family member's documents are spliced into its family's
         # template; the renderer itself must give the same bytes
-        differ = [fmt for fmt, blob in zip(fm.FORMATS, warm[-1])
-                  if target.takes_n and blob != fm._render(f, fmt)]
-        if bad_family is None and differ:
-            bad_family = (f"{name}(n={n}, real={real}) emits other "
-                          f"{'/'.join(differ)} than a fresh render")
-    rows.append((f"quantifier/atom/degree ledger ({len(cases)} builds)",
-                 bad is None, bad or "exact match"))
-    rows.append((f"emit/parse round trip ({len(cases)} builds)",
-                 bad_trip is None, bad_trip or "identity"))
-    rows.append((f"documents fold to the ledger degree ({len(cases)} builds)",
-                 bad_fold is None, bad_fold or "exact match"))
-    families = sum(1 for name, _, _ in cases if fm.TARGETS[name].takes_n)
-    rows.append((f"n-family emits equal a fresh render ({families} builds)",
-                 bad_family is None, bad_family or "same bytes"))
-    rows.append((f"n-family parses equal a fresh read ({families} builds)",
-                 bad_read is None, bad_read or "same formula"))
+        for what, t, n, real, blobs in families:
+            f = t.build(n, real)
+            differ = [fmt for fmt, blob in zip(fm.FORMATS, blobs) if blob != fm._render(f, fmt)]
+            if differ:
+                yield f"{what} emits other {'/'.join(differ)} than a fresh render"
 
-    # each build again from empty memos: the formula builders' and the
-    # J(a,b,c,d) blocks' memos, and the bytes emit keeps on a formula, must
-    # give in every format the bytes a build from scratch gives
-    bad = None
-    for (name, n, real), blobs in zip(cases, warm):
-        clear_memos()
-        cold = fm.TARGETS[name].build(n, real)
-        differ = [fmt for fmt, blob in zip(fm.FORMATS, blobs) if fm.emit(cold, fmt) != blob]
-        if differ:
-            bad = f"{name}(n={n}, real={real}) emits other {'/'.join(differ)} when built cold"
-            break
-    rows.append((f"cold and warm builds agree ({len(cases)} builds)",
-                 bad is None, bad or "same bytes"))
+    def unlike_a_fresh_read():
+        # parse reads an n-family member's json through its family's
+        # template; the reader itself must give the same formula
+        for what, _, _, _, blobs in families:
+            if fm.parse(blobs[0]) != fm._read(blobs[0]):
+                yield f"{what} parses other than the reader reads"
 
-    bad = None
-    x, y = Circuit.var("x"), Circuit.var("y")
-    pair = fm.combine_pair(x, y)
-    for _ in range(min(samples, 2000)):
-        px = _sample_rational(rng, 100, 10) if rng.random() < 0.8 else Fraction(0)
-        py = _sample_rational(rng, 100, 10) if rng.random() < 0.8 else Fraction(0)
-        want = px == 0 and py == 0
-        if (pair.evaluate({"x": px, "y": py}) == 0) != want:
-            bad = f"combine_pair zero set broken at ({px},{py})"
-            break
-    rows.append(("combine_pair zero set", bad is None, bad or "preserved"))
+    def unlike_a_cold_build():
+        # each build again from empty memos: the formula builders' and the
+        # J(a,b,c,d) blocks' memos, and the bytes emit keeps on a formula,
+        # must give in every format the bytes a build from scratch gives
+        for what, t, n, real, blobs in cases:
+            clear_memos()
+            cold = _documents(t.build(n, real))
+            differ = [fmt for fmt, blob, got in zip(fm.FORMATS, blobs, cold) if got != blob]
+            if differ:
+                yield f"{what} emits other {'/'.join(differ)} when built cold"
 
-    bad = None
-    for n in range(1, 7):
-        nf = fm.norm_form(n)
-        if nf.degree() != n:
-            bad = f"norm_form({n}) degree {nf.degree()}"
-            break
-        lam = Fraction(rng.randint(2, 9))
-        pt = {f"y{i+1}": Fraction(rng.randint(-30, 30)) for i in range(n)}
-        scaled = {k: lam * v for k, v in pt.items()}
-        if nf.evaluate(scaled) != lam**n * nf.evaluate(pt):
-            bad = f"norm_form({n}) not homogeneous at {pt}"
-            break
-        for _ in range(min(samples, 200)):
-            pt = [_sample_rational(rng, 50, 8) for _ in range(n)]
-            value = nf.evaluate({f"y{i+1}": v for i, v in enumerate(pt)})
-            if value == 0 or value != kernels.norm_value(pt):
-                bad = (f"norm_form({n}) is {value} at nonzero {pt}, "
-                       f"the norm kernel {kernels.norm_value(pt)}")
-                break
-        if bad:
-            break
-    rows.append(("norm forms anisotropic + homogeneous", bad is None, bad or "ok"))
-    return rows
+    def pair_zero_set_misses():
+        pair = fm.combine_pair(Circuit.var("x"), Circuit.var("y"))
+        for _ in range(min(samples, 2000)):
+            px = _sample_rational(rng, 100, 10) if rng.random() < 0.8 else Fraction(0)
+            py = _sample_rational(rng, 100, 10) if rng.random() < 0.8 else Fraction(0)
+            if (pair.evaluate({"x": px, "y": py}) == 0) != (px == 0 and py == 0):
+                yield f"combine_pair zero set broken at ({px},{py})"
+
+    def norm_form_faults():
+        for n in range(1, 7):
+            nf = fm.norm_form(n)
+            if nf.degree() != n:
+                yield f"norm_form({n}) degree {nf.degree()}"
+            lam = Fraction(rng.randint(2, 9))
+            pt = {f"y{i+1}": Fraction(rng.randint(-30, 30)) for i in range(n)}
+            scaled = {k: lam * v for k, v in pt.items()}
+            if nf.evaluate(scaled) != lam**n * nf.evaluate(pt):
+                yield f"norm_form({n}) not homogeneous at {pt}"
+            for _ in range(min(samples, 200)):
+                pt = [_sample_rational(rng, 50, 8) for _ in range(n)]
+                value = nf.evaluate({f"y{i+1}": v for i, v in enumerate(pt)})
+                if value == 0 or value != kernels.norm_value(pt):
+                    yield (f"norm_form({n}) is {value} at nonzero {pt}, "
+                           f"the norm kernel {kernels.norm_value(pt)}")
+
+    builds, family_builds = f"({len(cases)} builds)", f"({len(families)} builds)"
+    return [
+        _row(f"quantifier/atom/degree ledger {builds}", ledger_misses(), "exact match"),
+        _row(f"emit/parse round trip {builds}", round_trip_changes(), "identity"),
+        _row(f"documents fold to the ledger degree {builds}",
+             misfolded_documents(), "exact match"),
+        _row(f"n-family emits equal a fresh render {family_builds}",
+             unlike_a_fresh_render(), "same bytes"),
+        _row(f"n-family parses equal a fresh read {family_builds}",
+             unlike_a_fresh_read(), "same formula"),
+        _row(f"cold and warm builds agree {builds}", unlike_a_cold_build(), "same bytes"),
+        _row("combine_pair zero set", pair_zero_set_misses(), "preserved"),
+        _row("norm forms anisotropic + homogeneous", norm_form_faults(), "ok"),
+    ]
 
 
 SUITES: Dict[str, Callable[[int, int], List[Row]]] = {
@@ -261,9 +273,12 @@ def run(suite: str, seed: int = 42, samples: int = 1000) -> Tuple[bool, str]:
     """Run one suite (or 'all'); returns (all_passed, printable table).
     suite is a str, 'all' or a SUITES key, and seed and samples are
     integers; anything else is a ValueError.  samples < 1 would pass
-    without testing anything, so it is refused too.  The formulas suite
-    empties every process-wide memo (clear_memos, once per build it checks
-    cold), so a caller's warm memos are gone when it returns."""
+    without testing anything, so it is refused too.  Past these checks
+    nothing raises: a check that raises, a ValueError included, is a
+    failing row that names what it raised, and a suite whose set-up
+    raises is one failing row, "set-up".  The formulas suite empties every
+    process-wide memo (clear_memos, once per build it checks cold), so a
+    caller's warm memos are gone when it returns."""
     if not (type(suite) is str and (suite == "all" or suite in SUITES)):
         raise ValueError(f"unknown suite {suite!r}")
     seed, samples = arith.integer(seed, "seed"), arith.integer(samples, "samples")
@@ -273,7 +288,11 @@ def run(suite: str, seed: int = 42, samples: int = 1000) -> Tuple[bool, str]:
     lines = []
     ok = True
     for name in names:
-        for label, passed, detail in SUITES[name](seed, samples):
+        try:
+            rows = SUITES[name](seed, samples)
+        except Exception as exc:
+            rows = [("set-up", False, f"raised {exc!r}")]
+        for label, passed, detail in rows:
             ok &= passed
             mark = "PASS" if passed else "FAIL"
             lines.append(f"{mark}  {name}: {label} -- {detail}")

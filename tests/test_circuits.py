@@ -504,6 +504,13 @@ def test_circuits_that_are_not_iterable_are_a_value_error(name, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("nodes", [None, 5, object()])
+def test_nodes_that_are_not_iterable_are_a_value_error(nodes):
+    # Circuit(nodes) ran tuple(nodes) first: TypeError, ... is not iterable
+    with pytest.raises(ValueError, match="iterable"):
+        Circuit(nodes)
+
+
 @pytest.mark.parametrize("value", [0.1, 2.0, float("nan"), "1/3", "3", None, 1 + 2j,
                                    np.float64(2.0)])
 def test_exact_evaluation_refuses_what_is_not_a_rational_number(value):

@@ -1,6 +1,8 @@
 """Every ValueError, from parsing the command line or from the library,
 leaves cli.main as "error: ..." on stderr and exit 2, with nothing on
-stdout; none escapes as a traceback."""
+stdout; none escapes as a traceback.  A verify check that raises is not
+one of these: verify.run reports it as its row's FAIL, and the command
+exits 1 (tests/test_verify.py)."""
 import pytest
 
 from campana import cli, formulas, parametrize, places, semantics, verify

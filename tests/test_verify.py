@@ -3,8 +3,9 @@ import time
 
 import pytest
 
-from campana import formulas, verify
+from campana import cli, formulas, places, semantics, verify
 from campana.circuits import Circuit
+from campana.errors import InvariantError
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))
@@ -112,3 +113,77 @@ def test_formulas_fails_a_wrong_pow_degree_rule(monkeypatch):
     assert not ok
     assert "FAIL  formulas: documents fold to the ledger degree (23 builds)" in table
     assert "PASS  formulas: quantifier/atom/degree ledger" in table
+
+
+def test_all_prints_every_row_in_order():
+    ok, table = verify.run("all", seed=7, samples=50)
+    rows = [line.split("  ", 1)[1].split(" -- ")[0] for line in table.splitlines()[:-1]]
+    assert rows == [
+        "hilbert: symbol vs oracle (50 trials)",
+        "hilbert: reciprocity (50 pairs)",
+        "hilbert: local counterexamples ramify",
+        "construct: round trip (66 sets)",
+        "semantics: coordinate equivalence (50 samples)",
+        "semantics: filtration (50 samples)",
+        "semantics: trace witnesses on the conic",
+        "formulas: quantifier/atom/degree ledger (23 builds)",
+        "formulas: emit/parse round trip (23 builds)",
+        "formulas: documents fold to the ledger degree (23 builds)",
+        "formulas: n-family emits equal a fresh render (12 builds)",
+        "formulas: n-family parses equal a fresh read (12 builds)",
+        "formulas: cold and warm builds agree (23 builds)",
+        "formulas: combine_pair zero set",
+        "formulas: norm forms anisotropic + homogeneous",
+    ]
+
+
+def test_a_row_stops_at_its_first_counterexample(monkeypatch):
+    # the rows after it draw from the same generator of random numbers, so
+    # one more check here would move every draw they make
+    calls = []
+
+    def refuted(a, b):
+        calls.append((a, b))
+        return False
+
+    monkeypatch.setattr(places, "reciprocity_check", refuted)
+    ok, table = verify.run("hilbert", seed=7, samples=50)
+    a, b = calls[0]
+    assert not ok and len(calls) == 1
+    assert (f"FAIL  hilbert: reciprocity (50 pairs) -- product formula fails "
+            f"for a={a}, b={b}") in table.splitlines()
+
+
+@pytest.mark.parametrize("module, name, error, suite, row", [
+    (places, "hilbert_oracle", InvariantError, "hilbert", "symbol vs oracle (1000 trials)"),
+    (places, "find_local_counterexample", InvariantError, "hilbert",
+     "local counterexamples ramify"),
+    (semantics, "campana_via_coordinates", ValueError, "semantics",
+     "coordinate equivalence (1000 samples)"),
+], ids=["hilbert_oracle", "find_local_counterexample", "campana_via_coordinates"])
+def test_a_check_that_raises_fails_its_row_and_the_other_rows_run(
+        module, name, error, suite, row, monkeypatch, capsys):
+    # an InvariantError ended the command with a traceback, and a
+    # ValueError left it as a usage error, "error: planted" and exit 2
+    def planted(*args):
+        raise error("planted")
+
+    monkeypatch.setattr(module, name, planted)
+    code = cli.main(["verify", suite])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert (code, err, lines[-1]) == (1, "", "FAILURES above")
+    assert f"FAIL  {suite}: {row} -- raised {error.__name__}('planted')" in lines
+    assert sum(line.startswith(f"PASS  {suite}: ") for line in lines) == 2
+
+
+def test_a_suite_whose_set_up_raises_is_one_failing_row(monkeypatch):
+    def planted(seed, samples):
+        raise InvariantError("planted")
+
+    monkeypatch.setitem(verify.SUITES, "construct", planted)
+    ok, table = verify.run("all", seed=7, samples=50)
+    lines = table.splitlines()
+    assert not ok and len(lines) == 16
+    assert "FAIL  construct: set-up -- raised InvariantError('planted')" in lines
+    assert sum(line.startswith("PASS") for line in lines) == 14

@@ -16,7 +16,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .arith import integer
+from .arith import integer, listed, prime
 from .memo import MemoInfo, register
 
 #: Residues mod M kept across calls by the conic scan, summed over M (at
@@ -83,9 +83,13 @@ def conic_has_solution(a: int, b: int, p: int, m: int) -> bool:
     Each value goes through the mask of the squares mod M.  The caller keeps
     the valuations of a and b at p in {0, 1} and takes m large enough for
     Hensel lifting; then the answer is whether the conic has a point over
-    Q_p, i.e. whether the Hilbert symbol (a, b)_p is 1.  p^m must not
-    exceed 4,000,000 (ValueError).
+    Q_p, i.e. whether the Hilbert symbol (a, b)_p is 1.  a and b are
+    integers, p a prime and m an integer >= 1, and p^m must not exceed
+    4,000,000; anything else is a ValueError.
     """
+    a, b, p, m = integer(a, "a"), integer(b, "b"), prime(p), integer(m, "m")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, not {m}")
     M = p**m
     if M > 4_000_000:
         raise ValueError("modulus p^m too large for the scan kernel")
@@ -123,7 +127,7 @@ def norm_mod_rows(H, qs) -> np.ndarray:
     length 1.  H may hold int64 or Python ints of any size; q must satisfy
     2 <= q < 2^31.
     """
-    qlist = [_modulus(m) for m in qs]
+    qlist = [_modulus(m) for m in listed(qs, "qs")]
     rows = np.asarray(H)
     if rows.dtype.kind == "f" and not isinstance(H, np.ndarray):
         # Python ints on both sides of 2^63 promote to float64: keep them exact
@@ -136,9 +140,11 @@ def norm_mod_rows(H, qs) -> np.ndarray:
     q = np.array(qlist, dtype=np.int64)
     if rows.dtype.kind == "i" or (rows.dtype.kind in "ub" and rows.dtype.itemsize < 8):
         g = rows.astype(np.int64) % q[:, None]
-    else:  # Python ints of any size; anything else is refused by integer()
+    else:  # Python ints of any size; anything else is refused by integer(),
+        # which reads H's own items, as asarray may have made them all str
+        items = rows.tolist() if isinstance(H, np.ndarray) else H
         g = np.array([[integer(c, "a coefficient") % m for c in row]
-                      for row, m in zip(rows.tolist(), qlist)], dtype=np.int64)
+                      for row, m in zip(items, qlist)], dtype=np.int64)
     g = _halve_rows(g, qlist)
     n = g.shape[1]
     f = np.zeros((len(q), n + 1), dtype=np.int64)

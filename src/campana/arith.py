@@ -10,6 +10,7 @@ import math
 import numbers
 import operator
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -28,47 +29,54 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
-_small_primes_cache: List[int] = []
+#: The sieve below TRIAL_DIVISION_BOUND, built on first use: (odd, primes),
+#: with odd[i] == 1 iff 2i + 1 is prime (500 KB of bytes) and the primes in
+#: increasing order as one array("I") (314 KB), which yields Python ints.
+_small_primes_cache: Optional[Tuple[bytes, array]] = None
 
 
-def _small_primes() -> List[int]:
-    """Primes below TRIAL_DIVISION_BOUND as Python ints, sieved once, on
-    first use: a numpy sieve over the odd numbers, whose slot i stands for
-    2i + 1, read out with one flatnonzero."""
+def _small_primes() -> Tuple[bytes, array]:
+    """(odd, primes) below TRIAL_DIVISION_BOUND, sieved once, on first use:
+    a numpy sieve over the odd numbers, whose slot i stands for 2i + 1,
+    kept as its bytes and read out with one flatnonzero."""
     global _small_primes_cache
-    if not _small_primes_cache:
+    if _small_primes_cache is None:
         n = TRIAL_DIVISION_BOUND
         odd = np.ones(n // 2, dtype=bool)
+        odd[0] = False  # slot 0 stands for 1
         for i in range(3, math.isqrt(n) + 1, 2):
             if odd[i >> 1]:
                 odd[i * i >> 1 :: i] = False
-        ps = np.flatnonzero(odd)
-        del odd
+        ps = np.flatnonzero(odd).astype(np.uintc)
         ps *= 2
         ps += 1
-        ps[0] = 2  # slot 0 stands for 1, not a prime; it holds 2, the even one
-        _small_primes_cache = ps.tolist()
+        primes = array("I", [2])
+        primes.frombytes(memoryview(ps).cast("B"))
+        del ps
+        _small_primes_cache = odd.tobytes(), primes
     return _small_primes_cache
 
 
 def primes_up_to(n: int) -> List[int]:
+    """The primes p <= n in increasing order, as a list of Python ints; n is
+    an integer below TRIAL_DIVISION_BOUND (ValueError otherwise)."""
     n = integer(n, "n")
     if n >= TRIAL_DIVISION_BOUND:
         raise ValueError(f"primes_up_to supports bounds below {TRIAL_DIVISION_BOUND}")
-    ps = _small_primes()
-    return ps[: bisect.bisect_right(ps, n)]
+    ps = _small_primes()[1]
+    return ps[: bisect.bisect_right(ps, n)].tolist()
 
 
 def is_prime(n: int) -> bool:
-    """A lookup in the sieved primes below TRIAL_DIVISION_BOUND; above it,
+    """One byte of the sieve below TRIAL_DIVISION_BOUND; above it,
     Miller-Rabin, deterministic below _MR_DETERMINISTIC_BOUND (about 3.3e24)
     and with 20 more seeded random bases, a probable-prime test, above."""
     if type(n) is not int:
         n = integer(n, "n")
     if n < TRIAL_DIVISION_BOUND:
-        ps = _small_primes()
-        i = bisect.bisect_left(ps, n)
-        return i < len(ps) and ps[i] == n
+        if n & 1:
+            return n > 0 and _small_primes()[0][n >> 1] == 1
+        return n == 2
     return _miller_rabin(n)
 
 
@@ -107,6 +115,8 @@ def _miller_rabin(n: int) -> bool:
 
 
 def next_prime(n: int) -> int:
+    """The least prime above the integer n (2 for every n < 2); above
+    _MR_DETERMINISTIC_BOUND a probable prime, as is_prime reads it."""
     k = integer(n, "n") + 1
     if k <= 2:
         return 2
@@ -164,7 +174,7 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
 def _factor_int(n: int) -> Dict[int, int]:
     """Factor a positive integer into {prime: exponent}."""
     factors: Dict[int, int] = {}
-    for p in _small_primes():
+    for p in _small_primes()[1]:
         if p * p > n:
             break
         while n % p == 0:

@@ -8,9 +8,10 @@ as well as emit) registers its own info and clear functions.
 memos() reads every memo and clear_memos() empties every one.
 
 Three pieces of process-wide state are not memos, and are left out:
-- arith._small_primes_cache and kernels._crt_primes hold a prefix of one
-  fixed sequence of primes, the same whatever was asked, so emptying them
-  changes no answer and no count, only the time of the next call;
+- arith._small_primes_cache holds the sieve below 10^6 and
+  kernels._crt_primes a prefix of one fixed sequence of primes, the same
+  whatever was asked, so emptying them changes no answer and no count,
+  only the time of the next call;
 - circuits._TABLE is the hash-consing table: two circuits are == only if
   they are one object, which holds only while the table holds every live
   circuit, so it must never be emptied.

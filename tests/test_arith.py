@@ -1,10 +1,14 @@
+import bisect
+import functools
 import math
+import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from campana import arith
 from campana.errors import SearchExhausted
@@ -92,22 +96,32 @@ def _reference_sieve(n):
 
 
 def test_small_prime_table_ends_and_count():
-    ps = arith._small_primes()
-    assert len(ps) == 78_498
-    assert ps[:3] == [2, 3, 5]
+    odd, ps = arith._small_primes()
+    assert len(ps) == 78_498 and ps.typecode == "I"
+    assert ps[:3].tolist() == [2, 3, 5]
     assert ps[-1] == 999_983
-    assert arith._small_primes() is ps  # one table, sieved once
+    assert len(odd) == arith.TRIAL_DIVISION_BOUND // 2
+    assert odd[:4] == bytes([0, 1, 1, 1])  # 1, 3, 5, 7
+    assert odd.count(1) == 78_498 - 1  # every prime but 2
+    assert arith._small_primes()[1] is ps  # one table, sieved once
 
 
 def test_small_prime_table_matches_a_reference_sieve():
-    ps = arith._small_primes()
-    below = ps[: ps.index(100_003)]
-    assert below == _reference_sieve(10**5)
+    odd, ps = arith._small_primes()
+    want = _reference_sieve(10**5)
+    assert ps[: ps.index(100_003)].tolist() == want
+    assert [2 * i + 1 for i in range(10**5 // 2) if odd[i]] == want[1:]
+
+
+def test_small_prime_table_takes_under_a_megabyte():
+    odd, ps = arith._small_primes()
+    assert type(odd) is bytes
+    assert sys.getsizeof(odd) + sys.getsizeof(ps) < 10**6
 
 
 def test_small_prime_table_holds_python_ints():
     # a numpy integer would fail the type gates, the factor dict keys and json
-    assert all(type(p) is int for p in arith._small_primes())
+    assert all(type(p) is int for p in arith._small_primes()[1])
     assert type(next(iter(arith.factorize(6).factors))) is int
     assert type(arith.primes_up_to(10)[-1]) is int
 
@@ -116,13 +130,37 @@ def test_import_leaves_the_small_prime_table_unbuilt():
     import os
     import pathlib
     import subprocess
-    import sys
     code = ("import campana; from campana import arith;"
-            "print(len(arith._small_primes_cache))")
+            "print(arith._small_primes_cache is None)")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(arith.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["0"]
+    assert out.split() == ["True"]
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.integers(min_value=-10**3, max_value=2 * 10**6),
+    st.sampled_from([0, 1, 2, 999_983, 999_999, 10**6, 1_000_003]),
+    st.integers(min_value=-10**3, max_value=2 * 10**6).map(np.int64),
+    st.integers(min_value=0, max_value=4 * 10**9).map(np.uint32),
+    st.booleans()))
+def test_is_prime_matches_sympy(n):
+    assert arith.is_prime(n) is (int(n) > 1 and sympy.isprime(int(n)))
+
+
+@functools.cache
+def _sympy_primes():
+    return list(sympy.primerange(arith.TRIAL_DIVISION_BOUND))
+
+
+@settings(deadline=None)  # the first example sieves the sympy reference
+@given(st.integers(min_value=-10, max_value=arith.TRIAL_DIVISION_BOUND - 1))
+def test_primes_up_to_matches_sympy_and_holds_ints(n):
+    ps = arith.primes_up_to(n)
+    assert type(ps) is list and all(type(p) is int for p in ps)
+    want = _sympy_primes()
+    assert ps == want[: bisect.bisect_right(want, n)]
 
 
 @pytest.mark.parametrize("n", [0, 1, -1, -2, -3, -999_983, -(10**30)])

@@ -308,6 +308,29 @@ def test_norm_mod_rows_rejects_bad_shapes_and_types():
             kernels.norm_mod(coeffs, 7)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((1, 1, 2, -1), "m must be >= 1"),
+    ((1, 1, 2, 0), "m must be >= 1"),
+    ((1, 1, 3, 1.0), "m must be an integer"),
+    ((1.5, 1, 3, 1), "a must be an integer"),
+    ((1, Fraction(1), 3, 1), "b must be an integer"),
+    ((1, 1, 4, 2), "4 is not prime"),
+    ((1, 1, 7.0, 2), "a prime must be an integer"),
+])
+def test_conic_kernel_refuses_bad_arguments_by_name(args, message):
+    with pytest.raises(ValueError, match=message):
+        kernels.conic_has_solution(*args)
+
+
+def test_norm_mod_rows_refuses_by_the_argument_or_item_at_fault():
+    with pytest.raises(ValueError, match="qs must be iterable, not 7"):
+        kernels.norm_mod_rows([[1, 2]], 7)
+    # asarray makes a row of an int and a str all str: the str is refused
+    for row, bad in (([1, "2"], "'2'"), (["1", 2], "'1'")):
+        with pytest.raises(ValueError, match=f"not {bad}$"):
+            kernels.norm_mod_rows([row], [7])
+
+
 def test_norm_int_and_zero_test_use_row_kernel():
     rng = random.Random(12)
     for n in (2, 5, 8):

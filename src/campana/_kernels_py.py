@@ -5,8 +5,9 @@ primitive point on z^2 = a x^2 + b y^2 mod p^m; it tests each distinct
 value the conic takes on its two families of points once, and reads no
 Legendre symbol.  norm_mod and norm_mod_rows give the resultant
 Res(x^n - 2, h) mod q, for one row h or for every row of an array, each
-with its own modulus; campana.kernels builds the exact norm on them.  No
-answer goes through a float.
+with its own modulus, by Graeffe halving, then the norm form of
+Q(2^(1/3)) for an odd part of length 3 and a Euclid for any other;
+campana.kernels builds the exact norm on them.  No answer goes through a float.
 """
 from __future__ import annotations
 
@@ -106,13 +107,19 @@ def conic_has_solution(a: int, b: int, p: int, m: int) -> bool:
 
 def norm_mod(coeffs: list, q: int) -> int:
     """Res(x^n - 2, h) mod q for h = sum(coeffs[j] x^j), len(coeffs) = n;
-    coeffs without a length, such as None or 7, is a ValueError."""
+    coeffs without a length, such as None or 7, is a ValueError.  q need
+    not be prime (see norm_mod_rows)."""
     try:
         n = len(coeffs)
     except TypeError:
         raise ValueError(f"coeffs must be a sequence, not {coeffs!r}") from None
-    if n == 1:  # Res(x - 2, c) = c
-        return integer(coeffs[0], "a coefficient") % _modulus(q)
+    if n == 1:  # Res(x - 2, c) = c; an int, and an int q in range, as they are
+        c = coeffs[0]
+        if type(c) is not int:
+            c = integer(c, "a coefficient")
+        if type(q) is not int or not 2 <= q < 1 << 31:
+            q = _modulus(q)
+        return c % q
     return int(norm_mod_rows([coeffs], [q])[0])
 
 
@@ -121,11 +128,18 @@ def norm_mod_rows(H, qs) -> np.ndarray:
     (coefficients by ascending power), as an int64 array of length L.
 
     While n is even, every row is first halved mod its q (_halve_rows): the
-    resultant becomes one with y^(n/2) - 2 and a row of length n/2.  The odd
-    part left then goes through one Euclidean remainder sequence for all
-    rows at once (_resultant_rows), which gives c for an odd part c of
-    length 1.  H may hold int64 or Python ints of any size; q must satisfy
-    2 <= q < 2^31.
+    resultant becomes one with y^(n/2) - 2 and a row of length n/2.  An odd
+    part w of length 3 (n = 3 * 2^k, such as the tower's n = 48) is read by
+    the norm form of Q(2^(1/3)), w0^3 + 2 w1^3 + 4 w2^3 - 6 w0 w1 w2, on all
+    rows at once in int64, each product of two residues reduced before the
+    next, so that nothing passes (q - 1)^2 < 2^62.  A longer odd part goes
+    through one Euclidean remainder sequence for all rows at once
+    (_resultant_rows), which gives c for an odd part c of length 1.  H may
+    hold int64 or Python ints of any size; q must satisfy 2 <= q < 2^31.
+
+    q need not be prime, and every answer is exact mod q.  Odd parts of
+    length 1 and 3 always answer; a longer one is a ValueError naming q
+    when the Euclid meets a leading coefficient that is not a unit mod q.
     """
     qlist = [_modulus(m) for m in listed(qs, "qs")]
     rows = np.asarray(H)
@@ -147,6 +161,10 @@ def norm_mod_rows(H, qs) -> np.ndarray:
                       for row, m in zip(items, qlist)], dtype=np.int64)
     g = _halve_rows(g, qlist)
     n = g.shape[1]
+    if n == 3:  # the norm form of Q(2^(1/3))
+        c0, c1, c2 = (g * g % q[:, None] * g % q[:, None]).T
+        w0, w1, w2 = g.T
+        return (c0 + 2 * c1 + 4 * c2 - 6 * (w0 * w1 % q * w2 % q)) % q
     f = np.zeros((len(q), n + 1), dtype=np.int64)
     f[:, n] = 1
     f[:, 0] = -2 % q
@@ -227,8 +245,13 @@ def _resultant_rows(f, g, qs: list, res: list) -> list:
     2 (q - 1)^2 < 2^63.  A row whose g has a lower degree than the highest
     one in the batch is finished by a call on that row alone.
 
+    q need not be prime: a division by a leading coefficient that is not a
+    unit mod q is a ValueError naming q, and every answer given is exact.
+
     norm_mod_rows calls it on the odd part left after halving only, f =
-    y^n - 2 with n odd: 3, 97 and 145 for the tower's n = 48, 194 and 290.
+    y^n - 2 with n odd and at least 5: 97 and 145 for the tower's n = 194
+    and 290 (the tower's n = 48 leaves 3, which norm_mod_rows reads in
+    closed form).  It is the one general resultant of the package.
     """
     out = [0] * len(qs)
     live = list(range(len(qs)))
@@ -266,7 +289,12 @@ def _resultant_rows(f, g, qs: list, res: list) -> list:
         quotients = []
         for k, (m, top, head, a) in enumerate(zip(qs, tops, heads, lcs)):
             res[k] = sign * res[k] * pow(top[e] * a, e, m) % m
-            inv = pow(a, -1, m)
+            try:
+                inv = pow(a, -1, m)
+            except ValueError:  # only a composite q has a zero divisor a
+                raise ValueError(f"the norm's remainder sequence mod q = {m} met "
+                                 f"the leading coefficient {a}, which is not a "
+                                 f"unit mod q; take q prime") from None
             quo = []
             for t in range(e, -1, -1):
                 c = top[t] - sum(map(operator.mul, reversed(quo), reversed(head)))

@@ -200,10 +200,11 @@ class Circuit:
         arith.POWER_BITS is refused with ValueError before it is computed:
         a power, a product whose factors' bits sum past 2 POWER_BITS, and a
         norm of m values of at most b bits with m (b + 2) past it.  That
-        bounds memory, not time: an exact norm of an odd number of values
-        goes through norm_int's CRT, and three values took 0.1 s at 10,000
-        bits, 0.59 s at 40,000 and 7.05 s at 160,000 (2-core x86-64),
-        growing about as bits^1.8."""
+        bounds memory, not time: an exact norm whose odd part after
+        halving has 5 or more values goes through norm_int's CRT, and five
+        values took 0.26 s at 10,000 bits, 2.2 s at 40,000 and 26 s at
+        160,000 (2-core x86-64), growing about as bits^1.7; three values
+        need no CRT."""
         return Fraction(fold_nodes(self.nodes, _EXACT, env)[-1])
 
     def evaluate_mod(self, env: Mapping[str, int], q: int) -> int:

@@ -5,7 +5,8 @@ The oracle's conic scan (conic_has_solution) and the mod-q norm resultant
 kernels of _kernels_py.  On top of the modular kernel this module provides
 an exact evaluator for the degree-n norm form N(v_1..v_n) =
 Res(x^n - 2, sum v_j x^(j-1)): Graeffe halving over Z while n is even, then
-CRT up to a Hadamard-style bound on the odd part.
+the odd part itself when it has length 1, the norm form of Q(2^(1/3)) when
+it has length 3, and otherwise CRT up to a Hadamard-style bound on it.
 """
 from __future__ import annotations
 
@@ -101,9 +102,10 @@ def norm_int(w: Sequence[int]) -> int:
     """Exact norm Res(x^n - 2, sum w_j x^(j-1)) of an integer vector.
 
     While n is even, w is halved exactly over Z (_halve_exact).  An odd part
-    of length 1 is the norm; a longer one is evaluated by CRT of modular
-    resultants up to the Hadamard-style bound of that odd part, with all
-    primes in one row call.
+    of length 1 is the norm, and one of length 3 (n = 3 * 2^k) gives it as
+    w0^3 + 2 w1^3 + 4 w2^3 - 6 w0 w1 w2, the norm form of Q(2^(1/3)); a
+    longer one is evaluated by CRT of modular resultants up to the
+    Hadamard-style bound of that odd part, with all primes in one row call.
     """
     w = [arith.integer(x, "a coefficient") for x in arith.listed(w, "w")]
     if not w:
@@ -113,6 +115,9 @@ def norm_int(w: Sequence[int]) -> int:
     w = _halve_exact(w)
     if len(w) == 1:
         return w[0]
+    if len(w) == 3:
+        w0, w1, w2 = w
+        return w0**3 + 2 * w1**3 + 4 * w2**3 - 6 * w0 * w1 * w2
     bits = _norm_int_bound_bits(w)
     primes, m = [], 1
     for q in crt_primes(bits // 30 + 2):

@@ -480,7 +480,7 @@ def test_norm_int_powers_of_two_need_no_crt(monkeypatch):
 
 
 def test_norm_int_n48_sixty_bit():
-    # n = 48 = 2^4 * 3 leaves an odd part of length 3 for the CRT
+    # n = 48 = 2^4 * 3 leaves an odd part of length 3, read in closed form
     rng = random.Random(22)
     for _ in range(3):
         w = [rng.randint(-2**60, 2**60) for _ in range(48)]
@@ -489,6 +489,147 @@ def test_norm_int_n48_sixty_bit():
     w = [0] * 48
     w[7] = 2**60 - 1
     assert kernels.norm_int(w) == sympy_norm(w)
+
+
+# An odd part of length 3 (n = 3 * 2^k) is read by the norm form of
+# Q(2^(1/3)), w0^3 + 2 w1^3 + 4 w2^3 - 6 w0 w1 w2, in place of the Euclid.
+
+CUBIC_LENGTHS = [3, 6, 12, 24, 48, 96]
+WIDEST_Q = 2**31 - 1
+
+
+@st.composite
+def cubic_rows(draw):
+    """Rows of one length n = 3 * 2^k, each with its own prime modulus,
+    among them zero rows and the widest row, every coefficient q - 1 at
+    q = 2^31 - 1, whose residues make the largest products."""
+    n = draw(st.sampled_from(CUBIC_LENGTHS))
+    rows, qs = [], []
+    for kind in draw(st.lists(st.sampled_from(["small", "big", "zero", "widest"]),
+                              min_size=1, max_size=4)):
+        if kind == "widest":
+            rows.append([WIDEST_Q - 1] * n)
+            qs.append(WIDEST_Q)
+            continue
+        if kind == "zero":
+            rows.append([0] * n)
+        else:
+            coeff = st.integers(-3, 3) if kind == "small" else st.integers(-2**40, 2**40)
+            rows.append(draw(st.lists(coeff, min_size=n, max_size=n)))
+        qs.append(draw(st.sampled_from(HALVING_MODULI)))
+    return rows, qs
+
+
+@settings(max_examples=60, deadline=None)
+@given(cubic_rows())
+def test_cubic_odd_part_matches_euclid_and_sympy(case):
+    rows, qs = case
+    got = _kernels_py.norm_mod_rows(rows, qs)
+    assert got.dtype == np.int64
+    assert got.tolist() == unhalved_norm_mod_rows(rows, qs)
+    assert got.tolist() == [sympy_norm(h) % q for h, q in zip(rows, qs)]
+
+
+def test_cubic_odd_part_widest_row():
+    # the norm of (q - 1)(1 + x + ... + x^(n-1)) is (q - 1)^n (-1)^(n+1)
+    for n in CUBIC_LENGTHS:
+        row = [WIDEST_Q - 1] * n
+        want = (-1) ** (n + 1) * (WIDEST_Q - 1) ** n % WIDEST_Q
+        assert _kernels_py.norm_mod(row, WIDEST_Q) == want
+        assert kernels.norm_int(row) == (-1) ** (n + 1) * (WIDEST_Q - 1) ** n
+
+
+def test_norm_int_three_times_powers_of_two_need_no_crt(monkeypatch):
+    # n = 3 * 2^k halves down to three coefficients, whose norm is a cubic
+    rng = random.Random(23)
+
+    def no_crt(*args):
+        raise AssertionError("norm_int reached the CRT for n = 3 * 2^k")
+
+    monkeypatch.setattr(kernels, "norm_mod_rows", no_crt)
+    for n in CUBIC_LENGTHS:
+        for bits in (3, 60):
+            w = [rng.randint(-2**bits, 2**bits) for _ in range(n)]
+            assert kernels.norm_int(w) == sympy_norm(w)
+        assert kernels.norm_int([0] * (n - 1) + [1]) == sympy_norm([0] * (n - 1) + [1])
+
+
+@pytest.mark.parametrize("q", [4, 6, 15, 2**31 - 2])
+def test_norm_mod_composite_q_answers_odd_parts_one_and_three(q):
+    # no Euclid runs for n = 2^k or 3 * 2^k, so any q in range answers,
+    # exactly: the halving and the cubic hold over Z
+    rng = random.Random(q)
+    for n in [1, 2, 4] + CUBIC_LENGTHS:
+        rows = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(3)]
+        want = [kernels.norm_int(h) % q for h in rows]
+        assert _kernels_py.norm_mod_rows(rows, [q] * 3).tolist() == want
+        assert [_kernels_py.norm_mod(h, q) for h in rows] == want
+
+
+def test_norm_mod_composite_q_euclid_refusal_names_q():
+    # Res(x^5 - 2, h) mod 15 by the Euclid meets the leading coefficient 3
+    rng = random.Random(0)
+    h = [rng.randint(-9, 9) for _ in range(5)]
+    with pytest.raises(ValueError, match=r"mod q = 15 met the leading coefficient 3, "
+                                         r"which is not a unit mod q"):
+        _kernels_py.norm_mod(h, 15)
+    with pytest.raises(ValueError, match="mod q = 15"):
+        _kernels_py.norm_mod_rows([h, h], [7, 15])
+    assert _kernels_py.norm_mod(h, 7) == sympy_norm(h) % 7
+
+
+# The one-value path of norm_mod reads an int and an int q in [2, 2^31) as
+# they are; everything else goes through arith.integer and _modulus, with
+# their answers and messages.
+ONE_VALUE_COEFFICIENTS = [
+    (7, 7 % 11),
+    (True, 1),
+    (np.int64(7), 7),
+    (2**80, 2**80 % 11),
+    (-7, -7 % 11),
+    (7.0, "a coefficient must be an integer, not 7.0"),
+    ("7", "a coefficient must be an integer, not '7'"),
+    (None, "a coefficient must be an integer, not None"),
+    (Fraction(7), r"a coefficient must be an integer, not Fraction\(7, 1\)"),
+]
+ONE_VALUE_MODULI = [
+    (11, 9 % 11),
+    (np.int32(11), 9 % 11),
+    (True, "q out of range"),
+    (1, "q out of range"),
+    (2**31, "q out of range"),
+    (7.0, "q must be an integer, not 7.0"),
+    ("7", "q must be an integer, not '7'"),
+]
+
+
+@pytest.mark.parametrize("c, want", ONE_VALUE_COEFFICIENTS)
+def test_norm_mod_one_value_reads_coefficients_as_the_gate_does(c, want):
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            _kernels_py.norm_mod([c], 11)
+    else:
+        got = _kernels_py.norm_mod([c], 11)
+        assert type(got) is int and got == want
+
+
+@pytest.mark.parametrize("q, want", ONE_VALUE_MODULI)
+def test_norm_mod_one_value_reads_q_as_the_gate_does(q, want):
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            _kernels_py.norm_mod([9], q)
+        # a bad coefficient is named first, as before
+        with pytest.raises(ValueError, match="a coefficient must be an integer"):
+            _kernels_py.norm_mod(["9"], q)
+    else:
+        got = _kernels_py.norm_mod([9], q)
+        assert type(got) is int and got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-2**100, 2**100), st.integers(2, 2**31 - 1))
+def test_norm_mod_one_value_is_the_row_kernel(c, q):
+    assert _kernels_py.norm_mod([c], q) == int(_kernels_py.norm_mod_rows([[c]], [q])[0]) == c % q
 
 
 @settings(max_examples=100, deadline=None)
@@ -541,6 +682,8 @@ def test_norm_kernels_same_under_python_O():
     code = ("from campana import kernels;"
             "print(kernels.norm_int(list(range(-24, 24))),"
             " kernels.norm_mod(list(range(290)), 7),"
+            " kernels.norm_mod([-7], 11), kernels.norm_mod([2**80], 2**31 - 1),"
+            " kernels.norm_mod([2**31 - 2] * 48, 2**31 - 1),"
             " kernels.norm_mod_rows([[2**31 - 2] * 512], [2**31 - 1]).tolist())")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(kernels.__file__).parents[1]))
     out = [subprocess.run([sys.executable, *flags, "-c", code], env=env, check=True,

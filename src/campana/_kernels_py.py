@@ -6,8 +6,12 @@ value the conic takes on its two families of points once, and reads no
 Legendre symbol.  norm_mod and norm_mod_rows give the resultant
 Res(x^n - 2, h) mod q, for one row h or for every row of an array, each
 with its own modulus, by Graeffe halving, then the norm form of
-Q(2^(1/3)) for an odd part of length 3 and a Euclid for any other;
-campana.kernels builds the exact norm on them.  No answer goes through a float.
+Q(2^(1/3)) for an odd part of length 3.  A longer odd part of one row
+(norm_mod) is read in the group algebra F_q[z]/(z^m - 1), twisted by the
+m-th root of 2 mod q, when q is a prime above m with gcd(m, q - 1) = 1;
+every other one, and every odd part of norm_mod_rows, goes through a
+Euclid.  campana.kernels builds the exact norm on them.  No answer goes
+through a float.
 """
 from __future__ import annotations
 
@@ -17,8 +21,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .arith import integer, listed, prime
-from .memo import MemoInfo, register
+from .arith import integer, is_prime, listed, prime
+from .memo import MemoInfo, memo, register
 
 #: Residues mod M kept across calls by the conic scan, summed over M (at
 #: most about 5 bytes each: the bool mask, and the int64 list of the
@@ -108,7 +112,13 @@ def conic_has_solution(a: int, b: int, p: int, m: int) -> bool:
 def norm_mod(coeffs: list, q: int) -> int:
     """Res(x^n - 2, h) mod q for h = sum(coeffs[j] x^j), len(coeffs) = n;
     coeffs without a length, such as None or 7, is a ValueError.  q need
-    not be prime (see norm_mod_rows)."""
+    not be prime (see norm_mod_rows).
+
+    The row is halved as norm_mod_rows halves it.  An odd part of length
+    m >= 5 is read in the group algebra of Z/m (_twisted_norm) when q is a
+    prime with q > m and gcd(m, q - 1) = 1, as at the tower's m = 97 and
+    145 and every CRT prime; any other odd part is read as norm_mod_rows
+    reads it."""
     try:
         n = len(coeffs)
     except TypeError:
@@ -120,7 +130,12 @@ def norm_mod(coeffs: list, q: int) -> int:
         if type(q) is not int or not 2 <= q < 1 << 31:
             q = _modulus(q)
         return c % q
-    return int(norm_mod_rows([coeffs], [q])[0])
+    g, qs = _residues([coeffs], [q])
+    g = _halve_rows(g, qs)
+    plan = _twist_plan(g.shape[1], qs[0]) if g.shape[1] >= 5 else None
+    if plan is None:
+        return int(_odd_part_norms(g, qs)[0])
+    return _twisted_norm(g[0], qs[0], plan)
 
 
 def norm_mod_rows(H, qs) -> np.ndarray:
@@ -134,32 +149,46 @@ def norm_mod_rows(H, qs) -> np.ndarray:
     rows at once in int64, each product of two residues reduced before the
     next, so that nothing passes (q - 1)^2 < 2^62.  A longer odd part goes
     through one Euclidean remainder sequence for all rows at once
-    (_resultant_rows), which gives c for an odd part c of length 1.  H may
-    hold int64 or Python ints of any size; q must satisfy 2 <= q < 2^31.
+    (_resultant_rows), which gives c for an odd part c of length 1; only
+    one-row norm_mod reads it in the group algebra instead.  H may hold
+    int64 or Python ints of any size; q must satisfy 2 <= q < 2^31.
 
     q need not be prime, and every answer is exact mod q.  Odd parts of
     length 1 and 3 always answer; a longer one is a ValueError naming q
     when the Euclid meets a leading coefficient that is not a unit mod q.
     """
+    g, qlist = _residues(H, qs)
+    if not qlist:
+        return np.zeros(0, dtype=np.int64)
+    return _odd_part_norms(_halve_rows(g, qlist), qlist)
+
+
+def _residues(H, qs):
+    """(the rows of H reduced mod their moduli, as int64, the moduli as a
+    list), after the checks of norm_mod_rows; (H, []) for no rows."""
     qlist = [_modulus(m) for m in listed(qs, "qs")]
     rows = np.asarray(H)
     if rows.dtype.kind == "f" and not isinstance(H, np.ndarray):
         # Python ints on both sides of 2^63 promote to float64: keep them exact
         rows = np.asarray(H, dtype=object)
     if not qlist and rows.size == 0:
-        return np.zeros(0, dtype=np.int64)
+        return H, qlist
     if rows.ndim != 2 or rows.shape[0] != len(qlist) or rows.shape[1] == 0:
         raise ValueError("need an L x n array of coefficients, n >= 1, "
                          "and one modulus per row")
-    q = np.array(qlist, dtype=np.int64)
     if rows.dtype.kind == "i" or (rows.dtype.kind in "ub" and rows.dtype.itemsize < 8):
-        g = rows.astype(np.int64) % q[:, None]
-    else:  # Python ints of any size; anything else is refused by integer(),
-        # which reads H's own items, as asarray may have made them all str
-        items = rows.tolist() if isinstance(H, np.ndarray) else H
-        g = np.array([[integer(c, "a coefficient") % m for c in row]
-                      for row, m in zip(items, qlist)], dtype=np.int64)
-    g = _halve_rows(g, qlist)
+        return rows.astype(np.int64) % np.array(qlist, dtype=np.int64)[:, None], qlist
+    # Python ints of any size; anything else is refused by integer(), which
+    # reads H's own items, as asarray may have made them all str
+    items = rows.tolist() if isinstance(H, np.ndarray) else H
+    return np.array([[integer(c, "a coefficient") % m for c in row]
+                     for row, m in zip(items, qlist)], dtype=np.int64), qlist
+
+
+def _odd_part_norms(g, qs: list) -> np.ndarray:
+    """Res(y^n - 2, g_i) mod qs[i] for rows g_i of odd length n: the norm
+    form of Q(2^(1/3)) for n = 3, the Euclid otherwise."""
+    q = np.array(qs, dtype=np.int64)
     n = g.shape[1]
     if n == 3:  # the norm form of Q(2^(1/3))
         c0, c1, c2 = (g * g % q[:, None] * g % q[:, None]).T
@@ -168,7 +197,7 @@ def norm_mod_rows(H, qs) -> np.ndarray:
     f = np.zeros((len(q), n + 1), dtype=np.int64)
     f[:, n] = 1
     f[:, 0] = -2 % q
-    return np.array(_resultant_rows(f, g, qlist, [1] * len(qlist)), dtype=np.int64)
+    return np.array(_resultant_rows(f, g, qs, [1] * len(qs)), dtype=np.int64)
 
 
 def _modulus(q) -> int:
@@ -176,6 +205,43 @@ def _modulus(q) -> int:
     if q >= (1 << 31) or q < 2:
         raise ValueError("q out of range")
     return q
+
+
+# Kronecker substitution: residues mod q (below 2^31) in slots of s bytes of
+# one Python int, multiplied as big ints, and each slot of the product read
+# back mod q as the dot product of its bytes with 256^j mod q.
+
+def _slot_bytes(terms: int, top: int) -> int:
+    """The least s >= 4 with 256^s > terms * top^2: a slot of s bytes holds
+    a residue up to top, and a sum of that many products of two, whole."""
+    return max(4, ((terms * top * top).bit_length() + 7) // 8)
+
+
+def _slot_weights(qs: list, s: int) -> np.ndarray:
+    """256^j mod q for j < s, one row per q in qs, in int64."""
+    rows = {p: [pow(256, j, p) for j in range(s)] for p in set(qs)}
+    return np.array([rows[p] for p in qs], dtype=np.int64)
+
+
+def _pack(g, s: int) -> np.ndarray:
+    """The residues g as an array of slots of s >= 4 bytes (void items, so
+    that indexing copies every byte), each holding its residue's four
+    little-endian bytes and zeros; its tobytes(), read little-endian, is
+    the packed int."""
+    slots = np.zeros(np.shape(g), dtype=f"V{s}")
+    slots.view(np.dtype({"names": ["v"], "formats": ["<u4"], "offsets": [0],
+                         "itemsize": s}))["v"] = g
+    return slots
+
+
+def _slot_sums(digits: bytes, weights) -> np.ndarray:
+    """The slots of digits, split evenly among the rows of weights (256^j
+    mod q, one row per q), each dotted with its row: int64, one row of
+    slot sums per q, each at most s * 255 * (q - 1) < 2^63 and congruent
+    mod q to its slot, but not reduced."""
+    rows, s = weights.shape
+    d = np.frombuffer(digits, dtype=np.uint8).reshape(rows, -1, s)
+    return (d @ weights[:, :, None])[..., 0]
 
 
 def _halve_rows(g, qs: list):
@@ -190,12 +256,14 @@ def _halve_rows(g, qs: list):
     Both squares are taken on Python ints by Kronecker substitution: the m
     coefficients of h0 (or h1), each below q, fill slots of s bytes of one
     integer, which is squared once.  A coefficient of h0^2 is a sum of at
-    most m products, each at most (q - 1)^2, and s is the least byte count
-    with 256^s > m (q - 1)^2 >= q - 1, so every slot holds its coefficient
-    whole, with no carry into the next, and the square's 2m - 1 slots are
-    the coefficients of h0^2 (to_bytes raises OverflowError otherwise).  A
-    slot is reduced mod q as the dot product of its bytes with 256^j mod q,
-    at most s * 255 * (q - 1) < 2^63 in int64.  No float is involved.
+    most m products, each at most (q - 1)^2, and s = _slot_bytes(m, q - 1),
+    so every slot holds its coefficient whole, and the square's 2m - 1
+    slots are the coefficients of h0^2 (to_bytes raises OverflowError
+    otherwise).  h0^2 is read in 2m slots with a zero slot on top, and
+    y h1^2 in 2m slots with a zero slot at the bottom, so their slot sums
+    d0 - d1 = d are H's coefficients up to multiples of q, and the row
+    left is (d_lo + 2 d_hi) mod q: at most 3 s 255 (q - 1) < 2^63 in int64
+    before its one reduction.  No float is involved.
     """
     if g.shape[1] == 0:
         raise ValueError("a norm needs at least one coefficient")
@@ -205,30 +273,164 @@ def _halve_rows(g, qs: list):
     while g.shape[1] % 2 == 0:
         rows, n = g.shape
         m = n // 2
-        s = max(1, ((m * top * top).bit_length() + 7) // 8)
+        s = _slot_bytes(m, top)
         if weights is None:  # the first step has the widest slots
-            slot = {p: [pow(256, j, p) for j in range(s)] for p in set(qs)}
-            weights = np.array([slot[p] for p in qs], dtype=np.int64)
-        # little-endian bytes of the coefficients (< 2^31) in their slots;
+            weights = _slot_weights(qs, s)
         # per row, h0's m slots and then h1's
-        raw = np.ascontiguousarray(g, dtype="<i8").view(np.uint8).reshape(rows, m, 2, 8)
-        slots = np.zeros((rows, 2, m, s), dtype=np.uint8)
-        k = min(s, 8)
-        slots[..., :k] = raw[..., :k].transpose(0, 2, 1, 3)
-        packed = slots.tobytes()
-        width, length = m * s, (2 * m - 1) * s
+        packed = _pack(g.reshape(rows, m, 2).transpose(0, 2, 1), s).tobytes()
+        width, pad = m * s, bytes(s)
         squares = []
-        for i in range(0, len(packed), width):
-            v = int.from_bytes(packed[i:i + width], "little")
-            squares.append((v * v).to_bytes(length, "little"))
-        digits = np.frombuffer(b"".join(squares), dtype=np.uint8)
-        c = digits.reshape(rows, 2 * (2 * m - 1), s) @ weights[:, :s, None]
-        c = c.reshape(rows, 2, 2 * m - 1) % q[:, :, None]
-        h = np.zeros((rows, n), dtype=np.int64)
-        h[:, :n - 1] = c[:, 0]
-        h[:, 1:] -= c[:, 1]
-        g = (h[:, :m] + 2 * h[:, m:]) % q
+        for i in range(0, len(packed), 2 * width):
+            h0 = int.from_bytes(packed[i:i + width], "little")
+            h1 = int.from_bytes(packed[i + width:i + 2 * width], "little")
+            squares += [(h0 * h0).to_bytes(n * s, "little"), pad,
+                        (h1 * h1).to_bytes(n * s - s, "little")]
+        d = _slot_sums(b"".join(squares), weights[:, :s]).reshape(rows, 2, n)
+        d = d[:, 0] - d[:, 1]
+        g = (d[:, :m] + 2 * d[:, m:]) % q
     return g
+
+
+def _factors(m: int) -> dict:
+    """{p: a} with m = prod p^a, for m >= 1, by trial division by 2 and the
+    odd d <= sqrt(m)."""
+    out, d = {}, 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def _generator(p: int, pi: int, e: int) -> int:
+    """A c whose powers mod e run over the factor (Z/p^i)^* of (Z/e)^*, for
+    p odd and pi = p^i exactly dividing e: c = 1 mod e / p^i, and c = g
+    mod p^i for a primitive root g mod p (g^((p - 1)/l) != 1 for every
+    prime l | p - 1), moved to g + p when g^(p - 1) = 1 mod p^2, which
+    makes it a primitive root mod every power of p."""
+    g = next(g for g in range(2, p)
+             if all(pow(g, (p - 1) // l, p) != 1 for l in _factors(p - 1)))
+    if pi > p and pow(g, p - 1, p * p) == 1:
+        g += p
+    rest = e // pi
+    return g + pi * ((1 - g) * pow(pi, -1, rest) % rest)
+
+
+def _chain(c: int, r: int, e: int) -> tuple:
+    """The steps that multiply out prod_{k < r} sigma^k(G) for sigma the
+    automorphism z -> z^(1/c) of F_q[z]/(z^e - 1), c of order r mod e.
+
+    With A_k = prod_{i < k} sigma^i(G), A_2k = A_k sigma^k(A_k) and A_(k+1)
+    = G sigma(A_k); r is read by its bits from the top, so about 2 log2 r
+    products.  sigma^k(A) is A[index] for index[j] = j c^k mod e.  A step is
+    (index, True) for A <- A sigma^k(A), (index, False) for A <- G sigma(A).
+    """
+    steps, k, j = [], 1, np.arange(e)
+    for bit in bin(r)[3:]:
+        steps.append((j * pow(c, k, e) % e, True))
+        k *= 2
+        if bit == "1":
+            steps.append((j * c % e, False))
+            k += 1
+    return tuple(steps)
+
+
+#: (m, q) pairs whose twist plan (or None) is kept; certify reads at most
+#: six, m = 97 and 145 at the three CRT primes.
+TWIST_PLANS = 32
+
+
+@memo("_kernels_py._twist_plan", maxsize=TWIST_PLANS)
+def _twist_plan(m: int, q: int):
+    """What _twisted_norm needs for an odd part of length m >= 5 mod q, or
+    None when it does not apply: q not prime, q <= m, or gcd(m, q - 1) > 1.
+
+    The plan is (alpha^j mod q for j < m, the slot bytes s of its ring
+    products, the weights 256^j mod q for j < s, the stages).  A stage,
+    one per prime p^a || m, is (r, the length it leaves, its parts); a
+    part, one per 1 <= i <= a, is (e = p^i r, the _chain of a generator of
+    the factor (Z/p^i)^* of (Z/e)^*, the contraction weights of length e).
+    The stages take the primes of m by increasing p^a, so that the longest
+    chains run on the shortest rows.  m is factored by _factors, not
+    arith.factorize, whose sieve certify never loads."""
+    if q <= m or math.gcd(m, q - 1) != 1 or not is_prime(q):
+        return None
+    alpha = pow(2, pow(m, -1, q - 1), q)
+    stages, length = [], m
+    for p, a in sorted(_factors(m).items(), key=lambda f: f[0] ** f[1]):
+        r = length // p**a
+        parts = []
+        for i in range(1, a + 1):
+            pi, e = p**i, p**i * r
+            # the Ramanujan sum c_(p^i)(j) over phi(p^i): 1 where p^i | j,
+            # -1/(p - 1) where only p^(i-1) | j, and 0 elsewhere
+            contract = np.zeros(e, dtype=np.int64)
+            contract[::pi // p] = q - pow(p - 1, -1, q)
+            contract[::pi] = 1
+            parts.append((e, _chain(_generator(p, pi, e), pi // p * (p - 1), e), contract))
+        stages.append((r, tuple(parts)))
+        length = r
+    s = _slot_bytes(m, q - 1)
+    return (np.array([pow(alpha, j, q) for j in range(m)], dtype=np.int64),
+            s, _slot_weights([q], s), tuple(stages))
+
+
+def _twisted_norm(g, q: int, plan: tuple) -> int:
+    """Res(y^m - 2, g) mod q for one row g of odd length m, in the group
+    algebra F_q[z]/(z^m - 1).
+
+    q is a prime above m with gcd(m, q - 1) = 1, so alpha = 2^(1/m mod
+    (q - 1)) is the one m-th root of 2 mod q, and the roots of y^m - 2 are
+    alpha zeta over the m-th roots of unity zeta, all distinct.  With x_j
+    = g_j alpha^j, the resultant is prod_zeta x(zeta), a circulant
+    determinant.  By CRT, F_q[Z/m] = F_q[Z/p^a] (x) F_q[Z/r] for each
+    p^a || m and r = m / p^a, and each stage takes the product over the
+    p^a-th roots of unity u, y(v) = prod_u x(u, v), down to F_q[Z/r]:
+    - u = 1 gives x folded mod z^r - 1;
+    - the u of order p^i, 1 <= i <= a: with e = p^i r, X = x mod (z^e - 1)
+      and P = prod X(z^c) over the c of the factor (Z/p^i)^* of (Z/e)^*,
+      multiplied out by its generator's chain (_chain), P(u, v) is the same
+      at every such u.  So it is the mean over them, sum_j P_j w_j folded
+      mod z^r - 1, where w_j = c_(p^i)(j) / phi(p^i) with c the Ramanujan
+      sum: the constant Phi_(p^i)-component of P in u.
+    The last stage leaves r = 1, the resultant.  The Ramanujan sums are
+    multiplicative, so this is the mean sum_j P_j c_e(j) / phi(e) of the
+    whole-ring product taken one prime at a time.
+
+    Each ring product is one Kronecker product of two packed ints (see
+    _halve_rows) of 2e - 1 slots of s = _slot_bytes(m, q - 1) bytes; its
+    slot sums are folded mod z^e - 1 before one reduction mod q, at most
+    2 s 255 (q - 1) < 2^63.  No float is involved.
+    """
+    alpha, s, weights, stages = plan
+
+    def fold(x, e):
+        return x.reshape(-1, e).sum(axis=0) % q if len(x) > e else x
+
+    def times(a, b):  # a b in F_q[z]/(z^e - 1), both packed
+        e = len(a)
+        c = _slot_sums((int.from_bytes(a.tobytes(), "little")
+                        * int.from_bytes(b.tobytes(), "little")).to_bytes(
+            (2 * e - 1) * s, "little"), weights)[0]
+        c[:e - 1] += c[e:]
+        return c[:e] % q
+
+    x = g * alpha % q
+    for r, parts in stages:
+        y = fold(x, r)
+        for e, chain, contract in parts:
+            p = fold(x, e)
+            base = _pack(p, s)
+            for index, double in chain:
+                slots = _pack(p, s)
+                p = times(slots if double else base, slots[index])
+            z = fold(p * contract % q, r)
+            y = y * z % q if r == 1 else times(_pack(y, s), _pack(z, s))
+        x = y
+    return int(x[0])
 
 
 def _resultant_rows(f, g, qs: list, res: list) -> list:
@@ -251,7 +453,9 @@ def _resultant_rows(f, g, qs: list, res: list) -> list:
     norm_mod_rows calls it on the odd part left after halving only, f =
     y^n - 2 with n odd and at least 5: 97 and 145 for the tower's n = 194
     and 290 (the tower's n = 48 leaves 3, which norm_mod_rows reads in
-    closed form).  It is the one general resultant of the package.
+    closed form).  One-row norm_mod reaches it only where _twisted_norm
+    does not apply: q composite, q <= n or gcd(n, q - 1) > 1.  It is the
+    one general resultant of the package.
     """
     out = [0] * len(qs)
     live = list(range(len(qs)))

@@ -2,11 +2,15 @@
 
 The oracle's conic scan (conic_has_solution) and the mod-q norm resultant
 (norm_mod, and norm_mod_rows for many rows at once) are the numpy/Python-int
-kernels of _kernels_py.  On top of the modular kernel this module provides
-an exact evaluator for the degree-n norm form N(v_1..v_n) =
-Res(x^n - 2, sum v_j x^(j-1)): Graeffe halving over Z while n is even, then
-the odd part itself when it has length 1, the norm form of Q(2^(1/3)) when
-it has length 3, and otherwise CRT up to a Hadamard-style bound on it.
+kernels of _kernels_py.  Both halve the row while n is even and read an odd
+part of length 3 in closed form.  An odd part of m >= 5 values goes, in
+one-row norm_mod at a prime q > m with gcd(m, q - 1) = 1, through the group
+algebra F_q[z]/(z^m - 1), and otherwise through a Euclid.  On top of the
+modular kernel this module provides an exact evaluator for the degree-n
+norm form N(v_1..v_n) = Res(x^n - 2, sum v_j x^(j-1)): Graeffe halving over
+Z while n is even, then the odd part itself when it has length 1, the norm
+form of Q(2^(1/3)) when it has length 3, and otherwise CRT up to a
+Hadamard-style bound on it, whose primes go through norm_mod_rows.
 """
 from __future__ import annotations
 

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from campana import kernels, places
+from campana import arith, kernels, places
 from campana import _kernels_py
 
 
@@ -578,6 +578,96 @@ def test_norm_mod_composite_q_euclid_refusal_names_q():
     assert _kernels_py.norm_mod(h, 7) == sympy_norm(h) % 7
 
 
+# One-row norm_mod reads an odd part of m >= 5 values in the group algebra
+# F_q[z]/(z^m - 1), twisted by the m-th root of 2 mod q, when q is a prime
+# above m with gcd(m, q - 1) = 1; any other odd part goes to the Euclid.
+
+TWIST_ODD_PARTS = [5, 15, 25, 97, 145]
+# beside the CRT primes, where m = 15 meets gcd(15, q - 1) = 3: small primes
+# where some m are twisted (7, 17, 23, 97, 101, 151, 1009) and some are not,
+# as q - 1 shares a factor with m (11, 31, 151 and 1009 with 5, 15 or 25)
+# or q <= m (every q here but 1009 and the CRT primes, for m = 145)
+TWIST_MODULI = kernels.crt_primes(3) + [7, 11, 17, 23, 31, 97, 101, 151, 1009]
+
+
+def twist_applies(m, q):
+    return arith.is_prime(q) and q > m and math.gcd(m, q - 1) == 1
+
+
+def test_twist_applies_where_its_conditions_hold():
+    for m in TWIST_ODD_PARTS:
+        for q in TWIST_MODULI + [49, 2**31 - 3]:
+            assert (_kernels_py._twist_plan(m, q) is not None) == twist_applies(m, q), (m, q)
+    assert [twist_applies(m, q) for m in TWIST_ODD_PARTS
+            for q in kernels.crt_primes(3)] == [True] * 3 + [False] * 3 + [True] * 9
+
+
+@st.composite
+def twist_rows(draw):
+    """A modulus among TWIST_MODULI, and for each m in TWIST_ODD_PARTS a
+    row of length n = 2^k m: small coefficients, residues mod q, zeros, or
+    every coefficient q - 1, whose residues make the largest products."""
+    q = draw(st.sampled_from(TWIST_MODULI))
+    rows = []
+    for m in TWIST_ODD_PARTS:
+        n = m << draw(st.integers(0, 1 if m > 25 else 3))
+        kind = draw(st.sampled_from(["small", "residue", "zero", "widest"]))
+        if kind in ("small", "residue"):
+            coeff = st.integers(-3, 3) if kind == "small" else st.integers(0, q - 1)
+            rows.append((draw(st.lists(coeff, min_size=n, max_size=n)), kind))
+        else:
+            rows.append(([0 if kind == "zero" else q - 1] * n, kind))
+    return rows, q
+
+
+@settings(max_examples=40, deadline=None)
+@given(twist_rows())
+def test_twisted_norm_matches_sympy_and_the_euclid(case):
+    rows, q = case
+    for row, kind in rows:
+        got = _kernels_py.norm_mod(row, q)
+        assert type(got) is int
+        assert got == int(_kernels_py.norm_mod_rows([row], [q])[0])
+        if kind == "widest":  # the norm of (q - 1)(1 + x + ... + x^(n-1))
+            assert got == (-1) ** (len(row) + 1) * (q - 1) ** len(row) % q
+        elif len(row) <= (150 if kind == "small" else 100):  # sympy's time
+            assert got == sympy_norm(row) % q
+
+
+def test_twisted_norm_at_every_modulus():
+    # each (m, q) pair once, twisted or not, against the Euclid, whatever
+    # the examples above drew
+    rng = random.Random(46)
+    for m in TWIST_ODD_PARTS:
+        for q in TWIST_MODULI:
+            for n in (m, 2 * m):
+                row = [rng.randrange(q) for _ in range(n)]
+                assert _kernels_py.norm_mod(row, q) == \
+                    int(_kernels_py.norm_mod_rows([row], [q])[0]), (n, q)
+
+
+@pytest.mark.parametrize("m", TWIST_ODD_PARTS)
+def test_twist_leaves_composite_q_to_the_euclid(m):
+    # q = 2^31 - 3 = 5 * 19 * 22605091 is above m and prime to m, but not
+    # prime: the Euclid answers, or refuses naming q, as norm_mod_rows does;
+    # it refuses most rows, as a remainder soon leads with a multiple of 5
+    q = 2**31 - 3
+    rng = random.Random(m)
+    answered = refused = 0
+    for _ in range(8):
+        h = [rng.randint(-9, 9) for _ in range(m)]
+        try:
+            want = int(_kernels_py.norm_mod_rows([h], [q])[0])
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError, match=f"mod q = {q} met the leading coefficient"):
+                _kernels_py.norm_mod(h, q)
+        else:
+            answered += 1
+            assert _kernels_py.norm_mod(h, q) == want == sympy_norm(h) % q
+    assert refused and (answered or m > 5)
+
+
 # The one-value path of norm_mod reads an int and an int q in [2, 2^31) as
 # they are; everything else goes through arith.integer and _modulus, with
 # their answers and messages.
@@ -684,9 +774,13 @@ def test_norm_kernels_same_under_python_O():
             " kernels.norm_mod(list(range(290)), 7),"
             " kernels.norm_mod([-7], 11), kernels.norm_mod([2**80], 2**31 - 1),"
             " kernels.norm_mod([2**31 - 2] * 48, 2**31 - 1),"
-            " kernels.norm_mod_rows([[2**31 - 2] * 512], [2**31 - 1]).tolist())")
+            " kernels.norm_mod_rows([[2**31 - 2] * 512], [2**31 - 1]).tolist(),"
+            " kernels.norm_mod(list(range(290)), 2**31 - 1))")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(kernels.__file__).parents[1]))
     out = [subprocess.run([sys.executable, *flags, "-c", code], env=env, check=True,
                           capture_output=True, text=True).stdout for flags in ([], ["-O"])]
     assert out[0] == out[1]
     assert out[0].split()[0] == str(sympy_norm(list(range(-24, 24))))
+    # the twisted odd part 145, against the Euclid
+    assert out[0].split()[-1] == \
+        str(_kernels_py.norm_mod_rows([list(range(290))], [2**31 - 1])[0])

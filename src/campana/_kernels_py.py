@@ -114,11 +114,12 @@ def norm_mod(coeffs: list, q: int) -> int:
     coeffs without a length, such as None or 7, is a ValueError.  q need
     not be prime (see norm_mod_rows).
 
-    The row is halved as norm_mod_rows halves it.  An odd part of length
-    m >= 5 is read in the group algebra of Z/m (_twisted_norm) when q is a
-    prime with q > m and gcd(m, q - 1) = 1, as at the tower's m = 97 and
-    145 and every CRT prime; any other odd part is read as norm_mod_rows
-    reads it."""
+    The row is halved as norm_mod_rows halves it.  An odd part of length 3
+    is read by the same cubic as there, but in Python ints, reduced mod q
+    once.  An odd part of length m >= 5 is read in the group algebra of
+    Z/m (_twisted_norm) when q is a prime with q > m and gcd(m, q - 1) = 1,
+    as at the tower's m = 97 and 145 and every CRT prime; any other odd
+    part is read as norm_mod_rows reads it."""
     try:
         n = len(coeffs)
     except TypeError:
@@ -132,6 +133,8 @@ def norm_mod(coeffs: list, q: int) -> int:
         return c % q
     g, qs = _residues([coeffs], [q])
     g = _halve_rows(g, qs)
+    if g.shape[1] == 3:
+        return _cubic(*g[0].tolist()) % qs[0]
     plan = _twist_plan(g.shape[1], qs[0]) if g.shape[1] >= 5 else None
     if plan is None:
         return int(_odd_part_norms(g, qs)[0])
@@ -183,6 +186,11 @@ def _residues(H, qs):
     items = rows.tolist() if isinstance(H, np.ndarray) else H
     return np.array([[integer(c, "a coefficient") % m for c in row]
                      for row, m in zip(items, qlist)], dtype=np.int64), qlist
+
+
+def _cubic(w0: int, w1: int, w2: int) -> int:
+    """Res(y^3 - 2, w0 + w1 y + w2 y^2) over Z: the norm form of Q(2^(1/3))."""
+    return w0 ** 3 + 2 * w1 ** 3 + 4 * w2 ** 3 - 6 * w0 * w1 * w2
 
 
 def _odd_part_norms(g, qs: list) -> np.ndarray:

@@ -214,12 +214,17 @@ class Circuit:
 
     def evaluate_vec(self, env: Mapping[str, "object"], q: int):
         """Vectorized mod-q evaluation over numpy int64 arrays, 2 <= q < 2^31
-        so that products stay exact; a variable may also be given as Python
-        ints of any size; a non-integer value raises ValueError.  Every
-        node's values are reduced, in [0, q), so a product of two of them is
-        at most (q-1)^2 < 2^63.  The points of a norm node go to the kernel
-        as rows of one call."""
-        return fold_nodes(self.nodes, _VEC, env, _modulus(q))[-1]
+        so that products stay exact; a variable may also be given as an
+        array of any integer dtype, or as Python ints of any size; a
+        non-integer value raises ValueError.  Every node's values are
+        reduced, in [0, q), so a product of two of them is at most
+        (q-1)^2 < 2^63, and the answer is int64.  The rules reduce by q as
+        a 0-d int64 array, which numpy's scalar promotion (NEP 50) makes
+        cheaper per call than a Python int on a few points; a uint64 or
+        Python int value is reduced by the int, as uint64 % int64 goes
+        through float64.  The points of a norm node go to the kernel as
+        rows of one call."""
+        return fold_nodes(self.nodes, _VEC, env, np.array(_modulus(q), dtype=np.int64))[-1]
 
     def __eq__(self, other):
         # hash-consing: structurally equal circuits are one object
@@ -352,9 +357,10 @@ class _Op(NamedTuple):
     rules (degree, exact, mod, vec) take (node, values of the earlier nodes,
     env, q), as fold_nodes runs them; _intern runs degree on a table key,
     whose children's values are their degrees.  vec is the mod rule applied
-    to int64 arrays unless given.  A rule that takes a function f or t calls
-    it on the node's own child fields.  read_nodes and render_all are the
-    two per-op walks outside fold_nodes, for the module docstring's reasons."""
+    to int64 arrays, with q a 0-d int64 array, unless given.  A rule that
+    takes a function f or t calls it on the node's own child fields.
+    read_nodes and render_all are the two per-op walks outside fold_nodes,
+    for the module docstring's reasons."""
 
     children: Callable  # node -> child fields
     remap: Callable     # (node, f) -> the node with each child j moved to f(j)
@@ -383,20 +389,26 @@ def _const_mod(c: ConstLike, q: int) -> int:
     return c % q
 
 
-def _vec_var(values, q: int):
-    # Python ints of any size are reduced before the int64 conversion; a
-    # float or any other non-integer is refused, never truncated
+def _vec_var(values, q):
+    # q is the 0-d int64 modulus.  Every integer dtype but uint64 promotes
+    # exactly to int64 against it; uint64, which would promote to float64,
+    # and Python ints of any size are reduced by int(q) before the int64
+    # conversion.  A float or any other non-integer is refused, never
+    # truncated
     if not isinstance(values, np.ndarray):
         values = np.array(values, dtype=object)
-    if values.dtype.kind == "O":
+    kind = values.dtype.kind
+    if kind == "i" or kind in "bu" and values.dtype.itemsize < 8:
+        return values % q
+    if kind == "O":
         if not all(isinstance(x, (int, np.integer)) for x in values.flat):
             raise ValueError("evaluate_vec takes integer values only")
-    elif values.dtype.kind not in "biu":
+    elif kind != "u":
         raise ValueError(f"evaluate_vec takes integer values, not {values.dtype}")
-    return np.asarray(values % q, dtype=np.int64)
+    return np.asarray(values % int(q), dtype=np.int64)
 
 
-def _vec_pow(base, k: int, q: int):
+def _vec_pow(base, k: int, q):
     """base**k mod q by left-to-right square-and-multiply.  base is reduced,
     as every vec rule returns its values in [0, q), so each product is at
     most (q-1)^2 < 2^63 and exact in int64; a square is one product and one
@@ -409,10 +421,10 @@ def _vec_pow(base, k: int, q: int):
     return out
 
 
-def _vec_norm(args, q: int):
+def _vec_norm(args, q):
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     flat = np.stack([np.ravel(np.broadcast_to(a, shape)) for a in args], axis=1)
-    return kernels.norm_mod_rows(flat, [q] * len(flat)).reshape(shape)
+    return kernels.norm_mod_rows(flat, [int(q)] * len(flat)).reshape(shape)
 
 
 def _exact_norm(values: list) -> ConstLike:
@@ -460,7 +472,7 @@ OPS: Dict[str, _Op] = {
         degree=lambda nd, v, env, q: 0,
         exact=lambda nd, v, env, q: nd[1],
         mod=lambda nd, v, env, q: _const_mod(nd[1], q),
-        vec=lambda nd, v, env, q: np.int64(_const_mod(nd[1], q)),
+        vec=lambda nd, v, env, q: np.int64(_const_mod(nd[1], int(q))),
         sexpr=lambda nd, t: f"(int {nd[1]})",
         latex=lambda nd, t: str(nd[1]) if isinstance(nd[1], int) else
         rf"\tfrac{{{nd[1].numerator}}}{{{nd[1].denominator}}}",

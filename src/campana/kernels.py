@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from . import arith
-from ._kernels_py import conic_has_solution, norm_mod, norm_mod_rows
+from ._kernels_py import _cubic, conic_has_solution, norm_mod, norm_mod_rows
 from .errors import InvariantError
 
 #: The one kernel implementation; benchmark records carry its name.
@@ -120,8 +120,7 @@ def norm_int(w: Sequence[int]) -> int:
     if len(w) == 1:
         return w[0]
     if len(w) == 3:
-        w0, w1, w2 = w
-        return w0**3 + 2 * w1**3 + 4 * w2**3 - 6 * w0 * w1 * w2
+        return _cubic(*w)
     bits = _norm_int_bound_bits(w)
     primes, m = [], 1
     for q in crt_primes(bits // 30 + 2):

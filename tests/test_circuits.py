@@ -263,6 +263,48 @@ def test_vectorized_evaluation_rejects_non_integers():
     assert x.evaluate_vec({"x": np.array([9], dtype=np.uint64)}, 7).tolist() == [2]
 
 
+#: Values at the edges of every integer dtype evaluate_vec takes; uint64
+#: past 2^53 went through float64 when reduced by a 0-d int64 modulus, and
+#: int8 or uint16 overflowed when reduced by a Python int past their range.
+EDGE_VALUES = {
+    np.int64: [2**63 - 1, -2**63, -2**63 + 1, -1, 0, 2**62 + 7],
+    np.uint64: [2**64 - 1, 2**63 + 12345, 2**63, 2**53 + 1, 0, 9],
+    np.int8: [-128, 127, -1, 0], np.int16: [-2**15, 2**15 - 1, -1, 5],
+    np.int32: [-2**31, 2**31 - 1, -1, 2**31 - 2],
+    np.uint8: [255, 0, 1, 128], np.uint16: [2**16 - 1, 0, 2**15],
+    np.uint32: [2**32 - 1, 0, 2**31 - 1, 2**31],
+    np.bool_: [True, False],
+    object: [2**64 - 1, -2**70, 2**63, 3**50, -2**63 - 1, 12],
+}
+
+
+@pytest.mark.parametrize("q", [7, 2**31 - 1])
+@pytest.mark.parametrize("batch", [1, 4, 16384])
+def test_vectorized_evaluation_is_exact_on_every_integer_dtype(q, batch):
+    x, y = Circuit.var("x"), Circuit.var("y")
+    f = (x**3 - 5 * x * y + Circuit.const(Fraction(2, 3)) * y**2
+         + Circuit.norm([x, y + 1, x * y]) - Circuit.norm([x, y]))
+    rng = random.Random(batch)
+    for dtype, pool in EDGE_VALUES.items():
+        picks = {nm: [rng.randrange(len(pool)) for _ in range(batch)] for nm in "xy"}
+        env = {nm: np.array([pool[i] for i in picks[nm]], dtype=dtype) for nm in "xy"}
+        vec = f.evaluate_vec(env, q)
+        assert vec.dtype == np.int64 and vec.shape == (batch,)
+        # evaluate_mod at each distinct point, of which there are few
+        want = {}
+        for i, j in zip(picks["x"], picks["y"]):
+            if (i, j) not in want:
+                want[i, j] = f.evaluate_mod({"x": int(pool[i]), "y": int(pool[j])}, q)
+        assert vec.tolist() == [want[ij] for ij in zip(picks["x"], picks["y"])], dtype
+    # np.int64 scalars, alone and beside an array
+    for v in EDGE_VALUES[np.int64]:
+        assert f.evaluate_vec({"x": np.int64(v), "y": np.int64(~v)}, q) == \
+            f.evaluate_mod({"x": v, "y": ~v}, q)
+        got = f.evaluate_vec({"x": np.int64(v), "y": env["y"][:4]}, q)
+        assert got.dtype == np.int64
+        assert got.tolist() == [f.evaluate_mod({"x": v, "y": int(w)}, q) for w in env["y"][:4]]
+
+
 def test_root_is_the_last_node():
     with pytest.raises(ValueError, match="node 0 is not reachable"):
         Circuit((("var", "x"), ("var", "y")))
@@ -619,6 +661,30 @@ def test_exact_mod_and_vec_folds_agree(case):
             assert int(circ.evaluate_vec(scalars, q)) == want[0]
         vec = circ.evaluate_vec(cols, q)
         assert np.broadcast_to(vec, (len(points),)).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_folds_agree_case())
+def test_vec_fold_agrees_on_int64_and_uint64_columns(case):
+    # lists take the object path; here each column is an int64 array of
+    # values congruent to the drawn ones, kept as they are where int64 holds
+    # them, and a uint64 array of the largest such values, past 2^63
+    q, points, pool = case
+
+    def int64_value(v):
+        return v if -2**63 <= v < 2**63 else v % q + (2**63 - 1 - v % q) // q * q
+
+    def uint64_value(v):
+        return v % q + (2**64 - 1 - v % q) // q * q
+
+    columns = [{nm: np.array([rep(pt[nm]) for pt in points], dtype=dtype) for nm in points[0]}
+               for rep, dtype in ((int64_value, np.int64), (uint64_value, np.uint64))]
+    for circ, _ in pool:
+        want = [circ.evaluate_mod(pt, q) for pt in points]
+        for cols in columns:
+            vec = circ.evaluate_vec(cols, q)
+            assert np.asarray(vec).dtype == np.int64
+            assert np.broadcast_to(vec, (len(points),)).tolist() == want
 
 
 @pytest.mark.parametrize("build", [fm.build_premise, lambda: fm.build_campana(7, True)],

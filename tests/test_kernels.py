@@ -578,6 +578,34 @@ def test_norm_mod_composite_q_euclid_refusal_names_q():
     assert _kernels_py.norm_mod(h, 7) == sympy_norm(h) % 7
 
 
+# One-row norm_mod reads the cubic in Python ints from the halved row, at
+# every q in range: prime, small, and composite, where it needs no inverse.
+
+ONE_ROW_CUBIC_MODULI = kernels.crt_primes(3) + [2, 3, 7, 4, 15, 2**31 - 2]
+
+
+@st.composite
+def one_row_cubics(draw):
+    """One row of length n = 3 * 2^k, k <= 5, and its modulus; the widest
+    row has every coefficient q - 1."""
+    n = draw(st.sampled_from(CUBIC_LENGTHS))
+    q = draw(st.sampled_from(ONE_ROW_CUBIC_MODULI))
+    kind = draw(st.sampled_from(["small", "big", "widest"]))
+    if kind == "widest":
+        return [q - 1] * n, q
+    coeff = st.integers(-3, 3) if kind == "small" else st.integers(-2**40, 2**40)
+    return draw(st.lists(coeff, min_size=n, max_size=n)), q
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_row_cubics())
+def test_one_row_cubic_matches_the_rows_kernel_and_sympy(case):
+    row, q = case
+    got = _kernels_py.norm_mod(row, q)
+    assert type(got) is int
+    assert got == int(_kernels_py.norm_mod_rows([row], [q])[0]) == sympy_norm(row) % q
+
+
 # One-row norm_mod reads an odd part of m >= 5 values in the group algebra
 # F_q[z]/(z^m - 1), twisted by the m-th root of 2 mod q, when q is a prime
 # above m with gcd(m, q - 1) = 1; any other odd part goes to the Euclid.
@@ -774,6 +802,8 @@ def test_norm_kernels_same_under_python_O():
             " kernels.norm_mod(list(range(290)), 7),"
             " kernels.norm_mod([-7], 11), kernels.norm_mod([2**80], 2**31 - 1),"
             " kernels.norm_mod([2**31 - 2] * 48, 2**31 - 1),"
+            " kernels.norm_mod([2**31 - 3] * 96, 2**31 - 2), kernels.norm_mod([14] * 3, 15),"
+            " kernels.norm_mod(list(range(-24, 24)), 4),"
             " kernels.norm_mod_rows([[2**31 - 2] * 512], [2**31 - 1]).tolist(),"
             " kernels.norm_mod(list(range(290)), 2**31 - 1))")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(kernels.__file__).parents[1]))

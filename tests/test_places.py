@@ -640,3 +640,54 @@ def test_a_and_a_times_a_square_read_alike(a, b, s, v):
     if v != "inf":
         assert (places.hilbert_oracle(a, b, v, places.default_oracle_precision(a, b, v))
                 == places.hilbert_oracle(a2, b, v, places.default_oracle_precision(a2, b, v)))
+
+
+# delta against an oracle that shares no code with it: by Legendre's theorem
+# and Hasse-Minkowski, x^2 = a y^2 + b z^2 has a nonzero rational point iff
+# delta(a, b) is empty, and sympy finds such a point or none without a
+# Hilbert symbol.
+
+_XYZ = sympy.symbols("x y z", integer=True)
+
+
+def sympy_point(a: int, b: int):
+    """sympy's point on x^2 = a y^2 + b z^2, checked, or None."""
+    from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic
+    x, y, z = _XYZ
+    point = diop_ternary_quadratic(x**2 - a * y**2 - b * z**2)
+    if point[0] is None:
+        return None
+    x, y, z = map(int, point)
+    assert (x, y, z) != (0, 0, 0) and x * x == a * y * y + b * z * z, (a, b, point)
+    return x, y, z
+
+
+_signed = st.builds(lambda s, m: s * m, st.sampled_from([-1, 1]),
+                    st.sampled_from([10**4, 10**8, 10**12]).flatmap(lambda k: st.integers(1, k)))
+
+
+@st.composite
+def _ternary_pairs(draw):
+    """(a, b) up to 10^12: drawn at random, mostly without a point, or made
+    solvable, b = X^2 - a Y^2, so that both answers occur."""
+    if draw(st.booleans()):
+        return draw(_signed), draw(_signed)
+    a = draw(st.integers(-10**6, 10**6).filter(bool))
+    b = draw(st.integers(0, 7 * 10**5))**2 - a * draw(st.integers(1, 700))**2
+    return a, b or a
+
+
+@given(_ternary_pairs())
+@settings(max_examples=150, deadline=None)
+def test_delta_is_empty_exactly_where_sympy_finds_a_point(pair):
+    a, b = pair
+    assert (sympy_point(a, b) is None) == bool(places.delta(a, b)), pair
+
+
+@given(st.integers(-10**6, 10**6).filter(bool), st.sampled_from(["inf", 2, 3, 5, 7, 10**9 + 7]))
+@settings(max_examples=60, deadline=None)
+def test_a_local_counterexample_leaves_no_point(a, v):
+    if arith.is_square_local(a, v):
+        return
+    b = places.find_local_counterexample(a, v)
+    assert sympy_point(a, int(b)) is None, (a, v, b)

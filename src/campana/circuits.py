@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 import numpy as np
 
 from . import arith, kernels
-from ._kernels_py import _modulus
+from .kernels import _modulus
 
 ConstLike = Union[int, Fraction]
 

@@ -101,8 +101,6 @@ _MEMBER = {
     "invJn": (("abcd", "n"), lambda args, r: semantics.in_inv_Jn(
         *_parse_abcd(args.abcd), args.n, r)),
 }
-# member kind -> its flags, as README's member table lists them
-_MEMBER_FLAGS = {kind: flags for kind, (flags, _) in _MEMBER.items()}
 
 
 def cmd_member(args) -> int:

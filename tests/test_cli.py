@@ -189,8 +189,8 @@ def test_readme_lists_every_emit_target_and_its_flags():
 
 def test_readme_lists_every_member_kind_and_its_flags():
     rows = _readme_table("member kind")
-    assert sorted(rows) == sorted(cli._MEMBER_FLAGS)
-    for kind, flags in cli._MEMBER_FLAGS.items():
+    assert sorted(rows) == sorted(cli._MEMBER)
+    for kind, (flags, _) in cli._MEMBER.items():
         assert set(re.findall(r"--(\w+)", rows[kind])) == set(flags), kind
 
 

@@ -13,7 +13,7 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 # registered by hand, as they are not functools caches: the conic scan's
 # square tables, and the n-family templates, which parse reads too
-HAND_ROLLED = {"_kernels_py._scan_tables", "formulas._n_template"}
+HAND_ROLLED = {"kernels._scan_tables", "formulas._n_template"}
 
 
 def _module_caches():

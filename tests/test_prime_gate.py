@@ -136,19 +136,13 @@ def test_every_function_that_takes_a_prime_set_is_in_the_table():
     assert TAKES_S.keys() == {name for name, (kind, _) in GATED.items() if kind == "S"}
 
 
-#: Modules whose public functions are defined elsewhere too: kernels
-#: re-exports the kernels of _kernels_py as its own.
-DEFINED_IN = {kernels: {"campana.kernels", "campana._kernels_py"}}
-
-
 def test_every_function_that_takes_a_prime_is_in_the_table():
     found = set()
     for module in (arith, places, semantics, parametrize, kernels):
         prefix = module.__name__.rsplit(".", 1)[-1]
-        homes = DEFINED_IN.get(module, {module.__name__})
         for name, fn in vars(module).items():
             if (not name.startswith("_") and inspect.isfunction(fn)
-                    and fn.__module__ in homes
+                    and fn.__module__ == module.__name__
                     and {"p", "v", "S"} & set(inspect.signature(fn).parameters)):
                 found.add(f"{prefix}.{name}")
     assert found - GATED.keys() - EXEMPT == set()

@@ -106,6 +106,8 @@ INTEGER = {
     "places.hilbert_oracle(precision)": lambda x: places.hilbert_oracle(2, 3, 7, x),
     "semantics.generate_trace_element(seed)":
         lambda x: semantics.generate_trace_element(3, 5, x),
+    "kernels.conic_has_solution(a)": lambda x: kernels.conic_has_solution(x, 5, 7, 3),
+    "kernels.conic_has_solution(b)": lambda x: kernels.conic_has_solution(5, x, 7, 3),
     "kernels.crt_primes(k)": lambda x: kernels.crt_primes(x),
     "kernels.norm_int(w)": lambda x: kernels.norm_int([x, 1]),
     "kernels.norm_mod(coeffs)": lambda x: kernels.norm_mod([x, 1], 7),

@@ -7,16 +7,16 @@ from decimal import Decimal
 import pytest
 
 import campana
-from campana import _kernels_py, arith, circuits, formulas, kernels, places
+from campana import arith, circuits, formulas, kernels, places
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 #: The constants README names, and the module that holds each.
 CONSTANTS = {
     "POWER_BITS": arith, "CRT_PRIME_COUNT": kernels, "NORM_FORM_MAX_N": formulas,
-    "OMEGA_CACHE_SIZE": places, "SCAN_TABLE_BUDGET": _kernels_py,
+    "OMEGA_CACHE_SIZE": places, "SCAN_TABLE_BUDGET": kernels,
     "TEXT_BYTES": circuits, "RHO_STEP_BUDGET": arith,
-    "_MR_DETERMINISTIC_BOUND": arith, "TWIST_PLANS": _kernels_py,
+    "_MR_DETERMINISTIC_BOUND": arith, "TWIST_PLANS": kernels,
 }
 
 # 14, 16,384, 2^22 or 3.3·10^24

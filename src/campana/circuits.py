@@ -24,10 +24,14 @@ collapsed into one equation without expanding the norm polynomial.
 
 Everything that depends on a node's op lives in one table, OPS, and one
 loop, fold_nodes, runs its rules over any node list whose children come
-first, a document's own too.  Two per-op walks stay outside it: read_nodes
-checks each op inline, as a call per node was most of parse's cost, and
-render_all drops each text at its one use, where a fold keeps them all
-(13.9 MB of latex for campana(7, real), whose root is 0.1 MB).
+first, a document's own too.  Three per-op walks stay outside it:
+read_nodes checks each op inline, as a call per node was most of parse's
+cost; evaluate_vec runs a plan made once per circuit, which reduces mod q
+only where an int64 bound needs it, as a fold that reduced every node
+took the invJn(2) atoms at 5 points in 3.4-3.6 ms where the plan takes
+2.6-2.7 ms (2-core x86-64); and render_all drops each text at its one
+use, where a fold keeps them all (13.9 MB of latex for campana(7, real),
+whose root is 0.1 MB).
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ import weakref
 from _weakref import _remove_dead_weakref
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,9 +67,9 @@ class Circuit:
     order."""
 
     # _key: the node with each child given by its circuit, which is what the
-    # table looks up; _kids: the child circuits; _names and _nodes: the free
-    # variables and the node array, once asked for
-    __slots__ = ("_key", "_kids", "_degree", "_names", "_nodes", "__weakref__")
+    # table looks up; _kids: the child circuits; _names, _nodes and _plan:
+    # the free variables, the node array and evaluate_vec's plan, once asked for
+    __slots__ = ("_key", "_kids", "_degree", "_names", "_nodes", "_plan", "__weakref__")
 
     def __new__(cls, nodes: Sequence[tuple]) -> "Circuit":
         nodes = tuple(arith.listed(nodes, "nodes"))
@@ -213,18 +217,53 @@ class Circuit:
         return fold_nodes(self.nodes, _MOD, env, _modulus(q))[-1]
 
     def evaluate_vec(self, env: Mapping[str, "object"], q: int):
-        """Vectorized mod-q evaluation over numpy int64 arrays, 2 <= q < 2^31
-        so that products stay exact; a variable may also be given as an
-        array of any integer dtype, or as Python ints of any size; a
-        non-integer value raises ValueError.  Every node's values are
-        reduced, in [0, q), so a product of two of them is at most
-        (q-1)^2 < 2^63, and the answer is int64.  The rules reduce by q as
-        a 0-d int64 array, which numpy's scalar promotion (NEP 50) makes
-        cheaper per call than a Python int on a few points; a uint64 or
-        Python int value is reduced by the int, as uint64 % int64 goes
-        through float64.  The points of a norm node go to the kernel as
-        rows of one call."""
-        return fold_nodes(self.nodes, _VEC, env, np.array(_modulus(q), dtype=np.int64))[-1]
+        """Vectorized mod-q evaluation over numpy int64 arrays, 2 <= q < 2^31;
+        a variable may also be given as an array of any integer dtype, or
+        as Python ints of any size; a non-integer value raises ValueError.
+        The answer is int64, in [0, q).  It runs the circuit's plan (see
+        _vec_plan), made once: a node's values are reduced mod q only where
+        an int64 bound needs it, and every value stays below 2^63 in
+        absolute value.  q is a 0-d int64 array, which numpy's scalar
+        promotion (NEP 50) makes cheaper per call than a Python int on a
+        few points; a uint64 or Python int value is reduced by the int, as
+        uint64 % int64 goes through float64.  The points of a norm node go
+        to the kernel as rows of one call."""
+        qi = _modulus(q)
+        q = np.array(qi, dtype=np.int64)
+        _mapping(env)
+        if self._plan is None:
+            self._plan = _vec_plan(self.nodes)
+        v: list = []
+        put = v.append
+        for op, i, j, reduce in self._plan:
+            if op == "mul":
+                x = v[i] * v[j]
+            elif op == "add":
+                x = v[i] + v[j]
+            elif op == "var":
+                x = env[i] if i in env else _lookup(env, i)
+                x = x % q if type(x) is np.ndarray and x.dtype.kind == "i" else _vec_var(x, q)
+            elif op == "pow":
+                x = v[i] ** j
+            elif op == "neg":
+                x = -v[i]
+            elif op == "lit":
+                x = i
+            elif op == "int":
+                x = np.int64(_const_mod(i, qi))
+            elif op == "powmod":
+                # square-and-multiply, each product of two values below 2^31
+                x = base = v[i]
+                for bit in j:
+                    x = x * x % q
+                    if bit == "1":
+                        x = x * base % q
+            else:
+                x = _vec_norm([v[c] for c in i], q)
+            if reduce:
+                x %= q  # in place: a reduced node's x is new, or a numpy scalar
+            put(x)
+        return v[-1]
 
     def __eq__(self, other):
         # hash-consing: structurally equal circuits are one object
@@ -275,7 +314,7 @@ def _intern(key: tuple) -> Circuit:
         op = key[0]
         circ = object.__new__(Circuit)
         circ._key, circ._kids = key, _CHILDREN[op](key)
-        circ._names = circ._nodes = None
+        circ._names = circ._nodes = circ._plan = None
         circ._degree = OPS[op].degree(key, _KID_DEGREES, None, None)
         new = _Ref(circ, _drop)
         new.key = key
@@ -298,16 +337,20 @@ def fold_nodes(nodes: Sequence, rules: Mapping[str, Callable], env: Mapping, q=N
     """Every node's value, in order, for a node list whose children come
     first, a circuit's or a document's: rules[op](node, values of the
     earlier nodes, env, q).  ValueError, once, if env is not a mapping.
-    The exact, mod and vec rules read a constant as the int or Fraction a
+    The exact and mod rules read a constant as the int or Fraction a
     circuit holds, and a document writes a Fraction as "p/q" text, on
     which they raise TypeError; so a document's raw node list is folded
     only by rules that do not read a constant's value, such as degree."""
-    if not isinstance(env, Mapping):
-        raise ValueError(f"env must be a mapping of variable names, not {env!r}")
+    _mapping(env)
     values: list = []
     for nd in nodes:
         values.append(rules[nd[0]](nd, values, env, q))
     return values
+
+
+def _mapping(env) -> None:
+    if not isinstance(env, Mapping):
+        raise ValueError(f"env must be a mapping of variable names, not {env!r}")
 
 
 class Layout(NamedTuple):
@@ -354,13 +397,12 @@ def layout(roots: Sequence[Circuit]) -> Layout:
 
 class _Op(NamedTuple):
     """Everything that depends on one op; a node is (op, *fields).  The fold
-    rules (degree, exact, mod, vec) take (node, values of the earlier nodes,
+    rules (degree, exact, mod) take (node, values of the earlier nodes,
     env, q), as fold_nodes runs them; _intern runs degree on a table key,
-    whose children's values are their degrees.  vec is the mod rule applied
-    to int64 arrays, with q a 0-d int64 array, unless given.  A rule that
-    takes a function f or t calls it on the node's own child fields.
-    read_nodes and render_all are the two per-op walks outside fold_nodes,
-    for the module docstring's reasons."""
+    whose children's values are their degrees.  A rule that takes a
+    function f or t calls it on the node's own child fields.  read_nodes,
+    evaluate_vec's plan and render_all are the three per-op walks outside
+    fold_nodes, for the module docstring's reasons."""
 
     children: Callable  # node -> child fields
     remap: Callable     # (node, f) -> the node with each child j moved to f(j)
@@ -369,7 +411,6 @@ class _Op(NamedTuple):
     mod: Callable       # int in [0, q)
     sexpr: Callable     # (node, t) -> str, where t(j) is the text of child j
     latex: Callable
-    vec: Optional[Callable] = None
 
 
 def _lookup(env, name):
@@ -408,17 +449,60 @@ def _vec_var(values, q):
     return np.asarray(values % int(q), dtype=np.int64)
 
 
-def _vec_pow(base, k: int, q):
-    """base**k mod q by left-to-right square-and-multiply.  base is reduced,
-    as every vec rule returns its values in [0, q), so each product is at
-    most (q-1)^2 < 2^63 and exact in int64; a square is one product and one
-    reduction."""
-    out = base
-    for bit in bin(k)[3:]:
-        out = out * out % q
-        if bit == "1":
-            out = out * base % q
-    return out
+#: The bits of a value in [0, q), q < 2^31, and the most that an int64
+#: value in evaluate_vec may take: |value| < 2^63.
+_REDUCED_BITS, _INT64_BITS = 31, 63
+
+
+def _vec_plan(nodes: Sequence[tuple]) -> Tuple[tuple, ...]:
+    """evaluate_vec's plan for a node array: (op, i, j, reduce) per node,
+    where reduce says whether its values are reduced mod q as they are
+    made.  It reads a bound b, |value| < 2^b, off each node: 31 for a
+    value in [0, q) (a var, a norm, a constant past 31 bits or a Fraction,
+    a reduced node), a small int constant's own bit length, max + 1 for
+    add, the child's for neg, the sum for mul and k times the base's for
+    pow.  Where an add or mul would pass 63 bits, its widest child is
+    reduced until it does not; a pow past 63 bits reduces a base past 31
+    and, at k >= 3, runs square-and-multiply mod q.  The root is always
+    reduced into [0, q).  Ops: ("var", name), ("lit", np.int64 value),
+    ("int", constant read mod q), ("add"/"mul", i, j), ("neg", i),
+    ("pow", i, k), ("powmod", i, k's bits after the first) and
+    ("norm", children)."""
+    bits: List[int] = []
+    reduce: List[bool] = []
+    steps: list = []
+
+    def shrink(i: int) -> None:
+        bits[i], reduce[i] = _REDUCED_BITS, True
+
+    for nd in nodes:
+        op, b = nd[0], _REDUCED_BITS
+        if op == "add" or op == "mul":
+            i, j = nd[1], nd[2]
+            while (b := max(bits[i], bits[j]) + 1 if op == "add"
+                   else bits[i] + bits[j]) > _INT64_BITS:
+                shrink(i if bits[i] >= bits[j] else j)
+            step = (op, i, j)
+        elif op == "neg":
+            b, step = bits[nd[1]], ("neg", nd[1], None)
+        elif op == "pow":
+            i, k = nd[1], nd[2]
+            if k * bits[i] > _INT64_BITS and bits[i] > _REDUCED_BITS:
+                shrink(i)
+            if k * bits[i] <= _INT64_BITS:
+                b, step = k * bits[i], ("pow", i, k)
+            else:
+                step = ("powmod", i, bin(k)[3:])
+        elif op == "int" and type(nd[1]) is int and nd[1].bit_length() <= _REDUCED_BITS:
+            b, step = nd[1].bit_length() or 1, ("lit", np.int64(nd[1]), None)
+        else:  # var, norm and a constant read mod q: values in [0, q)
+            step = (op, nd[1], None)
+        bits.append(b)
+        reduce.append(False)
+        steps.append(step)
+    if steps[-1][0] not in ("var", "int", "powmod", "norm"):
+        reduce[-1] = True
+    return tuple([(*step, r) for step, r in zip(steps, reduce)])
 
 
 def _vec_norm(args, q):
@@ -462,7 +546,6 @@ OPS: Dict[str, _Op] = {
         degree=lambda nd, v, env, q: 1,
         exact=lambda nd, v, env, q: arith.rational(_lookup(env, nd[1])),
         mod=lambda nd, v, env, q: _int_mod(_lookup(env, nd[1]), q),
-        vec=lambda nd, v, env, q: _vec_var(_lookup(env, nd[1]), q),
         sexpr=lambda nd, t: f"(var {nd[1]})",
         latex=lambda nd, t: f"{nd[1][0]}_{{{nd[1][1:]}}}" if nd[1][1:].isdigit()
         else nd[1],
@@ -472,7 +555,6 @@ OPS: Dict[str, _Op] = {
         degree=lambda nd, v, env, q: 0,
         exact=lambda nd, v, env, q: nd[1],
         mod=lambda nd, v, env, q: _const_mod(nd[1], q),
-        vec=lambda nd, v, env, q: np.int64(_const_mod(nd[1], int(q))),
         sexpr=lambda nd, t: f"(int {nd[1]})",
         latex=lambda nd, t: str(nd[1]) if isinstance(nd[1], int) else
         rf"\tfrac{{{nd[1].numerator}}}{{{nd[1].denominator}}}",
@@ -506,7 +588,6 @@ OPS: Dict[str, _Op] = {
         degree=lambda nd, v, env, q: nd[2] * v[nd[1]],
         exact=lambda nd, v, env, q: arith._power(v[nd[1]], nd[2]),
         mod=lambda nd, v, env, q: pow(v[nd[1]], nd[2], q),
-        vec=lambda nd, v, env, q: _vec_pow(v[nd[1]], nd[2], q),
         sexpr=lambda nd, t: f"(pow {t(nd[1])} {nd[2]})",
         latex=lambda nd, t: f"\\left({t(nd[1])}\\right)^{{{nd[2]}}}",
     ),
@@ -515,7 +596,6 @@ OPS: Dict[str, _Op] = {
         degree=lambda nd, v, env, q: len(nd[1]) * max([v[j] for j in nd[1]]),
         exact=lambda nd, v, env, q: _exact_norm([v[j] for j in nd[1]]),
         mod=lambda nd, v, env, q: kernels.norm_mod([v[j] for j in nd[1]], q),
-        vec=lambda nd, v, env, q: _vec_norm([v[j] for j in nd[1]], q),
         sexpr=lambda nd, t: f"(norm {' '.join(map(t, nd[1]))})",
         latex=lambda nd, t: rf"\mathrm{{N}}_{{{len(nd[1])}}}\!\left("
         rf"{', '.join(map(t, nd[1]))}\right)",
@@ -526,7 +606,6 @@ _CHILDREN = {op: row.children for op, row in OPS.items()}
 _REMAP = {op: row.remap for op, row in OPS.items()}
 _EXACT = {op: row.exact for op, row in OPS.items()}
 _MOD = {op: row.mod for op, row in OPS.items()}
-_VEC = {op: row.vec or row.mod for op, row in OPS.items()}
 # substitution as a fold: env maps a variable name to its replacement circuit
 _SUBST = {op: lambda nd, v, env, q, remap=row.remap: _intern(remap(nd, v.__getitem__))
           for op, row in OPS.items()}

@@ -69,5 +69,3 @@ def binary_form(F) -> BinaryForm:
         raise ValueError(f"F must be a BinaryForm, not {type(F).__name__}")
     return F
 
-
-X_FORM = BinaryForm({(1, 0): 1})  # F = x, the identity divisor case

@@ -1,8 +1,11 @@
 import copy
 import json
+import math
 import pickle
 import random
+import sys
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from campana import arith, formulas as fm, kernels
+from campana import arith, circuits, formulas as fm, kernels
 from campana.circuits import OPS, Circuit, fold_nodes, read_nodes
 
 
@@ -685,6 +688,153 @@ def test_vec_fold_agrees_on_int64_and_uint64_columns(case):
             vec = circ.evaluate_vec(cols, q)
             assert np.asarray(vec).dtype == np.int64
             assert np.broadcast_to(vec, (len(points),)).tolist() == want
+
+
+#: Values a variable of evaluate_vec may take, by the dtype of its column:
+#: the int64 and uint64 extremes and Python ints far past both.
+WIDE_VALUES = {
+    np.int64: [2**63 - 1, -2**63, -1, 0, 1, 2**62 + 7],
+    np.uint64: [2**64 - 1, 2**63, 0, 1, 2**53 + 1],
+    object: [2**200, -2**200, 2**64 - 1, -2**63 - 1, 3**50],
+}
+
+
+@st.composite
+def _overflow_case(draw):
+    """A modulus, points whose every column has a dtype of WIDE_VALUES and
+    leans to q - 1, and random circuits built to push int64 bounds: add
+    and neg chains 40 to 64 deep, pow k up to 64, int constants up to
+    ±2^80 and Fractions, norm nodes, and subterms shared all along; a sum
+    of squares at q - 1 passes 2^63 as soon as a bound lets it."""
+    q = draw(st.sampled_from([2, 7, 65537, 2**31 - 19, 2**31 - 1]))
+    n = draw(st.integers(1, 5))
+    dtypes = {nm: draw(st.sampled_from(sorted(WIDE_VALUES, key=str))) for nm in "xyz"}
+    cols = {nm: [draw(st.one_of(st.just(q - 1), st.sampled_from(WIDE_VALUES[dtypes[nm]])))
+                 for _ in range(n)] for nm in "xyz"}
+    den = st.integers(1, 2**40).filter(lambda d: math.gcd(d, q) == 1)
+    const = st.one_of(st.integers(-2**80, 2**80), st.integers(-2**31, 2**31),
+                      st.builds(Fraction, st.integers(-2**80, 2**80), den))
+    pool = [Circuit.var(nm) for nm in "xyz"]
+    node = st.integers(0, 10**6).map(lambda i: pool[i % len(pool)])
+    for _ in range(draw(st.integers(1, 10))):
+        a, b = draw(node), draw(node)
+        op = draw(st.sampled_from(["add", "mul", "mul", "neg", "pow", "const", "norm", "chain"]))
+        if op == "add":
+            pool.append(a + b)
+        elif op == "mul":
+            pool.append(a * b)
+        elif op == "neg":
+            pool.append(-a)
+        elif op == "pow":
+            pool.append(a ** draw(st.integers(1, 64)))
+        elif op == "const":
+            pool.append(a * draw(const) if draw(st.booleans()) else a + draw(const))
+        elif op == "norm":
+            pool.append(Circuit.norm([draw(node) for _ in range(draw(st.integers(1, 4)))]))
+        else:  # each step negates, or adds a pool node or its square
+            for _ in range(draw(st.integers(40, 64))):
+                b, step = draw(node), draw(st.integers(0, 3))
+                a = -a if step == 0 else a + b if step == 1 else a + b * b
+            pool.append(a)
+    return q, {nm: np.array(col, dtype=dtypes[nm]) for nm, col in cols.items()}, pool
+
+
+@settings(max_examples=300, deadline=None)
+@given(_overflow_case())
+def test_planned_vec_fold_never_overflows(case):
+    # int64 wraps silently, so a wrong bound in the plan reads as a wrong
+    # residue: every circuit of the pool, at every point, against evaluate_mod
+    q, env, pool = case
+    points = [{nm: int(col[i]) for nm, col in env.items()} for i in range(len(env["x"]))]
+    for circ in pool:
+        vec = circ.evaluate_vec(env, q)
+        assert np.asarray(vec).dtype == np.int64
+        assert np.broadcast_to(vec, (len(points),)).tolist() == \
+            [circ.evaluate_mod(pt, q) for pt in points]
+        assert int(circ.evaluate_vec(points[0], q)) == circ.evaluate_mod(points[0], q)
+
+
+def _widest_circuits():
+    """Circuits whose values, with every variable at q - 1, reach the
+    int64 bounds the plan allows: long sums of squares and of products,
+    powers up to 64, constants of 31 bits and past them."""
+    x, y, z = (Circuit.var(nm) for nm in "xyz")
+    sq = x * x
+    total = sq
+    for w in (y * y, z * z, x * y, sq * sq, -(y * z)) * 10:
+        total = total + w
+    yield total
+    yield total * total + sq * total
+    yield (sq + sq + sq) * (y * y + sq)
+    yield Circuit.const(2**31 - 1) * sq * Circuit.const(-2**31) + Circuit.const(2**80) * y
+    yield Circuit.norm([total, sq * z, -total, x])
+    for k in (1, 2, 3, 31, 32, 63, 64):
+        yield x ** k + (x * y) ** k + (sq + sq) ** k
+    yield from fm.build_J().atoms()
+
+
+def test_planned_vec_fold_at_every_variable_q_minus_one():
+    q = 2**31 - 1
+    names = ("x", "y", "z", *sorted({v for c in fm.build_J().atoms() for v in c.free_vars()}))
+    for batch in (1, 5, 64):
+        env = {nm: np.full(batch, q - 1, dtype=np.int64) for nm in names}
+        for circ in _widest_circuits():
+            want = circ.evaluate_mod({nm: q - 1 for nm in names}, q)
+            assert circ.evaluate_vec(env, q).tolist() == [want] * batch
+
+
+def test_planned_vec_fold_same_under_python_O():
+    # no answer may depend on an assert: python -O strips them
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    code = ("import numpy as np; from campana.circuits import Circuit;"
+            "x, y = Circuit.var('x'), Circuit.var('y'); q = 2**31 - 1;"
+            "s = x * x + y * y + x * y + x * x + y * y;"
+            "fs = [s * s + s, x ** 64 - y ** 3, Circuit.norm([s, x, -s]) * Circuit.const(2**80),"
+            "      Circuit.const(-7)];"
+            "env = {'x': np.array([q - 1, 2**63 - 1, -2**63, 3]),"
+            "       'y': np.array([2**64 - 1, 2**63, q - 1, 0], dtype=np.uint64)};"
+            "print([f.evaluate_vec(env, q).tolist() for f in fs[:3]], int(fs[3].evaluate_vec({}, q)))")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(kernels.__file__).parents[1]))
+    out = [subprocess.run([sys.executable, *flags, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout for flags in ([], ["-O"])]
+    assert out[0] == out[1]
+    x, y, q = Circuit.var("x"), Circuit.var("y"), 2**31 - 1
+    s = x * x + y * y + x * y + x * x + y * y
+    points = [(q - 1, 2**64 - 1), (2**63 - 1, 2**63), (-2**63, q - 1), (3, 0)]
+    want = [[f.evaluate_mod({"x": a, "y": b}, q) for a, b in points]
+            for f in (s * s + s, x ** 64 - y ** 3,
+                      Circuit.norm([s, x, -s]) * Circuit.const(2**80))]
+    assert out[0] == f"{want} {q - 7}\n"
+
+
+def test_the_plan_is_made_once_per_circuit_and_freed_with_it(monkeypatch):
+    made = []
+
+    def counted(nodes):
+        made.append(nodes)
+        return plan_of(nodes)
+
+    plan_of = circuits._vec_plan
+    monkeypatch.setattr(circuits, "_vec_plan", counted)
+    x = Circuit.var("x_of_a_planned_circuit")
+    f = x * x + 3
+    for batch in (1, 4, 16384):
+        for q in (2, 7, 2**31 - 1):
+            f.evaluate_vec({x.free_vars()[0]: np.arange(batch)}, q)
+    assert made == [f.nodes]
+    plan = f._plan
+    assert plan == plan_of(f.nodes)
+    # its child has a plan of its own, made when it is evaluated
+    (x * x).evaluate_vec({x.free_vars()[0]: 3}, 7)
+    assert len(made) == 2
+    # nothing but the circuit holds its plan
+    held = sys.getrefcount(plan)
+    ref = weakref.ref(f)
+    del f
+    assert ref() is None and sys.getrefcount(plan) == held - 1
 
 
 @pytest.mark.parametrize("build", [fm.build_premise, lambda: fm.build_campana(7, True)],

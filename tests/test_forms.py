@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from campana.forms import BinaryForm, X_FORM
+from campana.forms import BinaryForm
 
 
 def test_evaluation_and_degree():
@@ -42,8 +42,9 @@ def test_dehomogenized():
 
 
 def test_identity_form():
-    assert X_FORM.degree == 1
-    assert X_FORM(Fraction(7, 3), 1) == Fraction(7, 3)
+    x_form = BinaryForm({(1, 0): 1})  # F = x, the identity divisor case
+    assert x_form.degree == 1
+    assert x_form(Fraction(7, 3), 1) == Fraction(7, 3)
 
 
 def test_homogeneous_scaling():

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 import campana
 from campana import circuits, formulas as fm, kernels, semantics
 from campana.circuits import Circuit, fold_nodes
-from campana.forms import BinaryForm, X_FORM
+from campana.forms import BinaryForm
+
+X_FORM = BinaryForm({(1, 0): 1})  # F = x, the identity divisor case
 
 
 def _stat(f):

@@ -8,7 +8,9 @@ from types import SimpleNamespace
 import pytest
 
 from campana import arith, kernels, parametrize, places, semantics
-from campana.forms import X_FORM
+from campana.forms import BinaryForm
+
+X_FORM = BinaryForm({(1, 0): 1})  # F = x
 
 #: Not primes: non-integers with and without an integral value, a str,
 #: integers that are not prime, and an object with a prime attribute, as a

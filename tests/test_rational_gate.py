@@ -12,7 +12,7 @@ import pytest
 
 from campana import arith, kernels, parametrize, places, semantics
 from campana.circuits import Circuit
-from campana.forms import BinaryForm, X_FORM
+from campana.forms import BinaryForm
 
 #: Not rationals: floats with and without an integral value, strings, a
 #: Decimal, None, a list and a complex number.
@@ -22,6 +22,7 @@ NOT_RATIONALS = (0.1, 2.0, float("nan"), "3/4", "3", Decimal("0.1"), None, [3], 
 NOT_INTEGERS = NOT_RATIONALS + (Fraction(3, 4), Fraction(6, 2))
 
 X = Circuit.var("x")
+X_FORM = BinaryForm({(1, 0): 1})  # F = x
 
 
 def _terms(*items):

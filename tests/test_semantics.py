@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from campana import arith, places, semantics as sm
 from campana.errors import DegenerateSampler, InvariantError, SearchExhausted
-from campana.forms import BinaryForm, X_FORM
+from campana.forms import BinaryForm
 
 # (3,5,3,5) has radical place set {3,5}; (-10,-10,-10,-10) has {2};
 # (-1,-1,-1,-1) has the empty set (verified through the places module)
 OMEGA_35 = (3, 5, 3, 5)
 OMEGA_2 = (-10, -10, -10, -10)
 OMEGA_EMPTY = (-1, -1, -1, -1)
+X_FORM = BinaryForm({(1, 0): 1})  # F = x, the identity divisor case
 
 
 def test_fixture_omegas():

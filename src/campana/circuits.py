@@ -212,22 +212,22 @@ class Circuit:
         return Fraction(fold_nodes(self.nodes, _EXACT, env)[-1])
 
     def evaluate_mod(self, env: Mapping[str, int], q: int) -> int:
-        """Evaluation in Z/q at integer values, 2 <= q < 2^31 (ValueError otherwise);
-        rational constants use modular inverses and need denominators prime to q."""
+        """Evaluation in Z/q at integer values, read by kernels._read_mod, for
+        2 <= q < 2^31 (ValueError otherwise); rational constants use modular
+        inverses and need denominators prime to q."""
         return fold_nodes(self.nodes, _MOD, env, _modulus(q))[-1]
 
     def evaluate_vec(self, env: Mapping[str, "object"], q: int):
         """Vectorized mod-q evaluation over numpy int64 arrays, 2 <= q < 2^31;
-        a variable may also be given as an array of any integer dtype, or
-        as Python ints of any size; a non-integer value raises ValueError.
-        The answer is int64, in [0, q).  It runs the circuit's plan (see
-        _vec_plan), made once: a node's values are reduced mod q only where
-        an int64 bound needs it, and every value stays below 2^63 in
-        absolute value.  q is a 0-d int64 array, which numpy's scalar
-        promotion (NEP 50) makes cheaper per call than a Python int on a
-        few points; a uint64 or Python int value is reduced by the int, as
-        uint64 % int64 goes through float64.  The points of a norm node go
-        to the kernel as rows of one call."""
+        a variable may also be an integer, an array of any integer dtype or
+        a sequence of integers, read by kernels._read_mod as evaluate_mod
+        and the norm kernels read theirs.  The answer is int64, in [0, q).
+        It runs the circuit's plan (see _vec_plan), made once: a node's
+        values are reduced mod q only where an int64 bound needs it, and
+        every value stays below 2^63 in absolute value.  q is a 0-d int64
+        array, which numpy's scalar promotion (NEP 50) makes cheaper per
+        call than a Python int on a few points.  The points of a norm node
+        go to kernels.norm_mod_rows as rows of one call."""
         qi = _modulus(q)
         q = np.array(qi, dtype=np.int64)
         _mapping(env)
@@ -242,7 +242,8 @@ class Circuit:
                 x = v[i] + v[j]
             elif op == "var":
                 x = env[i] if i in env else _lookup(env, i)
-                x = x % q if type(x) is np.ndarray and x.dtype.kind == "i" else _vec_var(x, q)
+                x = x % q if type(x) is np.ndarray and x.dtype.kind == "i" else \
+                    kernels._read_mod(x, q, f"the value of {i}")
             elif op == "pow":
                 x = v[i] ** j
             elif op == "neg":
@@ -419,34 +420,10 @@ def _lookup(env, name):
     return env[name]
 
 
-def _int_mod(x, q: int) -> int:
-    ok = isinstance(x, (int, np.integer))
-    return operator.index(_checked(x, ok, "evaluate_mod takes integer values")) % q
-
-
 def _const_mod(c: ConstLike, q: int) -> int:
     if isinstance(c, Fraction):
         return c.numerator * pow(c.denominator, -1, q) % q
     return c % q
-
-
-def _vec_var(values, q):
-    # q is the 0-d int64 modulus.  Every integer dtype but uint64 promotes
-    # exactly to int64 against it; uint64, which would promote to float64,
-    # and Python ints of any size are reduced by int(q) before the int64
-    # conversion.  A float or any other non-integer is refused, never
-    # truncated
-    if not isinstance(values, np.ndarray):
-        values = np.array(values, dtype=object)
-    kind = values.dtype.kind
-    if kind == "i" or kind in "bu" and values.dtype.itemsize < 8:
-        return values % q
-    if kind == "O":
-        if not all(isinstance(x, (int, np.integer)) for x in values.flat):
-            raise ValueError("evaluate_vec takes integer values only")
-    elif kind != "u":
-        raise ValueError(f"evaluate_vec takes integer values, not {values.dtype}")
-    return np.asarray(values % int(q), dtype=np.int64)
 
 
 #: The bits of a value in [0, q), q < 2^31, and the most that an int64
@@ -545,7 +522,8 @@ OPS: Dict[str, _Op] = {
         children=lambda nd: (), remap=lambda nd, f: nd,
         degree=lambda nd, v, env, q: 1,
         exact=lambda nd, v, env, q: arith.rational(_lookup(env, nd[1])),
-        mod=lambda nd, v, env, q: _int_mod(_lookup(env, nd[1]), q),
+        mod=lambda nd, v, env, q: int(kernels._read_mod(
+            _lookup(env, nd[1]), np.int64(q), f"the value of {nd[1]}")),
         sexpr=lambda nd, t: f"(var {nd[1]})",
         latex=lambda nd, t: f"{nd[1][0]}_{{{nd[1][1:]}}}" if nd[1][1:].isdigit()
         else nd[1],

@@ -276,7 +276,6 @@ EDGE_VALUES = {
     np.int32: [-2**31, 2**31 - 1, -1, 2**31 - 2],
     np.uint8: [255, 0, 1, 128], np.uint16: [2**16 - 1, 0, 2**15],
     np.uint32: [2**32 - 1, 0, 2**31 - 1, 2**31],
-    np.bool_: [True, False],
     object: [2**64 - 1, -2**70, 2**63, 3**50, -2**63 - 1, 12],
 }
 

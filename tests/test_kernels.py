@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from campana import arith, kernels, places
+from campana.circuits import Circuit
 
 
 def dumb_conic_scan(a, b, p, m):
@@ -595,18 +596,23 @@ def test_norm_mod_composite_q_euclid_refusal_names_q():
     assert kernels.norm_mod(h, 7) == sympy_norm(h) % 7
 
 
-# One-row norm_mod reads the cubic in Python ints from the halved row, at
-# every q in range: prime, small, and composite, where it needs no inverse.
+# norm_mod is the one row of norm_mod_rows, for every odd part left after
+# halving: m = 1, the cubic at m = 3, the group algebra at m >= 5 where its
+# plan applies (a prime q > m with gcd(m, q - 1) = 1), the Euclid at every
+# other m >= 5, and any q in range, composite too.  A row alone and a row
+# beside a copy of itself get one answer, or one refusal naming q.
 
-ONE_ROW_CUBIC_MODULI = kernels.crt_primes(3) + [2, 3, 7, 4, 15, 2**31 - 2]
+ONE_ROW_ODD_PARTS = [1, 3, 5, 15, 97]
+ONE_ROW_MODULI = kernels.crt_primes(3) + [2, 3, 5, 7, 11, 31, 4, 15, 2**31 - 2, 2**31 - 3]
 
 
 @st.composite
-def one_row_cubics(draw):
-    """One row of length n = 3 * 2^k, k <= 5, and its modulus; the widest
-    row has every coefficient q - 1."""
-    n = draw(st.sampled_from(CUBIC_LENGTHS))
-    q = draw(st.sampled_from(ONE_ROW_CUBIC_MODULI))
+def one_rows(draw):
+    """One row of length n = 2^k m for an odd part m, and its modulus; the
+    widest row has every coefficient q - 1."""
+    m = draw(st.sampled_from(ONE_ROW_ODD_PARTS))
+    n = m << draw(st.integers(0, 5 if m <= 3 else 1))
+    q = draw(st.sampled_from(ONE_ROW_MODULI))
     kind = draw(st.sampled_from(["small", "big", "widest"]))
     if kind == "widest":
         return [q - 1] * n, q
@@ -614,13 +620,63 @@ def one_row_cubics(draw):
     return draw(st.lists(coeff, min_size=n, max_size=n)), q
 
 
-@settings(max_examples=80, deadline=None)
-@given(one_row_cubics())
-def test_one_row_cubic_matches_the_rows_kernel_and_sympy(case):
+def answer_or_refusal(call):
+    try:
+        return int(call())
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=120, deadline=None)
+@given(one_rows())
+@example(([5, -3, 2, 7], 7))                    # m = 1
+@example(([1, 2, 3, 4, 5, 6], 15))              # m = 3, composite q
+@example(([1, -2, 3, 0, 5], 7))                 # m = 5, twisted
+@example(([1, -2, 3, 0, 5], 5))                 # m = 5, q <= m: the Euclid
+@example(([1, -2, 3, 0, 5], 11))                # m = 5, gcd(5, 10) = 5: the Euclid
+@example(([3, 4, -8, -1, 7], 15))               # m = 5, composite q: refused
+@example(([2, 1] + [0] * 95, 7))                # m = 97, q <= m: the Euclid
+def test_one_row_is_the_rows_kernel_for_every_odd_part(case):
     row, q = case
-    got = kernels.norm_mod(row, q)
-    assert type(got) is int
-    assert got == int(kernels.norm_mod_rows([row], [q])[0]) == sympy_norm(row) % q
+    got = [answer_or_refusal(lambda: kernels.norm_mod(row, q)),
+           answer_or_refusal(lambda: kernels.norm_mod_rows([row], [q])[0]),
+           answer_or_refusal(lambda: kernels.norm_mod_rows([row, row], [q, q])[0])]
+    assert got[0] == got[1] == got[2]
+    if isinstance(got[0], str):
+        assert f"mod q = {q} met the leading coefficient" in got[0]
+        assert not arith.is_prime(q)
+        return
+    assert type(kernels.norm_mod(row, q)) is int
+    if len(row) <= 50:  # sympy's time
+        assert got[0] == sympy_norm(row) % q
+
+
+def test_every_norm_entry_reads_its_odd_part_in_one_place(monkeypatch):
+    # norm_mod past one value, norm_mod_rows, norm_is_zero, norm_int's CRT
+    # and evaluate_vec's norm nodes all go through _odd_part_norms
+    calls = []
+    odd_part_norms = kernels._odd_part_norms
+
+    def counted(g, qs):
+        calls.append(g.shape)
+        return odd_part_norms(g, qs)
+
+    monkeypatch.setattr(kernels, "_odd_part_norms", counted)
+    q = kernels.crt_primes(1)[0]
+    x, y = Circuit.var("x"), Circuit.var("y")
+    entries = [(f"norm_mod n = {n}", lambda n=n: kernels.norm_mod(list(range(1, n + 1)), q))
+               for n in (2, 3, 48, 5, 194, 290)]
+    entries += [
+        ("norm_mod_rows", lambda: kernels.norm_mod_rows([[1, 2, 3]] * 2, [q, 7])),
+        ("norm_is_zero", lambda: kernels.norm_is_zero([Fraction(1, 2), 3, 0, 1])),
+        ("norm_int's CRT", lambda: kernels.norm_int([1, 2, 3, 4, 5])),
+        ("evaluate_vec", lambda: Circuit.norm([x, y, x * y]).evaluate_vec(
+            {"x": np.arange(4), "y": 5}, q)),
+    ]
+    for name, call in entries:
+        calls.clear()
+        call()
+        assert calls, name
 
 
 # One-row norm_mod reads an odd part of m >= 5 values in the group algebra

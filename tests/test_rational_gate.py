@@ -214,3 +214,67 @@ def test_every_function_that_takes_a_number_is_in_a_table():
     assert found - RATIONAL.keys() - INTEGER.keys() - exempt == set()
     assert {key.split("(")[0] for key in exempt} == EXEMPT
 
+
+
+class _Index:
+    """An integer that is no int: it has __index__ and nothing else."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_Index({self.value})"
+
+
+Q = 7
+
+#: Every entry that reads integer values mod q, on a column (a, b) of two
+#: values: each value alone, the column, and the row a + b x, whose norm
+#: Res(x^2 - 2, a + b x) is a^2 - 2 b^2.
+VALUE_ENTRIES = {
+    "Circuit.evaluate_mod": lambda col: [X.evaluate_mod({"x": v}, Q) for v in col],
+    "Circuit.evaluate_vec(scalar)": lambda col: [int(X.evaluate_vec({"x": v}, Q)) for v in col],
+    "Circuit.evaluate_vec(column)": lambda col: X.evaluate_vec({"x": col}, Q).tolist(),
+    "kernels.norm_mod(one value)": lambda col: [kernels.norm_mod([v], Q) for v in col],
+    "kernels.norm_mod(row)": lambda col: kernels.norm_mod(col, Q),
+    "kernels.norm_mod_rows": lambda col: int(kernels.norm_mod_rows(
+        col[None] if isinstance(col, np.ndarray) else [col], [Q])[0]),
+}
+
+#: (column, its values as ints, or None where every entry refuses it)
+VALUE_COLUMNS = [
+    ([9, -3], [9, -3]),
+    ([True, 2**70], [1, 2**70]),
+    ([np.int64(9), np.uint64(2**64 - 1)], [9, 2**64 - 1]),
+    ([_Index(4), 1], [4, 1]),
+    ([np.True_, 1], None),
+    ([2.0, 1], None),
+    (["9", 1], None),
+    ([Fraction(9), 1], None),
+    ([None, 1], None),
+    (np.array([9, -3], dtype=np.int64), [9, -3]),
+    (np.array([200, 3], dtype=np.uint8), [200, 3]),
+    (np.array([2**64 - 1, 5], dtype=np.uint64), [2**64 - 1, 5]),
+    (np.array([2**70, _Index(3)], dtype=object), [2**70, 3]),
+    (np.array([True, False]), None),
+    (np.array([np.True_, 1], dtype=object), None),
+    (np.array([2.0, 1.0]), None),
+]
+
+
+@pytest.mark.parametrize("col, ints", VALUE_COLUMNS, ids=[repr(c) for c, _ in VALUE_COLUMNS])
+def test_every_entry_reads_an_integer_value_alike(col, ints):
+    # one definition of an integer value, arith.integer's: anything with
+    # __index__, so a numpy bool, which has none, is refused everywhere
+    for name, entry in VALUE_ENTRIES.items():
+        if ints is None:
+            with pytest.raises(ValueError, match="must be an integer, not"):
+                entry(col)
+            continue
+        a, b = ints
+        want = (a * a - 2 * b * b) % Q if "norm_mod(row)" in name or "rows" in name \
+            else [a % Q, b % Q]
+        assert entry(col) == want, name

@@ -420,6 +420,18 @@ def _lookup(env, name):
     return env[name]
 
 
+def _var_mod(x, name: str, q: int) -> int:
+    """The value x of variable name mod q: an int as it is, anything else
+    read by kernels._read_mod, which answers alike or refuses, and a
+    sequence of values refused."""
+    if type(x) is int:
+        return x % q
+    r = kernels._read_mod(x, np.int64(q), f"the value of {name}")
+    if r.ndim:
+        raise ValueError(f"the value of {name} must be an integer, not {x!r}")
+    return int(r)
+
+
 def _const_mod(c: ConstLike, q: int) -> int:
     if isinstance(c, Fraction):
         return c.numerator * pow(c.denominator, -1, q) % q
@@ -522,8 +534,7 @@ OPS: Dict[str, _Op] = {
         children=lambda nd: (), remap=lambda nd, f: nd,
         degree=lambda nd, v, env, q: 1,
         exact=lambda nd, v, env, q: arith.rational(_lookup(env, nd[1])),
-        mod=lambda nd, v, env, q: int(kernels._read_mod(
-            _lookup(env, nd[1]), np.int64(q), f"the value of {nd[1]}")),
+        mod=lambda nd, v, env, q: _var_mod(_lookup(env, nd[1]), nd[1], q),
         sexpr=lambda nd, t: f"(var {nd[1]})",
         latex=lambda nd, t: f"{nd[1][0]}_{{{nd[1][1:]}}}" if nd[1][1:].isdigit()
         else nd[1],

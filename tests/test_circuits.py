@@ -123,9 +123,11 @@ def test_vectorized_evaluation_rejects_modulus_out_of_range(q):
         (x * x + 1).evaluate_mod({"x": 3}, q)
 
 
-@pytest.mark.parametrize("value", [Fraction(1, 2), 2.5, Fraction(4), 3.0, "3"])
+@pytest.mark.parametrize("value", [Fraction(1, 2), 2.5, Fraction(4), 3.0, "3",
+                                   [3], (3,), np.array([3])])
 def test_modular_evaluation_rejects_non_integer_values(value):
-    # returned Fraction(5, 4) and 0.25 for 1/2 and 2.5
+    # returned Fraction(5, 4) and 0.25 for 1/2 and 2.5; a sequence of one
+    # value raised numpy's TypeError
     with pytest.raises(ValueError):
         (Circuit.var("x")**2 + 1).evaluate_mod({"x": value}, 7)
 

@@ -468,6 +468,10 @@ def test_halving_widest_slot():
     assert kernels.norm_mod(row, q) == q - 1
     assert kernels.norm_mod_rows([row, row], [q, 3]).tolist() == \
         unhalved_norm_mod_rows([row, row], [q, 3])
+    # h1 = 0 makes the row left after a step, H_j + 2 H_(j+m), its largest,
+    # and h0 = 0 its most negative
+    rows = [[q - 1, 0] * (n // 2), [0, q - 1] * (n // 2)]
+    assert kernels.norm_mod_rows(rows, [q, q]).tolist() == unhalved_norm_mod_rows(rows, [q, q])
 
 
 @pytest.mark.parametrize("n", [48, 194, 290])
@@ -683,11 +687,11 @@ def test_every_norm_entry_reads_its_odd_part_in_one_place(monkeypatch):
 # F_q[z]/(z^m - 1), twisted by the m-th root of 2 mod q, when q is a prime
 # above m with gcd(m, q - 1) = 1; any other odd part goes to the Euclid.
 
-TWIST_ODD_PARTS = [5, 15, 25, 97, 145]
+TWIST_ODD_PARTS = [5, 15, 25, 97, 145, 251]
 # beside the CRT primes, where m = 15 meets gcd(15, q - 1) = 3: small primes
 # where some m are twisted (7, 17, 23, 97, 101, 151, 1009) and some are not,
 # as q - 1 shares a factor with m (11, 31, 151 and 1009 with 5, 15 or 25)
-# or q <= m (every q here but 1009 and the CRT primes, for m = 145)
+# or q <= m (every q here but 1009 and the CRT primes, for m = 145 and 251)
 TWIST_MODULI = kernels.crt_primes(3) + [7, 11, 17, 23, 31, 97, 101, 151, 1009]
 
 
@@ -700,7 +704,7 @@ def test_twist_applies_where_its_conditions_hold():
         for q in TWIST_MODULI + [49, 2**31 - 3]:
             assert (kernels._twist_plan(m, q) is not None) == twist_applies(m, q), (m, q)
     assert [twist_applies(m, q) for m in TWIST_ODD_PARTS
-            for q in kernels.crt_primes(3)] == [True] * 3 + [False] * 3 + [True] * 9
+            for q in kernels.crt_primes(3)] == [True] * 3 + [False] * 3 + [True] * 12
 
 
 @st.composite
@@ -728,7 +732,8 @@ def test_twisted_norm_matches_sympy_and_the_euclid(case):
     for row, kind in rows:
         got = kernels.norm_mod(row, q)
         assert type(got) is int
-        assert got == int(kernels.norm_mod_rows([row], [q])[0])
+        # a batch of two rows is never twisted: the Euclid
+        assert got == int(kernels.norm_mod_rows([row, row], [q, q])[0])
         if kind == "widest":  # the norm of (q - 1)(1 + x + ... + x^(n-1))
             assert got == (-1) ** (len(row) + 1) * (q - 1) ** len(row) % q
         elif len(row) <= (150 if kind == "small" else 100):  # sympy's time
@@ -736,15 +741,57 @@ def test_twisted_norm_matches_sympy_and_the_euclid(case):
 
 
 def test_twisted_norm_at_every_modulus():
-    # each (m, q) pair once, twisted or not, against the Euclid, whatever
-    # the examples above drew
+    # each (m, q) pair once, twisted or not, against the Euclid (a batch of
+    # two rows), whatever the examples above drew
     rng = random.Random(46)
     for m in TWIST_ODD_PARTS:
         for q in TWIST_MODULI:
             for n in (m, 2 * m):
                 row = [rng.randrange(q) for _ in range(n)]
                 assert kernels.norm_mod(row, q) == \
-                    int(kernels.norm_mod_rows([row], [q])[0]), (n, q)
+                    int(kernels.norm_mod_rows([row, row], [q, q])[0]), (n, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 7, 65537, 2**31 - 1]), st.integers(1, 40), st.randoms())
+def test_ring_product_is_the_cyclic_convolution(q, e, rng):
+    # residues, with every coefficient q - 1 drawn often
+    a, b = ([rng.choice([q - 1, rng.randrange(q)]) for _ in range(e)] for _ in "ab")
+    want = [0] * e
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            want[(i + j) % e] += x * y
+    got = kernels._times(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), q)
+    assert got.tolist() == [c % q for c in want]
+
+
+#: The largest ring product _twisted_norm may take mod q: the largest e
+#: with (q - 1)(e (2^16 - 1) + 2^17) < 2^63, _times' int64 bound.
+def largest_ring_product(q):
+    return ((2**63 - 1) // (q - 1) - 2**17) // 0xFFFF
+
+
+@pytest.mark.slow
+def test_ring_product_at_the_largest_length_the_plan_admits():
+    # every coefficient q - 1 at q = 2^31 - 1 makes the largest lo and hi
+    # limbs; (q - 1)^2 (1 + z + ... + z^(e-1))^2 = e (1 + ... + z^(e-1))
+    # mod z^e - 1, as (q - 1)^2 = 1 mod q.  About 5 s: two convolutions of
+    # 65,535 values.
+    q = 2**31 - 1
+    e = largest_ring_product(q)
+    assert e == 65_535
+    a = np.full(e, q - 1, dtype=np.int64)
+    assert (kernels._times(a, a, q) == e % q).all()
+
+
+def test_twist_plan_stops_at_the_ring_products_bound():
+    # at this q the bound admits e = 65,536, and m = 65,537 meets every
+    # other condition (q prime, q > m, gcd(m, q - 1) = 1): only the bound
+    # refuses it
+    q = 2147450861
+    m = largest_ring_product(q) + 1
+    assert m == 65_537 and twist_applies(m, q)
+    assert kernels._twist_plan(m, q) is None
 
 
 @pytest.mark.parametrize("m", TWIST_ODD_PARTS)
@@ -843,7 +890,7 @@ def test_halving_helpers_refuse_empty_rows():
     with pytest.raises(ValueError):
         kernels._halve_exact([])
     with pytest.raises(ValueError):
-        kernels._halve_rows(np.zeros((1, 0), dtype=np.int64), [7])
+        kernels._halve_rows(np.zeros((1, 0), dtype=np.int64), [7], np.array([[7]]))
 
 
 def test_conic_square_tables_cached_read_only_and_bounded(monkeypatch):

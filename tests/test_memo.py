@@ -47,7 +47,7 @@ def test_clear_memos_empties_every_memo():
     fm.build_integrality(True)
     fm.emit(fm.build_Jn(2))
     kernels.conic_has_solution(3, 5, 7, 3)
-    kernels.norm_mod([1, 2, 3, 4, 5], 2**31 - 1)  # an odd part of 5: a twist plan
+    kernels.norm_mod(list(range(1, 11)), 2**31 - 1)  # halved: slot weights, and a twist plan
     caches = _module_caches()
     full = campana.memos()
     assert all(info.entries > 0 for info in full.values()), full

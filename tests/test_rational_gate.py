@@ -231,6 +231,16 @@ class _Index:
 
 Q = 7
 
+
+def nested_rows(col):
+    """norm_mod_rows on a list of two lists: a plain row of norm 3^2 - 2 2^2
+    = 1, then the column's items, so that an item that is refused comes
+    after a row read whole."""
+    first, second = kernels.norm_mod_rows([[3, 2], list(col)], [Q, Q]).tolist()
+    assert first == 1
+    return second
+
+
 #: Every entry that reads integer values mod q, on a column (a, b) of two
 #: values: each value alone, the column, and the row a + b x, whose norm
 #: Res(x^2 - 2, a + b x) is a^2 - 2 b^2.
@@ -242,6 +252,7 @@ VALUE_ENTRIES = {
     "kernels.norm_mod(row)": lambda col: kernels.norm_mod(col, Q),
     "kernels.norm_mod_rows": lambda col: int(kernels.norm_mod_rows(
         col[None] if isinstance(col, np.ndarray) else [col], [Q])[0]),
+    "kernels.norm_mod_rows(nested lists)": nested_rows,
 }
 
 #: (column, its values as ints, or None where every entry refuses it)
@@ -250,8 +261,12 @@ VALUE_COLUMNS = [
     ([True, 2**70], [1, 2**70]),
     ([np.int64(9), np.uint64(2**64 - 1)], [9, 2**64 - 1]),
     ([_Index(4), 1], [4, 1]),
+    ([True, np.int64(-3)], [1, -3]),
+    ([-2**64, 2**63], [-2**64, 2**63]),
     ([np.True_, 1], None),
+    ([1, np.True_], None),
     ([2.0, 1], None),
+    ([1, np.float64(2.0)], None),
     (["9", 1], None),
     ([Fraction(9), 1], None),
     ([None, 1], None),
@@ -268,7 +283,10 @@ VALUE_COLUMNS = [
 @pytest.mark.parametrize("col, ints", VALUE_COLUMNS, ids=[repr(c) for c, _ in VALUE_COLUMNS])
 def test_every_entry_reads_an_integer_value_alike(col, ints):
     # one definition of an integer value, arith.integer's: anything with
-    # __index__, so a numpy bool, which has none, is refused everywhere
+    # __index__, so a numpy bool, which has none, is refused everywhere;
+    # and rows of two lengths are refused as such, whatever they hold
+    with pytest.raises(ValueError, match="need an L x n array"):
+        kernels.norm_mod_rows([list(col), list(col)[:1]], [Q, Q])
     for name, entry in VALUE_ENTRIES.items():
         if ints is None:
             with pytest.raises(ValueError, match="must be an integer, not"):

@@ -16,7 +16,7 @@ CONSTANTS = {
     "POWER_BITS": arith, "CRT_PRIME_COUNT": kernels, "NORM_FORM_MAX_N": formulas,
     "OMEGA_CACHE_SIZE": places, "SCAN_TABLE_BUDGET": kernels,
     "TEXT_BYTES": circuits, "RHO_STEP_BUDGET": arith,
-    "_MR_DETERMINISTIC_BOUND": arith, "TWIST_PLANS": kernels,
+    "_MR_DETERMINISTIC_BOUND": arith, "TWIST_PLANS": kernels, "SLOT_WEIGHTS": kernels,
 }
 
 # 14, 16,384, 2^22 or 3.3·10^24

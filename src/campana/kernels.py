@@ -16,12 +16,11 @@ q in _odd_part_norms, over Z in norm_int):
 - m = 1: the norm is w_0.
 - m = 3: the norm form of Q(2^(1/3)), w0^3 + 2 w1^3 + 4 w2^3 - 6 w0 w1 w2
   (_cubic), in Python ints.
-- m >= 5, mod q: a batch of one row is read in the group algebra
-  F_q[z]/(z^m - 1), twisted by the m-th root of 2 mod q (_twisted_norm),
-  whose ring products are exact int64 convolutions (_times), when q is a
-  prime above m with gcd(m, q - 1) = 1 and m is within their int64 bound
-  (m <= 65,535 at q = 2^31 - 1); every other batch goes through the
-  batched Euclid (_resultant_rows).
+- m >= 5, mod q: each row by itself, in the group algebra F_q[z]/(z^m - 1)
+  twisted by the m-th root of 2 mod q (_twisted_norm), whose ring products
+  are exact int64 convolutions (_times), when its q is a prime above m with
+  gcd(m, q - 1) = 1 and m is within their int64 bound (m <= 65,535 at
+  q = 2^31 - 1); otherwise by one Euclidean remainder sequence (_resultant).
 - m >= 5, exact: norm_int takes CRT of norm_mod_rows over crt_primes, up
   to a Hadamard-style bound on the odd part.
 
@@ -237,20 +236,16 @@ def _cubic(w0: int, w1: int, w2: int) -> int:
 def _odd_part_norms(g, qs: list) -> list:
     """Res(y^m - 2, g_i) mod qs[i] for the rows g_i of odd length m, as a
     list of ints; the one place that decides how an odd part is read: at
-    m = 1 the value, at m = 3 _cubic in Python ints, and at m >= 5
-    _twisted_norm for a batch of one row whose _twist_plan applies, the
-    batched Euclid (_resultant_rows) otherwise."""
+    m = 1 the value, at m = 3 _cubic in Python ints, and at m >= 5 each row
+    by itself, _twisted_norm where its own _twist_plan(m, q) applies and
+    the one-row Euclid (_resultant) otherwise."""
     m = g.shape[1]
     if m == 1:
         return g[:, 0].tolist()
     if m == 3:
         return [_cubic(*w) % q for w, q in zip(g.tolist(), qs)]
-    if len(qs) == 1 and (plan := _twist_plan(m, qs[0])) is not None:
-        return [_twisted_norm(g[0], qs[0], plan)]
-    f = np.zeros((len(qs), m + 1), dtype=np.int64)
-    f[:, m] = 1
-    f[:, 0] = -2 % np.array(qs, dtype=np.int64)
-    return _resultant_rows(f, g, qs, [1] * len(qs))
+    return [_resultant(w, q) if (plan := _twist_plan(m, q)) is None
+            else _twisted_norm(w, q, plan) for w, q in zip(g, qs)]
 
 
 def _modulus(q) -> int:
@@ -323,7 +318,13 @@ def _halve_rows(g, qs: list, q: np.ndarray):
         m = n // 2
         s = _slot_bytes(4 * m + 1, top)
         if weights is None:  # the first step has the widest slots
-            weights = np.array([_slot_weights(p) for p in qs])[:, :, None]
+            # one row of weights per distinct modulus: one broadcasts over
+            # every row, and moduli that are all distinct are in order
+            distinct = dict.fromkeys(qs)
+            weights = np.array([_slot_weights(p) for p in distinct])[:, :, None]
+            if 1 < len(distinct) < len(qs):
+                position = {p: k for k, p in enumerate(distinct)}
+                weights = weights[list(map(position.get, qs))]
         # per row, h0's m slots and then h1's: each residue's four low bytes
         slots = np.zeros((rows, 2, m, s), dtype=np.uint8)
         slots[..., :4] = g.astype("<i8", copy=False).reshape(rows, m, 2, 1).transpose(
@@ -394,7 +395,7 @@ def _chain(c: int, r: int, e: int) -> tuple:
 
 
 #: (m, q) pairs whose twist plan (or None) is kept; certify reads at most
-#: six, m = 97 and 145 at the three CRT primes.
+#: nine, m = 5, 97 and 145 at the three CRT primes.
 TWIST_PLANS = 32
 
 
@@ -501,83 +502,51 @@ def _twisted_norm(g, q: int, plan: tuple) -> int:
     return int(x[0])
 
 
-def _resultant_rows(f, g, qs: list, res: list) -> list:
-    """res[i] * lc(f_i)^(df - dg_i) * Res(f_i, g_i) mod qs[i], row by row.
+def _resultant(g, q: int) -> int:
+    """Res(x^n - 2, g) mod q for one row g of n int64 residues mod q, by
+    one Euclidean remainder sequence.
 
-    Every row of f has the exact degree df = f.shape[1] - 1 and the rows of
-    g have degree dg_i < df; f and g are overwritten.  Each step divides f
-    by g and uses Res(f, g) = (-1)^(df dg) lc(g)^(df - dr) Res(g, r): of
-    the power of lc(g) it takes df - dg now, together with the pending power
-    of lc(f), and leaves dg - dr pending for the next step, where g is the
-    new f.  The quotient comes from the top coefficients, one row at a time;
-    each of its terms is then one int64 update of all rows, reduced mod q
-    after every second term, since two products sum to at most
-    2 (q - 1)^2 < 2^63.  A row whose g has a lower degree than the highest
-    one in the batch is finished by a call on that row alone.
+    Each step divides f (x^n - 2 at first) by g and uses Res(f, g) =
+    (-1)^(df dg) lc(g)^(df - dr) Res(g, r): of the power of lc(g) it takes
+    df - dg now, together with the pending power of lc(f), and leaves
+    dg - dr pending for the next step, where g is the new f.  The quotient
+    comes from the top coefficients in Python ints; each of its terms c is
+    then one int64 update f - c g of f, reduced mod q at once: c g is at
+    most (q - 1)^2 < 2^62, so no value leaves int64.
 
     A division by a leading coefficient that is not a unit mod q is a
     ValueError naming q.
     """
-    out = [0] * len(qs)
-    live = list(range(len(qs)))
-    q = np.array(qs, dtype=np.int64)[:, None]
-    buf = np.empty_like(g)
+    n = len(g)
+    f = np.zeros(n + 1, dtype=np.int64)
+    f[0], f[n] = -2 % q, 1
+    g = np.array(g, dtype=np.int64)
+    res = 1
     while True:
-        df = f.shape[1] - 1
-        dg = g.shape[1] - 1
-        lcs = g[:, dg].tolist()
-        if 0 in lcs:
-            nonzero = g != 0
-            deg = np.where(nonzero.any(axis=1),
-                           dg - np.argmax(nonzero[:, ::-1], axis=1), -1).tolist()
-            dg = max(deg)
-            for k, d in enumerate(deg):
-                if 0 <= d < dg:
-                    out[live[k]], = _resultant_rows(
-                        f[[k]], g[[k], :d + 1], [qs[k]], [res[k]])
-            if dg < 0:
-                return out
-            keep = [k for k, d in enumerate(deg) if d == dg]
-            f, g, q, buf = f[keep], g[keep, :dg + 1], q[keep], buf[keep]
-            qs, res, live = ([seq[k] for k in keep] for seq in (qs, res, live))
-            lcs = g[:, dg].tolist()
-        e = df - dg
-        tops = f[:, dg:].tolist()
+        nonzero = np.flatnonzero(g)
+        if not len(nonzero):
+            return 0
+        df, dg = len(f) - 1, int(nonzero[-1])
+        g = g[:dg + 1]
+        e, a = df - dg, int(g[dg])
+        top = f[dg:].tolist()
         if dg == 0:
-            for r, c, m, top, a in zip(live, res, qs, tops, lcs):
-                out[r] = c * pow(top[e] * a, df, m) % m
-            return out
-        # quotient coefficients, highest first: term t cancels x^(df - t),
+            return res * pow(top[e] * a, df, q) % q
+        res = (-res if df & dg & 1 else res) * pow(top[e] * a, e, q) % q
+        try:
+            inv = pow(a, -1, q)
+        except ValueError:  # only a composite q has a zero divisor a
+            raise ValueError(f"the norm's remainder sequence mod q = {q} met "
+                             f"the leading coefficient {a}, which is not a "
+                             f"unit mod q; take q prime") from None
+        # quotient coefficients, highest first: term t cancels x^(dg + t),
         # where the earlier terms met g's coefficients just below its lead
-        heads = g[:, max(dg - e, 0):dg].tolist()
-        sign = -1 if df & dg & 1 else 1
-        quotients = []
-        for k, (m, top, head, a) in enumerate(zip(qs, tops, heads, lcs)):
-            res[k] = sign * res[k] * pow(top[e] * a, e, m) % m
-            try:
-                inv = pow(a, -1, m)
-            except ValueError:  # only a composite q has a zero divisor a
-                raise ValueError(f"the norm's remainder sequence mod q = {m} met "
-                                 f"the leading coefficient {a}, which is not a "
-                                 f"unit mod q; take q prime") from None
-            quo = []
-            for t in range(e, -1, -1):
-                c = top[t] - sum(map(operator.mul, reversed(quo), reversed(head)))
-                quo.append(c * inv % m)
-            quotients.append(quo)
-        quo = np.array(quotients, dtype=np.int64)
-        prod = buf[:, :dg + 1]
-        hi = df
-        for t in range(e + 1):
-            i = df - t
-            span = f[:, i - dg:i + 1]
-            np.multiply(g, quo[:, t:t + 1], out=prod)
-            np.subtract(span, prod, out=span)
-            if t % 2 or i == dg:
-                span = f[:, i - dg:hi + 1]
-                np.remainder(span, q, out=span)
-                hi = i - 1
-        f, g = g, f[:, :dg]
+        head, low, quo = g[max(dg - e, 0):dg].tolist(), g[:dg], []
+        for t in range(e, -1, -1):
+            c = (top[t] - sum(map(operator.mul, reversed(quo), reversed(head)))) * inv % q
+            quo.append(c)
+            f[t:t + dg] = (f[t:t + dg] - c * low) % q
+        f, g = g, f[:dg]
 
 _CRT_PRIME_CEILING = (1 << 31) - 1
 #: How many primes crt_primes can give: the odd primes below 2^31, that is

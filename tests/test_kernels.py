@@ -390,15 +390,13 @@ HALVING_MODULI = [2, 3, 7] + kernels.crt_primes(3)
 HALVING_LENGTHS = [2, 4, 8, 16, 32, 64, 48, 96]
 
 
+def euclid(row, q):
+    """The Euclid of _resultant on x^n - 2 itself, with no halving."""
+    return kernels._resultant([c % q for c in row], q)
+
+
 def unhalved_norm_mod_rows(rows, qs):
-    """The Euclid of _resultant_rows on x^n - 2 itself, with no halving."""
-    n = len(rows[0])
-    q = np.array(qs, dtype=np.int64)
-    g = np.array([[c % m for c in row] for row, m in zip(rows, qs)], dtype=np.int64)
-    f = np.zeros((len(qs), n + 1), dtype=np.int64)
-    f[:, n] = 1
-    f[:, 0] = -2 % q
-    return kernels._resultant_rows(f, g, list(qs), [1] * len(qs))
+    return [euclid(row, q) for row, q in zip(rows, qs)]
 
 
 @st.composite
@@ -646,6 +644,20 @@ def test_one_row_is_the_rows_kernel_for_every_odd_part(case):
            answer_or_refusal(lambda: kernels.norm_mod_rows([row], [q])[0]),
            answer_or_refusal(lambda: kernels.norm_mod_rows([row, row], [q, q])[0])]
     assert got[0] == got[1] == got[2]
+    # a batch that mixes a prime the twist takes, a prime it leaves to the
+    # Euclid (11: gcd(m, 10) = 5 at m = 5 and 15, q <= m at m = 97) and a
+    # composite q reads each row as it is read alone, or refuses as the
+    # first refused row does
+    m = len(row) // (len(row) & -len(row))
+    moduli = [next(p for p in TWIST_MODULI if twist_applies(m, p)), 11,
+              2**31 - 3 if arith.is_prime(q) else q]
+    alone = [answer_or_refusal(lambda p=p: kernels.norm_mod(row, p)) for p in moduli]
+    refusals = [a for a in alone if isinstance(a, str)]
+    try:
+        batch = kernels.norm_mod_rows([row] * 3, moduli).tolist()
+    except ValueError as e:
+        batch = str(e)
+    assert batch == (refusals[0] if refusals else alone)
     if isinstance(got[0], str):
         assert f"mod q = {q} met the leading coefficient" in got[0]
         assert not arith.is_prime(q)
@@ -683,9 +695,29 @@ def test_every_norm_entry_reads_its_odd_part_in_one_place(monkeypatch):
         assert calls, name
 
 
-# One-row norm_mod reads an odd part of m >= 5 values in the group algebra
-# F_q[z]/(z^m - 1), twisted by the m-th root of 2 mod q, when q is a prime
-# above m with gcd(m, q - 1) = 1; any other odd part goes to the Euclid.
+def test_each_row_of_a_batch_takes_its_own_odd_part_path(monkeypatch):
+    # five rows at n = 194 and one CRT prime are each twisted, as they are
+    # alone; m = 5 at q = 11, where gcd(5, 10) = 5, goes to the Euclid
+    calls = {"_twisted_norm": 0, "_resultant": 0}
+    for name in calls:
+        def counted(*args, name=name, kernel=getattr(kernels, name)):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    q = kernels.crt_primes(1)[0]
+    rng = random.Random(52)
+    rows = [[rng.randrange(q) for _ in range(194)] for _ in range(5)]
+    got = kernels.norm_mod_rows(rows, [q] * 5).tolist()
+    assert calls == {"_twisted_norm": 5, "_resultant": 0}
+    assert got == [kernels.norm_mod(row, q) for row in rows]
+    calls.update(_twisted_norm=0, _resultant=0)
+    assert kernels.norm_mod([1, -2, 3, 0, 5], 11) == sympy_norm([1, -2, 3, 0, 5]) % 11
+    assert calls == {"_twisted_norm": 0, "_resultant": 1}
+
+
+# Each row reads an odd part of m >= 5 values in the group algebra
+# F_q[z]/(z^m - 1), twisted by the m-th root of 2 mod q, when its q is a
+# prime above m with gcd(m, q - 1) = 1; any other row goes to the Euclid.
 
 TWIST_ODD_PARTS = [5, 15, 25, 97, 145, 251]
 # beside the CRT primes, where m = 15 meets gcd(15, q - 1) = 3: small primes
@@ -732,8 +764,7 @@ def test_twisted_norm_matches_sympy_and_the_euclid(case):
     for row, kind in rows:
         got = kernels.norm_mod(row, q)
         assert type(got) is int
-        # a batch of two rows is never twisted: the Euclid
-        assert got == int(kernels.norm_mod_rows([row, row], [q, q])[0])
+        assert got == euclid(row, q)
         if kind == "widest":  # the norm of (q - 1)(1 + x + ... + x^(n-1))
             assert got == (-1) ** (len(row) + 1) * (q - 1) ** len(row) % q
         elif len(row) <= (150 if kind == "small" else 100):  # sympy's time
@@ -741,15 +772,14 @@ def test_twisted_norm_matches_sympy_and_the_euclid(case):
 
 
 def test_twisted_norm_at_every_modulus():
-    # each (m, q) pair once, twisted or not, against the Euclid (a batch of
-    # two rows), whatever the examples above drew
+    # each (m, q) pair once, twisted or not, against the Euclid on the row
+    # itself, whatever the examples above drew
     rng = random.Random(46)
     for m in TWIST_ODD_PARTS:
         for q in TWIST_MODULI:
             for n in (m, 2 * m):
                 row = [rng.randrange(q) for _ in range(n)]
-                assert kernels.norm_mod(row, q) == \
-                    int(kernels.norm_mod_rows([row, row], [q, q])[0]), (n, q)
+                assert kernels.norm_mod(row, q) == euclid(row, q), (n, q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -932,5 +962,4 @@ def test_norm_kernels_same_under_python_O():
     assert out[0] == out[1]
     assert out[0].split()[0] == str(sympy_norm(list(range(-24, 24))))
     # the twisted odd part 145, against the Euclid
-    assert out[0].split()[-1] == \
-        str(kernels.norm_mod_rows([list(range(290))], [2**31 - 1])[0])
+    assert out[0].split()[-1] == str(euclid(list(range(290)), 2**31 - 1))

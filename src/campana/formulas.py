@@ -81,20 +81,24 @@ _QUANTIFIERS = {FORALL, EXISTS}
 
 class Formula:
     """Prenex formula: quantifier prefix over a quantifier-free matrix of
-    polynomial (in)equations.  Immutable.  Every argument is checked, as
-    parse checks a document: the prefix is a list or tuple of (quantifier,
-    name) pairs, free a list or tuple of names, each name a str, and the
-    matrix nodes of the forms above with each variable of an atom free or
-    bound; anything else is a ValueError.  Every slot is read-only once
-    made, so the layout and the documents emit keeps on a formula always
-    describe it.  _family is None but on the formulas build_Jn, build_inv_Jn
-    and build_campana return (see _n_family); a copy, a pickle or a parse by
-    the reader has none, and == ignores it.  The family's template
+    polynomial (in)equations.  Immutable.  Formula(...) checks every
+    argument, as parse checks a document: the prefix is a list or tuple of
+    (quantifier, name) pairs, free a list or tuple of names, each name a
+    str, and the matrix nodes of the forms above with each variable of an
+    atom free or bound; anything else is a ValueError.  Every formula that
+    parse's reader, prenex_or, substitute_form, a copy or an unpickling
+    makes passes this gate.  A builder's formula comes from _built, which
+    checks nothing; the tests and `verify formulas` hold each build to the
+    gate.  Every slot is read-only once made, so the atoms, the layout and
+    the documents emit keeps on a formula always describe it.  _family is
+    None but on the formulas build_Jn, build_inv_Jn and build_campana
+    return (see _n_family); a copy, a pickle or a parse by the reader has
+    none, and == ignores it.  The family's template
     (_n_template) serves both directions: emit writes a tagged member into
     it, and parse reads one back through it, built and so tagged."""
 
-    __slots__ = ("prefix", "matrix", "free", "real_embedded", "_layout", "_emitted",
-                 "_family")
+    __slots__ = ("prefix", "matrix", "free", "real_embedded", "_atoms", "_layout",
+                 "_emitted", "_family")
 
     def __init__(
         self,
@@ -111,35 +115,55 @@ class Formula:
                              "each quantifier 'forall' or 'exists'")
         if not (type(free) in _SEQUENCES and all(type(n) is str for n in free)):
             raise ValueError(f"free must be a list of names, not {free!r}")
-        init = partial(object.__setattr__, self)
-        init("prefix", tuple(map(tuple, prefix)))
-        init("matrix", matrix)
-        init("free", tuple(free))
-        init("real_embedded", _real(real_embedded))
-        bound, free = {n for _, n in self.prefix}, set(self.free)
-        if len(bound) != len(self.prefix):
+        prefix, free = tuple(map(tuple, prefix)), tuple(free)
+        real_embedded = _real(real_embedded)
+        bound, names = {n for _, n in prefix}, set(free)
+        if len(bound) != len(prefix):
             raise ValueError("a variable is bound twice")
-        if len(free) != len(self.free):
+        if len(names) != len(free):
             raise ValueError("a free variable is listed twice")
-        if bound & free:
+        if bound & names:
             raise ValueError("a variable is both free and bound")
-        init("_layout", None)  # made by the first emit
-        init("_emitted", {})  # format -> the bytes emit made, filled by emit
-        init("_family", None)  # (target, real_embedded, n - 1) of an n-family member
-        names = free | bound
-        for circ in self.atoms():
+        atoms = _fold_matrix(matrix, lambda kind, c: [c],
+                             lambda kind, kids: list(chain.from_iterable(kids)))
+        names |= bound
+        for circ in atoms:
             stray = circ._free_names() - names
             if stray:
                 raise ValueError(f"unbound matrix variables: {sorted(stray)}")
+        self._fill(prefix, matrix, free, real_embedded, atoms)
+
+    @classmethod
+    def _built(cls, prefix: Tuple[Tuple[str, str], ...], matrix: MatrixNode,
+               free: Tuple[str, ...], real_embedded: bool,
+               atoms: Sequence[Circuit]) -> "Formula":
+        """The formula of slots a builder has made as Formula(...) would
+        store them, atoms the matrix's atoms in order: nothing is checked
+        or walked again."""
+        f = object.__new__(cls)
+        f._fill(prefix, matrix, free, real_embedded, atoms)
+        return f
+
+    def _fill(self, prefix, matrix, free, real_embedded, atoms) -> None:
+        """Set every slot of a new formula, the atoms as a tuple."""
+        init = partial(object.__setattr__, self)
+        init("prefix", prefix)
+        init("matrix", matrix)
+        init("free", free)
+        init("real_embedded", real_embedded)
+        init("_atoms", tuple(atoms))
+        init("_layout", None)  # made by the first emit
+        init("_emitted", {})  # format -> the bytes emit made, filled by emit
+        init("_family", None)  # (target, real_embedded, n - 1) of an n-family member
 
     def atoms(self) -> List[Circuit]:
-        return _fold_matrix(self.matrix, lambda kind, c: [c],
-                            lambda kind, kids: list(chain.from_iterable(kids)))
+        """The matrix's atoms in order, as a new list."""
+        return list(self._atoms)
 
     def layout(self) -> Layout:
         """The distinct nodes of all the atoms in canonical order, made once."""
         if self._layout is None:
-            object.__setattr__(self, "_layout", layout(self.atoms()))
+            object.__setattr__(self, "_layout", layout(self._atoms))
         return self._layout
 
     def __setattr__(self, name, value):
@@ -195,13 +219,12 @@ class FormulaStats:
 
 def stats(f: Formula) -> FormulaStats:
     """Quantifier counts, atom count, and the syntactic degree bound: the
-    largest degree of an atom."""
+    largest degree of an atom.  Read off the prefix and the atoms the
+    formula keeps; the matrix is not walked."""
     f = _formula(f)
-    universals = sum(1 for q, _ in f.prefix if q == FORALL)
-    existentials = sum(1 for q, _ in f.prefix if q == EXISTS)
-    atom_list = f.atoms()
-    return FormulaStats(universals, existentials, len(atom_list),
-                        max(c.degree() for c in atom_list), f.real_embedded)
+    quantifiers = [q for q, _ in f.prefix]
+    return FormulaStats(quantifiers.count(FORALL), quantifiers.count(EXISTS), len(f._atoms),
+                        max(c.degree() for c in f._atoms), f.real_embedded)
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +345,16 @@ _ABCDR = ("a", "b", "c", "d", "r")
 _EIGHT = ("a", "b", "c", "d", "a2", "b2", "c2", "d2")
 
 
-def _exists_formula(block, names: Sequence[str], start: int = 1) -> Formula:
+def _exists_formula(block, names: Tuple[str, ...], start: int = 1) -> Formula:
     """exists (the block's witnesses, in the order it took them): the
     conjunction of its atoms, free in names.  block(one circuit per name,
-    Gensym) -> atoms."""
+    Gensym) -> atoms.  Made by Formula._built: the witnesses are the
+    Gensym's own distinct names, and no check is run again."""
     gs = Gensym(start)
     atoms = block(*(Circuit.var(n) for n in names), gs)
     matrix = ("and", tuple(("eq", c) for c in atoms)) if len(atoms) > 1 \
         else ("eq", atoms[0])
-    return Formula([(EXISTS, n) for n in gs.names], matrix, tuple(names))
+    return Formula._built(tuple((EXISTS, n) for n in gs.names), matrix, names, False, atoms)
 
 
 @memo("formulas._shared")
@@ -520,16 +544,17 @@ def prenex_or(universal_part: Formula, existential_part: Formula,
     bound = set(universals)
     free = [n for n in dict.fromkeys(universal_part.free + existential_part.free)
             if n not in bound]
-    return _prenex(universals, universal_part.matrix[1], y, existentials,
-                   existential_part.matrix[1], free, real_embedded)
+    prefix, atom = _prenex(universals, universal_part.matrix[1], y, existentials,
+                           existential_part.matrix[1])
+    return Formula(prefix, ("eq", atom), free, real_embedded=real_embedded)
 
 
-def _prenex(universals, P, y, existentials, Q, free, real_embedded) -> Formula:
-    """forall universals exists y exists existentials: (y P - 1) Q = 0."""
-    prefix = ([(FORALL, n) for n in universals] + [(EXISTS, y)]
-              + [(EXISTS, n) for n in existentials])
-    return Formula(prefix, ("eq", (Circuit.var(y) * P - 1) * Q), free,
-                   real_embedded=real_embedded)
+def _prenex(universals, P, y, existentials, Q) -> Tuple[Tuple[Tuple[str, str], ...], Circuit]:
+    """The prefix and the atom of forall universals exists y exists
+    existentials: (y P - 1) Q = 0."""
+    prefix = (*((FORALL, n) for n in universals), (EXISTS, y),
+              *((EXISTS, n) for n in existentials))
+    return prefix, (Circuit.var(y) * P - 1) * Q
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +585,9 @@ def _trivial_radical(a2, b2, c2, d2, r, gs):
 
 def _premise_implies(conclusion, real_embedded: bool) -> Formula:
     """forall (a2,b2,c2,d2) and premise witnesses: premise -> conclusion,
-    where conclusion(a2, b2, c2, d2, r, gs) is an existential block."""
+    where conclusion(a2, b2, c2, d2, r, gs) is an existential block.  Made
+    by Formula._built, as _exists_formula makes its formulas; the caller
+    has checked real_embedded."""
     a, b, c, d, r = (Circuit.var(nm) for nm in _ABCDR)
     gs = Gensym()
     a2, b2, c2, d2 = gs.take(4)  # the universally quantified second tuple
@@ -570,8 +597,9 @@ def _premise_implies(conclusion, real_embedded: bool) -> Formula:
     gs.take(1)  # prenex_or's y: the first name after every block witness
     *names, y = gs.names
     combine = combine_sos if real_embedded else combine_many
-    return _prenex(names[:split], combine(prem_atoms), y, names[split:],
-                   combine(concl_atoms), _ABCDR, real_embedded)
+    prefix, atom = _prenex(names[:split], combine(prem_atoms), y, names[split:],
+                           combine(concl_atoms))
+    return Formula._built(prefix, ("eq", atom), _ABCDR, real_embedded, (atom,))
 
 
 class Target(NamedTuple):

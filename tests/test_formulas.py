@@ -266,16 +266,35 @@ _BUILDS = [(name, real) for name, t in sorted(fm.TARGETS.items())
 @pytest.mark.parametrize("name, real", _BUILDS)
 def test_a_cold_build_makes_one_formula(monkeypatch, name, real):
     # build_campana and build_integrality made three: a universal and an
-    # existential part, and their prenex_or merge, which checked both again
+    # existential part, and their prenex_or merge, which checked both again.
+    # Both constructors count: the checked Formula(...) and _built.
     import campana
 
     campana.clear_memos()
     made = []
-    init = fm.Formula.__init__
+    init, built = fm.Formula.__init__, fm.Formula._built
     monkeypatch.setattr(fm.Formula, "__init__",
                         lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+    monkeypatch.setattr(fm.Formula, "_built",
+                        lambda *a: made.append(1) or built(*a))
     assert fm.TARGETS[name].build(3, real).real_embedded == real
     assert len(made) == 1
+
+
+#: The 23 builds `verify formulas` checks: every target, at n = 2, 7 and 100
+#: if it takes n, and with both combiners if it has them.
+_GATE_BUILDS = [(name, n, real) for name, t in fm.TARGETS.items()
+                for n in ((2, 7, 100) if t.takes_n else (None,))
+                for real in ((False, True) if t.has_real else (False,))]
+
+
+@pytest.mark.parametrize("name, n, real", _GATE_BUILDS)
+def test_a_builder_formula_passes_the_formula_gate(name, n, real):
+    # the builders make their formulas by Formula._built, which checks
+    # nothing; the checked constructor takes each back as the same formula
+    f = fm.TARGETS[name].build(n, real)
+    g = fm.Formula(f.prefix, f.matrix, f.free, f.real_embedded)
+    assert g == f and g.atoms() == f.atoms()
 
 
 def test_substitute_form_degree():
@@ -663,6 +682,23 @@ _BAD_FORMULAS = {
 }
 
 
+_ATOM_MAKERS = {
+    "Formula": lambda: fm.Formula([("exists", "x")],
+                                  ("and", (("eq", _X - 1), ("eq", _X + 1))), []),
+    "_built": lambda: fm._exists_formula(fm._t_block, fm._ABR),
+}
+
+
+@pytest.mark.parametrize("make", _ATOM_MAKERS.values(), ids=_ATOM_MAKERS)
+def test_changing_the_list_atoms_returns_changes_nothing(make):
+    # a formula keeps its atoms as a tuple and hands out a new list: a
+    # shared list would let the caller change its stats and its documents
+    f, twin = make(), make()
+    want = (f.atoms(), fm.stats(twin), fm.emit(twin, "json"))
+    f.atoms().append(Circuit.var("y") ** 9)
+    assert (f.atoms(), fm.stats(f), fm.emit(f, "json")) == want
+
+
 @pytest.mark.parametrize("case", sorted(_BAD_FORMULAS))
 def test_formula_refuses_a_bad_argument_with_a_value_error(case):
     with pytest.raises(ValueError):
@@ -670,7 +706,8 @@ def test_formula_refuses_a_bad_argument_with_a_value_error(case):
 
 
 # emit keeps each format's bytes on the Formula, so a Formula is read-only
-_SLOTS = ("prefix", "matrix", "free", "real_embedded", "_layout", "_emitted", "_family")
+_SLOTS = ("prefix", "matrix", "free", "real_embedded", "_atoms", "_layout", "_emitted",
+          "_family")
 
 
 @pytest.mark.parametrize("slot", _SLOTS)

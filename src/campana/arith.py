@@ -24,8 +24,7 @@ RationalLike = Union[int, Fraction]
 TRIAL_DIVISION_BOUND = 10**6
 
 # Deterministic Miller-Rabin witness set: correct for all n < 3.3 * 10^24,
-# which covers every 64-bit input.  Larger inputs get extra random rounds;
-# below 4,759,123,141 three of these bases decide (see _miller_rabin).
+# which covers every 64-bit input.  Larger inputs get extra random rounds.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
@@ -70,10 +69,8 @@ def primes_up_to(n: int) -> List[int]:
 
 def is_prime(n: int) -> bool:
     """One byte of the sieve below TRIAL_DIVISION_BOUND; above it,
-    Miller-Rabin: the bases 2, 7 and 61 below 4,759,123,141, the 12 bases
-    of _MR_WITNESSES below _MR_DETERMINISTIC_BOUND (about 3.3e24), both
-    proofs, and past that bound the 12 with 20 more seeded random bases, a
-    probable-prime test."""
+    Miller-Rabin, deterministic below _MR_DETERMINISTIC_BOUND (about 3.3e24)
+    and with 20 more seeded random bases, a probable-prime test, above."""
     if type(n) is not int:
         n = integer(n, "n")
     if n < TRIAL_DIVISION_BOUND:
@@ -84,12 +81,7 @@ def is_prime(n: int) -> bool:
 
 
 def _miller_rabin(n: int) -> bool:
-    """Miller-Rabin; deterministic below _MR_DETERMINISTIC_BOUND.  After
-    trial division by the 12 bases, an n from 62 to 4,759,123,140 takes
-    the bases 2, 7 and 61, which decide every n below 4,759,123,141 =
-    48,781 * 97,561, a strong pseudoprime to all three (Jaeschke, Math.
-    Comp. 61, 1993): a quarter of the modular powers of the 12.  (Below 62,
-    61 could be n itself.)"""
+    """Miller-Rabin; deterministic below _MR_DETERMINISTIC_BOUND."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -111,7 +103,7 @@ def _miller_rabin(n: int) -> bool:
                 return False
         return True
 
-    for a in (2, 7, 61) if 61 < n < 4_759_123_141 else _MR_WITNESSES:
+    for a in _MR_WITNESSES:
         if witness(a):
             return False
     if n >= _MR_DETERMINISTIC_BOUND:

@@ -88,14 +88,15 @@ class Formula:
     atom free or bound; anything else is a ValueError.  Every formula that
     parse's reader, prenex_or, substitute_form, a copy or an unpickling
     makes passes this gate.  A builder's formula comes from _built, which
-    checks nothing; the tests and `verify formulas` hold each build to the
-    gate.  Every slot is read-only once made, so the atoms, the layout and
-    the documents emit keeps on a formula always describe it.  _family is
-    None but on the formulas build_Jn, build_inv_Jn and build_campana
-    return (see _n_family); a copy, a pickle or a parse by the reader has
-    none, and == ignores it.  The family's template
-    (_n_template) serves both directions: emit writes a tagged member into
-    it, and parse reads one back through it, built and so tagged."""
+    checks nothing; a test holds each build to the gate, and `verify
+    formulas` reads each back through it.  Every slot is read-only once
+    made, so the atoms, the layout and the documents emit keeps on a
+    formula always describe it.  _family is None but on the formulas
+    build_Jn, build_inv_Jn and build_campana return (see _n_family); a
+    copy, a pickle or a parse by the reader has none, and == ignores it.
+    The family's template (_n_template) serves both directions: emit
+    writes a tagged member into it, and parse reads one back through it,
+    built and so tagged."""
 
     __slots__ = ("prefix", "matrix", "free", "real_embedded", "_atoms", "_layout",
                  "_emitted", "_family")

@@ -86,38 +86,6 @@ def test_is_prime_lookup_agrees_with_miller_rabin_across_the_bound():
         assert arith.is_prime(n) == arith._miller_rabin(n) == want, n
 
 
-def _strong_probable_prime(n, a):
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    x = pow(a, d, n)
-    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
-
-
-#: The bound below which is_prime takes the Miller-Rabin bases 2, 7 and 61.
-_THREE_BASES = 4_759_123_141
-
-
-@settings(max_examples=300)
-@given(st.one_of(
-    st.integers(min_value=10**6, max_value=_THREE_BASES - 1),
-    st.integers(min_value=10**6 + 4, max_value=_THREE_BASES - 1).map(sympy.prevprime),
-    st.tuples(*[st.integers(min_value=1000, max_value=68_000).map(sympy.nextprime)] * 2)
-    .map(lambda pq: pq[0] * pq[1])))
-def test_is_prime_below_the_three_base_bound_matches_sympy(n):
-    assert arith.is_prime(n) is sympy.isprime(n)
-
-
-def test_the_strong_pseudoprime_at_the_three_base_bound_is_refused():
-    # 48,781 * 97,561 passes the bases 2, 7 and 61, so it is the least n
-    # they do not decide; is_prime reads it with the 12 bases
-    n = _THREE_BASES
-    assert n == 48_781 * 97_561
-    assert all(_strong_probable_prime(n, a) for a in (2, 7, 61))
-    assert not any(_strong_probable_prime(n, a) for a in (3, 5))
-    assert not arith.is_prime(n) and not arith._miller_rabin(n)
-
-
 def _reference_sieve(n):
     flags = [True] * n
     flags[:2] = [False] * min(n, 2)

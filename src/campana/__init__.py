@@ -22,7 +22,6 @@ from .formulas import (
     stats,
     substitute_form,
 )
-from .kernels import BACKEND
 from .memo import clear_memos, memos
 from .parametrize import ConstructionReport, SearchConfig, construct_omega, find_b
 from .places import (

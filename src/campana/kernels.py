@@ -26,9 +26,12 @@ q in _odd_part_norms, over Z in norm_int):
 
 A modulus is an int q with 2 <= q < 2^31.  It need not be prime: every
 answer is exact mod q, and a Euclid that meets a leading coefficient that
-is not a unit mod q is a ValueError naming q.  _read_mod reads every
-integer value mod q; _residues reads a list of lists of ints the same way
-without its object array.  No answer goes through a float.
+is not a unit mod q is a ValueError naming q.  An integer is what
+arith.integer reads, anything with __index__.  In reading a modulus and
+its values, only _modulus, the shape check of _residues and _read_mod
+refuse; a shortcut only answers, as _residues does for a list of lists of
+ints, read by array("q") without an object array, and norm_mod for a list
+of one int.  No answer goes through a float.
 """
 from __future__ import annotations
 
@@ -135,20 +138,13 @@ def conic_has_solution(a: int, b: int, p: int, m: int) -> bool:
 
 
 def norm_mod(coeffs: list, q: int) -> int:
-    """Res(x^n - 2, h) mod q for h = sum(coeffs[j] x^j), len(coeffs) = n:
-    the one row of norm_mod_rows, as an int, where one value needs no
-    array.  coeffs without a length, such as None or 7, is a ValueError."""
-    try:
-        n = len(coeffs)
-    except TypeError:
-        raise ValueError(f"coeffs must be a sequence, not {coeffs!r}") from None
-    if n == 1:  # Res(x - 2, c) = c; an int, and an int q in range, as they are
-        c = coeffs[0]
-        if type(c) is not int:
-            c = integer(c, "a coefficient")
-        if type(q) is not int or not 2 <= q < 1 << 31:
-            q = _modulus(q)
-        return c % q
+    """Res(x^n - 2, h) mod q for h = sum(coeffs[j] x^j), len(coeffs) = n,
+    as int(norm_mod_rows([coeffs], [q])[0]) gives it, with the same
+    refusals.  A list of one int at an int q in range is read as it is:
+    Res(x - 2, c) = c."""
+    if (type(coeffs) is list and len(coeffs) == 1 and type(coeffs[0]) is int
+            and type(q) is int and 2 <= q < 1 << 31):
+        return coeffs[0] % q
     g, qs, column = _residues([coeffs], [q])
     return _odd_part_norms(_halve_rows(g, qs, column), qs)[0]
 

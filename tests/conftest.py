@@ -2,7 +2,7 @@ import pytest
 
 import campana
 
-#: The slowest tests: criterion 7 takes about 30 s of a 75 s Tier-1 on a
+#: The slowest tests: criterion 7 takes about 23 s of a 155 s Tier-1 on a
 #: 2-core machine.  Each still runs in a plain `pytest`, and
 #: `pytest -m "not slow"` leaves them out.
 SLOW = {"test_acceptance.py::test_criterion_7_combiner_soundness"}

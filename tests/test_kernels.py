@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -846,9 +847,9 @@ def test_twist_leaves_composite_q_to_the_euclid(m):
     assert refused and (answered or m > 5)
 
 
-# The one-value path of norm_mod reads an int and an int q in [2, 2^31) as
-# they are; everything else goes through arith.integer and _modulus, with
-# their answers and messages.
+# The one-value path of norm_mod reads a list of one int and an int q in
+# [2, 2^31) as they are; everything else goes through the rows kernel, with
+# its answers and messages.
 ONE_VALUE_COEFFICIENTS = [
     (7, 7 % 11),
     (True, 1),
@@ -886,12 +887,35 @@ def test_norm_mod_one_value_reads_q_as_the_gate_does(q, want):
     if isinstance(want, str):
         with pytest.raises(ValueError, match=f"^{want}$"):
             kernels.norm_mod([9], q)
-        # a bad coefficient is named first, as before
-        with pytest.raises(ValueError, match="a coefficient must be an integer"):
+        # a bad q is named first, as the rows kernel names it
+        with pytest.raises(ValueError, match=f"^{want}$"):
             kernels.norm_mod(["9"], q)
     else:
         got = kernels.norm_mod([9], q)
         assert type(got) is int and got == want
+
+
+def _answer_or_refusal(f):
+    try:
+        got = f()
+    except ValueError as e:
+        return "ValueError", str(e)
+    return type(got), got
+
+
+def test_norm_mod_answers_and_refuses_as_its_row():
+    # every one-item container, at a good and a bad q, and the one-value
+    # tables: norm_mod gives its row's answer or its ValueError, and no
+    # other exception
+    one_item = [[5], (5,), range(1), deque([5]), np.array([5]), {5: 3}, {0: 1},
+                Counter([5]), {5}, frozenset([5]), {5: 3}.keys(), b"\x05", "5", None, 7]
+    cases = [(x, q) for x in one_item for q in (7, 7.0)]
+    cases += [([c], 11) for c, _ in ONE_VALUE_COEFFICIENTS]
+    cases += [(x, q) for q, _ in ONE_VALUE_MODULI for x in ([9], ["9"])]
+    for x, q in cases:
+        got = _answer_or_refusal(lambda: kernels.norm_mod(x, q))
+        row = _answer_or_refusal(lambda: int(kernels.norm_mod_rows([x], [q])[0]))
+        assert got == row, (x, q)
 
 
 @settings(max_examples=100, deadline=None)

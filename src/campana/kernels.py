@@ -16,18 +16,18 @@ q in _odd_part_norms, over Z in norm_int):
 - m = 1: the norm is w_0.
 - m = 3: the norm form of Q(2^(1/3)), w0^3 + 2 w1^3 + 4 w2^3 - 6 w0 w1 w2
   (_cubic), in Python ints.
-- m >= 5, mod q: each row by itself, in the group algebra F_q[z]/(z^m - 1)
+- m >= 5, mod q: each row by itself at a prime q; _twist_plan refuses a
+  composite q, naming q and m.  In the group algebra F_q[z]/(z^m - 1)
   twisted by the m-th root of 2 mod q (_twisted_norm), whose ring products
-  are exact int64 convolutions (_times), when its q is a prime above m with
-  gcd(m, q - 1) = 1 and m is within their int64 bound (m <= 65,535 at
-  q = 2^31 - 1); otherwise by one Euclidean remainder sequence (_resultant).
+  are exact int64 convolutions (_times), when q > m, gcd(m, q - 1) = 1 and
+  m is within their int64 bound (m <= 65,535 at q = 2^31 - 1); otherwise
+  by one Euclidean remainder sequence over F_q (_resultant).
 - m >= 5, exact: norm_int takes CRT of norm_mod_rows over crt_primes, up
   to a Hadamard-style bound on the odd part.
 
-A modulus is an int q with 2 <= q < 2^31.  It need not be prime: every
-answer is exact mod q, and a Euclid that meets a leading coefficient that
-is not a unit mod q is a ValueError naming q.  An integer is what
-arith.integer reads, anything with __index__.  In reading a modulus and
+A modulus is an int q with 2 <= q < 2^31.  Odd parts of 1 and 3 answer
+exactly at any q, as the halving and the cubic hold over Z.  An integer is
+what arith.integer reads, anything with __index__.  In reading a modulus and
 its values, only _modulus, the shape check of _residues and _read_mod
 refuse; a shortcut only answers, as _residues does for a list of lists of
 ints, read by array("q") without an object array, and norm_mod for a list
@@ -231,10 +231,11 @@ def _cubic(w0: int, w1: int, w2: int) -> int:
 
 def _odd_part_norms(g, qs: list) -> list:
     """Res(y^m - 2, g_i) mod qs[i] for the rows g_i of odd length m, as a
-    list of ints; the one place that decides how an odd part is read: at
-    m = 1 the value, at m = 3 _cubic in Python ints, and at m >= 5 each row
-    by itself, _twisted_norm where its own _twist_plan(m, q) applies and
-    the one-row Euclid (_resultant) otherwise."""
+    list of ints, for g of at least one column; the one place that decides
+    how an odd part is read: at m = 1 the value, at m = 3 _cubic in Python
+    ints, both at any q, and at m >= 5 each row by itself, where its own
+    _twist_plan(m, q) refuses a composite q, then _twisted_norm where the
+    plan applies and the one-row Euclid (_resultant) over F_q otherwise."""
     m = g.shape[1]
     if m == 1:
         return g[:, 0].tolist()
@@ -303,10 +304,9 @@ def _halve_rows(g, qs: list, q: np.ndarray):
     OverflowError otherwise), and R's slot j is R_j + C, the same mod q.
     A slot is read mod q as the dot product of its bytes with 256^j mod q
     (_slot_weights): at most s 255 (q - 1) < 2^63 in int64 before its one
-    reduction.  No float is involved.
+    reduction.  No float is involved.  g has at least one column: every
+    caller refuses an empty row first.
     """
-    if g.shape[1] == 0:
-        raise ValueError("a norm needs at least one coefficient")
     top = max(qs) - 1
     weights = None
     while g.shape[1] % 2 == 0:
@@ -360,13 +360,12 @@ def _factors(m: int) -> dict:
 def _generator(p: int, pi: int, e: int) -> int:
     """A c whose powers mod e run over the factor (Z/p^i)^* of (Z/e)^*, for
     p odd and pi = p^i exactly dividing e: c = 1 mod e / p^i, and c = g
-    mod p^i for a primitive root g mod p (g^((p - 1)/l) != 1 for every
-    prime l | p - 1), moved to g + p when g^(p - 1) = 1 mod p^2, which
-    makes it a primitive root mod every power of p."""
+    mod p^i for g the least primitive root mod p (g^((p - 1)/l) != 1 for
+    every prime l | p - 1).  The plan's int64 bound keeps m below
+    11,863,373, so p^2 | e only for p < 3,445, where g^(p - 1) != 1 mod p^2
+    and so g is a primitive root mod every power of p."""
     g = next(g for g in range(2, p)
              if all(pow(g, (p - 1) // l, p) != 1 for l in _factors(p - 1)))
-    if pi > p and pow(g, p - 1, p * p) == 1:
-        g += p
     rest = e // pi
     return g + pi * ((1 - g) * pow(pi, -1, rest) % rest)
 
@@ -397,18 +396,23 @@ TWIST_PLANS = 32
 
 @memo("kernels._twist_plan", maxsize=TWIST_PLANS)
 def _twist_plan(m: int, q: int):
-    """The plan of _twisted_norm for an odd part of length m >= 5 mod q, or
-    None where it does not apply: q not prime, q <= m, gcd(m, q - 1) > 1,
-    or m past the int64 bound of _times, (q - 1)(m (2^16 - 1) + 2^17) <
-    2^63, which at q = 2^31 - 1 admits m <= 65,535.
+    """The plan of _twisted_norm for an odd part of length m >= 5 mod q,
+    or None where it does not apply: q <= m, gcd(m, q - 1) > 1, or m past
+    the int64 bound of _times, (q - 1)(m (2^16 - 1) + 2^17) < 2^63, which
+    at q = 2^31 - 1 admits m <= 65,535.  The one place that decides which
+    moduli an odd part of m >= 5 is read at: q is proved prime first, and a
+    composite q is a ValueError naming q and m (lru_cache keeps no error),
+    so _twisted_norm and _resultant only ever see a prime q.
 
     The plan is (alpha^j mod q for j < m, the stages).  A stage, one per
     p^a || m by increasing p^a, is (r, its parts); a part, one per
     1 <= i <= a, is (e = p^i r, the _chain of a generator of the factor
     (Z/p^i)^* of (Z/e)^*, the contraction weights of length e).  Every ring
     product of the norm has length e <= m."""
-    if (q <= m or math.gcd(m, q - 1) != 1 or (q - 1) * (m * 0xFFFF + (1 << 17)) >= 1 << 63
-            or not is_prime(q)):
+    if not is_prime(q):
+        raise ValueError(f"an odd part of {m} values is read mod a prime q, "
+                         f"and q = {q} is not prime")
+    if q <= m or math.gcd(m, q - 1) != 1 or (q - 1) * (m * 0xFFFF + (1 << 17)) >= 1 << 63:
         return None
     alpha = pow(2, pow(m, -1, q - 1), q)
     stages, length = [], m
@@ -499,8 +503,9 @@ def _twisted_norm(g, q: int, plan: tuple) -> int:
 
 
 def _resultant(g, q: int) -> int:
-    """Res(x^n - 2, g) mod q for one row g of n int64 residues mod q, by
-    one Euclidean remainder sequence.
+    """Res(x^n - 2, g) mod q for one row g of n int64 residues mod a prime
+    q, by one Euclidean remainder sequence over F_q, where every leading
+    coefficient is a unit.
 
     Each step divides f (x^n - 2 at first) by g and uses Res(f, g) =
     (-1)^(df dg) lc(g)^(df - dr) Res(g, r): of the power of lc(g) it takes
@@ -509,9 +514,6 @@ def _resultant(g, q: int) -> int:
     comes from the top coefficients in Python ints; each of its terms c is
     then one int64 update f - c g of f, reduced mod q at once: c g is at
     most (q - 1)^2 < 2^62, so no value leaves int64.
-
-    A division by a leading coefficient that is not a unit mod q is a
-    ValueError naming q.
     """
     n = len(g)
     f = np.zeros(n + 1, dtype=np.int64)
@@ -529,12 +531,7 @@ def _resultant(g, q: int) -> int:
         if dg == 0:
             return res * pow(top[e] * a, df, q) % q
         res = (-res if df & dg & 1 else res) * pow(top[e] * a, e, q) % q
-        try:
-            inv = pow(a, -1, q)
-        except ValueError:  # only a composite q has a zero divisor a
-            raise ValueError(f"the norm's remainder sequence mod q = {q} met "
-                             f"the leading coefficient {a}, which is not a "
-                             f"unit mod q; take q prime") from None
+        inv = pow(a, -1, q)
         # quotient coefficients, highest first: term t cancels x^(dg + t),
         # where the earlier terms met g's coefficients just below its lead
         head, low, quo = g[max(dg - e, 0):dg].tolist(), g[:dg], []
@@ -608,10 +605,9 @@ def _halve_exact(w: List[int]) -> List[int]:
     For h = h0(x^2) + x h1(x^2), h(x) h(-x) = H(x^2) with H = h0^2 - y h1^2,
     and Res(x^n - 2, h) = Res(y^m - 2, H mod (y^m - 2)) for m = n/2 (see
     _halve_rows).  The squares are exact, so coefficient bit
-    lengths roughly double with every step.
+    lengths roughly double with every step.  w is nonempty: norm_int
+    refuses an empty vector first.
     """
-    if not w:
-        raise ValueError("a norm needs at least one coefficient")
     while len(w) % 2 == 0:
         m = len(w) // 2
         h = _square_exact(w[0::2]) + [0]

@@ -65,6 +65,10 @@ def test_build_S_prefix_and_witness():
         fm.evaluate_matrix(f, {**env, "r": 2.0})
 
 
+def test_formula_repr_is_its_stats():
+    assert repr(fm.build_S()) == "Formula(0 forall, 3 exists, 1 atoms, degree<=4)"
+
+
 def test_and_and_or_stop_at_the_first_child_that_decides_them():
     # y is unbound: evaluating the second atom would raise
     x, y = Circuit.var("x"), Circuit.var("y")

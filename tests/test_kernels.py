@@ -175,6 +175,19 @@ def test_norm_is_zero():
             assert not kernels.norm_is_zero(v)
 
 
+def test_norm_is_zero_falls_back_to_the_exact_value(monkeypatch):
+    # P, the product of the three certification primes, is zero mod each:
+    # the certificate finds no nonzero residue, and norm_int gives the
+    # nonzero norms P and P^3
+    P = math.prod(kernels.crt_primes(3))
+    calls = []
+    norm_int = kernels.norm_int
+    monkeypatch.setattr(kernels, "norm_int", lambda w: calls.append(w) or norm_int(w))
+    for w in ([P], [P, 0, 0]):
+        assert not kernels.norm_is_zero(w)
+    assert calls == [[P], [P, 0, 0]]
+
+
 def test_norm_large_degree():
     rng = random.Random(5)
     w = [rng.randint(-10**6, 10**6) for _ in range(290)]
@@ -587,16 +600,28 @@ def test_norm_mod_composite_q_answers_odd_parts_one_and_three(q):
         assert [kernels.norm_mod(h, q) for h in rows] == want
 
 
-def test_norm_mod_composite_q_euclid_refusal_names_q():
-    # Res(x^5 - 2, h) mod 15 by the Euclid meets the leading coefficient 3
-    rng = random.Random(0)
-    h = [rng.randint(-9, 9) for _ in range(5)]
-    with pytest.raises(ValueError, match=r"mod q = 15 met the leading coefficient 3, "
-                                         r"which is not a unit mod q"):
-        kernels.norm_mod(h, 15)
-    with pytest.raises(ValueError, match="mod q = 15"):
-        kernels.norm_mod_rows([h, h], [7, 15])
-    assert kernels.norm_mod(h, 7) == sympy_norm(h) % 7
+def composite_q_refusal(m, q):
+    return f"an odd part of {m} values is read mod a prime q, and q = {q} is not prime"
+
+
+@pytest.mark.parametrize("q", [4, 15, 49, 2**31 - 2, 2**31 - 3])
+def test_norm_mod_composite_q_refusal_names_q(q):
+    # an odd part of 5 or more is read at a prime q only: every row at a
+    # composite q, whatever its values, alone, halved or in a batch, gets
+    # one ValueError naming q and m
+    rng = random.Random(q)
+    for m in (5, 15, 25, 97):
+        want = f"^{composite_q_refusal(m, q)}$"
+        rows = [[0] * m, [1] + [0] * (m - 1), [q - 1] * m,
+                [rng.randint(-9, 9) for _ in range(m)],
+                [rng.randint(-2**40, 2**40) for _ in range(2 * m)]]
+        for h in rows:
+            for call in (lambda: kernels.norm_mod(h, q),
+                         lambda: kernels.norm_mod_rows([h], [q]),
+                         lambda: kernels.norm_mod_rows([h, h], [7, q])):
+                with pytest.raises(ValueError, match=want):
+                    call()
+        assert kernels.norm_mod(rows[3], 7) == sympy_norm(rows[3]) % 7
 
 
 # norm_mod is the one row of norm_mod_rows, for every odd part left after
@@ -641,17 +666,16 @@ def answer_or_refusal(call):
 @example(([2, 1] + [0] * 95, 7))                # m = 97, q <= m: the Euclid
 def test_one_row_is_the_rows_kernel_for_every_odd_part(case):
     row, q = case
+    m = len(row) // (len(row) & -len(row))
     got = [answer_or_refusal(lambda: kernels.norm_mod(row, q)),
            answer_or_refusal(lambda: kernels.norm_mod_rows([row], [q])[0]),
            answer_or_refusal(lambda: kernels.norm_mod_rows([row, row], [q, q])[0])]
     assert got[0] == got[1] == got[2]
     # a batch that mixes a prime the twist takes, a prime it leaves to the
-    # Euclid (11: gcd(m, 10) = 5 at m = 5 and 15, q <= m at m = 97) and a
-    # composite q reads each row as it is read alone, or refuses as the
-    # first refused row does
-    m = len(row) // (len(row) & -len(row))
-    moduli = [next(p for p in TWIST_MODULI if twist_applies(m, p)), 11,
-              2**31 - 3 if arith.is_prime(q) else q]
+    # Euclid (11: gcd(m, 10) = 5 at m = 5 and 15, q <= m at m = 97) and q
+    # reads each row as it is read alone, or refuses as the first refused
+    # row does
+    moduli = [next(p for p in TWIST_MODULI if twist_applies(m, p)), 11, q]
     alone = [answer_or_refusal(lambda p=p: kernels.norm_mod(row, p)) for p in moduli]
     refusals = [a for a in alone if isinstance(a, str)]
     try:
@@ -659,9 +683,8 @@ def test_one_row_is_the_rows_kernel_for_every_odd_part(case):
     except ValueError as e:
         batch = str(e)
     assert batch == (refusals[0] if refusals else alone)
-    if isinstance(got[0], str):
-        assert f"mod q = {q} met the leading coefficient" in got[0]
-        assert not arith.is_prime(q)
+    if m >= 5 and not arith.is_prime(q):
+        assert got[0] == composite_q_refusal(m, q)
         return
     assert type(kernels.norm_mod(row, q)) is int
     if len(row) <= 50:  # sympy's time
@@ -734,8 +757,11 @@ def twist_applies(m, q):
 
 def test_twist_applies_where_its_conditions_hold():
     for m in TWIST_ODD_PARTS:
-        for q in TWIST_MODULI + [49, 2**31 - 3]:
+        for q in TWIST_MODULI:
             assert (kernels._twist_plan(m, q) is not None) == twist_applies(m, q), (m, q)
+        for q in (49, 2**31 - 3):
+            with pytest.raises(ValueError, match=f"^{composite_q_refusal(m, q)}$"):
+                kernels._twist_plan(m, q)
     assert [twist_applies(m, q) for m in TWIST_ODD_PARTS
             for q in kernels.crt_primes(3)] == [True] * 3 + [False] * 3 + [True] * 12
 
@@ -826,25 +852,38 @@ def test_twist_plan_stops_at_the_ring_products_bound():
 
 
 @pytest.mark.parametrize("m", TWIST_ODD_PARTS)
-def test_twist_leaves_composite_q_to_the_euclid(m):
+def test_twist_plan_refuses_composite_q(m):
     # q = 2^31 - 3 = 5 * 19 * 22605091 is above m and prime to m, but not
-    # prime: the Euclid answers, or refuses naming q, as norm_mod_rows does;
-    # it refuses most rows, as a remainder soon leads with a multiple of 5
+    # prime: every row is refused, naming q and m, by norm_mod and
+    # norm_mod_rows alike, and the plans' memo keeps nothing for it
     q = 2**31 - 3
     rng = random.Random(m)
-    answered = refused = 0
+    want = f"^{composite_q_refusal(m, q)}$"
     for _ in range(8):
         h = [rng.randint(-9, 9) for _ in range(m)]
-        try:
-            want = int(kernels.norm_mod_rows([h], [q])[0])
-        except ValueError:
-            refused += 1
-            with pytest.raises(ValueError, match=f"mod q = {q} met the leading coefficient"):
-                kernels.norm_mod(h, q)
-        else:
-            answered += 1
-            assert kernels.norm_mod(h, q) == want == sympy_norm(h) % q
-    assert refused and (answered or m > 5)
+        with pytest.raises(ValueError, match=want):
+            kernels.norm_mod_rows([h], [q])
+        with pytest.raises(ValueError, match=want):
+            kernels.norm_mod(h, q)
+    entries = kernels._twist_plan.cache_info().currsize
+    with pytest.raises(ValueError, match=want):
+        kernels._twist_plan(m, q)
+    assert kernels._twist_plan.cache_info().currsize == entries
+
+
+def test_least_primitive_root_generates_every_power_of_p():
+    # _generator takes the least primitive root g mod p as one mod p^i too,
+    # which holds when g^(p - 1) != 1 mod p^2.  The plan admits m only below
+    # q, so (q - 1)(m (2^16 - 1) + 2^17) < 2^63 keeps m <= 11,863,372, and
+    # p^2 | m only for p <= 3,444
+    m = math.isqrt(2**63 // 0xFFFF)
+    while m * (m * 0xFFFF + 2**17) >= 2**63:
+        m -= 1
+    assert m == 11_863_372 and math.isqrt(m) == 3_444
+    for p in arith.primes_up_to(3_444)[1:]:
+        g = sympy.primitive_root(p)
+        assert kernels._generator(p, p * p, p * p) == g, p
+        assert pow(g, p - 1, p * p) != 1, p
 
 
 # The one-value path of norm_mod reads a list of one int and an int q in
@@ -938,13 +977,6 @@ def test_exact_norms_refuse_empty_vectors():
     for f in (kernels.norm_int, kernels.norm_value, kernels.norm_is_zero):
         with pytest.raises(ValueError):
             f([])
-
-
-def test_halving_helpers_refuse_empty_rows():
-    with pytest.raises(ValueError):
-        kernels._halve_exact([])
-    with pytest.raises(ValueError):
-        kernels._halve_rows(np.zeros((1, 0), dtype=np.int64), [7], np.array([[7]]))
 
 
 def test_conic_square_tables_cached_read_only_and_bounded(monkeypatch):

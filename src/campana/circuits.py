@@ -41,11 +41,12 @@ import weakref
 from _weakref import _remove_dead_weakref
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, NoReturn, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import arith, kernels
+from .errors import InvariantError
 from .kernels import _modulus
 
 ConstLike = Union[int, Fraction]
@@ -626,61 +627,91 @@ def read_nodes(raw) -> List[Circuit]:
     is known, its length right, each child index an int below its own index
     and each other field well formed.  The list may repeat nodes, hold nodes
     no root reaches and have any such order; each circuit is canonical all
-    the same.  Each op is read inline, and a circuit already in the table
-    taken without a call: parse spends most of its time here."""
+    the same.  parse spends most of its time here, so the loop tests each
+    node's shape once, takes a child index that is an int >= 0 to made[j],
+    which refuses one past the node, and leaves every message to _refuse."""
     _checked(raw, type(raw) in (list, tuple), "nodes must be a list")
     made: List[Circuit] = []
     get, append = _TABLE.get, made.append
-    for i, nd in enumerate(raw):
-        n = len(nd) if type(nd) in (list, tuple) and nd and type(op := nd[0]) is str else 0
-        if n == 3:
-            _, j, k = nd
-            if op == "add" or op == "mul":
-                if type(j) is not int or not 0 <= j < i:
-                    raise _bad_kid(i, j)
-                if type(k) is not int or not 0 <= k < i:
-                    raise _bad_kid(i, k)
-                key = ("add" if op == "add" else "mul", made[j], made[k])
-            elif op == "pow":
-                if type(j) is not int or not 0 <= j < i:
-                    raise _bad_kid(i, j)
-                if type(k) is not int or k < 1:
-                    raise _bad(i, "pow k must be an int >= 1", k)
-                key = ("pow", made[j], k)
+    try:
+        for nd in raw:
+            # an array led by a str op; one of no field or one stops at nd[0] or nd[1]
+            if type(nd) is not list and type(nd) is not tuple or type(op := nd[0]) is not str:
+                break
+            n, x = len(nd), nd[1]
+            if n == 3:
+                k = nd[2]
+                if type(x) is not int or x < 0 or type(k) is not int or k < 0:
+                    break
+                if op == "add":
+                    key = ("add", made[x], made[k])
+                elif op == "mul":
+                    key = ("mul", made[x], made[k])
+                elif op == "pow" and k >= 1:
+                    key = ("pow", made[x], k)
+                else:
+                    break
+            elif n != 2:
+                break
+            elif op == "var" and type(x) is str:
+                key = ("var", x)
+            elif op == "neg" and type(x) is int and x >= 0:
+                key = ("neg", made[x])
+            elif op == "int":
+                key = ("int", _value(x, len(made)))
+            elif op == "norm" and type(x) in (list, tuple) and x:
+                key = ("norm", tuple([made[j] for j in x if type(j) is int and j >= 0]))
+                if len(key[1]) < len(x):
+                    break
             else:
-                raise ValueError(_malformed(i, nd))
-        elif n == 2 and op == "var":
-            if type(name := nd[1]) is not str:
-                raise _bad(i, "a var name must be a string", name)
-            key = ("var", name)
-        elif n == 2 and op == "neg":
-            if type(j := nd[1]) is not int or not 0 <= j < i:
-                raise _bad_kid(i, j)
-            key = ("neg", made[j])
-        elif n == 2 and op == "int":
-            key = ("int", _value(nd[1], i))
-        elif n == 2 and op == "norm":
-            if type(js := nd[1]) not in (list, tuple) or not js:
-                raise _bad(i, "norm takes a nonempty list of child indices", js)
-            for j in js:
-                if type(j) is not int or not 0 <= j < i:
-                    raise _bad_kid(i, j)
-            key = ("norm", tuple([made[j] for j in js]))
+                break
+            ref = get(key)
+            if ref is None or (circ := ref()) is None:
+                circ = _intern(key)
+            append(circ)
         else:
-            raise ValueError(_malformed(i, nd))
-        ref = get(key)
-        if ref is None or (circ := ref()) is None:
-            circ = _intern(key)
-        append(circ)
-    return made
+            return made
+    except (IndexError, ValueError):
+        pass
+    _refuse(raw, len(made))
+
+
+def _refuse(raw, i: int) -> NoReturn:
+    """Raise the ValueError naming what is wrong with node i of raw, where
+    read_nodes stopped: its shape, then each field in order, so that of two
+    bad fields the first is named.  InvariantError if nothing is."""
+    nd = raw[i]
+    n = len(nd) if type(nd) in (list, tuple) and nd and type(op := nd[0]) is str else 0
+    if n == 3 and op in ("add", "mul", "pow"):
+        _kid(i, nd[1])
+        if op != "pow":
+            _kid(i, nd[2])
+        elif type(k := nd[2]) is not int or k < 1:
+            raise _bad(i, "pow k must be an int >= 1", k)
+    elif n == 2 and op == "var":
+        if type(name := nd[1]) is not str:
+            raise _bad(i, "a var name must be a string", name)
+    elif n == 2 and op == "neg":
+        _kid(i, nd[1])
+    elif n == 2 and op == "int":
+        _value(nd[1], i)
+    elif n == 2 and op == "norm":
+        if type(js := nd[1]) not in (list, tuple) or not js:
+            raise _bad(i, "norm takes a nonempty list of child indices", js)
+        for j in js:
+            _kid(i, j)
+    else:
+        raise ValueError(_malformed(i, nd))
+    raise InvariantError(f"node {i}: {nd!r} is well formed, yet read_nodes stopped at it")
 
 
 def _bad(i: int, what: str, x) -> ValueError:
     return ValueError(f"node {i}: {what}, not {x!r}")
 
 
-def _bad_kid(i: int, j) -> ValueError:
-    return _bad(i, f"expected child indices below {i}", j)
+def _kid(i: int, j) -> None:
+    if type(j) is not int or not 0 <= j < i:
+        raise _bad(i, f"expected child indices below {i}", j)
 
 
 def _not_canonical(nodes: Sequence[tuple], made: List[Circuit]) -> str:

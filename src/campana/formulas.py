@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations, count
+from itertools import chain, combinations, count, repeat
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import arith
@@ -553,8 +553,8 @@ def prenex_or(universal_part: Formula, existential_part: Formula,
 def _prenex(universals, P, y, existentials, Q) -> Tuple[Tuple[Tuple[str, str], ...], Circuit]:
     """The prefix and the atom of forall universals exists y exists
     existentials: (y P - 1) Q = 0."""
-    prefix = (*((FORALL, n) for n in universals), (EXISTS, y),
-              *((EXISTS, n) for n in existentials))
+    prefix = (*zip(repeat(FORALL), universals), (EXISTS, y),
+              *zip(repeat(EXISTS), existentials))
     return prefix, (Circuit.var(y) * P - 1) * Q
 
 
@@ -880,9 +880,10 @@ def parse(data: Union[bytes, str]) -> Formula:
     template, so after clear_memos() such a document goes through the
     reader until an emit renders its template again; so does a str, a
     bytearray and any near miss.  3 of the 13 emit targets are families:
-    campana(7) takes 0.35 ms where the reader takes 3.47, Jn(7) 0.17 ms
-    where it takes 1.46, and the mean parse of a compile request 0.76 ms
-    where it took 1.22 (2-core x86-64; BENCH_40.json).
+    campana(7) takes 0.14 ms where the reader takes 3.75, and Jn(7)
+    0.05 ms where it takes 1.71; the premise, which has no family, takes
+    2.47 ms (min of 15 in each of 9 processes, 2-core x86-64 Xeon;
+    BENCH_56.json).
 
     The cyclic garbage collector is paused while parse runs, and turned
     back on when it returns or raises if it was on when the call began.

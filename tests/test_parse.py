@@ -3,6 +3,7 @@ properties on random circuits."""
 import copy
 import gc
 import json
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import campana
 from campana import formulas as fm
-from campana.circuits import Circuit
+from campana.circuits import Circuit, _refuse, read_nodes
+from campana.errors import InvariantError
 
 
 def _doc(nodes, matrix=None, **top):
@@ -48,6 +50,8 @@ def test_child_index_out_of_range():
 
 def test_negative_child_index():
     _rejects(_doc([XA, ["add", 0, -1]]))
+    _rejects(_doc([XA, ["add", -1, 0]]))  # made[-1] would be node 0
+    _rejects(_doc([XA, ["neg", -1]]))
 
 
 def test_forward_reference():
@@ -409,6 +413,192 @@ def test_circuit_refuses_every_single_node_mutation_at_that_node(name):
             for bad in _mutations(i, nd):
                 with pytest.raises(ValueError, match=rf"^node {i}: "):
                     Circuit(nodes[:i] + (bad,) + nodes[i + 1:])
+
+
+# ---------------------------------------------------------------------------
+# the reader against a plain reference reader: the same accepted node lists,
+# the same circuits and the same refusal message, field by field
+# ---------------------------------------------------------------------------
+
+def _bad(i, what, x):
+    return ValueError(f"node {i}: {what}, not {x!r}")
+
+
+def _kid(i, j, made):
+    if type(j) is not int or not 0 <= j < i:
+        raise _bad(i, f"expected child indices below {i}", j)
+    return made[j]
+
+
+def _reference_read(raw):
+    """The reader's contract, written plainly: node i is an array of a known
+    op and its fields, checked one field at a time in the order below, so
+    that of two bad fields the first is named, and made with Circuit's own
+    constructors."""
+    made = []
+    for i, nd in enumerate(raw):
+        n = len(nd) if type(nd) in (list, tuple) and nd and type(op := nd[0]) is str else 0
+        if n == 3 and op in ("add", "mul"):
+            a, b = _kid(i, nd[1], made), _kid(i, nd[2], made)
+            c = a + b if op == "add" else a * b
+        elif n == 3 and op == "pow":
+            a = _kid(i, nd[1], made)
+            if type(k := nd[2]) is not int or k < 1:
+                raise _bad(i, "pow k must be an int >= 1", k)
+            c = a ** k
+        elif n == 2 and op == "var":
+            if type(name := nd[1]) is not str:
+                raise _bad(i, "a var name must be a string", name)
+            c = Circuit.var(name)
+        elif n == 2 and op == "neg":
+            c = -_kid(i, nd[1], made)
+        elif n == 2 and op == "int":
+            x = nd[1]
+            if type(x) is int or type(x) is Fraction and x.denominator != 1:
+                c = Circuit.const(x)
+            elif type(x) is str and re.fullmatch(r"-?[0-9]+/0*[1-9][0-9]*", x):
+                c = Circuit.const(Fraction(x))
+            else:
+                raise _bad(i, "an int value must be an int or a 'p/q' string", x)
+        elif n == 2 and op == "norm":
+            if type(js := nd[1]) not in (list, tuple) or not js:
+                raise _bad(i, "norm takes a nonempty list of child indices", js)
+            c = Circuit.norm([_kid(i, j, made) for j in js])
+        else:
+            raise ValueError(f"node {i}: {nd!r} is not a known op and its fields")
+        made.append(c)
+    return made
+
+
+def _outcome(read, raw):
+    """The circuits read, or the refusal's message."""
+    try:
+        return read(raw)
+    except ValueError as e:
+        return str(e)
+
+
+class _NotStr(str):
+    """A str subclass: an op that equals its name but is not a str."""
+
+
+_OPS = ["add", "mul", "pow", "neg", "var", "int", "norm", "sub", _NotStr("add"), 1, None, ["add"]]
+
+
+def _field_values(i, op, at):
+    """Values field `at` of node i, of op `op`, is mutated to: for its kind
+    of field, bad ones and good ones, then a few of every kind."""
+    if at == 0:
+        kind = _OPS
+    elif op == "pow" and at == 2:
+        kind = [0, -1, True, False, 2.0, 1, 3]
+    elif op == "var":
+        kind = [1, None, ["x"], "y", "x1"]
+    elif op == "int":
+        kind = [1.5, "1.5", "1/0", "3", "1/-2", True, None, [1], 7, "1/2", Fraction(2, 3)]
+    else:
+        kind = [-1, i, i + 1, True, 1.0, "0", None, 10**30, 0, max(i - 1, 0)]
+    return kind + [[], [0], "x", 2]
+
+
+def _mutate_field(data, nodes):
+    """Mutate one field of one node in place (a norm node's child, or its
+    whole list), or give the node a wrong arity; the node is drawn by op
+    first, so that the rare ops, int and norm, come up as often as add."""
+    at_op = {}
+    for i, nd in enumerate(nodes):
+        if nd and type(nd[0]) is str:
+            at_op.setdefault(nd[0], []).append(i)
+    i = data.draw(st.sampled_from(at_op[data.draw(st.sampled_from(sorted(at_op)))]))
+    nd = nodes[i] = list(nodes[i])
+    at = data.draw(st.integers(0, len(nd)))
+    if at == len(nd):
+        nd.append(0) if data.draw(st.booleans()) else nd.pop()
+    elif nd[0] == "norm" and at == 1 and type(nd[1]) is list and nd[1] and data.draw(st.booleans()):
+        kids = nd[1] = list(nd[1])
+        kids[data.draw(st.integers(0, len(kids) - 1))] = data.draw(
+            st.sampled_from(_field_values(i, "neg", 1)))
+    else:
+        nd[at] = data.draw(st.sampled_from(_field_values(i, nd[0], at)))
+
+
+def _target_nodes():
+    docs = {name: fm.emit(fm.TARGETS[name].build(2, False)) for name in ("S", "T", "I", "J")}
+    docs["integrality"] = fm.emit(fm.build_integrality())  # its norm nodes
+    docs["fraction and norm"] = fm.emit(_fraction_and_norm_formula())
+    return {name: json.loads(doc)["nodes"] for name, doc in docs.items()}
+
+
+_TARGET_NODES = _target_nodes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_TARGET_NODES)), st.data())
+def test_the_reader_is_the_reference_reader_on_mutated_targets(name, data):
+    nodes = list(_TARGET_NODES[name])
+    for _ in range(data.draw(st.integers(0, 2))):
+        _mutate_field(data, nodes)
+    tuples = [tuple(nd) if type(nd) is list else nd for nd in nodes]
+    for raw in (nodes, tuples):
+        want, got = _outcome(_reference_read, raw), _outcome(read_nodes, raw)
+        if type(want) is str:
+            assert got == want
+            with pytest.raises(ValueError) as refused:
+                Circuit(raw)
+            assert str(refused.value) == want
+        else:
+            assert type(got) is list and len(got) == len(want)
+            assert all(a is b for a, b in zip(got, want))
+    # parse reads the nodes as JSON writes them: an op that is a str subclass becomes a str
+    doc = {"free": [], "prefix": [], "nodes": nodes, "matrix": {"eq": len(nodes) - 1}}
+    text = json.dumps(doc, default=str)
+    want = _outcome(_reference_read, json.loads(text)["nodes"])
+    if type(want) is str:
+        with pytest.raises(ValueError) as refused:
+            fm.parse(text)
+        assert str(refused.value) == want
+
+
+# node 1 after node 0, x, with both of its fields bad: the first is named
+DOUBLE_FAULTS = [
+    (["add", -1, 5], "node 1: expected child indices below 1, not -1"),
+    (["add", 1, -1], "node 1: expected child indices below 1, not 1"),
+    (["mul", 0, True], "node 1: expected child indices below 1, not True"),
+    (["mul", 1.0, None], "node 1: expected child indices below 1, not 1.0"),
+    (["pow", 5, 0], "node 1: expected child indices below 1, not 5"),
+    (["pow", True, True], "node 1: expected child indices below 1, not True"),
+    (["pow", 0, True], "node 1: pow k must be an int >= 1, not True"),
+    (["norm", [0, -1, 7]], "node 1: expected child indices below 1, not -1"),
+    (["norm", [1, "0"]], "node 1: expected child indices below 1, not 1"),
+    (["add", -1, 0, 0], "node 1: ['add', -1, 0, 0] is not a known op and its fields"),
+    ([1, -1, -1], "node 1: [1, -1, -1] is not a known op and its fields"),
+]
+
+
+@pytest.mark.parametrize("node, message", DOUBLE_FAULTS)
+def test_of_two_bad_fields_the_reader_names_the_first(node, message):
+    assert _outcome(_reference_read, [XA, node]) == message
+    with pytest.raises(ValueError) as refused:
+        fm.parse(_doc([XA, node]))
+    assert str(refused.value) == message
+    node = tuple(tuple(x) if type(x) is list else x for x in node)
+    with pytest.raises(ValueError) as refused:
+        Circuit((("var", "x"), node))
+    assert str(refused.value) == message.replace(repr(list(node)), repr(node))
+
+
+def test_an_op_equal_to_a_name_but_not_a_str_is_refused():
+    for nodes in ([XA, [_NotStr("add"), 0, 0]], (("var", "x"), (_NotStr("neg"), 0))):
+        message = f"node 1: {nodes[1]!r} is not a known op and its fields"
+        for read in (read_nodes, Circuit):
+            with pytest.raises(ValueError) as refused:
+                read(nodes)
+            assert str(refused.value) == message
+
+
+def test_refuse_raises_invariant_error_on_a_well_formed_node():
+    with pytest.raises(InvariantError, match="^node 1: "):
+        _refuse([XA, ["neg", 0]], 1)
 
 
 # ---------------------------------------------------------------------------
